@@ -169,6 +169,14 @@ def build_network(
         raise BestPeerError(f"need >= 1 node, got {node_count}")
     if liglo_count < 1:
         raise BestPeerError(f"need >= 1 LIGLO server, got {liglo_count}")
+    # Two addresses per host, so a churning host always finds a fresh one.
+    pool_size = max(256, 2 * (node_count + liglo_count))
+    if pool_size > AddressPool.MAX_SIZE:
+        raise BestPeerError(
+            f"need <= {AddressPool.MAX_SIZE // 2 - liglo_count} nodes with "
+            f"{liglo_count} LIGLO server(s) (the simulated address space holds "
+            f"{AddressPool.MAX_SIZE} addresses, two per host), got {node_count}"
+        )
     if topology is not None and topology.node_count != node_count:
         raise BestPeerError(
             f"topology size {topology.node_count} != node count {node_count}"
@@ -185,7 +193,7 @@ def build_network(
     if strategy is not None:
         configs = [replace(cfg, strategy=strategy) for cfg in configs]
     tracer = tracer if tracer is not None else NULL_TRACER
-    pool = AddressPool(size=max(256, 2 * (node_count + liglo_count)))
+    pool = AddressPool(size=pool_size)
     shard_count = _resolve_shards(shards)
     if sim is not None and shard_count is not None:
         if shards is not None:

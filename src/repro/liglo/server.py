@@ -23,6 +23,7 @@ of every BPID they issue).  Functions, per Section 3.4:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from repro.errors import LigloError
 from repro.ids import BPID, SerialCounter
@@ -76,6 +77,10 @@ class LigloServer:
         self.max_hints = max_hints
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.members: dict[int, MemberEntry] = {}
+        # Node ids of ``members``, least recently seen first (an ordered
+        # set).  Simulated time never runs backwards, so moving a member
+        # to the end whenever it is seen keeps this sorted by ``last_seen``.
+        self._recency: dict[int, None] = {}
         #: keyword -> node ids of members that published it (hint directory)
         self.hint_index: dict[str, set[int]] = {}
         self.hint_publishes = 0
@@ -116,13 +121,15 @@ class LigloServer:
         bpid = BPID(self.server_id, node_id)
         now = self.host.sim.now
         peers = self._initial_peer_list()
-        self.members[node_id] = MemberEntry(
+        entry = MemberEntry(
             bpid=bpid,
             address=packet.src,
             online=True,
             registered_at=now,
             last_seen=now,
         )
+        self.members[node_id] = entry
+        self._mark_seen(entry)
         self.tracer.record(
             now, "liglo", "register", server=self.server_id, bpid=str(bpid)
         )
@@ -131,11 +138,36 @@ class LigloServer:
         )
         self.host.send(packet.src, m.PROTO_REGISTER_REPLY, reply)
 
+    def _mark_seen(self, entry: MemberEntry) -> None:
+        """Note a liveness signal: ``entry`` is online and the newest member."""
+        entry.online = True
+        entry.last_seen = self.host.sim.now
+        node_id = entry.bpid.node_id
+        self._recency.pop(node_id, None)
+        self._recency[node_id] = None
+
     def _initial_peer_list(self) -> list[tuple[BPID, IPAddress]]:
-        """Most recently seen online members, newest first."""
-        online = [entry for entry in self.members.values() if entry.online]
-        online.sort(key=lambda entry: entry.last_seen, reverse=True)
-        return [(entry.bpid, entry.address) for entry in online[: self.initial_peers]]
+        """Most recently seen online members, newest first.
+
+        Members seen at the same instant (the host serves requests on
+        several CPU threads, so this is the usual case) come out in
+        ascending node id.  Only the newest members are looked at: the
+        walk stops at the end of the tie group that fills the list.
+        """
+        if self.initial_peers <= 0:
+            return []
+        newest_first = (self.members[node_id] for node_id in reversed(self._recency))
+        peers: list[MemberEntry] = []
+        for _, tied in groupby(newest_first, key=lambda entry: entry.last_seen):
+            peers.extend(
+                sorted(
+                    (entry for entry in tied if entry.online),
+                    key=lambda entry: entry.bpid.node_id,
+                )
+            )
+            if len(peers) >= self.initial_peers:
+                break
+        return [(entry.bpid, entry.address) for entry in peers[: self.initial_peers]]
 
     def _on_announce(self, packet: Packet) -> None:
         announce: m.Announce = packet.payload
@@ -143,8 +175,7 @@ class LigloServer:
         if entry is None:
             return  # not ours, or forgotten; the node must re-register
         entry.address = packet.src
-        entry.online = True
-        entry.last_seen = self.host.sim.now
+        self._mark_seen(entry)
         self.tracer.record(
             self.host.sim.now,
             "liglo",
@@ -180,8 +211,7 @@ class LigloServer:
             return
         entry = self.members.get(node_id)
         if entry is not None:
-            entry.online = True
-            entry.last_seen = self.host.sim.now
+            self._mark_seen(entry)
 
     # -- keyword hint directory (super-peer routing) -----------------------------
 
@@ -195,8 +225,7 @@ class LigloServer:
             self.hint_index.setdefault(keyword, set()).add(publish.bpid.node_id)
         # A publish is also a liveness signal, like an announce.
         entry.address = packet.src
-        entry.online = True
-        entry.last_seen = self.host.sim.now
+        self._mark_seen(entry)
         self.tracer.record(
             self.host.sim.now,
             "liglo",

@@ -35,11 +35,14 @@ class AddressPool:
     observes a changed address, as dial-up/DHCP clients did.
     """
 
+    #: ``prefix.x.y`` has two free octets.
+    MAX_SIZE = 256 * 256
+
     def __init__(self, prefix: str = "10.0", size: int = 4096):
         if size < 1:
             raise ValueError(f"pool size must be >= 1, got {size}")
-        if size > 256 * 256:
-            raise ValueError(f"pool size must be <= 65536, got {size}")
+        if size > self.MAX_SIZE:
+            raise ValueError(f"pool size must be <= {self.MAX_SIZE}, got {size}")
         self.prefix = prefix
         self.size = size
         self._leased: set[int] = set()

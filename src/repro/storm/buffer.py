@@ -1,5 +1,7 @@
 """The buffer manager: a fixed pool of page frames over a disk.
 
+A frame is created the first time it is grabbed, so a pool nobody pins
+holds no per-frame objects; ``pool_size`` bounds how many can exist.
 Pages are pinned into frames with :meth:`BufferManager.pin` (or the
 ``with buffer.pinned(...)`` context manager), mutated in place, marked
 dirty, and written back on eviction or :meth:`BufferManager.flush_all`.
@@ -79,8 +81,8 @@ class BufferManager:
         self.pool_size = pool_size
         self.strategy = strategy if strategy is not None else LruStrategy()
         self.stats = AccessStats()
-        self._frames = [_Frame() for _ in range(pool_size)]
-        self._free: list[int] = list(range(pool_size))
+        # frame id -> frame, filled by _grab_frame as frames are first used
+        self._frames: dict[int, _Frame] = {}
         self._page_table: dict[int, int] = {}
         # Occupied frames whose pin count is zero — the eviction
         # candidates.  Maintained on every pin/unpin/evict so victim
@@ -215,6 +217,11 @@ class BufferManager:
         """Page ids currently cached."""
         return set(self._page_table)
 
+    @property
+    def frames_allocated(self) -> int:
+        """How many of the ``pool_size`` frames have been created so far."""
+        return len(self._frames)
+
     # -- internals ----------------------------------------------------------------
 
     def _resident_frame(self, page_id: int) -> _Frame:
@@ -224,8 +231,13 @@ class BufferManager:
         return self._frames[frame_id]
 
     def _grab_frame(self) -> int:
-        if self._free:
-            return self._free.pop()
+        if len(self._frames) < self.pool_size:
+            # Ids run pool_size-1 down to 0: strategies key their state by
+            # frame id and break ties on it, so the hand-out order decides
+            # victims and, through physical reads, simulated I/O time.
+            frame_id = self.pool_size - 1 - len(self._frames)
+            self._frames[frame_id] = _Frame()
+            return frame_id
         if not self._unpinned:
             raise BufferFullError(
                 f"all {self.pool_size} frames are pinned; cannot evict"

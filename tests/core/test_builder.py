@@ -6,7 +6,7 @@ from repro.agents.costs import AgentCosts
 from repro.core import BestPeerConfig, build_network
 from repro.core.builder import BestPeerNetwork
 from repro.errors import BestPeerError
-from repro.topology import line, ring
+from repro.topology import line, random_graph, ring
 from repro.util.compression import IdentityCodec
 from repro.util.tracing import Tracer
 
@@ -38,6 +38,13 @@ class TestBuildValidation:
         with pytest.raises(BestPeerError):
             build_network(3, topology=line(4))
 
+    def test_node_count_beyond_the_address_space_names_the_limit(self):
+        # 65 536 simulated addresses, two per host (nodes and LIGLOs).
+        with pytest.raises(BestPeerError, match="<= 32767 nodes"):
+            build_network(32768)
+        with pytest.raises(BestPeerError, match="<= 32765 nodes"):
+            build_network(32766, liglo_count=3)
+
     def test_liglo_round_robin(self):
         net = build_network(6, config=config(), liglo_count=2)
         by_server = {}
@@ -55,6 +62,27 @@ class TestBuildValidation:
         tracer = Tracer()
         net = build_network(2, config=config(), topology=line(2), tracer=tracer)
         assert tracer.count("liglo", "register") == 2
+
+
+class TestSetUpCost:
+    """Set-up is guarded on counts, never on wall-clock."""
+
+    @pytest.mark.parametrize("nodes", [200, 800])
+    def test_idle_stores_allocate_no_buffer_frames(self, nodes):
+        topology = random_graph(nodes, 4, seed=nodes)
+        widest = max(topology.degree(i) for i in range(nodes))
+        net = build_network(
+            nodes, config=config(max_direct_peers=widest), topology=topology
+        )
+
+        def frames():
+            return [node.storm.buffer.frames_allocated for node in net.nodes]
+
+        assert sum(frames()) == 0
+        net.nodes[3].share(["needle"], b"first")
+        net.nodes[nodes - 1].share(["needle"], b"second")
+        sharers = {i: count for i, count in enumerate(frames()) if count}
+        assert sharers == {3: 1, nodes - 1: 1}
 
 
 class TestApplyTopology:
