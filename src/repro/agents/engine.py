@@ -347,9 +347,13 @@ class AgentEngine:
         if envelope.mode == MODE_FLOOD:
             if envelope.agent_id in self._seen:
                 self.agents_deduped += 1
-                self.tracer.record(
-                    self.host.sim.now, "agent", "dedup", agent=str(envelope.agent_id)
-                )
+                if self.tracer.enabled:  # two of three flood arrivals end here
+                    self.tracer.record(
+                        self.host.sim.now,
+                        "agent",
+                        "dedup",
+                        agent=str(envelope.agent_id),
+                    )
                 return
             self._seen.add(envelope.agent_id)
         if envelope.source is not None:
@@ -446,14 +450,15 @@ class AgentEngine:
             + (self.costs.class_install_time if install_charged else 0.0)
             + context.charged_time
         )
-        self.tracer.record(
-            self.host.sim.now,
-            "agent",
-            "execute",
-            agent=str(envelope.agent_id),
-            hops=envelope.hops,
-            service=service_time,
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                self.host.sim.now,
+                "agent",
+                "execute",
+                agent=str(envelope.agent_id),
+                hops=envelope.hops,
+                service=service_time,
+            )
         self.host.cpu.submit(
             service_time, self._release_outputs, envelope, agent, context
         )

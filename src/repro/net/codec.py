@@ -34,7 +34,8 @@ from __future__ import annotations
 import os
 import pickle
 import struct
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import WireCodecError, WireDecodeError, WireEncodeError
@@ -55,6 +56,20 @@ HEADER_SIZE = _HEADER.size
 
 #: Control frames are small by definition; anything bigger is corrupt.
 MAX_FRAME_BYTES = 1 << 20
+
+#: Distinct parsed frames each :class:`MessageSpec` remembers; a full memo
+#: is cleared, not aged (a flood re-parses its handful of live frames).
+#: Small on purpose: a flood's wavefront holds a few distinct frames, and a
+#: parse that outlives a few hundred allocations is promoted to the cyclic
+#: collector's oldest generation, where a build's one-shot LIGLO frames
+#: bring full collections forward (at 128, ``flood_4k`` set-up read +12 %).
+DECODE_MEMO_CAPACITY = 32
+#: :func:`decode_message` calls served from a memo / parsed from the
+#: frame.  Plain ints for tests and reports; unsynchronised, so exact only
+#: when one thread decodes (the simulator).
+decode_memo_hits = 0
+decode_memo_misses = 0
+_MEMO_LOCK = threading.Lock()
 
 #: Selects the wire codec: ``compact`` (default) or ``pickle``.  Checked
 #: on every encode (one ``os.environ`` lookup) — like
@@ -107,6 +122,11 @@ class FieldCodec:
     problems raise :class:`WireDecodeError` (the frame is corrupt)."""
 
     name = "field"
+    #: Can :meth:`unpack` return a value a receiver could mutate?  Decode
+    #: shares the other fields' parsed values between all receivers of one
+    #: frame (:func:`decode_message`), so the safe default is True; the
+    #: immutable leaves say False and the combinators ask their inners.
+    yields_mutable = True
 
     def pack(self, value: Any, out: bytearray) -> None:
         raise NotImplementedError
@@ -117,6 +137,8 @@ class FieldCodec:
 
 class _Scalar(FieldCodec):
     """A fixed-width integer/float via one :mod:`struct` format."""
+
+    yields_mutable = False
 
     def __init__(self, fmt: str, name: str):
         self._struct = struct.Struct(fmt)
@@ -137,6 +159,7 @@ class _Bool(FieldCodec):
     """One byte, strictly 0 or 1 (anything else marks a corrupt frame)."""
 
     name = "bool"
+    yields_mutable = False
 
     def pack(self, value: Any, out: bytearray) -> None:
         if not isinstance(value, bool):
@@ -154,6 +177,7 @@ class _Str(FieldCodec):
     """UTF-8 string, u16 length prefix (control strings are short)."""
 
     name = "str"
+    yields_mutable = False
 
     def pack(self, value: Any, out: bytearray) -> None:
         if not isinstance(value, str):
@@ -168,7 +192,7 @@ class _Str(FieldCodec):
         length, offset = U16.unpack(data, offset)
         chunk, offset = _take(data, offset, length)
         try:
-            return chunk.decode("utf-8"), offset
+            return str(chunk, "utf-8"), offset  # any buffer, not only bytes
         except UnicodeDecodeError as exc:
             raise WireDecodeError(f"invalid utf-8 in string field: {exc}") from exc
 
@@ -177,6 +201,7 @@ class _Bytes(FieldCodec):
     """Raw byte string, u32 length prefix."""
 
     name = "bytes"
+    yields_mutable = False
 
     def pack(self, value: Any, out: bytearray) -> None:
         if not isinstance(value, (bytes, bytearray)):
@@ -223,6 +248,7 @@ class _Optional(FieldCodec):
     def __init__(self, inner: FieldCodec):
         self.inner = inner
         self.name = f"opt({inner.name})"
+        self.yields_mutable = inner.yields_mutable
 
     def pack(self, value: Any, out: bytearray) -> None:
         if value is None:
@@ -246,6 +272,7 @@ class _Seq(FieldCodec):
     def __init__(self, inner: FieldCodec):
         self.inner = inner
         self.name = f"seq({inner.name})"
+        self.yields_mutable = inner.yields_mutable
 
     def pack(self, value: Any, out: bytearray) -> None:
         try:
@@ -274,6 +301,7 @@ class _Pair(FieldCodec):
         self.first = first
         self.second = second
         self.name = f"pair({first.name},{second.name})"
+        self.yields_mutable = first.yields_mutable or second.yields_mutable
 
     def pack(self, value: Any, out: bytearray) -> None:
         try:
@@ -301,6 +329,12 @@ class _Composite(FieldCodec):
         self.name = name
         self.attrs = attrs
         self.build = build
+        # Shareable only when nothing inside it and not the built object
+        # itself can be changed: a frozen dataclass over immutable fields.
+        frozen = getattr(getattr(build, "__dataclass_params__", None), "frozen", False)
+        self.yields_mutable = not frozen or any(
+            codec.yields_mutable for _attr, codec in attrs
+        )
 
     def pack(self, value: Any, out: bytearray) -> None:
         for attr, codec in self.attrs:
@@ -398,6 +432,11 @@ class MessageSpec:
     #: value-level predicate: False routes this instance to the pickle
     #: fallback (e.g. agent envelopes that carry class source)
     compactable: Callable[[Any], bool] | None = None
+    #: frame bytes -> its parse (see :func:`decode_message`).  Held here so
+    #: that re-registering or dropping a type id drops its parses with it.
+    memo: dict[bytes, tuple[dict[str, Any], list]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def name(self) -> str:
@@ -509,7 +548,17 @@ def try_encode(message: Any) -> bytes | None:
 def decode_message(frame: bytes) -> Any:
     """Inverse of :func:`encode_message`; :class:`WireDecodeError` on any
     malformation (bad magic/version/type id, truncation, value overrun,
-    oversize, trailing garbage)."""
+    oversize, trailing garbage).
+
+    A flood delivers the same bytes to every host at one hop depth, so a
+    ``bytes`` frame is parsed once and its parse kept in ``spec.memo``.
+    Every call still checks the header and builds its own message; what
+    equal frames share are the parsed field values, all deeply immutable.
+    A field whose codec :attr:`~FieldCodec.yields_mutable` (agent state)
+    is never kept: each call unpacks it afresh from the frame, so no
+    receiver can observe another's mutations.
+    """
+    global decode_memo_hits, decode_memo_misses
     if len(frame) > MAX_FRAME_BYTES:
         raise WireDecodeError(
             f"oversized frame: {len(frame)} bytes exceeds {MAX_FRAME_BYTES}"
@@ -527,15 +576,39 @@ def decode_message(frame: bytes) -> Any:
     spec = _BY_ID.get(type_id)
     if spec is None:
         raise WireDecodeError(f"unknown message type id {type_id:#06x}")
-    values: dict[str, Any] = {}
-    offset = HEADER_SIZE
-    for name, codec in spec.fields:
-        values[name], offset = codec.unpack(frame, offset)
-    if offset != len(frame):
-        raise WireDecodeError(
-            f"{len(frame) - offset} trailing bytes after a complete {spec.name}"
-        )
+    # Only real bytes are looked up or kept: a bytearray is unhashable and
+    # a memoryview's buffer can change under the key.
+    keyed = type(frame) is bytes
+    parse = spec.memo.get(frame) if keyed else None
+    if parse is not None:
+        decode_memo_hits += 1
+        shared, unshared = parse
+        values = dict(shared)
+        for name, codec, offset in unshared:
+            values[name], _end = codec.unpack(frame, offset)
+    else:
+        decode_memo_misses += 1
+        values = {}
+        unshared = []
+        offset = HEADER_SIZE
+        for name, codec in spec.fields:
+            if codec.yields_mutable:
+                unshared.append((name, codec, offset))
+            values[name], offset = codec.unpack(frame, offset)
+        if offset != len(frame):
+            raise WireDecodeError(
+                f"{len(frame) - offset} trailing bytes after a complete {spec.name}"
+            )
     try:
-        return spec.cls(**values)
+        message = spec.cls(**values)
     except Exception as exc:
         raise WireDecodeError(f"cannot construct {spec.name}: {exc}") from exc
+    if keyed and parse is None:
+        # Only a frame that decoded all the way gets here.
+        for name, _codec, _offset in unshared:
+            del values[name]
+        with _MEMO_LOCK:  # check-then-insert: live endpoints decode on threads
+            if len(spec.memo) >= DECODE_MEMO_CAPACITY:
+                spec.memo.clear()
+            spec.memo[frame] = (values, unshared)
+    return message

@@ -33,9 +33,12 @@ class Packet:
     of the compression bypass.
 
     ``payload`` decodes ``raw`` lazily, on first access.  Receivers
-    therefore always get an independent copy snapshotted at send time
-    (hosts are separate machines; aliasing would be a lie), while packets
-    that are dropped en route — loss, no route, stale address — never pay
+    therefore always get a message of their own, snapshotted at send time
+    (hosts are separate machines; observable aliasing would be a lie):
+    what receivers of byte-identical compact frames may share are parsed
+    field values that nothing can change, and anything mutable is rebuilt
+    per receiver (:func:`repro.net.codec.decode_message`).  Packets that
+    are dropped en route — loss, no route, stale address — never pay
     the decode at all.  A malformed compact frame raises a typed
     :class:`~repro.errors.WireDecodeError` from that first access;
     :meth:`Host._dispatch` turns it into a counted drop.

@@ -141,9 +141,10 @@ class Host:
         :class:`~repro.util.serialization.WireEncoder`, so a fan-out loop
         sending one payload object to many peers encodes it once.  The
         packet then queues on this host's NIC and arrives ``latency``
-        after its transmission completes.  The receiver deserializes its
-        own copy of the send-time bytes on delivery — never a shared
-        object — and dropped packets skip that work entirely.
+        after its transmission completes.  The receiver decodes the
+        send-time bytes into a message of its own on delivery — never an
+        object it could change under another host — and dropped packets
+        skip that work entirely.
         """
         if self.suspended:
             # A crashed machine's still-scheduled housekeeping (e.g. a
@@ -186,15 +187,17 @@ class Host:
         self.cpu.submit(self.dispatch_time, self._dispatch, handler, packet)
 
     def _dispatch(self, handler: Callable[[Packet], None], packet: Packet) -> None:
-        self.network.tracer.record(
-            self.sim.now,
-            "net",
-            "deliver",
-            host=self.name,
-            protocol=packet.protocol,
-            src=str(packet.src),
-            size=packet.wire_size,
-        )
+        tracer = self.network.tracer
+        if tracer.enabled:  # per packet: build no strings for a tracer that is off
+            tracer.record(
+                self.sim.now,
+                "net",
+                "deliver",
+                host=self.name,
+                protocol=packet.protocol,
+                src=str(packet.src),
+                size=packet.wire_size,
+            )
         try:
             handler(packet)
         except WireDecodeError as exc:
@@ -352,15 +355,16 @@ class Network:
 
     def _propagate(self, packet: Packet, link: LinkModel) -> None:
         """NIC transmission finished; deliver after propagation latency."""
-        self.tracer.record(
-            self.sim.now,
-            "net",
-            "send",
-            src=str(packet.src),
-            dst=str(packet.dst),
-            protocol=packet.protocol,
-            size=packet.wire_size,
-        )
+        if self.tracer.enabled:  # per packet: see Host._dispatch
+            self.tracer.record(
+                self.sim.now,
+                "net",
+                "send",
+                src=str(packet.src),
+                dst=str(packet.dst),
+                protocol=packet.protocol,
+                size=packet.wire_size,
+            )
         if link.loss_probability > 0.0 and (
             self._loss_rng.random() < link.loss_probability
         ):

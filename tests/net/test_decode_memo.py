@@ -1,0 +1,379 @@
+"""Parse-once decode (``MessageSpec.memo``): receivers stay independent,
+the decoder stays strict, the memo stays small, and a flood really does
+parse only one frame per hop depth."""
+
+from __future__ import annotations
+
+import copy
+import sys
+import threading
+import time
+from dataclasses import dataclass, is_dataclass, replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import BestPeerConfig, build_network, random_graph
+from repro.agents.agent import Agent
+from repro.agents.envelope import AgentEnvelope
+from repro.errors import WireDecodeError
+from repro.liglo.messages import RegisterRequest
+from repro.net import codec as wire
+from repro.net.codec import (
+    DECODE_MEMO_CAPACITY,
+    decode_message,
+    encode_message,
+    load_registrations,
+    registered_specs,
+    spec_for_id,
+)
+from repro.net.faults import FrameFaultInjector
+
+from tests.agents.helpers import AgentRig
+
+from .conformance import CodecConformance
+from .test_codec import _Probe, scratch_registry  # noqa: F401  (fixture)
+
+load_registrations()
+
+ENVELOPE_SPEC = wire.lookup(AgentEnvelope)
+
+
+@pytest.fixture(autouse=True)
+def empty_memos():
+    """Each test starts cold, whatever earlier tests decoded."""
+    for spec in registered_specs():
+        spec.memo.clear()
+
+
+def _counters() -> tuple[int, int]:
+    return wire.decode_memo_hits, wire.decode_memo_misses
+
+
+# ---------------------------------------------------------------------------
+# Independence: equal frames, separate messages
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "spec", registered_specs(), ids=lambda s: s.name.removeprefix("repro.")
+)
+def test_two_decodes_are_equal_but_distinct_objects(spec):
+    frame = encode_message(spec.sample())
+    hits, misses = _counters()
+    first, second = decode_message(frame), decode_message(frame)
+    assert _counters() == (hits + 1, misses + 1)
+    assert first == second == spec.sample()
+    assert first is not second
+
+
+def test_only_agent_state_is_declared_mutable():
+    """What the memo may share is decided per field codec; today the one
+    field that is rebuilt per receiver is the envelope's pickled state."""
+    unshared = {
+        (spec.cls.__name__, name)
+        for spec in registered_specs()
+        for name, field_codec in spec.fields
+        if field_codec.yields_mutable
+    }
+    assert unshared == {("AgentEnvelope", "state")}
+
+
+def test_combinators_derive_mutability_from_their_inners():
+    assert wire.FieldCodec.yields_mutable  # an unknown codec is never shared
+    for leaf in (wire.U8, wire.I64, wire.F64, wire.BOOL, wire.STR, wire.BYTES):
+        assert not leaf.yields_mutable
+        assert not wire.opt(leaf).yields_mutable
+        assert not wire.seq(wire.pair(leaf, wire.BPID_CODEC)).yields_mutable
+    blob = wire.PICKLE_BLOB
+    assert blob.yields_mutable
+    assert wire.opt(blob).yields_mutable and wire.seq(blob).yields_mutable
+    assert wire.pair(wire.STR, blob).yields_mutable
+    assert wire.pair(blob, wire.STR).yields_mutable
+    assert wire.composite("holder", (("token", blob),), _Probe).yields_mutable
+
+    @dataclass
+    class Thawed:
+        token: int
+
+    # immutable fields, but the built object itself can be assigned to
+    assert wire.composite("thawed", (("token", wire.I64),), Thawed).yields_mutable
+    assert not wire.composite("probe", (("token", wire.I64),), _Probe).yields_mutable
+
+
+def test_shared_values_are_frozen_all_the_way_down():
+    """Every value a memo holds is a str/int/float/bool/bytes/None, a tuple
+    of such, or a frozen dataclass over such."""
+
+    def assert_frozen(value, where):
+        if value is None or type(value) in (str, int, float, bool, bytes):
+            return
+        if type(value) is tuple:
+            for item in value:
+                assert_frozen(item, where)
+            return
+        assert is_dataclass(value) and value.__dataclass_params__.frozen, where
+        for name in value.__dataclass_fields__:
+            assert_frozen(getattr(value, name), where)
+
+    for spec in registered_specs():
+        frame = encode_message(spec.sample())
+        decode_message(frame)
+        shared, _unshared = spec.memo[frame]
+        for name, value in shared.items():
+            assert_frozen(value, f"{spec.name}.{name}")
+
+
+_plain = st.integers() | st.text(max_size=8) | st.booleans() | st.none() | st.binary(max_size=8)
+_nested = st.recursive(
+    _plain,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(extra=st.dictionaries(st.text(max_size=6), _nested, max_size=3), ttl=st.integers(0, 30))
+def test_mutating_one_receivers_state_reaches_no_other(extra, ttl):
+    state = {**extra, "trail": [["origin"]], "box": {"seen": [1, 2]}}
+    envelope = replace(ENVELOPE_SPEC.sample(), state=state, ttl=ttl)
+    pristine = copy.deepcopy(state)
+    frame = encode_message(envelope)
+    first, second = decode_message(frame), decode_message(frame)
+    assert first == second == envelope
+    assert first.state is not second.state
+    first.state["scribble"] = "top level"
+    del first.state["box"]
+    first.state["trail"][0].append("nested")
+    second.state["trail"].append(["another receiver"])
+    third = decode_message(frame)
+    assert third.state == pristine == state
+    assert second.state == {**pristine, "trail": [["origin"], ["another receiver"]]}
+
+
+class ScribblingAgent(Agent):
+    """Appends to a list nested in its travelling state, then reports it."""
+
+    def __init__(self):
+        self.trail = {"visits": [["origin"]]}
+
+    def execute(self, context):
+        self.trail["visits"][0].append(str(context.host_id))
+        context.send(context.initiator_address, "test.report", self.trail)
+
+
+def test_fan_out_of_one_frame_gives_every_host_pristine_state():
+    rig = AgentRig()
+    hub = rig.add("hub")
+    leaves = [rig.add(name) for name in ("x", "y", "z")]
+    for leaf in leaves:
+        rig.link(hub, leaf)
+    reports = []
+    hub.host.bind("test.report", lambda packet: reports.append(packet.payload))
+    hub.engine.dispatch(ScribblingAgent())  # ships the class: sourced, not compact
+    rig.sim.run()
+    reports.clear()
+    hits, misses = _counters()
+    hub.engine.dispatch(ScribblingAgent())  # state-only: one frame, three packets
+    rig.sim.run()
+    assert _counters() == (hits + 2, misses + 1)
+    assert sorted(report["visits"][0][1] for report in reports) == sorted(
+        str(leaf.bpid) for leaf in leaves
+    )
+    # exactly what three independent decodes give: nobody saw a neighbour's append
+    assert all(len(report["visits"][0]) == 2 for report in reports)
+    assert all(report["visits"][0][0] == "origin" for report in reports)
+
+
+# ---------------------------------------------------------------------------
+# Robustness: the strict decoder, seen through a warm memo
+# ---------------------------------------------------------------------------
+
+
+class TestConformanceThroughAWarmMemo(CodecConformance):
+    """The whole malformed-frame battery, against frames whose valid form
+    is memoised: a corruption one bit away from a hit is still rejected."""
+
+    @pytest.fixture
+    def frame(self, spec) -> bytes:
+        frame = encode_message(spec.sample())
+        decode_message(frame)
+        assert frame in spec.memo
+        return frame
+
+    def test_body_bit_flips_never_crash(self, spec, frame, injector):
+        if spec.cls is AgentEnvelope:
+            # One flip in the state blob (a string length, turning the next
+            # byte into LONG_BINPUT) has pickle allocate ~1.4 GB for ~10 s.
+            # The cold battery pays for that once; the seeded battery below
+            # samples this frame's body through the memo.
+            pytest.skip("exhaustive envelope sweep runs cold in test_codec.py")
+        super().test_body_bit_flips_never_crash(frame, injector)
+
+
+@pytest.mark.parametrize(
+    "spec", registered_specs(), ids=lambda s: s.name.removeprefix("repro.")
+)
+def test_failing_frames_are_never_stored(spec):
+    frame = encode_message(spec.sample())
+    decode_message(frame)
+    injector = FrameFaultInjector(seed=1)
+    for _round in range(25):
+        for fault in injector.faults().values():
+            corrupted = fault(frame)
+            try:
+                decode_message(corrupted)
+            except WireDecodeError:
+                assert all(corrupted not in other.memo for other in registered_specs())
+            else:  # a self-consistent bit flip: a valid frame of some type
+                owner = spec_for_id(int.from_bytes(corrupted[2:4], "big"))
+                assert corrupted in owner.memo
+    assert decode_message(frame) == spec.sample()
+
+
+@dataclass(frozen=True, slots=True)
+class _Picky:
+    token: int
+
+    def __post_init__(self):
+        if self.token < 0:
+            raise ValueError("negative token")
+
+
+def test_constructor_failure_stays_wrapped_and_unstored(scratch_registry):
+    spec = wire.register(_Picky, 0x7F11, (("token", wire.I64),), sample=lambda: _Picky(1))
+    good = encode_message(_Picky(5))
+    assert decode_message(good) == _Picky(5)
+    bad = good[: wire.HEADER_SIZE] + wire.I64._struct.pack(-5)
+    for _attempt in range(2):
+        with pytest.raises(WireDecodeError, match="cannot construct"):
+            decode_message(bad)
+    assert list(spec.memo) == [good]
+
+
+def test_constructor_failure_on_a_hit_is_wrapped_too(scratch_registry, monkeypatch):
+    wire.register(_Picky, 0x7F11, (("token", wire.I64),), sample=lambda: _Picky(1))
+    frame = encode_message(_Picky(5))
+    decode_message(frame)
+
+    def refuse(self):
+        raise RuntimeError("constructor changed its mind")
+
+    monkeypatch.setattr(_Picky, "__post_init__", refuse)
+    with pytest.raises(WireDecodeError, match="cannot construct"):
+        decode_message(frame)
+
+
+def test_ten_thousand_distinct_frames_leave_every_memo_bounded():
+    spec = wire.lookup(RegisterRequest)
+    largest = 0
+    for token in range(10_000):
+        assert decode_message(encode_message(RegisterRequest(token=token))).token == token
+        largest = max(largest, len(spec.memo))
+    assert largest == DECODE_MEMO_CAPACITY
+    assert all(len(other.memo) <= DECODE_MEMO_CAPACITY for other in registered_specs())
+
+
+@pytest.mark.parametrize(
+    "spec", registered_specs(), ids=lambda s: s.name.removeprefix("repro.")
+)
+@pytest.mark.parametrize("buffer", (bytearray, memoryview))
+def test_other_buffers_decode_and_are_not_stored(spec, buffer):
+    frame = encode_message(spec.sample())
+    hits, _misses = _counters()
+    assert decode_message(buffer(frame)) == spec.sample()
+    assert not spec.memo
+    decode_message(frame)  # now memoised: a buffer of the same bytes still parses
+    assert decode_message(buffer(frame)) == spec.sample()
+    assert wire.decode_memo_hits == hits
+    assert list(spec.memo) == [frame]
+
+
+def test_a_bytes_subclass_is_not_looked_up():
+    class Tagged(bytes):
+        pass
+
+    spec = registered_specs()[0]
+    frame = encode_message(spec.sample())
+    assert decode_message(Tagged(frame)) == spec.sample()
+    assert not spec.memo
+
+
+def test_reregistering_a_type_id_drops_its_memo(scratch_registry):
+    wire.register(_Probe, 0x7F01, (("token", wire.I64),), sample=lambda: _Probe(1))
+    frame = encode_message(_Probe(7))
+    assert decode_message(frame) == decode_message(frame) == _Probe(7)
+    assert frame in spec_for_id(0x7F01).memo
+    relaid = wire.register(_Probe, 0x7F01, (("token", wire.I32),), sample=lambda: _Probe(1))
+    assert not relaid.memo
+    with pytest.raises(WireDecodeError, match="trailing"):  # not the stale parse
+        decode_message(frame)
+
+
+def test_concurrent_decoders_keep_the_memo_bounded():
+    """Live endpoints decode on one thread per connection; without the
+    lock around check-then-insert this overshoots within a second."""
+    spec = wire.lookup(RegisterRequest)
+    frames = [encode_message(RegisterRequest(token=token)) for token in range(2_000)]
+    deadline = time.monotonic() + 0.75
+    overflow, wrong = [], []
+
+    def worker(index: int) -> None:
+        while time.monotonic() < deadline:
+            index = (index + 1) % len(frames)
+            if decode_message(frames[index]).token != index:
+                wrong.append(index)
+            if len(spec.memo) > DECODE_MEMO_CAPACITY:
+                overflow.append(len(spec.memo))
+
+    threads = [threading.Thread(target=worker, args=(250 * n,)) for n in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong and not overflow
+
+
+# ---------------------------------------------------------------------------
+# The traffic claim: a flood parses one frame per hop depth
+# ---------------------------------------------------------------------------
+
+
+def test_flood_parses_one_frame_per_hop_depth():
+    nodes = 100
+    topology = random_graph(nodes, degree=4, seed=5)
+    config = BestPeerConfig(max_direct_peers=16, strategy="static", ttl=24)
+    deployment = build_network(nodes, config=config, topology=topology)
+    deployment.nodes[3].share(["needle"], b"a" * 68)
+    deployment.nodes[nodes - 1].share(["needle"], b"b" * 68)
+    base, network = deployment.base, deployment.network
+
+    def flood():
+        handle = base.issue_query("needle")
+        deployment.sim.run()
+        base.finish_query(handle)
+        return handle
+
+    flood()  # ships the agent class; later floods are state-only compact frames
+    depth, frontier, seen = 0, {0}, {0}
+    while frontier:  # hop distance of the farthest node from the base
+        frontier = {n for f in frontier for n in topology.neighbors(f)} - seen
+        seen |= frontier
+        depth += bool(frontier)
+    for _flood in range(2):  # the second starts from a memo the first filled
+        hits, misses = _counters()
+        delivered = network.packets_delivered
+        handle = flood()
+        assert len(handle.answers) == 2
+        compact = network.packets_delivered - delivered - len(handle.answers)
+        gained_hits, gained_misses = (now - then for now, then in zip(_counters(), (hits, misses)))
+        assert gained_hits + gained_misses == compact > 2 * nodes
+        assert 1 <= gained_misses <= depth + 2

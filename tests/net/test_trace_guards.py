@@ -1,0 +1,95 @@
+"""The per-packet trace records are guarded by ``tracer.enabled``: an
+enabled tracer sees exactly what it always saw, a disabled one no longer
+makes the packet path format addresses and agent ids."""
+
+from __future__ import annotations
+
+from repro import BestPeerConfig, build_network, random_graph
+from repro.agents.storm_agent import StorMSearchAgent
+from repro.ids import AgentId
+from repro.net.address import IPAddress
+from repro.util.tracing import NULL_TRACER
+
+from tests.agents.helpers import AgentRig
+
+GUARDED = {("net", "send"), ("net", "deliver"), ("agent", "dedup"), ("agent", "execute")}
+
+AGENT, ANSWER = "bestpeer.agent", "bestpeer.answer"
+AGENT_ID = "agent:liglo-test/0#0"
+A, B, C = "10.0.0.0", "10.0.0.1", "10.0.0.2"
+
+#: The guarded events of the triangle flood below, recorded on the commit
+#: before the guards went in (``size`` values left out: they depend on
+#: the zlib build).
+TRIANGLE_EVENTS = [
+    (0.0007248, "net", "send", (("src", A), ("dst", B), ("protocol", AGENT))),
+    (0.0014496, "net", "send", (("src", A), ("dst", C), ("protocol", AGENT))),
+    (0.0057248, "net", "deliver", (("host", "b"), ("protocol", AGENT), ("src", A))),
+    (0.0057248, "agent", "execute", (("agent", AGENT_ID), ("hops", 1), ("service", 0.011))),
+    (0.0064496, "net", "deliver", (("host", "c"), ("protocol", AGENT), ("src", A))),
+    (0.0064496, "agent", "execute", (("agent", AGENT_ID), ("hops", 1), ("service", 0.011))),
+    (0.0064496, "net", "send", (("src", B), ("dst", C), ("protocol", AGENT))),
+    (0.0071744, "net", "send", (("src", C), ("dst", B), ("protocol", AGENT))),
+    (0.0114496, "net", "deliver", (("host", "c"), ("protocol", AGENT), ("src", B))),
+    (0.0114496, "agent", "dedup", (("agent", AGENT_ID),)),
+    (0.0121744, "net", "deliver", (("host", "b"), ("protocol", AGENT), ("src", C))),
+    (0.0121744, "agent", "dedup", (("agent", AGENT_ID),)),
+    (0.0169496, "net", "send", (("src", B), ("dst", A), ("protocol", ANSWER))),
+    (0.0219496, "net", "deliver", (("host", "a"), ("protocol", ANSWER), ("src", B))),
+]
+
+
+def test_enabled_tracer_records_what_it_always_did():
+    rig = AgentRig()
+    a, b, c = rig.add("a"), rig.add("b"), rig.add("c")
+    rig.link(a, b)
+    rig.link(b, c)
+    rig.link(c, a)
+    b.put_objects("k", 1)
+    a.engine.dispatch(StorMSearchAgent("k"))
+    rig.sim.run()
+    recorded = [e for e in rig.tracer.events if (e.category, e.label) in GUARDED]
+    assert [
+        (
+            round(event.time, 9),
+            event.category,
+            event.label,
+            tuple(item for item in event.fields if item[0] != "size"),
+        )
+        for event in recorded
+    ] == TRIANGLE_EVENTS
+    for event in recorded:
+        if event.category == "net":
+            assert event.fields[-1][0] == "size" and type(event.fields[-1][1]) is int
+            assert type(event.get("src")) is str  # formatted, not the address object
+        else:
+            assert type(event.get("agent")) is str
+
+
+def test_disabled_tracer_formats_nothing_on_the_packet_path(monkeypatch):
+    nodes = 50
+    deployment = build_network(
+        nodes,
+        config=BestPeerConfig(max_direct_peers=16, strategy="static", ttl=24),
+        topology=random_graph(nodes, degree=4, seed=2),
+    )
+    assert deployment.network.tracer is NULL_TRACER
+    deployment.nodes[nodes - 1].share(["needle"], b"x" * 68)
+    delivered = deployment.network.packets_delivered
+    # The dispatch itself still formats its one agent id per query; the
+    # packet path is everything the kernel runs from here on.
+    handle = deployment.base.issue_query("needle")
+    formatted = []
+    for cls in (IPAddress, AgentId):
+        original = cls.__str__
+
+        def counting(self, original=original):
+            formatted.append(type(self).__name__)
+            return original(self)
+
+        monkeypatch.setattr(cls, "__str__", counting)
+    deployment.sim.run()
+    deployment.base.finish_query(handle)
+    assert len(handle.answers) == 1
+    assert deployment.network.packets_delivered - delivered > 2 * nodes
+    assert formatted == []
