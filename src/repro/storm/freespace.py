@@ -12,7 +12,7 @@ file used to iterate).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 
 class FreeSpaceMap:
@@ -20,10 +20,13 @@ class FreeSpaceMap:
 
     __slots__ = ("_free", "_cap", "_tree")
 
-    def __init__(self) -> None:
-        self._free: list[int] = []
+    def __init__(self, free: Iterable[int] = ()) -> None:
+        """``free`` bulk-loads pages 0..n-1: one build, not n updates."""
+        self._free: list[int] = list(free)
         self._cap = 1
         self._tree = [0, 0]
+        if self._free:
+            self._rebuild()
 
     def __len__(self) -> int:
         return len(self._free)

@@ -8,10 +8,10 @@ new pages are allocated.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from repro.errors import PageError, RecordNotFound
+from repro.errors import PageError, RecordNotFound, StormError
 from repro.storm.buffer import BufferManager
 from repro.storm.freespace import FreeSpaceMap
 from repro.storm.page import HEADER_SIZE, SLOT_SIZE, SlottedPage
@@ -31,23 +31,44 @@ class RecordId:
 class HeapFile:
     """Record storage over a :class:`BufferManager`."""
 
-    def __init__(self, buffer: BufferManager):
+    def __init__(
+        self,
+        buffer: BufferManager,
+        summary: tuple[Sequence[int], int] | None = None,
+    ):
+        """Open the file: every page is pinned once, in ascending order.
+
+        ``summary`` is ``(free bytes per page, record count)`` when the
+        caller already knows them (a store template's clone); otherwise
+        both are read off each page's slot directory.
+        """
         self.buffer = buffer
         self.max_record_size = buffer.disk.page_size - HEADER_SIZE - SLOT_SIZE
-        # First-fit free-space index (rebuilt by scanning on open): finds
-        # the lowest page with room in O(log pages) instead of a scan.
-        self._free_space = FreeSpaceMap()
         # Per-page mutation counters: bumped whenever a page's record set
         # changes, so caches of decoded records (StorM's scan cache) can
         # validate in O(1).  Compaction does not bump — it moves bytes
         # without changing any live record's slot or contents.
         self._versions: dict[int, int] = {}
-        self._record_count = 0
-        for page_id in range(buffer.disk.num_pages):
-            with buffer.pinned(page_id) as data:
-                page = SlottedPage(data)
-                self._free_space.set(page_id, page.free_space)
-                self._record_count += page.live_count
+        page_count = buffer.disk.num_pages
+        if summary is None:
+            free, self._record_count = [], 0
+            for page_id in range(page_count):
+                with buffer.pinned(page_id) as data:
+                    page_free, live = SlottedPage(data).summary()
+                free.append(page_free)
+                self._record_count += live
+        else:
+            free, self._record_count = summary
+            if len(free) != page_count:
+                raise StormError(
+                    f"summary of {len(free)} pages for a file of {page_count}"
+                )
+            for page_id in range(page_count):
+                buffer.pin(page_id)
+                buffer.unpin(page_id)
+        # First-fit free-space index: finds the lowest page with room in
+        # O(log pages) instead of a scan.
+        self._free_space = FreeSpaceMap(free)
 
     # -- operations -----------------------------------------------------------
 

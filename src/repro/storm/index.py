@@ -9,7 +9,7 @@ it never needs its own persistence.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 
 from repro.storm.heapfile import RecordId
 from repro.storm.objects import normalize_keyword
@@ -52,7 +52,7 @@ class KeywordIndex:
             keyword: frozenset(rids) for keyword, rids in self._postings.items()
         }
 
-    def load_snapshot(self, snapshot: dict[str, frozenset[RecordId]]) -> None:
+    def load_snapshot(self, snapshot: Mapping[str, frozenset[RecordId]]) -> None:
         """Replace all postings with a :meth:`snapshot`'s contents."""
         self._postings = {
             keyword: set(rids) for keyword, rids in snapshot.items()

@@ -93,10 +93,24 @@ class SlottedPage:
             if offset != 0
         )
 
+    def summary(self) -> tuple[int, int]:
+        """``(free_space, live_count)`` from one walk of the slot directory."""
+        slot_count = self.slot_count
+        live_bytes = live = 0
+        position = self.page_size - SLOT_SIZE
+        for _ in range(slot_count):
+            offset, length = _SLOT.unpack_from(self.data, position)
+            if offset != 0:
+                live_bytes += length
+                live += 1
+            position -= SLOT_SIZE
+        free = self.page_size - SLOT_SIZE * slot_count - HEADER_SIZE - live_bytes
+        return free, live
+
     @property
     def free_space(self) -> int:
         """Bytes available after compaction (excluding a new slot entry)."""
-        return self._dir_start - HEADER_SIZE - self.live_bytes
+        return self.summary()[0]
 
     def has_room_for(self, record_size: int) -> bool:
         """Can ``insert`` of this size succeed (possibly after compaction)?"""
@@ -245,7 +259,7 @@ class SlottedPage:
     @property
     def live_count(self) -> int:
         """Number of live records."""
-        return sum(1 for _ in self.records())
+        return self.summary()[1]
 
     def compact(self) -> None:
         """Squeeze out holes left by deletions; slot numbers are preserved."""

@@ -17,15 +17,22 @@ from __future__ import annotations
 import os
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import PageError, StorageClosedError, StormError
 from repro.storm.buffer import AccessStats, BufferManager
 from repro.storm.disk import Disk, InMemoryDisk
 from repro.storm.heapfile import HeapFile, RecordId
 from repro.storm.index import KeywordIndex
-from repro.storm.objects import StoredObject
+from repro.storm.objects import StoredObject, normalize_keyword
 from repro.storm.page import SlottedPage
 from repro.storm.replacement import ReplacementStrategy
+
+if TYPE_CHECKING:
+    from repro.storm.template import StoreTemplate
+
+#: One page's decoded records, in slot order.
+Entries = Sequence[tuple[RecordId, StoredObject]]
 
 #: Default for :class:`StorM`'s decoded-scan cache.  Tests monkeypatch
 #: this to ``False`` to prove the cache changes no observable result.
@@ -41,6 +48,14 @@ BULK_LOAD_ENV_VAR = "REPRO_NO_BULK_LOAD"
 def bulk_load_disabled() -> bool:
     """True when the environment disables the bulk-load fast path."""
     return os.environ.get(BULK_LOAD_ENV_VAR, "") not in ("", "0")
+
+
+def decode_page(page_id: int, data: bytes | bytearray) -> Entries:
+    """Every live record of one page image, decoded (an immutable tuple)."""
+    return tuple(
+        (RecordId(page_id, slot), StoredObject.decode(record))
+        for slot, record in SlottedPage(data).records()
+    )
 
 
 @dataclass
@@ -133,8 +148,12 @@ class StorM:
         index_pool_size: int = 64,
         wal_path: str | None = None,
         scan_cache: bool | None = None,
-        index_snapshot: dict | None = None,
+        template: StoreTemplate | None = None,
     ):
+        """``template`` is what a prototype already knew about ``disk``'s
+        pages (:meth:`StoreTemplate.instantiate` passes both): postings,
+        free bytes, record count and decoded records are taken from it
+        instead of being recomputed from the pages."""
         self.disk = disk if disk is not None else InMemoryDisk()
         self._closed = False
         self._scan_cache_enabled = (
@@ -143,7 +162,14 @@ class StorM:
         # page_id -> (page version, decoded records).  The buffer is still
         # pinned/unpinned for every page on every scan — the simulated I/O
         # accounting is untouched — only the CPU-side decode is reused.
-        self._scan_cache: dict[int, tuple[int, list[tuple[RecordId, StoredObject]]]] = {}
+        self._scan_cache: dict[int, tuple[int, Entries]] = {}
+        # The template's decoded pages, shared by every clone and valid
+        # for a page until its version leaves 0.
+        self._shared_pages: Sequence[Entries] = (
+            template.decoded_pages
+            if template is not None and self._scan_cache_enabled
+            else ()
+        )
         self.scan_cache_hits = 0
         self.scan_cache_misses = 0
         if wal_path is not None:
@@ -156,12 +182,15 @@ class StorM:
         else:
             self.wal = None
         self.buffer = BufferManager(self.disk, pool_size=pool_size, strategy=strategy)
-        self.heap = HeapFile(self.buffer)
+        summary = (
+            None if template is None else (template.free_bytes, template.record_count)
+        )
+        self.heap = HeapFile(self.buffer, summary)
         if index_disk is not None:
             # Persistent index: survives reopen with no heap rescan.
-            if index_snapshot is not None:
+            if template is not None:
                 raise StormError(
-                    "index_snapshot applies to the in-memory index only"
+                    "a template applies to the in-memory index only"
                 )
             from repro.storm.pindex import PersistentKeywordIndex
 
@@ -174,10 +203,10 @@ class StorM:
         else:
             self.index_disk = None
             self.index = KeywordIndex()
-            if index_snapshot is not None:
+            if template is not None:
                 # A store template carries the prototype's postings, so
                 # a clone skips the decode-everything heap rescan.
-                self.index.load_snapshot(index_snapshot)
+                self.index.load_snapshot(template.index_snapshot)
             elif self.heap.record_count:
                 self.index.rebuild(self._index_entries())
 
@@ -287,36 +316,47 @@ class StorM:
         return StoredObject.decode(self.heap.read(rid))
 
     def scan(self) -> Iterator[tuple[RecordId, StoredObject]]:
-        """Yield every stored object in page order.
+        """Yield every stored object in page order."""
+        for entries in self._scan_pages():
+            yield from entries
 
-        Pages whose contents have not changed since the last scan (checked
-        via :meth:`HeapFile.page_version`) reuse their previously decoded
-        objects instead of re-parsing every record.  Each page is pinned
-        and unpinned exactly as an uncached scan would, so buffer hit/miss
-        statistics — and therefore simulated I/O cost — are identical.
+    def _scan_pages(self) -> Iterator[Entries]:
+        """Yield each page's decoded records, in page order.
+
+        The one loop behind :meth:`scan` and every scan-backed search.
+        Pages whose contents have not changed since they were last
+        decoded (checked via :meth:`HeapFile.page_version`) reuse those
+        objects instead of re-parsing every record: a template clone's
+        untouched pages come decoded with the template, the rest from
+        this store's own cache.  Each page is pinned and unpinned
+        exactly as an uncached scan would, so buffer hit/miss statistics
+        — and therefore simulated I/O cost — are identical.
         """
         self._check_open()
         heap = self.heap
+        buffer = heap.buffer
+        shared = self._shared_pages
+        shared_count = len(shared)
         for page_id in range(heap.page_count):
             version = heap.page_version(page_id)
-            cached = self._scan_cache.get(page_id) if self._scan_cache_enabled else None
-            data = heap.buffer.pin(page_id)
+            data = buffer.pin(page_id)
             try:
-                if cached is not None and cached[0] == version:
+                if version == 0 and page_id < shared_count:
+                    entries = shared[page_id]
+                else:
+                    cached = self._scan_cache.get(page_id)
+                    fresh = cached is not None and cached[0] == version
+                    entries = cached[1] if fresh else None
+                if entries is not None:
                     self.scan_cache_hits += 1
-                    entries = cached[1]
                 else:
                     self.scan_cache_misses += 1
-                    page = SlottedPage(data)
-                    entries = [
-                        (RecordId(page_id, slot), StoredObject.decode(record))
-                        for slot, record in page.records()
-                    ]
+                    entries = decode_page(page_id, data)
                     if self._scan_cache_enabled:
                         self._scan_cache[page_id] = (version, entries)
             finally:
-                heap.buffer.unpin(page_id)
-            yield from entries
+                buffer.unpin(page_id)
+            yield entries
 
     def search(self, keyword: str) -> SearchResult:
         """Keyword search via the inverted index (reads only matching pages).
@@ -377,12 +417,14 @@ class StorM:
         _check_k(k)
         before = self.buffer.stats.snapshot()
         result = ScoredSearchResult(keyword)
+        needle = normalize_keyword(keyword)
         scored = []
-        for rid, obj in self.scan():
-            result.objects_examined += 1
-            score = obj.score(keyword)
-            if score > 0.0:
-                scored.append((score, rid, obj))
+        for entries in self._scan_pages():
+            result.objects_examined += len(entries)
+            for rid, obj in entries:
+                count = obj.keywords.count(needle)
+                if count:
+                    scored.append((count / len(obj.keywords), rid, obj))
         _settle_scored(result, scored, k)
         result.io = self.buffer.stats.since(before)
         return result
@@ -397,10 +439,12 @@ class StorM:
         self._check_open()
         before = self.buffer.stats.snapshot()
         result = SearchResult(keyword)
-        for rid, obj in self.scan():
-            result.objects_examined += 1
-            if obj.matches(keyword):
-                result.matches.append((rid, obj))
+        needle = normalize_keyword(keyword)
+        for entries in self._scan_pages():
+            result.objects_examined += len(entries)
+            for rid, obj in entries:
+                if needle in obj.keywords:
+                    result.matches.append((rid, obj))
         result.io = self.buffer.stats.since(before)
         return result
 
@@ -416,10 +460,11 @@ class StorM:
         needle = bytes(needle)
         before = self.buffer.stats.snapshot()
         result = SearchResult(keyword=f"grep:{needle!r}")
-        for rid, obj in self.scan():
-            result.objects_examined += 1
-            if needle in obj.payload:
-                result.matches.append((rid, obj))
+        for entries in self._scan_pages():
+            result.objects_examined += len(entries)
+            for rid, obj in entries:
+                if needle in obj.payload:
+                    result.matches.append((rid, obj))
         result.io = self.buffer.stats.since(before)
         return result
 

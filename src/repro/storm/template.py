@@ -1,16 +1,28 @@
-"""Store templating: populate once, clone cheaply.
+"""Store templating: populate once, open once, clone for free.
 
 Every figure sweep rebuilds the same node-local stores for every sweep
 point — the dominant setup cost.  A :class:`StoreTemplate` freezes a
-fully populated store (heap pages, keyword-index postings, record
-count) and :meth:`StoreTemplate.instantiate` hands back a clone backed
-by a copy-on-write :class:`SnapshotDisk`: the immutable page images are
-shared between every clone, a page is only copied when some clone
-writes to it, and each clone gets its own buffer manager and access
-statistics.  A clone is observationally identical to a store freshly
+fully populated store together with everything opening it would
+compute — heap pages, keyword-index postings, record count, per-page
+free bytes, and every page's records decoded — and
+:meth:`StoreTemplate.instantiate` hands back a clone that computes none
+of it again.  The clone is backed by a copy-on-write
+:class:`SnapshotDisk` (the immutable page images are shared between
+every clone, a page is only copied when some clone writes to it) and
+gets its own buffer manager and access statistics; its scans serve a
+page from the template's decoded tuple for as long as the page's
+``HeapFile.page_version`` is still 0 and decode their own copy from the
+first write on.
+
+What is shared is deeply read-only (tuples, frozensets, a mapping
+proxy, frozen records with ``bytes`` / ``str`` leaves), and what is
+simulated does not move: the clone's open still pins and unpins every
+page once in ascending order and every scan still pins and unpins every
+page, so a clone is observationally identical to a store freshly
 populated with the same objects — same record ids, same postings, same
-buffer residency after the ``HeapFile`` open scan — so figures built on
-clones produce bit-identical series.
+free-space map, same buffer residency, recency and ``AccessStats`` —
+and figures built on clones produce bit-identical series
+(``tests/storm/test_template.py``).
 
 ``REPRO_NO_STORE_TEMPLATE=1`` disables the process-wide registry, which
 callers (see :mod:`repro.workloads.provision`) use to fall back to
@@ -20,14 +32,16 @@ populating every store from scratch.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from repro.errors import StormError
 from repro.storm.disk import InMemoryDisk
 from repro.storm.heapfile import RecordId
+from repro.storm.page import SlottedPage
 from repro.storm.replacement import ReplacementStrategy
-from repro.storm.store import StorM
+from repro.storm.store import Entries, StorM, decode_page
 
 #: Set ``REPRO_NO_STORE_TEMPLATE=1`` to bypass the template registry and
 #: repopulate every store from scratch.  Checked per call so ``--jobs``
@@ -81,12 +95,22 @@ class SnapshotDisk(InMemoryDisk):
 
 @dataclass(frozen=True)
 class StoreTemplate:
-    """An immutable snapshot of a populated :class:`StorM` store."""
+    """An immutable snapshot of a populated :class:`StorM` store.
+
+    Everything here is shared by every clone, so everything is
+    read-only: tuples, frozensets, a mapping proxy, and
+    :class:`RecordId` / :class:`~repro.storm.objects.StoredObject`
+    values that are frozen down to their ``bytes`` / ``str`` leaves.
+    """
 
     pages: tuple[bytes, ...]
     page_size: int
-    index_snapshot: dict[str, frozenset[RecordId]]
+    index_snapshot: Mapping[str, frozenset[RecordId]]
     record_count: int
+    #: per page: bytes free after compaction (the ``FreeSpaceMap`` entry)
+    free_bytes: tuple[int, ...]
+    #: per page: its live records, decoded once for every clone's scans
+    decoded_pages: tuple[Entries, ...]
 
     @classmethod
     def from_store(cls, store: StorM) -> "StoreTemplate":
@@ -104,15 +128,21 @@ class StoreTemplate:
             )
         store.flush()
         disk = store.disk
+        # All images first, then everything derived from them: decoding
+        # page by page between the copies leaves a record-sized hole per
+        # page in the allocator (+8 MB resident at 32 paper-scale stores).
         pages = tuple(
-            bytes(disk.read_page(page_id))
-            for page_id in range(disk.num_pages)
+            bytes(disk.read_page(page_id)) for page_id in range(disk.num_pages)
         )
         return cls(
             pages=pages,
             page_size=disk.page_size,
-            index_snapshot=store.index.snapshot(),
+            index_snapshot=MappingProxyType(store.index.snapshot()),
             record_count=store.count,
+            free_bytes=tuple(SlottedPage(image).summary()[0] for image in pages),
+            decoded_pages=tuple(
+                decode_page(page_id, image) for page_id, image in enumerate(pages)
+            ),
         )
 
     def instantiate(
@@ -123,15 +153,16 @@ class StoreTemplate:
     ) -> StorM:
         """A fresh store over shared pages, with its own buffer pool.
 
-        The clone's ``HeapFile`` open scan pins every page in ascending
+        The clone's ``HeapFile`` open pins every page in ascending
         order — the same residency and recency a just-populated store
-        ends with — and the index loads from the snapshot instead of
-        decoding every record.
+        ends with — and takes the free-space map, record count,
+        postings and decoded records from the template instead of
+        deriving them from the pages again.
         """
         return StorM(
             disk=SnapshotDisk(self.pages, self.page_size),
             pool_size=pool_size,
             strategy=strategy,
             scan_cache=scan_cache,
-            index_snapshot=self.index_snapshot,
+            template=self,
         )

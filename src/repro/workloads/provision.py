@@ -11,6 +11,13 @@ answers) into a fresh StorM store at every sweep point.
   same (corpus, node, size) combination gets a copy-on-write clone
   instead of re-inserting a thousand objects.
 
+A load is a pure function of its parameters — node index, count, size,
+corpus size, seed, and the placement's keyword and payloads for the
+node — so :func:`provision_store` remembers each load's digest under
+them and generates (and hashes) the objects only when the registry has
+no template for it.  :func:`store_for_items` computes the same digest
+from the items, so both entry points share templates.
+
 Both paths are observationally identical to a fresh ``put`` loop —
 record ids, postings, search results, and per-search buffer deltas all
 match bit-for-bit — and both honour their environment kill switches
@@ -25,6 +32,7 @@ from collections.abc import Sequence
 
 from repro.storm.store import StorM
 from repro.storm.template import (
+    REGISTRY_CAPACITY,
     StoreTemplate,
     cached_template,
     register_template,
@@ -37,6 +45,12 @@ _U32 = struct.Struct("<I")
 
 #: ``(keywords, payload)`` pairs as :meth:`StorM.put_many` accepts them.
 Items = list[tuple[tuple[str, ...], bytes]]
+
+#: What determines a node's load -> its :func:`content_digest`, so a
+#: repeated load finds its template without generating and hashing a
+#: thousand payloads first.  A memo of a pure function: never stale,
+#: and no larger than the registry it serves (oldest entries go first).
+_LOAD_KEYS: dict[tuple, str] = {}
 
 
 def experiment_items(
@@ -82,6 +96,23 @@ def content_digest(items: Sequence[tuple[Sequence[str], bytes]]) -> str:
     return hasher.hexdigest()
 
 
+def _populated(items: Items) -> StorM:
+    store = StorM()
+    store.put_many(items)
+    return store
+
+
+def _template_for(key: str, items: Items) -> StoreTemplate:
+    """The template registered under ``key``, built from ``items`` if none is."""
+    template = cached_template(key)
+    if template is None:
+        prototype = _populated(items)
+        template = StoreTemplate.from_store(prototype)
+        prototype.close()
+        register_template(key, template)
+    return template
+
+
 def store_for_items(items: Items) -> StorM:
     """A store holding exactly ``items``, via the template registry.
 
@@ -90,18 +121,8 @@ def store_for_items(items: Items) -> StorM:
     sequence builds and registers a template and later calls clone it.
     """
     if templates_disabled():
-        store = StorM()
-        store.put_many(items)
-        return store
-    key = content_digest(items)
-    template = cached_template(key)
-    if template is None:
-        prototype = StorM()
-        prototype.put_many(items)
-        template = StoreTemplate.from_store(prototype)
-        prototype.close()
-        register_template(key, template)
-    return template.instantiate()
+        return _populated(items)
+    return _template_for(content_digest(items), items).instantiate()
 
 
 def provision_store(
@@ -116,18 +137,37 @@ def provision_store(
 ) -> StorM:
     """Build one experiment node's store, ready to attach to the node.
 
-    ``warm=True`` reproduces the figures' warm-up scan (touch every
-    page once) so cold-cache I/O does not drown protocol effects.
+    The registry key is :func:`store_for_items`' — the content digest of
+    the node's items — but a load seen before finds it by its parameters
+    and generates nothing.  ``warm=True`` reproduces the figures' warm-up
+    scan (touch every page once) so cold-cache I/O does not drown
+    protocol effects.
     """
-    items = experiment_items(
-        node_index,
-        count=count,
-        size=size,
-        corpus=corpus,
-        seed=seed,
-        placement=placement,
+    # Placements are duck-typed and need not be hashable: key on what
+    # they contribute to the load, never on the object.
+    load = (node_index, count, size, corpus.size, seed) + (
+        ()
+        if placement is None
+        else (placement.keyword, *placement.objects_for(node_index, size=size))
     )
-    store = store_for_items(items)
+    shared = not templates_disabled()
+    key = _LOAD_KEYS.get(load) if shared else None
+    template = None if key is None else cached_template(key)
+    if template is None:
+        items = experiment_items(
+            node_index,
+            count=count,
+            size=size,
+            corpus=corpus,
+            seed=seed,
+            placement=placement,
+        )
+        if shared:
+            _LOAD_KEYS[load] = key = content_digest(items)
+            while len(_LOAD_KEYS) > REGISTRY_CAPACITY:
+                del _LOAD_KEYS[next(iter(_LOAD_KEYS))]
+            template = _template_for(key, items)
+    store = _populated(items) if template is None else template.instantiate()
     if warm:
         store.search_scan(corpus.keyword(0))
     return store

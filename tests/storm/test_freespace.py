@@ -70,7 +70,20 @@ def test_matches_naive_linear_scan(ops, queries):
             mirror[page_id] = free
         fsm.set(page_id, free)
     assert list(fsm.items()) == list(enumerate(mirror))
+    # Bulk-loading the same values answers exactly like set-by-set growth.
+    bulk = FreeSpaceMap(mirror)
+    assert list(bulk.items()) == list(enumerate(mirror))
     for needed, start in queries:
-        assert fsm.first_at_least(needed, start=start) == naive_first_fit(
-            mirror, needed, start
-        ), (needed, start, mirror)
+        expected = naive_first_fit(mirror, needed, start)
+        assert fsm.first_at_least(needed, start=start) == expected, (needed, start, mirror)
+        assert bulk.first_at_least(needed, start=start) == expected, (needed, start, mirror)
+
+
+def test_bulk_loaded_map_keeps_growing():
+    fsm = FreeSpaceMap([10, 20, 30])
+    assert fsm.first_at_least(25) == 2
+    fsm.set(3, 99)
+    fsm.set(1, 50)
+    assert fsm.first_at_least(40) == 1
+    assert fsm.first_at_least(60) == 3
+    assert list(fsm.items()) == [(0, 10), (1, 50), (2, 30), (3, 99)]

@@ -1,5 +1,7 @@
 """Tests for the heap file."""
 
+import typing
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,6 +72,9 @@ class TestHeapFile:
         heap.delete(rid)
         assert not heap.exists(rid)
         assert not heap.exists(RecordId(99, 0))
+
+    def test_annotations_resolve(self):
+        assert typing.get_type_hints(HeapFile.insert_many)["return"] == list[RecordId]
 
     def test_oversized_record_rejected(self):
         heap = make_heap(page_size=128)

@@ -162,3 +162,6 @@ def test_page_model_property(operations):
     assert dict(page.records()) == model
     for slot, expected in model.items():
         assert page.read(slot) == expected
+    # One directory walk reports what the separate properties add up to.
+    free = 1024 - HEADER_SIZE - SLOT_SIZE * page.slot_count - page.live_bytes
+    assert page.summary() == (free, len(model)) == (page.free_space, page.live_count)
