@@ -12,7 +12,6 @@ implements:
 ``costs``       CPU cost knobs for installing and running agents
 ``engine``      the per-host execution engine: dedup, clone-and-forward
                 flooding, itinerary travel, class-miss requests
-``profile``     real wall-clock profiling of the execute path
 ``storm_agent`` the paper's StorM keyword-search agent
 """
 
@@ -22,7 +21,6 @@ from repro.agents.costs import AgentCosts
 from repro.agents.engine import AgentContext, AgentEngine
 from repro.agents.envelope import AgentEnvelope
 from repro.agents.messages import AnswerItem, AnswerMessage
-from repro.agents.profile import AgentPathProfiler
 from repro.agents.storm_agent import StorMSearchAgent
 
 __all__ = [
@@ -33,7 +31,6 @@ __all__ = [
     "AgentEnvelope",
     "AgentEngine",
     "AgentContext",
-    "AgentPathProfiler",
     "AnswerItem",
     "AnswerMessage",
     "StorMSearchAgent",

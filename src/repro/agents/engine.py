@@ -33,7 +33,6 @@ from repro.agents.envelope import (
     AgentEnvelope,
 )
 from repro.agents.messages import AnswerItem, AnswerMessage, BatchedAnswers
-from repro.agents.profile import AgentPathProfiler
 from repro.errors import AgentError, CodeShippingError
 from repro.ids import BPID, AgentId, QueryId, SerialCounter
 from repro.net.address import IPAddress
@@ -59,8 +58,7 @@ def _coalesce_answers(
     The wire analogue of :meth:`AgentEngine._ship_many`'s envelope
     sharing: an agent that replies several times to one initiator ships
     one :class:`BatchedAnswers` frame instead of N answer frames.  The
-    decision reads only the outbox contents — never the selected codec —
-    so both ``REPRO_WIRE_DATA`` modes ship identical message sequences.
+    decision reads only the outbox contents.
     Non-answer sends keep their positions; ordering is preserved.
     """
     out: list[tuple[IPAddress, str, Any]] = []
@@ -208,8 +206,6 @@ class AgentEngine:
         self.registry = registry if registry is not None else AgentCodeRegistry()
         self.get_peers = get_peers if get_peers is not None else (lambda: [])
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: real (not simulated) time spent on this node's agent path
-        self.profiler = AgentPathProfiler(node=host.name, tracer=self.tracer)
         #: called with (agent_id, state) when an itinerary agent comes home
         self.on_agent_home: Callable[[AgentEnvelope, dict], None] | None = None
         self._serials = SerialCounter()
@@ -254,8 +250,7 @@ class AgentEngine:
         if self.host.address is None:
             raise AgentError("cannot dispatch from an offline host")
         try:
-            with self.profiler.timed("extract"):
-                class_name = self.registry.register_local(type(agent))
+            class_name = self.registry.register_local(type(agent))
         except CodeShippingError as exc:
             # Keep the originating class visible: a parked receiver's
             # later class-request can only name the class, so the error
@@ -296,8 +291,7 @@ class AgentEngine:
         first_hop = envelope.hop(None)
         if mode == MODE_FLOOD:
             recipients = targets if targets is not None else self.get_peers()
-            with self.profiler.timed("clone"):
-                self._ship_many(first_hop, recipients)
+            self._ship_many(first_hop, recipients)
         else:
             self._ship(first_hop, path[0])
         return agent_id
@@ -358,8 +352,7 @@ class AgentEngine:
             self._seen.add(envelope.agent_id)
         if envelope.source is not None:
             newly = not self.registry.has(envelope.class_name)
-            with self.profiler.timed("install"):
-                self.registry.install(envelope.class_name, envelope.source)
+            self.registry.install(envelope.class_name, envelope.source)
             self._run(envelope, packet.src, install_charged=newly)
         elif self.registry.has(envelope.class_name):
             self._run(envelope, packet.src, install_charged=False)
@@ -391,8 +384,7 @@ class AgentEngine:
     def _on_class_response(self, packet: Packet) -> None:
         class_name, source = packet.payload
         newly = not self.registry.has(class_name)
-        with self.profiler.timed("install"):
-            self.registry.install(class_name, source)
+        self.registry.install(class_name, source)
         parked = self._parked.pop(class_name, [])
         for index, envelope in enumerate(parked):
             # The install cost is paid once, by the first parked envelope.
@@ -413,36 +405,33 @@ class AgentEngine:
             agent_class, "forward_merges_state", False
         )
         if forwards and not merge_forward:
-            with self.profiler.timed("clone"):
-                next_hop = envelope.hop(None)
-                self._ship_many(
-                    next_hop,
-                    [
-                        peer
-                        for peer in self.get_peers()
-                        if peer != arrived_from
-                        and peer != envelope.initiator_address
-                    ],
-                )
+            next_hop = envelope.hop(None)
+            self._ship_many(
+                next_hop,
+                [
+                    peer
+                    for peer in self.get_peers()
+                    if peer != arrived_from
+                    and peer != envelope.initiator_address
+                ],
+            )
         context = AgentContext(self, envelope)
-        with self.profiler.timed("execute"):
-            agent = agent_class.from_state(envelope.state)
-            agent.execute(context)
+        agent = agent_class.from_state(envelope.state)
+        agent.execute(context)
         if merge_forward:
             # Execution is real Python (no simulated time passes), so
             # the merged-state clones still leave at the arrival instant
             # — the flood's timing is unchanged, only its state is.
-            with self.profiler.timed("clone"):
-                next_hop = envelope.with_state(agent.get_state()).hop(None)
-                self._ship_many(
-                    next_hop,
-                    [
-                        peer
-                        for peer in self.get_peers()
-                        if peer != arrived_from
-                        and peer != envelope.initiator_address
-                    ],
-                )
+            next_hop = envelope.with_state(agent.get_state()).hop(None)
+            self._ship_many(
+                next_hop,
+                [
+                    peer
+                    for peer in self.get_peers()
+                    if peer != arrived_from
+                    and peer != envelope.initiator_address
+                ],
+            )
         self.agents_executed += 1
         service_time = (
             self.costs.execute_overhead

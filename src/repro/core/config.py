@@ -64,12 +64,11 @@ class BestPeerConfig:
     #: in-network top-k: queries return only the k best-scored answers,
     #: with dominated answers terminated at the hop that finds them
     #: (see repro.agents.topk).  None keeps the paper's exhaustive
-    #: floods bit-identical; REPRO_TOPK=off bypasses per call.
+    #: floods bit-identical.
     top_k: int | None = None
     #: replication and hot-object caching knobs (see
     #: repro.replication).  The default ``rf=1`` policy keeps the
-    #: paper's single-copy behaviour bit-identical;
-    #: REPRO_REPLICATION=off bypasses per call.
+    #: paper's single-copy behaviour bit-identical.
     replication: ReplicationPolicy = field(default_factory=ReplicationPolicy)
 
     def __post_init__(self) -> None:

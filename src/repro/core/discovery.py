@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.agents.agent import Agent
-from repro.core.reconfig import PeerObservation, ReconfigurationStrategy
+from repro.core.routing import PeerObservation, RoutingStrategy
 from repro.errors import BestPeerError
 from repro.ids import BPID
 from repro.net import codec as wire
@@ -131,7 +131,7 @@ class KnowledgeBase:
         return len(self.reports)
 
 
-class KnowledgeStrategy(ReconfigurationStrategy):
+class KnowledgeStrategy(RoutingStrategy):
     """Reconfigure using discovered content, not just the last query.
 
     Candidates are ranked by the knowledge base's expected answers for

@@ -28,7 +28,7 @@ from repro.agents.engine import PROTO_ANSWER, AgentEngine
 from repro.agents.envelope import MODE_FLOOD
 from repro.agents.messages import MODE_METADATA, AnswerMessage, BatchedAnswers
 from repro.agents.storm_agent import StorMSearchAgent
-from repro.agents.topk import TopKDigest, TopKSearchAgent, topk_bypassed
+from repro.agents.topk import TopKDigest, TopKSearchAgent
 from repro.core import sharing
 from repro.core.config import BestPeerConfig
 from repro.core.discovery import (
@@ -39,8 +39,11 @@ from repro.core.discovery import (
 )
 from repro.core.peers import PeerInfo, PeerTable
 from repro.core.query import QueryHandle
-from repro.core.reconfig import PeerObservation, ReconfigurationStrategy
-from repro.core.routing import make_routing_strategy, routing_bypassed
+from repro.core.routing import (
+    PeerObservation,
+    RoutingStrategy,
+    make_routing_strategy,
+)
 from repro.core.sharing import (
     PROTO_ACTIVE,
     PROTO_ACTIVE_REPLY,
@@ -72,6 +75,7 @@ from repro.net.network import Network
 from repro.replication.agent import ReplicatedSearchAgent
 from repro.replication.manager import ReplicationManager
 from repro.storm.heapfile import RecordId
+from repro.storm.objects import normalize_keyword
 from repro.storm.store import StorM
 from repro.util.randomness import derive_rng
 from repro.util.tracing import NULL_TRACER, Tracer
@@ -86,7 +90,7 @@ class BestPeerNode:
         name: str,
         config: BestPeerConfig | None = None,
         storm: StorM | None = None,
-        strategy: ReconfigurationStrategy | None = None,
+        strategy: RoutingStrategy | None = None,
         tracer: Tracer | None = None,
     ):
         self.config = config if config is not None else BestPeerConfig()
@@ -155,9 +159,7 @@ class BestPeerNode:
         #: inert (no frames, no stores) under the default rf=1 policy
         self.replication = ReplicationManager(self)
         self.replication.bind()
-        bind = getattr(self.strategy, "bind", None)
-        if bind is not None:
-            bind(self)
+        self.strategy.bind(self)
 
     # -- identity & membership -------------------------------------------------
 
@@ -217,19 +219,14 @@ class BestPeerNode:
         """Relay fan-out: where a flood travelling *through* us goes next.
 
         The routing strategy shapes the list (ordering, fan-out caps);
-        the default strategy behaviour — and ``REPRO_ROUTING=legacy`` —
-        is every direct peer not suspected dead, in table order, so in a
-        healthy network floods are unchanged until timeouts accumulate.
+        the default strategy behaviour is every direct peer not suspected
+        dead, in table order, so in a healthy network floods are
+        unchanged until timeouts accumulate.
         Relays have no keyword context (the engine forwards clones
         before executing the agent), so keyword-aware ordering only
         applies at the initiator.
         """
-        if routing_bypassed():
-            return self.peers.live_addresses()
-        flood = getattr(self.strategy, "flood_targets", None)
-        if flood is None:
-            return self.peers.live_addresses()
-        return flood(None, self.peers.entries())
+        return self.strategy.flood_targets(None, self.peers.entries())
 
     def leave(self) -> None:
         """Disconnect from the network (the address lease is released)."""
@@ -403,17 +400,10 @@ class BestPeerNode:
         without routing by it), and only for keywords not reported
         before, so repeated sharing costs no extra control traffic.
         """
-        if routing_bypassed():
-            return
-        if not (
-            self.config.publish_hints
-            or getattr(self.strategy, "uses_hint_directory", False)
-        ):
+        if not (self.config.publish_hints or self.strategy.uses_hint_directory):
             return
         if self.liglo.bpid is None or not self.host.online:
             return
-        from repro.storm.objects import normalize_keyword
-
         fresh = sorted(
             {normalize_keyword(keyword) for keyword in keywords}
             - self._published_hints
@@ -451,9 +441,7 @@ class BestPeerNode:
         if self.engine is None:
             raise BestPeerError(f"node {self.name} must join before querying")
         query_id = QueryId(self.bpid, self._query_serials.next())
-        # In-network top-k is gated per call (REPRO_TOPK=off bypasses),
-        # so k=None / bypassed runs stay bit-identical to legacy floods.
-        top_k = self.config.top_k if not topk_bypassed() else None
+        top_k = self.config.top_k
         handle = QueryHandle(
             query_id=query_id,
             keyword=keyword,
@@ -505,7 +493,7 @@ class BestPeerNode:
                 # Replica-aware searches ship a different (slightly
                 # larger) agent class, so they are dispatched only when
                 # the initiator's policy actually places replicas —
-                # rf=1 / REPRO_REPLICATION=off floods stay bit-identical.
+                # rf=1 floods stay bit-identical.
                 agent = ReplicatedSearchAgent(
                     keyword,
                     mode=mode,
@@ -530,11 +518,7 @@ class BestPeerNode:
             # but the caller can see its answer set may be partial.
             handle.mark_degraded("suspect-peer-skipped")
         ttl_value = ttl if ttl is not None else self.config.ttl
-        if (
-            not routing_bypassed()
-            and getattr(self.strategy, "uses_hint_directory", False)
-            and self.liglo.bpid is not None
-        ):
+        if self.strategy.uses_hint_directory and self.liglo.bpid is not None:
             self._dispatch_with_hints(handle, agent, ttl_value)
         else:
             self._dispatch_flood(handle, agent, ttl_value)
@@ -551,24 +535,16 @@ class BestPeerNode:
         return handle
 
     def _dispatch_flood(self, handle: QueryHandle, agent: Agent, ttl: int) -> None:
-        """Flood the search agent, fan-out shaped by the routing strategy.
-
-        Under ``REPRO_ROUTING=legacy`` (or with a strategy predating the
-        routing framework) the engine pulls the fan-out from
-        :meth:`_flood_addresses` itself — the pre-framework path.
-        """
+        """Flood the search agent, fan-out shaped by the routing strategy."""
         assert self.engine is not None
-        targets = None
-        if not routing_bypassed():
-            flood = getattr(self.strategy, "flood_targets", None)
-            if flood is not None:
-                targets = flood(handle.keyword, self.peers.entries())
         self.engine.dispatch(
             agent,
             query_id=handle.query_id,
             ttl=ttl,
             mode=MODE_FLOOD,
-            targets=targets,
+            targets=self.strategy.flood_targets(
+                handle.keyword, self.peers.entries()
+            ),
         )
 
     def _dispatch_with_hints(
@@ -617,8 +593,6 @@ class BestPeerNode:
                 mode=MODE_FLOOD,
                 targets=[address for _bpid, address in holders],
             )
-
-        from repro.storm.objects import normalize_keyword
 
         self.liglo.fetch_hints(
             normalize_keyword(handle.keyword),
@@ -714,16 +688,10 @@ class BestPeerNode:
 
     def _reconfigure(self, handle: QueryHandle) -> None:
         observations = self._observations_from(handle)
-        observe = getattr(self.strategy, "observe", None)
-        if observe is not None:
-            observe(handle.keyword, observations)
-        selector = getattr(self.strategy, "select_for", None)
-        if selector is not None:
-            selected = selector(
-                observations, self.config.max_direct_peers, keyword=handle.keyword
-            )
-        else:  # a pre-framework strategy with only the two-arg contract
-            selected = self.strategy.select(observations, self.config.max_direct_peers)
+        self.strategy.observe(handle.keyword, observations)
+        selected = self.strategy.select_for(
+            observations, self.config.max_direct_peers, keyword=handle.keyword
+        )
         before = set(self.peers.bpids())
         now = self.sim.now
         new_entries = []
@@ -904,7 +872,6 @@ class BestPeerNode:
         """Evaluate a query against a locally cached peer dataset."""
         from repro.agents.messages import AnswerItem
         from repro.storm.heapfile import RecordId
-        from repro.storm.objects import normalize_keyword
 
         objects = self._data_cache[bpid]
         needle = normalize_keyword(handle.keyword)

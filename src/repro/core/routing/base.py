@@ -14,15 +14,10 @@ node makes:
 
 Strategies register themselves by name at import time; nodes construct
 them via :func:`make_routing_strategy` from ``BestPeerConfig.strategy``.
-Setting ``REPRO_ROUTING=legacy`` in the environment bypasses the new
-*forwarding* path per call (selection keeps going through the strategy,
-exactly as it always has) — the same per-call env-var convention every
-other fast path in this repo uses, so ``--jobs`` workers inherit it.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -33,20 +28,6 @@ from repro.net.address import IPAddress
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (node -> routing)
     from repro.core.node import BestPeerNode
     from repro.core.peers import PeerInfo
-
-#: Env var that bypasses strategy-driven forwarding ("legacy" floods to
-#: every non-suspect peer in table order, the pre-framework behaviour).
-ROUTING_ENV_VAR = "REPRO_ROUTING"
-
-
-def routing_bypassed() -> bool:
-    """True when ``REPRO_ROUTING=legacy`` disables strategy forwarding.
-
-    Checked per call (not cached) so parallel-runner workers inherit the
-    switch through their environment.
-    """
-    return os.environ.get(ROUTING_ENV_VAR, "").strip().lower() == "legacy"
-
 
 @dataclass(frozen=True, slots=True)
 class PeerObservation:

@@ -1,10 +1,7 @@
-"""The paper's strategies, ported onto the routing framework.
+"""The paper's strategies.
 
-Selection behaviour is bit-identical to the pre-framework
-``repro.core.reconfig`` implementations (same sort keys, same
-tie-breaks), and the inherited default :meth:`flood_targets` reproduces
-the hard-coded fan-out, so every series these strategies produce is
-unchanged — ``test_fastpath_determinism.py`` holds the proof.
+They shape selection only; the inherited default :meth:`flood_targets`
+floods every non-suspect direct peer in table order.
 
 * **MaxCount** — "sorts the peers based on the number of answers they
   returned ... ties are arbitrarily broken.  The k peers with the

@@ -53,32 +53,6 @@ def format_figure(result: FigureResult) -> str:
     return "\n".join(parts)
 
 
-def agent_path_stats(tracer) -> dict[str, object]:
-    """Agent execute-path profiling and cache counters for one ``Tracer``.
-
-    Counts and wall-clock totals come from the ``agent-path`` counters
-    and timers every :class:`~repro.agents.engine.AgentEngine` mirrors
-    into its tracer (see :mod:`repro.agents.profile`); the cache-hit
-    counters are process-wide (:func:`repro.agents.codeship.cache_stats`).
-    """
-    from repro.agents.codeship import cache_stats
-    from repro.agents.profile import PROFILE_CATEGORY, PROFILE_OPS
-
-    stats: dict[str, object] = {}
-    for op in PROFILE_OPS:
-        stats[f"{op}_count"] = tracer.counter(PROFILE_CATEGORY, op)
-        stats[f"{op}_seconds"] = round(tracer.timer(PROFILE_CATEGORY, op), 6)
-    stats.update(cache_stats())
-    return stats
-
-
-def format_agent_path_stats(tracer) -> str:
-    """Render one tracer's agent-path profile as a text table."""
-    stats = agent_path_stats(tracer)
-    rows = [[key, value] for key, value in stats.items()]
-    return format_table(["counter", "value"], rows)
-
-
 def network_stats(network) -> dict[str, object]:
     """Traffic and wire-encoder counters for one ``Network``."""
     hits = network.encode_hits

@@ -4,13 +4,12 @@ One message = one TCP connection carrying one frame::
 
     u32 length | body
 
-where ``body`` is, for registered control messages under the compact
-codec (the default), a compact live body::
+where ``body`` is, for registered control messages, a compact live
+body::
 
     u8 magic (0xB7) | u16 protocol length | protocol utf8 | compact frame
 
-for data-registered messages under the streaming data codec (the
-default) the same shape with the data magic::
+for data-registered messages the same shape with the data magic::
 
     u8 magic (0xD7) | u16 protocol length | protocol utf8 | stream frame
 
@@ -41,12 +40,10 @@ from typing import Any, Callable
 from repro.errors import NetworkError, WireDecodeError
 from repro.net import datacodec
 from repro.net.codec import (
-    CODEC_COMPACT,
     FRAME_MAGIC,
     decode_message,
     load_registrations,
     try_encode,
-    wire_codec_mode,
 )
 from repro.util.compression import DEFAULT_CODEC, Codec
 from repro.util.randomness import derive_rng
@@ -74,14 +71,12 @@ def encode_frame(protocol: str, payload: Any, codec: Codec) -> bytes:
 def _encode_body(protocol: str, payload: Any, codec: Codec) -> bytes:
     name = protocol.encode("utf-8")
     if len(name) <= 0xFFFF:
-        if wire_codec_mode() == CODEC_COMPACT:
-            frame = try_encode(payload)
-            if frame is not None:
-                return _COMPACT_TAG + _PROTO_LEN.pack(len(name)) + name + frame
-        if datacodec.wire_data_mode() == datacodec.DATA_STREAM:
-            frame = datacodec.try_encode(payload)
-            if frame is not None:
-                return _DATA_TAG + _PROTO_LEN.pack(len(name)) + name + frame
+        frame = try_encode(payload)
+        if frame is not None:
+            return _COMPACT_TAG + _PROTO_LEN.pack(len(name)) + name + frame
+        frame = datacodec.try_encode(payload)
+        if frame is not None:
+            return _DATA_TAG + _PROTO_LEN.pack(len(name)) + name + frame
     return codec.compress(serialize((protocol, payload)))
 
 

@@ -12,15 +12,10 @@ of ``(field name, field codec)`` pairs) in the module that defines them;
 anything unregistered — or carrying values that do not fit the fixed
 layout — falls back to the pickle+gzip path transparently.
 
-**The codec changes wall-clock only, never simulated bytes-semantics.**
 The transmission-cost model charges the real encoded size of the compact
-frame for every registered message *in both codec modes*: with
-``REPRO_WIRE_CODEC=pickle`` the payload bytes that cross the (simulated
-or live) wire are pickle, but the charged size is still the canonical
-frame size, so seeded runs produce bit-identical series, byte counts and
-hop counts whichever codec is selected.  The conformance battery in
-``tests/net`` pins this invariant with golden frame vectors, property
-tests, and a malformed-frame fault injector.
+frame for every registered message.  The conformance battery in
+``tests/net`` pins the layout with golden frame vectors, property tests,
+and a malformed-frame fault injector.
 
 Decoding is strict: bad magic, unsupported version, unknown type id,
 truncation, value overruns, oversized frames and trailing garbage all
@@ -31,7 +26,6 @@ frames without crashing.
 
 from __future__ import annotations
 
-import os
 import pickle
 import struct
 import threading
@@ -71,33 +65,14 @@ decode_memo_hits = 0
 decode_memo_misses = 0
 _MEMO_LOCK = threading.Lock()
 
-#: Selects the wire codec: ``compact`` (default) or ``pickle``.  Checked
-#: on every encode (one ``os.environ`` lookup) — like
-#: ``REPRO_NO_AGENT_CACHE`` — so ``--jobs`` worker processes inherit the
-#: setting through their environment with no extra plumbing.
-WIRE_CODEC_ENV_VAR = "REPRO_WIRE_CODEC"
+#: Packet/EncodedPayload codec tags: a compact frame, or the pickle that
+#: unregistered payloads still travel as.
 CODEC_COMPACT = "compact"
 CODEC_PICKLE = "pickle"
-#: Module-level default, monkeypatchable by tests.
-DEFAULT_WIRE_CODEC = CODEC_COMPACT
 
 #: Pickle protocol for the embedded-blob field codec (matches
 #: :data:`repro.util.serialization.PICKLE_PROTOCOL` for size stability).
 _BLOB_PICKLE_PROTOCOL = 4
-
-
-def wire_codec_mode() -> str:
-    """The active codec name, honouring :data:`WIRE_CODEC_ENV_VAR` per call."""
-    value = os.environ.get(WIRE_CODEC_ENV_VAR)
-    if not value:
-        return DEFAULT_WIRE_CODEC
-    normalized = value.strip().lower()
-    if normalized not in (CODEC_COMPACT, CODEC_PICKLE):
-        raise WireCodecError(
-            f"{WIRE_CODEC_ENV_VAR}={value!r} is not one of "
-            f"{CODEC_COMPACT!r}, {CODEC_PICKLE!r}"
-        )
-    return normalized
 
 
 def _take(data: bytes, offset: int, count: int) -> tuple[bytes, int]:

@@ -17,13 +17,8 @@ into the frame — records are materialized on first access, exactly like
 PR 1's lazy :class:`~repro.net.message.Packet` decode, so dropped or
 never-read packets pay nothing.
 
-**The codec changes wall-clock only, never simulated bytes-semantics.**
 Like the control codec, the charged wire size of a data-registered
-message is the canonical stream-frame size *in both modes*: with
-``REPRO_WIRE_DATA=pickle`` the transported bytes are pickle, but the
-charged size is still the frame size, so seeded runs produce
-bit-identical series, byte counts and hop counts whichever data codec is
-selected (pinned by ``tests/eval/test_fastpath_determinism.py``).
+message is its stream-frame size.
 
 Field codecs are shared with :mod:`repro.net.codec`; this module adds
 one data-plane-specific codec: a zlib-compressed class-source field
@@ -43,7 +38,6 @@ drop-and-count corrupt data frames without crashing.
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -74,19 +68,8 @@ HEADER_SIZE = _HEADER.size
 
 #: Data frames carry payloads, so the cap is generous — but a peer's
 #: whole sharable store at paper scale is ~1 MiB, so anything past this
-#: is corrupt (or must take the pickle+gzip fallback, which both codec
-#: modes agree on because the decision depends only on the value).
+#: is corrupt (or must take the pickle+gzip fallback).
 MAX_FRAME_BYTES = 8 << 20
-
-#: Selects the data-plane codec: ``stream`` (default) or ``pickle``.
-#: Checked on every encode (one ``os.environ`` lookup) — like
-#: ``REPRO_WIRE_CODEC`` — so ``--jobs`` worker processes inherit the
-#: setting through their environment with no extra plumbing.
-WIRE_DATA_ENV_VAR = "REPRO_WIRE_DATA"
-DATA_STREAM = "stream"
-DATA_PICKLE = "pickle"
-#: Module-level default, monkeypatchable by tests.
-DEFAULT_WIRE_DATA = DATA_STREAM
 
 #: Packet/EncodedPayload codec tag for stream-framed payloads.
 CODEC_STREAM = "stream"
@@ -94,20 +77,6 @@ CODEC_STREAM = "stream"
 #: zlib level for the compressed-source field; fixed so encoded frames
 #: are deterministic across processes and interpreter versions.
 _SOURCE_ZLIB_LEVEL = 6
-
-
-def wire_data_mode() -> str:
-    """The active data codec name, honouring :data:`WIRE_DATA_ENV_VAR`."""
-    value = os.environ.get(WIRE_DATA_ENV_VAR)
-    if not value:
-        return DEFAULT_WIRE_DATA
-    normalized = value.strip().lower()
-    if normalized not in (DATA_STREAM, DATA_PICKLE):
-        raise WireCodecError(
-            f"{WIRE_DATA_ENV_VAR}={value!r} is not one of "
-            f"{DATA_STREAM!r}, {DATA_PICKLE!r}"
-        )
-    return normalized
 
 
 # ---------------------------------------------------------------------------

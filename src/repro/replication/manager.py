@@ -24,9 +24,8 @@ replica store alongside the primary one, and reported replica rids get
 the high page-id bit set so they never collide with the holder's own
 records (and so ``fetch`` can route them back to the replica store).
 
-Everything is gated per call on ``REPRO_REPLICATION`` (see
-:mod:`repro.replication.policy`); with ``rf=1`` and no cache the manager
-never sends a frame, touches a store, or perturbs any byte series.
+With ``rf=1`` and no cache the manager never sends a frame, touches a
+store, or perturbs any byte series.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from repro.replication.messages import (
     ReplicaPush,
     ReplicaRecord,
 )
-from repro.replication.policy import replication_bypassed
 from repro.storm.heapfile import RecordId
 from repro.storm.objects import normalize_keyword
 from repro.storm.store import SearchResult, StorM
@@ -144,8 +142,8 @@ class ReplicationManager:
 
     @property
     def enabled(self) -> bool:
-        """True when the policy asks for anything and no bypass is set."""
-        return self.policy.active and not replication_bypassed()
+        """True when the policy asks for anything."""
+        return self.policy.active
 
     @property
     def replicas_held(self) -> int:
@@ -408,8 +406,6 @@ class ReplicationManager:
 
     def on_delete(self, rid: RecordId, keywords: Sequence[str]) -> None:
         """The record at ``rid`` was just deleted from the primary store."""
-        if replication_bypassed():
-            return
         normalized = tuple(normalize_keyword(keyword) for keyword in keywords)
         if self.cache is not None:
             self.cache.invalidate_keywords(normalized)
@@ -446,8 +442,6 @@ class ReplicationManager:
         read-repair from the replacement; versions bump so a stale push
         can never win over the repair.
         """
-        if replication_bypassed():
-            return
         normalized_old = tuple(normalize_keyword(keyword) for keyword in old_keywords)
         normalized_new = tuple(normalize_keyword(keyword) for keyword in new_keywords)
         if self.cache is not None:
@@ -495,7 +489,7 @@ class ReplicationManager:
         record to ``hot_rf`` copies.
         """
         policy = self.policy
-        if policy.hot_rf is None or policy.hot_rf <= 1 or replication_bypassed():
+        if policy.hot_rf is None or policy.hot_rf <= 1:
             return
         alpha = policy.ewma_alpha
         for rid in rids:
@@ -526,7 +520,7 @@ class ReplicationManager:
         node = self.node
         if node.engine is None:
             return  # not joined: cannot identify ourselves; offer expires
-        accepted = self.policy.active and not replication_bypassed()
+        accepted = self.policy.active
         reason = "" if accepted else "replication disabled"
         node.host.send(
             packet.src,
@@ -543,8 +537,6 @@ class ReplicationManager:
 
     def _on_push(self, packet: "Packet") -> None:
         push: ReplicaPush = packet.payload
-        if replication_bypassed():
-            return
         self._owner_addresses[push.owner] = push.owner_address
         stored_keywords: set[str] = set()
         for record in push.records:
@@ -592,8 +584,6 @@ class ReplicationManager:
 
     def _on_invalidate(self, packet: "Packet") -> None:
         invalidate: ReplicaInvalidate = packet.payload
-        if replication_bypassed():
-            return
         if self.cache is not None:
             touched = tuple(
                 normalize_keyword(keyword)
@@ -669,8 +659,6 @@ class ReplicationManager:
         """Search the replica store (None when there is nothing to search)."""
         if self._store is None or not self._copies:
             return None
-        if replication_bypassed():
-            return None
         if use_index:
             return self._store.search(keyword)
         return self._store.search_scan(keyword)
@@ -727,13 +715,13 @@ class ReplicationManager:
 
     def cached_answers(self, keyword: str):
         """Cached answer tuple for ``keyword`` (None on miss/disabled)."""
-        if self.cache is None or replication_bypassed():
+        if self.cache is None:
             return None
         return self.cache.get(normalize_keyword(keyword))
 
     def cache_answers(self, keyword: str, answers: tuple) -> None:
         """A finished exhaustive query populates the result cache."""
-        if self.cache is None or replication_bypassed() or not answers:
+        if self.cache is None or not answers:
             return
         self.cache.put(normalize_keyword(keyword), answers)
 
@@ -748,7 +736,7 @@ class ReplicationManager:
         here keeps it selectable as a future holder and refreshes the
         address on every holder record the owner keeps for it.
         """
-        if not self.policy.active or replication_bypassed():
+        if not self.policy.active:
             return
         node = self.node
         if node.engine is not None and bpid == node.bpid:

@@ -14,7 +14,6 @@ agent service time.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -37,17 +36,6 @@ Entries = Sequence[tuple[RecordId, StoredObject]]
 #: Default for :class:`StorM`'s decoded-scan cache.  Tests monkeypatch
 #: this to ``False`` to prove the cache changes no observable result.
 SCAN_CACHE_DEFAULT = True
-
-#: Set ``REPRO_NO_BULK_LOAD=1`` to make :meth:`StorM.put_many` fall back
-#: to the per-record path.  Checked per call (not at import), so
-#: ``--jobs`` worker processes inherit the bypass through the
-#: environment like the other fast-path switches.
-BULK_LOAD_ENV_VAR = "REPRO_NO_BULK_LOAD"
-
-
-def bulk_load_disabled() -> bool:
-    """True when the environment disables the bulk-load fast path."""
-    return os.environ.get(BULK_LOAD_ENV_VAR, "") not in ("", "0")
 
 
 def decode_page(page_id: int, data: bytes | bytearray) -> Entries:
@@ -249,7 +237,7 @@ class StorM:
         free-space accounting (:meth:`HeapFile.insert_many`) and updates
         the keyword index in one batch; record ids, index contents,
         search results, and buffer statistics are bit-identical to a
-        :meth:`put` loop (``REPRO_NO_BULK_LOAD=1`` forces that loop).
+        :meth:`put` loop.
 
         ``durable=True`` additionally issues one grouped
         :meth:`commit` for the whole batch — equivalent to a per-record
@@ -260,35 +248,28 @@ class StorM:
             StoredObject(tuple(keywords), bytes(payload))
             for keywords, payload in items
         ]
-        if bulk_load_disabled():
-            rids = []
-            for obj in objs:
-                rid = self.heap.insert(obj.encode())
-                self.index.add(rid, obj.keywords)
-                rids.append(rid)
-        else:
-            records = [obj.encode() for obj in objs]
-            # An oversized record leaves the per-record loop half done:
-            # everything before it stored *and indexed*.  Split there so
-            # the failure state matches exactly.
-            bad = next(
-                (
-                    i
-                    for i, record in enumerate(records)
-                    if len(record) > self.heap.max_record_size
-                ),
-                None,
+        records = [obj.encode() for obj in objs]
+        # An oversized record leaves a :meth:`put` loop half done:
+        # everything before it stored *and indexed*.  Split there so
+        # the failure state matches exactly.
+        bad = next(
+            (
+                i
+                for i, record in enumerate(records)
+                if len(record) > self.heap.max_record_size
+            ),
+            None,
+        )
+        prefix = records if bad is None else records[:bad]
+        rids = self.heap.insert_many(prefix)
+        self.index.insert_many(
+            zip(rids, (obj.keywords for obj in objs)), normalized=True
+        )
+        if bad is not None:
+            raise PageError(
+                f"record of {len(records[bad])} bytes exceeds max "
+                f"{self.heap.max_record_size} for this page size"
             )
-            prefix = records if bad is None else records[:bad]
-            rids = self.heap.insert_many(prefix)
-            self.index.insert_many(
-                zip(rids, (obj.keywords for obj in objs)), normalized=True
-            )
-            if bad is not None:
-                raise PageError(
-                    f"record of {len(records[bad])} bytes exceeds max "
-                    f"{self.heap.max_record_size} for this page size"
-                )
         if durable:
             self.commit()
         return rids

@@ -23,15 +23,10 @@ populated with the same objects — same record ids, same postings, same
 free-space map, same buffer residency, recency and ``AccessStats`` —
 and figures built on clones produce bit-identical series
 (``tests/storm/test_template.py``).
-
-``REPRO_NO_STORE_TEMPLATE=1`` disables the process-wide registry, which
-callers (see :mod:`repro.workloads.provision`) use to fall back to
-populating every store from scratch.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -43,22 +38,12 @@ from repro.storm.page import SlottedPage
 from repro.storm.replacement import ReplacementStrategy
 from repro.storm.store import Entries, StorM, decode_page
 
-#: Set ``REPRO_NO_STORE_TEMPLATE=1`` to bypass the template registry and
-#: repopulate every store from scratch.  Checked per call so ``--jobs``
-#: worker processes inherit the switch through the environment.
-TEMPLATE_ENV_VAR = "REPRO_NO_STORE_TEMPLATE"
-
 #: Registry capacity; oldest entries are evicted first.  Experiments key
 #: templates by content digest, and one figure needs at most a few dozen
 #: distinct (corpus, node, size) combinations at a time.
 REGISTRY_CAPACITY = 128
 
 _REGISTRY: dict[str, "StoreTemplate"] = {}
-
-
-def templates_disabled() -> bool:
-    """True when the environment disables store templating."""
-    return os.environ.get(TEMPLATE_ENV_VAR, "") not in ("", "0")
 
 
 def cached_template(key: str) -> "StoreTemplate | None":

@@ -10,17 +10,13 @@ of agent *code* goes through the explicit source-shipping path in
 
 Small fixed-shape control messages additionally register with the compact
 wire codec (:mod:`repro.net.codec`): those skip pickle+gzip entirely and
-travel as struct-packed binary frames.  ``REPRO_WIRE_CODEC=pickle``
-forces even registered messages down the pickle path — but the charged
-wire size stays the canonical compact-frame size either way, so the
-switch can never change a simulated byte count, only wall-clock.
+travel as struct-packed binary frames, charged at the frame's size.
 
 Payload-carrying data-plane messages (answers, fetch/active/data
 replies, sourced agent envelopes) register with the streaming data codec
 (:mod:`repro.net.datacodec`) instead and travel as length-prefixed
-stream frames; ``REPRO_WIRE_DATA=pickle`` forces them back to
-pickle+gzip under the same charged-size invariance.  Per-plane counters
-(`control`/`data`/`fallback`) record where the bytes actually go.
+stream frames.  Per-plane counters (`control`/`data`/`fallback`) record
+where the bytes actually go.
 """
 
 from __future__ import annotations
@@ -88,13 +84,13 @@ def serialized_size(obj: Any) -> int:
 class EncodedPayload:
     """One payload's wire form: transport bytes plus charged size.
 
-    ``raw`` is what the receiver decodes — a compact frame under the
-    compact codec, an uncompressed pickle otherwise; ``codec`` tags which
-    (it travels into :class:`~repro.net.message.Packet` so lazy decode
-    picks the right inverse).  ``compressed_size`` is what the
-    transmission model charges (framing overhead excluded): the compact
-    frame length for registered control messages *regardless of codec
-    mode*, the gzip size of the pickle for everything else.
+    ``raw`` is what the receiver decodes — a compact or stream frame for
+    a registered message, an uncompressed pickle otherwise; ``codec`` tags
+    which (it travels into :class:`~repro.net.message.Packet` so lazy
+    decode picks the right inverse).  ``compressed_size`` is what the
+    transmission model charges (framing overhead excluded): the frame
+    length for registered messages, the gzip size of the pickle for
+    everything else.
     """
 
     __slots__ = ("raw", "compressed_size", "codec")
@@ -108,13 +104,11 @@ class EncodedPayload:
 class WireEncoder:
     """Serialize+compress payloads once per object, not once per recipient.
 
-    Encoding is memoized on *payload identity*, keyed per wire codec: a
-    fan-out loop that sends the same envelope object to N peers pays one
-    encoding instead of N, and a mid-run ``REPRO_WIRE_CODEC`` flip can
-    never serve bytes produced under the other codec.  Each cache entry
-    keeps a strong reference to its payload so an ``id()`` can never be
-    reused while the entry is live; the ``is`` check on lookup makes a
-    stale hit impossible.
+    Encoding is memoized on *payload identity*: a fan-out loop that
+    sends the same envelope object to N peers pays one encoding instead
+    of N.  Each cache entry keeps a strong reference to its payload so an
+    ``id()`` can never be reused while the entry is live; the ``is`` check
+    on lookup makes a stale hit impossible.
 
     The cache assumes payloads are not mutated between sends — true for
     every protocol message in this library (frozen dataclasses, tuples,
@@ -143,10 +137,8 @@ class WireEncoder:
         self.control_bytes = 0
         self.data_bytes = 0
         self.fallback_bytes = 0
-        #: (id(payload), control mode, data mode) -> (payload, encoded)
-        self._cache: OrderedDict[
-            tuple[int, str, str], tuple[Any, EncodedPayload]
-        ] = OrderedDict()
+        #: id(payload) -> (payload, encoded)
+        self._cache: OrderedDict[int, tuple[Any, EncodedPayload]] = OrderedDict()
 
     @property
     def hit_ratio(self) -> float:
@@ -156,12 +148,8 @@ class WireEncoder:
         return self.hits / total
 
     def encode(self, payload: Any) -> EncodedPayload:
-        """Wire form of ``payload``, memoized per (object identity, codec)."""
-        wire = _wire_codec()
-        data = _data_codec()
-        mode = wire.wire_codec_mode()
-        data_mode = data.wire_data_mode()
-        key = (id(payload), mode, data_mode)
+        """Wire form of ``payload``, memoized per object identity."""
+        key = id(payload)
         entry = self._cache.get(key)
         if entry is not None and entry[0] is payload:
             self.hits += 1
@@ -172,7 +160,7 @@ class WireEncoder:
         self.misses += 1
         if self.tracer is not None:
             self.tracer.bump("net", "encode-miss")
-        encoded = self._encode(payload, wire, mode, data, data_mode)
+        encoded = self._encode(payload)
         if self.capacity > 0:
             self._cache[key] = (payload, encoded)
             self._cache.move_to_end(key)
@@ -180,32 +168,23 @@ class WireEncoder:
                 self._cache.popitem(last=False)
         return encoded
 
-    def _encode(
-        self, payload: Any, wire, mode: str, data, data_mode: str
-    ) -> EncodedPayload:
+    def _encode(self, payload: Any) -> EncodedPayload:
+        wire = _wire_codec()
+        data = _data_codec()
         frame = wire.try_encode(payload)
         if frame is not None:
             self.compact_frames += 1
             self.control_bytes += len(frame)
             if self.tracer is not None:
                 self.tracer.bump("net", "encode-compact")
-            if mode == wire.CODEC_COMPACT:
-                return EncodedPayload(frame, len(frame), wire.CODEC_COMPACT)
-            # Pickle fallback mode: ship pickle bytes, but charge the
-            # canonical compact-frame size so simulated byte counts are
-            # bit-identical whichever codec is selected.
-            return EncodedPayload(serialize(payload), len(frame), wire.CODEC_PICKLE)
+            return EncodedPayload(frame, len(frame), wire.CODEC_COMPACT)
         frame = data.try_encode(payload)
         if frame is not None:
             self.data_frames += 1
             self.data_bytes += len(frame)
             if self.tracer is not None:
                 self.tracer.bump("net", "encode-stream")
-            if data_mode == data.DATA_STREAM:
-                return EncodedPayload(frame, len(frame), data.CODEC_STREAM)
-            # Same charged-size invariance as the control plane: pickle
-            # mode ships pickle bytes at the canonical stream-frame size.
-            return EncodedPayload(serialize(payload), len(frame), wire.CODEC_PICKLE)
+            return EncodedPayload(frame, len(frame), data.CODEC_STREAM)
         self.pickle_payloads += 1
         raw = serialize(payload)
         encoded = EncodedPayload(raw, len(self.codec.compress(raw)), wire.CODEC_PICKLE)

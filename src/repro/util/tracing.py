@@ -51,10 +51,6 @@ class Tracer:
     #: running counters for very hot events (e.g. wire-encoder cache hits)
     #: that would swamp ``events`` if recorded individually
     counters: dict[tuple[str, str], int] = field(default_factory=dict)
-    #: accumulated wall-clock timers (e.g. agent-path profiling): total
-    #: real seconds per (category, name), alongside the count in
-    #: ``counters``
-    timers: dict[tuple[str, str], float] = field(default_factory=dict)
 
     def record(self, time: float, category: str, label: str, **fields: Any) -> None:
         """Record one event (no-op if disabled or filtered out)."""
@@ -93,25 +89,10 @@ class Tracer:
         """Current value of one running counter (0 when never bumped)."""
         return self.counters.get((category, name), 0)
 
-    def add_time(self, category: str, name: str, seconds: float) -> None:
-        """Accumulate wall-clock seconds into a running timer (no-op if
-        disabled or filtered)."""
-        if not self.enabled:
-            return
-        if self.categories is not None and category not in self.categories:
-            return
-        key = (category, name)
-        self.timers[key] = self.timers.get(key, 0.0) + seconds
-
-    def timer(self, category: str, name: str) -> float:
-        """Accumulated seconds of one timer (0.0 when never added to)."""
-        return self.timers.get((category, name), 0.0)
-
     def clear(self) -> None:
-        """Drop all recorded events, counters, and timers."""
+        """Drop all recorded events and counters."""
         self.events.clear()
         self.counters.clear()
-        self.timers.clear()
 
 
 #: Shared "off" tracer for components constructed without one.

@@ -20,8 +20,7 @@ from the items, so both entry points share templates.
 
 Both paths are observationally identical to a fresh ``put`` loop —
 record ids, postings, search results, and per-search buffer deltas all
-match bit-for-bit — and both honour their environment kill switches
-(``REPRO_NO_BULK_LOAD``, ``REPRO_NO_STORE_TEMPLATE``).
+match bit-for-bit.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from repro.storm.template import (
     StoreTemplate,
     cached_template,
     register_template,
-    templates_disabled,
 )
 from repro.workloads.corpus import KeywordCorpus, generate_objects
 from repro.workloads.placement import AnswerPlacement
@@ -96,17 +94,12 @@ def content_digest(items: Sequence[tuple[Sequence[str], bytes]]) -> str:
     return hasher.hexdigest()
 
 
-def _populated(items: Items) -> StorM:
-    store = StorM()
-    store.put_many(items)
-    return store
-
-
 def _template_for(key: str, items: Items) -> StoreTemplate:
     """The template registered under ``key``, built from ``items`` if none is."""
     template = cached_template(key)
     if template is None:
-        prototype = _populated(items)
+        prototype = StorM()
+        prototype.put_many(items)
         template = StoreTemplate.from_store(prototype)
         prototype.close()
         register_template(key, template)
@@ -116,12 +109,9 @@ def _template_for(key: str, items: Items) -> StoreTemplate:
 def store_for_items(items: Items) -> StorM:
     """A store holding exactly ``items``, via the template registry.
 
-    With templating disabled (``REPRO_NO_STORE_TEMPLATE=1``) every call
-    populates a fresh store; otherwise the first call per distinct item
-    sequence builds and registers a template and later calls clone it.
+    The first call per distinct item sequence builds and registers a
+    template; later calls clone it.
     """
-    if templates_disabled():
-        return _populated(items)
     return _template_for(content_digest(items), items).instantiate()
 
 
@@ -150,8 +140,7 @@ def provision_store(
         if placement is None
         else (placement.keyword, *placement.objects_for(node_index, size=size))
     )
-    shared = not templates_disabled()
-    key = _LOAD_KEYS.get(load) if shared else None
+    key = _LOAD_KEYS.get(load)
     template = None if key is None else cached_template(key)
     if template is None:
         items = experiment_items(
@@ -162,12 +151,11 @@ def provision_store(
             seed=seed,
             placement=placement,
         )
-        if shared:
-            _LOAD_KEYS[load] = key = content_digest(items)
-            while len(_LOAD_KEYS) > REGISTRY_CAPACITY:
-                del _LOAD_KEYS[next(iter(_LOAD_KEYS))]
-            template = _template_for(key, items)
-    store = _populated(items) if template is None else template.instantiate()
+        _LOAD_KEYS[load] = key = content_digest(items)
+        while len(_LOAD_KEYS) > REGISTRY_CAPACITY:
+            del _LOAD_KEYS[next(iter(_LOAD_KEYS))]
+        template = _template_for(key, items)
+    store = template.instantiate()
     if warm:
         store.search_scan(corpus.keyword(0))
     return store

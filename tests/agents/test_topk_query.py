@@ -4,7 +4,7 @@ Drives whole BestPeer deployments with ``BestPeerConfig.top_k`` set and
 checks the contract from the initiator's chair: the merged top-k always
 equals exhaustive-then-truncate, dominated answers die in-network
 (digests instead of payloads), and the legacy exhaustive path — k=None
-or ``REPRO_TOPK=off`` — is behaviourally untouched.
+— is behaviourally untouched.
 """
 
 import pytest
@@ -14,13 +14,11 @@ from repro.agents.messages import AnswerMessage
 from repro.agents.storm_agent import StorMSearchAgent
 from repro.agents.topk import (
     ScoredAnswer,
-    TOPK_ENV_VAR,
     TopKDigest,
     TopKSearchAgent,
-    topk_bypassed,
 )
 from repro.core import BestPeerConfig, build_network
-from repro.errors import AgentError, BestPeerError
+from repro.errors import BestPeerError
 from repro.topology import line, star
 
 FAST = AgentCosts(
@@ -144,29 +142,13 @@ class TestTopKEndToEnd:
 
 class TestLegacyPathPreserved:
     def test_k_none_uses_legacy_agent(self):
-        _net, handle = run_query()
+        net, handle = run_query()
         assert handle.top_k is None
+        registry = net.nodes[1].engine.registry
+        assert registry.has("StorMSearchAgent")
+        assert not registry.has("TopKSearchAgent")
         assert all(type(a) is AnswerMessage for a in handle.answers)
         assert handle.digests == [] and handle.dominated_dropped == 0
-
-    def test_bypass_disables_topk(self, monkeypatch):
-        monkeypatch.setenv(TOPK_ENV_VAR, "off")
-        assert topk_bypassed()
-        _net, handle = run_query(top_k=2)
-        assert handle.top_k is None
-        assert all(type(a) is AnswerMessage for a in handle.answers)
-        assert handle.network_answer_count == 15
-
-    def test_bypass_on_keeps_topk(self, monkeypatch):
-        monkeypatch.setenv(TOPK_ENV_VAR, "on")
-        assert not topk_bypassed()
-        _net, handle = run_query(top_k=2)
-        assert handle.top_k == 2
-
-    def test_invalid_bypass_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(TOPK_ENV_VAR, "maybe")
-        with pytest.raises(AgentError):
-            topk_bypassed()
 
 
 class TestAgentContract:

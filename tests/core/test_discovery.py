@@ -5,7 +5,7 @@ import pytest
 from repro.agents.costs import AgentCosts
 from repro.core import BestPeerConfig, KnowledgeStrategy, build_network
 from repro.core.discovery import ContentReport, KnowledgeBase
-from repro.core.reconfig import PeerObservation
+from repro.core.routing import PeerObservation
 from repro.errors import BestPeerError
 from repro.ids import BPID
 from repro.net.address import IPAddress

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.reconfig import (
+from repro.core.routing import (
     MaxCountStrategy,
     MinHopsStrategy,
     PeerObservation,
     RandomReplacementStrategy,
     StaticStrategy,
-    make_reconfig_strategy,
+    make_routing_strategy,
 )
 from repro.errors import BestPeerError
 from repro.ids import BPID
@@ -126,11 +126,11 @@ class TestStatic:
 class TestFactory:
     def test_known_names(self):
         for name in ["maxcount", "minhops", "random", "static"]:
-            assert make_reconfig_strategy(name).name == name
+            assert make_routing_strategy(name).name == name
 
     def test_unknown_name(self):
         with pytest.raises(BestPeerError):
-            make_reconfig_strategy("oracle")
+            make_routing_strategy("oracle")
 
 
 @given(
@@ -152,7 +152,7 @@ def test_strategies_respect_k_and_candidates(entries, k):
         for n, answers, hops, current in entries
     ]
     for name in ["maxcount", "minhops", "random"]:
-        strategy = make_reconfig_strategy(name)
+        strategy = make_routing_strategy(name)
         selected = strategy.select(candidates, k)
         assert len(selected) <= k
         assert len({o.bpid for o in selected}) == len(selected)

@@ -1,13 +1,12 @@
-"""The performance fast paths must never change a result.
+"""How a run is executed must never change a result.
 
-Five independent switches can alter how much work the reproduction
-does per figure — the wire encoding cache, StorM's decoded-scan cache,
-the agent-path source/compile caches (``REPRO_NO_AGENT_CACHE=1``), the
-compact wire codec (``REPRO_WIRE_CODEC=pickle``), and the parallel
-experiment runner.  Each exists purely to save wall-clock; these tests
+The wire encoding cache and StorM's decoded-scan cache (module
+constants), the parallel experiment runner (``--jobs``) and the sharded
+kernel (``REPRO_SHARDS``) exist purely to save wall-clock; these tests
 pin down that every observable output (figure series, bytes on the
 wire, packet counts, answer hop counts, buffer I/O statistics) is
-bit-identical whichever way the switches are thrown.
+bit-identical whichever of them executes the run.  "Now vs before" is
+``test_figure_digests.py`` and ``test_ledger_digests.py``.
 """
 
 from __future__ import annotations
@@ -15,11 +14,7 @@ from __future__ import annotations
 import pytest
 
 import repro.storm.store as store_module
-import repro.storm.template as template_module
 import repro.util.serialization as serialization_module
-from repro.agents import codeship
-from repro.net.codec import WIRE_CODEC_ENV_VAR
-from repro.net.datacodec import WIRE_DATA_ENV_VAR
 from repro.core.builder import build_network
 from repro.core.config import BestPeerConfig
 from repro.eval.experiment import ExperimentRunner, ParallelExperimentRunner
@@ -47,72 +42,6 @@ def test_series_identical_with_caches_disabled(monkeypatch, fastpath_results):
     monkeypatch.setattr(serialization_module, "WIRE_CACHE_CAPACITY", 0)
     monkeypatch.setattr(store_module, "SCAN_CACHE_DEFAULT", False)
     assert _run_figures() == fastpath_results
-
-
-def test_series_identical_with_bulk_load_disabled(monkeypatch, fastpath_results):
-    monkeypatch.setenv(store_module.BULK_LOAD_ENV_VAR, "1")
-    template_module.clear_templates()
-    try:
-        assert _run_figures() == fastpath_results
-    finally:
-        # Templates built on the per-record path are still bit-identical,
-        # but drop them so later tests rebuild via the default path.
-        template_module.clear_templates()
-
-
-def test_series_identical_with_templates_disabled(monkeypatch, fastpath_results):
-    monkeypatch.setenv(template_module.TEMPLATE_ENV_VAR, "1")
-    assert _run_figures() == fastpath_results
-
-
-def test_series_identical_with_bulk_and_templates_disabled(
-    monkeypatch, fastpath_results
-):
-    # Both fast paths off is exactly the pre-optimization per-record
-    # population loop — the semantic reference.
-    monkeypatch.setenv(store_module.BULK_LOAD_ENV_VAR, "1")
-    monkeypatch.setenv(template_module.TEMPLATE_ENV_VAR, "1")
-    assert _run_figures() == fastpath_results
-
-
-def test_series_identical_with_templates_disabled_parallel(
-    monkeypatch, fastpath_results
-):
-    # Worker processes inherit the environment switch.
-    monkeypatch.setenv(template_module.TEMPLATE_ENV_VAR, "1")
-    parallel = ParallelExperimentRunner(jobs=2)
-    fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=parallel)
-    fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=parallel)
-    assert (fig5.series, fig8.series) == fastpath_results
-
-
-def test_series_identical_with_bulk_load_disabled_parallel(
-    monkeypatch, fastpath_results
-):
-    monkeypatch.setenv(store_module.BULK_LOAD_ENV_VAR, "1")
-    parallel = ParallelExperimentRunner(jobs=2)
-    fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=parallel)
-    fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=parallel)
-    assert (fig5.series, fig8.series) == fastpath_results
-
-
-def test_series_identical_with_agent_caches_disabled(monkeypatch, fastpath_results):
-    monkeypatch.setenv(codeship.NO_CACHE_ENV_VAR, "1")
-    codeship.clear_caches()
-    assert _run_figures() == fastpath_results
-
-
-def test_series_identical_with_agent_caches_disabled_parallel(
-    monkeypatch, fastpath_results
-):
-    # Worker processes inherit the environment, so the bypass holds
-    # under the multiprocessing runner too.
-    monkeypatch.setenv(codeship.NO_CACHE_ENV_VAR, "1")
-    codeship.clear_caches()
-    parallel = ParallelExperimentRunner(jobs=2)
-    fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=parallel)
-    fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=parallel)
-    assert (fig5.series, fig8.series) == fastpath_results
 
 
 def test_series_identical_under_parallel_runner(fastpath_results):
@@ -170,39 +99,6 @@ def test_wire_bytes_identical_cache_on_vs_off(monkeypatch):
     assert with_cache == without_cache
 
 
-def test_wire_bytes_and_hops_identical_agent_cache_on_vs_off(monkeypatch):
-    codeship.clear_caches()
-    with_cache = _drive_deployment()
-    monkeypatch.setenv(codeship.NO_CACHE_ENV_VAR, "1")
-    codeship.clear_caches()
-    without_cache = _drive_deployment()
-    assert with_cache == without_cache
-
-
-def test_series_identical_under_pickle_wire_codec(monkeypatch, fastpath_results):
-    monkeypatch.setenv(WIRE_CODEC_ENV_VAR, "pickle")
-    assert _run_figures() == fastpath_results
-
-
-def test_series_identical_under_pickle_wire_codec_parallel(
-    monkeypatch, fastpath_results
-):
-    # The codec switch is read from the environment on every encode, so
-    # the multiprocessing runner's workers inherit it like any other env.
-    monkeypatch.setenv(WIRE_CODEC_ENV_VAR, "pickle")
-    parallel = ParallelExperimentRunner(jobs=2)
-    fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=parallel)
-    fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=parallel)
-    assert (fig5.series, fig8.series) == fastpath_results
-
-
-def test_wire_bytes_and_hops_identical_compact_vs_pickle(monkeypatch):
-    monkeypatch.delenv(WIRE_CODEC_ENV_VAR, raising=False)
-    compact = _drive_deployment()
-    monkeypatch.setenv(WIRE_CODEC_ENV_VAR, "pickle")
-    assert _drive_deployment() == compact
-
-
 def _flood_observables(node_count: int = 32) -> tuple:
     """A seeded star flood; per-host byte counts plus network totals."""
     deployment = build_network(
@@ -232,59 +128,6 @@ def _flood_observables(node_count: int = 32) -> tuple:
         network.packets_dropped,
         network.decode_errors,
     )
-
-
-def test_32_node_flood_identical_compact_vs_pickle(monkeypatch):
-    monkeypatch.delenv(WIRE_CODEC_ENV_VAR, raising=False)
-    compact = _flood_observables()
-    monkeypatch.setenv(WIRE_CODEC_ENV_VAR, "pickle")
-    assert _flood_observables() == compact
-
-
-# ---------------------------------------------------------------------------
-# Data-plane streaming codec: REPRO_WIRE_DATA must be invisible
-# ---------------------------------------------------------------------------
-
-
-def test_series_identical_under_pickle_data_codec(monkeypatch, fastpath_results):
-    monkeypatch.setenv(WIRE_DATA_ENV_VAR, "pickle")
-    assert _run_figures() == fastpath_results
-
-
-def test_series_identical_under_pickle_data_codec_parallel(
-    monkeypatch, fastpath_results
-):
-    # Read from the environment on every encode, so the multiprocessing
-    # runner's workers inherit the switch like any other env var.
-    monkeypatch.setenv(WIRE_DATA_ENV_VAR, "pickle")
-    parallel = ParallelExperimentRunner(jobs=2)
-    fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=parallel)
-    fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=parallel)
-    assert (fig5.series, fig8.series) == fastpath_results
-
-
-def test_wire_bytes_and_hops_identical_stream_vs_pickle(monkeypatch):
-    monkeypatch.delenv(WIRE_DATA_ENV_VAR, raising=False)
-    stream = _drive_deployment()
-    monkeypatch.setenv(WIRE_DATA_ENV_VAR, "pickle")
-    assert _drive_deployment() == stream
-
-
-def test_32_node_flood_identical_stream_vs_pickle(monkeypatch):
-    monkeypatch.delenv(WIRE_DATA_ENV_VAR, raising=False)
-    stream = _flood_observables()
-    monkeypatch.setenv(WIRE_DATA_ENV_VAR, "pickle")
-    assert _flood_observables() == stream
-
-
-def test_32_node_flood_identical_with_both_planes_on_pickle(monkeypatch):
-    # Both fallbacks together are the full pre-codec wire stack.
-    monkeypatch.delenv(WIRE_CODEC_ENV_VAR, raising=False)
-    monkeypatch.delenv(WIRE_DATA_ENV_VAR, raising=False)
-    fast = _flood_observables()
-    monkeypatch.setenv(WIRE_CODEC_ENV_VAR, "pickle")
-    monkeypatch.setenv(WIRE_DATA_ENV_VAR, "pickle")
-    assert _flood_observables() == fast
 
 
 def _faulted_observables(runner) -> tuple:
@@ -343,60 +186,9 @@ def test_encoder_cache_actually_hits_during_flood():
     assert network.encode_hits > 0  # fan-out re-used at least one encoding
 
 
-# ---------------------------------------------------------------------------
-# Routing framework: REPRO_ROUTING=legacy must be invisible
-# ---------------------------------------------------------------------------
-
-
-def test_series_identical_under_legacy_routing(monkeypatch, fastpath_results):
-    # "legacy" floods to every non-suspect peer in table order — the
-    # pre-framework forwarding path.  For the paper strategies the
-    # strategy-driven fan-out must be bit-identical to it.
-    from repro.core.routing.base import ROUTING_ENV_VAR
-
-    monkeypatch.setenv(ROUTING_ENV_VAR, "legacy")
-    assert _run_figures() == fastpath_results
-
-
-def test_series_identical_under_legacy_routing_parallel(
-    monkeypatch, fastpath_results
-):
-    # Checked per call, so --jobs workers inherit the switch via env.
-    from repro.core.routing.base import ROUTING_ENV_VAR
-
-    monkeypatch.setenv(ROUTING_ENV_VAR, "legacy")
-    parallel = ParallelExperimentRunner(jobs=2)
-    fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=parallel)
-    fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=parallel)
-    assert (fig5.series, fig8.series) == fastpath_results
-
-
-def test_wire_bytes_and_hops_identical_legacy_vs_strategy_routing(monkeypatch):
-    from repro.core.routing.base import ROUTING_ENV_VAR
-
-    monkeypatch.delenv(ROUTING_ENV_VAR, raising=False)
-    strategy_path = _drive_deployment()
-    monkeypatch.setenv(ROUTING_ENV_VAR, "legacy")
-    assert _drive_deployment() == strategy_path
-
-
-def test_faulted_series_identical_under_legacy_routing(monkeypatch):
-    # The churn figure (maxcount vs static) under a nonzero fault plan:
-    # same series, bytes, hops and drop counters either way the
-    # forwarding switch is thrown, serial and parallel.
-    from repro.core.routing.base import ROUTING_ENV_VAR
-
-    monkeypatch.delenv(ROUTING_ENV_VAR, raising=False)
-    default = _faulted_observables(None)
-    monkeypatch.setenv(ROUTING_ENV_VAR, "legacy")
-    assert _faulted_observables(None) == default
-    assert _faulted_observables(ParallelExperimentRunner(jobs=2)) == default
-
-
 def _routing_observables(runner) -> tuple:
     """The routing comparison figure under the churn fault plan; every
-    per-trial observable, for the new strategies only (the paper
-    strategies are covered by the legacy-bypass tests above)."""
+    per-trial observable, for the post-paper strategies."""
     from repro.eval.routing import figure_routing
 
     params = FigureParams(objects_per_node=0, queries=2, seed=0)
@@ -438,89 +230,6 @@ def test_new_strategies_self_identical_serial_vs_parallel():
     default = _routing_observables(None)
     assert _routing_observables(ExperimentRunner()) == default
     assert _routing_observables(ParallelExperimentRunner(jobs=2)) == default
-
-
-# ---------------------------------------------------------------------------
-# In-network top-k: REPRO_TOPK and k=None must leave legacy runs untouched
-# ---------------------------------------------------------------------------
-
-
-def _topk_flood_observables(top_k) -> tuple:
-    """A seeded star flood with several scored matches per rim node."""
-    deployment = build_network(
-        8,
-        config=BestPeerConfig(
-            max_direct_peers=8, strategy="static", top_k=top_k
-        ),
-        topology=star(8),
-    )
-    for index, node in enumerate(deployment.nodes[1:], 1):
-        node.share(["needle"] + ["pad"] * (index % 3), bytes([index]) * 64)
-    answer_hops = []
-    for _ in range(2):
-        handle = deployment.base.issue_query("needle")
-        deployment.sim.run()
-        answer_hops.extend(
-            sorted(
-                (str(ans.responder), ans.hops, ans.answer_count)
-                for ans in handle.answers
-            )
-        )
-        deployment.base.finish_query(handle)
-    network = deployment.network
-    return (
-        [host.bytes_sent for host in network.hosts.values()],
-        answer_hops,
-        network.bytes_carried,
-        network.packets_delivered,
-        network.packets_dropped,
-    )
-
-
-def test_topk_off_bitidentical_to_k_none(monkeypatch):
-    # REPRO_TOPK=off with a configured k is the legacy exhaustive path:
-    # same per-host bytes, hop counts, and packet totals as top_k=None.
-    from repro.agents.topk import TOPK_ENV_VAR
-
-    monkeypatch.delenv(TOPK_ENV_VAR, raising=False)
-    baseline = _topk_flood_observables(None)
-    monkeypatch.setenv(TOPK_ENV_VAR, "off")
-    assert _topk_flood_observables(4) == baseline
-    assert _topk_flood_observables(None) == baseline
-    # "on" with no configured k is equally invisible.
-    monkeypatch.setenv(TOPK_ENV_VAR, "on")
-    assert _topk_flood_observables(None) == baseline
-
-
-def test_legacy_workloads_unaffected_by_topk_env(monkeypatch):
-    # The per-call env check must be a pure read: legacy (k=None)
-    # deployments stay bit-identical whichever way the switch is set.
-    from repro.agents.topk import TOPK_ENV_VAR
-
-    monkeypatch.delenv(TOPK_ENV_VAR, raising=False)
-    drive, flood = _drive_deployment(), _flood_observables()
-    monkeypatch.setenv(TOPK_ENV_VAR, "off")
-    assert (_drive_deployment(), _flood_observables()) == (drive, flood)
-
-
-def test_series_identical_under_topk_bypass(monkeypatch, fastpath_results):
-    from repro.agents.topk import TOPK_ENV_VAR
-
-    monkeypatch.setenv(TOPK_ENV_VAR, "off")
-    assert _run_figures() == fastpath_results
-
-
-def test_series_identical_under_topk_bypass_parallel(
-    monkeypatch, fastpath_results
-):
-    # Checked per call, so --jobs workers inherit the switch via env.
-    from repro.agents.topk import TOPK_ENV_VAR
-
-    monkeypatch.setenv(TOPK_ENV_VAR, "off")
-    parallel = ParallelExperimentRunner(jobs=2)
-    fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=parallel)
-    fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=parallel)
-    assert (fig5.series, fig8.series) == fastpath_results
 
 
 def _topk_figure_observables(runner) -> tuple:
@@ -571,99 +280,6 @@ def test_topk_figure_self_identical_serial_vs_parallel():
     default = _topk_figure_observables(None)
     assert _topk_figure_observables(ExperimentRunner()) == default
     assert _topk_figure_observables(ParallelExperimentRunner(jobs=2)) == default
-
-
-# ---------------------------------------------------------------------------
-# Replication: REPRO_REPLICATION and rf=1 must leave legacy runs untouched
-# ---------------------------------------------------------------------------
-
-
-def _replication_flood_observables(policy) -> tuple:
-    """A seeded star flood under an explicit replication policy."""
-    from repro.replication import ReplicationPolicy
-
-    deployment = build_network(
-        8,
-        config=BestPeerConfig(
-            max_direct_peers=8,
-            strategy="static",
-            replication=policy or ReplicationPolicy(),
-        ),
-        topology=star(8),
-    )
-    for index, node in enumerate(deployment.nodes[1:], 1):
-        node.share(["needle"] + ["pad"] * (index % 3), bytes([index]) * 64)
-    answer_hops = []
-    for _ in range(2):
-        handle = deployment.base.issue_query("needle")
-        deployment.sim.run()
-        answer_hops.extend(
-            sorted(
-                (str(ans.responder), ans.hops, ans.answer_count)
-                for ans in handle.answers
-            )
-        )
-        deployment.base.finish_query(handle)
-    network = deployment.network
-    return (
-        [host.bytes_sent for host in network.hosts.values()],
-        answer_hops,
-        network.bytes_carried,
-        network.packets_delivered,
-        network.packets_dropped,
-    )
-
-
-def test_replication_off_bitidentical_to_rf1(monkeypatch):
-    # REPRO_REPLICATION=off with an active policy is the legacy
-    # single-copy path: same per-host bytes, hop counts, and packet
-    # totals as the default rf=1 policy.  "on" with rf=1 is equally
-    # invisible — the default policy replicates nothing.
-    from repro.replication import REPLICATION_ENV_VAR, ReplicationPolicy
-
-    monkeypatch.delenv(REPLICATION_ENV_VAR, raising=False)
-    baseline = _replication_flood_observables(None)
-    monkeypatch.setenv(REPLICATION_ENV_VAR, "off")
-    assert (
-        _replication_flood_observables(
-            ReplicationPolicy(rf=2, hot_rf=3, cache_capacity=8)
-        )
-        == baseline
-    )
-    assert _replication_flood_observables(None) == baseline
-    monkeypatch.setenv(REPLICATION_ENV_VAR, "on")
-    assert _replication_flood_observables(ReplicationPolicy(rf=1)) == baseline
-
-
-def test_legacy_workloads_unaffected_by_replication_env(monkeypatch):
-    # The per-call env check must be a pure read: default-policy
-    # deployments stay bit-identical whichever way the switch is set.
-    from repro.replication import REPLICATION_ENV_VAR
-
-    monkeypatch.delenv(REPLICATION_ENV_VAR, raising=False)
-    drive, flood = _drive_deployment(), _flood_observables()
-    monkeypatch.setenv(REPLICATION_ENV_VAR, "off")
-    assert (_drive_deployment(), _flood_observables()) == (drive, flood)
-
-
-def test_series_identical_under_replication_bypass(monkeypatch, fastpath_results):
-    from repro.replication import REPLICATION_ENV_VAR
-
-    monkeypatch.setenv(REPLICATION_ENV_VAR, "off")
-    assert _run_figures() == fastpath_results
-
-
-def test_series_identical_under_replication_bypass_parallel(
-    monkeypatch, fastpath_results
-):
-    # Checked per call, so --jobs workers inherit the switch via env.
-    from repro.replication import REPLICATION_ENV_VAR
-
-    monkeypatch.setenv(REPLICATION_ENV_VAR, "off")
-    parallel = ParallelExperimentRunner(jobs=2)
-    fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=parallel)
-    fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=parallel)
-    assert (fig5.series, fig8.series) == fastpath_results
 
 
 def _replication_figure_observables(runner) -> tuple:

@@ -22,7 +22,7 @@ import pytest
 
 from perfledger import run as ledger
 
-from tests.net.test_wire_vectors import REWRITE_ENV_VAR, rewrite_requested
+from tests.support import REWRITE_ENV_VAR, rewrite_requested
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "ledger_smoke.json"
 SEED, SECONDS = 0, 2

@@ -4,13 +4,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.eval.experiment import ExperimentRunner, FigureResult
-from repro.eval.report import (
-    agent_path_stats,
-    format_agent_path_stats,
-    format_figure,
-    format_table,
-)
-from repro.util.tracing import Tracer
+from repro.eval.report import format_figure, format_table
 
 
 class TestFormatTable:
@@ -64,27 +58,6 @@ class TestFormatFigure:
         result = FigureResult("F", "t", "x", "y", notes="scaled down")
         result.add_point("a", 1, 1.0)
         assert "scaled down" in format_figure(result)
-
-
-class TestAgentPathStats:
-    def test_collects_profiler_counters_and_timers(self):
-        tracer = Tracer()
-        tracer.bump("agent-path", "execute")
-        tracer.bump("agent-path", "execute")
-        tracer.add_time("agent-path", "execute", 0.125)
-        stats = agent_path_stats(tracer)
-        assert stats["execute_count"] == 2
-        assert stats["execute_seconds"] == 0.125
-        assert stats["extract_count"] == 0
-        # Process-wide cache counters ride along.
-        for key in ("source_cache_hits", "compile_cache_hits"):
-            assert key in stats
-
-    def test_format_renders_every_op(self):
-        text = format_agent_path_stats(Tracer())
-        for op in ("extract", "install", "execute", "clone"):
-            assert f"{op}_count" in text
-        assert "compile_cache_hits" in text
 
 
 class TestExperimentRunner:

@@ -23,7 +23,9 @@ from repro.net.datacodec import (
     registered_specs,
 )
 
-from .test_wire_vectors import REWRITE_ENV_VAR, _drift_report, rewrite_requested
+from tests.support import REWRITE_ENV_VAR, rewrite_requested
+
+from .test_wire_vectors import _drift_report
 
 load_registrations()
 

@@ -11,7 +11,6 @@ the file with ``REPRO_REWRITE_VECTORS=1``.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -24,10 +23,11 @@ from repro.net.codec import (
     registered_specs,
 )
 
+from tests.support import REWRITE_ENV_VAR, rewrite_requested
+
 load_registrations()
 
 VECTORS_PATH = Path(__file__).parent / "vectors" / "control_frames.json"
-REWRITE_ENV_VAR = "REPRO_REWRITE_VECTORS"
 
 
 def current_vectors() -> dict:
@@ -47,10 +47,6 @@ def current_vectors() -> dict:
 
 def golden_vectors() -> dict:
     return json.loads(VECTORS_PATH.read_text())
-
-
-def rewrite_requested() -> bool:
-    return bool(os.environ.get(REWRITE_ENV_VAR))
 
 
 def _drift_report(golden: dict, current: dict) -> list[str]:

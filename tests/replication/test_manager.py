@@ -12,7 +12,6 @@ from repro.core.config import BestPeerConfig
 from repro.ids import BPID
 from repro.net.address import IPAddress
 from repro.replication import (
-    REPLICATION_ENV_VAR,
     ReplicaPush,
     ReplicaRecord,
     ReplicationPolicy,
@@ -72,15 +71,6 @@ class TestPlacement:
         assert stats["replica_offers"] == 0
         assert stats["replicas_pushed"] == 0
         assert owner.replication.holders_of(rid) == {}
-        assert all(node.replication.replicas_held == 0 for node in net.nodes)
-
-    def test_env_off_disables_placement(self, monkeypatch):
-        monkeypatch.setenv(REPLICATION_ENV_VAR, "off")
-        net = deploy(6, ReplicationPolicy(rf=2))
-        owner = net.nodes[2]
-        owner.share(["kw-off"], b"bypassed")
-        net.sim.run()
-        assert owner.replication.statistics()["replica_offers"] == 0
         assert all(node.replication.replicas_held == 0 for node in net.nodes)
 
     def test_declined_offer_rolls_back_holder_marking(self):

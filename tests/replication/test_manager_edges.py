@@ -1,14 +1,10 @@
-"""Edge branches of the replication manager: races, stragglers, bypasses."""
+"""Edge branches of the replication manager: races, stragglers, inactive policies."""
 
 from types import SimpleNamespace
 
 from repro.core.builder import build_network
 from repro.core.config import BestPeerConfig
-from repro.replication import (
-    REPLICATION_ENV_VAR,
-    ReplicaAccept,
-    ReplicationPolicy,
-)
+from repro.replication import ReplicaAccept, ReplicationPolicy
 from repro.storm.heapfile import RecordId
 from repro.topology.builders import line
 
@@ -38,24 +34,25 @@ class TestStragglerFrames:
 
 
 class TestBypassBranches:
-    def test_cached_answers_bypassed(self, monkeypatch):
-        net = deploy(ReplicationPolicy(rf=2, cache_capacity=4))
-        manager = net.base.replication
-        manager.cache_answers("kw", ("answer",))
-        monkeypatch.setenv(REPLICATION_ENV_VAR, "off")
-        assert manager.cached_answers("kw") is None
-        monkeypatch.setenv(REPLICATION_ENV_VAR, "on")
-        assert manager.cached_answers("kw") == ("answer",)
-
-    def test_delete_and_reshare_bypassed(self, monkeypatch):
-        net = deploy()
+    def test_inactive_policy_places_nothing_caches_nothing_refuses_offers(self):
+        net = deploy(ReplicationPolicy())
         owner = net.nodes[1]
+        assert not owner.replication.enabled
         rid = owner.share(["kw"], b"content")
         net.sim.run()
-        monkeypatch.setenv(REPLICATION_ENV_VAR, "off")
-        owner.unshare(rid)  # on_delete returns before any invalidate
+        assert owner.replication.statistics()["replica_offers"] == 0
+        owner.replication.cache_answers("kw", ("answer",))
+        assert owner.replication.cached_answers("kw") is None
+        owner.unshare(rid)  # nothing placed, so nothing to invalidate
         net.sim.run()
         assert owner.replication.statistics()["invalidations"] == 0
+        # An active owner among inactive peers: its offer is refused.
+        owner.replication.policy = ReplicationPolicy(rf=2)
+        rid = owner.share(["kw"], b"content")
+        net.sim.run()
+        assert owner.replication.statistics()["replica_declines"] == 1
+        assert owner.replication.holders_of(rid) == {}
+        assert all(node.replication.replicas_held == 0 for node in net.nodes)
 
     def test_note_query_hits_inactive_without_hot_rf(self):
         net = deploy(ReplicationPolicy(rf=2))
@@ -68,13 +65,11 @@ class TestBypassBranches:
 
 
 class TestReshareEdges:
-    def test_reshare_of_pre_replication_record_places_fresh(self, monkeypatch):
+    def test_reshare_of_pre_replication_record_places_fresh(self):
         net = deploy()
         owner = net.nodes[1]
-        monkeypatch.setenv(REPLICATION_ENV_VAR, "off")
-        rid = owner.share(["kw-old"], b"pre-replication")  # never versioned
-        net.sim.run()
-        monkeypatch.setenv(REPLICATION_ENV_VAR, "on")
+        # Loaded straight into the store (as provisioning does): never versioned.
+        rid = owner.storm.put(["kw-old"], b"pre-replication")
         new_rid = owner.reshare(rid, ["kw-old"], b"now-replicated")
         net.sim.run()
         # Treated as a fresh share: placed, no invalidate sent.

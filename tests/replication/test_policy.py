@@ -1,13 +1,9 @@
-"""Replication policy validation and the per-call env kill switch."""
+"""Replication policy validation."""
 
 import pytest
 
 from repro.errors import ReplicationError
-from repro.replication.policy import (
-    REPLICATION_ENV_VAR,
-    ReplicationPolicy,
-    replication_bypassed,
-)
+from repro.replication.policy import ReplicationPolicy
 
 
 class TestPolicyValidation:
@@ -62,26 +58,3 @@ class TestPolicyValidation:
         policy = ReplicationPolicy(rf=2)
         with pytest.raises(AttributeError):
             policy.rf = 3
-
-
-class TestEnvBypass:
-    def test_unset_means_enabled(self, monkeypatch):
-        monkeypatch.delenv(REPLICATION_ENV_VAR, raising=False)
-        assert not replication_bypassed()
-
-    def test_on_means_enabled(self, monkeypatch):
-        monkeypatch.setenv(REPLICATION_ENV_VAR, "on")
-        assert not replication_bypassed()
-
-    def test_off_means_bypassed(self, monkeypatch):
-        monkeypatch.setenv(REPLICATION_ENV_VAR, "off")
-        assert replication_bypassed()
-
-    def test_case_and_whitespace_tolerated(self, monkeypatch):
-        monkeypatch.setenv(REPLICATION_ENV_VAR, "  OFF ")
-        assert replication_bypassed()
-
-    def test_garbage_rejected_loudly(self, monkeypatch):
-        monkeypatch.setenv(REPLICATION_ENV_VAR, "maybe")
-        with pytest.raises(ReplicationError, match="REPRO_REPLICATION"):
-            replication_bypassed()

@@ -103,15 +103,6 @@ class TestBulkEquivalence:
             assert _put_loop(reference, batch) == bulk.put_many(batch)
         _assert_equivalent(reference, bulk)
 
-    def test_env_bypass_uses_per_record_path(self, monkeypatch):
-        from repro.storm import store as store_module
-
-        monkeypatch.setenv(store_module.BULK_LOAD_ENV_VAR, "1")
-        items = _items(seed=11, count=60)
-        reference, bulk = _mirror_stores()
-        assert _put_loop(reference, items) == bulk.put_many(items)
-        _assert_equivalent(reference, bulk)
-
 
 class TestEdges:
     def test_empty_batch(self):

@@ -40,36 +40,10 @@ def test_sink_callback():
 def test_clear():
     tracer = Tracer()
     tracer.record(0.0, "x", "y")
+    tracer.bump("net", "encode-hit")
     tracer.clear()
     assert tracer.events == []
-
-
-def test_timers_accumulate():
-    tracer = Tracer()
-    tracer.add_time("agent-path", "execute", 0.5)
-    tracer.add_time("agent-path", "execute", 0.25)
-    assert tracer.timer("agent-path", "execute") == 0.75
-    assert tracer.timer("agent-path", "never") == 0.0
-
-
-def test_timers_respect_disabled_and_filter():
-    disabled = Tracer(enabled=False)
-    disabled.add_time("agent-path", "execute", 1.0)
-    assert disabled.timer("agent-path", "execute") == 0.0
-    filtered = Tracer(categories=frozenset({"net"}))
-    filtered.add_time("agent-path", "execute", 1.0)
-    filtered.add_time("net", "encode", 1.0)
-    assert filtered.timer("agent-path", "execute") == 0.0
-    assert filtered.timer("net", "encode") == 1.0
-
-
-def test_clear_drops_timers_and_counters():
-    tracer = Tracer()
-    tracer.bump("net", "encode-hit")
-    tracer.add_time("agent-path", "clone", 1.0)
-    tracer.clear()
     assert tracer.counter("net", "encode-hit") == 0
-    assert tracer.timer("agent-path", "clone") == 0.0
 
 
 def test_event_str_contains_fields():

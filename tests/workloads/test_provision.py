@@ -6,7 +6,7 @@ import pytest
 
 import repro.storm.template as template_module
 import repro.workloads.provision as provision_module
-from repro.storm.template import TEMPLATE_ENV_VAR, cached_template, clear_templates
+from repro.storm.template import cached_template, clear_templates
 from repro.workloads.corpus import KeywordCorpus
 from repro.workloads.placement import AnswerPlacement
 from repro.workloads.provision import (
@@ -23,7 +23,6 @@ LOAD = dict(count=30, size=200, corpus=CORPUS, seed=5)
 
 @pytest.fixture(autouse=True)
 def empty_registry(monkeypatch):
-    monkeypatch.delenv(TEMPLATE_ENV_VAR, raising=False)
     monkeypatch.setattr(provision_module, "_LOAD_KEYS", {})
     clear_templates()
     yield
@@ -145,25 +144,6 @@ def test_warm_scan_is_optional():
     pages = cold.heap.page_count
     assert cold.stats.logical_reads == pages
     assert warm.stats.logical_reads == 2 * pages
-
-
-def test_templates_disabled_populates_from_scratch(monkeypatch, generate_calls):
-    cloned = provision_store(2, **LOAD)
-    monkeypatch.setenv(TEMPLATE_ENV_VAR, "1")
-    clear_templates()
-    generate_calls.clear()
-    scratch = [provision_store(2, **LOAD) for _ in range(2)]
-    assert generate_calls == [2, 2]
-    assert not template_module._REGISTRY
-    for store in scratch:
-        assert _contents(store) == _contents(cloned)
-        left, right = store.search_scan("kw0003"), cloned.search_scan("kw0003")
-        assert (left.matches, left.objects_examined) == (
-            right.matches,
-            right.objects_examined,
-        )
-    assert _contents(store_for_items(experiment_items(2, **LOAD))) == _contents(cloned)
-    assert not template_module._REGISTRY
 
 
 def test_load_key_memo_is_bounded(monkeypatch):
