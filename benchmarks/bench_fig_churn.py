@@ -12,17 +12,13 @@ at nonzero rates).  Shape assertions:
 * the BPR+RF2 overlay (rf=2 replication on top of reconfiguration)
   never falls below plain BPR at any swept rate.
 
-``REPRO_BENCH_SCALE=smoke`` shrinks the sweep for CI and neither
-asserts the comparison nor rewrites ``BENCH_churn.json``.
+``REPRO_BENCH_SCALE=smoke`` shrinks the sweep for CI; a smoke run neither
+asserts the comparison nor writes anything under ``results/``.
 """
 
-import os
-
-from benchmarks.support import publish, timed
+from benchmarks.support import SMOKE, publish, timed
 from repro.eval.churn import figure_churn
 from repro.eval.figures import FigureParams
-
-SMOKE = os.environ.get("REPRO_BENCH_SCALE", "").strip().lower() == "smoke"
 
 PARAMS = FigureParams(objects_per_node=0, queries=2 if SMOKE else 4, seed=0)
 NODE_COUNT = 10 if SMOKE else 16
@@ -42,13 +38,11 @@ def test_figure_churn(benchmark):
         rounds=1,
         iterations=1,
     )
-    trials = figure_churn.last_trials
+    trials = result.trials
     publish(
         "churn",
         result,
-        # In smoke mode, print/refresh the text rendering only: the
-        # published BENCH_churn.json always reflects the full sweep.
-        elapsed=None if SMOKE else elapsed,
+        elapsed=elapsed,
         extra={
             "node_count": NODE_COUNT,
             "churn_rates": list(RATES),

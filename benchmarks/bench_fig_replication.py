@@ -16,17 +16,13 @@ affordable.  Shape assertions (full scale only):
   bill, and the cached scheme spends *less* than plain RF2;
 * the fault plan really fired at the top rate.
 
-``REPRO_BENCH_SCALE=smoke`` shrinks the sweep for CI and neither
-asserts the comparison nor rewrites ``BENCH_replication.json``.
+``REPRO_BENCH_SCALE=smoke`` shrinks the sweep for CI; a smoke run neither
+asserts the comparison nor writes anything under ``results/``.
 """
 
-import os
-
-from benchmarks.support import publish, timed
+from benchmarks.support import SMOKE, publish, timed
 from repro.eval.figures import FigureParams
 from repro.eval.replication import figure_replication
-
-SMOKE = os.environ.get("REPRO_BENCH_SCALE", "").strip().lower() == "smoke"
 
 PARAMS = FigureParams(objects_per_node=0, queries=2 if SMOKE else 4, seed=0)
 NODE_COUNT = 8 if SMOKE else 16
@@ -43,13 +39,11 @@ def test_figure_replication(benchmark):
         rounds=1,
         iterations=1,
     )
-    trials = figure_replication.last_trials
+    trials = result.trials
     publish(
         "replication",
         result,
-        # In smoke mode, print/refresh the text rendering only: the
-        # published BENCH_replication.json always reflects the full sweep.
-        elapsed=None if SMOKE else elapsed,
+        elapsed=elapsed,
         extra={
             "node_count": NODE_COUNT,
             "churn_rates": list(RATES),

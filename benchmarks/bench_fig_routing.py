@@ -12,17 +12,13 @@ bytes per query.  Shape assertions (full scale only):
 * the hint directory really answered (hint hits observed), and the
   fault plan really fired at the churn point.
 
-``REPRO_BENCH_SCALE=smoke`` shrinks the sweep for CI and neither asserts
-the comparison nor rewrites ``BENCH_routing.json``.
+``REPRO_BENCH_SCALE=smoke`` shrinks the sweep for CI; a smoke run neither
+asserts the comparison nor writes anything under ``results/``.
 """
 
-import os
-
-from benchmarks.support import publish, timed
+from benchmarks.support import SMOKE, publish, timed
 from repro.eval.figures import FigureParams
 from repro.eval.routing import figure_routing
-
-SMOKE = os.environ.get("REPRO_BENCH_SCALE", "").strip().lower() == "smoke"
 
 PARAMS = FigureParams(objects_per_node=0, queries=2 if SMOKE else 4, seed=0)
 NODE_COUNT = 10 if SMOKE else 16
@@ -39,13 +35,11 @@ def test_figure_routing(benchmark):
         rounds=1,
         iterations=1,
     )
-    trials = figure_routing.last_trials
+    trials = result.trials
     publish(
         "routing",
         result,
-        # In smoke mode, print/refresh the text rendering only: the
-        # published BENCH_routing.json always reflects the full sweep.
-        elapsed=None if SMOKE else elapsed,
+        elapsed=elapsed,
         extra={
             "node_count": NODE_COUNT,
             "churn_rates": list(RATES),

@@ -16,17 +16,13 @@ workload admits exactly one firing order — see
   recorded, alongside ``available_cores``, because a time-sliced
   single-core runner cannot exhibit it.
 
-``REPRO_BENCH_SCALE=smoke`` shrinks the sweep for CI and neither
-asserts the comparison nor rewrites ``BENCH_scaling.json``.
+``REPRO_BENCH_SCALE=smoke`` shrinks the sweep for CI; a smoke run neither
+asserts the comparison nor writes anything under ``results/``.
 """
 
-import os
-
-from benchmarks.support import merge_section, publish, timed
+from benchmarks.support import SMOKE, merge_section, publish, timed
 from repro.eval.figures import FigureParams
 from repro.eval.scaling import available_cores, figure_scaling
-
-SMOKE = os.environ.get("REPRO_BENCH_SCALE", "").strip().lower() == "smoke"
 
 PARAMS = FigureParams(objects_per_node=0, queries=1 if SMOKE else 2, seed=0)
 STRONG_NODES = (200,) if SMOKE else (1000, 2000, 10000)
@@ -47,7 +43,7 @@ def test_figure_scaling(benchmark):
         rounds=1,
         iterations=1,
     )
-    trials = figure_scaling.last_trials
+    trials = result.trials
     publish("scaling", result, elapsed=None)
     if SMOKE:
         return

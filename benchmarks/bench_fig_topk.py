@@ -14,17 +14,13 @@ assertions (full scale only):
 * dominance pruning actually fired (dominated answers recorded);
 * under churn the top-k runs still spend no more bytes than exhaustive.
 
-``REPRO_BENCH_SCALE=smoke`` shrinks the sweep for CI and neither
-asserts the comparison nor rewrites ``BENCH_topk.json``.
+``REPRO_BENCH_SCALE=smoke`` shrinks the sweep for CI; a smoke run neither
+asserts the comparison nor writes anything under ``results/``.
 """
 
-import os
-
-from benchmarks.support import publish, timed
+from benchmarks.support import SMOKE, publish, timed
 from repro.eval.figures import FigureParams
 from repro.eval.topk import figure_topk
-
-SMOKE = os.environ.get("REPRO_BENCH_SCALE", "").strip().lower() == "smoke"
 
 PARAMS = FigureParams(objects_per_node=0, queries=2 if SMOKE else 4, seed=0)
 NODE_COUNT = 8 if SMOKE else 16
@@ -47,13 +43,11 @@ def test_figure_topk(benchmark):
         rounds=1,
         iterations=1,
     )
-    trials = figure_topk.last_trials
+    trials = result.trials
     publish(
         "topk",
         result,
-        # In smoke mode, print/refresh the text rendering only: the
-        # published BENCH_topk.json always reflects the full sweep.
-        elapsed=None if SMOKE else elapsed,
+        elapsed=elapsed,
         extra={
             "node_count": NODE_COUNT,
             "ks": [k if k is not None else "exhaustive" for k in KS],

@@ -19,13 +19,10 @@ events/second and the sharded-over-serial overhead factor.
 persist.
 """
 
-import os
 import time
 
-from benchmarks.support import merge_section
+from benchmarks.support import SMOKE, merge_section
 from repro.sim import ShardedSimulator, Simulator
-
-SMOKE = os.environ.get("REPRO_BENCH_SCALE", "").strip().lower() == "smoke"
 
 #: events fired per measured run
 EVENTS = 2_000 if SMOKE else 20_000

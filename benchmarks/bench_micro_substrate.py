@@ -16,7 +16,7 @@ import json
 import os
 import time
 
-from benchmarks.support import RESULTS_DIR
+from benchmarks.support import RESULTS_DIR, SMOKE
 from repro.sim import Simulator
 from repro.storm import StorM
 from repro.storm.btree import BPlusTree
@@ -24,8 +24,6 @@ from repro.storm.buffer import BufferManager
 from repro.storm.disk import InMemoryDisk
 from repro.storm.template import StoreTemplate
 from repro.workloads import generate_objects
-
-SMOKE = os.environ.get("REPRO_BENCH_SCALE", "") == "smoke"
 
 #: objects per node in the ingest benches (paper scale unless smoke)
 INGEST_OBJECTS = 100 if SMOKE else 1000

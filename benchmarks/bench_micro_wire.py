@@ -30,7 +30,7 @@ import os
 import random
 import time
 
-from benchmarks.support import RESULTS_DIR
+from benchmarks.support import RESULTS_DIR, SMOKE
 from repro.net import datacodec
 from repro.net.codec import (
     decode_message,
@@ -41,8 +41,6 @@ from repro.net.codec import (
 )
 from repro.util.compression import DEFAULT_CODEC
 from repro.util.serialization import WireEncoder, deserialize, serialize
-
-SMOKE = os.environ.get("REPRO_BENCH_SCALE", "") == "smoke"
 
 #: distinct payloads (think: distinct queries crossing the network)
 PAYLOADS = 20 if SMOKE else 200

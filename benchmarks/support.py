@@ -25,6 +25,11 @@ PAPER = FigureParams(objects_per_node=1000, object_size=1024, queries=4)
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
+#: ``REPRO_BENCH_SCALE=smoke``: benches shrink their sweeps for CI, skip
+#: their full-scale assertions, and write nothing under ``results/`` —
+#: the published artifacts always reflect a full-scale run.
+SMOKE = os.environ.get("REPRO_BENCH_SCALE", "").strip().lower() == "smoke"
+
 #: Wall-clock seconds per figure before the wire/StorM fast paths landed
 #: (commit cbbcbfd, paper scale, single-CPU container).  Recorded into
 #: every ``BENCH_*.json`` so the speedup claim carries its own evidence.
@@ -51,10 +56,13 @@ def publish(
 
     With ``elapsed``, also write ``BENCH_<name>.json`` holding the series
     plus wall-clock evidence (and the recorded baseline, when one exists).
+    A smoke run (:data:`SMOKE`) only prints.
     """
     text = format_figure(result)
     print()
     print(text)
+    if SMOKE:
+        return result
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, f"{name}.txt")
     with open(path, "w") as handle:
@@ -90,8 +98,10 @@ def merge_section(name: str, section: str, payload: dict) -> None:
 
     Lets several benches feed one artifact (the scaling figure and the
     kernel microbench both land in ``BENCH_scaling.json``) without
-    clobbering each other's sections.
+    clobbering each other's sections.  A smoke run writes nothing.
     """
+    if SMOKE:
+        return
     path = os.path.join(RESULTS_DIR, f"BENCH_{name}.json")
     document = {"name": name}
     if os.path.exists(path):

@@ -16,8 +16,10 @@ workload down for quick looks.
 from __future__ import annotations
 
 import argparse
-from typing import Callable, Sequence
+import sys
+from typing import Callable, NamedTuple, Sequence
 
+from repro.errors import BestPeerError, ExperimentError
 from repro.eval import ablations, churn, figures, replication, routing, scaling, topk
 from repro.eval.experiment import (
     ExperimentRunner,
@@ -26,22 +28,50 @@ from repro.eval.experiment import (
     default_jobs,
 )
 from repro.eval.figures import FigureParams
-from repro.eval.report import format_figure
+from repro.eval.report import format_figure, format_trials
 
-#: figure name -> callable(params) -> FigureResult
-FIGURES: dict[str, Callable[[FigureParams], FigureResult]] = {
-    "5a": figures.figure_5a,
-    "5b": figures.figure_5b,
-    "5c": figures.figure_5c,
-    "6": figures.figure_6,
-    "7": figures.figure_7,
-    "8a": figures.figure_8a,
-    "8b": figures.figure_8b,
-    "churn": churn.figure_churn,
-    "replication": replication.figure_replication,
-    "routing": routing.figure_routing,
-    "topk": topk.figure_topk,
-    "scaling": scaling.figure_scaling,
+
+class Figure(NamedTuple):
+    """One ``repro figure`` entry: the figure function and, for figures
+    that report more than their series, the per-trial table printed
+    under it (heading + ``report.format_trials`` columns)."""
+
+    run: Callable[..., FigureResult]
+    heading: str = ""
+    columns: tuple = ()
+
+
+FIGURES: dict[str, Figure] = {
+    "5a": Figure(figures.figure_5a),
+    "5b": Figure(figures.figure_5b),
+    "5c": Figure(figures.figure_5c),
+    "6": Figure(figures.figure_6),
+    "7": Figure(figures.figure_7),
+    "8a": Figure(figures.figure_8a),
+    "8b": Figure(figures.figure_8b),
+    "churn": Figure(
+        churn.figure_churn, "per-trial degradation detail:", churn.TRIAL_COLUMNS
+    ),
+    "replication": Figure(
+        replication.figure_replication,
+        "per-(scheme, rate) resilience/overhead detail:",
+        replication.TRIAL_COLUMNS,
+    ),
+    "routing": Figure(
+        routing.figure_routing,
+        "per-strategy recall/traffic detail:",
+        routing.TRIAL_COLUMNS,
+    ),
+    "topk": Figure(
+        topk.figure_topk,
+        "per-(k, ttl, rate) traffic/quality detail:",
+        topk.TRIAL_COLUMNS,
+    ),
+    "scaling": Figure(
+        scaling.figure_scaling,
+        "per-executor wall/critical-path detail:",
+        scaling.TRIAL_COLUMNS,
+    ),
 }
 
 ABLATIONS: dict[str, Callable[[FigureParams], FigureResult]] = {
@@ -133,42 +163,13 @@ def _run_list() -> int:
 
 
 def _run_figure(args: argparse.Namespace) -> int:
-    result = FIGURES[args.name](_params(args), runner=_runner(args))
+    figure = FIGURES[args.name]
+    result = figure.run(_params(args), runner=_runner(args))
     _emit(result, args)
-    if args.name == "churn":
-        from repro.eval.report import format_churn_trials
-
+    if figure.columns:
         print()
-        print("per-trial degradation detail:")
-        print(format_churn_trials(churn.figure_churn.last_trials))
-    elif args.name == "routing":
-        from repro.eval.report import format_routing_trials
-
-        print()
-        print("per-strategy recall/traffic detail:")
-        print(format_routing_trials(routing.figure_routing.last_trials))
-    elif args.name == "topk":
-        from repro.eval.report import format_topk_trials
-
-        print()
-        print("per-(k, ttl, rate) traffic/quality detail:")
-        print(format_topk_trials(topk.figure_topk.last_trials))
-    elif args.name == "scaling":
-        from repro.eval.report import format_scaling_trials
-
-        print()
-        print("per-executor wall/critical-path detail:")
-        print(format_scaling_trials(scaling.figure_scaling.last_trials))
-    elif args.name == "replication":
-        from repro.eval.report import format_replication_trials
-
-        print()
-        print("per-(scheme, rate) resilience/overhead detail:")
-        print(
-            format_replication_trials(
-                replication.figure_replication.last_trials
-            )
-        )
+        print(figure.heading)
+        print(format_trials(result.trials, figure.columns))
     return 0
 
 
@@ -195,7 +196,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     results = {}
     for key in sorted(CLAIMS):
         print(f"running figure {key} ...", flush=True)
-        results[key] = FIGURES[key](params, runner=runner)
+        results[key] = FIGURES[key].run(params, runner=runner)
     report = verify_all(results)
     print()
     print(report)
@@ -258,14 +259,20 @@ def _run_demo() -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        return _run_list()
-    if args.command == "figure":
-        return _run_figure(args)
-    if args.command == "ablation":
-        return _run_ablation(args)
-    if args.command == "verify":
-        return _run_verify(args)
-    if args.command == "demo":
-        return _run_demo()
+    try:
+        if args.command == "list":
+            return _run_list()
+        if args.command == "figure":
+            return _run_figure(args)
+        if args.command == "ablation":
+            return _run_ablation(args)
+        if args.command == "verify":
+            return _run_verify(args)
+        if args.command == "demo":
+            return _run_demo()
+    except (ExperimentError, BestPeerError) as error:
+        # Bad --queries / --objects / REPRO_JOBS (ExperimentError) or
+        # REPRO_SHARDS (BestPeerError): the user's to fix, no traceback.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.agents.costs import AgentCosts
 from repro.eval.experiment import FigureResult
-from repro.eval.figures import FigureParams, _bestpeer_runs
+from repro.eval.figures import FigureParams, bestpeer_runs
 from repro.eval.metrics import completion_time
 from repro.storm.disk import InMemoryDisk
 from repro.storm.replacement import make_strategy
@@ -49,7 +49,7 @@ def ablation_strategy(
         notes=f"line of {node_count}; answers at {sorted(placement.holders)}",
     )
     for strategy in RECONFIG_STRATEGIES:
-        runs = _bestpeer_runs(
+        runs = bestpeer_runs(
             topology,
             reconfigurable=strategy != "static",
             params=params,
@@ -82,7 +82,7 @@ def ablation_compression(
         notes=f"tree of {node_count} nodes; BPR",
     )
     for label, codec in [("gzip", GzipCodec()), ("off", IdentityCodec())]:
-        runs = _bestpeer_runs(topology, True, params, codec=codec)
+        runs = bestpeer_runs(topology, True, params, codec=codec)
         for run_index, run in enumerate(runs, start=1):
             result.add_point(label, run_index, completion_time(run))
     return result
@@ -108,7 +108,7 @@ def ablation_ttl(
         notes=f"line of {node_count}; static peers; every node has answers",
     )
     for ttl in ttls:
-        runs = _bestpeer_runs(topology, False, params, ttl=ttl)
+        runs = bestpeer_runs(topology, False, params, ttl=ttl)
         last = runs[-1]
         result.add_point("responders", ttl, len({a.responder for a in last}))
         result.add_point("completion (s)", ttl, completion_time(last))
@@ -133,7 +133,7 @@ def ablation_result_mode(
         notes=f"tree of {node_count} nodes; BPS so runs are comparable",
     )
     for mode in ("direct", "metadata"):
-        runs = _bestpeer_runs(topology, False, params, result_mode=mode)
+        runs = bestpeer_runs(topology, False, params, result_mode=mode)
         for run_index, run in enumerate(runs, start=1):
             result.add_point(mode, run_index, completion_time(run))
     return result
@@ -179,7 +179,7 @@ def ablation_replication(
                 object_size=params.object_size,
                 seed=params.seed + seed_offset,
             )
-            runs = _bestpeer_runs(
+            runs = bestpeer_runs(
                 topology, False, params, keyword=spec.keyword, placement=spec
             )
             last_run = runs[-1]  # classes cached: the steady-state run

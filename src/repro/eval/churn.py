@@ -9,111 +9,62 @@ y-axis is *recall*: the fraction of the network's matching objects that
 actually arrive.  BPR (MaxCount reconfiguration) is compared against
 BPS (static peers) across churn rates 0–50%.
 
-Every stochastic choice — topology, fault timeline, retry jitter —
-derives from the params seed, so a (scheme, rate) point replays
-bit-identically: same recall series, same bytes on the wire, same drop
-counters, serial or parallel.
+A (scheme, rate) point replays bit-identically from the params seed
+(see :mod:`repro.eval.sweep`): same recall series, same bytes on the
+wire, same drop counters, serial or parallel.
 """
 
 from __future__ import annotations
 
-from repro.core.builder import build_network
-from repro.core.config import BestPeerConfig
+from operator import itemgetter
+
 from repro.eval.experiment import ExperimentRunner, FigureResult
-from repro.eval.figures import FigureParams, _run_tasks
-from repro.faults import FaultPlan, SimFaultInjector
+from repro.eval.figures import SCHEME_BPR, SCHEME_BPS, FigureParams
+from repro.eval.report import format_counts
+from repro.eval.sweep import (
+    CHURN_HORIZON,
+    churn_outage_partition,
+    churned_run,
+    mean_recall,
+    share_one_match_each,
+    sweep_figure,
+)
 from repro.replication import ReplicationPolicy
-from repro.topology.builders import random_graph
-from repro.util.retry import RetryPolicy
 from repro.workloads.corpus import KeywordCorpus
 
-SCHEME_BPS = "BPS"
-SCHEME_BPR = "BPR"
 #: Opt-in overlay series: BPR reconfiguration plus rf=2 replication.
 SCHEME_BPR_RF2 = "BPR+RF2"
 
-#: Simulated seconds of churn the query workload is spread across.
-CHURN_HORIZON = 30.0
-#: Quiet period after which a query self-finishes (and reconfigures).
-QUERY_QUIET_PERIOD = 2.0
-#: Retry policy active during churn trials (tighter than the default so
-#: retries resolve inside the horizon).
-CHURN_RETRY_POLICY = RetryPolicy(
-    max_attempts=3, base_delay=0.25, multiplier=2.0, max_delay=2.0, jitter=0.1
-)
-
 DEFAULT_CHURN_RATES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
 
-
-def _fault_plan(node_names: list[str], rate: float, seed: int) -> FaultPlan:
-    """Churn sessions plus — when anything churns at all — one LIGLO
-    outage and one transient partition, all derived from ``seed``."""
-    plan = FaultPlan.churn(
-        node_names,
-        rate,
-        CHURN_HORIZON,
-        seed=seed,
-        min_downtime=2.0,
-        max_downtime=8.0,
-    )
-    if rate <= 0.0:
-        return plan
-    plan = plan.extended(
-        FaultPlan.liglo_outage("liglo-0", CHURN_HORIZON * 0.3, 5.0)
-    )
-    half = len(node_names) // 2
-    plan = plan.extended(
-        FaultPlan.partition_window(
-            [node_names[:half], node_names[half:]],
-            CHURN_HORIZON * 0.6,
-            4.0,
-        )
-    )
-    return plan
+#: The CLI's per-trial table: the graceful-degradation observables
+#: behind each mean-recall number.
+TRIAL_COLUMNS = (
+    ("scheme", "scheme"),
+    ("rate", "rate"),
+    ("recall", "mean_recall"),
+    ("degraded", "degraded_queries"),
+    ("suspects", "suspect_peers"),
+    ("drops", lambda trial: format_counts(trial["drops_by_reason"])),
+    ("faults", lambda trial: format_counts(trial["faults_applied"])),
+)
 
 
 def churn_trial(task: tuple[str, float, int, FigureParams]) -> dict:
     """One (scheme, churn rate) point; module-level so it pickles to the
     parallel runner's workers."""
     scheme, rate, node_count, params = task
-    strategy = "static" if scheme == SCHEME_BPS else "maxcount"
-    replication = (
-        ReplicationPolicy(rf=2) if scheme == SCHEME_BPR_RF2 else ReplicationPolicy()
-    )
-    config = BestPeerConfig(
-        max_direct_peers=8,
-        ttl=max(7, node_count),
-        strategy=strategy,
-        retry_policy=CHURN_RETRY_POLICY,
-        suspect_after=2,
-        retry_seed=params.seed,
-        agent_costs=params.costs,
-        replication=replication,
-    )
-    topology = random_graph(node_count, degree=3, seed=params.seed)
-    deployment = build_network(node_count, config=config, topology=topology)
     keyword = KeywordCorpus(params.corpus_size).keyword(0)
-    # One distinct matching object per non-base node: recall is simply
-    # answers-received over (node_count - 1).
-    for index, node in enumerate(deployment.nodes[1:], 1):
-        node.share_many([([keyword], index.to_bytes(4, "big") * 16)])
-    churnable = [node.name for node in deployment.nodes[1:]]  # base never churns
-    injector = SimFaultInjector(
-        deployment, _fault_plan(churnable, rate, params.seed), tracer=deployment.tracer
+    run = churned_run(
+        node_count,
+        params,
+        rate,
+        keywords=[keyword] * params.queries,
+        populate=lambda deployment: share_one_match_each(deployment, keyword),
+        plan=churn_outage_partition,
+        strategy="static" if scheme == SCHEME_BPS else "maxcount",
+        replication=ReplicationPolicy(rf=2 if scheme == SCHEME_BPR_RF2 else 1),
     )
-    injector.arm()
-    base = deployment.base
-    handles: list = []
-
-    def issue() -> None:
-        handles.append(
-            base.issue_query(keyword, auto_finish_after=QUERY_QUIET_PERIOD)
-        )
-
-    step = CHURN_HORIZON / params.queries
-    for q in range(params.queries):
-        deployment.sim.schedule(2.0 + q * step, issue)
-    deployment.sim.run()
     expected = node_count - 1
     # The replication overlay dedups by answer content: RF > 1 means two
     # live copies may both respond, and counting both would let recall
@@ -121,30 +72,24 @@ def churn_trial(task: tuple[str, float, int, FigureParams]) -> dict:
     if scheme == SCHEME_BPR_RF2:
         recalls = [
             round(min(handle.distinct_answer_count, expected) / expected, 6)
-            for handle in handles
+            for handle in run.handles
         ]
     else:
         recalls = [
-            round(handle.network_answer_count / expected, 6) for handle in handles
+            round(handle.network_answer_count / expected, 6) for handle in run.handles
         ]
-    answer_hops = sorted(
-        answer.hops for handle in handles for answer in handle.answers
-    )
     return {
         "scheme": scheme,
         "rate": rate,
         "recalls": recalls,
-        "mean_recall": round(sum(recalls) / len(recalls), 6) if recalls else 0.0,
-        "answer_hops": answer_hops,
-        "bytes_carried": deployment.network.bytes_carried,
-        "packets_delivered": deployment.network.packets_delivered,
-        "packets_dropped": deployment.network.packets_dropped,
-        "drops_by_reason": dict(sorted(deployment.network.drops_by_reason.items())),
-        "degraded_queries": sum(1 for handle in handles if handle.degraded),
-        "faults_applied": dict(sorted(injector.applied.items())),
-        "suspect_peers": sum(
-            len(node.peers.suspect_bpids()) for node in deployment.nodes
+        "mean_recall": mean_recall(recalls),
+        "answer_hops": sorted(
+            answer.hops for handle in run.handles for answer in handle.answers
         ),
+        "suspect_peers": sum(
+            len(node.peers.suspect_bpids()) for node in run.deployment.nodes
+        ),
+        **run.observables,
     }
 
 
@@ -155,26 +100,23 @@ def figure_churn(
     runner: ExperimentRunner | None = None,
     replication_overlay: bool = False,
 ) -> FigureResult:
-    """Recall vs. churn rate, BPR against BPS.
+    """Recall vs. churn rate, BPR against BPS (plus the ``BPR+RF2``
+    series with ``replication_overlay``).
 
-    Returns a :class:`FigureResult` whose trial details (per-point drop
-    counters, fault counts) land in ``notes``-free ``details`` points:
-    the raw trial dicts are attached as ``figure_churn.last_trials``
-    after each call for benchmarks and tests that want the full
-    observables.
+    The plotted series carry mean recall; the per-point drop counters,
+    fault counts and traffic split ride along as ``result.trials``.
     """
-    if node_count < 3:
-        raise ValueError(f"churn experiment needs >= 3 nodes, got {node_count}")
     schemes = (SCHEME_BPS, SCHEME_BPR)
     if replication_overlay:
         schemes = schemes + (SCHEME_BPR_RF2,)
-    tasks = [
-        (scheme, rate, node_count, params)
-        for scheme in schemes
-        for rate in churn_rates
-    ]
-    trials = _run_tasks(runner, churn_trial, tasks)
-    result = FigureResult(
+    return sweep_figure(
+        churn_trial,
+        (schemes, churn_rates),
+        (node_count, params),
+        runner,
+        series=itemgetter("scheme"),
+        x="rate",
+        y="mean_recall",
         figure="churn",
         title=f"Recall under churn ({node_count} nodes, {params.queries} queries)",
         x_label="churn rate",
@@ -185,7 +127,3 @@ def figure_churn(
             "transient partition"
         ),
     )
-    for trial in trials:
-        result.add_point(trial["scheme"], trial["rate"], trial["mean_recall"])
-    figure_churn.last_trials = trials  # type: ignore[attr-defined]
-    return result

@@ -39,6 +39,9 @@ class FigureResult:
     y_label: str
     series: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
     notes: str = ""
+    #: Raw per-point trial dicts, for the figures that report more than
+    #: their plotted series (rendered by ``report.format_trials``).
+    trials: list[dict] = field(default_factory=list)
 
     def add_point(self, name: str, x: float, y: float) -> None:
         self.series.setdefault(name, []).append((x, y))

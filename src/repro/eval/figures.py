@@ -45,6 +45,7 @@ from repro.eval.metrics import (
     completion_time,
     response_curve,
 )
+from repro.eval.sweep import run_tasks
 from repro.topology.builders import Topology, line, random_graph, star, tree
 from repro.workloads.corpus import KeywordCorpus
 from repro.workloads.placement import AnswerPlacement
@@ -99,7 +100,7 @@ def _query_keyword(params: FigureParams) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _bestpeer_runs(
+def bestpeer_runs(
     topology: Topology,
     reconfigurable: bool,
     params: FigureParams,
@@ -234,26 +235,6 @@ def _mean_completion(runs: list[list[Arrival]]) -> float:
     return sum(completion_time(run) for run in runs) / len(runs)
 
 
-# ---------------------------------------------------------------------------
-# Task plumbing: every sweep point is an independent, picklable task
-# ---------------------------------------------------------------------------
-#
-# Each figure builds a list of plain-tuple tasks and maps a module-level
-# function over them.  With the default (no runner / a serial runner)
-# this is exactly the old inline loop; with a
-# :class:`~repro.eval.experiment.ParallelExperimentRunner` the tasks fan
-# out to worker processes.  Deployments are rebuilt from the task tuple
-# inside the worker, and every simulation is fully seeded, so results
-# are bit-identical either way.  Task order mirrors the original
-# ``add_point`` order, keeping series contents byte-for-byte stable.
-
-
-def _run_tasks(runner: ExperimentRunner | None, func, tasks: list) -> list:
-    if runner is None:
-        return [func(task) for task in tasks]
-    return runner.map_tasks(func, tasks)
-
-
 def _topology_for(kind: str, x: int) -> Topology:
     if kind == "star":
         return star(x)
@@ -273,9 +254,9 @@ def _scheme_completion(task: tuple[str, int, str, "FigureParams"]) -> float:
     elif scheme == SCHEME_MCS:
         runs = _cs_runs(topology, VARIANT_MCS, params)
     elif scheme == SCHEME_BPS:
-        runs = _bestpeer_runs(topology, False, params)
+        runs = bestpeer_runs(topology, False, params)
     elif scheme == SCHEME_BPR:
-        runs = _bestpeer_runs(topology, True, params)
+        runs = bestpeer_runs(topology, True, params)
     else:
         raise ExperimentError(f"unknown scheme {scheme!r}")
     return _mean_completion(runs)
@@ -290,9 +271,9 @@ def _figure_67_runs(
     if scheme == SCHEME_MCS:
         return _cs_runs(topology, VARIANT_MCS, params)
     if scheme == SCHEME_BPS:
-        return _bestpeer_runs(topology, False, params)
+        return bestpeer_runs(topology, False, params)
     if scheme == SCHEME_BPR:
-        return _bestpeer_runs(topology, True, params)
+        return bestpeer_runs(topology, True, params)
     raise ExperimentError(f"unknown scheme {scheme!r}")
 
 
@@ -309,7 +290,7 @@ def _figure_8_runs(
         seed=params.seed,
     )
     if system == "BP":
-        return _bestpeer_runs(
+        return bestpeer_runs(
             topology,
             True,
             replace(params, k_base=peers),
@@ -345,7 +326,7 @@ def figure_5a(
     )
     schemes = (SCHEME_SCS, SCHEME_MCS, SCHEME_BPS, SCHEME_BPR)
     tasks = [("star", size, scheme, params) for size in sizes for scheme in schemes]
-    for task, y in zip(tasks, _run_tasks(runner, _scheme_completion, tasks)):
+    for task, y in zip(tasks, run_tasks(runner, _scheme_completion, tasks)):
         result.add_point(task[2], task[1], y)
     return result
 
@@ -374,7 +355,7 @@ def figure_5b(
     )
     schemes = (SCHEME_MCS, SCHEME_BPS, SCHEME_BPR)
     tasks = [("tree", level, scheme, params) for level in levels for scheme in schemes]
-    for task, y in zip(tasks, _run_tasks(runner, _scheme_completion, tasks)):
+    for task, y in zip(tasks, run_tasks(runner, _scheme_completion, tasks)):
         result.add_point(task[2], task[1], y)
     return result
 
@@ -395,7 +376,7 @@ def figure_5c(
     )
     schemes = (SCHEME_MCS, SCHEME_BPS, SCHEME_BPR)
     tasks = [("line", size, scheme, params) for size in sizes for scheme in schemes]
-    for task, y in zip(tasks, _run_tasks(runner, _scheme_completion, tasks)):
+    for task, y in zip(tasks, run_tasks(runner, _scheme_completion, tasks)):
         result.add_point(task[2], task[1], y)
     return result
 
@@ -429,7 +410,7 @@ def figures_6_and_7(
     )
     schemes = (SCHEME_MCS, SCHEME_BPS, SCHEME_BPR)
     tasks = [(scheme, node_count, params) for scheme in schemes]
-    all_runs = _run_tasks(runner, _figure_67_runs, tasks)
+    all_runs = run_tasks(runner, _figure_67_runs, tasks)
     for scheme, runs in zip(schemes, all_runs):
         averaged_rate = average_curves([response_curve(run) for run in runs])
         for rank, when in averaged_rate:
@@ -494,7 +475,7 @@ def figure_8a(
         (system, node_count, max_peers, degree, holder_count, answers_per_holder, params)
         for system in ("BP", "Gnutella")
     ]
-    for task, runs in zip(tasks, _run_tasks(runner, _figure_8_runs, tasks)):
+    for task, runs in zip(tasks, run_tasks(runner, _figure_8_runs, tasks)):
         for run_index, run in enumerate(runs, start=1):
             result.add_point(task[0], run_index, completion_time(run))
     return result
@@ -530,6 +511,6 @@ def figure_8b(
         for peers in peer_counts
         for system in ("BP", "Gnutella")
     ]
-    for task, runs in zip(tasks, _run_tasks(runner, _figure_8_runs, tasks)):
+    for task, runs in zip(tasks, run_tasks(runner, _figure_8_runs, tasks)):
         result.add_point(task[0], task[2], _mean_completion(runs))
     return result

@@ -23,29 +23,34 @@ LIGLO outage, no partition): the claim under test is *owner death*, and
 replicas on live holders cannot answer across a partition no scheme
 could cross.
 
-Every stochastic choice — topology, fault timeline, Zipf draw, retry
-jitter — derives from the params seed, so every point replays
-bit-identically, serial or parallel.
+The Zipf draw derives from the params seed like everything else (see
+:mod:`repro.eval.sweep`), so every point replays bit-identically.
 """
 
 from __future__ import annotations
 
-from repro.core.builder import build_network
-from repro.core.config import BestPeerConfig
-from repro.eval.churn import CHURN_HORIZON, CHURN_RETRY_POLICY, QUERY_QUIET_PERIOD
+from operator import itemgetter
+
 from repro.eval.experiment import ExperimentRunner, FigureResult
-from repro.eval.figures import FigureParams, _run_tasks
-from repro.faults import FaultPlan, SimFaultInjector
+from repro.eval.figures import FigureParams
+from repro.eval.report import format_counts, replication_stats
+from repro.eval.sweep import (
+    CHURN_HORIZON,
+    churned_run,
+    mean_recall,
+    session_churn,
+    sweep_figure,
+)
 from repro.replication import ReplicationPolicy
-from repro.topology.builders import random_graph
 from repro.workloads.corpus import KeywordCorpus
 from repro.workloads.queries import QueryWorkload
 
-SCHEME_RF1 = "RF1"
-SCHEME_RF2 = "RF2"
-SCHEME_RF2_CACHE = "RF2+cache"
-
-DEFAULT_SCHEMES = (SCHEME_RF1, SCHEME_RF2, SCHEME_RF2_CACHE)
+#: The per-node policy each scheme runs under.
+POLICIES = {
+    "RF1": ReplicationPolicy(),
+    "RF2": ReplicationPolicy(rf=2),
+    "RF2+cache": ReplicationPolicy(rf=2, hot_rf=3, cache_capacity=32),
+}
 DEFAULT_CHURN_RATES = (0.0, 0.3, 0.5)
 
 #: Zipf skew of the query stream — the classic content-popularity model;
@@ -61,144 +66,109 @@ MIN_QUERIES = 16
 OBJECT_BYTES = 256
 
 
-def replication_policy_for(scheme: str) -> ReplicationPolicy:
-    """The per-node policy each scheme runs under."""
-    if scheme == SCHEME_RF1:
-        return ReplicationPolicy()
-    if scheme == SCHEME_RF2:
-        return ReplicationPolicy(rf=2)
-    if scheme == SCHEME_RF2_CACHE:
-        return ReplicationPolicy(rf=2, hot_rf=3, cache_capacity=32)
-    raise ValueError(f"unknown replication scheme {scheme!r}")
+def _cache_cell(trial: dict) -> str:
+    rep = trial["replication"]
+    return f"{rep['cache_hits']}/{rep['cache_hits'] + rep['cache_misses']}"
+
+
+#: The CLI's per-trial table: mean recall next to bytes per query,
+#: replica answers (queries a holder saved after the owner died), cache
+#: hits, and the faults actually applied.
+TRIAL_COLUMNS = (
+    ("scheme", "scheme"),
+    ("rate", "rate"),
+    ("recall", "mean_recall"),
+    ("bytes/query", "bytes_per_query"),
+    ("replicas", lambda trial: trial["replication"]["replicas_held"]),
+    ("replica answers", lambda trial: trial["replication"]["replica_answers"]),
+    ("cache hits", _cache_cell),
+    ("repairs", lambda trial: trial["replication"]["stale_repairs"]),
+    ("faults", lambda trial: format_counts(trial["faults_applied"])),
+)
+
+#: Per-node replication counters summed into each trial.
+STATS_KEYS = (
+    "replicas_held",
+    "replica_answers",
+    "replicas_pushed",
+    "invalidations",
+    "stale_repairs",
+    "cache_hits",
+    "cache_misses",
+)
 
 
 def replication_trial(task: tuple[str, float, int, FigureParams]) -> dict:
     """One (scheme, churn rate) point; module-level so it pickles to the
     parallel runner's workers."""
     scheme, rate, node_count, params = task
-    config = BestPeerConfig(
-        max_direct_peers=8,
-        ttl=max(7, node_count),
-        strategy="maxcount",
-        retry_policy=CHURN_RETRY_POLICY,
-        suspect_after=2,
-        retry_seed=params.seed,
-        agent_costs=params.costs,
-        replication=replication_policy_for(scheme),
-    )
-    topology = random_graph(node_count, degree=3, seed=params.seed)
-    deployment = build_network(node_count, config=config, topology=topology)
     # One distinct object per non-base node: object i (and only it)
     # matches keyword i, so per-query recall is a crisp 0/1.
     corpus = KeywordCorpus(node_count - 1)
-    for index, node in enumerate(deployment.nodes[1:], 1):
-        node.share_many(
-            [([corpus.keyword(index - 1)], index.to_bytes(4, "big") * (OBJECT_BYTES // 4))]
-        )
-    deployment.sim.run()  # replica offer/accept/push handshakes settle
-    query_count = max(MIN_QUERIES, params.queries)
-    keywords = QueryWorkload(corpus, skew=QUERY_SKEW, seed=params.seed).keywords(
-        query_count
-    )
-    # Sessions only — no LIGLO outage, no partition: owner death is the
-    # failure mode replicas answer for.
-    churnable = [node.name for node in deployment.nodes[1:]]  # base never churns
-    plan = FaultPlan.churn(
-        churnable,
+
+    def populate(deployment) -> None:
+        for index, node in enumerate(deployment.nodes[1:], 1):
+            node.share_many(
+                [
+                    (
+                        [corpus.keyword(index - 1)],
+                        index.to_bytes(4, "big") * (OBJECT_BYTES // 4),
+                    )
+                ]
+            )
+        deployment.sim.run()  # replica offer/accept/push handshakes settle
+
+    run = churned_run(
+        node_count,
+        params,
         rate,
-        CHURN_HORIZON,
-        seed=params.seed,
-        min_downtime=2.0,
-        max_downtime=8.0,
+        keywords=QueryWorkload(corpus, skew=QUERY_SKEW, seed=params.seed).keywords(
+            max(MIN_QUERIES, params.queries)
+        ),
+        populate=populate,
+        # Sessions only — no LIGLO outage, no partition: owner death is
+        # the failure mode replicas answer for.
+        plan=session_churn,
+        strategy="maxcount",
+        replication=POLICIES[scheme],
     )
-    injector = SimFaultInjector(deployment, plan, tracer=deployment.tracer)
-    injector.arm()
-    base = deployment.base
-    handles: list = []
-    setup = {"packets": 0, "bytes": 0}
-
-    def mark_setup_done() -> None:
-        setup["packets"] = deployment.network.packets_delivered
-        setup["bytes"] = deployment.network.bytes_carried
-
-    def issue(keyword: str) -> None:
-        handles.append(
-            base.issue_query(keyword, auto_finish_after=QUERY_QUIET_PERIOD)
-        )
-
-    step = CHURN_HORIZON / query_count
-    deployment.sim.schedule(1.9, mark_setup_done)
-    for q, keyword in enumerate(keywords):
-        deployment.sim.schedule(2.0 + q * step, issue, keyword)
-    deployment.sim.run()
-    queries = max(len(handles), 1)
-    query_packets = deployment.network.packets_delivered - setup["packets"]
-    query_bytes = deployment.network.bytes_carried - setup["bytes"]
     # Binary recall with replica dedup: any one copy answering counts
     # exactly once; extra copies never inflate the score.
-    recalls = [
-        1 if handle.distinct_answer_count >= 1 else 0 for handle in handles
-    ]
-    stats_keys = (
-        "replicas_held",
-        "replica_answers",
-        "replicas_pushed",
-        "invalidations",
-        "stale_repairs",
-        "cache_hits",
-        "cache_misses",
-    )
-    replication_stats = {key: 0 for key in stats_keys}
-    for node in deployment.nodes:
-        node_stats = node.replication.statistics()
-        for key in stats_keys:
-            replication_stats[key] += node_stats[key]
+    recalls = [1 if handle.distinct_answer_count >= 1 else 0 for handle in run.handles]
+    totals = replication_stats(run.deployment.nodes)
     return {
         "scheme": scheme,
         "rate": rate,
         "recalls": recalls,
-        "mean_recall": round(sum(recalls) / queries, 6),
-        "queries": queries,
-        "cached_queries": sum(1 for handle in handles if handle.served_from_cache),
-        "messages_per_query": round(query_packets / queries, 3),
-        "bytes_per_query": round(query_bytes / queries, 1),
-        "setup_packets": setup["packets"],
-        "setup_bytes": setup["bytes"],
-        "packets_delivered": deployment.network.packets_delivered,
-        "bytes_carried": deployment.network.bytes_carried,
-        "packets_dropped": deployment.network.packets_dropped,
-        "drops_by_reason": dict(sorted(deployment.network.drops_by_reason.items())),
-        "degraded_queries": sum(1 for handle in handles if handle.degraded),
-        "faults_applied": dict(sorted(injector.applied.items())),
-        "replication": replication_stats,
+        "mean_recall": mean_recall(recalls),
+        "queries": len(run.handles),
+        "cached_queries": sum(1 for handle in run.handles if handle.served_from_cache),
+        "replication": {key: totals[key] for key in STATS_KEYS},
+        **run.observables,
     }
 
 
 def figure_replication(
     params: FigureParams,
     node_count: int = 12,
-    schemes: tuple[str, ...] = DEFAULT_SCHEMES,
+    schemes: tuple[str, ...] = tuple(POLICIES),
     churn_rates: tuple[float, ...] = DEFAULT_CHURN_RATES,
     runner: ExperimentRunner | None = None,
 ) -> FigureResult:
     """Mean recall vs churn rate, one series per replication scheme.
 
-    The plotted series carry recall; bytes/messages per query, cache
-    hit counts, repair counts, and fault counts are attached as
-    ``figure_replication.last_trials`` after each call, exactly like
-    the churn and top-k figures do.
+    The plotted series carry recall; bytes/messages per query, cache hit
+    counts, repair counts and fault counts ride along as
+    ``result.trials``.
     """
-    if node_count < 3:
-        raise ValueError(
-            f"replication experiment needs >= 3 nodes, got {node_count}"
-        )
-    tasks = [
-        (scheme, rate, node_count, params)
-        for scheme in schemes
-        for rate in churn_rates
-    ]
-    trials = _run_tasks(runner, replication_trial, tasks)
-    result = FigureResult(
+    return sweep_figure(
+        replication_trial,
+        (schemes, churn_rates),
+        (node_count, params),
+        runner,
+        series=itemgetter("scheme"),
+        x="rate",
+        y="mean_recall",
         figure="replication",
         title=(
             f"Recall under churn with replication ({node_count} nodes, "
@@ -212,7 +182,3 @@ def figure_replication(
             "dedup; bytes per query in trial details"
         ),
     )
-    for trial in trials:
-        result.add_point(trial["scheme"], trial["rate"], trial["mean_recall"])
-    figure_replication.last_trials = trials  # type: ignore[attr-defined]
-    return result

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.errors import ExperimentError
 from repro.eval.experiment import FigureResult
 
 
@@ -144,191 +145,30 @@ def format_replication_stats(nodes) -> str:
     return format_table(["counter", "value"], rows)
 
 
-def format_replication_trials(trials: Sequence[dict]) -> str:
-    """Render replication trial dicts (one per (scheme, rate) point).
+def format_counts(counts: dict) -> str:
+    """``{"a": 1, "b": 2}`` as ``a=1 b=2`` (``-`` when empty)."""
+    return " ".join(f"{key}={count}" for key, count in sorted(counts.items())) or "-"
 
-    The resilience-vs-overhead trade each scheme makes: mean recall next
-    to bytes per query, replica answers (queries a holder saved after
-    the owner died), cache hits, and the faults actually applied.
+
+def format_trials(trials: Sequence[dict], columns: Sequence[tuple]) -> str:
+    """Render trial dicts (one row per sweep point) as a text table.
+
+    ``columns`` is the table a figure declares next to its trial
+    function: ``(header, key)`` prints ``trial[key]``, ``(header,
+    callable)`` prints ``callable(trial)``.
     """
     rows = []
     for trial in trials:
-        rep = trial["replication"]
-        faults = " ".join(
-            f"{kind}={count}"
-            for kind, count in sorted(trial["faults_applied"].items())
-        )
-        rows.append(
-            [
-                trial["scheme"],
-                trial["rate"],
-                trial["mean_recall"],
-                trial["bytes_per_query"],
-                rep["replicas_held"],
-                rep["replica_answers"],
-                f"{rep['cache_hits']}/{rep['cache_hits'] + rep['cache_misses']}",
-                rep["stale_repairs"],
-                faults or "-",
-            ]
-        )
-    return format_table(
-        [
-            "scheme",
-            "rate",
-            "recall",
-            "bytes/query",
-            "replicas",
-            "replica answers",
-            "cache hits",
-            "repairs",
-            "faults",
-        ],
-        rows,
-    )
-
-
-def format_churn_trials(trials: Sequence[dict]) -> str:
-    """Render churn trial dicts (one per (scheme, rate) point) as a table.
-
-    Shows the graceful-degradation observables behind each mean-recall
-    number: degraded queries, suspect peers, packet drops by cause, and
-    the faults the plan actually applied.
-    """
-    rows = []
-    for trial in trials:
-        drops = " ".join(
-            f"{reason}={count}"
-            for reason, count in sorted(trial["drops_by_reason"].items())
-        )
-        faults = " ".join(
-            f"{kind}={count}"
-            for kind, count in sorted(trial["faults_applied"].items())
-        )
-        rows.append(
-            [
-                trial["scheme"],
-                trial["rate"],
-                trial["mean_recall"],
-                trial["degraded_queries"],
-                trial["suspect_peers"],
-                drops or "-",
-                faults or "-",
-            ]
-        )
-    return format_table(
-        ["scheme", "rate", "recall", "degraded", "suspects", "drops", "faults"],
-        rows,
-    )
-
-
-def format_routing_trials(trials: Sequence[dict]) -> str:
-    """Render routing trial dicts (one per (strategy, rate) point).
-
-    The recall-vs-traffic trade each strategy makes: mean recall next to
-    messages and bytes per query, plus the hint-directory counters that
-    explain *how* super-peer routing got its number (hits route TTL-1 to
-    holders; fallbacks flood like everyone else).
-    """
-    rows = []
-    for trial in trials:
-        rows.append(
-            [
-                trial["strategy"],
-                trial["rate"],
-                trial["mean_recall"],
-                trial["messages_per_query"],
-                trial["bytes_per_query"],
-                f"{trial['hint_hits']}/{trial['hint_queries']}",
-                trial["degraded_queries"],
-            ]
-        )
-    return format_table(
-        [
-            "strategy",
-            "rate",
-            "recall",
-            "msgs/query",
-            "bytes/query",
-            "hint hits",
-            "degraded",
-        ],
-        rows,
-    )
-
-
-def format_topk_trials(trials: Sequence[dict]) -> str:
-    """Render top-k trial dicts (one per (k, ttl, rate) point).
-
-    The traffic-vs-quality trade the bounded accumulator makes: bytes
-    and messages per query next to the score-mass quality at each swept
-    cutoff, plus the dominated/digest counts that show the pruning
-    actually happened in-network rather than at the initiator.
-    """
-    rows = []
-    for trial in trials:
-        quality = "  ".join(
-            f"@{cutoff}={value}" for cutoff, value in sorted(
-                trial["quality"].items(), key=lambda item: int(item[0])
-            )
-        )
-        rows.append(
-            [
-                trial["label"],
-                trial["ttl"],
-                trial["rate"],
-                trial["answers_per_query"],
-                trial["dominated_per_query"],
-                trial["bytes_per_query"],
-                trial["messages_per_query"],
-                quality,
-            ]
-        )
-    return format_table(
-        [
-            "mode",
-            "ttl",
-            "rate",
-            "answers/q",
-            "dominated/q",
-            "bytes/query",
-            "msgs/query",
-            "quality",
-        ],
-        rows,
-    )
-
-
-def format_scaling_trials(trials: Sequence[dict]) -> str:
-    """Render scaling trial dicts (one per executor/size/shards point).
-
-    Shows the evidence behind each speedup number: wall and CPU (or
-    critical-path) seconds, barrier traffic, and the determinism check
-    against the serial reference run.
-    """
-    rows = []
-    for trial in trials:
-        if trial["executor"] == "serial":
-            detail = f"cpu={trial['cpu_seconds']}s"
-        elif trial["executor"] == "lockstep":
-            detail = f"overhead={trial['overhead_vs_serial']}x"
-        else:
-            detail = (
-                f"critical={trial['critical_path_seconds']}s "
-                f"proj={trial['projected_speedup']}x "
-                f"meas={trial['measured_speedup']}x"
-            )
-        rows.append(
-            [
-                trial["executor"],
-                trial["node_count"],
-                trial["shards"],
-                trial["wall_seconds"],
-                trial.get("barrier_messages", "-"),
-                "yes" if trial["identical"] else "NO",
-                detail,
-            ]
-        )
-    return format_table(
-        ["executor", "nodes", "shards", "wall s", "barrier", "identical", "detail"],
-        rows,
-    )
+        row = []
+        for header, cell in columns:
+            if callable(cell):
+                row.append(cell(trial))
+            elif cell in trial:
+                row.append(trial[cell])
+            else:
+                raise ExperimentError(
+                    f"column {header!r} reads trial key {cell!r}; "
+                    f"the trial has {sorted(trial)}"
+                )
+        rows.append(row)
+    return format_table([header for header, _cell in columns], rows)

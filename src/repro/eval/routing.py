@@ -15,22 +15,25 @@ directory populated, the search agent ships straight to the holders
 with TTL 1 instead of flooding the overlay, cutting messages per query
 well below MaxCount at equal recall.
 
-Every stochastic choice — topology, link-cost tiers, fault timeline,
-retry jitter — derives from the params seed, so every point replays
-bit-identically, serial or parallel.
+Link-cost tiers derive from the params seed like everything else (see
+:mod:`repro.eval.sweep`), so every point replays bit-identically.
 """
 
 from __future__ import annotations
 
-from repro.core.builder import build_network
-from repro.core.config import BestPeerConfig
+from operator import itemgetter
+
 from repro.core.routing import registered_strategies
-from repro.eval.churn import CHURN_HORIZON, CHURN_RETRY_POLICY, QUERY_QUIET_PERIOD, _fault_plan
 from repro.eval.experiment import ExperimentRunner, FigureResult
-from repro.eval.figures import FigureParams, _run_tasks
-from repro.faults import SimFaultInjector
+from repro.eval.figures import FigureParams
+from repro.eval.sweep import (
+    churn_outage_partition,
+    churned_run,
+    mean_recall,
+    share_one_match_each,
+    sweep_figure,
+)
 from repro.net.link import LinkModel
-from repro.topology.builders import random_graph
 from repro.util.randomness import derive_rng
 from repro.workloads.corpus import KeywordCorpus
 
@@ -68,77 +71,55 @@ def _apply_link_tiers(deployment, seed: int) -> list[str]:
     return [node.name for node in far_nodes]
 
 
+#: The CLI's per-trial table: the recall-vs-traffic trade each strategy
+#: makes, plus the hint-directory counters that explain *how* super-peer
+#: routing got its number (hits route TTL-1 to holders; fallbacks flood).
+TRIAL_COLUMNS = (
+    ("strategy", "strategy"),
+    ("rate", "rate"),
+    ("recall", "mean_recall"),
+    ("msgs/query", "messages_per_query"),
+    ("bytes/query", "bytes_per_query"),
+    ("hint hits", lambda trial: f"{trial['hint_hits']}/{trial['hint_queries']}"),
+    ("degraded", "degraded_queries"),
+)
+
+
 def routing_trial(task: tuple[str, float, int, FigureParams]) -> dict:
     """One (strategy, churn rate) point; module-level so it pickles to
     the parallel runner's workers."""
     strategy, rate, node_count, params = task
-    config = BestPeerConfig(
-        max_direct_peers=8,
-        ttl=max(7, node_count),
-        strategy=strategy,
-        retry_policy=CHURN_RETRY_POLICY,
-        suspect_after=2,
-        retry_seed=params.seed,
-        agent_costs=params.costs,
-    )
-    topology = random_graph(node_count, degree=3, seed=params.seed)
-    deployment = build_network(node_count, config=config, topology=topology)
-    far_nodes = _apply_link_tiers(deployment, params.seed)
     keyword = KeywordCorpus(params.corpus_size).keyword(0)
-    # One distinct matching object per non-base node: recall is simply
-    # answers-received over (node_count - 1).
-    for index, node in enumerate(deployment.nodes[1:], 1):
-        node.share_many([([keyword], index.to_bytes(4, "big") * 16)])
-    churnable = [node.name for node in deployment.nodes[1:]]  # base never churns
-    injector = SimFaultInjector(
-        deployment, _fault_plan(churnable, rate, params.seed), tracer=deployment.tracer
+
+    def populate(deployment) -> list[str]:
+        far_nodes = _apply_link_tiers(deployment, params.seed)
+        share_one_match_each(deployment, keyword)
+        return far_nodes
+
+    run = churned_run(
+        node_count,
+        params,
+        rate,
+        keywords=[keyword] * params.queries,
+        populate=populate,
+        plan=churn_outage_partition,
+        strategy=strategy,
     )
-    injector.arm()
-    base = deployment.base
-    handles: list = []
-    setup = {"packets": 0, "bytes": 0}
-
-    def mark_setup_done() -> None:
-        # Everything delivered so far — registration, hint publishes —
-        # is setup; the per-query traffic accounting starts here.
-        setup["packets"] = deployment.network.packets_delivered
-        setup["bytes"] = deployment.network.bytes_carried
-
-    def issue() -> None:
-        handles.append(
-            base.issue_query(keyword, auto_finish_after=QUERY_QUIET_PERIOD)
-        )
-
-    step = CHURN_HORIZON / params.queries
-    deployment.sim.schedule(1.9, mark_setup_done)
-    for q in range(params.queries):
-        deployment.sim.schedule(2.0 + q * step, issue)
-    deployment.sim.run()
     expected = node_count - 1
     recalls = [
-        round(handle.network_answer_count / expected, 6) for handle in handles
+        round(handle.network_answer_count / expected, 6) for handle in run.handles
     ]
-    query_packets = deployment.network.packets_delivered - setup["packets"]
-    query_bytes = deployment.network.bytes_carried - setup["bytes"]
+    base = run.deployment.base
     return {
         "strategy": strategy,
         "rate": rate,
         "recalls": recalls,
-        "mean_recall": round(sum(recalls) / len(recalls), 6) if recalls else 0.0,
-        "messages_per_query": round(query_packets / max(len(handles), 1), 3),
-        "bytes_per_query": round(query_bytes / max(len(handles), 1), 1),
-        "setup_packets": setup["packets"],
-        "setup_bytes": setup["bytes"],
-        "packets_delivered": deployment.network.packets_delivered,
-        "bytes_carried": deployment.network.bytes_carried,
-        "packets_dropped": deployment.network.packets_dropped,
-        "drops_by_reason": dict(sorted(deployment.network.drops_by_reason.items())),
-        "degraded_queries": sum(1 for handle in handles if handle.degraded),
-        "faults_applied": dict(sorted(injector.applied.items())),
-        "far_nodes": far_nodes,
+        "mean_recall": mean_recall(recalls),
+        "far_nodes": run.populated,
         "hint_queries": base.hint_queries,
         "hint_hits": base.hint_hits,
         "hint_fallbacks": base.hint_fallbacks,
+        **run.observables,
     }
 
 
@@ -151,23 +132,19 @@ def figure_routing(
 ) -> FigureResult:
     """Recall vs. churn rate for every registered routing strategy.
 
-    The plotted series carry mean recall; the full traffic observables
+    The plotted series carry mean recall; the traffic observables
     (messages/bytes per query, hint-directory counters, drop and fault
-    counts) are attached as ``figure_routing.last_trials`` after each
-    call, exactly like the churn figure does.
+    counts) ride along as ``result.trials``.
     """
-    if node_count < 3:
-        raise ValueError(f"routing experiment needs >= 3 nodes, got {node_count}")
-    names = (
-        strategies if strategies is not None else tuple(registered_strategies())
-    )
-    tasks = [
-        (strategy, rate, node_count, params)
-        for strategy in names
-        for rate in churn_rates
-    ]
-    trials = _run_tasks(runner, routing_trial, tasks)
-    result = FigureResult(
+    names = strategies if strategies is not None else tuple(registered_strategies())
+    return sweep_figure(
+        routing_trial,
+        (names, churn_rates),
+        (node_count, params),
+        runner,
+        series=itemgetter("strategy"),
+        x="rate",
+        y="mean_recall",
         figure="routing",
         title=(
             f"Routing strategies: recall vs traffic ({node_count} nodes, "
@@ -181,7 +158,3 @@ def figure_routing(
             "nodes sit behind 4x-latency links (cost-aware gradient)"
         ),
     )
-    for trial in trials:
-        result.add_point(trial["strategy"], trial["rate"], trial["mean_recall"])
-    figure_routing.last_trials = trials  # type: ignore[attr-defined]
-    return result

@@ -59,6 +59,32 @@ DEFAULT_STRONG_NODES = (1000,)
 DEFAULT_SHARDS = (1, 2, 4)
 
 
+def _detail_cell(trial: dict) -> str:
+    if trial["executor"] == "serial":
+        return f"cpu={trial['cpu_seconds']}s"
+    if trial["executor"] == "lockstep":
+        return f"overhead={trial['overhead_vs_serial']}x"
+    return (
+        f"critical={trial['critical_path_seconds']}s "
+        f"proj={trial['projected_speedup']}x "
+        f"meas={trial['measured_speedup']}x"
+    )
+
+
+#: The CLI's per-trial table: the evidence behind each speedup number —
+#: wall and CPU (or critical-path) seconds, barrier traffic, and the
+#: determinism check against the serial reference run.
+TRIAL_COLUMNS = (
+    ("executor", "executor"),
+    ("nodes", "node_count"),
+    ("shards", "shards"),
+    ("wall s", "wall_seconds"),
+    ("barrier", lambda trial: trial.get("barrier_messages", "-")),
+    ("identical", lambda trial: "yes" if trial["identical"] else "NO"),
+    ("detail", _detail_cell),
+)
+
+
 def _edge_jitter(src_name: str, dst_name: str) -> float:
     """Deterministic per-directed-edge latency factor in [0, 1)."""
     key = f"{src_name}->{dst_name}".encode("utf-8")
@@ -230,8 +256,8 @@ def figure_scaling(
     With ``weak_base``, a weak-scaling series grows the problem with the
     shard count (``weak_base`` nodes per shard) and plots projected
     speedup.  ``runner`` is accepted for CLI uniformity and ignored —
-    the executors under test own all parallelism.  Trial details land in
-    ``figure_scaling.last_trials``.
+    the executors under test own all parallelism.  Trial details ride
+    along as ``result.trials``.
     """
     del runner  # the executors under test manage their own processes
     params = params if params is not None else FigureParams()
@@ -255,7 +281,7 @@ def figure_scaling(
             "barrier critical path (one core per shard)"
         ),
     )
-    trials: list[dict] = []
+    trials = result.trials
     for node_count in node_counts:
         reference = _serial_trial(node_count, queries, seed)
         trials.append(reference)
@@ -295,7 +321,6 @@ def figure_scaling(
             )
     for trial in trials:
         trial.pop("_observables", None)
-    figure_scaling.last_trials = trials  # type: ignore[attr-defined]
     return result
 
 

@@ -15,22 +15,14 @@ top-k, computed by the exhaustive
 :func:`~repro.baselines.gnutella.scored_reference` oracle over every
 store.  A top-k run earns its traffic cut only at quality no worse than
 the exhaustive flood's at the same cutoff.
-
-Every stochastic choice — topology, fault timeline, retry jitter —
-derives from the params seed, so every point replays bit-identically,
-serial or parallel.
 """
 
 from __future__ import annotations
 
 from repro.baselines.gnutella import scored_reference
-from repro.core.builder import build_network
-from repro.core.config import BestPeerConfig
-from repro.eval.churn import CHURN_HORIZON, CHURN_RETRY_POLICY, QUERY_QUIET_PERIOD, _fault_plan
 from repro.eval.experiment import ExperimentRunner, FigureResult
-from repro.eval.figures import FigureParams, _run_tasks
-from repro.faults import SimFaultInjector
-from repro.topology.builders import random_graph
+from repro.eval.figures import FigureParams
+from repro.eval.sweep import churn_outage_partition, churned_run, sweep_figure
 from repro.workloads.corpus import KeywordCorpus
 
 #: Accumulator bounds swept against the exhaustive baseline (None).
@@ -61,67 +53,69 @@ def _mass(scores, k: int) -> float:
     return sum(sorted(scores, reverse=True)[:k])
 
 
+def _quality_cell(trial: dict) -> str:
+    return "  ".join(
+        f"@{cutoff}={value}"
+        for cutoff, value in sorted(
+            trial["quality"].items(), key=lambda item: int(item[0])
+        )
+    )
+
+
+#: The CLI's per-trial table: bytes and messages per query next to the
+#: score-mass quality at each swept cutoff, plus the dominated counts
+#: that show the pruning happened in-network, not at the initiator.
+TRIAL_COLUMNS = (
+    ("mode", "label"),
+    ("ttl", "ttl"),
+    ("rate", "rate"),
+    ("answers/q", "answers_per_query"),
+    ("dominated/q", "dominated_per_query"),
+    ("bytes/query", "bytes_per_query"),
+    ("msgs/query", "messages_per_query"),
+    ("quality", _quality_cell),
+)
+
+
 def topk_trial(task: tuple) -> dict:
     """One (k, ttl, churn rate) point; module-level so it pickles to the
     parallel runner's workers."""
     k, ttl, rate, node_count, eval_ks, params = task
-    config = BestPeerConfig(
-        max_direct_peers=8,
+    keyword = KeywordCorpus(params.corpus_size).keyword(0)
+
+    def populate(deployment) -> list:
+        # Several matches per non-base node with node-and-object-varying
+        # TF scores: the accumulator has real dominance decisions to make.
+        for index, node in enumerate(deployment.nodes[1:], 1):
+            node.share_many(
+                [
+                    (
+                        [keyword] + ["filler"] * (1 + ((index * 7 + j * 3) % 6)),
+                        (index * MATCHES_PER_NODE + j).to_bytes(4, "big")
+                        * (OBJECT_BYTES // 4),
+                    )
+                    for j in range(MATCHES_PER_NODE)
+                ]
+            )
+        # The oracle sees every store before any churn fires: the ideal
+        # answer set a lossless exhaustive flood would retrieve.
+        return scored_reference(
+            [(node.name, node.storm) for node in deployment.nodes], keyword
+        )
+
+    run = churned_run(
+        node_count,
+        params,
+        rate,
+        keywords=[keyword] * params.queries,
+        populate=populate,
+        plan=churn_outage_partition,
         ttl=ttl,
         top_k=k,
-        retry_policy=CHURN_RETRY_POLICY,
-        suspect_after=2,
-        retry_seed=params.seed,
-        agent_costs=params.costs,
     )
-    topology = random_graph(node_count, degree=3, seed=params.seed)
-    deployment = build_network(node_count, config=config, topology=topology)
-    keyword = KeywordCorpus(params.corpus_size).keyword(0)
-    # Several matches per non-base node with node-and-object-varying TF
-    # scores: the accumulator has real dominance decisions to make.
-    for index, node in enumerate(deployment.nodes[1:], 1):
-        node.share_many(
-            [
-                (
-                    [keyword] + ["filler"] * (1 + ((index * 7 + j * 3) % 6)),
-                    (index * MATCHES_PER_NODE + j).to_bytes(4, "big")
-                    * (OBJECT_BYTES // 4),
-                )
-                for j in range(MATCHES_PER_NODE)
-            ]
-        )
-    # The oracle sees every store before any churn fires: the ideal
-    # answer set a lossless exhaustive flood would retrieve.
-    reference = scored_reference(
-        [(node.name, node.storm) for node in deployment.nodes], keyword
-    )
-    reference_scores = [score for score, _label_, _rid in reference]
-    churnable = [node.name for node in deployment.nodes[1:]]  # base never churns
-    injector = SimFaultInjector(
-        deployment, _fault_plan(churnable, rate, params.seed), tracer=deployment.tracer
-    )
-    injector.arm()
-    base = deployment.base
-    handles: list = []
-    setup = {"packets": 0, "bytes": 0}
-
-    def mark_setup_done() -> None:
-        setup["packets"] = deployment.network.packets_delivered
-        setup["bytes"] = deployment.network.bytes_carried
-
-    def issue() -> None:
-        handles.append(
-            base.issue_query(keyword, auto_finish_after=QUERY_QUIET_PERIOD)
-        )
-
-    step = CHURN_HORIZON / params.queries
-    deployment.sim.schedule(1.9, mark_setup_done)
-    for q in range(params.queries):
-        deployment.sim.schedule(2.0 + q * step, issue)
-    deployment.sim.run()
-    queries = max(len(handles), 1)
-    query_packets = deployment.network.packets_delivered - setup["packets"]
-    query_bytes = deployment.network.bytes_carried - setup["bytes"]
+    handles = run.handles
+    queries = len(handles)
+    reference_scores = [score for score, _label_, _rid in run.populated]
     # Quality at cutoff c: retrieved score mass over the oracle's top-c
     # mass, averaged over queries.  top_answers() re-scores exhaustive
     # items from their tags, so both modes are judged identically.
@@ -147,19 +141,14 @@ def topk_trial(task: tuple) -> dict:
         "answers_per_query": round(answers / queries, 3),
         "dominated_per_query": round(dominated / queries, 3),
         "digests_per_query": round(digests / queries, 3),
-        "messages_per_query": round(query_packets / queries, 3),
-        "bytes_per_query": round(query_bytes / queries, 1),
         "quality": quality,
-        "reference_size": len(reference),
-        "setup_packets": setup["packets"],
-        "setup_bytes": setup["bytes"],
-        "packets_delivered": deployment.network.packets_delivered,
-        "bytes_carried": deployment.network.bytes_carried,
-        "packets_dropped": deployment.network.packets_dropped,
-        "drops_by_reason": dict(sorted(deployment.network.drops_by_reason.items())),
-        "degraded_queries": sum(1 for handle in handles if handle.degraded),
-        "faults_applied": dict(sorted(injector.applied.items())),
+        "reference_size": len(run.populated),
+        **run.observables,
     }
+
+
+def _series_name(trial: dict) -> str:
+    return trial["label"] + ("" if trial["rate"] == 0 else f" churn={trial['rate']}")
 
 
 def figure_topk(
@@ -172,23 +161,19 @@ def figure_topk(
 ) -> FigureResult:
     """Bytes per query vs TTL, one series per (k, churn rate).
 
-    The plotted series carry bytes per query; the full observables —
-    answer quality at every swept cutoff, dominated/digest counts,
-    message totals, fault counts — are attached as
-    ``figure_topk.last_trials`` after each call, exactly like the
-    routing figure does.
+    The plotted series carry bytes per query; answer quality at every
+    swept cutoff, dominated/digest counts, message totals and fault
+    counts ride along as ``result.trials``.
     """
-    if node_count < 3:
-        raise ValueError(f"top-k experiment needs >= 3 nodes, got {node_count}")
     eval_ks = tuple(sorted({k for k in ks if k is not None})) or (4, 16)
-    tasks = [
-        (k, ttl, rate, node_count, eval_ks, params)
-        for k in ks
-        for ttl in ttls
-        for rate in churn_rates
-    ]
-    trials = _run_tasks(runner, topk_trial, tasks)
-    result = FigureResult(
+    return sweep_figure(
+        topk_trial,
+        (ks, ttls, churn_rates),
+        (node_count, eval_ks, params),
+        runner,
+        series=_series_name,
+        x="ttl",
+        y="bytes_per_query",
         figure="topk",
         title=(
             f"In-network top-k: bytes vs TTL ({node_count} nodes, "
@@ -202,10 +187,3 @@ def figure_topk(
             "figure; dominated answers die in-network as digests"
         ),
     )
-    for trial in trials:
-        series = trial["label"] + (
-            "" if trial["rate"] == 0 else f" churn={trial['rate']}"
-        )
-        result.add_point(series, trial["ttl"], trial["bytes_per_query"])
-    figure_topk.last_trials = trials  # type: ignore[attr-defined]
-    return result

@@ -24,6 +24,8 @@ from repro.topology.builders import line, star
 #: Small enough to run every variant in seconds, big enough to exercise
 #: flooding, reconfiguration, StorM scans and multi-page heaps.
 TINY = FigureParams(objects_per_node=20, object_size=256, queries=2)
+#: The churned-query figures fill their own stores.
+SWEEP = FigureParams(objects_per_node=0, queries=2, seed=0)
 
 
 def _run_figures():
@@ -132,29 +134,12 @@ def _flood_observables(node_count: int = 32) -> tuple:
 
 def _faulted_observables(runner) -> tuple:
     """The churn figure at a nonzero rate: faults fire mid-run, yet the
-    seeded timeline must leave serial and parallel runs bit-identical."""
+    seeded timeline must leave serial and parallel runs bit-identical —
+    the series and every key of every trial dict."""
     from repro.eval.churn import figure_churn
 
-    params = FigureParams(objects_per_node=0, queries=2, seed=0)
-    result = figure_churn(
-        params, node_count=8, churn_rates=(0.5,), runner=runner
-    )
-    trials = figure_churn.last_trials
-    return (
-        result.series,
-        [
-            (
-                t["scheme"],
-                tuple(t["recalls"]),
-                tuple(t["answer_hops"]),
-                t["bytes_carried"],
-                t["packets_delivered"],
-                tuple(sorted(t["drops_by_reason"].items())),
-                tuple(sorted(t["faults_applied"].items())),
-            )
-            for t in trials
-        ],
-    )
+    result = figure_churn(SWEEP, node_count=8, churn_rates=(0.5,), runner=runner)
+    return result.series, result.trials
 
 
 def test_faulted_series_identical_serial_vs_parallel():
@@ -187,40 +172,18 @@ def test_encoder_cache_actually_hits_during_flood():
 
 
 def _routing_observables(runner) -> tuple:
-    """The routing comparison figure under the churn fault plan; every
-    per-trial observable, for the post-paper strategies."""
+    """The routing comparison figure under the churn fault plan, for the
+    post-paper strategies."""
     from repro.eval.routing import figure_routing
 
-    params = FigureParams(objects_per_node=0, queries=2, seed=0)
     result = figure_routing(
-        params,
+        SWEEP,
         node_count=8,
         churn_rates=(0.0, 0.3),
         strategies=("history", "superpeer", "costaware"),
         runner=runner,
     )
-    trials = figure_routing.last_trials
-    return (
-        result.series,
-        [
-            (
-                t["strategy"],
-                tuple(t["recalls"]),
-                t["messages_per_query"],
-                t["bytes_per_query"],
-                t["setup_packets"],
-                t["setup_bytes"],
-                t["bytes_carried"],
-                t["packets_delivered"],
-                tuple(sorted(t["drops_by_reason"].items())),
-                tuple(sorted(t["faults_applied"].items())),
-                t["hint_queries"],
-                t["hint_hits"],
-                t["hint_fallbacks"],
-            )
-            for t in trials
-        ],
-    )
+    return result.series, result.trials
 
 
 def test_new_strategies_self_identical_serial_vs_parallel():
@@ -233,43 +196,14 @@ def test_new_strategies_self_identical_serial_vs_parallel():
 
 
 def _topk_figure_observables(runner) -> tuple:
-    """The top-k figure under the churn fault plan: every per-trial
-    observable, bounded (k=2) and exhaustive in the same sweep."""
+    """The top-k figure under the churn fault plan: bounded (k=2) and
+    exhaustive in the same sweep."""
     from repro.eval.topk import figure_topk
 
-    params = FigureParams(objects_per_node=0, queries=2, seed=0)
     result = figure_topk(
-        params,
-        node_count=8,
-        ks=(2, None),
-        ttls=(4,),
-        churn_rates=(0.3,),
-        runner=runner,
+        SWEEP, node_count=8, ks=(2, None), ttls=(4,), churn_rates=(0.3,), runner=runner
     )
-    trials = figure_topk.last_trials
-    return (
-        result.series,
-        [
-            (
-                t["label"],
-                t["ttl"],
-                t["rate"],
-                t["answers_per_query"],
-                t["dominated_per_query"],
-                t["digests_per_query"],
-                t["messages_per_query"],
-                t["bytes_per_query"],
-                tuple(sorted(t["quality"].items())),
-                t["setup_packets"],
-                t["setup_bytes"],
-                t["bytes_carried"],
-                t["packets_delivered"],
-                tuple(sorted(t["drops_by_reason"].items())),
-                tuple(sorted(t["faults_applied"].items())),
-            )
-            for t in trials
-        ],
-    )
+    return result.series, result.trials
 
 
 def test_topk_figure_self_identical_serial_vs_parallel():
@@ -283,40 +217,14 @@ def test_topk_figure_self_identical_serial_vs_parallel():
 
 
 def _replication_figure_observables(runner) -> tuple:
-    """The replication figure under the churn fault plan: every
-    per-trial observable, all three schemes in the same sweep."""
+    """The replication figure under the churn fault plan: all three
+    schemes in the same sweep."""
     from repro.eval.replication import figure_replication
 
-    params = FigureParams(objects_per_node=0, queries=2, seed=0)
     result = figure_replication(
-        params,
-        node_count=8,
-        churn_rates=(0.0, 0.3),
-        runner=runner,
+        SWEEP, node_count=8, churn_rates=(0.0, 0.3), runner=runner
     )
-    trials = figure_replication.last_trials
-    return (
-        result.series,
-        [
-            (
-                t["scheme"],
-                t["rate"],
-                tuple(t["recalls"]),
-                t["cached_queries"],
-                t["messages_per_query"],
-                t["bytes_per_query"],
-                t["setup_packets"],
-                t["setup_bytes"],
-                t["bytes_carried"],
-                t["packets_delivered"],
-                tuple(sorted(t["drops_by_reason"].items())),
-                t["degraded_queries"],
-                tuple(sorted(t["faults_applied"].items())),
-                tuple(sorted(t["replication"].items())),
-            )
-            for t in trials
-        ],
-    )
+    return result.series, result.trials
 
 
 # ---------------------------------------------------------------------------

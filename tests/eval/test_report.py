@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.eval.experiment import ExperimentRunner, FigureResult
-from repro.eval.report import format_figure, format_table
+from repro.eval.report import format_counts, format_figure, format_table, format_trials
 
 
 class TestFormatTable:
@@ -20,6 +20,33 @@ class TestFormatTable:
     def test_float_formatting(self):
         text = format_table(["v"], [[1.23456789]])
         assert "1.2346" in text
+
+
+class TestFormatTrials:
+    TRIALS = [
+        {"scheme": "BPR", "recall": 0.5, "drops": {"offline": 2, "cut": 1}},
+        {"scheme": "BPS", "recall": 0.25, "drops": {}},
+    ]
+
+    def test_key_column_prints_the_trial_value(self):
+        text = format_trials(self.TRIALS, (("scheme", "scheme"), ("r", "recall")))
+        header, _rule, first, second = text.splitlines()
+        assert header.split() == ["scheme", "r"]
+        assert first.split() == ["BPR", "0.5000"]
+        assert second.split() == ["BPS", "0.2500"]
+
+    def test_callable_column_is_called_with_the_trial(self):
+        columns = (("drops", lambda trial: format_counts(trial["drops"])),)
+        _header, _rule, first, second = format_trials(self.TRIALS, columns).splitlines()
+        assert first.strip() == "cut=1 offline=2"
+        assert second.strip() == "-"
+
+    def test_missing_key_names_column_key_and_what_the_trial_has(self):
+        with pytest.raises(ExperimentError) as error:
+            format_trials(self.TRIALS, (("hops", "answer_hops"),))
+        message = str(error.value)
+        assert "'hops'" in message and "'answer_hops'" in message
+        assert "recall" in message
 
 
 class TestFigureResult:

@@ -82,7 +82,7 @@ class TestFigure:
         assert figure.series["measured 48n"][0] == (1, 1.0)
         assert figure.series["projected 48n"][0] == (1, 1.0)
         assert [x for x, _y in figure.series["projected 48n"]] == [1, 2]
-        trials = figure_scaling.last_trials
+        trials = figure.trials
         assert all(trial["identical"] for trial in trials)
         executors = {trial["executor"] for trial in trials}
         assert executors == {"serial", "lockstep", "distributed"}
@@ -91,7 +91,7 @@ class TestFigure:
         figure = figure_scaling(
             PARAMS, node_counts=(), shard_counts=(1, 2), weak_base=24
         )
-        trials = figure_scaling.last_trials
+        trials = figure.trials
         assert {t["node_count"] for t in trials} == {24, 48}
         assert [x for x, _y in figure.series["weak projected"]] == [1, 2]
 

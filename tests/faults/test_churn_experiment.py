@@ -4,7 +4,8 @@ This is the acceptance test for the fault subsystem: a fault plan with
 node churn, a LIGLO outage, and a transient partition produces the
 *same* rich observables — recall series, per-answer hop counts, bytes
 on the wire, drop counters, fault application counts — on every run
-with the same seed, serially and under the parallel runner.
+with the same seed, serially and under the parallel runner.  Replays
+are compared on whole trial dicts, every key.
 """
 
 from __future__ import annotations
@@ -20,40 +21,21 @@ NODE_COUNT = 8
 RATES = (0.0, 0.5)
 
 
-def _observables(trials):
-    """Everything a replay must reproduce exactly."""
-    return [
-        (
-            t["scheme"],
-            t["rate"],
-            tuple(t["recalls"]),
-            tuple(t["answer_hops"]),
-            t["bytes_carried"],
-            t["packets_delivered"],
-            t["packets_dropped"],
-            tuple(sorted(t["drops_by_reason"].items())),
-            tuple(sorted(t["faults_applied"].items())),
-            t["degraded_queries"],
-        )
-        for t in trials
-    ]
-
-
 @pytest.fixture(scope="module")
 def baseline():
     result = figure_churn(PARAMS, node_count=NODE_COUNT, churn_rates=RATES)
-    return result.series, _observables(figure_churn.last_trials)
+    return result.series, result.trials
 
 
 class TestSeededReplay:
     def test_second_run_is_bit_identical(self, baseline):
-        series, observables = baseline
+        series, trials = baseline
         again = figure_churn(PARAMS, node_count=NODE_COUNT, churn_rates=RATES)
         assert again.series == series
-        assert _observables(figure_churn.last_trials) == observables
+        assert again.trials == trials
 
     def test_serial_runner_matches(self, baseline):
-        series, observables = baseline
+        series, trials = baseline
         result = figure_churn(
             PARAMS,
             node_count=NODE_COUNT,
@@ -61,10 +43,10 @@ class TestSeededReplay:
             runner=ExperimentRunner(),
         )
         assert result.series == series
-        assert _observables(figure_churn.last_trials) == observables
+        assert result.trials == trials
 
     def test_parallel_runner_matches(self, baseline):
-        series, observables = baseline
+        series, trials = baseline
         result = figure_churn(
             PARAMS,
             node_count=NODE_COUNT,
@@ -72,16 +54,16 @@ class TestSeededReplay:
             runner=ParallelExperimentRunner(jobs=2),
         )
         assert result.series == series
-        assert _observables(figure_churn.last_trials) == observables
+        assert result.trials == trials
 
     def test_different_seed_changes_fault_timeline(self, baseline):
-        _series, observables = baseline
-        figure_churn(
+        _series, trials = baseline
+        reseeded = figure_churn(
             FigureParams(objects_per_node=0, queries=2, seed=1),
             node_count=NODE_COUNT,
             churn_rates=RATES,
         )
-        assert _observables(figure_churn.last_trials) != observables
+        assert reseeded.trials != trials
 
 
 class TestShape:
@@ -92,10 +74,10 @@ class TestShape:
             assert points[0.0] == 1.0
 
     def test_faults_fired_at_nonzero_rate(self, baseline):
-        _, observables = baseline
-        for o in observables:
-            faults = dict(o[8])
-            if o[1] == 0.0:
+        _, trials = baseline
+        for trial in trials:
+            faults = trial["faults_applied"]
+            if trial["rate"] == 0.0:
                 assert faults == {}
             else:
                 assert faults.get("node-crash", 0) >= 1

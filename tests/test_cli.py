@@ -61,6 +61,14 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "Ablation A3" in out
 
+    @pytest.mark.parametrize("queries", ["0", "-1"])
+    @pytest.mark.parametrize("name", ["churn", "5a"])
+    def test_bad_scale_is_an_error_line_not_a_traceback(self, capsys, name, queries):
+        assert main(["figure", name, "--queries", queries]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: queries must be >= 1\n"
+
     def test_demo(self, capsys):
         assert main(["demo"]) == 0
         out = capsys.readouterr().out
