@@ -21,12 +21,18 @@ Lifecycle (Section 2):
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from repro.agents.agent import Agent
 from repro.agents.engine import PROTO_ANSWER, AgentEngine
 from repro.agents.envelope import MODE_FLOOD
-from repro.agents.messages import MODE_METADATA, AnswerMessage, BatchedAnswers
+from repro.agents.messages import (
+    MODE_METADATA,
+    AnswerItem,
+    AnswerMessage,
+    BatchedAnswers,
+)
 from repro.agents.storm_agent import StorMSearchAgent
 from repro.agents.topk import TopKDigest, TopKSearchAgent
 from repro.core import sharing
@@ -72,6 +78,7 @@ from repro.liglo.client import LigloClient, RegistrationResult
 from repro.net.address import IPAddress
 from repro.net.message import Packet
 from repro.net.network import Network
+from repro.net.requests import PendingRequests
 from repro.replication.agent import ReplicatedSearchAgent
 from repro.replication.manager import ReplicationManager
 from repro.storm.heapfile import RecordId
@@ -79,6 +86,9 @@ from repro.storm.objects import normalize_keyword
 from repro.storm.store import StorM
 from repro.util.randomness import derive_rng
 from repro.util.tracing import NULL_TRACER, Tracer
+
+#: reply protocol -> the request family its replies settle
+_REPLY_KINDS = {PROTO_FETCH_REPLY: "fetch", PROTO_ACTIVE_REPLY: "active"}
 
 
 class BestPeerNode:
@@ -119,32 +129,21 @@ class BestPeerNode:
         self.engine: AgentEngine | None = None
         self._queries: dict[QueryId, QueryHandle] = {}
         self._query_serials = SerialCounter()
-        self._fetch_tokens = SerialCounter()
-        #: token -> (callback, holder address, rid, failures so far)
-        self._pending_fetches: dict[
-            int,
-            tuple[Callable[[FetchReply | None], None], IPAddress, RecordId, int],
-        ] = {}
-        #: token -> (callback, owner address, name, credential, failures)
-        self._pending_actives: dict[
-            int,
-            tuple[Callable[[ActiveReply | None], None], IPAddress, str, str, int],
-        ] = {}
+        #: outstanding fetch / active / data requests: one table and one
+        #: token counter, so the three families' tokens interleave in send order
+        self.requests = PendingRequests(
+            self.host, self.config.retry_policy, self._retry_rng
+        )
         self.shipping = make_shipping_policy(self.config.shipping_policy)
         self._estimates: dict[BPID, PeerEstimate] = {}
         self._data_cache: dict[BPID, list] = {}
-        #: token -> (peer bpid, handle, peer address, failures, expiry timer)
-        self._pending_data: dict[int, tuple] = {}
-        #: request timeouts by kind (fetch / active / data)
+        #: request timeouts by kind (fetch / active / data / rejoin / replica)
         self.request_timeouts: dict[str, int] = {}
-        #: re-sends triggered by the retry policy (excludes LIGLO retries,
-        #: which the LigloClient counts itself)
-        self.request_retries = 0
         self.host.bind(PROTO_ANSWER, self._on_answer)
         self.host.bind(PROTO_FETCH, self._on_fetch)
-        self.host.bind(PROTO_FETCH_REPLY, self._on_fetch_reply)
+        self.host.bind(PROTO_FETCH_REPLY, self._on_reply)
         self.host.bind(PROTO_ACTIVE, self._on_active)
-        self.host.bind(PROTO_ACTIVE_REPLY, self._on_active_reply)
+        self.host.bind(PROTO_ACTIVE_REPLY, self._on_reply)
         self.host.bind(PROTO_DATA_REQUEST, self._on_data_request)
         self.host.bind(PROTO_DATA_REPLY, self._on_data_reply)
         self.knowledge = KnowledgeBase()
@@ -325,13 +324,10 @@ class BestPeerNode:
                 return peer.bpid
         return None
 
-    def _retries_left(self, failures: int) -> bool:
-        policy = self.config.retry_policy
-        return policy is not None and policy.should_retry(failures)
-
-    def _retry_after(self, failures: int) -> float:
-        assert self.config.retry_policy is not None
-        return self.config.retry_policy.delay(failures, self._retry_rng)
+    @property
+    def request_retries(self) -> int:
+        """Re-sends by the retry policy (LIGLO's are ``liglo.retries``)."""
+        return self.requests.retries
 
     # -- peer management ---------------------------------------------------------
 
@@ -839,7 +835,7 @@ class BestPeerNode:
             elif estimate.cached:
                 self._answer_from_cache(handle, peer.bpid, peer.address)
             else:
-                self._send_data_request(peer.bpid, handle, peer.address, failures=0)
+                self._request_data(peer.bpid, handle, peer.address)
         if code_targets:
             agent = StorMSearchAgent(
                 keyword,
@@ -870,9 +866,6 @@ class BestPeerNode:
         self, handle: QueryHandle, bpid: BPID, address: IPAddress
     ) -> None:
         """Evaluate a query against a locally cached peer dataset."""
-        from repro.agents.messages import AnswerItem
-        from repro.storm.heapfile import RecordId
-
         objects = self._data_cache[bpid]
         needle = normalize_keyword(handle.keyword)
         items = []
@@ -915,35 +908,10 @@ class BestPeerNode:
         if self.host.online:
             self.host.send(dst, PROTO_DATA_REPLY, reply)
 
-    def _send_data_request(
-        self, bpid: BPID, handle: QueryHandle, address: IPAddress, failures: int
+    def _request_data(
+        self, bpid: BPID, handle: QueryHandle, address: IPAddress
     ) -> None:
-        token = self._fetch_tokens.next()
-        timer = self.sim.schedule(self.config.fetch_timeout, self._expire_data, token)
-        self._pending_data[token] = (bpid, handle, address, failures, timer)
-        self.host.send(address, PROTO_DATA_REQUEST, DataRequest(token))
-
-    def _retry_data(
-        self, bpid: BPID, handle: QueryHandle, address: IPAddress, failures: int
-    ) -> None:
-        if not self.host.online or handle.finished:
-            return
-        self._send_data_request(bpid, handle, address, failures)
-
-    def _expire_data(self, token: int) -> None:
-        pending = self._pending_data.pop(token, None)
-        if pending is None:
-            return
-        bpid, handle, address, failures, _timer = pending
-        failures += 1
-        self._charge_timeout("data", bpid)
-        if not handle.finished and self._retries_left(failures):
-            self.request_retries += 1
-            self.sim.schedule(
-                self._retry_after(failures), self._retry_data, bpid, handle, address, failures
-            )
-            return
-        if not handle.finished:
+        def degrade() -> None:
             # Graceful degradation: the query completes with whatever
             # other peers returned, flagged partial with the cause.
             handle.mark_degraded("data-timeout")
@@ -951,13 +919,25 @@ class BestPeerNode:
                 self.sim.now, "node", "data-timeout", node=self.name, peer=str(bpid)
             )
 
+        self.requests.send(
+            "data",
+            lambda token: self.host.send(
+                address, PROTO_DATA_REQUEST, DataRequest(token)
+            ),
+            self.config.fetch_timeout,
+            context=(bpid, handle),
+            on_timeout=lambda: self._charge_timeout("data", bpid),
+            abandoned=lambda: handle.finished,
+            on_give_up=degrade,
+        )
+
     def _on_data_reply(self, packet: Packet) -> None:
         reply: DataReply = packet.payload
-        pending = self._pending_data.pop(reply.token, None)
-        if pending is None:
+        entry = self.requests.settle(reply.token, "data")
+        if entry is None:
             return
-        bpid, handle, _address, _failures, timer = pending
-        timer.cancel()
+        entry.timer.cancel()
+        bpid, handle = entry.context
         self.peers.note_alive(bpid, self.sim.now)
         self._data_cache[bpid] = list(reply.objects)
         estimate = self._estimates.setdefault(bpid, PeerEstimate())
@@ -981,31 +961,41 @@ class BestPeerNode:
         With a retry policy configured, a timed-out fetch re-sends per
         the backoff schedule before the callback sees None.
         """
-        self._send_fetch(holder, rid, callback, failures=0)
+        self._request(
+            "fetch",
+            holder,
+            callback,
+            lambda token: self.host.send(holder, PROTO_FETCH, FetchRequest(token, rid)),
+        )
 
-    def _send_fetch(
+    def _request(
         self,
-        holder: IPAddress,
-        rid: RecordId,
-        callback: Callable[[FetchReply | None], None],
-        failures: int,
+        kind: str,
+        dst: IPAddress,
+        callback: Callable[[Any], None],
+        transmit: Callable[[int], None],
     ) -> None:
-        token = self._fetch_tokens.next()
-        self._pending_fetches[token] = (callback, holder, rid, failures)
-        self.host.send(holder, PROTO_FETCH, FetchRequest(token, rid))
-        self.sim.schedule(self.config.fetch_timeout, self._expire_fetch, token)
+        """A fetch or an active request: the two differ only in the frame."""
+        fail = partial(callback, None)
+        self.requests.send(
+            kind,
+            transmit,
+            self.config.fetch_timeout,
+            context=callback,
+            on_timeout=lambda: self._charge_timeout(kind, self._bpid_for_address(dst)),
+            on_offline=fail,
+            on_give_up=fail,
+        )
 
-    def _retry_fetch(
-        self,
-        holder: IPAddress,
-        rid: RecordId,
-        callback: Callable[[FetchReply | None], None],
-        failures: int,
-    ) -> None:
-        if not self.host.online:
-            callback(None)
+    def _on_reply(self, packet: Packet) -> None:
+        reply: FetchReply | ActiveReply = packet.payload
+        entry = self.requests.settle(reply.token, _REPLY_KINDS[packet.protocol])
+        if entry is None:
             return
-        self._send_fetch(holder, rid, callback, failures)
+        bpid = self._bpid_for_address(packet.src)
+        if bpid is not None:
+            self.peers.note_alive(bpid, self.sim.now)
+        entry.context(reply)
 
     def _on_fetch(self, packet: Packet) -> None:
         request: FetchRequest = packet.payload
@@ -1022,31 +1012,6 @@ class BestPeerNode:
                 reply = FetchReply(request.token, request.rid, None, found=False)
         self.host.send(packet.src, PROTO_FETCH_REPLY, reply)
 
-    def _on_fetch_reply(self, packet: Packet) -> None:
-        reply: FetchReply = packet.payload
-        record = self._pending_fetches.pop(reply.token, None)
-        if record is None:
-            return
-        bpid = self._bpid_for_address(packet.src)
-        if bpid is not None:
-            self.peers.note_alive(bpid, self.sim.now)
-        record[0](reply)
-
-    def _expire_fetch(self, token: int) -> None:
-        record = self._pending_fetches.pop(token, None)
-        if record is None:
-            return
-        callback, holder, rid, failures = record
-        failures += 1
-        self._charge_timeout("fetch", self._bpid_for_address(holder))
-        if self._retries_left(failures):
-            self.request_retries += 1
-            self.sim.schedule(
-                self._retry_after(failures), self._retry_fetch, holder, rid, callback, failures
-            )
-            return
-        callback(None)
-
     # -- active objects ---------------------------------------------------------------------
 
     def request_active(
@@ -1057,34 +1022,14 @@ class BestPeerNode:
         callback: Callable[[ActiveReply | None], None],
     ) -> None:
         """Ask a peer's active object for content under ``credential``."""
-        self._send_active(owner, name, credential, callback, failures=0)
-
-    def _send_active(
-        self,
-        owner: IPAddress,
-        name: str,
-        credential: str,
-        callback: Callable[[ActiveReply | None], None],
-        failures: int,
-    ) -> None:
-        token = self._fetch_tokens.next()
-        self._pending_actives[token] = (callback, owner, name, credential, failures)
-        request = ActiveRequest(token, name, self.bpid, credential)
-        self.host.send(owner, PROTO_ACTIVE, request)
-        self.sim.schedule(self.config.fetch_timeout, self._expire_active, token)
-
-    def _retry_active(
-        self,
-        owner: IPAddress,
-        name: str,
-        credential: str,
-        callback: Callable[[ActiveReply | None], None],
-        failures: int,
-    ) -> None:
-        if not self.host.online:
-            callback(None)
-            return
-        self._send_active(owner, name, credential, callback, failures)
+        self._request(
+            "active",
+            owner,
+            callback,
+            lambda token: self.host.send(
+                owner, PROTO_ACTIVE, ActiveRequest(token, name, self.bpid, credential)
+            ),
+        )
 
     def _on_active(self, packet: Packet) -> None:
         request: ActiveRequest = packet.payload
@@ -1103,37 +1048,6 @@ class BestPeerNode:
                 )
         self.host.send(packet.src, PROTO_ACTIVE_REPLY, reply)
 
-    def _on_active_reply(self, packet: Packet) -> None:
-        reply: ActiveReply = packet.payload
-        record = self._pending_actives.pop(reply.token, None)
-        if record is None:
-            return
-        bpid = self._bpid_for_address(packet.src)
-        if bpid is not None:
-            self.peers.note_alive(bpid, self.sim.now)
-        record[0](reply)
-
-    def _expire_active(self, token: int) -> None:
-        record = self._pending_actives.pop(token, None)
-        if record is None:
-            return
-        callback, owner, name, credential, failures = record
-        failures += 1
-        self._charge_timeout("active", self._bpid_for_address(owner))
-        if self._retries_left(failures):
-            self.request_retries += 1
-            self.sim.schedule(
-                self._retry_after(failures),
-                self._retry_active,
-                owner,
-                name,
-                credential,
-                callback,
-                failures,
-            )
-            return
-        callback(None)
-
     # -- introspection ------------------------------------------------------------------
 
     def statistics(self) -> dict[str, int]:
@@ -1151,9 +1065,9 @@ class BestPeerNode:
             "cached_peer_datasets": len(self._data_cache),
             "known_hosts": len(self.knowledge),
             # outstanding request tokens (leak auditing) and robustness
-            "pending_fetches": len(self._pending_fetches),
-            "pending_actives": len(self._pending_actives),
-            "pending_data": len(self._pending_data),
+            "pending_fetches": len(self.requests.pending("fetch")),
+            "pending_actives": len(self.requests.pending("active")),
+            "pending_data": len(self.requests.pending("data")),
             "pending_liglo": sum(self.liglo.pending_counts().values()),
             "suspect_peers": len(self.peers.suspect_bpids()),
             "queries_degraded": sum(

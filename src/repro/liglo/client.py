@@ -3,6 +3,8 @@
 All operations are asynchronous (this is a discrete-event world): the
 caller passes a callback, and the client correlates replies to requests
 with tokens, handling timeouts for requests whose LIGLO never answers.
+Register, resolve and hint requests share one token sequence and one
+:class:`~repro.net.requests.PendingRequests` table.
 
 With a :class:`~repro.util.retry.RetryPolicy` attached, a timed-out
 register or resolve is re-sent (fresh token) after the policy's backoff
@@ -10,26 +12,30 @@ before the caller ever hears about it, and :meth:`announce_verified`
 turns the fire-and-forget announce into a confirmed exchange — retry
 until our LIGLO resolves us back, or surface
 :class:`~repro.errors.LigloUnreachableError`.  Without a policy every
-exchange stays single-shot, byte-identical to the legacy behaviour.
+exchange is single-shot.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 from repro.errors import LigloError, LigloUnreachableError
-from repro.ids import BPID, SerialCounter
+from repro.ids import BPID
 from repro.liglo import messages as m
 from repro.net.address import IPAddress
 from repro.net.message import Packet
 from repro.net.network import Host
+from repro.net.requests import PendingRequests
 from repro.util.retry import RetryPolicy
 from repro.util.tracing import NULL_TRACER, Tracer
 
 #: How long to wait for a LIGLO reply before giving up (seconds).
 DEFAULT_TIMEOUT = 5.0
+#: reply protocol -> the request family its replies settle
+_REPLY_KINDS = {m.PROTO_RESOLVE_REPLY: "resolve", m.PROTO_HINT_REPLY: "hint"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,35 +63,25 @@ class LigloClient:
         self.host = host
         self.timeout = timeout
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.retry_policy = retry_policy
-        self.rng = rng
         self.bpid: BPID | None = None
-        self._tokens = SerialCounter()
-        #: token -> (callback, liglo address, failures so far)
-        self._pending_registers: dict[
-            int, tuple[Callable[[RegistrationResult], None], IPAddress, int]
-        ] = {}
-        #: token -> (callback, target bpid, failures so far, retry enabled)
-        self._pending_resolves: dict[
-            int, tuple[Callable[[m.ResolveReply | None], None], BPID, int, bool]
-        ] = {}
-        #: token -> (callback, keyword) for in-flight hint fetches
-        self._pending_hints: dict[
-            int, tuple[Callable[[m.HintReply | None], None], str]
-        ] = {}
-        #: re-sends triggered by the retry policy
-        self.retries = 0
+        #: outstanding register / resolve / hint requests; context: the callback
+        self.requests = PendingRequests(host, retry_policy, rng)
         host.bind(m.PROTO_REGISTER_REPLY, self._on_register_reply)
-        host.bind(m.PROTO_RESOLVE_REPLY, self._on_resolve_reply)
-        host.bind(m.PROTO_HINT_REPLY, self._on_hint_reply)
+        host.bind(m.PROTO_RESOLVE_REPLY, self._on_reply)
+        host.bind(m.PROTO_HINT_REPLY, self._on_reply)
         host.bind(m.PROTO_PING, self._on_ping)
+
+    @property
+    def retries(self) -> int:
+        """Re-sends triggered by the retry policy (announce rounds included)."""
+        return self.requests.retries
 
     def pending_counts(self) -> dict[str, int]:
         """Outstanding request tokens by kind (leak auditing)."""
         return {
-            "registers": len(self._pending_registers),
-            "resolves": len(self._pending_resolves),
-            "hints": len(self._pending_hints),
+            "registers": len(self.requests.pending("register")),
+            "resolves": len(self.requests.pending("resolve")),
+            "hints": len(self.requests.pending("hint")),
         }
 
     # -- registration -------------------------------------------------------------
@@ -101,33 +97,21 @@ class LigloClient:
         token) up to ``max_attempts`` times before the callback sees the
         failure.
         """
-        self._send_register(liglo_address, callback, failures=0)
 
-    def _send_register(
-        self,
-        liglo_address: IPAddress,
-        callback: Callable[[RegistrationResult], None],
-        failures: int,
-    ) -> None:
-        token = self._tokens.next()
-        self._pending_registers[token] = (callback, liglo_address, failures)
-        self.host.send(liglo_address, m.PROTO_REGISTER, m.RegisterRequest(token))
-        self.host.sim.schedule(self.timeout, self._expire_register, token)
+        def fail(reason: str) -> None:
+            callback(RegistrationResult(accepted=False, reason=reason))
 
-    def _retry_register(
-        self,
-        liglo_address: IPAddress,
-        callback: Callable[[RegistrationResult], None],
-        failures: int,
-    ) -> None:
-        if not self.host.online:
-            callback(
-                RegistrationResult(
-                    accepted=False, reason="host went offline during retry"
-                )
-            )
-            return
-        self._send_register(liglo_address, callback, failures)
+        self.requests.send(
+            "register",
+            lambda token: self.host.send(
+                liglo_address, m.PROTO_REGISTER, m.RegisterRequest(token)
+            ),
+            self.timeout,
+            context=callback,
+            on_retry=lambda: self.tracer.bump("liglo", "register-retry"),
+            on_offline=lambda: fail("host went offline during retry"),
+            on_give_up=lambda: fail("registration timed out"),
+        )
 
     def register_any(
         self,
@@ -160,10 +144,9 @@ class LigloClient:
 
     def _on_register_reply(self, packet: Packet) -> None:
         reply: m.RegisterReply = packet.payload
-        record = self._pending_registers.pop(reply.token, None)
-        if record is None:
+        entry = self.requests.settle(reply.token, "register")
+        if entry is None:
             return  # arrived after timeout
-        callback, _, _ = record
         result = RegistrationResult(
             accepted=reply.accepted,
             bpid=reply.bpid,
@@ -176,26 +159,7 @@ class LigloClient:
             self.tracer.record(
                 self.host.sim.now, "liglo", "registered", bpid=str(reply.bpid)
             )
-        callback(result)
-
-    def _expire_register(self, token: int) -> None:
-        record = self._pending_registers.pop(token, None)
-        if record is None:
-            return
-        callback, liglo_address, failures = record
-        failures += 1
-        if self.retry_policy is not None and self.retry_policy.should_retry(failures):
-            self.retries += 1
-            self.tracer.bump("liglo", "register-retry")
-            self.host.sim.schedule(
-                self.retry_policy.delay(failures, self.rng),
-                self._retry_register,
-                liglo_address,
-                callback,
-                failures,
-            )
-            return
-        callback(RegistrationResult(accepted=False, reason="registration timed out"))
+        entry.context(result)
 
     # -- announcements -------------------------------------------------------------
 
@@ -253,11 +217,12 @@ class LigloClient:
                     on_ok()
                 return
             fails = failures + 1
-            if self.retry_policy is not None and self.retry_policy.should_retry(fails):
-                self.retries += 1
+            policy = self.requests.policy
+            if policy is not None and policy.should_retry(fails):
+                self.requests.retries += 1
                 self.tracer.bump("liglo", "announce-retry")
                 self.host.sim.schedule(
-                    self.retry_policy.delay(fails, self.rng),
+                    policy.delay(fails, self.requests.rng),
                     self._verify_announce,
                     fails,
                     on_ok,
@@ -275,7 +240,7 @@ class LigloClient:
                 raise error
 
         # Single-shot resolve: the verify loop owns the retry budget.
-        self._send_resolve(self.bpid, check, failures=0, retry=False)
+        self._resolve(self.bpid, check, retry=False)
 
     # -- resolution -----------------------------------------------------------------
 
@@ -291,61 +256,36 @@ class LigloClient:
         receives the reply, or None on timeout (after the retry policy's
         re-sends, when one is attached).
         """
-        self._send_resolve(bpid, callback, failures=0, retry=True)
+        self._resolve(bpid, callback, retry=True)
 
-    def _send_resolve(
+    def _resolve(
         self,
         bpid: BPID,
         callback: Callable[[m.ResolveReply | None], None],
-        failures: int,
         retry: bool,
     ) -> None:
-        token = self._tokens.next()
-        self._pending_resolves[token] = (callback, bpid, failures, retry)
-        self.host.send(
-            IPAddress(bpid.liglo_id), m.PROTO_RESOLVE, m.ResolveRequest(token, bpid)
+        fail = partial(callback, None)
+        self.requests.send(
+            "resolve",
+            lambda token: self.host.send(
+                IPAddress(bpid.liglo_id),
+                m.PROTO_RESOLVE,
+                m.ResolveRequest(token, bpid),
+            ),
+            self.timeout,
+            context=callback,
+            retry=retry,
+            on_retry=lambda: self.tracer.bump("liglo", "resolve-retry"),
+            on_offline=fail,
+            on_give_up=fail,
         )
-        self.host.sim.schedule(self.timeout, self._expire_resolve, token)
 
-    def _retry_resolve(
-        self,
-        bpid: BPID,
-        callback: Callable[[m.ResolveReply | None], None],
-        failures: int,
-    ) -> None:
-        if not self.host.online:
-            callback(None)
-            return
-        self._send_resolve(bpid, callback, failures, retry=True)
-
-    def _on_resolve_reply(self, packet: Packet) -> None:
-        reply: m.ResolveReply = packet.payload
-        record = self._pending_resolves.pop(reply.token, None)
-        if record is not None:
-            record[0](reply)
-
-    def _expire_resolve(self, token: int) -> None:
-        record = self._pending_resolves.pop(token, None)
-        if record is None:
-            return
-        callback, bpid, failures, retry = record
-        failures += 1
-        if (
-            retry
-            and self.retry_policy is not None
-            and self.retry_policy.should_retry(failures)
-        ):
-            self.retries += 1
-            self.tracer.bump("liglo", "resolve-retry")
-            self.host.sim.schedule(
-                self.retry_policy.delay(failures, self.rng),
-                self._retry_resolve,
-                bpid,
-                callback,
-                failures,
-            )
-            return
-        callback(None)
+    def _on_reply(self, packet: Packet) -> None:
+        """Hand a resolve or hint reply to the caller still waiting for it."""
+        kind = _REPLY_KINDS[packet.protocol]
+        entry = self.requests.settle(packet.payload.token, kind)
+        if entry is not None:
+            entry.context(packet.payload)
 
     # -- keyword hints (super-peer routing) ----------------------------------------
 
@@ -380,29 +320,17 @@ class LigloClient:
         """
         if self.bpid is None:
             raise LigloError("cannot fetch hints before registration")
-        token = self._tokens.next()
-        self._pending_hints[token] = (callback, keyword)
-        self.host.send(
-            IPAddress(self.bpid.liglo_id),
-            m.PROTO_HINT_QUERY,
-            m.HintQuery(token, keyword),
-        )
-        self.host.sim.schedule(
+        liglo_address = IPAddress(self.bpid.liglo_id)
+        self.requests.send(
+            "hint",
+            lambda token: self.host.send(
+                liglo_address, m.PROTO_HINT_QUERY, m.HintQuery(token, keyword)
+            ),
             timeout if timeout is not None else self.timeout,
-            self._expire_hint,
-            token,
+            context=callback,
+            retry=False,
+            on_give_up=partial(callback, None),
         )
-
-    def _on_hint_reply(self, packet: Packet) -> None:
-        reply: m.HintReply = packet.payload
-        record = self._pending_hints.pop(reply.token, None)
-        if record is not None:
-            record[0](reply)
-
-    def _expire_hint(self, token: int) -> None:
-        record = self._pending_hints.pop(token, None)
-        if record is not None:
-            record[0](None)
 
     # -- validity probes ---------------------------------------------------------------
 

@@ -31,6 +31,7 @@ from repro.liglo import messages as m
 from repro.net.address import IPAddress
 from repro.net.message import Packet
 from repro.net.network import Host
+from repro.net.requests import PendingRequests
 from repro.util.tracing import NULL_TRACER, Tracer
 
 #: How many (BPID, IP) pairs a registration reply carries by default.
@@ -86,8 +87,8 @@ class LigloServer:
         self.hint_publishes = 0
         self.hint_queries = 0
         self._node_serials = SerialCounter()
-        self._ping_serials = SerialCounter()
-        self._pending_pings: dict[int, int] = {}  # ping token -> node_id
+        #: outstanding validity pings; context: the member's node id
+        self.requests = PendingRequests(host)
         self.registrations_rejected = 0
         self.ping_timeouts = 0
         host.bind(m.PROTO_REGISTER, self._on_register)
@@ -206,10 +207,10 @@ class LigloServer:
 
     def _on_pong(self, packet: Packet) -> None:
         pong: m.Pong = packet.payload
-        node_id = self._pending_pings.pop(pong.token, None)
-        if node_id is None:
+        ping = self.requests.settle(pong.token, "ping")
+        if ping is None:
             return
-        entry = self.members.get(node_id)
+        entry = self.members.get(ping.context)
         if entry is not None:
             self._mark_seen(entry)
 
@@ -252,19 +253,22 @@ class LigloServer:
     def _run_validity_check(self) -> None:
         """Ping every supposedly-online member; silence means offline."""
         for node_id, entry in self.members.items():
-            if not entry.online:
-                continue
-            token = self._ping_serials.next()
-            self._pending_pings[token] = node_id
-            self.host.send(entry.address, m.PROTO_PING, m.Ping(token))
-            self.host.sim.schedule(self.check_timeout, self._expire_ping, token)
+            if entry.online:
+                self._ping(node_id, entry.address)
         if self.check_interval is not None:
             self.host.sim.schedule_daemon(self.check_interval, self._run_validity_check)
 
-    def _expire_ping(self, token: int) -> None:
-        node_id = self._pending_pings.pop(token, None)
-        if node_id is None:
-            return  # the pong made it in time
+    def _ping(self, node_id: int, address: IPAddress) -> None:
+        self.requests.send(
+            "ping",
+            lambda token: self.host.send(address, m.PROTO_PING, m.Ping(token)),
+            self.check_timeout,
+            context=node_id,
+            retry=False,
+            on_timeout=lambda: self._ping_timed_out(node_id),
+        )
+
+    def _ping_timed_out(self, node_id: int) -> None:
         self.ping_timeouts += 1
         entry = self.members.get(node_id)
         if entry is not None:
@@ -285,7 +289,7 @@ class LigloServer:
             "online_members": sum(
                 1 for entry in self.members.values() if entry.online
             ),
-            "pending_pings": len(self._pending_pings),
+            "pending_pings": len(self.requests.pending("ping")),
             "ping_timeouts": self.ping_timeouts,
             "registrations_rejected": self.registrations_rejected,
             "hint_keywords": len(self.hint_index),

@@ -33,8 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.ids import BPID, SerialCounter
+from repro.ids import BPID
 from repro.net.address import IPAddress
+from repro.net.requests import PendingRequests
 from repro.replication.cache import ResultCache
 from repro.replication.messages import (
     PROTO_REPLICA_ACCEPT,
@@ -105,11 +106,8 @@ class ReplicationManager:
         self._retired_versions: dict[RecordId, int] = {}
         #: rid -> holder bpid -> last known holder address
         self._holders: dict[RecordId, dict[BPID, IPAddress]] = {}
-        #: offer token -> (holder bpid, address, offered rids, expiry timer)
-        self._pending_offers: dict[
-            int, tuple[BPID, IPAddress, tuple[RecordId, ...], object]
-        ] = {}
-        self._tokens = SerialCounter()
+        #: outstanding offers; context: (holder bpid, address, offered rids)
+        self.requests = PendingRequests(self.node.host)
         #: per-record query-hit EWMA (hotness signal)
         self._ewma: dict[RecordId, float] = {}
         #: records already promoted to ``hot_rf`` copies
@@ -169,6 +167,7 @@ class ReplicationManager:
             "replica_declines": self.offers_declined,
             "invalidations": self.invalidations,
             "stale_repairs": self.stale_repairs,
+            "pending_offers": len(self.requests.pending("offer")),
             "cache_hits": cache.hits if cache is not None else 0,
             "cache_misses": cache.misses if cache is not None else 0,
             "cache_evictions": cache.evictions if cache is not None else 0,
@@ -286,14 +285,24 @@ class ReplicationManager:
         if count == 0:
             self._rollback(bpid, rids)
             return
-        token = self._tokens.next()
-        timer = node.sim.schedule(node.config.fetch_timeout, self._expire_offer, token)
-        self._pending_offers[token] = (bpid, address, rids, timer)
+
+        def timed_out() -> None:
+            self._rollback(bpid, rids)
+            node._charge_timeout("replica", bpid)
+            self._resolve_and_reoffer(bpid, address, rids)
+
         self.offers_sent += 1
-        node.host.send(
-            address,
-            PROTO_REPLICA_OFFER,
-            ReplicaOffer(token=token, owner=node.bpid, record_count=count, total_bytes=total),
+        self.requests.send(
+            "offer",
+            lambda token: node.host.send(
+                address,
+                PROTO_REPLICA_OFFER,
+                ReplicaOffer(token=token, owner=node.bpid, record_count=count, total_bytes=total),
+            ),
+            node.config.fetch_timeout,
+            context=(bpid, address, rids),
+            retry=False,  # the re-offer after a resolve is a new request
+            on_timeout=timed_out,
         )
         node.tracer.record(
             node.sim.now,
@@ -309,15 +318,6 @@ class ReplicationManager:
             holders = self._holders.get(rid)
             if holders is not None:
                 holders.pop(bpid, None)
-
-    def _expire_offer(self, token: int) -> None:
-        pending = self._pending_offers.pop(token, None)
-        if pending is None:
-            return
-        bpid, address, rids, _timer = pending
-        self._rollback(bpid, rids)
-        self.node._charge_timeout("replica", bpid)
-        self._resolve_and_reoffer(bpid, address, rids)
 
     def _resolve_and_reoffer(
         self, bpid: BPID, stale: IPAddress, rids: tuple[RecordId, ...]
@@ -353,11 +353,11 @@ class ReplicationManager:
 
     def _on_accept(self, packet: "Packet") -> None:
         accept: ReplicaAccept = packet.payload
-        pending = self._pending_offers.pop(accept.token, None)
-        if pending is None:
+        offer = self.requests.settle(accept.token, "offer")
+        if offer is None:
             return
-        bpid, address, rids, timer = pending
-        timer.cancel()
+        offer.timer.cancel()
+        bpid, address, rids = offer.context
         node = self.node
         node.peers.note_alive(accept.holder, node.sim.now)
         if not accept.accepted:

@@ -82,10 +82,10 @@ class Driver:
         self.server._run_validity_check()
 
     def pong(self, pick):
-        pending = sorted(self.server._pending_pings.items())
+        pending = self.server.requests.pending("ping")
         if pending:
-            token, node_id = pending[pick % len(pending)]
-            bpid = self.server.members[node_id].bpid
+            token = sorted(pending)[pick % len(pending)]
+            bpid = self.server.members[pending[token].context].bpid
             self._deliver(self.server._on_pong, m.Pong(token, bpid))
 
     def tick(self):

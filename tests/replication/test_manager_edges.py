@@ -29,7 +29,7 @@ class TestStragglerFrames:
     def test_expired_token_cannot_fire_twice(self):
         net = deploy()
         manager = net.nodes[1].replication
-        manager._expire_offer(999)  # never offered; must be a no-op
+        manager.requests.expire(999)  # never offered; must be a no-op
         assert net.nodes[1].request_timeouts.get("replica", 0) == 0
 
 
