@@ -91,29 +91,3 @@ def publish(
 def shared_figures_6_and_7() -> tuple[FigureResult, FigureResult]:
     """Figures 6 and 7 share one set of runs; compute them once."""
     return figures_6_and_7(PAPER, node_count=32)
-
-
-def merge_section(name: str, section: str, payload: dict) -> None:
-    """Read-modify-write one section of ``BENCH_<name>.json``.
-
-    Lets several benches feed one artifact (the scaling figure and the
-    kernel microbench both land in ``BENCH_scaling.json``) without
-    clobbering each other's sections.  A smoke run writes nothing.
-    """
-    if SMOKE:
-        return
-    path = os.path.join(RESULTS_DIR, f"BENCH_{name}.json")
-    document = {"name": name}
-    if os.path.exists(path):
-        try:
-            with open(path) as handle:
-                existing = json.load(handle)
-            if isinstance(existing, dict) and existing.get("name") == name:
-                document = existing
-        except (OSError, json.JSONDecodeError):
-            pass
-    document[section] = payload
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")

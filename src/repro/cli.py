@@ -20,7 +20,7 @@ import sys
 from typing import Callable, NamedTuple, Sequence
 
 from repro.errors import BestPeerError, ExperimentError
-from repro.eval import ablations, churn, figures, replication, routing, scaling, topk
+from repro.eval import ablations, churn, figures, replication, routing, topk
 from repro.eval.experiment import (
     ExperimentRunner,
     FigureResult,
@@ -66,11 +66,6 @@ FIGURES: dict[str, Figure] = {
         topk.figure_topk,
         "per-(k, ttl, rate) traffic/quality detail:",
         topk.TRIAL_COLUMNS,
-    ),
-    "scaling": Figure(
-        scaling.figure_scaling,
-        "per-executor wall/critical-path detail:",
-        scaling.TRIAL_COLUMNS,
     ),
 }
 
@@ -271,8 +266,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "demo":
             return _run_demo()
     except (ExperimentError, BestPeerError) as error:
-        # Bad --queries / --objects / REPRO_JOBS (ExperimentError) or
-        # REPRO_SHARDS (BestPeerError): the user's to fix, no traceback.
+        # Bad --queries / --objects / REPRO_JOBS (ExperimentError) or a
+        # deployment build_network rejects (BestPeerError): the user's to
+        # fix, no traceback.
         print(f"error: {error}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command!r}")

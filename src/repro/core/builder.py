@@ -9,7 +9,6 @@ methodology calls for.
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
 from typing import Callable, Sequence
 
@@ -20,40 +19,11 @@ from repro.liglo.server import LigloServer
 from repro.net.address import AddressPool
 from repro.net.link import LinkModel
 from repro.net.network import Network
-from repro.net.sharding import ShardCluster
 from repro.sim import Simulator
 from repro.storm.store import StorM
 from repro.topology.builders import Topology
-from repro.topology.partition import assign_shards
 from repro.util.compression import Codec
 from repro.util.tracing import NULL_TRACER, Tracer
-
-#: ``REPRO_SHARDS=N`` runs every built deployment on the sharded kernel
-#: with N shards; ``off``/``0``/unset keeps the serial kernel.
-SHARDS_ENV_VAR = "REPRO_SHARDS"
-#: ``REPRO_SHARD_MODE=hash|locality`` picks the node partitioner.
-SHARD_MODE_ENV_VAR = "REPRO_SHARD_MODE"
-
-
-def _resolve_shards(shards: int | None) -> int | None:
-    """The effective shard count: explicit argument wins, else the env."""
-    if shards is not None:
-        if shards < 1:
-            raise BestPeerError(f"need >= 1 shard, got {shards}")
-        return shards
-    raw = os.environ.get(SHARDS_ENV_VAR, "").strip().lower()
-    if raw in ("", "off", "none", "0"):
-        return None
-    try:
-        count = int(raw)
-    except ValueError:
-        raise BestPeerError(
-            f"{SHARDS_ENV_VAR}={raw!r} is not a shard count (or 'off')"
-        ) from None
-    if count < 1:
-        raise BestPeerError(f"{SHARDS_ENV_VAR} must be >= 1, got {count}")
-    return count
-
 
 class BestPeerNetwork:
     """A built BestPeer deployment: simulator, fabric, LIGLOs, nodes."""
@@ -65,20 +35,12 @@ class BestPeerNetwork:
         liglo_servers: list[LigloServer],
         nodes: list[BestPeerNode],
         tracer: Tracer,
-        cluster: ShardCluster | None = None,
     ):
         self.sim = sim
         self.network = network
         self.liglo_servers = liglo_servers
         self.nodes = nodes
         self.tracer = tracer
-        #: the shard cluster behind ``sim``/``network`` (None on the
-        #: serial kernel); ``run_distributed`` needs it
-        self.cluster = cluster
-
-    @property
-    def shard_count(self) -> int:
-        return 1 if self.cluster is None else self.cluster.shard_count
 
     @property
     def base(self) -> BestPeerNode:
@@ -131,8 +93,6 @@ def build_network(
     sim: Simulator | None = None,
     storm_factory: Callable[[int], "StorM"] | None = None,
     strategy: str | None = None,
-    shards: int | None = None,
-    shard_mode: str | None = None,
 ) -> BestPeerNetwork:
     """Build a ready-to-run BestPeer network.
 
@@ -154,16 +114,6 @@ def build_network(
     config (strategy-comparison experiments that hold everything else
     constant); per-node configs still win by passing a ``config``
     sequence instead.
-
-    ``shards`` (or ``REPRO_SHARDS=N``) builds the deployment on the
-    sharded kernel: nodes partitioned across ``N`` shard simulators
-    (``shard_mode``/``REPRO_SHARD_MODE``: ``hash`` default or
-    ``locality``), LIGLOs and the base node pinned to shard 0, and
-    ``deployment.sim``/``deployment.network`` become the lockstep
-    facades — bit-identical to the serial kernel, including
-    ``shards=1``.  Passing an explicit ``sim`` is incompatible with
-    sharding (the facade owns its shard simulators); an env-derived
-    shard count is then ignored.
     """
     if node_count < 1:
         raise BestPeerError(f"need >= 1 node, got {node_count}")
@@ -194,40 +144,13 @@ def build_network(
         configs = [replace(cfg, strategy=strategy) for cfg in configs]
     tracer = tracer if tracer is not None else NULL_TRACER
     pool = AddressPool(size=pool_size)
-    shard_count = _resolve_shards(shards)
-    if sim is not None and shard_count is not None:
-        if shards is not None:
-            raise BestPeerError("cannot combine an explicit sim with shards")
-        shard_count = None  # env-derived sharding yields to a caller-owned sim
-    cluster = None
-    if shard_count is None:
-        sim = sim if sim is not None else Simulator()
-        network = Network(
-            sim, pool=pool, default_link=default_link, codec=codec, tracer=tracer
-        )
-        node_networks = [network] * node_count
-        liglo_network = network
-    else:
-        mode = (
-            shard_mode
-            if shard_mode is not None
-            else os.environ.get(SHARD_MODE_ENV_VAR, "").strip().lower() or "hash"
-        )
-        cluster = ShardCluster(
-            shard_count,
-            pool=pool,
-            default_link=default_link,
-            codec=codec,
-            tracer=tracer,
-        )
-        assignment = assign_shards(node_count, shard_count, topology, mode=mode)
-        sim = cluster.sim
-        network = cluster.view
-        node_networks = [cluster.networks[assignment[i]] for i in range(node_count)]
-        liglo_network = cluster.networks[0]
+    sim = sim if sim is not None else Simulator()
+    network = Network(
+        sim, pool=pool, default_link=default_link, codec=codec, tracer=tracer
+    )
     servers = []
     for i in range(liglo_count):
-        host = liglo_network.create_host(f"liglo-{i}")
+        host = network.create_host(f"liglo-{i}")
         servers.append(
             LigloServer(
                 host,
@@ -239,7 +162,7 @@ def build_network(
     nodes = []
     for i in range(node_count):
         node = BestPeerNode(
-            node_networks[i],
+            network,
             f"node-{i}",
             config=configs[i],
             tracer=tracer,
@@ -252,7 +175,7 @@ def build_network(
     unjoined = [node.name for node in nodes if not node.joined]
     if unjoined:
         raise BestPeerError(f"nodes failed to join: {unjoined}")
-    deployment = BestPeerNetwork(sim, network, servers, nodes, tracer, cluster=cluster)
+    deployment = BestPeerNetwork(sim, network, servers, nodes, tracer)
     if topology is not None:
         deployment.apply_topology(topology)
     return deployment

@@ -29,16 +29,6 @@ class ProcessError(SimulationError):
     """A coroutine process yielded an unsupported command."""
 
 
-class ShardingError(SimulationError):
-    """The sharded kernel cannot guarantee conservative synchronization.
-
-    Raised when the epoch-barrier protocol's preconditions fail: a zero
-    (or negative) cross-shard lookahead, a cross-shard message arriving
-    inside the window that produced it, or a distributed run driven from
-    an unsupported configuration.
-    """
-
-
 # ---------------------------------------------------------------------------
 # Network substrate
 # ---------------------------------------------------------------------------

@@ -10,13 +10,6 @@ from repro.net.address import AddressPool, IPAddress
 from repro.net.link import LinkModel
 from repro.net.message import Packet
 from repro.net.network import Host, Network
-from repro.net.sharding import (
-    DistributedRunReport,
-    ShardCluster,
-    ShardedNetworkView,
-    ShardNetwork,
-    run_distributed,
-)
 
 __all__ = [
     "IPAddress",
@@ -25,9 +18,4 @@ __all__ = [
     "Packet",
     "Host",
     "Network",
-    "ShardCluster",
-    "ShardNetwork",
-    "ShardedNetworkView",
-    "DistributedRunReport",
-    "run_distributed",
 ]

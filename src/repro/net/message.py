@@ -78,7 +78,7 @@ class Packet:
     def __getstate__(self) -> tuple[None, dict[str, Any]]:
         # The decode cache never travels: the sentinel would unpickle as
         # a fresh object() and masquerade as a decoded payload.  A packet
-        # crossing a process boundary (shard barrier, parallel runner)
+        # crossing a process boundary (the parallel experiment runner)
         # carries only the wire frame and re-decodes on first access.
         return (None, {
             "src": self.src,

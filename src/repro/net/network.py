@@ -221,7 +221,6 @@ class Network:
         codec: Codec | None = None,
         tracer: Tracer | None = None,
         loss_seed: int = 0,
-        encoder: WireEncoder | None = None,
     ):
         self.sim = sim
         self.pool = pool if pool is not None else AddressPool()
@@ -230,11 +229,7 @@ class Network:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: shared wire-path fast path: encode each payload object once
         #: per fan-out instead of once per recipient
-        self.encoder = (
-            encoder
-            if encoder is not None
-            else WireEncoder(self.codec, tracer=self.tracer)
-        )
+        self.encoder = WireEncoder(self.codec, tracer=self.tracer)
         self._loss_rng = derive_rng(loss_seed, "packet-loss")
         self.hosts: dict[str, Host] = {}
         self._routes: dict[IPAddress, Host] = {}
@@ -373,11 +368,6 @@ class Network:
         if self._crosses_partition(packet.src, packet.dst):
             self._drop(packet, reason="partition")
             return
-        self._schedule_delivery(packet, link)
-
-    def _schedule_delivery(self, packet: Packet, link: LinkModel) -> None:
-        """Queue the post-propagation delivery (the sharded fabric's
-        override routes cross-shard packets through the epoch barrier)."""
         self.sim.schedule(link.latency, self._deliver, packet)
 
     def _deliver(self, packet: Packet) -> None:

@@ -11,7 +11,6 @@ from repro.sim.events import Event
 from repro.sim.kernel import Simulator, Timer
 from repro.sim.process import Process
 from repro.sim.resources import FifoServer, Resource
-from repro.sim.sharded import ShardedSimulator, ShardMessage, SharedSequence
 
 __all__ = [
     "Simulator",
@@ -20,7 +19,4 @@ __all__ = [
     "Process",
     "Resource",
     "FifoServer",
-    "ShardedSimulator",
-    "ShardMessage",
-    "SharedSequence",
 ]

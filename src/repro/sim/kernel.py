@@ -77,10 +77,6 @@ class Simulator:
         # never mistakes a sea of cancelled timers for remaining work.
         self._regular_count = 0  # live non-daemon timers
         self._live_count = 0  # live timers of either kind
-        # When set (by the sharded kernel), every schedule draws its heap
-        # tie-break from this shared counter instead of the local one, so
-        # entries on different shards' heaps stay globally comparable.
-        self._seq_source: Callable[[], int] | None = None
 
     # -- scheduling ---------------------------------------------------------
 
@@ -100,17 +96,12 @@ class Simulator:
         if delay < 0:
             raise SchedulingError(f"cannot schedule {delay} into the past")
         timer = Timer(self.now + delay, callback, args, daemon=daemon, sim=self)
-        heapq.heappush(self._heap, (timer.time, self._next_sequence(), timer))
+        self._sequence += 1
+        heapq.heappush(self._heap, (timer.time, self._sequence, timer))
         self._live_count += 1
         if not daemon:
             self._regular_count += 1
         return timer
-
-    def _next_sequence(self) -> int:
-        if self._seq_source is not None:
-            return self._seq_source()
-        self._sequence += 1
-        return self._sequence
 
     def _note_cancelled(self, timer: Timer) -> None:
         """A live timer was cancelled (its heap entry lingers until popped)."""
@@ -221,73 +212,6 @@ class Simulator:
         if not self._heap:
             return None
         return self._heap[0][0]
-
-    # -- sharded-kernel hooks ------------------------------------------------
-
-    def peek_entry(self) -> tuple[float, int] | None:
-        """``(time, sequence)`` of the next pending event, or None.
-
-        With a shared sequence source the pair is globally comparable
-        across shards, which is how the sharded executor totally orders
-        the heads of several heaps.
-        """
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
-            return None
-        return (self._heap[0][0], self._heap[0][1])
-
-    def inject(
-        self, time: float, seq: int, callback: Callable[..., None], *args: Any
-    ) -> Timer:
-        """Push an event with an explicit heap tie-break sequence.
-
-        The epoch barrier uses this to deliver a cross-shard message
-        under its *origin* sequence number — the tie-break the serial
-        kernel would have given the same delivery — so equal-time events
-        fire in the serial order even though the entry is pushed late.
-        ``time`` may precede ``self.now`` only never: arrivals are
-        guaranteed ahead of the window by the lookahead bound.
-        """
-        if time < self.now:
-            raise SchedulingError(
-                f"cannot inject at t={time}: simulated time is already {self.now}"
-            )
-        timer = Timer(time, callback, args, daemon=False, sim=self)
-        heapq.heappush(self._heap, (time, seq, timer))
-        self._live_count += 1
-        self._regular_count += 1
-        return timer
-
-    def drain_window(
-        self, bound: float, inclusive: bool = False
-    ) -> tuple[int, float | None]:
-        """Fire every pending event with ``time < bound`` (``<=`` when
-        ``inclusive``), daemons included, ignoring the regular-count
-        stopping rule — global liveness is the sharded executor's call.
-
-        Returns ``(fired, last_fired_time)``.  ``self.now`` is left at
-        the last fired event (not advanced to ``bound``); the executor
-        aligns clocks once the whole run terminates.
-        """
-        if self._running:
-            raise SchedulingError("simulator is already running (no recursion)")
-        self._running = True
-        fired = 0
-        last: float | None = None
-        try:
-            while True:
-                head = self.peek()
-                if head is None:
-                    break
-                if head > bound or (head == bound and not inclusive):
-                    break
-                self.step()
-                fired += 1
-                last = self.now
-        finally:
-            self._running = False
-        return fired, last
 
     @property
     def pending_events(self) -> int:

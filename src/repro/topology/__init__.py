@@ -9,7 +9,6 @@ from repro.topology.builders import (
     star,
     tree,
 )
-from repro.topology.partition import PARTITION_MODES, assign_shards
 
 __all__ = [
     "Topology",
@@ -19,6 +18,4 @@ __all__ = [
     "ring",
     "random_graph",
     "grid",
-    "assign_shards",
-    "PARTITION_MODES",
 ]

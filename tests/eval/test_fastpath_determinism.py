@@ -1,11 +1,11 @@
 """How a run is executed must never change a result.
 
 The wire encoding cache and StorM's decoded-scan cache (module
-constants), the parallel experiment runner (``--jobs``) and the sharded
-kernel (``REPRO_SHARDS``) exist purely to save wall-clock; these tests
-pin down that every observable output (figure series, bytes on the
-wire, packet counts, answer hop counts, buffer I/O statistics) is
-bit-identical whichever of them executes the run.  "Now vs before" is
+constants) and the parallel experiment runner (``--jobs``) exist purely
+to save wall-clock; these tests pin down that every observable output
+(figure series, bytes on the wire, packet counts, answer hop counts,
+buffer I/O statistics) is bit-identical whichever of them executes the
+run.  "Now vs before" is
 ``test_figure_digests.py`` and ``test_ledger_digests.py``.
 """
 
@@ -101,37 +101,6 @@ def test_wire_bytes_identical_cache_on_vs_off(monkeypatch):
     assert with_cache == without_cache
 
 
-def _flood_observables(node_count: int = 32) -> tuple:
-    """A seeded star flood; per-host byte counts plus network totals."""
-    deployment = build_network(
-        node_count,
-        config=BestPeerConfig(max_direct_peers=node_count, strategy="static"),
-        topology=star(node_count),
-    )
-    deployment.nodes[3].share(["needle"], b"payload-at-node-3")
-    deployment.nodes[node_count - 1].share(["needle"], b"payload-at-the-rim")
-    answer_hops = []
-    for _ in range(2):
-        handle = deployment.base.issue_query("needle")
-        deployment.sim.run()
-        answer_hops.extend(
-            sorted(
-                (str(ans.responder), ans.hops, ans.answer_count)
-                for ans in handle.answers
-            )
-        )
-        deployment.base.finish_query(handle)
-    network = deployment.network
-    return (
-        [host.bytes_sent for host in network.hosts.values()],
-        answer_hops,
-        network.bytes_carried,
-        network.packets_delivered,
-        network.packets_dropped,
-        network.decode_errors,
-    )
-
-
 def _faulted_observables(runner) -> tuple:
     """The churn figure at a nonzero rate: faults fire mid-run, yet the
     seeded timeline must leave serial and parallel runs bit-identical —
@@ -225,81 +194,6 @@ def _replication_figure_observables(runner) -> tuple:
         SWEEP, node_count=8, churn_rates=(0.0, 0.3), runner=runner
     )
     return result.series, result.trials
-
-
-# ---------------------------------------------------------------------------
-# Sharded kernel: REPRO_SHARDS must be invisible at any shard count
-# ---------------------------------------------------------------------------
-
-
-SHARDS_ENV_VAR = "REPRO_SHARDS"
-SHARD_MODE_ENV_VAR = "REPRO_SHARD_MODE"
-
-
-def test_shards_off_and_one_bitidentical_to_serial(monkeypatch):
-    # "off" (and "1") are the serial kernel with zero sharding overlay:
-    # the env read happens in build_network, so the entire workload —
-    # bytes, hops, packet totals — must be untouched.
-    monkeypatch.delenv(SHARDS_ENV_VAR, raising=False)
-    drive, flood = _drive_deployment(), _flood_observables()
-    monkeypatch.setenv(SHARDS_ENV_VAR, "off")
-    assert (_drive_deployment(), _flood_observables()) == (drive, flood)
-    monkeypatch.setenv(SHARDS_ENV_VAR, "1")
-    assert (_drive_deployment(), _flood_observables()) == (drive, flood)
-
-
-def test_wire_bytes_and_hops_identical_sharded_vs_serial(monkeypatch):
-    monkeypatch.delenv(SHARDS_ENV_VAR, raising=False)
-    serial = _drive_deployment()
-    for shards in ("2", "4"):
-        monkeypatch.setenv(SHARDS_ENV_VAR, shards)
-        assert _drive_deployment() == serial
-
-
-def test_32_node_flood_identical_sharded_vs_serial(monkeypatch):
-    monkeypatch.delenv(SHARDS_ENV_VAR, raising=False)
-    serial = _flood_observables()
-    for shards in ("2", "4"):
-        for mode in ("hash", "locality"):
-            monkeypatch.setenv(SHARDS_ENV_VAR, shards)
-            monkeypatch.setenv(SHARD_MODE_ENV_VAR, mode)
-            assert _flood_observables() == serial
-
-
-def test_series_identical_under_sharded_kernel(monkeypatch, fastpath_results):
-    # Figures 5a and 8a: reconfiguration, StorM scans, agent shipping —
-    # the full stack rides the lockstep sharded executor bit-exactly.
-    for shards in ("2", "4"):
-        monkeypatch.setenv(SHARDS_ENV_VAR, shards)
-        assert _run_figures() == fastpath_results
-
-
-def test_faulted_series_identical_under_sharded_kernel(monkeypatch):
-    # Churn with live fault injection: crashes, outages, partitions and
-    # latency changes fire mid-window, and the global-clock broadcast
-    # keeps every shard anchored at serial time.
-    monkeypatch.delenv(SHARDS_ENV_VAR, raising=False)
-    serial = _faulted_observables(None)
-    for shards in ("2", "4"):
-        monkeypatch.setenv(SHARDS_ENV_VAR, shards)
-        assert _faulted_observables(None) == serial
-
-
-def test_1k_node_flood_identical_sharded_vs_serial(monkeypatch):
-    # The acceptance workload at figure scale: a 1000-node random-graph
-    # flood with per-edge latency jitter, per-host bytes compared.
-    from repro.eval.scaling import _flood_deployment, _observables
-
-    def flood(shards=None):
-        deployment = _flood_deployment(1000, seed=0, shards=shards)
-        deployment.base.issue_query("needle")
-        deployment.sim.run()
-        return _observables(deployment.network)
-
-    monkeypatch.delenv(SHARDS_ENV_VAR, raising=False)
-    serial = flood()
-    for shards in (2, 4):
-        assert flood(shards=shards) == serial
 
 
 def test_replication_figure_self_identical_serial_vs_parallel():

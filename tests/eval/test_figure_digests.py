@@ -1,9 +1,8 @@
 """Golden figure digests: "now vs golden" for every deterministic CLI output.
 
-``tests/eval/golden/figures_smoke.json`` freezes, for each deterministic
-``repro figure`` (all but ``scaling``, whose table prints wall-clock),
-each ``repro ablation`` and ``repro verify``, the exit code and the
-sha256 of the CLI's stdout at ``--objects 20 --queries 2``.  A change
+``tests/eval/golden/figures_smoke.json`` freezes, for each ``repro
+figure``, each ``repro ablation`` and ``repro verify``, the exit code
+and the sha256 of the CLI's stdout at ``--objects 20 --queries 2``.  A change
 that moves any printed series, trial table or claim verdict fails here.
 A change that *means* to move one says which and why, and regenerates
 the file with ``REPRO_REWRITE_VECTORS=1``.
@@ -28,7 +27,7 @@ GOLDEN_PATH = Path(__file__).parent / "golden" / "figures_smoke.json"
 SCALE = ("--objects", "20", "--queries", "2")
 
 COMMANDS = (
-    [("figure", name) for name in sorted(FIGURES) if name != "scaling"]
+    [("figure", name) for name in sorted(FIGURES)]
     + [("ablation", name) for name in sorted(ABLATIONS)]
     + [("verify",)]
 )

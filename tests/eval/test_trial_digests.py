@@ -3,13 +3,12 @@
 ``tests/eval/golden/trials_smoke.json`` freezes the full per-trial
 observables of ``churn`` (with the replication overlay), ``routing``,
 ``topk`` and ``replication`` at the sizes ``test_fastpath_determinism.py``
-sweeps (8 nodes, 2 queries, seed 0), plus ``scaling`` at 48 nodes /
-shards (1, 2) restricted to the keys that do not print wall-clock.  It
-was recorded on the tree *before* the trial functions moved onto
-``repro.eval.sweep``, so it shares no code with that harness.  Every
-golden key of every trial must be unchanged; a trial may gain keys.
-A change that means to move one says which and why, and regenerates
-the file with ``REPRO_REWRITE_VECTORS=1``.
+sweeps (8 nodes, 2 queries, seed 0).  It was recorded on the tree
+*before* the trial functions moved onto ``repro.eval.sweep``, so it
+shares no code with that harness.  Every golden key of every trial
+must be unchanged; a trial may gain keys.  A change that means to move
+one says which and why, and regenerates the file with
+``REPRO_REWRITE_VECTORS=1``.
 """
 
 from __future__ import annotations
@@ -23,23 +22,12 @@ from repro.eval.churn import figure_churn
 from repro.eval.figures import FigureParams
 from repro.eval.replication import figure_replication
 from repro.eval.routing import figure_routing
-from repro.eval.scaling import figure_scaling
 from repro.eval.topk import figure_topk
 
 from tests.support import REWRITE_ENV_VAR, rewrite_requested
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "trials_smoke.json"
 PARAMS = FigureParams(objects_per_node=0, queries=2, seed=0)
-
-#: ``scaling`` trials also carry wall-clock, CPU seconds and speedups.
-SCALING_KEYS = (
-    "executor",
-    "node_count",
-    "shards",
-    "packets_delivered",
-    "bytes_carried",
-    "identical",
-)
 
 SWEEPS = {
     "churn": lambda: figure_churn(
@@ -57,19 +45,12 @@ SWEEPS = {
     "replication": lambda: figure_replication(
         PARAMS, node_count=8, churn_rates=(0.0, 0.3)
     ),
-    "scaling": lambda: figure_scaling(
-        FigureParams(objects_per_node=0, queries=1, seed=0),
-        node_counts=(48,),
-        shard_counts=(1, 2),
-    ),
 }
 
 
 @pytest.mark.parametrize("figure", sorted(SWEEPS))
 def test_trials_match_golden(figure):
     trials = SWEEPS[figure]().trials
-    if figure == "scaling":
-        trials = [{key: trial[key] for key in SCALING_KEYS} for trial in trials]
     current = json.loads(json.dumps(trials))  # tuples -> lists, as stored
     golden = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
     if rewrite_requested():

@@ -4,6 +4,8 @@ on both the control and the data plane."""
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.agents.messages import BatchedAnswers, _sample_answer
@@ -14,7 +16,7 @@ from repro.net import datacodec
 from repro.net.codec import CODEC_COMPACT, CODEC_PICKLE, encode_message
 from repro.net.datacodec import CODEC_STREAM
 from repro.net.faults import FrameFaultInjector
-from repro.net.message import PACKET_OVERHEAD_BYTES, Packet
+from repro.net.message import PACKET_OVERHEAD_BYTES, Packet, _UNDECODED
 from repro.net.network import Network
 from repro.sim import Simulator
 from repro.util.compression import DEFAULT_CODEC
@@ -282,3 +284,22 @@ def test_lazy_batch_corruption_is_counted_when_the_handler_reads_it():
     sim.run()
     assert received == []
     assert network.decode_errors == 1
+
+
+class TestPacketPickling:
+    def test_decode_cache_does_not_travel(self):
+        from repro.net.address import IPAddress
+
+        packet = Packet(
+            IPAddress("10.0.0.1"),
+            IPAddress("10.0.0.2"),
+            "t",
+            16,
+            0.0,
+            pickle.dumps("payload"),
+            "pickle",
+        )
+        assert packet.payload == "payload"  # decode, populating the cache
+        clone = pickle.loads(pickle.dumps(packet))
+        assert clone._decoded is _UNDECODED
+        assert clone.payload == "payload"

@@ -225,66 +225,3 @@ class TestScheduleAtPast:
         sim.schedule_at(5.0, fired.append, "ok")
         sim.run()
         assert fired == ["ok"]
-
-
-class TestShardedHooks:
-    def test_peek_entry_returns_time_and_sequence(self):
-        sim = Simulator()
-        sim.schedule(2.0, lambda: None)
-        sim.schedule(1.0, lambda: None)
-        time, seq = sim.peek_entry()
-        assert time == 1.0
-        assert seq == 2  # second schedule burned the second sequence
-
-    def test_peek_entry_skips_cancelled(self):
-        sim = Simulator()
-        first = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        first.cancel()
-        assert sim.peek_entry()[0] == 2.0
-
-    def test_inject_orders_by_explicit_sequence(self):
-        sim = Simulator()
-        fired = []
-        sim.inject(1.0, 5, fired.append, "late-seq")
-        sim.inject(1.0, 2, fired.append, "early-seq")
-        sim.run()
-        assert fired == ["early-seq", "late-seq"]
-
-    def test_inject_in_past_raises(self):
-        from repro.errors import SchedulingError
-
-        sim = Simulator()
-        sim.schedule(5.0, lambda: None)
-        sim.run()
-        with pytest.raises(SchedulingError):
-            sim.inject(1.0, 1, lambda: None)
-
-    def test_drain_window_exclusive_bound(self):
-        sim = Simulator()
-        fired = []
-        for time in (1.0, 2.0, 3.0):
-            sim.schedule(time, fired.append, time)
-        count, last = sim.drain_window(3.0)
-        assert (count, last) == (2, 2.0)
-        assert fired == [1.0, 2.0]
-        assert sim.pending_events == 1
-
-    def test_drain_window_inclusive_bound(self):
-        sim = Simulator()
-        fired = []
-        for time in (1.0, 2.0, 3.0):
-            sim.schedule(time, fired.append, time)
-        count, last = sim.drain_window(3.0, inclusive=True)
-        assert (count, last) == (3, 3.0)
-
-    def test_drain_window_fires_daemons_inside_window(self):
-        # Unlike run(), a window drain executes daemon timers without a
-        # regular-count stop rule: the distributed coordinator owns
-        # liveness globally.
-        sim = Simulator()
-        fired = []
-        sim.schedule_daemon(1.0, fired.append, "daemon")
-        count, _ = sim.drain_window(2.0)
-        assert count == 1
-        assert fired == ["daemon"]

@@ -3,8 +3,8 @@
 A mechanism has one implementation, turned off the way a caller already
 can (``top_k=None``, ``ReplicationPolicy()``, ``strategy="static"``) —
 never by a ``REPRO_*`` variable that keeps a second path alive.  The
-process environment is read in exactly two places, for the three
-variables that say *how* to execute a run, not *what* it computes.
+process environment is read in exactly one place, for the one variable
+that says *how* to execute a run, not *what* it computes.
 """
 
 from __future__ import annotations
@@ -15,10 +15,7 @@ from pathlib import Path
 SRC = Path(__file__).parent.parent / "src" / "repro"
 
 #: module (relative to ``src/repro``) -> the variables it may read
-ALLOWED_READERS = {
-    "eval/experiment.py": {"REPRO_JOBS"},
-    "core/builder.py": {"REPRO_SHARDS", "REPRO_SHARD_MODE"},
-}
+ALLOWED_READERS = {"eval/experiment.py": {"REPRO_JOBS"}}
 ALLOWED_NAMES = set().union(*ALLOWED_READERS.values())
 
 ENV_ACCESS = re.compile(r"\benviron\b|\bgetenv\b|\bputenv\b")
@@ -31,12 +28,12 @@ def _sources():
     return [(path.relative_to(SRC).as_posix(), path.read_text()) for path in files]
 
 
-def test_only_the_two_execution_modules_read_the_environment():
+def test_only_the_experiment_module_reads_the_environment():
     readers = {name for name, text in _sources() if ENV_ACCESS.search(text)}
     assert readers == set(ALLOWED_READERS)
 
 
-def test_no_repro_variable_beyond_jobs_and_shards_is_named_in_src():
+def test_no_repro_variable_beyond_jobs_is_named_in_src():
     named = {
         (name, variable)
         for name, text in _sources()
