@@ -1,12 +1,14 @@
 """Hosts and the network fabric.
 
 A :class:`Host` owns a CPU (a :class:`~repro.sim.resources.FifoServer`
-with one slot per "thread") and an uplink NIC (single-slot FIFO).
-Sending a payload really serializes and compresses it, charges the NIC
-for the wire size, delays by the link latency, and finally dispatches the
+with one slot per "thread") and an uplink NIC, a departure clock rather
+than a queue.  Sending a payload really serializes and compresses it,
+charges the NIC for the wire size, schedules one kernel event at the
+packet's arrival (departure plus link latency), and there dispatches the
 decoded payload to the receiver's protocol handler *on the receiver's
 CPU* — so a single-threaded host genuinely serializes its message
 handling, which is what separates SCS from MCS in the paper.
+Same-instant arrivals fire in send order.
 
 Delivery is datagram-like: packets to offline hosts or stale addresses
 are silently dropped (and traced).  Protocols needing reliability build
@@ -54,7 +56,7 @@ class Host:
         self.sim: Simulator = network.sim
         self.name = name
         self.cpu = FifoServer(self.sim, capacity=cpu_threads, name=f"{name}.cpu")
-        self.nic = FifoServer(self.sim, capacity=1, name=f"{name}.nic")
+        self.nic_free_at = 0.0  # when the uplink's last transmission ends
         self.dispatch_time = dispatch_time
         self.address: IPAddress | None = None
         self.online = False
@@ -169,9 +171,19 @@ class Host:
         self.messages_sent += 1
         self.bytes_sent += wire_size
         link = self.network.link_for(self.address, dst)
-        self.nic.submit(
-            link.transmission_time(wire_size), self.network._propagate, packet, link
-        )
+        departure = max(self.sim.now, self.nic_free_at) + link.transmission_time(wire_size)
+        self.nic_free_at = departure
+        if self.network.tracer.enabled:  # per packet: see _dispatch
+            self.network.tracer.record(
+                departure,
+                "net",
+                "send",
+                src=str(packet.src),
+                dst=str(dst),
+                protocol=protocol,
+                size=wire_size,
+            )
+        self.sim.schedule_at(departure + link.latency, self.network._arrive, packet, link)
         return wire_size
 
     # -- receiving ----------------------------------------------------------
@@ -348,29 +360,14 @@ class Network:
 
     # -- delivery ------------------------------------------------------------
 
-    def _propagate(self, packet: Packet, link: LinkModel) -> None:
-        """NIC transmission finished; deliver after propagation latency."""
-        if self.tracer.enabled:  # per packet: see Host._dispatch
-            self.tracer.record(
-                self.sim.now,
-                "net",
-                "send",
-                src=str(packet.src),
-                dst=str(packet.dst),
-                protocol=packet.protocol,
-                size=packet.wire_size,
-            )
-        if link.loss_probability > 0.0 and (
-            self._loss_rng.random() < link.loss_probability
-        ):
+    def _arrive(self, packet: Packet, link: LinkModel) -> None:
+        """The packet reaches the far end of ``link``: lose, cut or deliver it."""
+        if link.loss_probability > 0.0 and self._loss_rng.random() < link.loss_probability:
             self._drop(packet, reason="loss")
             return
         if self._crosses_partition(packet.src, packet.dst):
             self._drop(packet, reason="partition")
             return
-        self.sim.schedule(link.latency, self._deliver, packet)
-
-    def _deliver(self, packet: Packet) -> None:
         host = self._routes.get(packet.dst)
         if host is None:
             self._drop(packet, reason="no-route")

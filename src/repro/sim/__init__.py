@@ -4,7 +4,7 @@ The kernel is deliberately small: a time-ordered event heap
 (:class:`Simulator`), one-shot value-carrying :class:`Event` objects,
 generator-based :class:`Process` coroutines, and FIFO
 :class:`Resource`/:class:`FifoServer` primitives used to model CPU thread
-pools and NIC transmission queues.
+pools.
 """
 
 from repro.sim.events import Event

@@ -82,20 +82,23 @@ class Simulator:
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Timer:
         """Schedule ``callback(*args)`` to run ``delay`` from now."""
-        return self._schedule(delay, callback, args, daemon=False)
+        return self._schedule(self.now + delay, callback, args, daemon=False)
 
     def schedule_daemon(
         self, delay: float, callback: Callable[..., None], *args: Any
     ) -> Timer:
         """Schedule housekeeping that must not keep ``run()`` alive."""
-        return self._schedule(delay, callback, args, daemon=True)
+        return self._schedule(self.now + delay, callback, args, daemon=True)
 
     def _schedule(
-        self, delay: float, callback: Callable[..., None], args: tuple, daemon: bool
+        self, time: float, callback: Callable[..., None], args: tuple, daemon: bool
     ) -> Timer:
-        if delay < 0:
-            raise SchedulingError(f"cannot schedule {delay} into the past")
-        timer = Timer(self.now + delay, callback, args, daemon=daemon, sim=self)
+        if time < self.now:
+            raise SchedulingError(
+                f"cannot schedule at t={time}: simulated time is already "
+                f"{self.now} ({self.now - time} late)"
+            )
+        timer = Timer(time, callback, args, daemon=daemon, sim=self)
         self._sequence += 1
         heapq.heappush(self._heap, (timer.time, self._sequence, timer))
         self._live_count += 1
@@ -119,13 +122,11 @@ class Simulator:
             heapq.heapify(self._heap)
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Timer:
-        """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self.now:
-            raise SchedulingError(
-                f"cannot schedule at t={time}: simulated time is already "
-                f"{self.now} ({self.now - time} late)"
-            )
-        return self.schedule(time - self.now, callback, *args)
+        """Schedule ``callback(*args)`` at absolute simulated ``time``, bit for bit."""
+        delay = time - self.now
+        if self.now + delay == time:  # exact, so whatever wraps schedule() sees it
+            return self.schedule(delay, callback, *args)
+        return self._schedule(time, callback, args, daemon=False)
 
     def event(self) -> Event:
         """Create a fresh untriggered :class:`Event` bound to this simulator."""

@@ -1,4 +1,4 @@
-"""FIFO service resources: thread pools and transmission queues.
+"""FIFO service resources: thread pools.
 
 Two flavours:
 
@@ -7,7 +7,7 @@ Two flavours:
 * :class:`FifoServer` — callback-style queueing server: ``submit`` a job
   with a service time; the server runs at most ``capacity`` jobs at once
   and invokes the completion callback when a job's service ends.  This is
-  the workhorse for host CPUs (capacity = threads) and NICs (capacity 1).
+  the workhorse for host CPUs (capacity = threads).
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class FifoServer:
     ``submit(service_time, callback, *args)`` enqueues a job.  When the
     job reaches a free server it is *served* for ``service_time``, after
     which ``callback(*args)`` runs.  Queueing delay is implicit, which is
-    exactly how a single-threaded CPU or a NIC uplink behaves.
+    exactly how a single- or multi-threaded CPU behaves.
     """
 
     def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "server"):

@@ -418,6 +418,8 @@ class StorM:
         reproduction because it is what the evaluated prototype did.
         """
         self._check_open()
+        if not self.heap.page_count:  # no page to pin, nothing to compare
+            return SearchResult(keyword)
         before = self.buffer.stats.snapshot()
         result = SearchResult(keyword)
         needle = normalize_keyword(keyword)

@@ -40,6 +40,47 @@ class TestScheduling:
         # The inner callback records its own firing time.
         assert sim.now == 5.0
 
+    def test_schedule_at_keeps_the_exact_time(self):
+        # A round trip through a delay loses the last bit here: 1 + 2**-53
+        # is a tie both ways and rounds to 1.0.
+        now, at = 2.0**-53, 1.0 + 2.0**-52
+        assert now + (at - now) != at
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(now, lambda: fired.append(sim.schedule_at(at, fired.append, 0)))
+        sim.run()
+        timer = fired[0]
+        assert timer.time == at and sim.now == at and fired[1:] == [0]
+
+    def test_schedule_at_goes_through_schedule_when_that_is_exact(self):
+        # Whatever wraps schedule() (the perf ledger's tracer does) must
+        # see packet arrivals, which are scheduled with schedule_at.
+        delays = []
+
+        class Watched(Simulator):
+            def schedule(self, delay, callback, *args):
+                delays.append(delay)
+                return super().schedule(delay, callback, *args)
+
+        sim = Watched()
+        sim.schedule_at(0.25, lambda: sim.schedule_at(0.75, lambda: None))
+        sim.run()
+        assert delays == [0.25, 0.5] and sim.now == 0.75
+
+    @given(
+        now=st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
+        gap=st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
+    )
+    def test_schedule_at_time_is_bit_exact(self, now, gap):
+        at = now + gap
+        sim = Simulator()
+        sim.schedule_at(now, lambda: None)
+        sim.run()
+        assert sim.now == now
+        assert sim.schedule_at(at, lambda: None).time == at
+        sim.run()
+        assert sim.now == at
+
     def test_nested_scheduling_during_callback(self):
         sim = Simulator()
         fired = []
