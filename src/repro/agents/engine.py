@@ -448,9 +448,13 @@ class AgentEngine:
                 hops=envelope.hops,
                 service=service_time,
             )
-        self.host.cpu.submit(
-            service_time, self._release_outputs, envelope, agent, context
-        )
+        if envelope.mode == MODE_FLOOD and not context._outbox:
+            # Nothing to release when the job ends: it only holds the CPU.
+            self.host.cpu.charge(service_time)
+        else:
+            self.host.cpu.submit(
+                service_time, self._release_outputs, envelope, agent, context
+            )
 
     def _release_outputs(
         self, envelope: AgentEnvelope, agent: Agent, context: AgentContext

@@ -198,7 +198,7 @@ class GnutellaServent:
             upstream = packet.src
             self.host.cpu.submit(service_time, self._send_hit, upstream, hit)
         else:
-            self.host.cpu.submit(service_time, lambda: None)
+            self.host.cpu.charge(service_time)
 
     def _send_hit(self, upstream: IPAddress, hit: QueryHitDescriptor) -> None:
         if self.host.online:

@@ -5,6 +5,12 @@ Determinism guarantees:
 * events at equal times fire in scheduling order (a monotone sequence
   number breaks heap ties), and
 * the kernel itself never consults the wall clock or global RNG.
+
+Every heap entry is ``(time, seq, callback, args)``.  An event that can
+be cancelled (:meth:`Simulator.schedule`) goes on as ``(time, seq, None,
+timer)``, so its :class:`Timer` is checked when it is popped; one that
+cannot (:meth:`Simulator.schedule_at`) carries its callback itself and
+costs no handle.
 """
 
 from __future__ import annotations
@@ -51,6 +57,11 @@ class Timer:
             self._sim._note_cancelled(self)
 
 
+def _cancelled(entry: tuple) -> bool:
+    """Is this heap entry a cancelled :class:`Timer`'s?"""
+    return entry[2] is None and entry[3].cancelled
+
+
 class Simulator:
     """Deterministic discrete-event scheduler.
 
@@ -68,15 +79,15 @@ class Simulator:
 
     def __init__(self):
         self.now = 0.0
-        self._heap: list[tuple[float, int, Timer]] = []
+        self._heap: list[tuple[float, int, Callable[..., None] | None, Any]] = []
         self._sequence = 0
         self._running = False
-        # Live (non-cancelled) timer counts, adjusted at schedule, cancel
+        # Live (non-cancelled) event counts, adjusted at schedule, cancel
         # and fire time — cancelled entries still sitting on the heap are
         # already excluded, so ``pending_events`` is O(1) and ``run()``
         # never mistakes a sea of cancelled timers for remaining work.
-        self._regular_count = 0  # live non-daemon timers
-        self._live_count = 0  # live timers of either kind
+        self._regular_count = 0  # live non-daemon events
+        self._live_count = 0  # live events of either kind
 
     # -- scheduling ---------------------------------------------------------
 
@@ -90,21 +101,36 @@ class Simulator:
         """Schedule housekeeping that must not keep ``run()`` alive."""
         return self._schedule(self.now + delay, callback, args, daemon=True)
 
+    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
+        """Schedule ``callback(*args)`` at absolute simulated ``time``, bit for bit.
+
+        Nothing can cancel it, so it gets no :class:`Timer`: the heap entry
+        carries the callback itself.
+        """
+        self._check_not_past(time)
+        self._sequence += 1
+        heapq.heappush(self._heap, (time, self._sequence, callback, args))
+        self._live_count += 1
+        self._regular_count += 1
+
     def _schedule(
         self, time: float, callback: Callable[..., None], args: tuple, daemon: bool
     ) -> Timer:
+        self._check_not_past(time)
+        timer = Timer(time, callback, args, daemon=daemon, sim=self)
+        self._sequence += 1
+        heapq.heappush(self._heap, (time, self._sequence, None, timer))
+        self._live_count += 1
+        if not daemon:
+            self._regular_count += 1
+        return timer
+
+    def _check_not_past(self, time: float) -> None:
         if time < self.now:
             raise SchedulingError(
                 f"cannot schedule at t={time}: simulated time is already "
                 f"{self.now} ({self.now - time} late)"
             )
-        timer = Timer(time, callback, args, daemon=daemon, sim=self)
-        self._sequence += 1
-        heapq.heappush(self._heap, (timer.time, self._sequence, timer))
-        self._live_count += 1
-        if not daemon:
-            self._regular_count += 1
-        return timer
 
     def _note_cancelled(self, timer: Timer) -> None:
         """A live timer was cancelled (its heap entry lingers until popped)."""
@@ -116,17 +142,11 @@ class Simulator:
         # corpses, and every pop then pays a skip tax.  Once cancelled
         # entries outnumber live ones, sweep them out in one O(n)
         # heapify — (time, seq) keys are unchanged, so ordering is too.
-        heap_len = len(self._heap)
-        if heap_len >= self.COMPACTION_MIN_HEAP and heap_len > 2 * self._live_count:
-            self._heap = [entry for entry in self._heap if not entry[2].cancelled]
-            heapq.heapify(self._heap)
-
-    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Timer:
-        """Schedule ``callback(*args)`` at absolute simulated ``time``, bit for bit."""
-        delay = time - self.now
-        if self.now + delay == time:  # exact, so whatever wraps schedule() sees it
-            return self.schedule(delay, callback, *args)
-        return self._schedule(time, callback, args, daemon=False)
+        # In place, because ``run`` holds the list.
+        heap = self._heap
+        if len(heap) >= self.COMPACTION_MIN_HEAP and len(heap) > 2 * self._live_count:
+            heap[:] = [entry for entry in heap if not _cancelled(entry)]
+            heapq.heapify(heap)
 
     def event(self) -> Event:
         """Create a fresh untriggered :class:`Event` bound to this simulator."""
@@ -167,15 +187,22 @@ class Simulator:
 
     def step(self) -> bool:
         """Run the single next event.  Returns False if the heap is empty."""
-        while self._heap:
-            time, _seq, timer = heapq.heappop(self._heap)
-            if timer.cancelled:
-                continue  # counts were adjusted when it was cancelled
+        heap = self._heap
+        while heap:
+            time, _seq, callback, args = heapq.heappop(heap)
+            if callback is None:  # a Timer's entry: ``args`` is the handle
+                timer = args
+                if timer.cancelled:
+                    continue  # counts were adjusted when it was cancelled
+                callback, args = timer.callback, timer.args
+                daemon = timer.daemon
+            else:
+                daemon = False
             self._live_count -= 1
-            if not timer.daemon:
+            if not daemon:
                 self._regular_count -= 1
             self.now = time
-            timer.callback(*timer.args)
+            callback(*args)
             return True
         return False
 
@@ -193,14 +220,20 @@ class Simulator:
         if self._running:
             raise SchedulingError("simulator is already running (no recursion)")
         self._running = True
+        heap = self._heap
         try:
-            while self._heap:
+            while heap:
                 if until is None and self._regular_count == 0:
                     break
-                time = self._heap[0][0]
-                if until is not None and time > until:
-                    self.now = until
-                    break
+                if until is not None:
+                    # A cancelled head must not hide a later event from
+                    # the bound: step() would skip it and fire that one.
+                    if _cancelled(heap[0]):
+                        heapq.heappop(heap)
+                        continue
+                    if heap[0][0] > until:
+                        self.now = until
+                        break
                 self.step()
         finally:
             self._running = False
@@ -208,11 +241,10 @@ class Simulator:
 
     def peek(self) -> float | None:
         """Time of the next pending event, or None when idle."""
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
-            return None
-        return self._heap[0][0]
+        heap = self._heap
+        while heap and _cancelled(heap[0]):
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     @property
     def pending_events(self) -> int:

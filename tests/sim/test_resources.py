@@ -1,68 +1,9 @@
-"""Tests for FIFO resources and queueing servers."""
+"""Tests for the FIFO queueing server."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import FifoServer, Resource, Simulator
-
-
-class TestResource:
-    def test_capacity_one_serializes(self):
-        sim = Simulator()
-        resource = Resource(sim, capacity=1)
-        log = []
-
-        def worker(name, hold):
-            yield resource.acquire()
-            log.append((name, "start", sim.now))
-            yield hold
-            resource.release()
-            log.append((name, "end", sim.now))
-
-        sim.spawn(worker("a", 2.0))
-        sim.spawn(worker("b", 3.0))
-        sim.run()
-        assert log == [
-            ("a", "start", 0.0),
-            ("a", "end", 2.0),
-            ("b", "start", 2.0),
-            ("b", "end", 5.0),
-        ]
-
-    def test_capacity_two_overlaps(self):
-        sim = Simulator()
-        resource = Resource(sim, capacity=2)
-        log = []
-
-        def worker(name):
-            yield resource.acquire()
-            log.append((name, sim.now))
-            yield 1.0
-            resource.release()
-
-        for name in ["a", "b", "c"]:
-            sim.spawn(worker(name))
-        sim.run()
-        assert log == [("a", 0.0), ("b", 0.0), ("c", 1.0)]
-
-    def test_release_without_acquire_raises(self):
-        sim = Simulator()
-        resource = Resource(sim, capacity=1)
-        with pytest.raises(SimulationError):
-            resource.release()
-
-    def test_invalid_capacity(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            Resource(sim, capacity=0)
-
-    def test_queue_length(self):
-        sim = Simulator()
-        resource = Resource(sim, capacity=1)
-        resource.acquire()
-        resource.acquire()
-        resource.acquire()
-        assert resource.queue_length == 2
+from repro.sim import FifoServer, Simulator
 
 
 class TestFifoServer:
@@ -104,6 +45,12 @@ class TestFifoServer:
         server = FifoServer(sim)
         with pytest.raises(SimulationError):
             server.submit(-1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            server.charge(-1.0)
+
+    def test_invalid_capacity(self):
+        with pytest.raises(SimulationError):
+            FifoServer(Simulator(), capacity=0)
 
     def test_utilization_accounting(self):
         sim = Simulator()
@@ -113,7 +60,6 @@ class TestFifoServer:
         sim.run()
         assert server.busy_time == 5.0
         assert server.jobs_served == 2
-        assert server.queue_length == 0
 
     def test_submission_during_completion_callback(self):
         sim = Simulator()
