@@ -31,6 +31,7 @@ from repro.agents.envelope import (
     MODE_FLOOD,
     MODE_ITINERARY,
     AgentEnvelope,
+    freeze_state,
 )
 from repro.agents.messages import AnswerItem, AnswerMessage, BatchedAnswers
 from repro.errors import AgentError, CodeShippingError
@@ -212,8 +213,8 @@ class AgentEngine:
         self._seen: set[AgentId] = set()
         #: destinations believed to hold each class: (address, class_name)
         self._shipped: set[tuple[IPAddress, str]] = set()
-        #: envelopes waiting for a class to arrive, keyed by class name
-        self._parked: dict[str, list[AgentEnvelope]] = {}
+        #: (envelope, thawed state) waiting for a class, keyed by class name
+        self._parked: dict[str, list[tuple[AgentEnvelope, dict]]] = {}
         #: counters
         self.agents_executed = 0
         self.agents_deduped = 0
@@ -271,7 +272,7 @@ class AgentEngine:
             agent_id=agent_id,
             class_name=class_name,
             source=None,
-            state=agent.get_state(),
+            state=freeze_state(agent.get_state()),
             ttl=ttl,
             hops=0,
             initiator=self.local_bpid,
@@ -338,27 +339,32 @@ class AgentEngine:
 
     def _on_agent(self, packet: Packet) -> None:
         envelope: AgentEnvelope = packet.payload
-        if envelope.mode == MODE_FLOOD:
-            if envelope.agent_id in self._seen:
-                self.agents_deduped += 1
-                if self.tracer.enabled:  # two of three flood arrivals end here
-                    self.tracer.record(
-                        self.host.sim.now,
-                        "agent",
-                        "dedup",
-                        agent=str(envelope.agent_id),
-                    )
-                return
+        flood = envelope.mode == MODE_FLOOD
+        if flood and envelope.agent_id in self._seen:
+            self.agents_deduped += 1
+            if self.tracer.enabled:  # two of three flood arrivals end here
+                self.tracer.record(
+                    self.host.sim.now,
+                    "agent",
+                    "dedup",
+                    agent=str(envelope.agent_id),
+                )
+            return
+        # Thawed before the agent is marked seen or any clone leaves: a
+        # corrupt blob is a counted decode-error drop (Host._dispatch), and
+        # a later good copy of the same agent still runs.
+        state = envelope.thaw()
+        if flood:
             self._seen.add(envelope.agent_id)
         if envelope.source is not None:
             newly = not self.registry.has(envelope.class_name)
             self.registry.install(envelope.class_name, envelope.source)
-            self._run(envelope, packet.src, install_charged=newly)
+            self._run(envelope, state, packet.src, install_charged=newly)
         elif self.registry.has(envelope.class_name):
-            self._run(envelope, packet.src, install_charged=False)
+            self._run(envelope, state, packet.src, install_charged=False)
         else:
             # State-only envelope for an unknown class: ask the sender.
-            self._parked.setdefault(envelope.class_name, []).append(envelope)
+            self._parked.setdefault(envelope.class_name, []).append((envelope, state))
             self.tracer.record(
                 self.host.sim.now,
                 "agent",
@@ -386,14 +392,18 @@ class AgentEngine:
         newly = not self.registry.has(class_name)
         self.registry.install(class_name, source)
         parked = self._parked.pop(class_name, [])
-        for index, envelope in enumerate(parked):
+        for index, (envelope, state) in enumerate(parked):
             # The install cost is paid once, by the first parked envelope.
-            self._run(envelope, packet.src, install_charged=newly and index == 0)
+            self._run(envelope, state, packet.src, install_charged=newly and index == 0)
 
     # -- execution --------------------------------------------------------------------
 
     def _run(
-        self, envelope: AgentEnvelope, arrived_from: IPAddress, install_charged: bool
+        self,
+        envelope: AgentEnvelope,
+        state: dict[str, Any],
+        arrived_from: IPAddress,
+        install_charged: bool,
     ) -> None:
         agent_class = self.registry.get(envelope.class_name)
         forwards = envelope.mode == MODE_FLOOD and not envelope.expired
@@ -416,7 +426,7 @@ class AgentEngine:
                 ],
             )
         context = AgentContext(self, envelope)
-        agent = agent_class.from_state(envelope.state)
+        agent = agent_class.from_state(state)
         agent.execute(context)
         if merge_forward:
             # Execution is real Python (no simulated time passes), so
@@ -467,15 +477,15 @@ class AgentEngine:
             self._continue_itinerary(envelope, agent)
 
     def _continue_itinerary(self, envelope: AgentEnvelope, agent: Agent) -> None:
-        travelled = envelope.with_state(agent.get_state())
-        if travelled.path and not travelled.expired:
-            next_stop = travelled.path[0]
-            self._ship(travelled.advance_path().hop(None), next_stop)
+        state = agent.get_state()
+        if envelope.path and not envelope.expired:
+            next_stop = envelope.path[0]
+            self._ship(envelope.with_state(state).advance_path().hop(None), next_stop)
         else:
             self.host.send(
-                travelled.initiator_address,
+                envelope.initiator_address,
                 PROTO_AGENT_HOME,
-                (travelled.agent_id, travelled.class_name, travelled.state),
+                (envelope.agent_id, envelope.class_name, state),
             )
 
     def _on_agent_home(self, packet: Packet) -> None:

@@ -7,15 +7,25 @@ agent before sending it to any other host that it is directly connected
 to.  Hops variable will be increased at the same time too.  The redundant
 use of TTL and Hops together is to enable hosts to drop any incoming
 agent that already has a copy on the site."
+
+The agent's instance state travels *frozen*: pickled once where it is
+set (:func:`freeze_state` at dispatch, :meth:`AgentEnvelope.with_state`
+after an in-transit merge) and unpickled once per execution
+(:meth:`AgentEnvelope.thaw`).  An envelope is therefore deeply
+immutable, so every host that receives one frame can share one decoded
+envelope, and every relay at one hop depth forwards the same next-hop
+object (:meth:`AgentEnvelope.hop`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
+from repro.errors import WireDecodeError
 from repro.ids import BPID, AgentId, QueryId
 from repro.net.address import IPAddress
+from repro.util.serialization import deserialize, serialize
 
 #: Default agent lifetime, matching Gnutella's customary TTL.
 DEFAULT_TTL = 7
@@ -26,6 +36,11 @@ MODE_FLOOD = "flood"
 MODE_ITINERARY = "itinerary"
 
 
+def freeze_state(state: dict[str, Any]) -> bytes:
+    """The travelling form of an agent's plain-data state (one pickle)."""
+    return serialize(state)
+
+
 @dataclass(frozen=True, slots=True)
 class AgentEnvelope:
     """Everything that crosses the wire for one agent hop."""
@@ -34,8 +49,8 @@ class AgentEnvelope:
     class_name: str
     #: class source; None when the sender believes the receiver has it
     source: str | None
-    #: plain-data instance state
-    state: dict[str, Any]
+    #: plain-data instance state, frozen by :func:`freeze_state`
+    state: bytes
     ttl: int
     hops: int
     initiator: BPID
@@ -44,6 +59,12 @@ class AgentEnvelope:
     mode: str = MODE_FLOOD
     #: itinerary mode only: remaining stops after the current one
     path: tuple[IPAddress, ...] = field(default=())
+    #: ``hop(None)``'s result, kept so every relay of one shared envelope
+    #: forwards one object and the identity-keyed wire encoder encodes it
+    #: once per hop depth
+    _next_hop: "AgentEnvelope | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def expired(self) -> bool:
@@ -52,7 +73,34 @@ class AgentEnvelope:
 
     def hop(self, source: str | None) -> "AgentEnvelope":
         """The envelope for the next hop: TTL down, Hops up."""
-        return replace(self, ttl=self.ttl - 1, hops=self.hops + 1, source=source)
+        if source is not None:
+            return replace(self, ttl=self.ttl - 1, hops=self.hops + 1, source=source)
+        if self._next_hop is None:
+            object.__setattr__(
+                self,
+                "_next_hop",
+                replace(self, ttl=self.ttl - 1, hops=self.hops + 1, source=None),
+            )
+        return self._next_hop
+
+    def thaw(self) -> dict[str, Any]:
+        """A fresh copy of the state for one execution.
+
+        Peer bytes are unpickled here and nowhere else; a corrupt blob
+        raises :class:`~repro.errors.WireDecodeError`, which the delivery
+        loop counts as a dropped frame.
+        """
+        try:
+            return deserialize(self.state)
+        except Exception as exc:
+            raise WireDecodeError(f"corrupt agent state: {exc}") from exc
+
+    def __getstate__(self) -> list[Any]:
+        # The hop memo never travels: a pickled envelope is its wire fields.
+        return [
+            None if f.name == "_next_hop" else getattr(self, f.name)
+            for f in fields(self)
+        ]
 
     def with_source(self, source: str | None) -> "AgentEnvelope":
         """Same hop, different source inclusion (per-destination choice).
@@ -66,8 +114,9 @@ class AgentEnvelope:
         return replace(self, source=source)
 
     def with_state(self, state: dict[str, Any]) -> "AgentEnvelope":
-        """Same envelope, refreshed state (itinerary agents mutate state)."""
-        return replace(self, state=state)
+        """Same envelope, refreshed (and frozen) state: itinerary and
+        top-k agents carry what they learned to the next host."""
+        return replace(self, state=freeze_state(state))
 
     def advance_path(self) -> "AgentEnvelope":
         """Pop the next itinerary stop."""
@@ -89,7 +138,7 @@ wire.register(
         ("agent_id", wire.AGENT_ID_CODEC),
         ("class_name", wire.STR),
         ("source", wire.opt(wire.STR)),
-        ("state", wire.PICKLE_BLOB),
+        ("state", wire.BYTES),
         ("ttl", wire.I32),
         ("hops", wire.U32),
         ("initiator", wire.BPID_CODEC),
@@ -102,7 +151,7 @@ wire.register(
         agent_id=AgentId(BPID("10.0.0.1", 7), 3),
         class_name="SearchAgent",
         source=None,
-        state={"keyword": "music", "matches": 2},
+        state=freeze_state({"keyword": "music", "matches": 2}),
         ttl=5,
         hops=2,
         initiator=BPID("10.0.0.1", 7),
@@ -130,7 +179,7 @@ data.register(
         ("agent_id", wire.AGENT_ID_CODEC),
         ("class_name", wire.STR),
         ("source", data.COMPRESSED_SOURCE),
-        ("state", wire.PICKLE_BLOB),
+        ("state", wire.BYTES),
         ("ttl", wire.I32),
         ("hops", wire.U32),
         ("initiator", wire.BPID_CODEC),
@@ -144,7 +193,7 @@ data.register(
         agent_id=AgentId(BPID("10.0.0.1", 7), 3),
         class_name="DemoAgent",
         source="class DemoAgent:\n    def run(self, node):\n        return []\n",
-        state={"keyword": "music"},
+        state=freeze_state({"keyword": "music"}),
         ttl=5,
         hops=2,
         initiator=BPID("10.0.0.1", 7),

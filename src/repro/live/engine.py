@@ -19,7 +19,7 @@ from typing import Any, Callable, Sequence
 
 from repro.agents.agent import Agent
 from repro.agents.codeship import AgentCodeRegistry
-from repro.agents.envelope import DEFAULT_TTL, MODE_FLOOD, AgentEnvelope
+from repro.agents.envelope import DEFAULT_TTL, MODE_FLOOD, AgentEnvelope, freeze_state
 from repro.agents.messages import AnswerItem, AnswerMessage
 from repro.errors import AgentError
 from repro.ids import BPID, AgentId, QueryId, SerialCounter
@@ -114,7 +114,7 @@ class LiveAgentEngine:
         self._serials = SerialCounter()
         self._seen: set[AgentId] = set()
         self._shipped: set[tuple[LiveAddress, str]] = set()
-        self._parked: dict[str, list[AgentEnvelope]] = {}
+        self._parked: dict[str, list[tuple[AgentEnvelope, dict]]] = {}
         self.agents_executed = 0
         self.agents_deduped = 0
         endpoint.bind(PROTO_AGENT, self._on_agent)
@@ -140,7 +140,7 @@ class LiveAgentEngine:
             agent_id=agent_id,
             class_name=class_name,
             source=None,
-            state=agent.get_state(),
+            state=freeze_state(agent.get_state()),
             ttl=ttl,
             hops=0,
             initiator=self.local_bpid,
@@ -172,6 +172,9 @@ class LiveAgentEngine:
             if envelope.agent_id in self._seen:
                 self.agents_deduped += 1
                 return
+            # Corrupt state raises before the agent is marked seen; the
+            # serve loop counts the drop.
+            state = envelope.thaw()
             self._seen.add(envelope.agent_id)
             if envelope.source is not None:
                 self.registry.install(envelope.class_name, envelope.source)
@@ -179,11 +182,13 @@ class LiveAgentEngine:
             else:
                 known = self.registry.has(envelope.class_name)
             if not known:
-                self._parked.setdefault(envelope.class_name, []).append(envelope)
+                self._parked.setdefault(envelope.class_name, []).append(
+                    (envelope, state)
+                )
         if not known:
             self.endpoint.try_send(src, PROTO_CLASS_REQUEST, envelope.class_name)
             return
-        self._run(envelope, src)
+        self._run(envelope, state, src)
 
     def _on_class_request(self, src: LiveAddress, class_name: str) -> None:
         with self._lock:
@@ -197,12 +202,14 @@ class LiveAgentEngine:
         with self._lock:
             self.registry.install(class_name, source)
             parked = self._parked.pop(class_name, [])
-        for envelope in parked:
-            self._run(envelope, src)
+        for envelope, state in parked:
+            self._run(envelope, state, src)
 
     # -- execution --------------------------------------------------------------------
 
-    def _run(self, envelope: AgentEnvelope, arrived_from: LiveAddress) -> None:
+    def _run(
+        self, envelope: AgentEnvelope, state: dict[str, Any], arrived_from: LiveAddress
+    ) -> None:
         if not envelope.expired:
             next_hop = envelope.hop(None)
             for peer in list(self.get_peers()):
@@ -211,7 +218,7 @@ class LiveAgentEngine:
                     self._ship(next_hop, peer)
         with self._lock:
             agent_class = self.registry.get(envelope.class_name)
-        agent = agent_class.from_state(envelope.state)
+        agent = agent_class.from_state(state)
         context = LiveContext(self, envelope)
         agent.execute(context)  # outputs were sent by the context already
         with self._lock:

@@ -10,7 +10,10 @@ each such message a versioned, struct-packed binary frame::
 Messages opt in by registering a :class:`MessageSpec` (an ordered list
 of ``(field name, field codec)`` pairs) in the module that defines them;
 anything unregistered — or carrying values that do not fit the fixed
-layout — falls back to the pickle+gzip path transparently.
+layout — falls back to the pickle+gzip path transparently.  A registered
+message is deeply immutable (a frozen dataclass whose field codecs yield
+nothing a receiver could change) and :func:`register` refuses anything
+else, because every receiver of one frame shares one decoded message.
 
 The transmission-cost model charges the real encoded size of the compact
 frame for every registered message.  The conformance battery in
@@ -26,7 +29,6 @@ frames without crashing.
 
 from __future__ import annotations
 
-import pickle
 import struct
 import threading
 from dataclasses import dataclass, field
@@ -70,10 +72,6 @@ _MEMO_LOCK = threading.Lock()
 CODEC_COMPACT = "compact"
 CODEC_PICKLE = "pickle"
 
-#: Pickle protocol for the embedded-blob field codec (matches
-#: :data:`repro.util.serialization.PICKLE_PROTOCOL` for size stability).
-_BLOB_PICKLE_PROTOCOL = 4
-
 
 def _take(data: bytes, offset: int, count: int) -> tuple[bytes, int]:
     """Bounds-checked slice: the next ``count`` body bytes."""
@@ -84,6 +82,12 @@ def _take(data: bytes, offset: int, count: int) -> tuple[bytes, int]:
             f"have {len(data) - offset}"
         )
     return data[offset:end], end
+
+
+def _is_frozen_dataclass(cls: Any) -> bool:
+    """True for a ``@dataclass(frozen=True)`` class: nothing can assign to
+    an instance."""
+    return getattr(getattr(cls, "__dataclass_params__", None), "frozen", False)
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +101,11 @@ class FieldCodec:
     problems raise :class:`WireDecodeError` (the frame is corrupt)."""
 
     name = "field"
-    #: Can :meth:`unpack` return a value a receiver could mutate?  Decode
-    #: shares the other fields' parsed values between all receivers of one
-    #: frame (:func:`decode_message`), so the safe default is True; the
-    #: immutable leaves say False and the combinators ask their inners.
+    #: Can :meth:`unpack` return a value a receiver could mutate?  Every
+    #: receiver of one frame shares one decoded message
+    #: (:func:`decode_message`), so :func:`register` refuses such a field;
+    #: the safe default is True, the immutable leaves say False and the
+    #: combinators ask their inners.
     yields_mutable = True
 
     def pack(self, value: Any, out: bytearray) -> None:
@@ -188,33 +193,6 @@ class _Bytes(FieldCodec):
         length, offset = U32.unpack(data, offset)
         chunk, offset = _take(data, offset, length)
         return bytes(chunk), offset
-
-
-class _PickleBlob(FieldCodec):
-    """An embedded pickle for the rare variable-shape field (agent state).
-
-    The blob skips gzip — that is the point of the compact path — but
-    keeps pickle's generality for plain-data dicts.  Corrupt blobs raise
-    :class:`WireDecodeError` like every other field.
-    """
-
-    name = "pickle-blob"
-
-    def pack(self, value: Any, out: bytearray) -> None:
-        try:
-            blob = pickle.dumps(value, protocol=_BLOB_PICKLE_PROTOCOL)
-        except Exception as exc:
-            raise WireEncodeError(f"unpicklable blob field: {exc}") from exc
-        out += U32._struct.pack(len(blob))  # type: ignore[attr-defined]
-        out += blob
-
-    def unpack(self, data: bytes, offset: int) -> tuple[Any, int]:
-        length, offset = U32.unpack(data, offset)
-        chunk, offset = _take(data, offset, length)
-        try:
-            return pickle.loads(chunk), offset
-        except Exception as exc:
-            raise WireDecodeError(f"corrupt pickle blob: {exc}") from exc
 
 
 class _Optional(FieldCodec):
@@ -306,8 +284,7 @@ class _Composite(FieldCodec):
         self.build = build
         # Shareable only when nothing inside it and not the built object
         # itself can be changed: a frozen dataclass over immutable fields.
-        frozen = getattr(getattr(build, "__dataclass_params__", None), "frozen", False)
-        self.yields_mutable = not frozen or any(
+        self.yields_mutable = not _is_frozen_dataclass(build) or any(
             codec.yields_mutable for _attr, codec in attrs
         )
 
@@ -340,7 +317,6 @@ F64 = _Scalar(">d", "f64")
 BOOL = _Bool()
 STR = _Str()
 BYTES = _Bytes()
-PICKLE_BLOB = _PickleBlob()
 
 
 def opt(inner: FieldCodec) -> FieldCodec:
@@ -407,11 +383,10 @@ class MessageSpec:
     #: value-level predicate: False routes this instance to the pickle
     #: fallback (e.g. agent envelopes that carry class source)
     compactable: Callable[[Any], bool] | None = None
-    #: frame bytes -> its parse (see :func:`decode_message`).  Held here so
-    #: that re-registering or dropping a type id drops its parses with it.
-    memo: dict[bytes, tuple[dict[str, Any], list]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    #: frame bytes -> its decoded message (see :func:`decode_message`).
+    #: Held here so that re-registering or dropping a type id drops its
+    #: messages with it.
+    memo: dict[bytes, Any] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def name(self) -> str:
@@ -440,9 +415,20 @@ def register(
 ) -> MessageSpec:
     """Register a control-message type; called at import time by the
     module that defines the message (keeping this module dependency-free).
+
+    The message must be deeply immutable, since receivers of one frame
+    share one decoded message: ``cls`` a frozen dataclass, and no field
+    codec that :attr:`~FieldCodec.yields_mutable`.
     """
     if not 0 < type_id <= 0xFFFF:
         raise WireCodecError(f"type id {type_id:#x} outside u16 range")
+    if not _is_frozen_dataclass(cls):
+        raise WireCodecError(f"{cls.__qualname__} is not a frozen dataclass")
+    mutable = [name for name, codec in fields if codec.yields_mutable]
+    if mutable:
+        raise WireCodecError(
+            f"{cls.__qualname__} fields {mutable} decode to mutable values"
+        )
     existing = _BY_ID.get(type_id)
     if existing is not None and existing.cls is not cls:
         raise WireCodecError(
@@ -526,12 +512,10 @@ def decode_message(frame: bytes) -> Any:
     oversize, trailing garbage).
 
     A flood delivers the same bytes to every host at one hop depth, so a
-    ``bytes`` frame is parsed once and its parse kept in ``spec.memo``.
-    Every call still checks the header and builds its own message; what
-    equal frames share are the parsed field values, all deeply immutable.
-    A field whose codec :attr:`~FieldCodec.yields_mutable` (agent state)
-    is never kept: each call unpacks it afresh from the frame, so no
-    receiver can observe another's mutations.
+    ``bytes`` frame is decoded once and its message kept in ``spec.memo``:
+    every receiver of equal bytes gets that one message, which
+    :func:`register` guarantees nothing can change.  The size, header,
+    version and type-id checks still run on every call.
     """
     global decode_memo_hits, decode_memo_misses
     if len(frame) > MAX_FRAME_BYTES:
@@ -554,36 +538,28 @@ def decode_message(frame: bytes) -> Any:
     # Only real bytes are looked up or kept: a bytearray is unhashable and
     # a memoryview's buffer can change under the key.
     keyed = type(frame) is bytes
-    parse = spec.memo.get(frame) if keyed else None
-    if parse is not None:
-        decode_memo_hits += 1
-        shared, unshared = parse
-        values = dict(shared)
-        for name, codec, offset in unshared:
-            values[name], _end = codec.unpack(frame, offset)
-    else:
-        decode_memo_misses += 1
-        values = {}
-        unshared = []
-        offset = HEADER_SIZE
-        for name, codec in spec.fields:
-            if codec.yields_mutable:
-                unshared.append((name, codec, offset))
-            values[name], offset = codec.unpack(frame, offset)
-        if offset != len(frame):
-            raise WireDecodeError(
-                f"{len(frame) - offset} trailing bytes after a complete {spec.name}"
-            )
+    if keyed:
+        message = spec.memo.get(frame)
+        if message is not None:
+            decode_memo_hits += 1
+            return message
+    decode_memo_misses += 1
+    values = {}
+    offset = HEADER_SIZE
+    for name, codec in spec.fields:
+        values[name], offset = codec.unpack(frame, offset)
+    if offset != len(frame):
+        raise WireDecodeError(
+            f"{len(frame) - offset} trailing bytes after a complete {spec.name}"
+        )
     try:
         message = spec.cls(**values)
     except Exception as exc:
         raise WireDecodeError(f"cannot construct {spec.name}: {exc}") from exc
-    if keyed and parse is None:
+    if keyed:
         # Only a frame that decoded all the way gets here.
-        for name, _codec, _offset in unshared:
-            del values[name]
         with _MEMO_LOCK:  # check-then-insert: live endpoints decode on threads
             if len(spec.memo) >= DECODE_MEMO_CAPACITY:
                 spec.memo.clear()
-            spec.memo[frame] = (values, unshared)
+            spec.memo[frame] = message
     return message

@@ -32,12 +32,13 @@ class Packet:
     ever informs ``wire_size``, so lazy decode is ordering-independent
     of the compression bypass.
 
-    ``payload`` decodes ``raw`` lazily, on first access.  Receivers
-    therefore always get a message of their own, snapshotted at send time
-    (hosts are separate machines; observable aliasing would be a lie):
-    what receivers of byte-identical compact frames may share are parsed
-    field values that nothing can change, and anything mutable is rebuilt
-    per receiver (:func:`repro.net.codec.decode_message`).  Packets that
+    ``payload`` decodes ``raw`` lazily, on first access, so a receiver
+    sees what was sent, snapshotted at send time, and never an object
+    another host can change (hosts are separate machines; observable
+    aliasing would be a lie).  Receivers of byte-identical compact frames
+    share one decoded message, which is deeply immutable by registration
+    (:func:`repro.net.codec.decode_message`); an agent's state inside it
+    is frozen bytes that each execution thaws for itself.  Packets that
     are dropped en route — loss, no route, stale address — never pay
     the decode at all.  A malformed compact frame raises a typed
     :class:`~repro.errors.WireDecodeError` from that first access;

@@ -144,9 +144,9 @@ class Host:
         sending one payload object to many peers encodes it once.  The
         packet then queues on this host's NIC and arrives ``latency``
         after its transmission completes.  The receiver decodes the
-        send-time bytes into a message of its own on delivery — never an
-        object it could change under another host — and dropped packets
-        skip that work entirely.
+        send-time bytes on delivery into a message nothing can change —
+        never an object another host holds — and dropped packets skip
+        that work entirely.
         """
         if self.suspended:
             # A crashed machine's still-scheduled housekeeping (e.g. a

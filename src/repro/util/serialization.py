@@ -10,7 +10,11 @@ of agent *code* goes through the explicit source-shipping path in
 
 Small fixed-shape control messages additionally register with the compact
 wire codec (:mod:`repro.net.codec`): those skip pickle+gzip entirely and
-travel as struct-packed binary frames, charged at the frame's size.
+travel as struct-packed binary frames, charged at the frame's size.  An
+agent's plain-data state is the one pickle inside such a frame: the
+envelope freezes it with :func:`serialize` once where it is set, carries
+the bytes, and each execution unpickles its own copy
+(:mod:`repro.agents.envelope`), so the compact codec never unpickles.
 
 Payload-carrying data-plane messages (answers, fetch/active/data
 replies, sourced agent envelopes) register with the streaming data codec

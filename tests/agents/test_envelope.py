@@ -1,5 +1,9 @@
 """Unit and property tests for agent envelopes."""
 
+import pickle
+from dataclasses import replace
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -8,7 +12,9 @@ from repro.agents.envelope import (
     MODE_FLOOD,
     MODE_ITINERARY,
     AgentEnvelope,
+    freeze_state,
 )
+from repro.errors import WireDecodeError
 from repro.ids import BPID, AgentId
 from repro.net.address import IPAddress
 
@@ -19,7 +25,7 @@ def make_envelope(ttl=DEFAULT_TTL, hops=0, mode=MODE_FLOOD, path=()):
         agent_id=AgentId(origin, 0),
         class_name="TestAgent",
         source="class TestAgent(Agent): pass",
-        state={"keyword": "jazz"},
+        state=freeze_state({"keyword": "jazz"}),
         ttl=ttl,
         hops=hops,
         initiator=origin,
@@ -52,8 +58,29 @@ class TestEnvelope:
     def test_with_state_replaces(self):
         envelope = make_envelope()
         updated = envelope.with_state({"keyword": "rock"})
-        assert updated.state == {"keyword": "rock"}
-        assert envelope.state == {"keyword": "jazz"}
+        assert updated.state == freeze_state({"keyword": "rock"})
+        assert updated.thaw() == {"keyword": "rock"}
+        assert envelope.thaw() == {"keyword": "jazz"}
+
+    def test_each_thaw_is_a_fresh_copy(self):
+        envelope = make_envelope()
+        mine = envelope.thaw()
+        mine["keyword"] = "scribbled"
+        assert envelope.thaw() == {"keyword": "jazz"}
+
+    def test_corrupt_state_thaws_to_a_typed_decode_error(self):
+        envelope = replace(make_envelope(), state=b"\x80\x04not a pickle")
+        with pytest.raises(WireDecodeError, match="corrupt agent state"):
+            envelope.thaw()
+
+    def test_relays_of_one_envelope_forward_one_next_hop(self):
+        envelope = make_envelope(ttl=5, hops=2)
+        assert envelope.hop(None) is envelope.hop(None)
+        assert envelope.hop(None) == replace(envelope, ttl=4, hops=3, source=None)
+        assert envelope.hop("src") is not envelope.hop("src")
+        # the memo never travels with a pickled envelope
+        envelope.hop(None)
+        assert pickle.loads(pickle.dumps(envelope))._next_hop is None
 
     def test_advance_path(self):
         a, b = IPAddress("10.0.0.2"), IPAddress("10.0.0.3")

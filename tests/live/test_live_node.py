@@ -1,10 +1,14 @@
 """End-to-end tests for LivePeer: real sockets, real agents."""
 
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.live import LivePeer
+from repro.live.engine import PROTO_AGENT
+from repro.net.address import IPAddress
+from repro.net.codec import decode_message, try_encode
 
 
 @pytest.fixture
@@ -26,6 +30,36 @@ def line_of(make, count):
     for left, right in zip(nodes, nodes[1:]):
         left.connect_to(right)
     return nodes
+
+
+class TestLiveFrozenState:
+    def test_dispatched_envelope_freezes_state_and_fits_the_compact_frame(
+        self, peers, monkeypatch
+    ):
+        a, b = line_of(peers, 2)
+        b.share(["jazz"], b"frozen")
+        shipped = []
+        try_send = a.endpoint.try_send
+
+        def capture(dst, protocol, payload):
+            if protocol == PROTO_AGENT:
+                shipped.append(payload)
+            return try_send(dst, protocol, payload)
+
+        monkeypatch.setattr(a.endpoint, "try_send", capture)
+        query = a.issue_query("jazz")
+        assert query.wait_for_answers(1, timeout=5.0)  # b thawed and ran it
+        (envelope,) = shipped
+        assert type(envelope.state) is bytes
+        assert envelope.thaw()["keyword"] == "jazz"
+        # A state-only live hop still takes the pickle fallback, and only
+        # for its (host, port) address, which the control frame's ipaddr
+        # field cannot carry; the frozen state fits the frame as it is.
+        state_only = envelope.with_source(None)
+        assert try_encode(state_only) is None
+        simulated = replace(state_only, initiator_address=IPAddress("10.0.0.1"))
+        frame = try_encode(simulated)
+        assert frame is not None and decode_message(frame) == simulated
 
 
 class TestLiveQueries:

@@ -181,9 +181,6 @@ def _strategy_for(field_codec) -> st.SearchStrategy:
         return st.text(max_size=48)
     if field_codec is wire.BYTES:
         return st.binary(max_size=96)
-    if field_codec is wire.PICKLE_BLOB:
-        scalar = st.integers() | st.text(max_size=12) | st.booleans() | st.none()
-        return st.dictionaries(st.text(max_size=8), scalar, max_size=4)
     if isinstance(field_codec, wire._Optional):
         return st.none() | _strategy_for(field_codec.inner)
     if isinstance(field_codec, wire._Seq):

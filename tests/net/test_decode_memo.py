@@ -1,10 +1,12 @@
-"""Parse-once decode (``MessageSpec.memo``): receivers stay independent,
+"""Parse-once decode (``MessageSpec.memo``): receivers of equal frames
+share one deeply immutable message, agent state is thawed per execution,
 the decoder stays strict, the memo stays small, and a flood really does
 parse only one frame per hop depth."""
 
 from __future__ import annotations
 
 import copy
+import pickle
 import sys
 import threading
 import time
@@ -16,11 +18,14 @@ from hypothesis import strategies as st
 
 from repro import BestPeerConfig, build_network, random_graph
 from repro.agents.agent import Agent
-from repro.agents.envelope import AgentEnvelope
-from repro.errors import WireDecodeError
+from repro.agents.engine import PROTO_AGENT
+from repro.agents.envelope import AgentEnvelope, freeze_state
+from repro.errors import WireCodecError, WireDecodeError
+from repro.ids import AgentId
 from repro.liglo.messages import RegisterRequest
 from repro.net import codec as wire
 from repro.net.codec import (
+    CODEC_COMPACT,
     DECODE_MEMO_CAPACITY,
     decode_message,
     encode_message,
@@ -29,6 +34,7 @@ from repro.net.codec import (
     spec_for_id,
 )
 from repro.net.faults import FrameFaultInjector
+from repro.net.message import PACKET_OVERHEAD_BYTES, Packet
 
 from tests.agents.helpers import AgentRig
 
@@ -52,32 +58,78 @@ def _counters() -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Independence: equal frames, separate messages
+# Sharing: equal frames, one frozen message
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
     "spec", registered_specs(), ids=lambda s: s.name.removeprefix("repro.")
 )
-def test_two_decodes_are_equal_but_distinct_objects(spec):
+def test_equal_frames_decode_to_the_same_object(spec):
     frame = encode_message(spec.sample())
     hits, misses = _counters()
     first, second = decode_message(frame), decode_message(frame)
     assert _counters() == (hits + 1, misses + 1)
+    assert first == spec.sample()
+    assert first is second
+
+
+@pytest.mark.parametrize(
+    "spec", registered_specs(), ids=lambda s: s.name.removeprefix("repro.")
+)
+def test_two_decodes_are_equal_but_distinct_objects(spec):
+    """...when the frame is not ``bytes``: a bytearray can change under a
+    memo key, so it is parsed, and its message built, on every call."""
+    frame = bytearray(encode_message(spec.sample()))
+    first, second = decode_message(frame), decode_message(frame)
     assert first == second == spec.sample()
     assert first is not second
 
 
-def test_only_agent_state_is_declared_mutable():
-    """What the memo may share is decided per field codec; today the one
-    field that is rebuilt per receiver is the envelope's pickled state."""
-    unshared = {
-        (spec.cls.__name__, name)
-        for spec in registered_specs()
-        for name, field_codec in spec.fields
-        if field_codec.yields_mutable
-    }
-    assert unshared == {("AgentEnvelope", "state")}
+class _Unpickled(BaseException):
+    """Escapes every ``except Exception`` between the decoder and the test."""
+
+
+def test_decoding_never_unpickles(monkeypatch):
+    """Peer bytes are unpickled only by the agent engine's one thaw call,
+    never by the codec (a corrupt blob once cost ~1.4 GB inside decode)."""
+
+    def refuse(*_args, **_kwargs):
+        raise _Unpickled("decode_message unpickled a frame's bytes")
+
+    monkeypatch.setattr(pickle, "loads", refuse)
+    monkeypatch.setattr(pickle, "Unpickler", refuse)
+    for spec in registered_specs():
+        frame = encode_message(spec.sample())
+        assert decode_message(frame) == spec.sample()
+
+
+class _Unfrozen(wire.FieldCodec):
+    """A field codec that never declared itself immutable (the default)."""
+
+    name = "unfrozen"
+
+
+def test_register_refuses_a_mutable_field(scratch_registry):
+    with pytest.raises(WireCodecError, match="mutable"):
+        wire.register(
+            _Probe, 0x7F21, (("token", _Unfrozen()),), sample=lambda: _Probe(1)
+        )
+    with pytest.raises(WireCodecError, match="mutable"):
+        wire.register(
+            _Probe, 0x7F21, (("token", wire.opt(_Unfrozen())),), sample=lambda: _Probe(1)
+        )
+    assert spec_for_id(0x7F21) is None and wire.lookup(_Probe) is None
+
+
+def test_register_refuses_a_message_class_that_can_be_assigned_to(scratch_registry):
+    @dataclass
+    class Thawed:
+        token: int
+
+    with pytest.raises(WireCodecError, match="frozen"):
+        wire.register(Thawed, 0x7F22, (("token", wire.I64),), sample=lambda: Thawed(1))
+    assert spec_for_id(0x7F22) is None
 
 
 def test_combinators_derive_mutability_from_their_inners():
@@ -86,7 +138,7 @@ def test_combinators_derive_mutability_from_their_inners():
         assert not leaf.yields_mutable
         assert not wire.opt(leaf).yields_mutable
         assert not wire.seq(wire.pair(leaf, wire.BPID_CODEC)).yields_mutable
-    blob = wire.PICKLE_BLOB
+    blob = _Unfrozen()
     assert blob.yields_mutable
     assert wire.opt(blob).yields_mutable and wire.seq(blob).yields_mutable
     assert wire.pair(wire.STR, blob).yields_mutable
@@ -103,8 +155,9 @@ def test_combinators_derive_mutability_from_their_inners():
 
 
 def test_shared_values_are_frozen_all_the_way_down():
-    """Every value a memo holds is a str/int/float/bool/bytes/None, a tuple
-    of such, or a frozen dataclass over such."""
+    """Every message a memo holds is a frozen dataclass over str / int /
+    float / bool / bytes / None, tuples of such, or frozen dataclasses of
+    such."""
 
     def assert_frozen(value, where):
         if value is None or type(value) in (str, int, float, bool, bytes):
@@ -119,10 +172,9 @@ def test_shared_values_are_frozen_all_the_way_down():
 
     for spec in registered_specs():
         frame = encode_message(spec.sample())
-        decode_message(frame)
-        shared, _unshared = spec.memo[frame]
-        for name, value in shared.items():
-            assert_frozen(value, f"{spec.name}.{name}")
+        message = decode_message(frame)
+        assert spec.memo[frame] is message
+        assert_frozen(message, spec.name)
 
 
 _plain = st.integers() | st.text(max_size=8) | st.booleans() | st.none() | st.binary(max_size=8)
@@ -137,20 +189,21 @@ _nested = st.recursive(
 @settings(max_examples=60, deadline=None)
 @given(extra=st.dictionaries(st.text(max_size=6), _nested, max_size=3), ttl=st.integers(0, 30))
 def test_mutating_one_receivers_state_reaches_no_other(extra, ttl):
+    """Receivers share the envelope; each execution thaws its own state."""
     state = {**extra, "trail": [["origin"]], "box": {"seen": [1, 2]}}
-    envelope = replace(ENVELOPE_SPEC.sample(), state=state, ttl=ttl)
+    envelope = replace(ENVELOPE_SPEC.sample(), state=freeze_state(state), ttl=ttl)
     pristine = copy.deepcopy(state)
     frame = encode_message(envelope)
     first, second = decode_message(frame), decode_message(frame)
-    assert first == second == envelope
-    assert first.state is not second.state
-    first.state["scribble"] = "top level"
-    del first.state["box"]
-    first.state["trail"][0].append("nested")
-    second.state["trail"].append(["another receiver"])
-    third = decode_message(frame)
-    assert third.state == pristine == state
-    assert second.state == {**pristine, "trail": [["origin"], ["another receiver"]]}
+    assert first is second and first == envelope
+    mine, theirs = first.thaw(), second.thaw()
+    assert mine is not theirs
+    mine["scribble"] = "top level"
+    del mine["box"]
+    mine["trail"][0].append("nested")
+    theirs["trail"].append(["another receiver"])
+    assert decode_message(frame).thaw() == pristine == state
+    assert theirs == {**pristine, "trail": [["origin"], ["another receiver"]]}
 
 
 class ScribblingAgent(Agent):
@@ -187,6 +240,60 @@ def test_fan_out_of_one_frame_gives_every_host_pristine_state():
     assert all(report["visits"][0][0] == "origin" for report in reports)
 
 
+def test_corrupt_state_is_a_counted_drop_and_a_good_copy_still_runs():
+    """The compact frame decodes (state is opaque bytes); the engine's thaw
+    raises before the agent is marked seen or any clone leaves."""
+    rig = AgentRig()
+    hub, leaf, tail = rig.line("hub", "leaf", "tail")
+    reports = []
+    hub.host.bind("test.report", lambda packet: reports.append(packet.payload))
+    hub.engine.dispatch(ScribblingAgent())  # ships the class to leaf and tail
+    rig.sim.run()
+    assert len(reports) == 2
+    envelope = AgentEnvelope(
+        agent_id=AgentId(hub.bpid, 99),
+        class_name=ScribblingAgent.__name__,
+        source=None,
+        state=freeze_state(ScribblingAgent().get_state()),
+        ttl=3,
+        hops=1,
+        initiator=hub.bpid,
+        initiator_address=hub.host.address,
+    )
+    frame = encode_message(envelope)
+    stop = frame.index(envelope.state) + len(envelope.state) - 1  # pickle STOP
+    corrupt = FrameFaultInjector(seed=0).bit_flip(frame, position=stop, bit=0)
+    assert decode_message(corrupt).state != envelope.state
+    executed, sent = leaf.engine.agents_executed, leaf.host.messages_sent
+
+    def deliver(raw: bytes) -> None:
+        leaf.host._receive(
+            Packet(
+                src=hub.host.address,
+                dst=leaf.host.address,
+                protocol=PROTO_AGENT,
+                wire_size=len(raw) + PACKET_OVERHEAD_BYTES,
+                sent_at=rig.sim.now,
+                raw=raw,
+                codec=CODEC_COMPACT,
+            )
+        )
+        rig.sim.run()
+
+    deliver(corrupt)
+    assert rig.network.decode_errors == 1
+    assert rig.network.drops_by_reason["decode-error"] == 1
+    assert not leaf.engine.has_seen(envelope.agent_id)
+    assert leaf.engine.agents_executed == executed
+    assert leaf.host.messages_sent == sent  # nothing forwarded to tail
+    deliver(frame)
+    assert rig.network.decode_errors == 1
+    assert leaf.engine.has_seen(envelope.agent_id)
+    assert leaf.engine.agents_executed == executed + 1
+    assert tail.engine.has_seen(envelope.agent_id)  # its clone went on
+    assert len(reports) == 4
+
+
 # ---------------------------------------------------------------------------
 # Robustness: the strict decoder, seen through a warm memo
 # ---------------------------------------------------------------------------
@@ -202,15 +309,6 @@ class TestConformanceThroughAWarmMemo(CodecConformance):
         decode_message(frame)
         assert frame in spec.memo
         return frame
-
-    def test_body_bit_flips_never_crash(self, spec, frame, injector):
-        if spec.cls is AgentEnvelope:
-            # One flip in the state blob (a string length, turning the next
-            # byte into LONG_BINPUT) has pickle allocate ~1.4 GB for ~10 s.
-            # The cold battery pays for that once; the seeded battery below
-            # samples this frame's body through the memo.
-            pytest.skip("exhaustive envelope sweep runs cold in test_codec.py")
-        super().test_body_bit_flips_never_crash(frame, injector)
 
 
 @pytest.mark.parametrize(
@@ -251,19 +349,6 @@ def test_constructor_failure_stays_wrapped_and_unstored(scratch_registry):
         with pytest.raises(WireDecodeError, match="cannot construct"):
             decode_message(bad)
     assert list(spec.memo) == [good]
-
-
-def test_constructor_failure_on_a_hit_is_wrapped_too(scratch_registry, monkeypatch):
-    wire.register(_Picky, 0x7F11, (("token", wire.I64),), sample=lambda: _Picky(1))
-    frame = encode_message(_Picky(5))
-    decode_message(frame)
-
-    def refuse(self):
-        raise RuntimeError("constructor changed its mind")
-
-    monkeypatch.setattr(_Picky, "__post_init__", refuse)
-    with pytest.raises(WireDecodeError, match="cannot construct"):
-        decode_message(frame)
 
 
 def test_ten_thousand_distinct_frames_leave_every_memo_bounded():
