@@ -2,8 +2,8 @@
 
 Unlike the figure benches (single-shot simulated experiments), these are
 classic multi-round pytest-benchmark measurements of the library's hot
-paths: StorM inserts and searches, B+-tree inserts, buffer hits, and
-simulator event throughput.
+paths: StorM inserts and searches, buffer hits, and simulator event
+throughput.
 
 The bulk-ingest and store-templating sections additionally persist
 their measurements into ``BENCH_storm.json`` (the same pattern as
@@ -19,7 +19,6 @@ import time
 from benchmarks.support import RESULTS_DIR, SMOKE
 from repro.sim import Simulator
 from repro.storm import StorM
-from repro.storm.btree import BPlusTree
 from repro.storm.buffer import BufferManager
 from repro.storm.disk import InMemoryDisk
 from repro.storm.template import StoreTemplate
@@ -88,18 +87,6 @@ def test_storm_indexed_search(benchmark):
 
     result = benchmark(lambda: store.search(keyword))
     assert result.match_count == 10
-
-
-def test_btree_insert_throughput(benchmark):
-    entries = [f"entry-{i:06d}".encode() for i in range(500)]
-
-    def build_tree():
-        tree = BPlusTree(BufferManager(InMemoryDisk(page_size=512), pool_size=64))
-        for entry in entries:
-            tree.insert(entry)
-        return tree.entry_count
-
-    assert benchmark(build_tree) == 500
 
 
 def test_buffer_hit_path(benchmark):

@@ -498,10 +498,6 @@ class AgentEngine:
 
     # -- local bookkeeping ---------------------------------------------------------------
 
-    def mark_seen(self, agent_id: AgentId) -> None:
-        """Pre-mark an agent id as seen (e.g. the initiator's own agent)."""
-        self._seen.add(agent_id)
-
     def has_seen(self, agent_id: AgentId) -> bool:
         """True when a flood agent with this id already visited this host."""
         return agent_id in self._seen

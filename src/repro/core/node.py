@@ -198,12 +198,6 @@ class BestPeerNode:
 
         self.liglo.register_any(liglo_addresses, registered)
 
-    def assume_identity(self, bpid: BPID) -> None:
-        """Take an identity without LIGLO (controlled experiments)."""
-        if self.engine is not None:
-            raise BestPeerError(f"node {self.name} already has an identity")
-        self._init_engine(bpid)
-
     def _init_engine(self, bpid: BPID) -> None:
         self.engine = AgentEngine(
             self.host,

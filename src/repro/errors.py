@@ -50,10 +50,6 @@ class UnknownProtocolError(NetworkError):
     """A packet arrived for a protocol the host has no handler for."""
 
 
-class DeliveryError(NetworkError):
-    """A packet could not be delivered (stale address, offline host)."""
-
-
 class WireCodecError(NetworkError):
     """Base class for compact wire-codec errors (see :mod:`repro.net.codec`)."""
 
@@ -130,10 +126,6 @@ class CodeShippingError(AgentError):
         self.class_name = class_name
 
 
-class AgentExpiredError(AgentError):
-    """An agent with TTL <= 0 was asked to travel further."""
-
-
 # ---------------------------------------------------------------------------
 # LIGLO
 # ---------------------------------------------------------------------------
@@ -141,18 +133,6 @@ class AgentExpiredError(AgentError):
 
 class LigloError(ReproError):
     """Base class for LIGLO name server errors."""
-
-
-class LigloFullError(LigloError):
-    """The LIGLO server reached its membership capacity."""
-
-
-class UnknownBPIDError(LigloError):
-    """The BPID is not registered with this LIGLO server."""
-
-
-class NotRegisteredError(LigloError):
-    """A node attempted an operation that requires prior registration."""
 
 
 class LigloUnreachableError(LigloError):

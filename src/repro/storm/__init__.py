@@ -2,10 +2,12 @@
 
 The BestPeer prototype stored each node's sharable data in StorM, a "100%
 Java persistent storage manager" built around *extensible buffer
-replacement strategies* (Bressan, Goh, Ooi, Tan — SIGMOD 1999).  This
-package mirrors that design one layer at a time:
+replacement strategies* (Bressan, Goh, Ooi, Tan — SIGMOD 1999).  The
+paper measures keyword search and buffer behaviour, never durability,
+so this package mirrors the in-memory half of that design, one layer
+at a time:
 
-``disk``          page-granular storage backends (in-memory and real file)
+``disk``          page-granular in-memory storage
 ``page``          slotted-page record layout with compaction
 ``buffer``        buffer pool with pluggable replacement strategies
 ``replacement``   LRU, MRU, FIFO, Clock, Random, LRU-K strategies
@@ -15,14 +17,12 @@ package mirrors that design one layer at a time:
 ``store``         the ``StorM`` facade BestPeer nodes program against
 """
 
-from repro.storm.btree import BPlusTree
 from repro.storm.buffer import AccessStats, BufferManager
-from repro.storm.disk import Disk, FileDisk, InMemoryDisk
+from repro.storm.disk import InMemoryDisk
 from repro.storm.heapfile import HeapFile, RecordId
 from repro.storm.index import KeywordIndex
 from repro.storm.objects import StoredObject
 from repro.storm.page import SlottedPage
-from repro.storm.pindex import PersistentKeywordIndex
 from repro.storm.replacement import (
     ClockStrategy,
     FifoStrategy,
@@ -34,12 +34,9 @@ from repro.storm.replacement import (
     make_strategy,
 )
 from repro.storm.store import StorM
-from repro.storm.wal import WriteAheadLog
 
 __all__ = [
-    "Disk",
     "InMemoryDisk",
-    "FileDisk",
     "SlottedPage",
     "BufferManager",
     "AccessStats",
@@ -55,8 +52,5 @@ __all__ = [
     "RecordId",
     "StoredObject",
     "KeywordIndex",
-    "BPlusTree",
-    "PersistentKeywordIndex",
-    "WriteAheadLog",
     "StorM",
 ]

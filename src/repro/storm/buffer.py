@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.errors import BufferError_, BufferFullError, PageError
-from repro.storm.disk import Disk
+from repro.storm.disk import InMemoryDisk
 from repro.storm.replacement import LruStrategy, ReplacementStrategy
 
 
@@ -71,7 +71,7 @@ class BufferManager:
 
     def __init__(
         self,
-        disk: Disk,
+        disk: InMemoryDisk,
         pool_size: int = 64,
         strategy: ReplacementStrategy | None = None,
     ):
@@ -183,21 +183,6 @@ class BufferManager:
         """Write every dirty resident page back to disk."""
         for page_id in list(self._page_table):
             self.flush_page(page_id)
-
-    def dirty_pages(self) -> list[tuple[int, bytes]]:
-        """Snapshot of every dirty resident page's (id, contents).
-
-        Used by the WAL: a commit logs these images without cleaning
-        them (no-force); they reach the main file on eviction or
-        checkpoint.
-        """
-        images = []
-        for page_id, frame_id in self._page_table.items():
-            frame = self._frames[frame_id]
-            if frame.dirty:
-                assert frame.data is not None
-                images.append((page_id, bytes(frame.data)))
-        return images
 
     # -- introspection ------------------------------------------------------------
 

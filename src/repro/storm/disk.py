@@ -1,22 +1,18 @@
-"""Page-granular storage backends.
+"""Page-granular storage.
 
-A :class:`Disk` stores fixed-size pages addressed by integer page id.
-:class:`InMemoryDisk` backs simulations (fast, no filesystem);
-:class:`FileDisk` stores pages in a real file so StorM is genuinely
-persistent across process restarts.
+:class:`InMemoryDisk` stores fixed-size pages, addressed by integer page
+id, in process memory: the one backend every simulated StorM runs on.
 """
 
 from __future__ import annotations
 
-import os
-
-from repro.errors import PageError, StorageClosedError
+from repro.errors import PageError
 
 DEFAULT_PAGE_SIZE = 4096
 
 
-class Disk:
-    """Abstract page store."""
+class InMemoryDisk:
+    """Pages held in process memory."""
 
     def __init__(self, page_size: int = DEFAULT_PAGE_SIZE):
         if page_size < 64:
@@ -24,42 +20,6 @@ class Disk:
         self.page_size = page_size
         self.reads = 0
         self.writes = 0
-
-    @property
-    def num_pages(self) -> int:
-        raise NotImplementedError
-
-    def allocate_page(self) -> int:
-        """Append a zeroed page; returns its page id."""
-        raise NotImplementedError
-
-    def read_page(self, page_id: int) -> bytearray:
-        raise NotImplementedError
-
-    def write_page(self, page_id: int, data: bytes) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release backing resources (idempotent)."""
-
-    def _check_page_id(self, page_id: int) -> None:
-        if not 0 <= page_id < self.num_pages:
-            raise PageError(
-                f"page id {page_id} out of range [0, {self.num_pages})"
-            )
-
-    def _check_data(self, data: bytes) -> None:
-        if len(data) != self.page_size:
-            raise PageError(
-                f"page write of {len(data)} bytes; page size is {self.page_size}"
-            )
-
-
-class InMemoryDisk(Disk):
-    """Pages held in process memory; the default simulation backend."""
-
-    def __init__(self, page_size: int = DEFAULT_PAGE_SIZE):
-        super().__init__(page_size)
         self._pages: list[bytearray] = []
 
     @property
@@ -67,6 +27,7 @@ class InMemoryDisk(Disk):
         return len(self._pages)
 
     def allocate_page(self) -> int:
+        """Append a zeroed page; returns its page id."""
         self._pages.append(bytearray(self.page_size))
         return len(self._pages) - 1
 
@@ -77,67 +38,15 @@ class InMemoryDisk(Disk):
 
     def write_page(self, page_id: int, data: bytes) -> None:
         self._check_page_id(page_id)
-        self._check_data(data)
+        if len(data) != self.page_size:
+            raise PageError(
+                f"page write of {len(data)} bytes; page size is {self.page_size}"
+            )
         self.writes += 1
         self._pages[page_id] = bytearray(data)
 
-
-class FileDisk(Disk):
-    """Pages stored in a real file: StorM's persistence across restarts."""
-
-    def __init__(self, path: str, page_size: int = DEFAULT_PAGE_SIZE):
-        super().__init__(page_size)
-        self.path = path
-        exists = os.path.exists(path)
-        self._file = open(path, "r+b" if exists else "w+b")
-        size = os.fstat(self._file.fileno()).st_size
-        if size % page_size != 0:
-            self._file.close()
+    def _check_page_id(self, page_id: int) -> None:
+        if not 0 <= page_id < len(self._pages):
             raise PageError(
-                f"{path} has size {size}, not a multiple of page size {page_size}"
+                f"page id {page_id} out of range [0, {len(self._pages)})"
             )
-        self._num_pages = size // page_size
-        self._closed = False
-
-    @property
-    def num_pages(self) -> int:
-        return self._num_pages
-
-    def allocate_page(self) -> int:
-        self._check_open()
-        page_id = self._num_pages
-        self._file.seek(page_id * self.page_size)
-        self._file.write(b"\x00" * self.page_size)
-        self._num_pages += 1
-        return page_id
-
-    def read_page(self, page_id: int) -> bytearray:
-        self._check_open()
-        self._check_page_id(page_id)
-        self.reads += 1
-        self._file.seek(page_id * self.page_size)
-        return bytearray(self._file.read(self.page_size))
-
-    def write_page(self, page_id: int, data: bytes) -> None:
-        self._check_open()
-        self._check_page_id(page_id)
-        self._check_data(data)
-        self.writes += 1
-        self._file.seek(page_id * self.page_size)
-        self._file.write(data)
-
-    def flush(self) -> None:
-        """Force file contents to the operating system."""
-        self._check_open()
-        self._file.flush()
-        os.fsync(self._file.fileno())
-
-    def close(self) -> None:
-        if not self._closed:
-            self._file.flush()
-            self._file.close()
-            self._closed = True
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise StorageClosedError(f"disk {self.path} is closed")

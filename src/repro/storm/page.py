@@ -130,8 +130,8 @@ class SlottedPage:
         if len(record) > 0xFFFF:
             raise PageError(f"record of {len(record)} bytes exceeds u16 length")
         # One pass over the slot directory gathers everything the fit
-        # check needs (first dead slot + live byte total); the separate
-        # ``free_space``/``_find_dead_slot`` properties would walk it
+        # check needs (first dead slot + live byte total); asking
+        # ``free_space`` and then searching for a dead slot would walk it
         # three times per insert.
         slot_count, free_ptr = _HEADER.unpack_from(self.data, 0)
         reused_slot = None
@@ -224,12 +224,6 @@ class SlottedPage:
             slots.append(slot)
         self._set_header(slot_count, free_ptr)
         return slots
-
-    def _find_dead_slot(self) -> int | None:
-        for slot in range(self.slot_count):
-            if self._slot_entry(slot)[0] == 0:
-                return slot
-        return None
 
     def read(self, slot: int) -> bytes:
         """Return the record stored in ``slot``; raises on a dead slot."""

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import PageError, StorageClosedError, StormError
 from repro.storm.buffer import AccessStats, BufferManager
-from repro.storm.disk import Disk, InMemoryDisk
+from repro.storm.disk import InMemoryDisk
 from repro.storm.heapfile import HeapFile, RecordId
 from repro.storm.index import KeywordIndex
 from repro.storm.objects import StoredObject, normalize_keyword
@@ -32,10 +32,6 @@ if TYPE_CHECKING:
 
 #: One page's decoded records, in slot order.
 Entries = Sequence[tuple[RecordId, StoredObject]]
-
-#: Default for :class:`StorM`'s decoded-scan cache.  Tests monkeypatch
-#: this to ``False`` to prove the cache changes no observable result.
-SCAN_CACHE_DEFAULT = True
 
 
 def decode_page(page_id: int, data: bytes | bytearray) -> Entries:
@@ -125,17 +121,13 @@ class SearchResult:
 
 
 class StorM:
-    """A node-local persistent object store with keyword search."""
+    """A node-local in-memory object store with keyword search."""
 
     def __init__(
         self,
-        disk: Disk | None = None,
+        disk: InMemoryDisk | None = None,
         pool_size: int = 512,
         strategy: ReplacementStrategy | None = None,
-        index_disk: Disk | None = None,
-        index_pool_size: int = 64,
-        wal_path: str | None = None,
-        scan_cache: bool | None = None,
         template: StoreTemplate | None = None,
     ):
         """``template`` is what a prototype already knew about ``disk``'s
@@ -144,9 +136,6 @@ class StorM:
         instead of being recomputed from the pages."""
         self.disk = disk if disk is not None else InMemoryDisk()
         self._closed = False
-        self._scan_cache_enabled = (
-            SCAN_CACHE_DEFAULT if scan_cache is None else scan_cache
-        )
         # page_id -> (page version, decoded records).  The buffer is still
         # pinned/unpinned for every page on every scan — the simulated I/O
         # accounting is untouched — only the CPU-side decode is reused.
@@ -154,67 +143,25 @@ class StorM:
         # The template's decoded pages, shared by every clone and valid
         # for a page until its version leaves 0.
         self._shared_pages: Sequence[Entries] = (
-            template.decoded_pages
-            if template is not None and self._scan_cache_enabled
-            else ()
+            template.decoded_pages if template is not None else ()
         )
         self.scan_cache_hits = 0
         self.scan_cache_misses = 0
-        if wal_path is not None:
-            # Crash recovery happens before anything reads the heap:
-            # committed page images in the log supersede the heap file.
-            from repro.storm.wal import WriteAheadLog
-
-            self.wal: WriteAheadLog | None = WriteAheadLog(wal_path)
-            self._recover_from_wal()
-        else:
-            self.wal = None
         self.buffer = BufferManager(self.disk, pool_size=pool_size, strategy=strategy)
         summary = (
             None if template is None else (template.free_bytes, template.record_count)
         )
         self.heap = HeapFile(self.buffer, summary)
-        if index_disk is not None:
-            # Persistent index: survives reopen with no heap rescan.
-            if template is not None:
-                raise StormError(
-                    "a template applies to the in-memory index only"
-                )
-            from repro.storm.pindex import PersistentKeywordIndex
-
-            self.index_disk: Disk | None = index_disk
-            index_buffer = BufferManager(index_disk, pool_size=index_pool_size)
-            fresh_index = index_disk.num_pages == 0
-            self.index = PersistentKeywordIndex(index_buffer)
-            if fresh_index and self.heap.record_count:
-                self.index.rebuild(self._index_entries())
-        else:
-            self.index_disk = None
-            self.index = KeywordIndex()
-            if template is not None:
-                # A store template carries the prototype's postings, so
-                # a clone skips the decode-everything heap rescan.
-                self.index.load_snapshot(template.index_snapshot)
-            elif self.heap.record_count:
-                self.index.rebuild(self._index_entries())
-
-    def _index_entries(self):
-        return (
-            (rid, StoredObject.decode(record).keywords)
-            for rid, record in self.heap.scan()
-        )
-
-    def _recover_from_wal(self) -> None:
-        """Replay committed page images onto the heap disk, then reset."""
-        assert self.wal is not None
-        replayed = 0
-        for _lsn, page_id, data in self.wal.replay():
-            while page_id >= self.disk.num_pages:
-                self.disk.allocate_page()
-            self.disk.write_page(page_id, data)
-            replayed += 1
-        if replayed:
-            self.wal.truncate()
+        self.index = KeywordIndex()
+        if template is not None:
+            # A store template carries the prototype's postings, so
+            # a clone skips the decode-everything heap rescan.
+            self.index.load_snapshot(template.index_snapshot)
+        elif self.heap.record_count:
+            self.index.rebuild(
+                (rid, StoredObject.decode(record).keywords)
+                for rid, record in self.heap.scan()
+            )
 
     # -- mutation ----------------------------------------------------------------
 
@@ -227,9 +174,7 @@ class StorM:
         return rid
 
     def put_many(
-        self,
-        items: Iterable[tuple[Sequence[str], bytes]],
-        durable: bool = False,
+        self, items: Iterable[tuple[Sequence[str], bytes]]
     ) -> list[RecordId]:
         """Store a batch of ``(keywords, payload)`` objects in one pass.
 
@@ -238,10 +183,6 @@ class StorM:
         the keyword index in one batch; record ids, index contents,
         search results, and buffer statistics are bit-identical to a
         :meth:`put` loop.
-
-        ``durable=True`` additionally issues one grouped
-        :meth:`commit` for the whole batch — equivalent to a per-record
-        loop followed by a single commit; requires a WAL-backed store.
         """
         self._check_open()
         objs = [
@@ -270,17 +211,7 @@ class StorM:
                 f"record of {len(records[bad])} bytes exceeds max "
                 f"{self.heap.max_record_size} for this page size"
             )
-        if durable:
-            self.commit()
         return rids
-
-    def share_many(
-        self,
-        items: Iterable[tuple[Sequence[str], bytes]],
-        durable: bool = False,
-    ) -> list[RecordId]:
-        """Alias of :meth:`put_many` under the node-facing name."""
-        return self.put_many(items, durable=durable)
 
     def delete(self, rid: RecordId) -> None:
         """Remove an object (and its index postings)."""
@@ -333,8 +264,7 @@ class StorM:
                 else:
                     self.scan_cache_misses += 1
                     entries = decode_page(page_id, data)
-                    if self._scan_cache_enabled:
-                        self._scan_cache[page_id] = (version, entries)
+                    self._scan_cache[page_id] = (version, entries)
             finally:
                 buffer.unpin(page_id)
             yield entries
@@ -469,64 +399,15 @@ class StorM:
         return self.buffer.stats
 
     def flush(self) -> None:
-        """Write all dirty pages (heap and index) to the backing disks."""
+        """Write all dirty pages to the disk."""
         self._check_open()
         self.buffer.flush_all()
-        if self.index_disk is not None:
-            self.index.flush()
-
-    # -- durability (WAL) -----------------------------------------------------------
-
-    def commit(self) -> None:
-        """Make everything stored so far crash-durable.
-
-        Logs the image of every dirty page plus a commit marker and
-        syncs the WAL — one sequential write.  Data pages stay dirty in
-        the pool (no-force); they reach the heap file on eviction or at
-        the next :meth:`checkpoint`.
-        """
-        self._check_open()
-        if self.wal is None:
-            raise StormError("this store was opened without a WAL")
-        for page_id, image in self.buffer.dirty_pages():
-            self.wal.append(page_id, image)
-        self.wal.mark_commit()
-        self.wal.sync()
-
-    def checkpoint(self) -> None:
-        """Flush data pages, then truncate the (now redundant) log."""
-        self._check_open()
-        if self.wal is None:
-            raise StormError("this store was opened without a WAL")
-        self.buffer.flush_all()
-        if hasattr(self.disk, "flush"):
-            self.disk.flush()
-        self.wal.truncate()
-
-    def crash(self) -> None:
-        """Abandon the store as a crash would: dirty pool contents are
-        lost, nothing is flushed.  For durability tests."""
-        if self._closed:
-            return
-        self.disk.close()
-        if self.wal is not None:
-            self.wal.close()
-        if self.index_disk is not None:
-            self.index_disk.close()
-        self._closed = True
 
     def close(self) -> None:
-        """Flush and release the backing disk(s) (idempotent)."""
+        """Flush dirty pages and refuse further use (idempotent)."""
         if self._closed:
             return
         self.buffer.flush_all()
-        if self.wal is not None:
-            self.wal.truncate()  # everything is in the heap file now
-            self.wal.close()
-        self.disk.close()
-        if self.index_disk is not None:
-            self.index.flush()
-            self.index_disk.close()
         self._closed = True
 
     def __enter__(self) -> "StorM":

@@ -31,7 +31,6 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from repro.errors import StormError
 from repro.storm.disk import InMemoryDisk
 from repro.storm.heapfile import RecordId
 from repro.storm.page import SlottedPage
@@ -99,18 +98,7 @@ class StoreTemplate:
 
     @classmethod
     def from_store(cls, store: StorM) -> "StoreTemplate":
-        """Snapshot ``store`` (flushes it first; the store stays usable).
-
-        Only plain in-memory stores can be templated: a WAL or a
-        persistent index ties the store to external files that a shared
-        snapshot cannot represent.
-        """
-        if store.wal is not None:
-            raise StormError("cannot template a WAL-backed store")
-        if store.index_disk is not None:
-            raise StormError(
-                "cannot template a store with a persistent index"
-            )
+        """Snapshot ``store`` (flushes it first; the store stays usable)."""
         store.flush()
         disk = store.disk
         # All images first, then everything derived from them: decoding
@@ -134,7 +122,6 @@ class StoreTemplate:
         self,
         pool_size: int = 512,
         strategy: ReplacementStrategy | None = None,
-        scan_cache: bool | None = None,
     ) -> StorM:
         """A fresh store over shared pages, with its own buffer pool.
 
@@ -148,6 +135,5 @@ class StoreTemplate:
             disk=SnapshotDisk(self.pages, self.page_size),
             pool_size=pool_size,
             strategy=strategy,
-            scan_cache=scan_cache,
             template=self,
         )

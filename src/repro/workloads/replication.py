@@ -71,7 +71,3 @@ class ReplicationSpec:
     def total_copies(self) -> int:
         """Copies across the network (the completion oracle)."""
         return self.distinct_objects * self.factor
-
-    def distinct_reachable(self) -> int:
-        """Distinct objects stored somewhere (== distinct_objects)."""
-        return self.distinct_objects

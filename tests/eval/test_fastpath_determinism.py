@@ -1,8 +1,8 @@
 """How a run is executed must never change a result.
 
-The wire encoding cache and StorM's decoded-scan cache (module
-constants) and the parallel experiment runner (``--jobs``) exist purely
-to save wall-clock; these tests pin down that every observable output
+The wire encoding cache (a module constant) and the parallel
+experiment runner (``--jobs``) exist purely to save wall-clock; these
+tests pin down that every observable output
 (figure series, bytes on the wire, packet counts, answer hop counts,
 buffer I/O statistics) is bit-identical whichever of them executes the
 run.  "Now vs before" is
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-import repro.storm.store as store_module
 import repro.util.serialization as serialization_module
 from repro.core.builder import build_network
 from repro.core.config import BestPeerConfig
@@ -42,7 +41,6 @@ def fastpath_results():
 
 def test_series_identical_with_caches_disabled(monkeypatch, fastpath_results):
     monkeypatch.setattr(serialization_module, "WIRE_CACHE_CAPACITY", 0)
-    monkeypatch.setattr(store_module, "SCAN_CACHE_DEFAULT", False)
     assert _run_figures() == fastpath_results
 
 

@@ -3,8 +3,8 @@
 ``StorM.put_many`` / ``HeapFile.insert_many`` / ``SlottedPage.insert_many``
 must produce exactly what a per-record loop would: same record ids, same
 page bytes, same free-space map, same index postings, same buffer
-statistics, same WAL recovery outcome.  These tests drive both paths
-side by side and compare everything observable.
+statistics.  These tests drive both paths side by side and compare
+everything observable.
 """
 
 import random
@@ -188,40 +188,6 @@ class TestStaleEntryHeal:
         store.heap._free_space.set(0, 4000)
         store.put_many([(("b",), bytes(2000))])
         assert store.heap._free_space.get(0) == true_free
-
-
-class TestDurability:
-    def test_grouped_commit_recovers_like_per_record(self, tmp_path):
-        items = _items(seed=21, count=40)
-
-        def survivors(name, durable_batch):
-            disk = InMemoryDisk()
-            store = StorM(disk=disk, wal_path=str(tmp_path / name))
-            if durable_batch:
-                store.put_many(items, durable=True)
-            else:
-                for keywords, payload in items:
-                    store.put(keywords, payload)
-                store.commit()
-            store.crash()
-            reopened = StorM(wal_path=str(tmp_path / name))
-            found = sorted(
-                (rid, obj.keywords, obj.payload) for rid, obj in reopened.scan()
-            )
-            reopened.close()
-            return found
-
-        assert survivors("bulk.wal", True) == survivors("loop.wal", False)
-
-    def test_durable_without_wal_raises(self):
-        store = StorM()
-        from repro.errors import StormError
-
-        with pytest.raises(StormError):
-            store.put_many([(("a",), b"x")], durable=True)
-        # The objects themselves were stored before the commit attempt,
-        # matching a per-record loop followed by a failing commit().
-        assert store.count == 1
 
 
 class TestPageLevel:

@@ -1,9 +1,9 @@
-"""Tests for disk backends."""
+"""Tests for the in-memory disk."""
 
 import pytest
 
-from repro.errors import PageError, StorageClosedError
-from repro.storm.disk import FileDisk, InMemoryDisk
+from repro.errors import PageError
+from repro.storm.disk import InMemoryDisk
 
 
 class TestInMemoryDisk:
@@ -53,46 +53,3 @@ class TestInMemoryDisk:
         with pytest.raises(ValueError):
             InMemoryDisk(page_size=32)
 
-
-class TestFileDisk:
-    def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "storm.db")
-        disk = FileDisk(path, page_size=128)
-        page_id = disk.allocate_page()
-        disk.write_page(page_id, b"\x09" * 128)
-        assert disk.read_page(page_id) == bytearray(b"\x09" * 128)
-        disk.close()
-
-    def test_persistence_across_reopen(self, tmp_path):
-        path = str(tmp_path / "storm.db")
-        disk = FileDisk(path, page_size=128)
-        disk.allocate_page()
-        disk.allocate_page()
-        disk.write_page(1, b"\xab" * 128)
-        disk.close()
-
-        reopened = FileDisk(path, page_size=128)
-        assert reopened.num_pages == 2
-        assert reopened.read_page(1) == bytearray(b"\xab" * 128)
-        reopened.close()
-
-    def test_misaligned_file_rejected(self, tmp_path):
-        path = tmp_path / "bad.db"
-        path.write_bytes(b"x" * 100)
-        with pytest.raises(PageError):
-            FileDisk(str(path), page_size=128)
-
-    def test_closed_disk_raises(self, tmp_path):
-        disk = FileDisk(str(tmp_path / "storm.db"), page_size=128)
-        disk.allocate_page()
-        disk.close()
-        with pytest.raises(StorageClosedError):
-            disk.read_page(0)
-        disk.close()  # idempotent
-
-    def test_flush(self, tmp_path):
-        disk = FileDisk(str(tmp_path / "storm.db"), page_size=128)
-        disk.allocate_page()
-        disk.write_page(0, b"\x01" * 128)
-        disk.flush()
-        disk.close()

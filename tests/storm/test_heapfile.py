@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import PageError, RecordNotFound
 from repro.storm.buffer import BufferManager
-from repro.storm.disk import FileDisk, InMemoryDisk
+from repro.storm.disk import InMemoryDisk
 from repro.storm.heapfile import HeapFile, RecordId
 
 
@@ -81,18 +81,15 @@ class TestHeapFile:
         with pytest.raises(PageError):
             heap.insert(b"x" * 128)
 
-    def test_reopen_rebuilds_state(self, tmp_path):
-        path = str(tmp_path / "heap.db")
-        disk = FileDisk(path, page_size=128)
+    def test_reopen_rebuilds_state(self):
+        disk = InMemoryDisk(page_size=128)
         buffer = BufferManager(disk, pool_size=4)
         heap = HeapFile(buffer)
         rids = [heap.insert(f"persisted-{i}".encode()) for i in range(6)]
         heap.delete(rids[2])
         buffer.flush_all()
-        disk.close()
 
-        reopened_disk = FileDisk(path, page_size=128)
-        reopened = HeapFile(BufferManager(reopened_disk, pool_size=4))
+        reopened = HeapFile(BufferManager(disk, pool_size=4))
         assert reopened.record_count == 5
         assert reopened.read(rids[0]) == b"persisted-0"
         with pytest.raises(RecordNotFound):
@@ -101,7 +98,6 @@ class TestHeapFile:
         pages_before = reopened.page_count
         reopened.insert(b"new")
         assert reopened.page_count == pages_before
-        reopened_disk.close()
 
 
 @settings(max_examples=30, deadline=None)

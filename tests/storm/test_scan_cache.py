@@ -1,16 +1,45 @@
-"""StorM's decoded-scan cache: faster, never different."""
+"""StorM's decoded-scan cache: faster, never different.
+
+The reference is a twin store holding the same objects whose pages are
+walked the way a scan without the cache would walk them: pin, decode
+every record, unpin.  The cached store must return the same matches,
+examine the same objects and cause the same buffer traffic.
+"""
 
 from __future__ import annotations
 
-import repro.storm.store as store_module
-from repro.storm.store import StorM
+from repro.storm.objects import normalize_keyword
+from repro.storm.store import StorM, decode_page
 
 
-def _loaded_store(**kwargs) -> StorM:
-    storm = StorM(pool_size=16, **kwargs)
+def _loaded_store() -> StorM:
+    storm = StorM(pool_size=16)
     for n in range(30):
         storm.put([f"kw{n % 3}"], bytes([n]) * 50)
     return storm
+
+
+def _reference_pages(storm: StorM):
+    """Each page's records, decoded afresh between a pin and an unpin."""
+    buffer = storm.buffer
+    for page_id in range(storm.heap.page_count):
+        data = buffer.pin(page_id)
+        try:
+            entries = decode_page(page_id, data)
+        finally:
+            buffer.unpin(page_id)
+        yield entries
+
+
+def _reference_search(storm: StorM, keyword: str):
+    """``search_scan`` without the cache: (matches, examined, io)."""
+    before = storm.stats.snapshot()
+    needle = normalize_keyword(keyword)
+    matches, examined = [], 0
+    for entries in _reference_pages(storm):
+        examined += len(entries)
+        matches.extend((rid, obj) for rid, obj in entries if needle in obj.keywords)
+    return matches, examined, storm.stats.since(before)
 
 
 def test_repeated_scans_hit_the_cache():
@@ -35,41 +64,23 @@ def test_insert_and_delete_invalidate_only_touched_pages():
 
 def test_search_results_identical_with_cache_off():
     cached = _loaded_store()
-    uncached = _loaded_store(scan_cache=False)
+    reference = _loaded_store()
     for _ in range(3):
-        left = cached.search_scan("kw1")
-        right = uncached.search_scan("kw1")
-        assert left.matches == right.matches
-        assert left.objects_examined == right.objects_examined
+        result = cached.search_scan("kw1")
+        matches, examined, io = _reference_search(reference, "kw1")
+        assert result.matches == matches
+        assert result.objects_examined == examined
         # The cache skips decode work only — simulated I/O must agree.
-        assert (left.io.logical_reads, left.io.physical_reads) == (
-            right.io.logical_reads,
-            right.io.physical_reads,
-        )
-    assert uncached.scan_cache_hits == 0
+        assert result.io == io
+    assert reference.scan_cache_hits == reference.scan_cache_misses == 0
     assert cached.scan_cache_hits > 0
 
 
 def test_buffer_stats_identical_with_cache_off():
     cached = _loaded_store()
-    uncached = _loaded_store(scan_cache=False)
+    reference = _loaded_store()
     for _ in range(3):
-        list(cached.scan())
-        list(uncached.scan())
-    assert (
-        cached.stats.logical_reads,
-        cached.stats.physical_reads,
-        cached.stats.physical_writes,
-    ) == (
-        uncached.stats.logical_reads,
-        uncached.stats.physical_reads,
-        uncached.stats.physical_writes,
-    )
-
-
-def test_module_default_flag(monkeypatch):
-    monkeypatch.setattr(store_module, "SCAN_CACHE_DEFAULT", False)
-    storm = _loaded_store()
-    list(storm.scan())
-    list(storm.scan())
-    assert storm.scan_cache_hits == 0
+        assert list(cached.scan()) == [
+            entry for entries in _reference_pages(reference) for entry in entries
+        ]
+    assert cached.stats == reference.stats

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StormError
-from repro.storm import InMemoryDisk, StorM
+from repro.storm import StorM
 from repro.storm.template import StoreTemplate
 
 
@@ -149,16 +149,6 @@ class TestScoringModel:
                 method("jazz", 0)
             with pytest.raises(StormError):
                 method("jazz", -3)
-
-    def test_persistent_index_parity(self):
-        disk, index_disk = InMemoryDisk(), InMemoryDisk()
-        store = StorM(disk=disk, index_disk=index_disk)
-        for i in range(12):
-            store.put(["jazz"] + ["pad"] * (i % 3), bytes([i]))
-        indexed = store.scored_search("jazz", 5)
-        scanned = store.scored_search_scan("jazz", 5)
-        assert indexed.matches == scanned.matches
-        assert indexed.truncated == scanned.truncated
 
 
 class TestScoredSearchProperty:

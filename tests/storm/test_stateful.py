@@ -13,7 +13,6 @@ from hypothesis.stateful import (
 )
 from hypothesis import strategies as st
 
-from repro.storm.btree import BPlusTree
 from repro.storm.buffer import BufferManager
 from repro.storm.disk import InMemoryDisk
 
@@ -87,47 +86,7 @@ class BufferMachine(RuleBasedStateMachine):
                 assert self.disk.read_page(page_id)[0] == value
 
 
-class BTreeMachine(RuleBasedStateMachine):
-    """The B+-tree is an ordered set of byte strings."""
-
-    def __init__(self):
-        super().__init__()
-        self.tree = BPlusTree(
-            BufferManager(InMemoryDisk(page_size=128), pool_size=8)
-        )
-        self.model: set[bytes] = set()
-
-    @rule(entry=st.binary(min_size=1, max_size=20))
-    def insert(self, entry):
-        assert self.tree.insert(entry) == (entry not in self.model)
-        self.model.add(entry)
-
-    @rule(entry=st.binary(min_size=1, max_size=20))
-    def delete(self, entry):
-        assert self.tree.delete(entry) == (entry in self.model)
-        self.model.discard(entry)
-
-    @rule(entry=st.binary(min_size=1, max_size=20))
-    def membership(self, entry):
-        assert self.tree.contains(entry) == (entry in self.model)
-
-    @rule(prefix=st.binary(min_size=1, max_size=3))
-    def prefix_scan(self, prefix):
-        expected = sorted(e for e in self.model if e.startswith(prefix))
-        assert list(self.tree.scan_prefix(prefix)) == expected
-
-    @invariant()
-    def full_scan_matches_model(self):
-        assert list(self.tree.scan_all()) == sorted(self.model)
-        assert self.tree.entry_count == len(self.model)
-
-
 TestBufferMachine = BufferMachine.TestCase
 TestBufferMachine.settings = settings(
     max_examples=25, stateful_step_count=30, deadline=None
-)
-
-TestBTreeMachine = BTreeMachine.TestCase
-TestBTreeMachine.settings = settings(
-    max_examples=25, stateful_step_count=40, deadline=None
 )

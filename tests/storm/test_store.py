@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StorageClosedError
-from repro.storm import FileDisk, InMemoryDisk, StorM
+from repro.storm import InMemoryDisk, StorM
 from repro.storm.replacement import make_strategy
 
 
@@ -88,13 +88,13 @@ class TestStorM:
             store.count_check = store.get  # store is closed
             store.scan().__next__()
 
-    def test_persistence_with_file_disk(self, tmp_path):
-        path = str(tmp_path / "node.storm")
-        with StorM(disk=FileDisk(path, page_size=512)) as store:
+    def test_reopen_over_the_same_disk(self):
+        disk = InMemoryDisk(page_size=512)
+        with StorM(disk=disk) as store:
             store.put(["blues"], b"muddy waters")
             store.put(["blues", "chicago"], b"howlin wolf")
 
-        with StorM(disk=FileDisk(path, page_size=512)) as reopened:
+        with StorM(disk=disk) as reopened:
             assert reopened.count == 2
             # Index was rebuilt from the heap scan.
             result = reopened.search("blues")

@@ -74,15 +74,14 @@ def _apply(store: StorM, live: list, operation: str, argument):
     holes=st.lists(st.integers(min_value=0), max_size=6),
     trace=st.lists(operations, max_size=25),
     pool_size=st.sampled_from([2, 5, 512]),
-    scan_cache=st.booleans(),
 )
 def test_clone_is_indistinguishable_from_a_populated_store(
-    items, holes, trace, pool_size, scan_cache
+    items, holes, trace, pool_size
 ):
     prototype, _ = _populated(items, holes)
     template = StoreTemplate.from_store(prototype)
-    clone = template.instantiate(pool_size=pool_size, scan_cache=scan_cache)
-    fresh, live = _populated(items, holes, pool_size=pool_size, scan_cache=scan_cache)
+    clone = template.instantiate(pool_size=pool_size)
+    fresh, live = _populated(items, holes, pool_size=pool_size)
     clone_live = list(live)
     assert clone.count == fresh.count
     assert clone.index.snapshot() == fresh.index.snapshot()
@@ -135,14 +134,6 @@ def test_clone_scans_decode_nothing_until_a_page_is_written():
     assert dict(clone.scan())[rid].payload == b"y" * 20
     assert clone.scan_cache_misses == 1
     assert set(clone._scan_cache) == {rid.page_id}
-
-
-def test_uncached_clone_decodes_its_own_pages():
-    template = _template()
-    clone = template.instantiate(scan_cache=False)
-    assert list(clone.scan()) == list(template.instantiate().scan())
-    assert clone.scan_cache_hits == 0
-    assert clone.scan_cache_misses == len(template.pages)
 
 
 def test_writes_in_one_clone_reach_no_other():
@@ -203,9 +194,3 @@ def test_template_must_describe_the_disk_it_opens():
     template = _template()
     with pytest.raises(StormError):
         StorM(disk=SnapshotDisk(template.pages[:-1], PAGE_SIZE), template=template)
-    with pytest.raises(StormError):
-        StorM(
-            disk=SnapshotDisk(template.pages, PAGE_SIZE),
-            index_disk=InMemoryDisk(),
-            template=template,
-        )
