@@ -42,6 +42,12 @@ class AgentId:
     origin: BPID
     serial: int
 
+    def __hash__(self) -> int:
+        # Every flood arrival is looked up in a dedup set: hash the three
+        # leaves in one tuple instead of nesting BPID's generated hash.
+        origin = self.origin
+        return hash((origin.liglo_id, origin.node_id, self.serial))
+
     def __str__(self) -> str:
         return f"agent:{self.origin}#{self.serial}"
 

@@ -18,9 +18,22 @@ from repro.errors import AddressPoolExhausted
 
 @dataclass(frozen=True, slots=True)
 class IPAddress:
-    """A simulated IPv4 address (value object; compared by string value)."""
+    """A simulated IPv4 address (value object; compared by string value).
+
+    ``__eq__`` and ``__hash__`` are written out rather than generated: the
+    dataclass versions build a one-field tuple per call, and an address is
+    hashed several times per packet (route, link and dedup lookups).
+    """
 
     value: str
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash(self.value)
 
     def __str__(self) -> str:
         return self.value

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import WireDecodeError
@@ -19,7 +18,6 @@ PACKET_OVERHEAD_BYTES = 80
 _UNDECODED = object()
 
 
-@dataclass(frozen=True, slots=True)
 class Packet:
     """One message travelling the simulated network.
 
@@ -43,16 +41,35 @@ class Packet:
     the decode at all.  A malformed compact frame raises a typed
     :class:`~repro.errors.WireDecodeError` from that first access;
     :meth:`Host._dispatch` turns it into a counted drop.
+
+    A plain slotted class, built positionally with plain assignments:
+    one is made per packet sent, so it costs no dataclass machinery.
+    Packets compare and hash by identity; nothing keys on one.
     """
 
-    src: IPAddress
-    dst: IPAddress
-    protocol: str
-    wire_size: int
-    sent_at: float
-    raw: bytes
-    codec: str = CODEC_PICKLE
-    _decoded: Any = field(default=_UNDECODED, repr=False, compare=False)
+    __slots__ = (
+        "src", "dst", "protocol", "wire_size", "sent_at", "raw", "codec", "_decoded",
+    )
+
+    def __init__(
+        self,
+        src: IPAddress,
+        dst: IPAddress,
+        protocol: str,
+        wire_size: int,
+        sent_at: float,
+        raw: bytes,
+        codec: str = CODEC_PICKLE,
+        _decoded: Any = _UNDECODED,
+    ):
+        self.src = src
+        self.dst = dst
+        self.protocol = protocol
+        self.wire_size = wire_size
+        self.sent_at = sent_at
+        self.raw = raw
+        self.codec = codec
+        self._decoded = _decoded
 
     @property
     def payload(self) -> Any:
@@ -73,7 +90,7 @@ class Packet:
                     raise WireDecodeError(f"corrupt pickle payload: {exc}") from exc
             else:
                 raise WireDecodeError(f"unknown packet codec tag {self.codec!r}")
-            object.__setattr__(self, "_decoded", decoded)
+            self._decoded = decoded
         return self._decoded
 
     def __getstate__(self) -> tuple[None, dict[str, Any]]:
@@ -96,7 +113,7 @@ class Packet:
         for name, value in state[1].items():
             if name == "_decoded":
                 value = _UNDECODED
-            object.__setattr__(self, name, value)
+            setattr(self, name, value)
 
     def __str__(self) -> str:
         return (

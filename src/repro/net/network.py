@@ -160,13 +160,7 @@ class Host:
         encoded = self.network.encoder.encode(payload)
         wire_size = encoded.compressed_size + PACKET_OVERHEAD_BYTES
         packet = Packet(
-            src=self.address,
-            dst=dst,
-            protocol=protocol,
-            wire_size=wire_size,
-            sent_at=self.sim.now,
-            raw=encoded.raw,
-            codec=encoded.codec,
+            self.address, dst, protocol, wire_size, self.sim.now, encoded.raw, encoded.codec
         )
         self.messages_sent += 1
         self.bytes_sent += wire_size
@@ -385,9 +379,12 @@ class Network:
     def _drop(self, packet: Packet, reason: str) -> None:
         self.packets_dropped += 1
         self.drops_by_reason[reason] = self.drops_by_reason.get(reason, 0) + 1
+        tracer = self.tracer
+        if not tracer.enabled:  # churn drops many packets: format nothing for them
+            return
         if reason == "loss":
-            self.tracer.bump("net", "loss")
-        self.tracer.record(
+            tracer.bump("net", "loss")
+        tracer.record(
             self.sim.now,
             "net",
             "drop",
@@ -402,8 +399,11 @@ class Network:
         self.drops_by_reason["decode-error"] = (
             self.drops_by_reason.get("decode-error", 0) + 1
         )
-        self.tracer.bump("net", "decode-error")
-        self.tracer.record(
+        tracer = self.tracer
+        if not tracer.enabled:
+            return
+        tracer.bump("net", "decode-error")
+        tracer.record(
             self.sim.now,
             "net",
             "drop",

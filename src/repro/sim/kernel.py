@@ -107,7 +107,8 @@ class Simulator:
         Nothing can cancel it, so it gets no :class:`Timer`: the heap entry
         carries the callback itself.
         """
-        self._check_not_past(time)
+        if time < self.now:  # inline: this runs once per packet
+            self._check_not_past(time)
         self._sequence += 1
         heapq.heappush(self._heap, (time, self._sequence, callback, args))
         self._live_count += 1

@@ -155,15 +155,16 @@ class WireEncoder:
         """Wire form of ``payload``, memoized per object identity."""
         key = id(payload)
         entry = self._cache.get(key)
+        tracer = self.tracer
         if entry is not None and entry[0] is payload:
             self.hits += 1
             self._cache.move_to_end(key)
-            if self.tracer is not None:
-                self.tracer.bump("net", "encode-hit")
+            if tracer is not None and tracer.enabled:  # per packet: skip a dead bump
+                tracer.bump("net", "encode-hit")
             return entry[1]
         self.misses += 1
-        if self.tracer is not None:
-            self.tracer.bump("net", "encode-miss")
+        if tracer is not None:
+            tracer.bump("net", "encode-miss")
         encoded = self._encode(payload)
         if self.capacity > 0:
             self._cache[key] = (payload, encoded)

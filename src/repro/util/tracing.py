@@ -5,11 +5,12 @@ peer replaced, packet dropped...) into a shared :class:`Tracer`.  The
 evaluation harness and tests read the trace instead of scraping logs.
 :meth:`Tracer.record` on a disabled tracer returns after one attribute
 check, but its arguments are built by the caller first: the call sites
-that run once per delivered packet (``Host.send``,
-``Host._dispatch``, the agent engine's dedup and execute records) test
-``tracer.enabled`` themselves, so that a run without tracing formats no
-addresses or ids there.  Rarer records (drops, membership, per query)
-still pay for their arguments.
+that run once per packet (``Host.send``, ``Host._dispatch``, the agent
+engine's dedup and execute records, ``Network._drop`` and
+``Network._drop_undecodable``) and the wire encoder's per-send hit
+counter test ``tracer.enabled`` themselves, so that a run without
+tracing formats no addresses or ids there.  Rarer records (membership,
+per query) still pay for their arguments.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from repro.errors import WireDecodeError
 from repro.ids import BPID
 from repro.liglo.messages import PROTO_PING, Ping, Pong
 from repro.net import datacodec
+from repro.net.address import IPAddress
 from repro.net.codec import CODEC_COMPACT, CODEC_PICKLE, encode_message
 from repro.net.datacodec import CODEC_STREAM
 from repro.net.faults import FrameFaultInjector
@@ -288,8 +289,6 @@ def test_lazy_batch_corruption_is_counted_when_the_handler_reads_it():
 
 class TestPacketPickling:
     def test_decode_cache_does_not_travel(self):
-        from repro.net.address import IPAddress
-
         packet = Packet(
             IPAddress("10.0.0.1"),
             IPAddress("10.0.0.2"),
@@ -303,3 +302,60 @@ class TestPacketPickling:
         clone = pickle.loads(pickle.dumps(packet))
         assert clone._decoded is _UNDECODED
         assert clone.payload == "payload"
+
+
+class TestPacketContract:
+    """``Packet`` is a plain slotted class built positionally on the send
+    path; keyword construction (tests, the LIGLO recency harness) must
+    give the very same packet."""
+
+    FIELDS = ("src", "dst", "protocol", "wire_size", "sent_at", "raw", "codec")
+
+    def _args(self):
+        frame = encode_message(Ping(token=7))
+        return (
+            IPAddress("10.0.0.1"),
+            IPAddress("10.0.0.2"),
+            PROTO_PING,
+            len(frame) + PACKET_OVERHEAD_BYTES,
+            1.25,
+            frame,
+            CODEC_COMPACT,
+        )
+
+    def test_positional_and_keyword_construction_agree(self):
+        args = self._args()
+        positional = Packet(*args)
+        keyword = Packet(**dict(zip(self.FIELDS, args)))
+        for name in self.FIELDS:
+            assert getattr(positional, name) == getattr(keyword, name)
+        assert positional._decoded is _UNDECODED and keyword._decoded is _UNDECODED
+
+    def test_codec_defaults_to_pickle_and_decoded_can_be_preset(self):
+        src, dst, protocol, wire_size, sent_at, _, _ = self._args()
+        packet = Packet(src, dst, protocol, wire_size, sent_at, b"", _decoded="given")
+        assert packet.codec == CODEC_PICKLE
+        assert packet.payload == "given"
+
+    def test_payload_decodes_once_and_is_memoised(self, monkeypatch):
+        import repro.net.message as message
+
+        calls = []
+        real = message.decode_message
+
+        def counting(raw):
+            calls.append(raw)
+            return real(raw)
+
+        monkeypatch.setattr(message, "decode_message", counting)
+        packet = Packet(*self._args())
+        first = packet.payload
+        assert first == Ping(token=7)
+        assert packet.payload is first
+        assert len(calls) == 1
+
+    def test_no_per_instance_dict(self):
+        packet = Packet(*self._args())
+        assert not hasattr(packet, "__dict__")
+        with pytest.raises(AttributeError):
+            packet.extra = 1

@@ -8,7 +8,11 @@ from repro import BestPeerConfig, build_network, random_graph
 from repro.agents.storm_agent import StorMSearchAgent
 from repro.ids import AgentId
 from repro.net.address import IPAddress
-from repro.util.tracing import NULL_TRACER
+from repro.net.codec import CODEC_COMPACT
+from repro.net.message import PACKET_OVERHEAD_BYTES, Packet
+from repro.net.network import Network
+from repro.sim import Simulator
+from repro.util.tracing import NULL_TRACER, Tracer
 
 from tests.agents.helpers import AgentRig
 
@@ -97,3 +101,49 @@ def test_disabled_tracer_formats_nothing_on_the_packet_path(monkeypatch):
     assert len(handle.answers) == 1
     assert deployment.network.packets_delivered - delivered > 2 * nodes
     assert formatted == []
+
+
+def _drop_one(tracer, monkeypatch):
+    """Send alice -> a departed bob (a no-route drop) and a corrupt frame
+    alice -> carol (a decode-error drop); returns (network, formatted)."""
+    sim = Simulator()
+    network = Network(sim, tracer=tracer)
+    alice, bob, carol = (network.create_host(name) for name in ("alice", "bob", "carol"))
+    carol.bind("p", lambda packet: packet.payload)
+    gone = bob.address
+    bob.disconnect()
+    formatted = []
+    original = IPAddress.__str__
+
+    def counting(self):
+        formatted.append(self)
+        return original(self)
+
+    monkeypatch.setattr(IPAddress, "__str__", counting)
+    alice.send(gone, "p", b"lost")
+    corrupt = b"\x00not a frame"
+    carol._receive(
+        Packet(
+            alice.address, carol.address, "p", len(corrupt) + PACKET_OVERHEAD_BYTES,
+            sim.now, corrupt, CODEC_COMPACT,
+        )
+    )
+    sim.run()
+    assert network.drops_by_reason == {"no-route": 1, "decode-error": 1}
+    assert network.packets_dropped == 1 and network.decode_errors == 1
+    return network, formatted
+
+
+def test_disabled_tracer_formats_nothing_for_drops(monkeypatch):
+    _, formatted = _drop_one(NULL_TRACER, monkeypatch)
+    assert formatted == []
+
+
+def test_enabled_tracer_still_records_drops(monkeypatch):
+    network, _ = _drop_one(Tracer(), monkeypatch)
+    drops = list(network.tracer.select("net", "drop"))
+    assert sorted((e.get("reason"), type(e.get("dst"))) for e in drops) == [
+        ("decode-error", str),
+        ("no-route", str),
+    ]
+    assert network.tracer.counter("net", "decode-error") == 1
