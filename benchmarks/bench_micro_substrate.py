@@ -6,8 +6,7 @@ paths: StorM inserts and searches, buffer hits, and simulator event
 throughput.
 
 The bulk-ingest and store-templating sections additionally persist
-their measurements into ``BENCH_storm.json`` (the same pattern as
-``bench_micro_wire.py``'s ``BENCH_wire.json``), so the setup-tax
+their measurements into ``BENCH_storm.json``, so the setup-tax
 speedup claims are auditable from the artifact alone.
 ``REPRO_BENCH_SCALE=smoke`` shrinks the workloads for CI smoke runs.
 """

@@ -123,11 +123,11 @@ class AgentEnvelope:
         return replace(self, path=self.path[1:])
 
 
-# -- compact wire registration (type id block 0x03xx) --------------------------
+# -- control-plane wire registration (type id block 0x03xx) --------------------
 #
-# Only state-only hops (``source is None``) take the compact path: a
-# shipped class source is a large, highly compressible text blob that
-# genuinely benefits from the gzip'd pickle fallback.
+# Only state-only hops (``source is None``) ride the control plane: a
+# shipped class source is a large, highly compressible text blob, which
+# the data-plane registration below deflates inside the frame.
 
 from repro.net import codec as wire
 
@@ -160,34 +160,32 @@ wire.register(
         mode=MODE_FLOOD,
         path=(),
     ),
-    compactable=lambda envelope: envelope.source is None,
+    when=lambda envelope: envelope.source is None,
 )
 
 # -- data-plane wire registration (type id block 0x10xx) -----------------------
 #
 # Sourced hops (the expensive ones — they carry the whole class text)
-# stream on the data codec with the source zlib-compressed *inside* the
+# ride the data plane with the source zlib-compressed *inside* the
 # frame, cached by codeship's sha256 digest so each distinct class is
 # compressed once per process, not once per envelope.
 
-from repro.net import datacodec as data
-
-data.register(
+wire.register(
     AgentEnvelope,
     0x1006,
     (
         ("agent_id", wire.AGENT_ID_CODEC),
         ("class_name", wire.STR),
-        ("source", data.COMPRESSED_SOURCE),
+        ("source", wire.COMPRESSED_SOURCE),
         ("state", wire.BYTES),
         ("ttl", wire.I32),
         ("hops", wire.U32),
         ("initiator", wire.BPID_CODEC),
         # sim IPAddress or live (host, port) — envelopes cross both runtimes
-        ("initiator_address", data.ADDRESS_CODEC),
+        ("initiator_address", wire.ADDRESS_CODEC),
         ("query_id", wire.opt(wire.QUERY_ID_CODEC)),
         ("mode", wire.STR),
-        ("path", wire.seq(data.ADDRESS_CODEC)),
+        ("path", wire.seq(wire.ADDRESS_CODEC)),
     ),
     sample=lambda: AgentEnvelope(
         agent_id=AgentId(BPID("10.0.0.1", 7), 3),
@@ -202,5 +200,6 @@ data.register(
         mode=MODE_FLOOD,
         path=(),
     ),
-    streamable=lambda envelope: envelope.source is not None,
+    plane=wire.DATA,
+    when=lambda envelope: envelope.source is not None,
 )

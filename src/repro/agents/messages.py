@@ -136,10 +136,9 @@ class BatchedAnswers:
 #
 # Answers are the bytes that dominate a flood at scale: every responder
 # sends one straight back to the initiator.  They carry object payloads,
-# so they belong on the streaming data codec, not the control codec.
+# so they belong on the data plane, not the control plane.
 
 from repro.net import codec as wire
-from repro.net import datacodec as data
 
 _ANSWER_ITEM_CODEC = wire.composite(
     "answer-item",
@@ -158,7 +157,7 @@ ANSWER_FIELDS = (
     ("query_id", wire.QUERY_ID_CODEC),
     ("responder", wire.BPID_CODEC),
     # sim IPAddress or live (host, port) — answers cross both runtimes
-    ("responder_address", data.ADDRESS_CODEC),
+    ("responder_address", wire.ADDRESS_CODEC),
     ("hops", wire.U32),
     ("items", wire.seq(_ANSWER_ITEM_CODEC)),
 )
@@ -195,13 +194,13 @@ def _pack_batch(batch: BatchedAnswers, out: bytearray) -> None:
     out += wire.U16._struct.pack(len(answers))  # type: ignore[attr-defined]
     for answer in answers:
         record = bytearray()
-        data.pack_fields(ANSWER_FIELDS, answer, record)
+        wire.pack_fields(ANSWER_FIELDS, answer, record)
         out += wire.U32._struct.pack(len(record))  # type: ignore[attr-defined]
         out += record
 
 
 def _load_answer_record(record: memoryview) -> AnswerMessage:
-    return data.unpack_fields(ANSWER_FIELDS, AnswerMessage, bytes(record))
+    return wire.unpack_fields(ANSWER_FIELDS, AnswerMessage, bytes(record))
 
 
 def _unpack_batch(body: memoryview) -> BatchedAnswers:
@@ -226,17 +225,19 @@ def _unpack_batch(body: memoryview) -> BatchedAnswers:
     return BatchedAnswers.lazy(records, _load_answer_record)
 
 
-data.register(
+wire.register(
     AnswerMessage,
     0x1001,
     ANSWER_FIELDS,
     sample=_sample_answer,
+    plane=wire.DATA,
 )
-data.register(
+wire.register(
     BatchedAnswers,
     0x1002,
     (),
     sample=lambda: BatchedAnswers([_sample_answer(1), _sample_answer(2)]),
+    plane=wire.DATA,
     pack_body=_pack_batch,
     unpack_body=_unpack_batch,
 )

@@ -363,10 +363,9 @@ class TopKSearchAgent(Agent):
 # -- data-plane wire registrations (type id block 0x10xx) ----------------------
 #
 # Scored answers carry payloads, digests ride the same answer path; both
-# belong on the streaming data codec next to AnswerMessage (0x1001).
+# belong on the data plane next to AnswerMessage (0x1001).
 
 from repro.net import codec as wire
-from repro.net import datacodec as data
 
 _SCORED_ITEM_CODEC = wire.composite(
     "scored-item",
@@ -394,7 +393,7 @@ SCORED_ANSWER_FIELDS = (
     ("query_id", wire.QUERY_ID_CODEC),
     ("responder", wire.BPID_CODEC),
     # sim IPAddress or live (host, port) — answers cross both runtimes
-    ("responder_address", data.ADDRESS_CODEC),
+    ("responder_address", wire.ADDRESS_CODEC),
     ("hops", wire.U32),
     ("items", wire.seq(_SCORED_ITEM_CODEC)),
     ("dominated_dropped", wire.U32),
@@ -403,7 +402,7 @@ SCORED_ANSWER_FIELDS = (
 TOPK_DIGEST_FIELDS = (
     ("query_id", wire.QUERY_ID_CODEC),
     ("responder", wire.BPID_CODEC),
-    ("responder_address", data.ADDRESS_CODEC),
+    ("responder_address", wire.ADDRESS_CODEC),
     ("hops", wire.U32),
     ("k", wire.U16),
     ("entries", wire.seq(_TOPK_ENTRY_CODEC)),
@@ -454,15 +453,17 @@ def _sample_topk_digest() -> TopKDigest:
     )
 
 
-data.register(
+wire.register(
     ScoredAnswer,
     0x1007,
     SCORED_ANSWER_FIELDS,
     sample=_sample_scored_answer,
+    plane=wire.DATA,
 )
-data.register(
+wire.register(
     TopKDigest,
     0x1008,
     TOPK_DIGEST_FIELDS,
     sample=_sample_topk_digest,
+    plane=wire.DATA,
 )

@@ -142,9 +142,7 @@ wire.register(
 
 # -- data-plane wire registrations (type id block 0x10xx) ----------------------
 
-from repro.net import datacodec as data
-
-data.register(
+wire.register(
     FetchReply,
     0x1003,
     (
@@ -156,8 +154,9 @@ data.register(
     sample=lambda: FetchReply(
         token=9, rid=RecordId(3, 12), payload=b"object-bytes", found=True
     ),
+    plane=wire.DATA,
 )
-data.register(
+wire.register(
     ActiveReply,
     0x1004,
     (
@@ -170,4 +169,5 @@ data.register(
     sample=lambda: ActiveReply(
         token=10, name="prices", content=b"gold-tier prices", granted=True
     ),
+    plane=wire.DATA,
 )

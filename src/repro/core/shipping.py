@@ -176,12 +176,10 @@ wire.register(
 # -- data-plane wire registration (type id block 0x10xx) -----------------------
 #
 # A DataReply carries a peer's whole sharable dataset — the single
-# largest message in the system.  Stores past the data codec's frame cap
+# largest message in the system.  Stores past the data plane's frame cap
 # fall back to pickle+gzip.
 
-from repro.net import datacodec as data
-
-data.register(
+wire.register(
     DataReply,
     0x1005,
     (
@@ -192,4 +190,5 @@ data.register(
         token=11,
         objects=((("music", "mp3"), b"notes"), (("news",), b"daily")),
     ),
+    plane=wire.DATA,
 )

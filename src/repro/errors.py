@@ -51,21 +51,21 @@ class UnknownProtocolError(NetworkError):
 
 
 class WireCodecError(NetworkError):
-    """Base class for compact wire-codec errors (see :mod:`repro.net.codec`)."""
+    """Base class for wire-codec errors (see :mod:`repro.net.codec`)."""
 
 
 class WireEncodeError(WireCodecError):
-    """A message could not be packed into a compact frame.
+    """A message could not be packed into a wire frame.
 
     Raised when a value does not fit its field codec (string too long,
-    integer out of range) or the message is not registered/compactable.
+    integer out of range) or no registered spec takes the message.
     The wire path treats this as "fall back to pickle", so it never
     escapes to callers of :meth:`~repro.util.serialization.WireEncoder.encode`.
     """
 
 
 class WireDecodeError(WireCodecError):
-    """A compact frame is malformed and cannot be decoded.
+    """A wire frame is malformed and cannot be decoded.
 
     Covers truncated, bit-flipped, wrong-version, unknown-type,
     oversized, and trailing-garbage frames.  Hosts and live transports

@@ -4,21 +4,16 @@ One message = one TCP connection carrying one frame::
 
     u32 length | body
 
-where ``body`` is, for registered control messages, a compact live
-body::
+where ``body`` is, for registered messages, a tagged live body::
 
-    u8 magic (0xB7) | u16 protocol length | protocol utf8 | compact frame
+    u8 magic (0xB7 | 0xD7) | u16 protocol length | protocol utf8 | frame
 
-for data-registered messages the same shape with the data magic::
-
-    u8 magic (0xD7) | u16 protocol length | protocol utf8 | stream frame
-
-and for everything else the legacy form ``gzip(pickle((protocol,
-payload)))``.  The leading byte discriminates: neither 0xB7 nor 0xD7
-ever begins a gzip stream (0x1f) or a protocol-4 pickle (0x80).  The
-embedded frames are byte-identical to the ones the simulated network
-charges for, so sim and live stay wire-compatible and one set of golden
-vectors covers both.
+whose tag repeats the embedded frame's magic byte (control or data
+plane), and for everything else the legacy form ``gzip(pickle((protocol,
+payload)))``.  The leading byte discriminates: neither magic ever begins
+a gzip stream (0x1f) or a protocol-4 pickle (0x80).  The embedded frames
+are byte-identical to the ones the simulated network charges for, so sim
+and live stay wire-compatible and one set of golden vectors covers both.
 
 A :class:`LiveEndpoint` owns a listening socket plus an accept thread;
 each accepted connection is served by a short-lived worker thread that
@@ -38,13 +33,7 @@ import threading
 from typing import Any, Callable
 
 from repro.errors import NetworkError, WireDecodeError
-from repro.net import datacodec
-from repro.net.codec import (
-    FRAME_MAGIC,
-    decode_message,
-    load_registrations,
-    try_encode,
-)
+from repro.net.codec import PLANES, decode_message, load_registrations, try_encode
 from repro.util.compression import DEFAULT_CODEC, Codec
 from repro.util.randomness import derive_rng
 from repro.util.retry import RetryPolicy
@@ -55,8 +44,8 @@ LiveAddress = tuple[str, int]
 
 _LEN = struct.Struct("<I")
 _PROTO_LEN = struct.Struct(">H")
-_COMPACT_TAG = bytes([FRAME_MAGIC])
-_DATA_TAG = bytes([datacodec.FRAME_MAGIC])
+#: a tagged body opens with its frame's magic byte
+_FRAME_TAGS = frozenset(bytes([magic]) for magic in PLANES)
 #: refuse absurd frames rather than allocating unbounded buffers
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
@@ -73,10 +62,7 @@ def _encode_body(protocol: str, payload: Any, codec: Codec) -> bytes:
     if len(name) <= 0xFFFF:
         frame = try_encode(payload)
         if frame is not None:
-            return _COMPACT_TAG + _PROTO_LEN.pack(len(name)) + name + frame
-        frame = datacodec.try_encode(payload)
-        if frame is not None:
-            return _DATA_TAG + _PROTO_LEN.pack(len(name)) + name + frame
+            return frame[:1] + _PROTO_LEN.pack(len(name)) + name + frame
     return codec.compress(serialize((protocol, payload)))
 
 
@@ -97,12 +83,9 @@ def _split_protocol(body: bytes) -> tuple[str, bytes]:
 
 
 def _decode_body(body: bytes, codec: Codec) -> tuple[str, Any]:
-    if body[:1] == _COMPACT_TAG:
+    if body[:1] in _FRAME_TAGS:
         protocol, frame = _split_protocol(body)
         return protocol, decode_message(frame)
-    if body[:1] == _DATA_TAG:
-        protocol, frame = _split_protocol(body)
-        return protocol, datacodec.decode_message(frame)
     try:
         protocol, payload = deserialize(codec.decompress(body))
     except Exception as exc:
@@ -164,10 +147,8 @@ class LiveEndpoint:
         self._loss_rng = derive_rng(loss_seed, "live-loss", host, port)
         self._loss_lock = threading.Lock()
         # Incoming frames may name message types this process has not
-        # constructed yet; resolve every registered type id up front,
-        # on both planes.
+        # constructed yet; resolve every registered type id up front.
         load_registrations()
-        datacodec.load_registrations()
         self._handlers: dict[str, Callable[[LiveAddress, Any], None]] = {}
         self._handlers_lock = threading.Lock()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)

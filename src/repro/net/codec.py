@@ -1,36 +1,49 @@
-"""Compact control-message wire codec.
+"""The wire codec: one versioned frame format on two planes.
 
-The flood's wall-clock is dominated by pickle+gzip on *small* control
-messages (LIGLO registration and validity checks, Gnutella descriptors,
-fetch/data tokens, state-only agent-envelope hops).  This module gives
-each such message a versioned, struct-packed binary frame::
+Registered messages skip pickle+gzip and travel as struct-packed binary
+frames, charged at the frame's size.  Every frame opens with the same
+four bytes and then takes the layout of its *plane*, named by the magic
+byte::
 
-    u8 magic (0xB7) | u8 version | u16 type id | field-by-field body
+    control  u8 magic (0xB7) | u8 version | u16 type id | body
+    data     u8 magic (0xD7) | u8 version | u16 type id | u32 body length | body
 
-Messages opt in by registering a :class:`MessageSpec` (an ordered list
-of ``(field name, field codec)`` pairs) in the module that defines them;
-anything unregistered — or carrying values that do not fit the fixed
-layout — falls back to the pickle+gzip path transparently.  A registered
-message is deeply immutable (a frozen dataclass whose field codecs yield
-nothing a receiver could change) and :func:`register` refuses anything
-else, because every receiver of one frame shares one decoded message.
+Small fixed-shape control messages (LIGLO, tokens, Gnutella
+descriptors, state-only agent hops) ride the control plane, capped at
+1 MiB.  Payload-bearing messages (answers, fetch/active/data replies,
+replica pushes, agents shipping their class source) ride the
+length-prefixed data plane, capped at 8 MiB; a custom body codec can
+defer work there (:class:`~repro.agents.messages.BatchedAnswers` decodes
+to zero-copy slices of the frame).  Neither magic byte begins a gzip
+stream (0x1f) or a protocol-4 pickle (0x80).
 
-The transmission-cost model charges the real encoded size of the compact
-frame for every registered message.  The conformance battery in
-``tests/net`` pins the layout with golden frame vectors, property tests,
-and a malformed-frame fault injector.
+A message opts in by registering a :class:`MessageSpec` (an ordered
+list of ``(field name, field codec)`` pairs and a plane) in the module
+that defines it.  A class may register once per plane, with a value
+predicate choosing between them (:class:`~repro.agents.envelope.AgentEnvelope`
+is control when state-only, data when it ships its source).  Anything
+unregistered, or carrying values that do not fit the layout, falls back
+to the pickle+gzip path.  A control message is deeply immutable (a
+frozen dataclass whose field codecs yield nothing a receiver could
+change) and :func:`register` refuses anything else, because every
+receiver of one control frame shares one decoded message.
+
+The conformance battery in ``tests/net`` pins both layouts with golden
+frame vectors, property tests, and a malformed-frame fault injector.
 
 Decoding is strict: bad magic, unsupported version, unknown type id,
-truncation, value overruns, oversized frames and trailing garbage all
-raise a typed :class:`~repro.errors.WireDecodeError` — never an
-arbitrary exception — so delivery loops can drop-and-count corrupt
-frames without crashing.
+length mismatches, truncation, value overruns, oversized frames and
+trailing garbage all raise a typed :class:`~repro.errors.WireDecodeError`
+— never an arbitrary exception — so delivery loops can drop-and-count
+corrupt frames without crashing.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 import threading
+import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -41,36 +54,55 @@ from repro.errors import WireCodecError, WireDecodeError, WireEncodeError
 #: golden vectors in ``tests/net/vectors/`` must be regenerated.
 WIRE_FORMAT_VERSION = 1
 
-#: First byte of every compact frame.  Chosen to collide with neither a
-#: gzip stream (0x1f) nor a protocol-4 pickle (0x80) so transports can
-#: tell the formats apart from the leading byte alone.
-FRAME_MAGIC = 0xB7
 
-_HEADER = struct.Struct(">BBH")
-#: magic + version + type id
+@dataclass(frozen=True, slots=True)
+class Plane:
+    """One frame layout: its magic byte, header and size cap."""
+
+    name: str
+    magic: int
+    header: struct.Struct
+    max_frame_bytes: int
+
+
+#: Unframed control frames: small by definition, anything bigger is corrupt.
+CONTROL = Plane("control", 0xB7, struct.Struct(">BBH"), 1 << 20)
+#: Length-prefixed data frames: a peer's whole sharable store at paper
+#: scale is ~1 MiB, so anything past this is corrupt (or must take the
+#: pickle+gzip fallback).
+DATA = Plane("data", 0xD7, struct.Struct(">BBHI"), 8 << 20)
+#: magic byte -> its plane
+PLANES = {CONTROL.magic: CONTROL, DATA.magic: DATA}
+
+#: magic + version + type id: the bytes every frame opens with
+_HEADER = CONTROL.header
 HEADER_SIZE = _HEADER.size
+_DATA_HEADER_SIZE = DATA.header.size
+_BODY_LENGTH = struct.Struct(">I")
 
-#: Control frames are small by definition; anything bigger is corrupt.
-MAX_FRAME_BYTES = 1 << 20
-
-#: Distinct parsed frames each :class:`MessageSpec` remembers; a full memo
-#: is cleared, not aged (a flood re-parses its handful of live frames).
-#: Small on purpose: a flood's wavefront holds a few distinct frames, and a
-#: parse that outlives a few hundred allocations is promoted to the cyclic
-#: collector's oldest generation, where a build's one-shot LIGLO frames
-#: bring full collections forward (at 128, ``flood_4k`` set-up read +12 %).
+#: Distinct parsed frames each control :class:`MessageSpec` remembers; a
+#: full memo is cleared, not aged (a flood re-parses its handful of live
+#: frames).  Small on purpose: a flood's wavefront holds a few distinct
+#: frames, and a parse that outlives a few hundred allocations is promoted
+#: to the cyclic collector's oldest generation, where a build's one-shot
+#: LIGLO frames bring full collections forward (at 128, ``flood_4k``
+#: set-up read +12 %).
 DECODE_MEMO_CAPACITY = 32
-#: :func:`decode_message` calls served from a memo / parsed from the
+#: :func:`decode_message` calls served from a memo / parsed from a control
 #: frame.  Plain ints for tests and reports; unsynchronised, so exact only
 #: when one thread decodes (the simulator).
 decode_memo_hits = 0
 decode_memo_misses = 0
 _MEMO_LOCK = threading.Lock()
 
-#: Packet/EncodedPayload codec tags: a compact frame, or the pickle that
-#: unregistered payloads still travel as.
-CODEC_COMPACT = "compact"
+#: Packet/EncodedPayload codec tags: a frame of either plane, or the
+#: pickle that unregistered payloads still travel as.
+CODEC_FRAME = "frame"
 CODEC_PICKLE = "pickle"
+
+#: zlib level for the compressed-source field; fixed so encoded frames
+#: are deterministic across processes and interpreter versions.
+_SOURCE_ZLIB_LEVEL = 6
 
 
 def _take(data: bytes, offset: int, count: int) -> tuple[bytes, int]:
@@ -366,6 +398,123 @@ BPID_CODEC, IPADDR_CODEC, AGENT_ID_CODEC, QUERY_ID_CODEC, RECORD_ID_CODEC = (
 GUID_CODEC = pair(STR, I64)
 
 
+class _CompressedSource(FieldCodec):
+    """Class source text, zlib-compressed inside a data frame.
+
+    Layout: ``u32 raw length | u32 compressed length | zlib bytes``.
+    Source text is large and highly compressible; compressing just this
+    field keeps the frame small *and* the rest of the message on the
+    struct path.  The compression work is cached per sha256 digest of the
+    source (the digest :mod:`repro.agents.codeship` keys its compile cache
+    with), so each class's source is deflated once per process however
+    many envelopes carry it.  Decoding inflates at most the declared raw
+    length (plus one byte to catch a stream that runs on), so a small
+    hostile frame cannot ask for more memory than its header admits.
+    """
+
+    name = "zsource"
+
+    #: sha256 hexdigest of the source -> its zlib bytes
+    _cache: dict[str, bytes] = {}
+    _CACHE_CAPACITY = 64
+
+    def pack(self, value: Any, out: bytearray) -> None:
+        if not isinstance(value, str):
+            raise WireEncodeError(f"{value!r} is not a source string")
+        raw = value.encode("utf-8")
+        if len(raw) > DATA.max_frame_bytes:
+            raise WireEncodeError(f"source of {len(raw)} bytes exceeds the frame cap")
+        digest = hashlib.sha256(raw).hexdigest()
+        blob = self._cache.get(digest)
+        if blob is None:
+            blob = zlib.compress(raw, _SOURCE_ZLIB_LEVEL)
+            if len(self._cache) >= self._CACHE_CAPACITY:
+                self._cache.pop(next(iter(self._cache)))
+            self._cache[digest] = blob
+        out += U32._struct.pack(len(raw))  # type: ignore[attr-defined]
+        out += U32._struct.pack(len(blob))  # type: ignore[attr-defined]
+        out += blob
+
+    def unpack(self, data: bytes, offset: int) -> tuple[Any, int]:
+        raw_len, offset = U32.unpack(data, offset)
+        blob_len, offset = U32.unpack(data, offset)
+        if raw_len > DATA.max_frame_bytes:
+            raise WireDecodeError(
+                f"declared source of {raw_len} bytes exceeds the frame cap"
+            )
+        chunk, offset = _take(data, offset, blob_len)
+        inflater = zlib.decompressobj()
+        try:
+            raw = inflater.decompress(bytes(chunk), raw_len + 1)
+        except zlib.error as exc:
+            raise WireDecodeError(f"corrupt compressed source: {exc}") from exc
+        if len(raw) != raw_len or not inflater.eof or inflater.unused_data:
+            raise WireDecodeError(
+                f"source inflated past or short of the {raw_len} bytes "
+                f"its header declared"
+            )
+        try:
+            return raw.decode("utf-8"), offset
+        except UnicodeDecodeError as exc:
+            raise WireDecodeError(f"invalid utf-8 in source field: {exc}") from exc
+
+
+COMPRESSED_SOURCE = _CompressedSource()
+
+
+class _WireAddress(FieldCodec):
+    """A transport address: sim :class:`IPAddress` or live ``(host, port)``.
+
+    Data-plane messages travel over both runtimes — the simulated
+    network addresses hosts with :class:`~repro.net.address.IPAddress`,
+    the live TCP transport with ``(host, port)`` tuples — so their
+    address fields are a tagged union::
+
+        u8 0 | str value         (simulated address)
+        u8 1 | str host | u16 port   (live TCP address)
+    """
+
+    name = "address"
+
+    def pack(self, value: Any, out: bytearray) -> None:
+        from repro.net.address import IPAddress
+
+        if isinstance(value, IPAddress):
+            out += b"\x00"
+            STR.pack(value.value, out)
+            return
+        if (
+            isinstance(value, tuple)
+            and len(value) == 2
+            and isinstance(value[0], str)
+            and isinstance(value[1], int)
+            and not isinstance(value[1], bool)
+            and 0 <= value[1] <= 0xFFFF
+        ):
+            out += b"\x01"
+            STR.pack(value[0], out)
+            out += U16._struct.pack(value[1])  # type: ignore[attr-defined]
+            return
+        raise WireEncodeError(f"{value!r} is not a transport address")
+
+    def unpack(self, data: bytes, offset: int) -> tuple[Any, int]:
+        from repro.net.address import IPAddress
+
+        chunk, offset = _take(data, offset, 1)
+        tag = chunk[0]
+        if tag == 0:
+            value, offset = STR.unpack(data, offset)
+            return IPAddress(value), offset
+        if tag == 1:
+            host, offset = STR.unpack(data, offset)
+            port, offset = U16.unpack(data, offset)
+            return (host, port), offset
+        raise WireDecodeError(f"address tag must be 0 or 1, got {tag}")
+
+
+ADDRESS_CODEC = _WireAddress()
+
+
 # ---------------------------------------------------------------------------
 # Message registry
 # ---------------------------------------------------------------------------
@@ -373,36 +522,39 @@ GUID_CODEC = pair(STR, I64)
 
 @dataclass(frozen=True)
 class MessageSpec:
-    """One registered control-message type: identity plus field layout."""
+    """One registered message type: identity, plane and body layout.
+
+    Bodies are usually an ordered field list; a data-plane type needing a
+    custom body (batched answers with their per-record length prefixes
+    and lazy decode) supplies ``pack_body`` / ``unpack_body`` instead.
+    """
 
     type_id: int
     cls: type
     fields: tuple[tuple[str, FieldCodec], ...]
     #: canonical instance used for golden vectors and conformance tests
     sample: Callable[[], Any]
-    #: value-level predicate: False routes this instance to the pickle
-    #: fallback (e.g. agent envelopes that carry class source)
-    compactable: Callable[[Any], bool] | None = None
-    #: frame bytes -> its decoded message (see :func:`decode_message`).
-    #: Held here so that re-registering or dropping a type id drops its
-    #: messages with it.
+    plane: Plane = CONTROL
+    #: value-level predicate: False leaves this instance to the class's
+    #: next spec, or to the pickle fallback (agent envelopes choose their
+    #: plane by whether they carry class source)
+    when: Callable[[Any], bool] | None = None
+    #: custom body codec overriding ``fields`` (both or neither)
+    pack_body: Callable[[Any, bytearray], None] | None = None
+    unpack_body: Callable[[memoryview], Any] | None = None
+    #: control frame bytes -> its decoded message (see
+    #: :func:`decode_message`).  Held here so that re-registering or
+    #: dropping a type id drops its messages with it.
     memo: dict[bytes, Any] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def name(self) -> str:
         return f"{self.cls.__module__}.{self.cls.__qualname__}"
 
-    def accepts(self, message: Any) -> bool:
-        """True when this instance can take the compact path."""
-        if type(message) is not self.cls:
-            return False
-        if self.compactable is not None and not self.compactable(message):
-            return False
-        return True
-
 
 _BY_ID: dict[int, MessageSpec] = {}
-_BY_CLASS: dict[type, MessageSpec] = {}
+#: class -> its specs in registration order
+_BY_CLASS: dict[type, tuple[MessageSpec, ...]] = {}
 
 
 def register(
@@ -411,38 +563,43 @@ def register(
     fields: tuple[tuple[str, FieldCodec], ...],
     *,
     sample: Callable[[], Any],
-    compactable: Callable[[Any], bool] | None = None,
+    plane: Plane = CONTROL,
+    when: Callable[[Any], bool] | None = None,
+    pack_body: Callable[[Any, bytearray], None] | None = None,
+    unpack_body: Callable[[memoryview], Any] | None = None,
 ) -> MessageSpec:
-    """Register a control-message type; called at import time by the
-    module that defines the message (keeping this module dependency-free).
+    """Register a message type; called at import time by the module that
+    defines the message (keeping this module dependency-free).
 
-    The message must be deeply immutable, since receivers of one frame
-    share one decoded message: ``cls`` a frozen dataclass, and no field
-    codec that :attr:`~FieldCodec.yields_mutable`.
+    A control message must be deeply immutable, since receivers of one
+    control frame share one decoded message: ``cls`` a frozen dataclass,
+    and no field codec that :attr:`~FieldCodec.yields_mutable`.  Custom
+    bodies are for the data plane, which is never memoised.
     """
     if not 0 < type_id <= 0xFFFF:
         raise WireCodecError(f"type id {type_id:#x} outside u16 range")
-    if not _is_frozen_dataclass(cls):
-        raise WireCodecError(f"{cls.__qualname__} is not a frozen dataclass")
-    mutable = [name for name, codec in fields if codec.yields_mutable]
-    if mutable:
-        raise WireCodecError(
-            f"{cls.__qualname__} fields {mutable} decode to mutable values"
-        )
+    if (pack_body is None) != (unpack_body is None):
+        raise WireCodecError("pack_body and unpack_body must be given together")
+    if plane is CONTROL:
+        if not _is_frozen_dataclass(cls):
+            raise WireCodecError(f"{cls.__qualname__} is not a frozen dataclass")
+        mutable = [name for name, codec in fields if codec.yields_mutable]
+        if mutable:
+            raise WireCodecError(
+                f"{cls.__qualname__} fields {mutable} decode to mutable values"
+            )
     existing = _BY_ID.get(type_id)
     if existing is not None and existing.cls is not cls:
         raise WireCodecError(
             f"type id {type_id:#x} already registered for {existing.name}"
         )
-    spec = MessageSpec(type_id, cls, tuple(fields), sample, compactable)
+    spec = MessageSpec(
+        type_id, cls, tuple(fields), sample, plane, when, pack_body, unpack_body
+    )
     _BY_ID[type_id] = spec
-    _BY_CLASS[cls] = spec
+    others = tuple(s for s in _BY_CLASS.get(cls, ()) if s.type_id != type_id)
+    _BY_CLASS[cls] = others + (spec,)
     return spec
-
-
-def lookup(cls: type) -> MessageSpec | None:
-    """The spec registered for ``cls`` (None when unregistered)."""
-    return _BY_CLASS.get(cls)
 
 
 def spec_for_id(type_id: int) -> MessageSpec | None:
@@ -451,18 +608,21 @@ def spec_for_id(type_id: int) -> MessageSpec | None:
 
 
 def registered_specs() -> tuple[MessageSpec, ...]:
-    """Every registered spec, ordered by type id (stable for vectors)."""
+    """Every registered spec of both planes, ordered by type id (stable
+    for vectors)."""
     return tuple(spec for _, spec in sorted(_BY_ID.items()))
 
 
 def load_registrations() -> None:
-    """Import every module that registers control messages.
+    """Import every module that registers messages.
 
     Senders register as a side effect of constructing their messages;
     decode-only processes (live endpoints, conformance tests) call this
     to make all type ids resolvable up front.
     """
     import repro.agents.envelope  # noqa: F401
+    import repro.agents.messages  # noqa: F401
+    import repro.agents.topk  # noqa: F401
     import repro.baselines.client_server  # noqa: F401
     import repro.baselines.gnutella  # noqa: F401
     import repro.core.discovery  # noqa: F401
@@ -473,31 +633,79 @@ def load_registrations() -> None:
 
 
 # ---------------------------------------------------------------------------
+# Field-list helpers (shared with custom-body codecs like BatchedAnswers)
+# ---------------------------------------------------------------------------
+
+
+def pack_fields(
+    fields: tuple[tuple[str, FieldCodec], ...], message: Any, out: bytearray
+) -> None:
+    """Append ``message``'s fields to ``out`` in declaration order."""
+    for name, codec in fields:
+        codec.pack(getattr(message, name), out)
+
+
+def unpack_fields(
+    fields: tuple[tuple[str, FieldCodec], ...], cls: type, data: bytes, offset: int = 0
+) -> Any:
+    """Build ``cls`` from the fields packed in ``data`` from ``offset`` on
+    (strict: they must end exactly where ``data`` does)."""
+    values: dict[str, Any] = {}
+    for name, codec in fields:
+        values[name], offset = codec.unpack(data, offset)
+    if offset != len(data):
+        raise WireDecodeError(
+            f"{len(data) - offset} trailing bytes after a complete {cls.__qualname__}"
+        )
+    try:
+        return cls(**values)
+    except Exception as exc:
+        raise WireDecodeError(f"cannot construct {cls.__qualname__}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
 # Frame encode / decode
 # ---------------------------------------------------------------------------
 
 
 def encode_message(message: Any) -> bytes:
-    """The compact frame for ``message``; :class:`WireEncodeError` when it
-    is unregistered, not compactable, or a value overflows its field."""
-    spec = _BY_CLASS.get(type(message))
-    if spec is None:
+    """The frame for ``message`` on the plane of the first of its class's
+    specs that takes it; :class:`WireEncodeError` when it is unregistered,
+    no spec takes it, or a value overflows its field."""
+    specs = _BY_CLASS.get(type(message))
+    if specs is None:
         raise WireEncodeError(f"{type(message).__qualname__} is not registered")
-    if spec.compactable is not None and not spec.compactable(message):
-        raise WireEncodeError(f"{spec.name} instance is not compactable")
-    out = bytearray(_HEADER.pack(FRAME_MAGIC, WIRE_FORMAT_VERSION, spec.type_id))
-    for name, codec in spec.fields:
-        codec.pack(getattr(message, name), out)
-    if len(out) > MAX_FRAME_BYTES:
-        raise WireEncodeError(f"frame of {len(out)} bytes exceeds {MAX_FRAME_BYTES}")
+    for spec in specs:
+        if spec.when is None or spec.when(message):
+            break
+    else:
+        raise WireEncodeError(f"no spec of {specs[0].name} takes this instance")
+    plane = spec.plane
+    header_size = plane.header.size
+    out = bytearray(header_size)
+    if spec.pack_body is not None:
+        spec.pack_body(message, out)
+    else:
+        pack_fields(spec.fields, message, out)
+    if len(out) > plane.max_frame_bytes:
+        raise WireEncodeError(
+            f"frame of {len(out)} bytes exceeds {plane.max_frame_bytes}"
+        )
+    if plane is CONTROL:
+        plane.header.pack_into(out, 0, plane.magic, WIRE_FORMAT_VERSION, spec.type_id)
+    else:
+        plane.header.pack_into(
+            out, 0, plane.magic, WIRE_FORMAT_VERSION, spec.type_id,
+            len(out) - header_size,
+        )
     return bytes(out)
 
 
 def try_encode(message: Any) -> bytes | None:
-    """The compact frame, or None when the message must take the pickle
-    fallback.  The decision depends only on the message value — never on
-    the codec mode — so both modes agree on which path a message takes
-    (and therefore on its charged wire size)."""
+    """The frame, or None when the message must take the pickle fallback.
+    The decision depends only on the message value, so every sender agrees
+    on which path a message takes (and therefore on its charged wire
+    size)."""
     if type(message) not in _BY_CLASS:
         return None
     try:
@@ -507,34 +715,61 @@ def try_encode(message: Any) -> bytes | None:
 
 
 def decode_message(frame: bytes) -> Any:
-    """Inverse of :func:`encode_message`; :class:`WireDecodeError` on any
-    malformation (bad magic/version/type id, truncation, value overrun,
-    oversize, trailing garbage).
+    """Inverse of :func:`encode_message`: the frame's type id and magic
+    byte must name one plane, whose layout then parses the frame;
+    :class:`WireDecodeError` on any malformation (bad magic/version/type
+    id, length mismatch, truncation, value overrun, oversize, trailing
+    garbage).
 
     A flood delivers the same bytes to every host at one hop depth, so a
-    ``bytes`` frame is decoded once and its message kept in ``spec.memo``:
-    every receiver of equal bytes gets that one message, which
-    :func:`register` guarantees nothing can change.  The size, header,
-    version and type-id checks still run on every call.
+    ``bytes`` control frame is decoded once and its message kept in
+    ``spec.memo``: every receiver of equal bytes gets that one message,
+    which :func:`register` guarantees nothing can change.  The size,
+    header, version and type-id checks still run on every call.
+
+    Data frames are parsed on every call.  Types registered with a custom
+    ``unpack_body`` may defer record decoding
+    (:class:`~repro.agents.messages.BatchedAnswers` holds zero-copy
+    memoryview slices into the frame); record-level corruption then
+    surfaces as a :class:`WireDecodeError` at first materialization,
+    inside the delivery loop's drop-and-count guard.
     """
     global decode_memo_hits, decode_memo_misses
-    if len(frame) > MAX_FRAME_BYTES:
-        raise WireDecodeError(
-            f"oversized frame: {len(frame)} bytes exceeds {MAX_FRAME_BYTES}"
-        )
-    if len(frame) < HEADER_SIZE:
-        raise WireDecodeError(f"frame of {len(frame)} bytes is shorter than a header")
+    size = len(frame)
+    if size < HEADER_SIZE:
+        raise WireDecodeError(f"frame of {size} bytes is shorter than a header")
     magic, version, type_id = _HEADER.unpack_from(frame, 0)
-    if magic != FRAME_MAGIC:
-        raise WireDecodeError(f"bad magic byte {magic:#04x} (want {FRAME_MAGIC:#04x})")
+    spec = _BY_ID.get(type_id)
+    if spec is None:
+        raise WireDecodeError(f"unknown message type id {type_id:#06x}")
+    # The type id names a plane; the magic byte must name the same one.
+    plane = spec.plane
+    if magic != plane.magic:
+        raise WireDecodeError(
+            f"bad magic byte {magic:#04x} for {plane.name}-plane type id "
+            f"{type_id:#06x} (want {plane.magic:#04x})"
+        )
+    if size > plane.max_frame_bytes:
+        raise WireDecodeError(
+            f"oversized frame: {size} bytes exceeds {plane.max_frame_bytes}"
+        )
     if version != WIRE_FORMAT_VERSION:
         raise WireDecodeError(
             f"unsupported wire format version {version} "
             f"(this build speaks {WIRE_FORMAT_VERSION})"
         )
-    spec = _BY_ID.get(type_id)
-    if spec is None:
-        raise WireDecodeError(f"unknown message type id {type_id:#06x}")
+    if plane is DATA:
+        if size < _DATA_HEADER_SIZE:
+            raise WireDecodeError(f"frame of {size} bytes is shorter than a header")
+        (body_len,) = _BODY_LENGTH.unpack_from(frame, HEADER_SIZE)
+        if size != _DATA_HEADER_SIZE + body_len:
+            raise WireDecodeError(
+                f"frame of {size} bytes does not match its declared "
+                f"{body_len}-byte body (truncated or trailing bytes)"
+            )
+        if spec.unpack_body is not None:
+            return spec.unpack_body(memoryview(frame)[_DATA_HEADER_SIZE:])
+        return unpack_fields(spec.fields, spec.cls, frame, _DATA_HEADER_SIZE)
     # Only real bytes are looked up or kept: a bytearray is unhashable and
     # a memoryview's buffer can change under the key.
     keyed = type(frame) is bytes
@@ -544,18 +779,7 @@ def decode_message(frame: bytes) -> Any:
             decode_memo_hits += 1
             return message
     decode_memo_misses += 1
-    values = {}
-    offset = HEADER_SIZE
-    for name, codec in spec.fields:
-        values[name], offset = codec.unpack(frame, offset)
-    if offset != len(frame):
-        raise WireDecodeError(
-            f"{len(frame) - offset} trailing bytes after a complete {spec.name}"
-        )
-    try:
-        message = spec.cls(**values)
-    except Exception as exc:
-        raise WireDecodeError(f"cannot construct {spec.name}: {exc}") from exc
+    message = unpack_fields(spec.fields, spec.cls, frame, HEADER_SIZE)
     if keyed:
         # Only a frame that decoded all the way gets here.
         with _MEMO_LOCK:  # check-then-insert: live endpoints decode on threads

@@ -1,4 +1,4 @@
-"""Malformed-frame fault injection for the compact wire codec.
+"""Malformed-frame fault injection for the wire codec.
 
 Every future codec change is regression-pinned against the same fault
 classes the decoder hardens against: truncation, bit flips, wrong
@@ -16,20 +16,14 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from repro.net.codec import MAX_FRAME_BYTES, WIRE_FORMAT_VERSION
+from repro.net.codec import PLANES, WIRE_FORMAT_VERSION
 
 
 class FrameFaultInjector:
-    """Produces corrupted variants of a well-formed compact frame.
+    """Produces corrupted variants of a well-formed frame of either plane."""
 
-    ``max_frame_bytes`` is the frame cap of the codec under test — the
-    control codec's by default; the data codec's conformance battery
-    passes its own (larger) cap so :meth:`oversize` actually crosses it.
-    """
-
-    def __init__(self, seed: int = 0, max_frame_bytes: int = MAX_FRAME_BYTES):
+    def __init__(self, seed: int = 0):
         self._rng = random.Random(seed)
-        self._max_frame_bytes = max_frame_bytes
 
     def truncate(self, frame: bytes, keep: int | None = None) -> bytes:
         """A strict prefix of the frame (``keep`` bytes; random when None)."""
@@ -62,8 +56,9 @@ class FrameFaultInjector:
         return bytes(corrupted)
 
     def oversize(self, frame: bytes) -> bytes:
-        """The frame padded past the hard frame-size limit."""
-        return frame + b"\x00" * (self._max_frame_bytes + 1 - len(frame))
+        """The frame padded past the size cap its magic byte names."""
+        cap = PLANES[frame[0]].max_frame_bytes
+        return frame + b"\x00" * (cap + 1 - len(frame))
 
     def trailing_garbage(self, frame: bytes, extra: int | None = None) -> bytes:
         """The frame with junk bytes appended after a complete message."""

@@ -1,4 +1,5 @@
-"""Wire-level packet representation."""
+"""Wire-level packet representation: a tagged wire frame or pickle,
+decoded lazily on first access."""
 
 from __future__ import annotations
 
@@ -6,9 +7,7 @@ from typing import Any
 
 from repro.errors import WireDecodeError
 from repro.net.address import IPAddress
-from repro.net.codec import CODEC_COMPACT, CODEC_PICKLE, decode_message
-from repro.net.datacodec import CODEC_STREAM
-from repro.net.datacodec import decode_message as decode_data_message
+from repro.net.codec import CODEC_FRAME, CODEC_PICKLE, decode_message
 from repro.util.serialization import deserialize
 
 #: Fixed per-packet protocol overhead (headers, framing), in bytes.
@@ -21,9 +20,10 @@ _UNDECODED = object()
 class Packet:
     """One message travelling the simulated network.
 
-    ``raw`` is the transport payload captured at send time — a compact
-    control frame, a streaming data frame, or an (uncompressed) pickle,
-    as tagged by ``codec``;
+    ``raw`` is the transport payload captured at send time — a wire frame
+    of either plane or an (uncompressed) pickle, as tagged by ``codec``
+    (the tag, never the first byte, picks the decoder, so a frame with a
+    corrupted magic byte is a decode error, not a pickle);
     ``wire_size`` is the number of bytes the encoded form (plus framing
     overhead) occupied on the wire — the quantity the transmission-cost
     model charges for.  Decoding never decompresses: compression only
@@ -33,12 +33,12 @@ class Packet:
     ``payload`` decodes ``raw`` lazily, on first access, so a receiver
     sees what was sent, snapshotted at send time, and never an object
     another host can change (hosts are separate machines; observable
-    aliasing would be a lie).  Receivers of byte-identical compact frames
+    aliasing would be a lie).  Receivers of byte-identical control frames
     share one decoded message, which is deeply immutable by registration
     (:func:`repro.net.codec.decode_message`); an agent's state inside it
     is frozen bytes that each execution thaws for itself.  Packets that
     are dropped en route — loss, no route, stale address — never pay
-    the decode at all.  A malformed compact frame raises a typed
+    the decode at all.  A malformed frame raises a typed
     :class:`~repro.errors.WireDecodeError` from that first access;
     :meth:`Host._dispatch` turns it into a counted drop.
 
@@ -75,10 +75,8 @@ class Packet:
     def payload(self) -> Any:
         """The decoded application object (decoded on first access)."""
         if self._decoded is _UNDECODED:
-            if self.codec == CODEC_COMPACT:
+            if self.codec == CODEC_FRAME:
                 decoded = decode_message(self.raw)
-            elif self.codec == CODEC_STREAM:
-                decoded = decode_data_message(self.raw)
             elif self.codec == CODEC_PICKLE:
                 try:
                     decoded = deserialize(self.raw)

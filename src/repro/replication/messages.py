@@ -9,7 +9,7 @@ path:
 * :class:`ReplicaAccept` (control, ``0x010C``) — the holder's verdict.
 * :class:`ReplicaPush` (data, ``0x1009``) — on acceptance the owner
   ships the actual versioned records; payload-carrying, so it rides the
-  ``0xD7`` streaming data codec like answers and fetch replies.
+  ``0xD7`` data plane like answers and fetch replies.
 * :class:`ReplicaInvalidate` (control, ``0x010D``) — reshare or delete
   at the owner invalidates the holders' copies.  A delete is final
   (holders tombstone the version so no in-flight push resurrects it); a
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 from repro.ids import BPID
 from repro.net import codec as wire
-from repro.net import datacodec as data
 from repro.net.address import IPAddress
 from repro.storm.heapfile import RecordId
 
@@ -177,13 +176,13 @@ _REPLICA_RECORD_CODEC = wire.composite(
     ReplicaRecord,
 )
 
-data.register(
+wire.register(
     ReplicaPush,
     0x1009,
     (
         ("token", wire.I64),
         ("owner", wire.BPID_CODEC),
-        ("owner_address", data.ADDRESS_CODEC),
+        ("owner_address", wire.ADDRESS_CODEC),
         ("records", wire.seq(_REPLICA_RECORD_CODEC)),
     ),
     sample=lambda: ReplicaPush(
@@ -199,4 +198,5 @@ data.register(
             ),
         ),
     ),
+    plane=wire.DATA,
 )

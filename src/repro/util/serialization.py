@@ -8,19 +8,16 @@ this library itself, so pickle's trust model is acceptable here; shipping
 of agent *code* goes through the explicit source-shipping path in
 :mod:`repro.agents.codeship` instead of pickled classes.
 
-Small fixed-shape control messages additionally register with the compact
-wire codec (:mod:`repro.net.codec`): those skip pickle+gzip entirely and
-travel as struct-packed binary frames, charged at the frame's size.  An
-agent's plain-data state is the one pickle inside such a frame: the
-envelope freezes it with :func:`serialize` once where it is set, carries
-the bytes, and each execution unpickles its own copy
-(:mod:`repro.agents.envelope`), so the compact codec never unpickles.
-
-Payload-carrying data-plane messages (answers, fetch/active/data
-replies, sourced agent envelopes) register with the streaming data codec
-(:mod:`repro.net.datacodec`) instead and travel as length-prefixed
-stream frames.  Per-plane counters (`control`/`data`/`fallback`) record
-where the bytes actually go.
+Registered messages skip pickle+gzip entirely and travel as
+struct-packed frames of the wire codec (:mod:`repro.net.codec`), charged
+at the frame's size: small control messages on the control plane,
+payload-carrying ones (answers, fetch/active/data replies, sourced agent
+envelopes) on the length-prefixed data plane.  An agent's plain-data
+state is the one pickle inside such a frame: the envelope freezes it
+with :func:`serialize` once where it is set, carries the bytes, and each
+execution unpickles its own copy (:mod:`repro.agents.envelope`), so the
+codec never unpickles.  Per-plane counters (`control`/`data`/`fallback`)
+record where the bytes actually go.
 """
 
 from __future__ import annotations
@@ -57,19 +54,6 @@ def _wire_codec():
     return _wire_codec_module
 
 
-#: Lazily bound :mod:`repro.net.datacodec`, same rationale as above.
-_data_codec_module = None
-
-
-def _data_codec():
-    global _data_codec_module
-    if _data_codec_module is None:
-        from repro.net import datacodec
-
-        _data_codec_module = datacodec
-    return _data_codec_module
-
-
 def serialize(obj: Any) -> bytes:
     """Serialize ``obj`` to bytes."""
     return pickle.dumps(obj, protocol=PICKLE_PROTOCOL)
@@ -88,8 +72,8 @@ def serialized_size(obj: Any) -> int:
 class EncodedPayload:
     """One payload's wire form: transport bytes plus charged size.
 
-    ``raw`` is what the receiver decodes — a compact or stream frame for
-    a registered message, an uncompressed pickle otherwise; ``codec`` tags
+    ``raw`` is what the receiver decodes — a wire frame for a registered
+    message, an uncompressed pickle otherwise; ``codec`` tags
     which (it travels into :class:`~repro.net.message.Packet` so lazy
     decode picks the right inverse).  ``compressed_size`` is what the
     transmission model charges (framing overhead excluded): the frame
@@ -131,8 +115,8 @@ class WireEncoder:
         self.tracer = tracer
         self.hits = 0
         self.misses = 0
-        #: payloads that took the compact control path / the streaming
-        #: data path / the pickle(+gzip) fallback
+        #: payloads that took the control plane / the data plane / the
+        #: pickle(+gzip) fallback
         self.compact_frames = 0
         self.data_frames = 0
         self.pickle_payloads = 0
@@ -175,21 +159,19 @@ class WireEncoder:
 
     def _encode(self, payload: Any) -> EncodedPayload:
         wire = _wire_codec()
-        data = _data_codec()
         frame = wire.try_encode(payload)
         if frame is not None:
-            self.compact_frames += 1
-            self.control_bytes += len(frame)
+            if frame[0] == wire.CONTROL.magic:
+                self.compact_frames += 1
+                self.control_bytes += len(frame)
+                event = "encode-compact"
+            else:
+                self.data_frames += 1
+                self.data_bytes += len(frame)
+                event = "encode-stream"
             if self.tracer is not None:
-                self.tracer.bump("net", "encode-compact")
-            return EncodedPayload(frame, len(frame), wire.CODEC_COMPACT)
-        frame = data.try_encode(payload)
-        if frame is not None:
-            self.data_frames += 1
-            self.data_bytes += len(frame)
-            if self.tracer is not None:
-                self.tracer.bump("net", "encode-stream")
-            return EncodedPayload(frame, len(frame), data.CODEC_STREAM)
+                self.tracer.bump("net", event)
+            return EncodedPayload(frame, len(frame), wire.CODEC_FRAME)
         self.pickle_payloads += 1
         raw = serialize(payload)
         encoded = EncodedPayload(raw, len(self.codec.compress(raw)), wire.CODEC_PICKLE)

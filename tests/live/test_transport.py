@@ -143,14 +143,14 @@ class TestCompactLiveFraming:
 
     def test_compact_body_discriminates_from_legacy(self):
         from repro.liglo.messages import Ping
-        from repro.net.codec import FRAME_MAGIC
+        from repro.net.codec import CONTROL
         from repro.live.transport import _decode_body, _encode_body
         from repro.util.compression import DEFAULT_CODEC
 
         compact = _encode_body("liglo.ping", Ping(token=7), DEFAULT_CODEC)
-        assert compact[0] == FRAME_MAGIC
+        assert compact[0] == CONTROL.magic
         legacy = _encode_body("blob", {"k": "v"}, DEFAULT_CODEC)
-        assert legacy[0] != FRAME_MAGIC  # gzip stream starts 0x1f
+        assert legacy[0] != CONTROL.magic  # gzip stream starts 0x1f
         assert _decode_body(compact, DEFAULT_CODEC) == ("liglo.ping", Ping(token=7))
         assert _decode_body(legacy, DEFAULT_CODEC) == ("blob", {"k": "v"})
 
@@ -225,12 +225,12 @@ class TestDataLiveFraming:
 
     def test_answer_round_trips_as_stream_frame(self, endpoints):
         from repro.agents.messages import _sample_answer
-        from repro.net import datacodec
+        from repro.net.codec import DATA
         from repro.live.transport import _encode_body
         from repro.util.compression import DEFAULT_CODEC
 
         body = _encode_body("live.answer", _sample_answer(), DEFAULT_CODEC)
-        assert body[0] == datacodec.FRAME_MAGIC
+        assert body[0] == DATA.magic
 
         a, b = endpoints(), endpoints()
         received = []
@@ -256,7 +256,7 @@ class TestDataLiveFraming:
         import struct
 
         from repro.agents.messages import _sample_answer
-        from repro.net import datacodec
+        from repro.net.codec import encode_message
         from repro.net.faults import FrameFaultInjector
         from repro.live.transport import _PROTO_LEN
 
@@ -264,11 +264,8 @@ class TestDataLiveFraming:
         received = []
         b.bind("live.answer", lambda src, payload: received.append(payload))
 
-        injector = FrameFaultInjector(
-            seed=2, max_frame_bytes=datacodec.MAX_FRAME_BYTES
-        )
-        frame = injector.truncate(
-            datacodec.encode_message(_sample_answer()), keep=10
+        frame = FrameFaultInjector(seed=2).truncate(
+            encode_message(_sample_answer()), keep=10
         )
         name = b"live.answer"
         body = b"\xd7" + _PROTO_LEN.pack(len(name)) + name + frame
@@ -288,7 +285,7 @@ class TestDataLiveFraming:
         import struct
 
         from repro.agents.messages import BatchedAnswers, _sample_answer
-        from repro.net import datacodec
+        from repro.net.codec import encode_message
         from repro.live.transport import _PROTO_LEN
 
         b = endpoints()
@@ -301,7 +298,7 @@ class TestDataLiveFraming:
         )
 
         frame = bytearray(
-            datacodec.encode_message(BatchedAnswers([_sample_answer(1)]))
+            encode_message(BatchedAnswers([_sample_answer(1)]))
         )
         frame[-1] = 2  # trailing opt-presence byte: must be 0 or 1
         name = b"live.answer"

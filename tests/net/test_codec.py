@@ -1,5 +1,5 @@
-"""Compact wire codec: conformance battery, registry, and hypothesis
-round-trip properties over every registered message type."""
+"""Wire codec: the control-plane conformance battery, the registry, and
+hypothesis round-trip properties over every registered control message."""
 
 from __future__ import annotations
 
@@ -13,24 +13,23 @@ from hypothesis import strategies as st
 from repro.errors import WireCodecError, WireDecodeError, WireEncodeError
 from repro.net import codec as wire
 from repro.net.codec import (
-    FRAME_MAGIC,
+    CONTROL,
+    DATA,
     WIRE_FORMAT_VERSION,
     decode_message,
     encode_message,
-    load_registrations,
-    lookup,
     registered_specs,
     spec_for_id,
     try_encode,
 )
 
-from .conformance import CodecConformance
-
-load_registrations()
+from .conformance import CONTROL_SPECS, CodecConformance, spec_of
 
 
 class TestRegisteredMessageConformance(CodecConformance):
     """The full battery over every registered control message."""
+
+    plane = CONTROL
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +37,7 @@ class TestRegisteredMessageConformance(CodecConformance):
 # ---------------------------------------------------------------------------
 
 
-def _header(magic=FRAME_MAGIC, version=WIRE_FORMAT_VERSION, type_id=0x0101) -> bytes:
+def _header(magic=CONTROL.magic, version=WIRE_FORMAT_VERSION, type_id=0x0101) -> bytes:
     return struct.pack(">BBH", magic, version, type_id)
 
 
@@ -110,7 +109,8 @@ def test_register_same_class_again_is_a_refresh(scratch_registry):
     again = wire.register(
         _Probe, 0x7F01, (("token", wire.I64),), sample=lambda: _Probe(1)
     )
-    assert wire.lookup(_Probe) is again
+    assert spec_for_id(0x7F01) is again
+    assert wire._BY_CLASS[_Probe] == (again,)
     assert spec.type_id == again.type_id
 
 
@@ -119,12 +119,13 @@ def test_registered_specs_are_sorted_and_unique():
     ids = [spec.type_id for spec in specs]
     assert ids == sorted(ids)
     assert len(set(ids)) == len(ids)
-    assert len({spec.cls for spec in specs}) == len(specs)
+    # a class registers at most once per plane
+    assert len({(spec.cls, spec.plane) for spec in specs}) == len(specs)
 
 
 def test_lookup_round_trips_with_spec_for_id():
     for spec in registered_specs():
-        assert lookup(spec.cls) is spec
+        assert spec in wire._BY_CLASS[spec.cls]
         assert spec_for_id(spec.type_id) is spec
 
 
@@ -132,7 +133,7 @@ def test_unregistered_class_encode_raises_and_try_encode_declines():
     with pytest.raises(WireEncodeError, match="not registered"):
         encode_message({"not": "registered"})
     assert try_encode({"not": "registered"}) is None
-    assert lookup(dict) is None
+    assert dict not in wire._BY_CLASS
 
 
 def test_field_overflow_falls_back_instead_of_crashing():
@@ -144,16 +145,25 @@ def test_field_overflow_falls_back_instead_of_crashing():
     assert try_encode(oversized) is None  # pickle fallback, not an error
 
 
-def test_non_compactable_instance_declines_compact_path():
+def test_non_compactable_instance_declines_compact_path(scratch_registry):
     from repro.agents.envelope import AgentEnvelope
 
-    spec = lookup(AgentEnvelope)
+    spec = spec_of(AgentEnvelope)
     sourced = spec.sample().with_source("class Probe:\n    pass\n")
-    assert not spec.accepts(sourced)
-    with pytest.raises(WireEncodeError, match="not compactable"):
-        encode_message(sourced)
-    assert try_encode(sourced) is None
-    assert spec.accepts(spec.sample())
+    assert not spec.when(sourced)
+    assert spec.when(spec.sample())
+    # the class's next spec takes it: a sourced envelope rides the data plane
+    assert encode_message(sourced)[0] == DATA.magic
+    assert try_encode(sourced) == encode_message(sourced)
+    # with no spec taking the instance, it falls back to pickle
+    wire.register(
+        _Probe, 0x7F02, (("token", wire.I64),), sample=lambda: _Probe(1),
+        when=lambda probe: probe.token > 0,
+    )
+    with pytest.raises(WireEncodeError, match="takes this instance"):
+        encode_message(_Probe(-1))
+    assert try_encode(_Probe(-1)) is None
+    assert decode_message(encode_message(_Probe(1))) == _Probe(1)
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +210,12 @@ def _strategy_for(field_codec) -> st.SearchStrategy:
 def _message_strategy(spec) -> st.SearchStrategy:
     fields = {name: _strategy_for(codec) for name, codec in spec.fields}
     return st.fixed_dictionaries(fields).map(lambda kw: spec.cls(**kw)).filter(
-        spec.accepts
+        lambda message: spec.when is None or spec.when(message)
     )
 
 
 @pytest.mark.parametrize(
-    "spec", registered_specs(), ids=lambda s: s.name.removeprefix("repro.")
+    "spec", CONTROL_SPECS, ids=lambda s: s.name.removeprefix("repro.")
 )
 @settings(
     max_examples=30,
@@ -216,14 +226,14 @@ def _message_strategy(spec) -> st.SearchStrategy:
 def test_round_trip_property(spec, data):
     message = data.draw(_message_strategy(spec), label=spec.name)
     frame = encode_message(message)
-    assert frame[0] == FRAME_MAGIC
+    assert frame[0] == CONTROL.magic
     assert decode_message(frame) == message
     # Encoding is a pure function of the value.
     assert encode_message(message) == frame
 
 
 @pytest.mark.parametrize(
-    "spec", registered_specs(), ids=lambda s: s.name.removeprefix("repro.")
+    "spec", CONTROL_SPECS, ids=lambda s: s.name.removeprefix("repro.")
 )
 @settings(
     max_examples=20,

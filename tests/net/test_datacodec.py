@@ -1,7 +1,7 @@
-"""Data-plane streaming codec: registry, framing, batching, laziness.
+"""The wire codec's data plane: registry, framing, batching, laziness.
 
-The conformance battery from ``conformance.py`` runs here against
-``repro.net.datacodec`` — same fault classes, larger frames, plus the
+The conformance battery from ``conformance.py`` runs here over every
+data-plane spec — same fault classes, larger frames, plus the
 lazy-materialization twist: a :class:`BatchedAnswers` frame with corrupt
 record *contents* decodes cleanly (the boundaries are checked eagerly)
 and must surface its :class:`WireDecodeError` at first materialization.
@@ -9,6 +9,7 @@ and must surface its :class:`WireDecodeError` at first materialization.
 
 from __future__ import annotations
 
+import tracemalloc
 import zlib
 
 import pytest
@@ -27,52 +28,47 @@ from repro.core.sharing import FetchReply
 from repro.errors import WireCodecError, WireDecodeError, WireEncodeError
 from repro.ids import BPID, QueryId
 from repro.net import codec as wire
-from repro.net import datacodec as data
 from repro.net.address import IPAddress
+from repro.net.codec import (
+    CONTROL,
+    DATA,
+    decode_message,
+    encode_message,
+    spec_for_id,
+    try_encode,
+)
 from repro.storm.heapfile import RecordId
 
-from .conformance import CodecConformance, _spec_id
+from .conformance import CodecConformance, spec_of
 from .test_codec import _strategy_for
-
-data.load_registrations()
 
 
 class TestDataCodecConformance(CodecConformance):
     """The full truncation/bit-flip/fuzz battery over every data frame."""
 
-    codec = data
-
-    @pytest.fixture(params=data.registered_specs(), ids=_spec_id)
-    def spec(self, request):
-        return request.param
-
-    def _force(self, decoded):
-        if isinstance(decoded, BatchedAnswers):
-            decoded.answers  # deferred record corruption raises here
-        return decoded
+    plane = DATA
 
 
 # ---------------------------------------------------------------------------
-# Registry / streamable gating
+# Registry / plane choice
 # ---------------------------------------------------------------------------
 
 
 def test_unregistered_type_is_not_encodable():
-    assert data.try_encode(("not", "registered")) is None
-    with pytest.raises(WireEncodeError, match="not data-registered"):
-        data.encode_message(("not", "registered"))
+    assert try_encode(("not", "registered")) is None
+    with pytest.raises(WireEncodeError, match="not registered"):
+        encode_message(("not", "registered"))
 
 
 def test_stateonly_envelope_is_not_streamable():
-    """Envelopes without source stay on the compact control codec."""
-    spec = data.lookup(AgentEnvelope)
+    """Envelopes without source stay on the control plane."""
+    spec = spec_of(AgentEnvelope, DATA)
     sourced = spec.sample()
     stateonly = sourced.with_source(None)
-    assert spec.accepts(sourced)
-    assert not spec.accepts(stateonly)
-    assert data.try_encode(stateonly) is None
-    with pytest.raises(WireEncodeError, match="not streamable"):
-        data.encode_message(stateonly)
+    assert spec.when(sourced)
+    assert not spec.when(stateonly)
+    assert encode_message(sourced)[0] == DATA.magic
+    assert encode_message(stateonly)[0] == CONTROL.magic
 
 
 def test_oversized_value_falls_back_not_raises():
@@ -81,25 +77,25 @@ def test_oversized_value_falls_back_not_raises():
     huge = FetchReply(
         token=1,
         rid=RecordId(0, 0),
-        payload=b"\x00" * (data.MAX_FRAME_BYTES + 1),
+        payload=b"\x00" * (DATA.max_frame_bytes + 1),
         found=True,
     )
-    assert data.try_encode(huge) is None
+    assert try_encode(huge) is None
     with pytest.raises(WireEncodeError):
-        data.encode_message(huge)
+        encode_message(huge)
 
 
 def test_type_id_collision_rejected():
     with pytest.raises(WireCodecError, match="already registered"):
-        data.register(
-            FetchReply, 0x1001, (), sample=lambda: None
+        wire.register(
+            FetchReply, 0x1001, (), sample=lambda: None, plane=DATA
         )  # 0x1001 is AnswerMessage's
 
 
 def test_pack_body_requires_unpack_body():
     with pytest.raises(WireCodecError, match="together"):
-        data.register(
-            tuple, 0x1FFF, (), sample=tuple, pack_body=lambda m, out: None
+        wire.register(
+            tuple, 0x1FFF, (), sample=tuple, pack_body=lambda m, out: None, plane=DATA
         )
 
 
@@ -110,28 +106,28 @@ def test_pack_body_requires_unpack_body():
 
 def test_compressed_source_round_trips_and_caches():
     source = "class CacheProbe:\n    marker = 'x' * 40\n"
-    before = dict(data._CompressedSource._cache)
+    before = dict(wire._CompressedSource._cache)
     out = bytearray()
-    data.COMPRESSED_SOURCE.pack(source, out)
+    wire.COMPRESSED_SOURCE.pack(source, out)
     out2 = bytearray()
-    data.COMPRESSED_SOURCE.pack(source, out2)
+    wire.COMPRESSED_SOURCE.pack(source, out2)
     assert bytes(out) == bytes(out2)
-    value, offset = data.COMPRESSED_SOURCE.unpack(bytes(out), 0)
+    value, offset = wire.COMPRESSED_SOURCE.unpack(bytes(out), 0)
     assert value == source
     assert offset == len(out)
     added = {
-        k: v for k, v in data._CompressedSource._cache.items() if k not in before
+        k: v for k, v in wire._CompressedSource._cache.items() if k not in before
     }
     assert len(added) == 1  # one digest entry for one distinct source
 
 
 def test_compressed_source_rejects_corrupt_zlib():
     out = bytearray()
-    data.COMPRESSED_SOURCE.pack("class X:\n    pass\n", out)
+    wire.COMPRESSED_SOURCE.pack("class X:\n    pass\n", out)
     corrupted = bytearray(out)
     corrupted[-1] ^= 0xFF
     with pytest.raises(WireDecodeError):
-        data.COMPRESSED_SOURCE.unpack(bytes(corrupted), 0)
+        wire.COMPRESSED_SOURCE.unpack(bytes(corrupted), 0)
 
 
 def test_compressed_source_rejects_length_lie():
@@ -142,14 +138,52 @@ def test_compressed_source_rejects_length_lie():
     lying += wire.U32._struct.pack(len(blob))
     lying += blob
     with pytest.raises(WireDecodeError, match="inflated"):
-        data.COMPRESSED_SOURCE.unpack(bytes(lying), 0)
+        wire.COMPRESSED_SOURCE.unpack(bytes(lying), 0)
+
+
+def _bomb_frame(declared: int, inflated: int) -> bytes:
+    """A sourced-envelope data frame whose source field declares
+    ``declared`` raw bytes but inflates to ``inflated``."""
+    deflater = zlib.compressobj(9)
+    chunk = b"\x00" * (1 << 20)
+    blob = b"".join(deflater.compress(chunk) for _ in range(inflated >> 20))
+    blob += deflater.flush()
+    spec = spec_of(AgentEnvelope, DATA)
+    sample = spec.sample()
+    body = bytearray()
+    for name, field_codec in spec.fields:
+        if name == "source":
+            body += wire.U32._struct.pack(declared)
+            body += wire.U32._struct.pack(len(blob))
+            body += blob
+        else:
+            field_codec.pack(getattr(sample, name), body)
+    header = DATA.header.pack(
+        DATA.magic, wire.WIRE_FORMAT_VERSION, spec.type_id, len(body)
+    )
+    return header + bytes(body)
+
+
+def test_compressed_source_bomb_inflates_no_further_than_declared():
+    """A ~64 KB frame declaring a 10-byte source that inflates to 64 MiB
+    is rejected after inflating at most 11 bytes."""
+    frame = _bomb_frame(declared=10, inflated=64 << 20)
+    assert len(frame) < DATA.max_frame_bytes
+    tracemalloc.start()
+    try:
+        with pytest.raises(WireDecodeError, match="inflated"):
+            decode_message(frame)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_sourced_envelope_frame_beats_naive_source_bytes():
     """The whole point of COMPRESSED_SOURCE: class text travels deflated."""
-    spec = data.lookup(AgentEnvelope)
+    spec = spec_of(AgentEnvelope, DATA)
     envelope = spec.sample().with_source("def run(self, node):\n    pass\n" * 50)
-    frame = data.encode_message(envelope)
+    frame = encode_message(envelope)
     assert len(frame) < len(envelope.source.encode())
 
 
@@ -177,7 +211,7 @@ def _answer(serial: int, items: int = 1) -> AnswerMessage:
 @pytest.mark.parametrize("count", [0, 1, 2, 7])
 def test_batch_round_trips(count):
     batch = BatchedAnswers([_answer(i) for i in range(count)])
-    decoded = data.decode_message(data.encode_message(batch))
+    decoded = decode_message(encode_message(batch))
     assert isinstance(decoded, BatchedAnswers)
     assert decoded == batch
     assert len(decoded) == count
@@ -185,8 +219,8 @@ def test_batch_round_trips(count):
 
 
 def test_decoded_batch_is_lazy_until_read():
-    frame = data.encode_message(BatchedAnswers([_answer(1), _answer(2)]))
-    decoded = data.decode_message(frame)
+    frame = encode_message(BatchedAnswers([_answer(1), _answer(2)]))
+    decoded = decode_message(frame)
     assert not decoded.materialized
     assert len(decoded) == 2  # record count comes from the boundaries
     assert not decoded.materialized
@@ -195,31 +229,31 @@ def test_decoded_batch_is_lazy_until_read():
 
 
 def test_corrupt_record_contents_raise_at_materialization():
-    frame = bytearray(data.encode_message(BatchedAnswers([_answer(1)])))
+    frame = bytearray(encode_message(BatchedAnswers([_answer(1)])))
     # The last item's opt(BYTES) payload field ends the record: presence
     # byte, u32 length, then b"data".  An invalid presence byte corrupts
     # the record *contents* while every boundary stays intact.
     frame[-9] = 2
-    decoded = data.decode_message(bytes(frame))
+    decoded = decode_message(bytes(frame))
     assert isinstance(decoded, BatchedAnswers)  # boundaries were fine
     with pytest.raises(WireDecodeError):
         decoded.answers
 
 
 def test_corrupt_record_boundary_raises_at_decode():
-    frame = bytearray(data.encode_message(BatchedAnswers([_answer(1)])))
+    frame = bytearray(encode_message(BatchedAnswers([_answer(1)])))
     # The u32 record length sits right after the header's u16 count.
-    offset = data.HEADER_SIZE + 2
+    offset = DATA.header.size + 2
     frame[offset:offset + 4] = (0xFFFF).to_bytes(4, "big")
     with pytest.raises(WireDecodeError, match="overruns"):
-        data.decode_message(bytes(frame))
+        decode_message(bytes(frame))
 
 
 def test_batch_pickles_by_value():
     import pickle
 
-    batch = data.decode_message(
-        data.encode_message(BatchedAnswers([_answer(1), _answer(2)]))
+    batch = decode_message(
+        encode_message(BatchedAnswers([_answer(1), _answer(2)]))
     )
     clone = pickle.loads(pickle.dumps(batch))
     assert clone == batch
@@ -228,7 +262,7 @@ def test_batch_pickles_by_value():
 
 def _field_strategy(field_codec) -> st.SearchStrategy:
     """Like test_codec._strategy_for, plus the data-plane address union."""
-    if field_codec is data.ADDRESS_CODEC:
+    if field_codec is wire.ADDRESS_CODEC:
         return st.builds(IPAddress, st.text(max_size=16)) | st.tuples(
             st.text(max_size=16), st.integers(0, 0xFFFF)
         )
@@ -238,8 +272,8 @@ def _field_strategy(field_codec) -> st.SearchStrategy:
 def test_address_codec_round_trips_both_shapes():
     for value in (IPAddress("10.0.4.9"), ("127.0.0.1", 45301)):
         out = bytearray()
-        data.ADDRESS_CODEC.pack(value, out)
-        decoded, offset = data.ADDRESS_CODEC.unpack(bytes(out), 0)
+        wire.ADDRESS_CODEC.pack(value, out)
+        decoded, offset = wire.ADDRESS_CODEC.unpack(bytes(out), 0)
         assert decoded == value and offset == len(out)
 
 
@@ -252,9 +286,9 @@ def test_live_shaped_answer_streams():
         hops=1,
         items=(AnswerItem(rid=RecordId(0, 0), keywords=("k",), size=1, payload=b"x"),),
     )
-    frame = data.try_encode(answer)
+    frame = try_encode(answer)
     assert frame is not None
-    assert data.decode_message(frame) == answer
+    assert decode_message(frame) == answer
 
 
 @settings(
@@ -268,11 +302,11 @@ def test_batch_round_trip_property(data_):
     fields = {name: _field_strategy(codec) for name, codec in ANSWER_FIELDS}
     answer = st.fixed_dictionaries(fields).map(lambda kw: AnswerMessage(**kw))
     batch = BatchedAnswers(data_.draw(st.lists(answer, max_size=5), label="answers"))
-    frame = data.encode_message(batch)
-    assert frame[0] == data.FRAME_MAGIC
-    decoded = data.decode_message(frame)
+    frame = encode_message(batch)
+    assert frame[0] == DATA.magic
+    decoded = decode_message(frame)
     assert decoded == batch
-    assert data.encode_message(batch) == frame
+    assert encode_message(batch) == frame
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +317,8 @@ def test_batch_round_trip_property(data_):
 def test_topk_frames_registered():
     from repro.agents.topk import ScoredAnswer, TopKDigest
 
-    assert data.spec_for_id(0x1007).cls is ScoredAnswer
-    assert data.spec_for_id(0x1008).cls is TopKDigest
+    assert spec_for_id(0x1007).cls is ScoredAnswer
+    assert spec_for_id(0x1008).cls is TopKDigest
 
 
 def test_topk_frames_round_trip_scores_exactly():
@@ -293,11 +327,11 @@ def test_topk_frames_round_trip_scores_exactly():
     from repro.agents.topk import _sample_scored_answer, _sample_topk_digest
 
     for sample in (_sample_scored_answer(), _sample_topk_digest()):
-        frame = data.encode_message(sample)
-        assert frame[0] == data.FRAME_MAGIC
-        decoded = data.decode_message(frame)
+        frame = encode_message(sample)
+        assert frame[0] == DATA.magic
+        decoded = decode_message(frame)
         assert decoded == sample
-        assert data.encode_message(decoded) == frame
+        assert encode_message(decoded) == frame
 
 
 def test_scored_answer_live_address_streams():
@@ -315,6 +349,6 @@ def test_scored_answer_live_address_streams():
         ),
         dominated_dropped=3,
     )
-    frame = data.try_encode(answer)
+    frame = try_encode(answer)
     assert frame is not None
-    assert data.decode_message(frame) == answer
+    assert decode_message(frame) == answer

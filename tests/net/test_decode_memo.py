@@ -25,11 +25,11 @@ from repro.ids import AgentId
 from repro.liglo.messages import RegisterRequest
 from repro.net import codec as wire
 from repro.net.codec import (
-    CODEC_COMPACT,
+    CODEC_FRAME,
+    CONTROL,
     DECODE_MEMO_CAPACITY,
     decode_message,
     encode_message,
-    load_registrations,
     registered_specs,
     spec_for_id,
 )
@@ -38,12 +38,10 @@ from repro.net.message import PACKET_OVERHEAD_BYTES, Packet
 
 from tests.agents.helpers import AgentRig
 
-from .conformance import CodecConformance
+from .conformance import CONTROL_SPECS, CodecConformance, spec_of
 from .test_codec import _Probe, scratch_registry  # noqa: F401  (fixture)
 
-load_registrations()
-
-ENVELOPE_SPEC = wire.lookup(AgentEnvelope)
+ENVELOPE_SPEC = spec_of(AgentEnvelope)
 
 
 @pytest.fixture(autouse=True)
@@ -63,7 +61,7 @@ def _counters() -> tuple[int, int]:
 
 
 @pytest.mark.parametrize(
-    "spec", registered_specs(), ids=lambda s: s.name.removeprefix("repro.")
+    "spec", CONTROL_SPECS, ids=lambda s: s.name.removeprefix("repro.")
 )
 def test_equal_frames_decode_to_the_same_object(spec):
     frame = encode_message(spec.sample())
@@ -75,7 +73,7 @@ def test_equal_frames_decode_to_the_same_object(spec):
 
 
 @pytest.mark.parametrize(
-    "spec", registered_specs(), ids=lambda s: s.name.removeprefix("repro.")
+    "spec", CONTROL_SPECS, ids=lambda s: s.name.removeprefix("repro.")
 )
 def test_two_decodes_are_equal_but_distinct_objects(spec):
     """...when the frame is not ``bytes``: a bytearray can change under a
@@ -119,7 +117,7 @@ def test_register_refuses_a_mutable_field(scratch_registry):
         wire.register(
             _Probe, 0x7F21, (("token", wire.opt(_Unfrozen())),), sample=lambda: _Probe(1)
         )
-    assert spec_for_id(0x7F21) is None and wire.lookup(_Probe) is None
+    assert spec_for_id(0x7F21) is None and _Probe not in wire._BY_CLASS
 
 
 def test_register_refuses_a_message_class_that_can_be_assigned_to(scratch_registry):
@@ -170,7 +168,7 @@ def test_shared_values_are_frozen_all_the_way_down():
         for name in value.__dataclass_fields__:
             assert_frozen(getattr(value, name), where)
 
-    for spec in registered_specs():
+    for spec in CONTROL_SPECS:
         frame = encode_message(spec.sample())
         message = decode_message(frame)
         assert spec.memo[frame] is message
@@ -275,7 +273,7 @@ def test_corrupt_state_is_a_counted_drop_and_a_good_copy_still_runs():
                 wire_size=len(raw) + PACKET_OVERHEAD_BYTES,
                 sent_at=rig.sim.now,
                 raw=raw,
-                codec=CODEC_COMPACT,
+                codec=CODEC_FRAME,
             )
         )
         rig.sim.run()
@@ -303,6 +301,8 @@ class TestConformanceThroughAWarmMemo(CodecConformance):
     """The whole malformed-frame battery, against frames whose valid form
     is memoised: a corruption one bit away from a hit is still rejected."""
 
+    plane = CONTROL
+
     @pytest.fixture
     def frame(self, spec) -> bytes:
         frame = encode_message(spec.sample())
@@ -312,7 +312,7 @@ class TestConformanceThroughAWarmMemo(CodecConformance):
 
 
 @pytest.mark.parametrize(
-    "spec", registered_specs(), ids=lambda s: s.name.removeprefix("repro.")
+    "spec", CONTROL_SPECS, ids=lambda s: s.name.removeprefix("repro.")
 )
 def test_failing_frames_are_never_stored(spec):
     frame = encode_message(spec.sample())
@@ -352,7 +352,7 @@ def test_constructor_failure_stays_wrapped_and_unstored(scratch_registry):
 
 
 def test_ten_thousand_distinct_frames_leave_every_memo_bounded():
-    spec = wire.lookup(RegisterRequest)
+    spec = spec_of(RegisterRequest)
     largest = 0
     for token in range(10_000):
         assert decode_message(encode_message(RegisterRequest(token=token))).token == token
@@ -362,7 +362,7 @@ def test_ten_thousand_distinct_frames_leave_every_memo_bounded():
 
 
 @pytest.mark.parametrize(
-    "spec", registered_specs(), ids=lambda s: s.name.removeprefix("repro.")
+    "spec", CONTROL_SPECS, ids=lambda s: s.name.removeprefix("repro.")
 )
 @pytest.mark.parametrize("buffer", (bytearray, memoryview))
 def test_other_buffers_decode_and_are_not_stored(spec, buffer):
@@ -400,7 +400,7 @@ def test_reregistering_a_type_id_drops_its_memo(scratch_registry):
 def test_concurrent_decoders_keep_the_memo_bounded():
     """Live endpoints decode on one thread per connection; without the
     lock around check-then-insert this overshoots within a second."""
-    spec = wire.lookup(RegisterRequest)
+    spec = spec_of(RegisterRequest)
     frames = [encode_message(RegisterRequest(token=token)) for token in range(2_000)]
     deadline = time.monotonic() + 0.75
     overflow, wrong = [], []

@@ -12,10 +12,8 @@ from repro.agents.messages import BatchedAnswers, _sample_answer
 from repro.errors import WireDecodeError
 from repro.ids import BPID
 from repro.liglo.messages import PROTO_PING, Ping, Pong
-from repro.net import datacodec
 from repro.net.address import IPAddress
-from repro.net.codec import CODEC_COMPACT, CODEC_PICKLE, encode_message
-from repro.net.datacodec import CODEC_STREAM
+from repro.net.codec import CODEC_FRAME, CODEC_PICKLE, encode_message
 from repro.net.faults import FrameFaultInjector
 from repro.net.message import PACKET_OVERHEAD_BYTES, Packet, _UNDECODED
 from repro.net.network import Network
@@ -53,7 +51,7 @@ def test_registered_message_travels_as_compact_frame():
     ping = Ping(token=7)
     network, packet, wire_size = _deliver_one(ping)
     frame = encode_message(ping)
-    assert packet.codec == CODEC_COMPACT
+    assert packet.codec == CODEC_FRAME
     assert packet.raw == frame
     assert packet.wire_size == len(frame) + PACKET_OVERHEAD_BYTES
     assert wire_size == packet.wire_size
@@ -153,7 +151,7 @@ def test_corrupt_frame_is_dropped_counted_and_does_not_kill_the_host(fault):
         wire_size=len(corrupted) + PACKET_OVERHEAD_BYTES,
         sent_at=sim.now,
         raw=bytes(corrupted),
-        codec=CODEC_COMPACT,
+        codec=CODEC_FRAME,
     )
     bob._receive(packet)
     sim.run()
@@ -215,8 +213,8 @@ def test_corrupt_pickle_bytes_raise_a_typed_decode_error():
 def test_data_registered_message_travels_as_stream_frame():
     answer = _sample_answer()
     network, packet, wire_size = _deliver_one(answer, protocol="answer")
-    frame = datacodec.encode_message(answer)
-    assert packet.codec == CODEC_STREAM
+    frame = encode_message(answer)
+    assert packet.codec == CODEC_FRAME
     assert packet.raw == frame
     assert packet.wire_size == len(frame) + PACKET_OVERHEAD_BYTES
     assert wire_size == packet.wire_size
@@ -232,8 +230,8 @@ def test_corrupt_data_frame_is_dropped_and_counted(fault):
     received = []
     bob.bind("answer", lambda packet: received.append(packet.payload))
 
-    frame = datacodec.encode_message(_sample_answer())
-    injector = FrameFaultInjector(seed=1, max_frame_bytes=datacodec.MAX_FRAME_BYTES)
+    frame = encode_message(_sample_answer())
+    injector = FrameFaultInjector(seed=1)
     corrupted = injector.faults()[fault](frame)
     if fault == "bit-flipped":
         corrupted = bytes([frame[0] ^ 0x01]) + frame[1:]  # guaranteed-bad magic
@@ -244,7 +242,7 @@ def test_corrupt_data_frame_is_dropped_and_counted(fault):
         wire_size=len(corrupted) + PACKET_OVERHEAD_BYTES,
         sent_at=sim.now,
         raw=bytes(corrupted),
-        codec=CODEC_STREAM,
+        codec=CODEC_FRAME,
     )
     bob._receive(packet)
     sim.run()
@@ -269,7 +267,7 @@ def test_lazy_batch_corruption_is_counted_when_the_handler_reads_it():
     bob.bind("answer", lambda packet: received.append(packet.payload.answers))
 
     frame = bytearray(
-        datacodec.encode_message(BatchedAnswers([_sample_answer(1)]))
+        encode_message(BatchedAnswers([_sample_answer(1)]))
     )
     frame[-1] = 2  # the sample's trailing opt-presence byte: must be 0/1
     packet = Packet(
@@ -279,7 +277,7 @@ def test_lazy_batch_corruption_is_counted_when_the_handler_reads_it():
         wire_size=len(frame) + PACKET_OVERHEAD_BYTES,
         sent_at=sim.now,
         raw=bytes(frame),
-        codec=CODEC_STREAM,
+        codec=CODEC_FRAME,
     )
     bob._receive(packet)
     sim.run()
@@ -320,7 +318,7 @@ class TestPacketContract:
             len(frame) + PACKET_OVERHEAD_BYTES,
             1.25,
             frame,
-            CODEC_COMPACT,
+            CODEC_FRAME,
         )
 
     def test_positional_and_keyword_construction_agree(self):

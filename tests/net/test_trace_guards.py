@@ -8,7 +8,7 @@ from repro import BestPeerConfig, build_network, random_graph
 from repro.agents.storm_agent import StorMSearchAgent
 from repro.ids import AgentId
 from repro.net.address import IPAddress
-from repro.net.codec import CODEC_COMPACT
+from repro.net.codec import CODEC_FRAME
 from repro.net.message import PACKET_OVERHEAD_BYTES, Packet
 from repro.net.network import Network
 from repro.sim import Simulator
@@ -125,7 +125,7 @@ def _drop_one(tracer, monkeypatch):
     carol._receive(
         Packet(
             alice.address, carol.address, "p", len(corrupt) + PACKET_OVERHEAD_BYTES,
-            sim.now, corrupt, CODEC_COMPACT,
+            sim.now, corrupt, CODEC_FRAME,
         )
     )
     sim.run()

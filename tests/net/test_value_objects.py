@@ -18,7 +18,7 @@ import pytest
 
 from repro.agents.envelope import MODE_FLOOD, AgentEnvelope, freeze_state
 from repro.ids import BPID, AgentId, QueryId
-from repro.net import codec, datacodec
+from repro.net import codec
 from repro.net.address import IPAddress
 from repro.net.codec import _is_frozen_dataclass
 
@@ -58,7 +58,7 @@ def _control_frame() -> AgentEnvelope:
 
 def _data_frame() -> AgentEnvelope:
     envelope = _envelope(source="class DemoAgent:\n    pass\n")
-    return datacodec.decode_message(datacodec.encode_message(envelope))
+    return codec.decode_message(codec.encode_message(envelope))
 
 
 MAKERS = {

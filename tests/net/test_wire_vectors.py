@@ -1,11 +1,13 @@
 """Golden wire vectors: the committed byte-exact form of every frame.
 
-``tests/net/vectors/control_frames.json`` stores the canonical frame for
-each registered message's sample.  Any layout drift — a reordered field,
-a changed width, a reassigned type id — fails here with a readable diff
-*before* it silently breaks cross-version interop.  Intentional changes
-must bump :data:`~repro.net.codec.WIRE_FORMAT_VERSION` and regenerate
-the file with ``REPRO_REWRITE_VECTORS=1``.
+``tests/net/vectors/control_frames.json`` and ``data_frames.json`` store
+the canonical frame for each registered message's sample, one file per
+plane.  The ``check_*`` functions take the plane; this module runs them
+on the control plane and ``test_data_vectors.py`` on the data plane.  Any layout drift — a reordered field, a changed width, a
+reassigned type id — fails here with a readable diff *before* it
+silently breaks cross-version interop.  Intentional changes must bump
+:data:`~repro.net.codec.WIRE_FORMAT_VERSION` and regenerate the files
+with ``REPRO_REWRITE_VECTORS=1``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from pathlib import Path
 import pytest
 
 from repro.net.codec import (
+    CONTROL,
+    DATA,
     WIRE_FORMAT_VERSION,
     decode_message,
     encode_message,
@@ -27,11 +31,16 @@ from tests.support import REWRITE_ENV_VAR, rewrite_requested
 
 load_registrations()
 
-VECTORS_PATH = Path(__file__).parent / "vectors" / "control_frames.json"
+VECTORS = Path(__file__).parent / "vectors"
+#: plane -> the file holding its golden frames
+VECTORS_PATHS = {
+    CONTROL: VECTORS / "control_frames.json",
+    DATA: VECTORS / "data_frames.json",
+}
 
 
-def current_vectors() -> dict:
-    """The vector document the registry produces right now."""
+def current_vectors(plane) -> dict:
+    """The vector document the registry produces right now for ``plane``."""
     return {
         "wire_format_version": WIRE_FORMAT_VERSION,
         "frames": {
@@ -41,12 +50,13 @@ def current_vectors() -> dict:
                 "frame_hex": encode_message(spec.sample()).hex(),
             }
             for spec in registered_specs()
+            if spec.plane is plane
         },
     }
 
 
-def golden_vectors() -> dict:
-    return json.loads(VECTORS_PATH.read_text())
+def golden_vectors(plane) -> dict:
+    return json.loads(VECTORS_PATHS[plane].read_text())
 
 
 def _drift_report(golden: dict, current: dict) -> list[str]:
@@ -77,34 +87,45 @@ def _drift_report(golden: dict, current: dict) -> list[str]:
     return lines
 
 
-def test_golden_vectors_match_registry():
-    current = current_vectors()
+def check_golden_vectors_match_registry(plane) -> None:
+    path = VECTORS_PATHS[plane]
+    current = current_vectors(plane)
     if rewrite_requested():
-        VECTORS_PATH.parent.mkdir(parents=True, exist_ok=True)
-        VECTORS_PATH.write_text(json.dumps(current, indent=2, sort_keys=True) + "\n")
-        pytest.skip(f"rewrote {VECTORS_PATH} ({REWRITE_ENV_VAR} set)")
-    drift = _drift_report(golden_vectors(), current)
+        VECTORS.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(current, indent=2, sort_keys=True) + "\n")
+        pytest.skip(f"rewrote {path} ({REWRITE_ENV_VAR} set)")
+    drift = _drift_report(golden_vectors(plane), current)
     assert not drift, (
-        "wire format drifted without a version bump.\n"
+        f"{plane.name} wire format drifted without a version bump.\n"
         "If this change is intentional: bump WIRE_FORMAT_VERSION in "
         "repro/net/codec.py and regenerate the vectors with "
         f"{REWRITE_ENV_VAR}=1.\n" + "\n".join(drift)
     )
 
 
-def test_golden_frames_decode_to_their_samples():
+def check_golden_frames_decode_to_their_samples(plane) -> None:
     """The decoder accepts the *committed* bytes, not just fresh encodes."""
     if rewrite_requested():
         pytest.skip("vectors are being rewritten")
-    golden = golden_vectors()
-    by_name = {spec.name: spec for spec in registered_specs()}
-    for name, entry in golden["frames"].items():
-        spec = by_name[name]
+    by_name = {s.name: s for s in registered_specs() if s.plane is plane}
+    for name, entry in golden_vectors(plane)["frames"].items():
         decoded = decode_message(bytes.fromhex(entry["frame_hex"]))
-        assert decoded == spec.sample(), name
+        assert decoded == by_name[name].sample(), (plane.name, name)
+
+
+def check_golden_vectors_carry_the_current_version(plane) -> None:
+    if rewrite_requested():
+        pytest.skip("vectors are being rewritten")
+    assert golden_vectors(plane)["wire_format_version"] == WIRE_FORMAT_VERSION
+
+
+def test_golden_vectors_match_registry():
+    check_golden_vectors_match_registry(CONTROL)
+
+
+def test_golden_frames_decode_to_their_samples():
+    check_golden_frames_decode_to_their_samples(CONTROL)
 
 
 def test_golden_vectors_carry_the_current_version():
-    if rewrite_requested():
-        pytest.skip("vectors are being rewritten")
-    assert golden_vectors()["wire_format_version"] == WIRE_FORMAT_VERSION
+    check_golden_vectors_carry_the_current_version(CONTROL)

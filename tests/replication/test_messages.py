@@ -8,7 +8,6 @@ absent repair rid, multi-record pushes).
 
 from repro.ids import BPID
 from repro.net import codec as wire
-from repro.net import datacodec as data
 from repro.net.address import IPAddress
 from repro.replication.messages import (
     ReplicaAccept,
@@ -25,26 +24,29 @@ HOLDER = BPID("liglo-main", 8)
 
 class TestRegistrations:
     def test_control_frames_use_the_010b_block(self):
-        assert wire.lookup(ReplicaOffer).type_id == 0x010B
-        assert wire.lookup(ReplicaAccept).type_id == 0x010C
-        assert wire.lookup(ReplicaInvalidate).type_id == 0x010D
+        for type_id, cls in (
+            (0x010B, ReplicaOffer), (0x010C, ReplicaAccept), (0x010D, ReplicaInvalidate)
+        ):
+            assert wire.spec_for_id(type_id).cls is cls
+            assert wire.spec_for_id(type_id).plane is wire.CONTROL
 
     def test_push_rides_the_data_plane(self):
-        assert data.lookup(ReplicaPush).type_id == 0x1009
-        assert wire.lookup(ReplicaPush) is None
+        assert wire.spec_for_id(0x1009).cls is ReplicaPush
+        assert wire.spec_for_id(0x1009).plane is wire.DATA
+        assert [s.cls for s in wire.registered_specs()].count(ReplicaPush) == 1
 
 
 class TestSamples:
     """Every spec's golden-vector sample survives its own plane."""
 
     def test_control_samples_roundtrip(self):
-        for frame in (ReplicaOffer, ReplicaAccept, ReplicaInvalidate):
-            sample = wire.lookup(frame).sample()
+        for type_id in (0x010B, 0x010C, 0x010D):
+            sample = wire.spec_for_id(type_id).sample()
             assert wire.decode_message(wire.encode_message(sample)) == sample
 
     def test_push_sample_roundtrips(self):
-        sample = data.lookup(ReplicaPush).sample()
-        assert data.decode_message(data.encode_message(sample)) == sample
+        sample = wire.spec_for_id(0x1009).sample()
+        assert wire.decode_message(wire.encode_message(sample)) == sample
         assert sample.records and sample.records[0].payload
 
 
@@ -103,7 +105,7 @@ class TestRoundTrips:
                 ),
             ),
         )
-        decoded = data.decode_message(data.encode_message(push))
+        decoded = wire.decode_message(wire.encode_message(push))
         assert decoded == push
         assert decoded.record_count == 2
         assert decoded.total_bytes == 100

@@ -38,7 +38,6 @@ ALLOWED = {
     "send_with_retry": LIVE,
     "on": LIVE,
     "measure": LEDGER,
-    "accepts": TESTS,
     "addresses": TESTS,
     "answers_by_responder": TESTS,
     "cache_stats": TESTS,
