@@ -35,10 +35,10 @@ from repro.agents.envelope import (
 )
 from repro.agents.messages import AnswerItem, AnswerMessage, BatchedAnswers
 from repro.errors import AgentError, CodeShippingError
-from repro.ids import BPID, AgentId, QueryId, SerialCounter
+from repro.ids import BPID, AgentId, QueryId
 from repro.net.address import IPAddress
 from repro.net.message import Packet
-from repro.net.network import Host
+from repro.net.network import Host, split_callable
 from repro.util.tracing import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -49,6 +49,11 @@ PROTO_CLASS_REQUEST = "bestpeer.agent.class-request"
 PROTO_CLASS_RESPONSE = "bestpeer.agent.class-response"
 PROTO_ANSWER = "bestpeer.answer"
 PROTO_AGENT_HOME = "bestpeer.agent.home"
+
+
+def _no_peers() -> list[IPAddress]:
+    """The fan-out of an engine given no ``get_peers``."""
+    return []
 
 
 def _coalesce_answers(
@@ -204,12 +209,15 @@ class AgentEngine:
         self.local_bpid = local_bpid
         self.services = services if services is not None else {}
         self.costs = costs if costs is not None else AgentCosts()
-        self.registry = registry if registry is not None else AgentCodeRegistry()
-        self.get_peers = get_peers if get_peers is not None else (lambda: [])
+        self._registry = registry
+        # Kept split, so a node's engine holds no method object of the node
+        self._peers_func, self._peers_owner = split_callable(
+            get_peers if get_peers is not None else _no_peers
+        )
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: called with (agent_id, state) when an itinerary agent comes home
         self.on_agent_home: Callable[[AgentEnvelope, dict], None] | None = None
-        self._serials = SerialCounter()
+        self._next_serial = 0
         self._seen: set[AgentId] = set()
         #: destinations believed to hold each class: (address, class_name)
         self._shipped: set[tuple[IPAddress, str]] = set()
@@ -222,6 +230,17 @@ class AgentEngine:
         host.bind(PROTO_CLASS_REQUEST, self._on_class_request)
         host.bind(PROTO_CLASS_RESPONSE, self._on_class_response)
         host.bind(PROTO_AGENT_HOME, self._on_agent_home)
+
+    def get_peers(self) -> Sequence[IPAddress]:
+        """This host's current flood fan-out."""
+        return self._peers_func(self._peers_owner)
+
+    @property
+    def registry(self) -> AgentCodeRegistry:
+        """The agent classes present at this host (built on first use)."""
+        if self._registry is None:
+            self._registry = AgentCodeRegistry()
+        return self._registry
 
     # -- dispatching (the initiating side) ----------------------------------------
 
@@ -266,7 +285,8 @@ class AgentEngine:
                 error=str(exc),
             )
             raise
-        agent_id = AgentId(self.local_bpid, self._serials.next())
+        agent_id = AgentId(self.local_bpid, self._next_serial)
+        self._next_serial += 1
         self._seen.add(agent_id)  # a clone routed back here is a duplicate
         envelope = AgentEnvelope(
             agent_id=agent_id,

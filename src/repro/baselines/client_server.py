@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 from repro.agents.costs import AgentCosts
 from repro.errors import BestPeerError, TopologyError
-from repro.ids import SerialCounter
 from repro.net.address import AddressPool, IPAddress
 from repro.net.link import LinkModel
 from repro.net.message import Packet
@@ -143,7 +142,7 @@ class CsNode:
         self.children: list[IPAddress] = []
         self._states: dict[int, _PerQueryState] = {}
         self._handles: dict[int, CsQueryHandle] = {}
-        self._serials = SerialCounter()
+        self._next_serial = 0
         self.host.bind(PROTO_CS_QUERY, self._on_query)
         self.host.bind(PROTO_CS_RESULTS, self._on_results)
         self.host.bind(PROTO_CS_DONE, self._on_done)
@@ -156,7 +155,8 @@ class CsNode:
 
     def issue_query(self, keyword: str, search_own_store: bool = True) -> CsQueryHandle:
         """Start a query from this node (it becomes the tree root)."""
-        query_id = self._serials.next()
+        query_id = self._next_serial
+        self._next_serial += 1
         handle = CsQueryHandle(
             query_id=query_id, keyword=keyword, issued_at=self.sim.now
         )

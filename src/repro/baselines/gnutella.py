@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 from repro.agents.costs import AgentCosts
 from repro.errors import TopologyError
-from repro.ids import SerialCounter
 from repro.net.address import AddressPool, IPAddress
 from repro.net.link import LinkModel
 from repro.net.message import Packet
@@ -138,7 +137,7 @@ class GnutellaServent:
         #: shared files live in the same storage substrate as BestPeer's
         self.storm = storm if storm is not None else StorM()
         self.peers: list[IPAddress] = []
-        self._serials = SerialCounter()
+        self._next_serial = 0
         self._seen: set[tuple[str, int]] = set()
         #: GUID -> upstream address: the reverse-path routing table
         self._routes: dict[tuple[str, int], IPAddress] = {}
@@ -159,7 +158,8 @@ class GnutellaServent:
 
     def issue_query(self, keyword: str, ttl: int = DEFAULT_TTL) -> GnutellaQueryHandle:
         """Flood a QUERY to all peers; hits route back here."""
-        guid = (self.name, self._serials.next())
+        guid = (self.name, self._next_serial)
+        self._next_serial += 1
         self._seen.add(guid)
         handle = GnutellaQueryHandle(
             guid=guid, keyword=keyword, issued_at=self.sim.now
@@ -220,7 +220,8 @@ class GnutellaServent:
 
     def ping_network(self, ttl: int = DEFAULT_TTL) -> tuple[str, int]:
         """Flood a PING; pongs collect in :meth:`pongs_for`."""
-        guid = (self.name, self._serials.next())
+        guid = (self.name, self._next_serial)
+        self._next_serial += 1
         self._seen.add(guid)
         self._pongs[guid] = []
         descriptor = PingDescriptor(guid, ttl - 1, 1)

@@ -73,7 +73,7 @@ from repro.core.shipping import (
     make_shipping_policy,
 )
 from repro.errors import AccessDeniedError, BestPeerError, QueryError
-from repro.ids import BPID, AgentId, QueryId, SerialCounter
+from repro.ids import BPID, AgentId, QueryId
 from repro.liglo.client import LigloClient, RegistrationResult
 from repro.net.address import IPAddress
 from repro.net.message import Packet
@@ -89,6 +89,8 @@ from repro.util.tracing import NULL_TRACER, Tracer
 
 #: reply protocol -> the request family its replies settle
 _REPLY_KINDS = {PROTO_FETCH_REPLY: "fetch", PROTO_ACTIVE_REPLY: "active"}
+#: the hint keywords of a node that has published none
+_NO_KEYWORDS: frozenset[str] = frozenset()
 
 
 class BestPeerNode:
@@ -117,23 +119,24 @@ class BestPeerNode:
             else make_routing_strategy(self.config.strategy)
         )
         #: jitter stream for every retry this node performs; derived from
-        #: the config seed and the node name, so runs replay bit-identically
-        self._retry_rng = derive_rng(self.config.retry_seed, "retry", name)
+        #: the config seed and the node name, so runs replay bit-identically.
+        #: Only a retry policy draws from it: without one there is none.
+        self._retry_rng = (
+            derive_rng(self.config.retry_seed, "retry", name)
+            if self.config.retry_policy is not None
+            else None
+        )
         self.liglo = LigloClient(
             self.host,
             tracer=self.tracer,
             retry_policy=self.config.retry_policy,
             rng=self._retry_rng,
         )
-        self.catalog = ShareCatalog()
+        self._catalog: ShareCatalog | None = None
         self.engine: AgentEngine | None = None
         self._queries: dict[QueryId, QueryHandle] = {}
-        self._query_serials = SerialCounter()
-        #: outstanding fetch / active / data requests: one table and one
-        #: token counter, so the three families' tokens interleave in send order
-        self.requests = PendingRequests(
-            self.host, self.config.retry_policy, self._retry_rng
-        )
+        self._next_query_serial = 0
+        self._requests: PendingRequests | None = None
         self.shipping = make_shipping_policy(self.config.shipping_policy)
         self._estimates: dict[BPID, PeerEstimate] = {}
         self._data_cache: dict[BPID, list] = {}
@@ -146,10 +149,10 @@ class BestPeerNode:
         self.host.bind(PROTO_ACTIVE_REPLY, self._on_reply)
         self.host.bind(PROTO_DATA_REQUEST, self._on_data_request)
         self.host.bind(PROTO_DATA_REPLY, self._on_data_reply)
-        self.knowledge = KnowledgeBase()
+        self._knowledge: KnowledgeBase | None = None
         self.host.bind(PROTO_DISCOVERY_REPORT, self._on_discovery_report)
         #: keywords already reported to our LIGLO's hint directory
-        self._published_hints: set[str] = set()
+        self._published_hints: frozenset[str] | set[str] = _NO_KEYWORDS
         #: super-peer routing counters (hint directory consultations)
         self.hint_queries = 0
         self.hint_hits = 0
@@ -159,6 +162,32 @@ class BestPeerNode:
         self.replication = ReplicationManager(self)
         self.replication.bind()
         self.strategy.bind(self)
+
+    # -- state built on first use -----------------------------------------------
+
+    @property
+    def requests(self) -> PendingRequests:
+        """Outstanding fetch / active / data requests: one table and one
+        token counter, so the three families' tokens interleave in send order."""
+        if self._requests is None:
+            self._requests = PendingRequests(
+                self.host, self.config.retry_policy, self._retry_rng
+            )
+        return self._requests
+
+    @property
+    def catalog(self) -> ShareCatalog:
+        """The active objects this node shares."""
+        if self._catalog is None:
+            self._catalog = ShareCatalog()
+        return self._catalog
+
+    @property
+    def knowledge(self) -> KnowledgeBase:
+        """What discovery reports have taught this node about the network."""
+        if self._knowledge is None:
+            self._knowledge = KnowledgeBase()
+        return self._knowledge
 
     # -- identity & membership -------------------------------------------------
 
@@ -321,7 +350,7 @@ class BestPeerNode:
     @property
     def request_retries(self) -> int:
         """Re-sends by the retry policy (LIGLO's are ``liglo.retries``)."""
-        return self.requests.retries
+        return self._requests.retries if self._requests is not None else 0
 
     # -- peer management ---------------------------------------------------------
 
@@ -400,6 +429,8 @@ class BestPeerNode:
         )
         if not fresh:
             return
+        if not self._published_hints:
+            self._published_hints = set()
         self._published_hints.update(fresh)
         self.liglo.publish_hints(fresh)
 
@@ -430,7 +461,8 @@ class BestPeerNode:
         """
         if self.engine is None:
             raise BestPeerError(f"node {self.name} must join before querying")
-        query_id = QueryId(self.bpid, self._query_serials.next())
+        query_id = QueryId(self.bpid, self._next_query_serial)
+        self._next_query_serial += 1
         top_k = self.config.top_k
         handle = QueryHandle(
             query_id=query_id,
@@ -796,7 +828,8 @@ class BestPeerNode:
         """
         if self.engine is None:
             raise BestPeerError(f"node {self.name} must join before querying")
-        query_id = QueryId(self.bpid, self._query_serials.next())
+        query_id = QueryId(self.bpid, self._next_query_serial)
+        self._next_query_serial += 1
         handle = QueryHandle(
             query_id=query_id,
             keyword=keyword,
@@ -1046,6 +1079,7 @@ class BestPeerNode:
 
     def statistics(self) -> dict[str, int]:
         """Operational counters for monitoring and tests."""
+        requests = self._requests
         stats = {
             "queries_issued": len(self._queries),
             "answers_received": sum(
@@ -1057,11 +1091,11 @@ class BestPeerNode:
             "shared_objects": self.storm.count,
             "direct_peers": len(self.peers),
             "cached_peer_datasets": len(self._data_cache),
-            "known_hosts": len(self.knowledge),
+            "known_hosts": len(self._knowledge or ()),
             # outstanding request tokens (leak auditing) and robustness
-            "pending_fetches": len(self.requests.pending("fetch")),
-            "pending_actives": len(self.requests.pending("active")),
-            "pending_data": len(self.requests.pending("data")),
+            "pending_fetches": len(requests.pending("fetch")) if requests else 0,
+            "pending_actives": len(requests.pending("active")) if requests else 0,
+            "pending_data": len(requests.pending("data")) if requests else 0,
             "pending_liglo": sum(self.liglo.pending_counts().values()),
             "suspect_peers": len(self.peers.suspect_bpids()),
             "queries_degraded": sum(

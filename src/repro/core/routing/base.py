@@ -59,6 +59,9 @@ class RoutingStrategy:
     #: True when the strategy wants the node to consult its LIGLO's
     #: keyword hint directory before flooding (super-peer routing).
     uses_hint_directory = False
+    #: True when instances hold no state, so every node can share one
+    #: (:func:`make_routing_strategy` hands out a single instance)
+    stateless = False
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -115,6 +118,8 @@ class RoutingStrategy:
 # -- registry -------------------------------------------------------------------
 
 _REGISTRY: dict[str, type[RoutingStrategy]] = {}
+#: the one instance of each stateless strategy, by name
+_SHARED: dict[str, RoutingStrategy] = {}
 
 
 def register_strategy(cls: type[RoutingStrategy]) -> type[RoutingStrategy]:
@@ -122,6 +127,8 @@ def register_strategy(cls: type[RoutingStrategy]) -> type[RoutingStrategy]:
     if not cls.name or cls.name == "abstract":
         raise BestPeerError(f"{cls.__name__} needs a concrete name to register")
     _REGISTRY[cls.name] = cls
+    if cls.stateless:
+        _SHARED[cls.name] = cls()
     return cls
 
 
@@ -131,7 +138,9 @@ def registered_strategies() -> dict[str, type[RoutingStrategy]]:
 
 
 def make_routing_strategy(name: str, **kwargs) -> RoutingStrategy:
-    """Construct a routing strategy by registered name."""
+    """Construct a routing strategy by registered name (a stateless one is shared)."""
+    if not kwargs and name in _SHARED:
+        return _SHARED[name]
     try:
         factory = _REGISTRY[name]
     except KeyError:

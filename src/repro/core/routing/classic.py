@@ -35,6 +35,7 @@ class MaxCountStrategy(RoutingStrategy):
     """Keep the peers that returned the most answers."""
 
     name = "maxcount"
+    stateless = True
 
     def select(
         self, candidates: Sequence[PeerObservation], k: int
@@ -55,6 +56,7 @@ class MinHopsStrategy(RoutingStrategy):
     """
 
     name = "minhops"
+    stateless = True
 
     def select(
         self, candidates: Sequence[PeerObservation], k: int
@@ -110,6 +112,7 @@ class StaticStrategy(RoutingStrategy):
     """No reconfiguration: current peers stay (the paper's BPS scheme)."""
 
     name = "static"
+    stateless = True
 
     def select(
         self, candidates: Sequence[PeerObservation], k: int

@@ -150,10 +150,14 @@ _POLICIES = {
     "always-data": AlwaysDataPolicy,
     "adaptive": AdaptiveShippingPolicy,
 }
+#: the fixed-choice policies hold no state, so every node shares one of each
+_SHARED = {"always-code": AlwaysCodePolicy(), "always-data": AlwaysDataPolicy()}
 
 
 def make_shipping_policy(name: str, **kwargs) -> ShippingPolicy:
-    """Construct a shipping policy by name."""
+    """Construct a shipping policy by name (a stateless one is shared)."""
+    if not kwargs and name in _SHARED:
+        return _SHARED[name]
     try:
         factory = _POLICIES[name]
     except KeyError:

@@ -9,8 +9,7 @@ frozen dataclasses.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,14 +60,3 @@ class QueryId:
 
     def __str__(self) -> str:
         return f"query:{self.origin}#{self.serial}"
-
-
-@dataclass
-class SerialCounter:
-    """Monotonic counter used to mint serial numbers deterministically."""
-
-    _counter: itertools.count = field(default_factory=itertools.count)
-
-    def next(self) -> int:
-        """Return the next serial number (0, 1, 2, ...)."""
-        return next(self._counter)

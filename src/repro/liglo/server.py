@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from repro.errors import LigloError
-from repro.ids import BPID, SerialCounter
+from repro.ids import BPID
 from repro.liglo import messages as m
 from repro.net.address import IPAddress
 from repro.net.message import Packet
@@ -86,7 +86,7 @@ class LigloServer:
         self.hint_index: dict[str, set[int]] = {}
         self.hint_publishes = 0
         self.hint_queries = 0
-        self._node_serials = SerialCounter()
+        self._next_node_id = 0
         #: outstanding validity pings; context: the member's node id
         self.requests = PendingRequests(host)
         self.registrations_rejected = 0
@@ -118,7 +118,8 @@ class LigloServer:
             )
             self.host.send(packet.src, m.PROTO_REGISTER_REPLY, reply)
             return
-        node_id = self._node_serials.next()
+        node_id = self._next_node_id
+        self._next_node_id += 1
         bpid = BPID(self.server_id, node_id)
         now = self.host.sim.now
         peers = self._initial_peer_list()

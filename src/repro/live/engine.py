@@ -22,7 +22,7 @@ from repro.agents.codeship import AgentCodeRegistry
 from repro.agents.envelope import DEFAULT_TTL, MODE_FLOOD, AgentEnvelope, freeze_state
 from repro.agents.messages import AnswerItem, AnswerMessage
 from repro.errors import AgentError
-from repro.ids import BPID, AgentId, QueryId, SerialCounter
+from repro.ids import BPID, AgentId, QueryId
 from repro.live.transport import LiveAddress, LiveEndpoint
 
 PROTO_AGENT = "live.agent"
@@ -111,7 +111,7 @@ class LiveAgentEngine:
         self.get_peers = get_peers if get_peers is not None else (lambda: [])
         self.registry = AgentCodeRegistry()
         self._lock = threading.RLock()
-        self._serials = SerialCounter()
+        self._next_serial = 0
         self._seen: set[AgentId] = set()
         self._shipped: set[tuple[LiveAddress, str]] = set()
         self._parked: dict[str, list[tuple[AgentEnvelope, dict]]] = {}
@@ -134,7 +134,8 @@ class LiveAgentEngine:
             raise AgentError(f"dispatch needs ttl >= 1, got {ttl}")
         with self._lock:
             class_name = self.registry.register_local(type(agent))
-            agent_id = AgentId(self.local_bpid, self._serials.next())
+            agent_id = AgentId(self.local_bpid, self._next_serial)
+            self._next_serial += 1
             self._seen.add(agent_id)
         envelope = AgentEnvelope(
             agent_id=agent_id,

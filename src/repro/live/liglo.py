@@ -13,7 +13,7 @@ from __future__ import annotations
 import threading
 from typing import Any
 
-from repro.ids import BPID, SerialCounter
+from repro.ids import BPID
 from repro.live.transport import LiveAddress, LiveEndpoint
 
 PROTO_REGISTER = "live.liglo.register"
@@ -40,7 +40,7 @@ class LiveLigloServer:
         self.server_id = f"liglo@{self.endpoint.address[0]}:{self.endpoint.address[1]}"
         self._lock = threading.Lock()
         self._members: dict[int, tuple[BPID, LiveAddress]] = {}
-        self._serials = SerialCounter()
+        self._next_node_id = 0
         self.registrations_rejected = 0
         self.endpoint.bind(PROTO_REGISTER, self._on_register)
         self.endpoint.bind(PROTO_ANNOUNCE, self._on_announce)
@@ -64,7 +64,8 @@ class LiveLigloServer:
                 self.registrations_rejected += 1
                 reply = (token, False, None, (), f"{self.server_id} is at capacity")
             else:
-                node_id = self._serials.next()
+                node_id = self._next_node_id
+                self._next_node_id += 1
                 bpid = BPID(self.server_id, node_id)
                 peers = tuple(
                     (member_bpid, address)
@@ -109,7 +110,7 @@ class LiveLigloClient:
     def __init__(self, endpoint: LiveEndpoint):
         self.endpoint = endpoint
         self._lock = threading.Lock()
-        self._tokens = SerialCounter()
+        self._next_token = 0
         self._register_results: dict[int, Any] = {}
         self._resolve_results: dict[int, Any] = {}
         self._condition = threading.Condition(self._lock)
@@ -122,7 +123,8 @@ class LiveLigloClient:
         """Register; returns (bpid, initial peers, reason) — bpid None on
         rejection or timeout."""
         with self._lock:
-            token = self._tokens.next()
+            token = self._next_token
+            self._next_token += 1
         self.endpoint.try_send(
             tuple(liglo), PROTO_REGISTER, (token, self.endpoint.address)
         )
@@ -145,7 +147,8 @@ class LiveLigloClient:
         self, liglo: LiveAddress, bpid: BPID, timeout: float = 5.0
     ) -> LiveAddress | None:
         with self._lock:
-            token = self._tokens.next()
+            token = self._next_token
+            self._next_token += 1
         self.endpoint.try_send(tuple(liglo), PROTO_RESOLVE, (token, bpid))
         with self._condition:
             if not self._condition.wait_for(

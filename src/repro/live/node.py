@@ -20,7 +20,7 @@ from repro.agents.messages import AnswerMessage, BatchedAnswers
 from repro.agents.storm_agent import StorMSearchAgent
 from repro.core.routing import MaxCountStrategy, PeerObservation
 from repro.errors import BestPeerError
-from repro.ids import BPID, QueryId, SerialCounter
+from repro.ids import BPID, QueryId
 from repro.live.engine import PROTO_ANSWER, LiveAgentEngine
 from repro.live.transport import LiveAddress, LiveEndpoint
 from repro.storm.store import StorM
@@ -64,7 +64,9 @@ class LiveQuery:
 class LivePeer:
     """One BestPeer participant on real sockets."""
 
-    _identity_counter = SerialCounter()
+    #: node id of the next LivePeer constructed in this process
+    _next_identity = 0
+    _identity_lock = threading.Lock()
 
     def __init__(
         self,
@@ -83,11 +85,13 @@ class LivePeer:
         self.endpoint = LiveEndpoint(
             port=port, loss_probability=loss_probability, loss_seed=loss_seed
         )
-        self.bpid = BPID("live", LivePeer._identity_counter.next())
+        with LivePeer._identity_lock:
+            self.bpid = BPID("live", LivePeer._next_identity)
+            LivePeer._next_identity += 1
         self._lock = threading.RLock()
         self._peers: dict[BPID, LiveAddress] = {}
         self._queries: dict[QueryId, LiveQuery] = {}
-        self._query_serials = SerialCounter()
+        self._next_query_serial = 0
         self.strategy = MaxCountStrategy()
         self.engine = LiveAgentEngine(
             self.endpoint,
@@ -223,9 +227,10 @@ class LivePeer:
 
     def issue_query(self, keyword: str, ttl: int = 7) -> LiveQuery:
         """Flood a StorM search agent; answers stream into the result."""
-        query_id = QueryId(self.bpid, self._query_serials.next())
-        query = LiveQuery(query_id, keyword)
         with self._lock:
+            query_id = QueryId(self.bpid, self._next_query_serial)
+            self._next_query_serial += 1
+            query = LiveQuery(query_id, keyword)
             self._queries[query_id] = query
         self.engine.dispatch(StorMSearchAgent(keyword), query_id=query_id, ttl=ttl)
         return query

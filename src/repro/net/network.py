@@ -17,6 +17,7 @@ timeouts on top, exactly as the paper's LIGLO validity checks do.
 
 from __future__ import annotations
 
+from types import MethodType
 from typing import Any, Callable, Sequence
 
 from repro.errors import (
@@ -42,6 +43,23 @@ from repro.util.tracing import NULL_TRACER, Tracer
 DEFAULT_DISPATCH_TIME = 0.003
 
 
+def _call(handler: Callable[..., Any], *args: Any) -> Any:
+    """The ``func`` of a plain callable split by :func:`split_callable`."""
+    return handler(*args)
+
+
+def split_callable(handler: Callable[..., Any]) -> tuple[Callable[..., Any], Any]:
+    """``(func, owner)`` such that ``func(owner, *args)`` is ``handler(*args)``.
+
+    A bound method splits into its function and its object, so a
+    long-lived holder of the pair keeps no method object alive; any
+    other callable is its own owner, called through a trampoline.
+    """
+    if type(handler) is MethodType:
+        return handler.__func__, handler.__self__
+    return _call, handler
+
+
 class Host:
     """One machine on the simulated network.  Create via ``Network.create_host``."""
 
@@ -62,7 +80,10 @@ class Host:
         self.online = False
         #: down-but-holding-its-lease (a crashed fixed-IP server, not churn)
         self.suspended = False
-        self._handlers: dict[str, Callable[[Packet], None]] = {}
+        #: protocol -> ``func(owner, packet)`` (see :func:`split_callable`),
+        #: so a bind keeps no object per protocol
+        self._handlers: dict[str, Callable[[Any, Packet], None]] = {}
+        self._owners: dict[str, Any] = {}
         #: counters
         self.messages_sent = 0
         self.bytes_sent = 0
@@ -127,11 +148,12 @@ class Host:
         """Register ``handler(packet)`` for one protocol name."""
         if protocol in self._handlers:
             raise NetworkError(f"host {self.name} already binds protocol {protocol!r}")
-        self._handlers[protocol] = handler
+        self._handlers[protocol], self._owners[protocol] = split_callable(handler)
 
     def unbind(self, protocol: str) -> None:
         """Remove a protocol handler."""
         self._handlers.pop(protocol, None)
+        self._owners.pop(protocol, None)
 
     # -- sending ------------------------------------------------------------
 
@@ -184,15 +206,19 @@ class Host:
 
     def _receive(self, packet: Packet) -> None:
         """Called by the network when a packet reaches this (online) host."""
-        handler = self._handlers.get(packet.protocol)
-        if handler is None:
-            raise UnknownProtocolError(
-                f"host {self.name} has no handler for {packet.protocol!r}"
-            )
+        protocol = packet.protocol
+        func = self._handlers.get(protocol)
+        if func is None:
+            raise UnknownProtocolError(f"host {self.name} has no handler for {protocol!r}")
         self.messages_received += 1
-        self.cpu.submit(self.dispatch_time, self._dispatch, handler, packet)
+        # The class's function, not a bound method: nothing is allocated per
+        # packet for the job, which pays for the owner lookup above
+        owner = self._owners[protocol]
+        self.cpu.submit(self.dispatch_time, Host._dispatch, self, func, owner, packet)
 
-    def _dispatch(self, handler: Callable[[Packet], None], packet: Packet) -> None:
+    def _dispatch(
+        self, func: Callable[[Any, Packet], None], owner: Any, packet: Packet
+    ) -> None:
         tracer = self.network.tracer
         if tracer.enabled:  # per packet: build no strings for a tracer that is off
             tracer.record(
@@ -205,7 +231,7 @@ class Host:
                 size=packet.wire_size,
             )
         try:
-            handler(packet)
+            func(owner, packet)
         except WireDecodeError as exc:
             # A malformed frame must never take down the delivery loop:
             # the packet is dropped and the drop is counted.

@@ -19,7 +19,6 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.ids import SerialCounter
 from repro.util.retry import RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -69,7 +68,7 @@ class PendingRequest:
 class PendingRequests:
     """Token counter, token table, expiry timers and retry schedule."""
 
-    __slots__ = ("host", "policy", "rng", "_tokens", "_entries", "retries")
+    __slots__ = ("host", "policy", "rng", "_next_token", "_entries", "retries")
 
     def __init__(
         self,
@@ -80,7 +79,7 @@ class PendingRequests:
         self.host = host
         self.policy = policy
         self.rng = rng
-        self._tokens = SerialCounter()
+        self._next_token = 0
         self._entries: dict[int, PendingRequest] = {}
         #: re-sends triggered by the retry policy
         self.retries = 0
@@ -96,7 +95,8 @@ class PendingRequests:
         self._send(PendingRequest(kind, transmit, timeout, **hooks))
 
     def _send(self, entry: PendingRequest) -> None:
-        token = self._tokens.next()
+        token = self._next_token
+        self._next_token = token + 1
         entry.timer = self.host.sim.schedule(entry.timeout, self.expire, token)
         self._entries[token] = entry
         try:

@@ -64,6 +64,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: the initiator's dedup and the fetch path both stay unambiguous.
 REPLICA_PAGE_BIT = 0x8000_0000
 
+#: The hot records of a manager that has promoted none.
+_NO_RECORDS: frozenset[RecordId] = frozenset()
+
 #: Rejoined-peer memory: how many recently-heard-from non-peers the
 #: manager remembers as placement candidates and address refreshers.
 _LAST_SEEN_LIMIT = 64
@@ -106,14 +109,13 @@ class ReplicationManager:
         self._retired_versions: dict[RecordId, int] = {}
         #: rid -> holder bpid -> last known holder address
         self._holders: dict[RecordId, dict[BPID, IPAddress]] = {}
-        #: outstanding offers; context: (holder bpid, address, offered rids)
-        self.requests = PendingRequests(self.node.host)
+        self._requests: PendingRequests | None = None
         #: per-record query-hit EWMA (hotness signal)
         self._ewma: dict[RecordId, float] = {}
         #: records already promoted to ``hot_rf`` copies
-        self._hot: set[RecordId] = set()
+        self._hot: frozenset[RecordId] = _NO_RECORDS
         #: rids shared before the node joined; placed on flush_pending()
-        self._pending_share: list[RecordId] = []
+        self._pending_share: tuple[RecordId, ...] = ()
         # -- holder side ----------------------------------------------------
         self._store: StorM | None = None
         self._copies: dict[tuple[BPID, RecordId], _HolderCopy] = {}
@@ -144,6 +146,14 @@ class ReplicationManager:
         return self.policy.active
 
     @property
+    def requests(self) -> PendingRequests:
+        """Outstanding offers; context: (holder bpid, address, offered rids).
+        Built on the first offer: an inactive policy never makes one."""
+        if self._requests is None:
+            self._requests = PendingRequests(self.node.host)
+        return self._requests
+
+    @property
     def replicas_held(self) -> int:
         """Replica copies this node currently holds for other owners."""
         return len(self._copies)
@@ -158,7 +168,7 @@ class ReplicationManager:
 
     def statistics(self) -> dict[str, int]:
         """Replication counters, merged into ``node.statistics()``."""
-        cache = self.cache
+        cache, requests = self.cache, self._requests
         return {
             "replicas_held": self.replicas_held,
             "replica_answers": self.replica_answers,
@@ -167,7 +177,7 @@ class ReplicationManager:
             "replica_declines": self.offers_declined,
             "invalidations": self.invalidations,
             "stale_repairs": self.stale_repairs,
-            "pending_offers": len(self.requests.pending("offer")),
+            "pending_offers": len(requests.pending("offer")) if requests else 0,
             "cache_hits": cache.hits if cache is not None else 0,
             "cache_misses": cache.misses if cache is not None else 0,
             "cache_evictions": cache.evictions if cache is not None else 0,
@@ -186,7 +196,7 @@ class ReplicationManager:
         if self.policy.rf <= 1:
             return
         if self.node.engine is None or not self.node.host.online:
-            self._pending_share.extend(rids)
+            self._pending_share += tuple(rids)
             return
         self._place(tuple(rids), self.policy.rf - 1)
 
@@ -196,7 +206,7 @@ class ReplicationManager:
             return
         if self.node.engine is None or not self.node.host.online:
             return
-        pending, self._pending_share = self._pending_share, []
+        pending, self._pending_share = self._pending_share, ()
         live = tuple(rid for rid in pending if rid in self._versions)
         if live:
             self._place(live, self.policy.rf - 1)
@@ -410,7 +420,7 @@ class ReplicationManager:
         if self.cache is not None:
             self.cache.invalidate_keywords(normalized)
         self._ewma.pop(rid, None)
-        self._hot.discard(rid)
+        self._hot -= {rid}
         version = self._versions.pop(rid, None)
         holders = self._holders.pop(rid, None)
         if version is None:
@@ -447,7 +457,7 @@ class ReplicationManager:
         if self.cache is not None:
             self.cache.invalidate_keywords(normalized_old + normalized_new)
         self._ewma.pop(old_rid, None)
-        self._hot.discard(old_rid)
+        self._hot -= {old_rid}
         old_version = self._versions.pop(old_rid, None)
         holders = self._holders.pop(old_rid, None)
         if old_version is None:
@@ -497,7 +507,7 @@ class ReplicationManager:
             self._ewma[rid] = level
             if level < policy.hot_threshold or rid in self._hot:
                 continue
-            self._hot.add(rid)
+            self._hot |= {rid}
             if rid not in self._versions:
                 self._versions[rid] = self._retired_versions.get(rid, 0) + 1
             self.node.tracer.record(
@@ -511,7 +521,7 @@ class ReplicationManager:
 
     def hot_records(self) -> frozenset[RecordId]:
         """Records currently promoted to ``hot_rf`` copies."""
-        return frozenset(self._hot)
+        return self._hot
 
     # -- holder: protocol handlers -----------------------------------------------
 

@@ -98,9 +98,9 @@ class BufferManager:
         and call :meth:`mark_dirty` to persist changes.  Every ``pin``
         needs a matching :meth:`unpin`.
         """
-        self.stats.logical_reads += 1
         frame_id = self._page_table.get(page_id)
         if frame_id is not None:
+            self.stats.logical_reads += 1
             frame = self._frames[frame_id]
             frame.pin_count += 1
             if frame.pin_count == 1:
@@ -108,10 +108,14 @@ class BufferManager:
             self.strategy.on_page_accessed(frame_id)
             assert frame.data is not None
             return frame.data
+        # Read first: a page id the disk refuses must not cost a frame (or
+        # evict a victim for one), a strategy callback or a counted access.
+        data = self.disk.read_page(page_id)
+        self.stats.logical_reads += 1
         frame_id = self._grab_frame()
         frame = self._frames[frame_id]
         self.stats.physical_reads += 1
-        frame.data = self.disk.read_page(page_id)
+        frame.data = data
         frame.page_id = page_id
         frame.pin_count = 1
         frame.dirty = False

@@ -121,7 +121,15 @@ class SearchResult:
 
 
 class StorM:
-    """A node-local in-memory object store with keyword search."""
+    """A node-local in-memory object store with keyword search.
+
+    A store opened without a disk or template holds nothing to read, so
+    until its first write it reads through one set of empty parts that
+    every such store shares (and nothing ever changes), and builds its
+    own on the first :meth:`put`, :meth:`put_many`, :meth:`delete`,
+    :meth:`get`, :meth:`vacuum`, :meth:`flush` or :meth:`close`.  An
+    idle node's store is then one object, not a dozen.
+    """
 
     def __init__(
         self,
@@ -134,8 +142,26 @@ class StorM:
         pages (:meth:`StoreTemplate.instantiate` passes both): postings,
         free bytes, record count and decoded records are taken from it
         instead of being recomputed from the pages."""
-        self.disk = disk if disk is not None else InMemoryDisk()
         self._closed = False
+        self.scan_cache_hits = 0
+        self.scan_cache_misses = 0
+        self._pool_size = pool_size
+        self._strategy = strategy
+        # Plain attributes in one order on every path: a per-instance
+        # probe or descriptor here slows every attribute read in the scans.
+        self._owns_parts = disk is not None or template is not None
+        if self._owns_parts:
+            self._open(disk if disk is not None else InMemoryDisk(), template)
+        else:
+            self.disk = _EMPTY_DISK
+            self._scan_cache = _EMPTY_SCAN_CACHE
+            self._shared_pages = ()
+            self.buffer = _EMPTY_BUFFER
+            self.heap = _EMPTY_HEAP
+            self.index = _EMPTY_INDEX
+
+    def _open(self, disk: InMemoryDisk, template: StoreTemplate | None) -> None:
+        self.disk = disk
         # page_id -> (page version, decoded records).  The buffer is still
         # pinned/unpinned for every page on every scan — the simulated I/O
         # accounting is untouched — only the CPU-side decode is reused.
@@ -145,9 +171,9 @@ class StorM:
         self._shared_pages: Sequence[Entries] = (
             template.decoded_pages if template is not None else ()
         )
-        self.scan_cache_hits = 0
-        self.scan_cache_misses = 0
-        self.buffer = BufferManager(self.disk, pool_size=pool_size, strategy=strategy)
+        self.buffer = BufferManager(
+            disk, pool_size=self._pool_size, strategy=self._strategy
+        )
         summary = (
             None if template is None else (template.free_bytes, template.record_count)
         )
@@ -163,11 +189,16 @@ class StorM:
                 for rid, record in self.heap.scan()
             )
 
+    def _own_parts(self) -> None:
+        """Trade the shared empty parts for this store's own, before a write."""
+        self._owns_parts = True
+        self._open(InMemoryDisk(), None)
+
     # -- mutation ----------------------------------------------------------------
 
     def put(self, keywords: Iterable[str], payload: bytes) -> RecordId:
         """Store a new sharable object; returns its record id."""
-        self._check_open()
+        self._check_writable()
         obj = StoredObject(tuple(keywords), bytes(payload))
         rid = self.heap.insert(obj.encode())
         self.index.add(rid, obj.keywords)
@@ -184,7 +215,7 @@ class StorM:
         search results, and buffer statistics are bit-identical to a
         :meth:`put` loop.
         """
-        self._check_open()
+        self._check_writable()
         objs = [
             StoredObject(tuple(keywords), bytes(payload))
             for keywords, payload in items
@@ -215,7 +246,7 @@ class StorM:
 
     def delete(self, rid: RecordId) -> None:
         """Remove an object (and its index postings)."""
-        self._check_open()
+        self._check_writable()
         obj = self.get(rid)
         self.heap.delete(rid)
         self.index.remove(rid, obj.keywords)
@@ -224,7 +255,7 @@ class StorM:
 
     def get(self, rid: RecordId) -> StoredObject:
         """Fetch one object by record id."""
-        self._check_open()
+        self._check_writable()
         return StoredObject.decode(self.heap.read(rid))
 
     def scan(self) -> Iterator[tuple[RecordId, StoredObject]]:
@@ -383,7 +414,7 @@ class StorM:
 
     def vacuum(self) -> int:
         """Compact deletion holes in the heap; returns bytes reclaimed."""
-        self._check_open()
+        self._check_writable()
         return self.heap.vacuum()
 
     # -- lifecycle -----------------------------------------------------------------
@@ -400,13 +431,15 @@ class StorM:
 
     def flush(self) -> None:
         """Write all dirty pages to the disk."""
-        self._check_open()
+        self._check_writable()
         self.buffer.flush_all()
 
     def close(self) -> None:
         """Flush dirty pages and refuse further use (idempotent)."""
         if self._closed:
             return
+        if not self._owns_parts:
+            self._own_parts()
         self.buffer.flush_all()
         self._closed = True
 
@@ -419,3 +452,17 @@ class StorM:
     def _check_open(self) -> None:
         if self._closed:
             raise StorageClosedError("StorM store is closed")
+
+    def _check_writable(self) -> None:
+        self._check_open()
+        if not self._owns_parts:
+            self._own_parts()
+
+
+# The parts every unwritten store reads through.  Nothing writes them: a
+# store trades them for its own before its first write.
+_EMPTY_DISK = InMemoryDisk()
+_EMPTY_BUFFER = BufferManager(_EMPTY_DISK, pool_size=1)
+_EMPTY_HEAP = HeapFile(_EMPTY_BUFFER)
+_EMPTY_INDEX = KeywordIndex()
+_EMPTY_SCAN_CACHE: dict[int, tuple[int, Entries]] = {}

@@ -1,0 +1,69 @@
+"""Collector-tracked objects per built node: at most 25.
+
+Every full pass of the cyclic collector walks every tracked object built
+so far, so what a deployment leaves tracked per node decides how much of
+set-up goes into collecting.  A node used to leave 76 (a bound method
+per bound protocol, two objects per serial counter, a dozen parts per
+empty store, and state for features that were off).  Counted with
+``gc.get_objects()`` after ``gc.collect()`` on a 1000-node, degree-4
+random graph with the static strategy and the default rf=1 policy.
+
+An unwritten store reads through one set of empty parts shared by every
+such store; the second test checks that no read ever writes them.
+"""
+
+from __future__ import annotations
+
+import gc
+
+from repro import BestPeerConfig, build_network, random_graph
+from repro.storm.buffer import AccessStats
+from repro.storm.store import StorM
+
+NODES = 1000
+BUDGET = 25
+
+
+def test_a_built_node_leaves_at_most_25_tracked_objects():
+    topology = random_graph(NODES, degree=4, seed=1)
+    config = BestPeerConfig(max_direct_peers=16, strategy="static")
+    gc.collect()
+    before = len(gc.get_objects())
+    deployment = build_network(NODES, config=config, topology=topology)
+    gc.collect()
+    per_node = (len(gc.get_objects()) - before) / NODES
+    assert len(deployment.nodes) == NODES
+    assert per_node <= BUDGET, f"{per_node:.2f} tracked objects per node"
+
+
+READS = {
+    "scan": lambda store: list(store.scan()),
+    "search": lambda store: store.search("k"),
+    "search_scan": lambda store: store.search_scan("k"),
+    "scored_search": lambda store: store.scored_search("k", k=3),
+    "scored_search_scan": lambda store: store.scored_search_scan("k", k=3),
+    "grep": lambda store: store.grep(b"k"),
+    "count": lambda store: store.count,
+    "stats": lambda store: store.stats.snapshot(),
+}
+
+
+def _assert_empty(store: StorM) -> None:
+    assert store.stats == AccessStats()
+    assert store.disk.num_pages == 0
+    assert store.heap.record_count == 0
+    assert store.buffer.frames_allocated == 0
+    assert store.index.keyword_count == 0
+
+
+def test_reads_never_write_the_shared_empty_parts():
+    for name, read in READS.items():
+        store = StorM()
+        read(store)
+        _assert_empty(store)
+        assert store.buffer is StorM().buffer, name  # still borrowing
+    written = StorM()
+    written.put(["k"], b"payload")
+    assert written.search_scan("k").match_count == 1
+    assert written.buffer is not StorM().buffer
+    _assert_empty(StorM())

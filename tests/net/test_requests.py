@@ -10,7 +10,7 @@ scripted server under identical traces; everything observable must match.
 """
 
 import random
-from itertools import cycle
+from itertools import count, cycle
 from types import SimpleNamespace
 
 import pytest
@@ -25,7 +25,6 @@ from repro.core.shipping import (
     DataRequest,
 )
 from repro.errors import HostOffline
-from repro.ids import SerialCounter
 from repro.net import Network
 from repro.net.requests import PendingRequests
 from repro.sim import Simulator
@@ -48,7 +47,7 @@ class ReferenceLadders:
         self.policy = policy
         self.rng = rng
         self.log = log
-        self._fetch_tokens = SerialCounter()
+        self._fetch_tokens = count()
         self._pending_fetches = {}
         self._pending_data = {}
         self.request_timeouts = {}
@@ -72,7 +71,7 @@ class ReferenceLadders:
         self._send_fetch(holder, callback, failures=0)
 
     def _send_fetch(self, holder, callback, failures):
-        token = self._fetch_tokens.next()
+        token = next(self._fetch_tokens)
         self._pending_fetches[token] = (callback, holder, failures)
         self.host.send(holder, PROTO_FETCH, FetchRequest(token, RID))
         self.sim.schedule(TIMEOUT, self._expire_fetch, token)
@@ -108,7 +107,7 @@ class ReferenceLadders:
         self._send_data_request(handle, address, failures=0)
 
     def _send_data_request(self, handle, address, failures):
-        token = self._fetch_tokens.next()
+        token = next(self._fetch_tokens)
         timer = self.sim.schedule(TIMEOUT, self._expire_data, token)
         self._pending_data[token] = (handle, address, failures, timer)
         self.host.send(address, PROTO_DATA_REQUEST, DataRequest(token))

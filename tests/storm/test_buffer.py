@@ -51,6 +51,28 @@ class TestPinning:
         with pytest.raises(BufferError_):
             buffer.unpin(page_id)
 
+    def test_failed_pin_changes_nothing(self):
+        """Pinning a page the disk does not have takes no frame, evicts
+        no victim, counts no access and leaves the pool usable."""
+        strategy = LruStrategy()
+        disk, buffer = make_buffer(pool_size=2, strategy=strategy)
+        first, data = buffer.new_page()
+        data[0] = 0x42
+        buffer.mark_dirty(first)
+        buffer.unpin(first)
+        buffer.unpin(buffer.new_page()[0])
+        stats, writes = buffer.stats.snapshot(), disk.writes
+        for _ in range(2):
+            with pytest.raises(PageError):
+                buffer.pin(99)
+        assert buffer.stats == stats
+        assert disk.writes == writes
+        assert buffer.resident_pages == {0, 1}
+        assert buffer.pin(first)[0] == 0x42  # still resident, still dirty
+        buffer.unpin(first)
+        buffer.pin(1)
+        buffer.pin(first)
+
     def test_unpin_nonresident_raises(self):
         _, buffer = make_buffer()
         with pytest.raises(PageError):

@@ -3,7 +3,7 @@
 import pytest
 
 import repro.errors as errors
-from repro.ids import BPID, AgentId, QueryId, SerialCounter
+from repro.ids import BPID, AgentId, QueryId
 
 
 class TestBPID:
@@ -39,18 +39,6 @@ class TestDerivedIds:
         origin = BPID("l", 3)
         assert str(QueryId(origin, 9)) == "query:l/3#9"
         assert QueryId(origin, 1) != AgentId(origin, 1)
-
-
-class TestSerialCounter:
-    def test_monotone_from_zero(self):
-        counter = SerialCounter()
-        assert [counter.next() for _ in range(4)] == [0, 1, 2, 3]
-
-    def test_independent_counters(self):
-        a, b = SerialCounter(), SerialCounter()
-        a.next()
-        a.next()
-        assert b.next() == 0
 
 
 class TestErrorHierarchy:
