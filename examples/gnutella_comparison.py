@@ -6,8 +6,7 @@ times against each, and prints the per-run completion times — the shape
 of Figure 8(a): Gnutella flat, BestPeer dropping sharply after run 1.
 
 Run:  python examples/gnutella_comparison.py
-(For the full paper-scale experiment use
- ``pytest benchmarks/bench_fig8a_gnutella_runs.py --benchmark-only -s``.)
+(For the full paper-scale experiment use ``python -m repro figure 8a``.)
 """
 
 from repro.eval.figures import FigureParams, figure_8a

@@ -3,14 +3,16 @@
 Usage::
 
     python -m repro list
-    python -m repro figure 5a            # paper scale (1000 objects/node)
+    python -m repro figure 5a            # published configuration
     python -m repro figure 8a --objects 200 --queries 4
     python -m repro ablation strategy
+    python -m repro verify               # every figure and ablation + claims
     python -m repro demo
 
-``figure`` and ``ablation`` print the same series the benchmarks under
-``benchmarks/`` assert on; ``--objects``/``--queries`` scale the
-workload down for quick looks.
+With no scale arguments, ``figure`` and ``ablation`` run the published
+configuration EXPERIMENTS.md reports, and ``verify`` runs all of them,
+prints every table and checks every claim of ``repro.eval.claims``;
+``--objects``/``--queries`` scale the workload down for quick looks.
 """
 
 from __future__ import annotations
@@ -69,16 +71,17 @@ FIGURES: dict[str, Figure] = {
     ),
 }
 
+#: In DESIGN.md's order, A1 to A7.
 ABLATIONS: dict[str, Callable[[FigureParams], FigureResult]] = {
     "strategy": ablations.ablation_strategy,
     "compression": ablations.ablation_compression,
     "ttl": ablations.ablation_ttl,
     "result-mode": ablations.ablation_result_mode,
-    "replication": ablations.ablation_replication,
-    "shipping": ablations.ablation_shipping,
     "buffer": lambda params: ablations.ablation_buffer_strategy(
         objects=params.objects_per_node, object_size=params.object_size
     ),
+    "replication": ablations.ablation_replication,
+    "shipping": ablations.ablation_shipping,
 }
 
 
@@ -100,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scale_arguments(ablation)
 
     verify = commands.add_parser(
-        "verify", help="run every figure and check the paper's claims"
+        "verify", help="run every figure and ablation and check every claim"
     )
     _add_scale_arguments(verify)
 
@@ -184,18 +187,25 @@ def _emit(result: FigureResult, args: argparse.Namespace) -> None:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    from repro.eval.claims import CLAIMS, verify_all
+    from repro.eval.claims import verify_all, verify_figure
 
     params = _params(args)
     runner = _runner(args)
-    results = {}
-    for key in sorted(CLAIMS):
-        print(f"running figure {key} ...", flush=True)
-        results[key] = FIGURES[key].run(params, runner=runner)
-    report = verify_all(results)
-    print()
-    print(report)
-    return 0 if "FAIL" not in report else 1
+    results = {
+        key: figure.run(params, runner=runner) for key, figure in FIGURES.items()
+    }
+    for name, ablation in ABLATIONS.items():
+        results[f"ablation {name}"] = ablation(params)
+    for result in results.values():
+        print(format_figure(result))
+        print()
+    print(verify_all(results))
+    holds = all(
+        held
+        for key, result in results.items()
+        for _claim, held in verify_figure(key, result)
+    )
+    return 0 if holds else 1
 
 
 def _run_demo() -> int:

@@ -1,9 +1,9 @@
-"""Series analysis: the shape checks behind the benchmark assertions.
+"""Series analysis: the shape checks behind the claim table.
 
 Every qualitative claim EXPERIMENTS.md verifies ("who wins", "where the
-crossover falls", "flat across runs") is a small function here, so the
-benchmarks, tests, and any downstream notebooks share one definition of
-each shape.
+crossover falls", "flat across runs") is built from the small functions
+here, so :mod:`repro.eval.claims`, the tests, and any downstream
+notebooks share one definition of each shape.
 """
 
 from __future__ import annotations

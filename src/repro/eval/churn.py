@@ -7,7 +7,8 @@ crashes and restarts a ``rate`` fraction of the other nodes (plus, at
 nonzero rates, a bounded LIGLO outage and a transient partition).  The
 y-axis is *recall*: the fraction of the network's matching objects that
 actually arrive.  BPR (MaxCount reconfiguration) is compared against
-BPS (static peers) across churn rates 0–50%.
+BPS (static peers) across churn rates 0–50%, with ``BPR+RF2`` (BPR
+plus rf=2 replication) as the overlay series.
 
 A (scheme, rate) point replays bit-identically from the params seed
 (see :mod:`repro.eval.sweep`): same recall series, same bytes on the
@@ -32,7 +33,7 @@ from repro.eval.sweep import (
 from repro.replication import ReplicationPolicy
 from repro.workloads.corpus import KeywordCorpus
 
-#: Opt-in overlay series: BPR reconfiguration plus rf=2 replication.
+#: Overlay series: BPR reconfiguration plus rf=2 replication.
 SCHEME_BPR_RF2 = "BPR+RF2"
 
 DEFAULT_CHURN_RATES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
@@ -95,23 +96,19 @@ def churn_trial(task: tuple[str, float, int, FigureParams]) -> dict:
 
 def figure_churn(
     params: FigureParams,
-    node_count: int = 12,
+    node_count: int = 16,
     churn_rates: tuple[float, ...] = DEFAULT_CHURN_RATES,
     runner: ExperimentRunner | None = None,
-    replication_overlay: bool = False,
 ) -> FigureResult:
-    """Recall vs. churn rate, BPR against BPS (plus the ``BPR+RF2``
-    series with ``replication_overlay``).
+    """Recall vs. churn rate: BPR against BPS, and the ``BPR+RF2``
+    overlay (BPR plus rf=2 replication).
 
     The plotted series carry mean recall; the per-point drop counters,
     fault counts and traffic split ride along as ``result.trials``.
     """
-    schemes = (SCHEME_BPS, SCHEME_BPR)
-    if replication_overlay:
-        schemes = schemes + (SCHEME_BPR_RF2,)
     return sweep_figure(
         churn_trial,
-        (schemes, churn_rates),
+        ((SCHEME_BPS, SCHEME_BPR, SCHEME_BPR_RF2), churn_rates),
         (node_count, params),
         runner,
         series=itemgetter("scheme"),

@@ -150,7 +150,7 @@ def replication_trial(task: tuple[str, float, int, FigureParams]) -> dict:
 
 def figure_replication(
     params: FigureParams,
-    node_count: int = 12,
+    node_count: int = 16,
     schemes: tuple[str, ...] = tuple(POLICIES),
     churn_rates: tuple[float, ...] = DEFAULT_CHURN_RATES,
     runner: ExperimentRunner | None = None,

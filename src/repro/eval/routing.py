@@ -125,7 +125,7 @@ def routing_trial(task: tuple[str, float, int, FigureParams]) -> dict:
 
 def figure_routing(
     params: FigureParams,
-    node_count: int = 12,
+    node_count: int = 16,
     churn_rates: tuple[float, ...] = DEFAULT_ROUTING_RATES,
     strategies: tuple[str, ...] | None = None,
     runner: ExperimentRunner | None = None,

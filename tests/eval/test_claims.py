@@ -1,14 +1,17 @@
-"""Tests for the executable paper claims."""
+"""Tests for the executable claims and the ``repro verify`` verdict."""
+
+import copy
 
 import pytest
 
+from repro import cli
 from repro.errors import ExperimentError
-from repro.eval.claims import CLAIMS, verify_all, verify_figure
+from repro.eval.claims import CLAIMS, EXTENSION, PAPER, verify_all, verify_figure
 from repro.eval.experiment import FigureResult
 
 
-def figure(**series):
-    result = FigureResult("F", "synthetic", "x", "y")
+def figure(trials=(), **series):
+    result = FigureResult("F", "synthetic", "x", "y", trials=list(trials))
     for name, points in series.items():
         for x, y in points:
             result.add_point(name, x, y)
@@ -38,7 +41,7 @@ class TestVerifyFigure:
     def test_paper_shape_passes_all_5a_claims(self):
         outcome = verify_figure("5a", paper_shaped_5a())
         assert all(holds for _, holds in outcome)
-        assert len(outcome) == 4
+        assert len([claim for claim, _ in outcome if claim.tag == PAPER]) == 4
 
     def test_anti_shape_fails(self):
         outcome = verify_figure("5a", anti_shaped_5a())
@@ -93,6 +96,192 @@ class TestVerifyAll:
         assert "0/0" in report
 
     def test_claim_registry_covers_the_evaluation(self):
-        assert set(CLAIMS) == {"5a", "5b", "5c", "6", "8a", "8b"}
+        # Every experiment the CLI runs carries at least one claim.
+        runnable = set(cli.FIGURES) | {f"ablation {name}" for name in cli.ABLATIONS}
+        assert set(CLAIMS) == runnable
+        assert all(CLAIMS[key] for key in runnable)
+        claims = [claim for claims in CLAIMS.values() for claim in claims]
+        assert len([claim for claim in claims if claim.tag == PAPER]) == 16
+        assert {claim.tag for claim in claims} == {PAPER, EXTENSION}
+        assert len({claim.claim_id for claim in claims}) == len(claims)
+
+
+ROUTING_STRATEGIES = ("static", "maxcount", "history", "costaware", "superpeer")
+
+
+#: What a fired churn-outage-partition plan records at a nonzero rate.
+PLAN_FIRED = {"node-crash": 2, "liglo-down": 1, "partition": 1}
+
+
+def paper_shaped_results():
+    """One canned result per ``repro verify`` key, shaped so that every
+    claim of the table holds (no experiment is run)."""
+    churn_trials = [
+        {
+            "scheme": scheme,
+            "rate": rate,
+            "faults_applied": dict(PLAN_FIRED) if rate else {},
+        }
+        for scheme in ("BPS", "BPR", "BPR+RF2")
+        for rate in (0.0, 0.5)
+    ]
+    replication_trials = [
+        {
+            "scheme": scheme,
+            "rate": rate,
+            "bytes_per_query": {"RF1": 100.0, "RF2": 120.0, "RF2+cache": 110.0}[scheme],
+            "replication": {"replica_answers": 3, "cache_hits": 2},
+            "faults_applied": {"node-crash": 1} if rate else {},
+        }
+        for scheme in ("RF1", "RF2", "RF2+cache")
+        for rate in (0.0, 0.3, 0.5)
+    ]
+    routing_trials = [
+        {
+            "strategy": strategy,
+            "rate": rate,
+            "mean_recall": 1.0 if rate == 0 else 0.8,
+            "messages_per_query": 5.0 if strategy == "superpeer" else 20.0,
+            "bytes_per_query": 500.0 if strategy == "superpeer" else 2000.0,
+            "hint_hits": 2 if strategy == "superpeer" else 0,
+            "faults_applied": dict(PLAN_FIRED) if rate else {},
+        }
+        for strategy in ROUTING_STRATEGIES
+        for rate in (0.0, 0.3)
+    ]
+    topk_trials = [
+        {
+            "k": k,
+            "ttl": ttl,
+            "rate": rate,
+            "bytes_per_query": 1000.0 if k is None else 400.0,
+            "quality": {"4": 1.0, "16": 1.0},
+            "dominated_per_query": 0.0 if k is None else 3.0,
+            "digests_per_query": 0.0 if k is None else 2.0,
+            "faults_applied": {"node-crash": 1} if rate else {},
+        }
+        for k in (4, 16, None)
+        for ttl in (2, 4, 8)
+        for rate in (0.0, 0.3)
+    ]
+    recall = {
+        "BPS": [(0.0, 1.0), (0.5, 0.6)],
+        "BPR": [(0.0, 1.0), (0.5, 0.7)],
+        "BPR+RF2": [(0.0, 1.0), (0.5, 0.8)],
+    }
+    return {
+        "5a": paper_shaped_5a(),
+        "5b": figure(
+            CS=[(1, 0.055), (2, 0.088), (5, 0.329)],
+            BPS=[(1, 0.061), (2, 0.070), (5, 0.100)],
+            BPR=[(1, 0.061), (2, 0.065), (5, 0.097)],
+        ),
+        "5c": figure(
+            CS=[(2, 0.05), (4, 0.10), (8, 0.20)],
+            BPS=[(2, 0.061), (4, 0.077), (8, 0.111)],
+            BPR=[(2, 0.061), (4, 0.066), (8, 0.076)],
+        ),
+        "6": figure(
+            CS=[(1, 0.055), (31, 0.204)],
+            BPS=[(1, 0.061), (31, 0.094)],
+            BPR=[(1, 0.061), (31, 0.089)],
+        ),
+        "7": figure(
+            CS=[(0.055, 10), (0.204, 310)],
+            BPS=[(0.061, 10), (0.094, 310)],
+            BPR=[(0.061, 10), (0.089, 310)],
+        ),
+        "8a": figure(
+            BP=[(1, 0.08), (2, 0.05), (3, 0.05), (4, 0.05)],
+            Gnutella=[(1, 0.083), (2, 0.083), (3, 0.083), (4, 0.083)],
+        ),
+        "8b": figure(
+            BP=[(2, 0.077), (8, 0.058)], Gnutella=[(2, 0.129), (8, 0.083)]
+        ),
+        "churn": figure(churn_trials, **recall),
+        "replication": figure(
+            replication_trials,
+            RF1=[(0.0, 1.0), (0.3, 0.8), (0.5, 0.6)],
+            RF2=[(0.0, 1.0), (0.3, 0.97), (0.5, 0.9)],
+            **{"RF2+cache": [(0.0, 1.0), (0.3, 0.97), (0.5, 0.9)]},
+        ),
+        "routing": figure(
+            routing_trials,
+            **{
+                strategy: [(0.0, 1.0), (0.3, 0.8)]
+                for strategy in ROUTING_STRATEGIES
+            },
+        ),
+        "topk": figure(
+            topk_trials, **{"k=4": [(8, 400.0)], "exhaustive": [(8, 1000.0)]}
+        ),
+        "ablation strategy": figure(
+            maxcount=[(1, 0.2), (2, 0.1)],
+            minhops=[(1, 0.2), (2, 0.1)],
+            static=[(1, 0.2), (2, 0.2)],
+        ),
+        "ablation compression": figure(gzip=[(1, 0.09)], off=[(1, 0.09)]),
+        "ablation ttl": figure(
+            responders=[(2, 2), (8, 8), (16, 15)],
+            **{"completion (s)": [(2, 0.05), (16, 0.2)]},
+        ),
+        "ablation result-mode": figure(direct=[(1, 0.10)], metadata=[(1, 0.09)]),
+        "ablation buffer": figure(lru=[(1, 1.0)], mru=[(1, 0.6)]),
+        "ablation replication": figure(**{"first answer (s)": [(1, 0.07), (8, 0.05)]}),
+        "ablation shipping": figure(
+            adaptive=[(1, 0.10), (2, 0.105), (3, 0.11)],
+            **{
+                "always-code": [(1, 0.04), (2, 0.08), (3, 0.12)],
+                "always-data": [(1, 0.10), (2, 0.105), (3, 0.11)],
+            },
+        ),
+    }
+
+
+class TestVerifyCommand:
+    """``repro verify``'s exit status is the conjunction of every claim,
+    paper and extension alike, over canned results."""
+
+    @staticmethod
+    def _run(monkeypatch, results):
+        for key, entry in cli.FIGURES.items():
+            canned = lambda params, runner=None, key=key: results[key]  # noqa: E731
+            monkeypatch.setitem(cli.FIGURES, key, entry._replace(run=canned))
+        for name in cli.ABLATIONS:
+            canned = lambda params, key=f"ablation {name}": results[key]  # noqa: E731
+            monkeypatch.setitem(cli.ABLATIONS, name, canned)
+        return cli.main(["verify"])
+
+    def test_canned_results_satisfy_every_claim(self):
+        results = paper_shaped_results()
+        for key in CLAIMS:
+            assert all(holds for _, holds in verify_figure(key, results[key])), key
+
+    def test_exits_0_when_every_claim_holds(self, monkeypatch, capsys):
+        assert self._run(monkeypatch, paper_shaped_results()) == 0
+        out = capsys.readouterr().out
         total = sum(len(claims) for claims in CLAIMS.values())
-        assert total >= 14
+        assert "16/16 paper claims hold" in out
+        assert f"{total - 16}/{total - 16} extension claims hold" in out
+        assert "FAIL" not in out
+
+    def test_exits_1_when_a_paper_claim_fails(self, monkeypatch, capsys):
+        results = paper_shaped_results()
+        results["8b"] = figure(
+            BP=[(2, 0.077), (8, 0.090)], Gnutella=[(2, 0.129), (8, 0.083)]
+        )
+        assert self._run(monkeypatch, results) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] Figure 8(b): as the number of directly connected" in out
+        assert "14/16 paper claims hold" in out
+
+    def test_exits_1_when_an_extension_claim_fails(self, monkeypatch, capsys):
+        results = paper_shaped_results()
+        churn = copy.deepcopy(results["churn"])
+        for trial in churn.trials:
+            trial["faults_applied"] = {}
+        results["churn"] = churn
+        assert self._run(monkeypatch, results) == 1
+        out = capsys.readouterr().out
+        assert "16/16 paper claims hold" in out
+        assert "[FAIL] Churn figure: at the highest rate the fault plan" in out

@@ -1,8 +1,8 @@
 """Smoke tests for the figure experiments at reduced scale.
 
 Each test checks that a figure runs end to end and that its *shape*
-matches the paper's qualitative claims.  Full-scale runs live in
-``benchmarks/``.
+matches the paper's qualitative claims.  The full-scale runs and their
+claims are ``python -m repro verify`` (``repro.eval.claims``).
 """
 
 import pytest
@@ -117,7 +117,7 @@ class TestFigure8:
     def test_bp_beats_gnutella_after_reconfiguration(self):
         """At smoke scale the run-1 code-shipping overhead can exceed the
         relay savings; the all-runs win is checked at paper scale by
-        ``benchmarks/bench_fig8a_gnutella_runs.py``."""
+        the ``8a-wins`` claim of ``python -m repro verify``."""
         result = figure_8a(SMALL, node_count=12, holder_count=3)
         bp = result.y_values("BP")
         gnutella = result.y_values("Gnutella")

@@ -30,9 +30,7 @@ GOLDEN_PATH = Path(__file__).parent / "golden" / "trials_smoke.json"
 PARAMS = FigureParams(objects_per_node=0, queries=2, seed=0)
 
 SWEEPS = {
-    "churn": lambda: figure_churn(
-        PARAMS, node_count=8, churn_rates=(0.5,), replication_overlay=True
-    ),
+    "churn": lambda: figure_churn(PARAMS, node_count=8, churn_rates=(0.5,)),
     "routing": lambda: figure_routing(
         PARAMS,
         node_count=8,

@@ -59,7 +59,6 @@ ALLOWED = {
     "invalidate_data_cache": TESTS,
     "is_leased": TESTS,
     "is_monotone_decreasing": TESTS,
-    "is_monotone_increasing": TESTS,
     "is_resident": TESTS,
     "kinds": TESTS,
     "leased_count": TESTS,

@@ -1,10 +1,11 @@
-"""House rule, executable: ``src/`` grows no environment switches.
+"""House rule, executable: the program grows no environment switches.
 
 A mechanism has one implementation, turned off the way a caller already
 can (``top_k=None``, ``ReplicationPolicy()``, ``strategy="static"``) —
 never by a ``REPRO_*`` variable that keeps a second path alive.  The
 process environment is read in exactly one place, for the one variable
-that says *how* to execute a run, not *what* it computes.
+that says *how* to execute a run, not *what* it computes.  The rule
+covers ``src/``, ``benchmarks/`` and ``examples/``.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-SRC = Path(__file__).parent.parent / "src" / "repro"
+ROOT = Path(__file__).parent.parent
+SCANNED = ("src/repro", "benchmarks", "examples")
 
-#: module (relative to ``src/repro``) -> the variables it may read
-ALLOWED_READERS = {"eval/experiment.py": {"REPRO_JOBS"}}
+#: module (relative to the repository root) -> the variables it may read
+ALLOWED_READERS = {"src/repro/eval/experiment.py": {"REPRO_JOBS"}}
 ALLOWED_NAMES = set().union(*ALLOWED_READERS.values())
 
 ENV_ACCESS = re.compile(r"\benviron\b|\bgetenv\b|\bputenv\b")
@@ -23,9 +25,14 @@ REPRO_NAME = re.compile(r"REPRO_[A-Z_]+")
 
 
 def _sources():
-    files = sorted(SRC.rglob("*.py"))
-    assert files, f"no sources under {SRC}"
-    return [(path.relative_to(SRC).as_posix(), path.read_text()) for path in files]
+    found = []
+    for directory in SCANNED:
+        files = sorted((ROOT / directory).rglob("*.py"))
+        assert files, f"no sources under {directory}"
+        found += [
+            (path.relative_to(ROOT).as_posix(), path.read_text()) for path in files
+        ]
+    return found
 
 
 def test_only_the_experiment_module_reads_the_environment():
