@@ -9,6 +9,11 @@ When no frame is free the pluggable
 :class:`~repro.storm.replacement.ReplacementStrategy` picks a victim
 among unpinned frames; pinned pages are never evicted.
 
+:meth:`BufferManager.touch` books a run of pins and unpins over pages
+``0 … n-1`` — what a full scan or a clone's open costs — in bulk when
+every page is resident or the pool is untouched, with the same counters
+and strategy state as the page-by-page loop.
+
 Every logical access is counted in :class:`AccessStats`; the simulation
 layer converts the *physical* read count into simulated I/O time, which
 is how StorM's buffer behaviour shows up in BestPeer's agent service
@@ -59,9 +64,9 @@ class AccessStats:
 class _Frame:
     __slots__ = ("page_id", "data", "pin_count", "dirty")
 
-    def __init__(self):
-        self.page_id: int | None = None
-        self.data: bytearray | None = None
+    def __init__(self, page_id: int | None = None, data: bytearray | None = None):
+        self.page_id = page_id
+        self.data = data
         self.pin_count = 0
         self.dirty = False
 
@@ -134,6 +139,42 @@ class BufferManager:
         frame.pin_count -= 1
         if frame.pin_count == 0:
             self._unpinned.add(frame_id)
+
+    def touch(self, count: int) -> None:
+        """Pin and unpin pages ``0 … count-1`` once each, in ascending order.
+
+        Exactly ``for page_id in range(count): pin(page_id); unpin(page_id)``
+        — same counters, residency, victims and strategy state — with the
+        two runs a full scan meets booked in bulk instead of page by page:
+        every page already resident (a store that fits its pool), and a
+        pool no page has entered yet (a template clone's open).  Any other
+        run takes the loop.
+        """
+        if not self._frames:
+            if 0 < count <= min(self.pool_size, self.disk.num_pages):
+                self._load_run(count)
+                return
+        else:
+            frame_ids = list(map(self._page_table.get, range(count)))
+            if None not in frame_ids:
+                self.stats.logical_reads += count
+                self.strategy.on_pages_accessed(frame_ids)
+                return
+        for page_id in range(count):
+            self.pin(page_id)
+            self.unpin(page_id)
+
+    def _load_run(self, count: int) -> None:
+        """Read pages ``0 … count-1`` into an untouched pool, left unpinned."""
+        page_ids = range(count)
+        frame_ids = range(self.pool_size - 1, self.pool_size - 1 - count, -1)
+        frames = map(_Frame, page_ids, self.disk.read_run(count))
+        self._frames.update(zip(frame_ids, frames))
+        self.stats.logical_reads += count
+        self.stats.physical_reads += count
+        self._page_table.update(zip(page_ids, frame_ids))
+        self._unpinned.update(frame_ids)
+        self.strategy.on_pages_loaded(frame_ids)
 
     @contextmanager
     def pinned(self, page_id: int):

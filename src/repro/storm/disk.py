@@ -36,6 +36,13 @@ class InMemoryDisk:
         self.reads += 1
         return bytearray(self._pages[page_id])
 
+    def read_run(self, count: int) -> list[bytearray]:
+        """Pages ``0 … count-1``, as ``read_page`` would return them one by one."""
+        if count:
+            self._check_page_id(count - 1)
+        self.reads += count
+        return list(map(bytearray, self._pages[:count]))
+
     def write_page(self, page_id: int, data: bytes) -> None:
         self._check_page_id(page_id)
         if len(data) != self.page_size:

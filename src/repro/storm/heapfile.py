@@ -63,9 +63,7 @@ class HeapFile:
                 raise StormError(
                     f"summary of {len(free)} pages for a file of {page_count}"
                 )
-            for page_id in range(page_count):
-                buffer.pin(page_id)
-                buffer.unpin(page_id)
+            buffer.touch(page_count)
         # First-fit free-space index: finds the lowest page with room in
         # O(log pages) instead of a scan.
         self._free_space = FreeSpaceMap(free)
@@ -314,6 +312,11 @@ class HeapFile:
     @property
     def record_count(self) -> int:
         return self._record_count
+
+    @property
+    def unwritten(self) -> bool:
+        """True while no page's record set has changed since the open."""
+        return not self._versions
 
     def page_version(self, page_id: int) -> int:
         """Mutation counter for one page (0 until its records change)."""

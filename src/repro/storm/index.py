@@ -4,12 +4,14 @@ Maps each normalized keyword to the set of :class:`RecordId`s whose
 object carries that tag.  The index is a cache: it is rebuilt from a
 heap-file scan on open (:meth:`KeywordIndex.rebuild`) and kept current
 by the :class:`~repro.storm.store.StorM` facade on every put/delete, so
-it never needs its own persistence.
+it never needs its own persistence.  A store template's clone reads
+through the template's frozen postings (:meth:`KeywordIndex.load_snapshot`)
+until its first write copies them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Set as AbstractSet
 
 from repro.storm.heapfile import RecordId
 from repro.storm.objects import normalize_keyword
@@ -19,12 +21,25 @@ class KeywordIndex:
     """keyword -> set of record ids."""
 
     def __init__(self):
-        self._postings: dict[str, set[RecordId]] = {}
+        # Frozensets under a read-only mapping while loaded from a
+        # snapshot; sets in this index's own dict from the first write on.
+        self._postings: Mapping[str, AbstractSet[RecordId]] = {}
+        self._shared = False
+
+    def _writable(self) -> dict[str, set[RecordId]]:
+        """This index's own postings, copied from the snapshot on first use."""
+        if self._shared:
+            self._postings = {
+                keyword: set(rids) for keyword, rids in self._postings.items()
+            }
+            self._shared = False
+        return self._postings  # type: ignore[return-value]
 
     def add(self, rid: RecordId, keywords: Iterable[str]) -> None:
         """Index ``rid`` under every keyword."""
+        postings = self._writable()
         for keyword in keywords:
-            self._postings.setdefault(normalize_keyword(keyword), set()).add(rid)
+            postings.setdefault(normalize_keyword(keyword), set()).add(rid)
 
     def insert_many(
         self,
@@ -39,7 +54,7 @@ class KeywordIndex:
         normalizes) — normalization is idempotent, so the postings are
         identical either way.
         """
-        postings = self._postings
+        postings = self._writable()
         for rid, keywords in entries:
             for keyword in keywords:
                 if not normalized:
@@ -53,21 +68,25 @@ class KeywordIndex:
         }
 
     def load_snapshot(self, snapshot: Mapping[str, frozenset[RecordId]]) -> None:
-        """Replace all postings with a :meth:`snapshot`'s contents."""
-        self._postings = {
-            keyword: set(rids) for keyword, rids in snapshot.items()
-        }
+        """Replace all postings with a :meth:`snapshot`'s contents.
+
+        The snapshot is read in place, not copied: it must never change,
+        and this index copies it on its first write.
+        """
+        self._postings = snapshot
+        self._shared = True
 
     def remove(self, rid: RecordId, keywords: Iterable[str]) -> None:
         """Drop ``rid`` from every keyword's postings."""
+        all_postings = self._writable()
         for keyword in keywords:
             normalized = normalize_keyword(keyword)
-            postings = self._postings.get(normalized)
+            postings = all_postings.get(normalized)
             if postings is None:
                 continue
             postings.discard(rid)
             if not postings:
-                del self._postings[normalized]
+                del all_postings[normalized]
 
     def lookup(self, keyword: str) -> frozenset[RecordId]:
         """Record ids tagged with ``keyword`` (empty set when absent)."""
@@ -89,7 +108,8 @@ class KeywordIndex:
 
     def rebuild(self, entries: Iterable[tuple[RecordId, Iterable[str]]]) -> None:
         """Discard and reconstruct all postings from ``(rid, keywords)`` pairs."""
-        self._postings.clear()
+        self._postings = {}
+        self._shared = False
         for rid, keywords in entries:
             self.add(rid, keywords)
 

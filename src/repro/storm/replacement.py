@@ -14,7 +14,7 @@ the buffer manager validates this, so a buggy strategy fails loudly.
 from __future__ import annotations
 
 import random
-from collections.abc import Collection
+from collections.abc import Collection, Sequence
 
 from repro.errors import BufferError_
 
@@ -32,6 +32,16 @@ class ReplacementStrategy:
 
     def on_page_evicted(self, frame_id: int) -> None:
         """The page in ``frame_id`` was evicted."""
+
+    def on_pages_loaded(self, frame_ids: Sequence[int]) -> None:
+        """Pages were read into ``frame_ids``, one after the other."""
+        for frame_id in frame_ids:
+            self.on_page_loaded(frame_id)
+
+    def on_pages_accessed(self, frame_ids: Sequence[int]) -> None:
+        """The pages in ``frame_ids`` were pinned, one after the other."""
+        for frame_id in frame_ids:
+            self.on_page_accessed(frame_id)
 
     def choose_victim(self, candidates: Collection[int]) -> int:
         """Pick the frame to evict among ``candidates`` (never empty).
@@ -55,6 +65,16 @@ class _TimestampStrategy(ReplacementStrategy):
         self._clock += 1
         self._stamp[frame_id] = self._clock
 
+    def _tick_run(self, frame_ids: Sequence[int]) -> None:
+        """``_tick`` each frame in turn, as one ``dict.update``."""
+        clock = self._clock
+        self._clock = clock + len(frame_ids)
+        self._stamp.update(zip(frame_ids, range(clock + 1, self._clock + 1)))
+
+    def on_pages_loaded(self, frame_ids: Sequence[int]) -> None:
+        # Every timestamp strategy stamps a frame when a page enters it.
+        self._tick_run(frame_ids)
+
     def on_page_evicted(self, frame_id: int) -> None:
         self._stamp.pop(frame_id, None)
 
@@ -70,6 +90,9 @@ class LruStrategy(_TimestampStrategy):
     def on_page_accessed(self, frame_id: int) -> None:
         self._tick(frame_id)
 
+    def on_pages_accessed(self, frame_ids: Sequence[int]) -> None:
+        self._tick_run(frame_ids)
+
     def choose_victim(self, candidates: Collection[int]) -> int:
         return min(candidates, key=lambda frame_id: self._stamp.get(frame_id, 0))
 
@@ -84,6 +107,9 @@ class MruStrategy(_TimestampStrategy):
 
     def on_page_accessed(self, frame_id: int) -> None:
         self._tick(frame_id)
+
+    def on_pages_accessed(self, frame_ids: Sequence[int]) -> None:
+        self._tick_run(frame_ids)
 
     def choose_victim(self, candidates: Collection[int]) -> int:
         return max(candidates, key=lambda frame_id: self._stamp.get(frame_id, 0))

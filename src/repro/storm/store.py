@@ -9,7 +9,11 @@ Shared-StorM database with its query").
 
 Search results carry ``objects_examined`` and a buffer-stats delta so
 the simulation layer can convert real buffer behaviour into simulated
-agent service time.
+agent service time.  A full scan books one pin and unpin of every page
+in ascending order; an unwritten template clone books them as one run
+(:meth:`~repro.storm.buffer.BufferManager.touch`) and takes its matches
+from the template's per-keyword records instead of comparing every
+object, with the same counts, matches and order.
 """
 
 from __future__ import annotations
@@ -155,22 +159,21 @@ class StorM:
         else:
             self.disk = _EMPTY_DISK
             self._scan_cache = _EMPTY_SCAN_CACHE
-            self._shared_pages = ()
+            self._template = None
             self.buffer = _EMPTY_BUFFER
             self.heap = _EMPTY_HEAP
             self.index = _EMPTY_INDEX
 
     def _open(self, disk: InMemoryDisk, template: StoreTemplate | None) -> None:
         self.disk = disk
-        # page_id -> (page version, decoded records).  The buffer is still
-        # pinned/unpinned for every page on every scan — the simulated I/O
-        # accounting is untouched — only the CPU-side decode is reused.
+        # page_id -> (page version, decoded records).  Every scan still
+        # books every page in the buffer — the simulated I/O accounting is
+        # untouched — only the CPU-side decode is reused.
         self._scan_cache: dict[int, tuple[int, Entries]] = {}
-        # The template's decoded pages, shared by every clone and valid
-        # for a page until its version leaves 0.
-        self._shared_pages: Sequence[Entries] = (
-            template.decoded_pages if template is not None else ()
-        )
+        # What a prototype knew about these pages: its decoded records are
+        # valid for a page until the page's version leaves 0, its postings
+        # and per-keyword matches until the first write.
+        self._template = template
         self.buffer = BufferManager(
             disk, pool_size=self._pool_size, strategy=self._strategy
         )
@@ -180,8 +183,9 @@ class StorM:
         self.heap = HeapFile(self.buffer, summary)
         self.index = KeywordIndex()
         if template is not None:
-            # A store template carries the prototype's postings, so
-            # a clone skips the decode-everything heap rescan.
+            # A store template carries the prototype's postings, so a
+            # clone skips the decode-everything heap rescan, and reads
+            # them in place until its first write.
             self.index.load_snapshot(template.index_snapshot)
         elif self.heap.record_count:
             self.index.rebuild(
@@ -266,7 +270,8 @@ class StorM:
     def _scan_pages(self) -> Iterator[Entries]:
         """Yield each page's decoded records, in page order.
 
-        The one loop behind :meth:`scan` and every scan-backed search.
+        The one loop behind :meth:`scan`, :meth:`grep` and the keyword
+        scans of a written store.
         Pages whose contents have not changed since they were last
         decoded (checked via :meth:`HeapFile.page_version`) reuse those
         objects instead of re-parsing every record: a template clone's
@@ -278,7 +283,7 @@ class StorM:
         self._check_open()
         heap = self.heap
         buffer = heap.buffer
-        shared = self._shared_pages
+        shared = self._template.decoded_pages if self._template is not None else ()
         shared_count = len(shared)
         for page_id in range(heap.page_count):
             version = heap.page_version(page_id)
@@ -299,6 +304,23 @@ class StorM:
             finally:
                 buffer.unpin(page_id)
             yield entries
+
+    def _clone_scan(self, needle: str) -> Entries | None:
+        """A full keyword scan answered by the template, or None once written.
+
+        Until its first write a template clone holds exactly the
+        template's records, so the records tagged ``needle`` come from the
+        template in heap order — what comparing every object finds — and
+        the buffer books the scan's pin and unpin of every page as one
+        :meth:`BufferManager.touch`, each page a scan-cache hit.
+        """
+        template = self._template
+        if template is None or not self.heap.unwritten:
+            return None
+        page_count = self.heap.page_count
+        self.buffer.touch(page_count)
+        self.scan_cache_hits += page_count
+        return template.keyword_entries.get(needle, ())
 
     def search(self, keyword: str) -> SearchResult:
         """Keyword search via the inverted index (reads only matching pages).
@@ -361,12 +383,19 @@ class StorM:
         result = ScoredSearchResult(keyword)
         needle = normalize_keyword(keyword)
         scored = []
-        for entries in self._scan_pages():
-            result.objects_examined += len(entries)
-            for rid, obj in entries:
-                count = obj.keywords.count(needle)
-                if count:
-                    scored.append((count / len(obj.keywords), rid, obj))
+        matches = self._clone_scan(needle)
+        if matches is not None:
+            result.objects_examined = self.heap.record_count
+            for rid, obj in matches:
+                keywords = obj.keywords
+                scored.append((keywords.count(needle) / len(keywords), rid, obj))
+        else:
+            for entries in self._scan_pages():
+                result.objects_examined += len(entries)
+                for rid, obj in entries:
+                    count = obj.keywords.count(needle)
+                    if count:
+                        scored.append((count / len(obj.keywords), rid, obj))
         _settle_scored(result, scored, k)
         result.io = self.buffer.stats.since(before)
         return result
@@ -376,7 +405,9 @@ class StorM:
 
         Every stored object is compared against the query, touching every
         page of the heap file; this is the default query path in the
-        reproduction because it is what the evaluated prototype did.
+        reproduction because it is what the evaluated prototype did.  An
+        unwritten template clone reports the same matches, counts and
+        buffer traffic without the compares (:meth:`_clone_scan`).
         """
         self._check_open()
         if not self.heap.page_count:  # no page to pin, nothing to compare
@@ -384,11 +415,16 @@ class StorM:
         before = self.buffer.stats.snapshot()
         result = SearchResult(keyword)
         needle = normalize_keyword(keyword)
-        for entries in self._scan_pages():
-            result.objects_examined += len(entries)
-            for rid, obj in entries:
-                if needle in obj.keywords:
-                    result.matches.append((rid, obj))
+        matches = self._clone_scan(needle)
+        if matches is not None:
+            result.objects_examined = self.heap.record_count
+            result.matches = list(matches)
+        else:
+            for entries in self._scan_pages():
+                result.objects_examined += len(entries)
+                for rid, obj in entries:
+                    if needle in obj.keywords:
+                        result.matches.append((rid, obj))
         result.io = self.buffer.stats.since(before)
         return result
 

@@ -2,27 +2,30 @@
 
 Every figure sweep rebuilds the same node-local stores for every sweep
 point — the dominant setup cost.  A :class:`StoreTemplate` freezes a
-fully populated store together with everything opening it would
-compute — heap pages, keyword-index postings, record count, per-page
-free bytes, and every page's records decoded — and
-:meth:`StoreTemplate.instantiate` hands back a clone that computes none
-of it again.  The clone is backed by a copy-on-write
-:class:`SnapshotDisk` (the immutable page images are shared between
-every clone, a page is only copied when some clone writes to it) and
-gets its own buffer manager and access statistics; its scans serve a
-page from the template's decoded tuple for as long as the page's
-``HeapFile.page_version`` is still 0 and decode their own copy from the
-first write on.
+fully populated store together with everything opening or scanning it
+would compute — heap pages, keyword-index postings, record count,
+per-page free bytes, every page's records decoded, and per keyword the
+records that carry it — and :meth:`StoreTemplate.instantiate` hands
+back a clone that computes none of it again.  The clone is backed by a
+copy-on-write :class:`SnapshotDisk` (the immutable page images are
+shared between every clone, a page is only copied when some clone
+writes to it) and gets its own buffer manager and access statistics.
+Its index reads the template's postings in place until its first write
+copies them; its scans serve a page from the template's decoded tuple
+for as long as the page's ``HeapFile.page_version`` is still 0, and
+until the first write a keyword scan takes its matches straight from
+the template's per-keyword records.
 
-What is shared is deeply read-only (tuples, frozensets, a mapping
-proxy, frozen records with ``bytes`` / ``str`` leaves), and what is
-simulated does not move: the clone's open still pins and unpins every
-page once in ascending order and every scan still pins and unpins every
-page, so a clone is observationally identical to a store freshly
-populated with the same objects — same record ids, same postings, same
-free-space map, same buffer residency, recency and ``AccessStats`` —
-and figures built on clones produce bit-identical series
-(``tests/storm/test_template.py``).
+What is shared is deeply read-only (tuples, frozensets, mapping
+proxies, frozen records with ``bytes`` / ``str`` leaves), and what is
+simulated does not move: the clone's open and every scan still book
+one pin and unpin of every page in ascending order — in bulk, through
+:meth:`~repro.storm.buffer.BufferManager.touch` — so a clone is
+observationally identical to a store freshly populated with the same
+objects — same record ids, same postings, same free-space map, same
+buffer residency, recency and ``AccessStats`` — and figures built on
+clones produce bit-identical series (``tests/storm/test_template.py``,
+``tests/storm/test_clone_scan.py``).
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ class StoreTemplate:
     """An immutable snapshot of a populated :class:`StorM` store.
 
     Everything here is shared by every clone, so everything is
-    read-only: tuples, frozensets, a mapping proxy, and
+    read-only: tuples, frozensets, mapping proxies, and
     :class:`RecordId` / :class:`~repro.storm.objects.StoredObject`
     values that are frozen down to their ``bytes`` / ``str`` leaves.
     """
@@ -95,6 +98,9 @@ class StoreTemplate:
     free_bytes: tuple[int, ...]
     #: per page: its live records, decoded once for every clone's scans
     decoded_pages: tuple[Entries, ...]
+    #: per keyword: the records carrying it, in heap order — what a full
+    #: keyword scan of an unwritten clone matches
+    keyword_entries: Mapping[str, Entries]
 
     @classmethod
     def from_store(cls, store: StorM) -> "StoreTemplate":
@@ -107,14 +113,23 @@ class StoreTemplate:
         pages = tuple(
             bytes(disk.read_page(page_id)) for page_id in range(disk.num_pages)
         )
+        decoded_pages = tuple(
+            decode_page(page_id, image) for page_id, image in enumerate(pages)
+        )
+        keyword_entries: dict[str, list] = {}
+        for entries in decoded_pages:
+            for entry in entries:
+                for keyword in dict.fromkeys(entry[1].keywords):
+                    keyword_entries.setdefault(keyword, []).append(entry)
         return cls(
             pages=pages,
             page_size=disk.page_size,
             index_snapshot=MappingProxyType(store.index.snapshot()),
             record_count=store.count,
             free_bytes=tuple(SlottedPage(image).summary()[0] for image in pages),
-            decoded_pages=tuple(
-                decode_page(page_id, image) for page_id, image in enumerate(pages)
+            decoded_pages=decoded_pages,
+            keyword_entries=MappingProxyType(
+                {keyword: tuple(run) for keyword, run in keyword_entries.items()}
             ),
         )
 
@@ -125,11 +140,11 @@ class StoreTemplate:
     ) -> StorM:
         """A fresh store over shared pages, with its own buffer pool.
 
-        The clone's ``HeapFile`` open pins every page in ascending
-        order — the same residency and recency a just-populated store
-        ends with — and takes the free-space map, record count,
-        postings and decoded records from the template instead of
-        deriving them from the pages again.
+        The clone's ``HeapFile`` open books a pin of every page in
+        ascending order — the same residency and recency a
+        just-populated store ends with — and takes the free-space map,
+        record count, postings and decoded records from the template
+        instead of deriving them from the pages again.
         """
         return StorM(
             disk=SnapshotDisk(self.pages, self.page_size),

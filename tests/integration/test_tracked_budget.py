@@ -10,6 +10,10 @@ random graph with the static strategy and the default rf=1 policy.
 
 An unwritten store reads through one set of empty parts shared by every
 such store; the second test checks that no read ever writes them.
+
+Opening a template clone builds one frame per page and a fixed handful
+of parts besides: its postings are the template's, read in place, so
+no per-keyword set is built on open.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ import gc
 from repro import BestPeerConfig, build_network, random_graph
 from repro.storm.buffer import AccessStats
 from repro.storm.store import StorM
+from repro.storm.template import StoreTemplate
+from repro.workloads.corpus import KeywordCorpus
+from repro.workloads.provision import experiment_items
 
 NODES = 1000
 BUDGET = 25
@@ -67,3 +74,24 @@ def test_reads_never_write_the_shared_empty_parts():
     assert written.search_scan("k").match_count == 1
     assert written.buffer is not StorM().buffer
     _assert_empty(StorM())
+
+
+CLONE_EXTRA = 16
+
+
+def test_a_clone_open_builds_one_frame_per_page_and_at_most_16_more():
+    items = experiment_items(
+        0, count=1000, size=1024, corpus=KeywordCorpus(100), seed=0
+    )
+    prototype = StorM()
+    prototype.put_many(items)
+    template = StoreTemplate.from_store(prototype)
+    prototype.close()
+    pages = len(template.pages)
+    gc.collect()
+    before = len(gc.get_objects())
+    clone = template.instantiate()
+    gc.collect()
+    built = len(gc.get_objects()) - before
+    assert clone.count == 1000
+    assert built <= pages + CLONE_EXTRA, f"{built} tracked objects for {pages} pages"

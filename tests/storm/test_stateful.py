@@ -64,6 +64,15 @@ class BufferMachine(RuleBasedStateMachine):
             self.buffer.unpin(page_id)
             self.pinned[page_id] -= 1
 
+    @rule(count=st.integers(min_value=0, max_value=6))
+    def touch_a_run(self, count):
+        count = min(count, self.disk.num_pages)
+        logical = self.buffer.stats.logical_reads
+        self.buffer.touch(count)
+        assert self.buffer.stats.logical_reads == logical + count
+        for page_id in self.model:
+            assert self.buffer.pin_count(page_id) == self.pinned.get(page_id, 0)
+
     @rule()
     def flush_everything(self):
         self.buffer.flush_all()

@@ -173,7 +173,14 @@ def test_everything_a_template_shares_is_read_only():
     with pytest.raises(TypeError):
         del template.index_snapshot["kw0"]
     assert all(type(rids) is frozenset for rids in template.index_snapshot.values())
-    for shared in (template.pages, template.free_bytes, template.decoded_pages):
+    with pytest.raises(TypeError):
+        template.keyword_entries["kw0"] = ()
+    for shared in (
+        template.pages,
+        template.free_bytes,
+        template.decoded_pages,
+        *template.keyword_entries.values(),
+    ):
         assert type(shared) is tuple
     assert all(type(image) is bytes for image in template.pages)
     for page in template.decoded_pages:
@@ -184,7 +191,7 @@ def test_everything_a_template_shares_is_read_only():
             with pytest.raises(dataclasses.FrozenInstanceError):
                 obj.payload = b""
             assert type(obj.keywords) is tuple and type(obj.payload) is bytes
-    # A clone's index is its own copy of the postings.
+    # A clone's index copies the postings on its first write.
     clone = template.instantiate()
     clone.put(["kw0"], b"more")
     assert clone.index.posting_count("kw0") == len(template.index_snapshot["kw0"]) + 1
