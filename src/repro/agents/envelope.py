@@ -181,7 +181,7 @@ wire.register(
         ("ttl", wire.I32),
         ("hops", wire.U32),
         ("initiator", wire.BPID_CODEC),
-        # sim IPAddress or live (host, port) — envelopes cross both runtimes
+        # the initiator's IPAddress, which answers are sent to
         ("initiator_address", wire.ADDRESS_CODEC),
         ("query_id", wire.opt(wire.QUERY_ID_CODEC)),
         ("mode", wire.STR),

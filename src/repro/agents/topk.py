@@ -392,7 +392,7 @@ _TOPK_ENTRY_CODEC = wire.composite(
 SCORED_ANSWER_FIELDS = (
     ("query_id", wire.QUERY_ID_CODEC),
     ("responder", wire.BPID_CODEC),
-    # sim IPAddress or live (host, port) — answers cross both runtimes
+    # the responder's IPAddress, so the querier can make it a direct peer
     ("responder_address", wire.ADDRESS_CODEC),
     ("hops", wire.U32),
     ("items", wire.seq(_SCORED_ITEM_CODEC)),

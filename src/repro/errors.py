@@ -68,8 +68,8 @@ class WireDecodeError(WireCodecError):
     """A wire frame is malformed and cannot be decoded.
 
     Covers truncated, bit-flipped, wrong-version, unknown-type,
-    oversized, and trailing-garbage frames.  Hosts and live transports
-    catch it, drop the packet, and count the drop in tracer stats —
+    oversized, and trailing-garbage frames.  A receiving host catches
+    it, drops the packet, and counts the drop in tracer stats —
     a corrupt frame must never crash a delivery loop.
     """
 
@@ -200,14 +200,6 @@ class ExperimentError(ReproError):
 
 class RetryError(ReproError):
     """Base class for retry-policy errors."""
-
-
-class RetryExhaustedError(RetryError):
-    """Every attempt a :class:`~repro.util.retry.RetryPolicy` allows failed."""
-
-    def __init__(self, message: str, attempts: int = 1):
-        super().__init__(message)
-        self.attempts = attempts
 
 
 class FaultPlanError(ReproError):

@@ -8,16 +8,13 @@ the network useful anyway.  This package makes that regime testable:
   crashes/restarts, LIGLO outages, link partitions, and per-link
   loss/delay windows;
 * :class:`SimFaultInjector` — schedules a plan onto the discrete-event
-  kernel of a built deployment (bit-identical replay from the seed);
-* :class:`LiveFaultShim` — a thread-timer shim applying the same plan
-  shapes to the live (socket) runtime.
+  kernel of a built deployment (bit-identical replay from the seed).
 
 See ``docs/ROBUSTNESS.md`` for the fault model and determinism
 guarantees.
 """
 
 from repro.faults.injector import SimFaultInjector
-from repro.faults.live import LiveFaultShim
 from repro.faults.plan import (
     KIND_LIGLO_DOWN,
     KIND_LIGLO_UP,
@@ -34,7 +31,6 @@ __all__ = [
     "FaultEvent",
     "FaultPlan",
     "SimFaultInjector",
-    "LiveFaultShim",
     "KIND_NODE_CRASH",
     "KIND_NODE_RESTART",
     "KIND_LIGLO_DOWN",

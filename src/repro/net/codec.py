@@ -463,15 +463,11 @@ COMPRESSED_SOURCE = _CompressedSource()
 
 
 class _WireAddress(FieldCodec):
-    """A transport address: sim :class:`IPAddress` or live ``(host, port)``.
+    """A host's :class:`~repro.net.address.IPAddress`, behind a tag byte::
 
-    Data-plane messages travel over both runtimes — the simulated
-    network addresses hosts with :class:`~repro.net.address.IPAddress`,
-    the live TCP transport with ``(host, port)`` tuples — so their
-    address fields are a tagged union::
+        u8 0 | str value
 
-        u8 0 | str value         (simulated address)
-        u8 1 | str host | u16 port   (live TCP address)
+    Any other tag is a malformed frame.
     """
 
     name = "address"
@@ -479,37 +475,20 @@ class _WireAddress(FieldCodec):
     def pack(self, value: Any, out: bytearray) -> None:
         from repro.net.address import IPAddress
 
-        if isinstance(value, IPAddress):
-            out += b"\x00"
-            STR.pack(value.value, out)
-            return
-        if (
-            isinstance(value, tuple)
-            and len(value) == 2
-            and isinstance(value[0], str)
-            and isinstance(value[1], int)
-            and not isinstance(value[1], bool)
-            and 0 <= value[1] <= 0xFFFF
-        ):
-            out += b"\x01"
-            STR.pack(value[0], out)
-            out += U16._struct.pack(value[1])  # type: ignore[attr-defined]
-            return
-        raise WireEncodeError(f"{value!r} is not a transport address")
+        if not isinstance(value, IPAddress):
+            raise WireEncodeError(f"{value!r} is not an IPAddress")
+        out += b"\x00"
+        STR.pack(value.value, out)
 
     def unpack(self, data: bytes, offset: int) -> tuple[Any, int]:
         from repro.net.address import IPAddress
 
         chunk, offset = _take(data, offset, 1)
         tag = chunk[0]
-        if tag == 0:
-            value, offset = STR.unpack(data, offset)
-            return IPAddress(value), offset
-        if tag == 1:
-            host, offset = STR.unpack(data, offset)
-            port, offset = U16.unpack(data, offset)
-            return (host, port), offset
-        raise WireDecodeError(f"address tag must be 0 or 1, got {tag}")
+        if tag != 0:
+            raise WireDecodeError(f"address tag must be 0, got {tag}")
+        value, offset = STR.unpack(data, offset)
+        return IPAddress(value), offset
 
 
 ADDRESS_CODEC = _WireAddress()
@@ -611,25 +590,6 @@ def registered_specs() -> tuple[MessageSpec, ...]:
     """Every registered spec of both planes, ordered by type id (stable
     for vectors)."""
     return tuple(spec for _, spec in sorted(_BY_ID.items()))
-
-
-def load_registrations() -> None:
-    """Import every module that registers messages.
-
-    Senders register as a side effect of constructing their messages;
-    decode-only processes (live endpoints, conformance tests) call this
-    to make all type ids resolvable up front.
-    """
-    import repro.agents.envelope  # noqa: F401
-    import repro.agents.messages  # noqa: F401
-    import repro.agents.topk  # noqa: F401
-    import repro.baselines.client_server  # noqa: F401
-    import repro.baselines.gnutella  # noqa: F401
-    import repro.core.discovery  # noqa: F401
-    import repro.core.sharing  # noqa: F401
-    import repro.core.shipping  # noqa: F401
-    import repro.liglo.messages  # noqa: F401
-    import repro.replication.messages  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +742,7 @@ def decode_message(frame: bytes) -> Any:
     message = unpack_fields(spec.fields, spec.cls, frame, HEADER_SIZE)
     if keyed:
         # Only a frame that decoded all the way gets here.
-        with _MEMO_LOCK:  # check-then-insert: live endpoints decode on threads
+        with _MEMO_LOCK:  # capacity check, clear and insert as one step
             if len(spec.memo) >= DECODE_MEMO_CAPACITY:
                 spec.memo.clear()
             spec.memo[frame] = message

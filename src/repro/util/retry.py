@@ -7,20 +7,17 @@ Because the jitter draws come from a seeded stream, a retried exchange
 replays bit-identically from the seed — the property every fault-
 injection test in ``tests/faults/`` leans on.
 
-The policy never sleeps or schedules by itself; simulated callers feed
-delays to the event kernel, live callers to a sleep function (see
-:func:`retry_call`).
+The policy never sleeps or schedules by itself: its caller, a
+:class:`~repro.net.requests.PendingRequests` table, arms each delay as a
+timer on the event kernel.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, TypeVar
 
-from repro.errors import RetryError, RetryExhaustedError
-
-T = TypeVar("T")
+from repro.errors import RetryError
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,34 +75,3 @@ class RetryPolicy:
 #: spanning ~3.5 s of backoff on top of the per-attempt timeouts.
 DEFAULT_RETRY_POLICY = RetryPolicy()
 
-
-def retry_call(
-    func: Callable[[], T],
-    policy: RetryPolicy,
-    rng: random.Random | None = None,
-    sleep: Callable[[float], None] | None = None,
-    retry_on: tuple[type[BaseException], ...] = (Exception,),
-) -> T:
-    """Blocking retry loop for the live (threaded) runtime.
-
-    Calls ``func`` up to ``policy.max_attempts`` times, sleeping the
-    policy's backoff between failures, and raises
-    :class:`~repro.errors.RetryExhaustedError` (chaining the last
-    exception) once attempts run out.  Simulated code never uses this —
-    it schedules the delays on the event kernel instead.
-    """
-    if sleep is None:
-        import time
-
-        sleep = time.sleep
-    failures = 0
-    while True:
-        try:
-            return func()
-        except retry_on as exc:
-            failures += 1
-            if not policy.should_retry(failures):
-                raise RetryExhaustedError(
-                    f"gave up after {failures} attempts: {exc}", attempts=failures
-                ) from exc
-            sleep(policy.delay(failures, rng))

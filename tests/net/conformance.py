@@ -34,11 +34,30 @@ from repro.net.codec import (
     WIRE_FORMAT_VERSION,
     decode_message,
     encode_message,
-    load_registrations,
     registered_specs,
     spec_for_id,
 )
 from repro.net.faults import FrameFaultInjector
+
+
+def load_registrations() -> None:
+    """Import every module that registers messages.
+
+    Senders register as a side effect of constructing their messages; a
+    test that only decodes calls this to make every type id resolvable
+    up front.
+    """
+    import repro.agents.envelope  # noqa: F401
+    import repro.agents.messages  # noqa: F401
+    import repro.agents.topk  # noqa: F401
+    import repro.baselines.client_server  # noqa: F401
+    import repro.baselines.gnutella  # noqa: F401
+    import repro.core.discovery  # noqa: F401
+    import repro.core.sharing  # noqa: F401
+    import repro.core.shipping  # noqa: F401
+    import repro.liglo.messages  # noqa: F401
+    import repro.replication.messages  # noqa: F401
+
 
 load_registrations()
 

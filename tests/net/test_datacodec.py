@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.agents.engine import PROTO_ANSWER
 from repro.agents.envelope import AgentEnvelope
 from repro.agents.messages import (
     ANSWER_FIELDS,
@@ -30,6 +31,7 @@ from repro.ids import BPID, QueryId
 from repro.net import codec as wire
 from repro.net.address import IPAddress
 from repro.net.codec import (
+    CODEC_FRAME,
     CONTROL,
     DATA,
     decode_message,
@@ -37,7 +39,11 @@ from repro.net.codec import (
     spec_for_id,
     try_encode,
 )
+from repro.net.message import PACKET_OVERHEAD_BYTES, Packet
+from repro.net.network import Network
+from repro.sim import Simulator
 from repro.storm.heapfile import RecordId
+from repro.util.tracing import Tracer
 
 from .conformance import CodecConformance, spec_of
 from .test_codec import _strategy_for
@@ -261,34 +267,57 @@ def test_batch_pickles_by_value():
 
 
 def _field_strategy(field_codec) -> st.SearchStrategy:
-    """Like test_codec._strategy_for, plus the data-plane address union."""
+    """Like test_codec._strategy_for, plus the data-plane address field."""
     if field_codec is wire.ADDRESS_CODEC:
-        return st.builds(IPAddress, st.text(max_size=16)) | st.tuples(
-            st.text(max_size=16), st.integers(0, 0xFFFF)
-        )
+        return st.builds(IPAddress, st.text(max_size=16))
     return _strategy_for(field_codec)
 
 
-def test_address_codec_round_trips_both_shapes():
-    for value in (IPAddress("10.0.4.9"), ("127.0.0.1", 45301)):
-        out = bytearray()
-        wire.ADDRESS_CODEC.pack(value, out)
-        decoded, offset = wire.ADDRESS_CODEC.unpack(bytes(out), 0)
-        assert decoded == value and offset == len(out)
+def _tag_one_answer_frame() -> bytes:
+    """An answer frame whose address is a tag-1 ``(host, port)`` pair."""
+    answer = _answer(1)
+    frame = encode_message(answer)
+    simulated = bytearray()
+    wire.ADDRESS_CODEC.pack(answer.responder_address, simulated)
+    assert frame.count(simulated) == 1
+    tagged = bytearray(b"\x01")
+    wire.STR.pack("127.0.0.1", tagged)
+    wire.U16.pack(45301, tagged)
+    body = frame[DATA.header.size :].replace(simulated, tagged)
+    return DATA.header.pack(*DATA.header.unpack_from(frame)[:3], len(body)) + body
 
 
-def test_live_shaped_answer_streams():
-    """Answers built by the live runtime (tuple addresses) must stream."""
-    answer = AnswerMessage(
-        query_id=QueryId(BPID("live", 0), 1),
-        responder=BPID("live", 1),
-        responder_address=("127.0.0.1", 45301),
-        hops=1,
-        items=(AnswerItem(rid=RecordId(0, 0), keywords=("k",), size=1, payload=b"x"),),
+def test_tag_one_address_is_a_counted_decode_error():
+    """Tag 0 is the only address shape: any other tag is a malformed
+    frame, which a simulated host drops and counts and then keeps serving."""
+    frame = _tag_one_answer_frame()
+    with pytest.raises(WireDecodeError, match="address tag"):
+        decode_message(frame)
+
+    sim = Simulator()
+    network = Network(sim, tracer=Tracer())
+    alice, bob = network.create_host("alice"), network.create_host("bob")
+    received = []
+    bob.bind(PROTO_ANSWER, lambda packet: received.append(packet.payload))
+    bob._receive(
+        Packet(
+            src=alice.address,
+            dst=bob.address,
+            protocol=PROTO_ANSWER,
+            wire_size=len(frame) + PACKET_OVERHEAD_BYTES,
+            sent_at=sim.now,
+            raw=frame,
+            codec=CODEC_FRAME,
+        )
     )
-    frame = try_encode(answer)
-    assert frame is not None
-    assert decode_message(frame) == answer
+    sim.run()
+    assert received == []
+    assert network.drops_by_reason["decode-error"] == 1
+
+    alice.send(bob.address, PROTO_ANSWER, _answer(2))
+    sim.run()
+    assert received == [_answer(2)]
+    assert network.drops_by_reason["decode-error"] == 1
 
 
 @settings(
@@ -332,23 +361,3 @@ def test_topk_frames_round_trip_scores_exactly():
         decoded = decode_message(frame)
         assert decoded == sample
         assert encode_message(decoded) == frame
-
-
-def test_scored_answer_live_address_streams():
-    from repro.agents.topk import ScoredAnswer, ScoredItem
-
-    answer = ScoredAnswer(
-        query_id=QueryId(BPID("live", 0), 1),
-        responder=BPID("live", 1),
-        responder_address=("127.0.0.1", 45302),
-        hops=1,
-        items=(
-            ScoredItem(
-                rid=RecordId(0, 0), keywords=("k",), size=1, score=1.0, payload=b"x"
-            ),
-        ),
-        dominated_dropped=3,
-    )
-    frame = try_encode(answer)
-    assert frame is not None
-    assert decode_message(frame) == answer

@@ -23,11 +23,12 @@ from repro.net.codec import (
     WIRE_FORMAT_VERSION,
     decode_message,
     encode_message,
-    load_registrations,
     registered_specs,
 )
 
 from tests.support import REWRITE_ENV_VAR, rewrite_requested
+
+from .conformance import load_registrations
 
 load_registrations()
 

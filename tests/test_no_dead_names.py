@@ -21,7 +21,6 @@ EXAMPLES = ROOT / "examples"
 
 PAPER = "paper surface: an operation of the node API the paper describes"
 FUZZING = "kept for seeded fault fuzzing inside simulated runs"
-LIVE = "repro.live, kept until both drivers share one protocol core"
 LEDGER = "read by the perf ledger (perfledger/)"
 TESTS = "test introspection: state or helpers only tests read"
 
@@ -33,10 +32,6 @@ ALLOWED = {
     "render_timeline": FUZZING,
     "event_counts": FUZZING,
     "busiest_hosts": FUZZING,
-    "register_with": LIVE,
-    "resolve_peer": LIVE,
-    "send_with_retry": LIVE,
-    "on": LIVE,
     "measure": LEDGER,
     "addresses": TESTS,
     "answers_by_responder": TESTS,

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.errors import RetryError, RetryExhaustedError
+from repro.errors import RetryError
 from repro.util.randomness import derive_rng
-from repro.util.retry import DEFAULT_RETRY_POLICY, RetryPolicy, retry_call
+from repro.util.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 
 
 class TestRetryPolicyValidation:
@@ -83,52 +83,3 @@ class TestDelay:
         policy = RetryPolicy(jitter=0.5)
         assert policy.delay(1) == policy.base_delay
 
-
-class TestRetryCall:
-    def test_returns_first_success(self):
-        calls = []
-        result = retry_call(
-            lambda: calls.append(1) or "ok",
-            RetryPolicy(max_attempts=3, jitter=0.0),
-            sleep=lambda _t: None,
-        )
-        assert result == "ok"
-        assert len(calls) == 1
-
-    def test_retries_then_succeeds(self):
-        attempts = {"n": 0}
-        slept = []
-
-        def flaky():
-            attempts["n"] += 1
-            if attempts["n"] < 3:
-                raise ValueError("boom")
-            return attempts["n"]
-
-        policy = RetryPolicy(
-            max_attempts=4, base_delay=0.5, multiplier=2.0, max_delay=8.0, jitter=0.0
-        )
-        assert retry_call(flaky, policy, sleep=slept.append) == 3
-        assert slept == [0.5, 1.0]
-
-    def test_exhaustion_raises_typed_error(self):
-        def always_fails():
-            raise ValueError("nope")
-
-        policy = RetryPolicy(max_attempts=2, jitter=0.0)
-        with pytest.raises(RetryExhaustedError) as excinfo:
-            retry_call(always_fails, policy, sleep=lambda _t: None)
-        assert excinfo.value.attempts == 2
-        assert isinstance(excinfo.value.__cause__, ValueError)
-
-    def test_retry_on_filters_exception_types(self):
-        def fails_differently():
-            raise KeyError("not retryable")
-
-        with pytest.raises(KeyError):
-            retry_call(
-                fails_differently,
-                RetryPolicy(max_attempts=3),
-                sleep=lambda _t: None,
-                retry_on=(ValueError,),
-            )
