@@ -12,7 +12,15 @@ among unpinned frames; pinned pages are never evicted.
 :meth:`BufferManager.touch` books a run of pins and unpins over pages
 ``0 … n-1`` — what a full scan or a clone's open costs — in bulk when
 every page is resident or the pool is untouched, with the same counters
-and strategy state as the page-by-page loop.
+and strategy state as the page-by-page loop.  A run into an untouched
+pool is *deferred*: the manager counts it (pages ``0 … n-1`` resident in
+frames ``pool_size-1 …``, clean and unpinned, plus how many whole-run
+touches followed) and builds no frame and copies no page.  Repeating the
+run adds one to that count, and a flush has nothing of it to write; any
+other operation first materialises the run — copies the pages, builds
+the frames and replays the strategy callbacks in their original order —
+so nothing observable differs from booking it eagerly.  A template clone
+that is only ever scanned never builds a frame.
 
 Every logical access is counted in :class:`AccessStats`; the simulation
 layer converts the *physical* read count into simulated I/O time, which
@@ -93,6 +101,12 @@ class BufferManager:
         # candidates.  Maintained on every pin/unpin/evict so victim
         # selection never scans the whole pool.
         self._unpinned: set[int] = set()
+        # A deferred run (see touch): pages 0 … _run-1 are resident but
+        # not yet in _frames / _page_table, and _run_touches whole-run
+        # accesses followed their load.  Only paths that miss the page
+        # table check it.
+        self._run = 0
+        self._run_touches = 0
 
     # -- pin / unpin ----------------------------------------------------------
 
@@ -113,6 +127,9 @@ class BufferManager:
             self.strategy.on_page_accessed(frame_id)
             assert frame.data is not None
             return frame.data
+        if self._run:
+            self._materialise()
+            return self.pin(page_id)
         # Read first: a page id the disk refuses must not cost a frame (or
         # evict a victim for one), a strategy callback or a counted access.
         data = self.disk.read_page(page_id)
@@ -130,9 +147,7 @@ class BufferManager:
 
     def unpin(self, page_id: int) -> None:
         """Release one pin on ``page_id``."""
-        frame_id = self._page_table.get(page_id)
-        if frame_id is None:
-            raise PageError(f"page {page_id} is not resident")
+        frame_id = self._frame_id(page_id)
         frame = self._frames[frame_id]
         if frame.pin_count <= 0:
             raise BufferError_(f"page {page_id} is not pinned")
@@ -147,12 +162,21 @@ class BufferManager:
         — same counters, residency, victims and strategy state — with the
         two runs a full scan meets booked in bulk instead of page by page:
         every page already resident (a store that fits its pool), and a
-        pool no page has entered yet (a template clone's open).  Any other
-        run takes the loop.
+        pool no page has entered yet (a template clone's open).  The second
+        is deferred: counted at once, materialised by the first operation
+        that is not the same whole run again.  Any other run takes the loop.
         """
+        if self._run:
+            if count == self._run:
+                self.stats.logical_reads += count
+                self._run_touches += 1
+                return
+            self._materialise()
         if not self._frames:
             if 0 < count <= min(self.pool_size, self.disk.num_pages):
-                self._load_run(count)
+                self.stats.logical_reads += count
+                self.stats.physical_reads += count
+                self._run = count
                 return
         else:
             frame_ids = list(map(self._page_table.get, range(count)))
@@ -164,17 +188,24 @@ class BufferManager:
             self.pin(page_id)
             self.unpin(page_id)
 
-    def _load_run(self, count: int) -> None:
-        """Read pages ``0 … count-1`` into an untouched pool, left unpinned."""
+    def _materialise(self) -> None:
+        """Build the deferred run's frames, as booking it eagerly would have.
+
+        The pages are read now (a buffer's disk changes only through the
+        buffer, and a run's pages are clean), and the strategy hears the
+        load and then each whole-run access, in their original order.
+        """
+        count, touches = self._run, self._run_touches
+        self._run = self._run_touches = 0
         page_ids = range(count)
         frame_ids = range(self.pool_size - 1, self.pool_size - 1 - count, -1)
         frames = map(_Frame, page_ids, self.disk.read_run(count))
         self._frames.update(zip(frame_ids, frames))
-        self.stats.logical_reads += count
-        self.stats.physical_reads += count
         self._page_table.update(zip(page_ids, frame_ids))
         self._unpinned.update(frame_ids)
         self.strategy.on_pages_loaded(frame_ids)
+        for _ in range(touches):
+            self.strategy.on_pages_accessed(frame_ids)
 
     @contextmanager
     def pinned(self, page_id: int):
@@ -191,6 +222,8 @@ class BufferManager:
 
     def new_page(self) -> tuple[int, bytearray]:
         """Allocate a fresh page on disk and pin it (zeroed, dirty)."""
+        if self._run:
+            self._materialise()
         page_id = self.disk.allocate_page()
         self.stats.logical_reads += 1
         frame_id = self._grab_frame()
@@ -205,7 +238,7 @@ class BufferManager:
 
     def mark_dirty(self, page_id: int) -> None:
         """Record that the pinned page's buffer was modified."""
-        frame = self._resident_frame(page_id)
+        frame = self._frames[self._frame_id(page_id)]
         if frame.pin_count <= 0:
             raise BufferError_(f"page {page_id} must be pinned to be dirtied")
         frame.dirty = True
@@ -231,10 +264,6 @@ class BufferManager:
 
     # -- introspection ------------------------------------------------------------
 
-    def is_resident(self, page_id: int) -> bool:
-        """True when the page currently occupies a frame."""
-        return page_id in self._page_table
-
     def pin_count(self, page_id: int) -> int:
         """Current pin count (0 when not resident)."""
         frame_id = self._page_table.get(page_id)
@@ -245,6 +274,8 @@ class BufferManager:
     @property
     def resident_pages(self) -> set[int]:
         """Page ids currently cached."""
+        if self._run:
+            self._materialise()
         return set(self._page_table)
 
     @property
@@ -254,11 +285,14 @@ class BufferManager:
 
     # -- internals ----------------------------------------------------------------
 
-    def _resident_frame(self, page_id: int) -> _Frame:
+    def _frame_id(self, page_id: int) -> int:
         frame_id = self._page_table.get(page_id)
+        if frame_id is None and self._run:
+            self._materialise()
+            frame_id = self._page_table.get(page_id)
         if frame_id is None:
             raise PageError(f"page {page_id} is not resident")
-        return self._frames[frame_id]
+        return frame_id
 
     def _grab_frame(self) -> int:
         if len(self._frames) < self.pool_size:

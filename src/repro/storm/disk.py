@@ -18,8 +18,6 @@ class InMemoryDisk:
         if page_size < 64:
             raise ValueError(f"page size must be >= 64 bytes, got {page_size}")
         self.page_size = page_size
-        self.reads = 0
-        self.writes = 0
         self._pages: list[bytearray] = []
 
     @property
@@ -33,14 +31,12 @@ class InMemoryDisk:
 
     def read_page(self, page_id: int) -> bytearray:
         self._check_page_id(page_id)
-        self.reads += 1
         return bytearray(self._pages[page_id])
 
     def read_run(self, count: int) -> list[bytearray]:
         """Pages ``0 … count-1``, as ``read_page`` would return them one by one."""
         if count:
             self._check_page_id(count - 1)
-        self.reads += count
         return list(map(bytearray, self._pages[:count]))
 
     def write_page(self, page_id: int, data: bytes) -> None:
@@ -49,7 +45,6 @@ class InMemoryDisk:
             raise PageError(
                 f"page write of {len(data)} bytes; page size is {self.page_size}"
             )
-        self.writes += 1
         self._pages[page_id] = bytearray(data)
 
     def _check_page_id(self, page_id: int) -> None:

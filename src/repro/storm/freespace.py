@@ -12,7 +12,7 @@ file used to iterate).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 
 class FreeSpaceMap:
@@ -27,6 +27,21 @@ class FreeSpaceMap:
         self._tree = [0, 0]
         if self._free:
             self._rebuild()
+
+    @classmethod
+    def prebuilt(cls, free: Sequence[int], tree: Sequence[int]) -> "FreeSpaceMap":
+        """The map over ``free`` whose segment tree (:attr:`tree`) is
+        ``tree``: both are copied, nothing is rebuilt."""
+        space = cls()
+        space._free = list(free)
+        space._tree = list(tree)
+        space._cap = len(space._tree) // 2
+        return space
+
+    @property
+    def tree(self) -> tuple[int, ...]:
+        """The segment tree, leaves from index ``len(tree) // 2`` on."""
+        return tuple(self._tree)
 
     def __len__(self) -> int:
         return len(self._free)

@@ -1,14 +1,15 @@
 """Heap file: an unordered collection of records over slotted pages.
 
 Records are addressed by :class:`RecordId` ``(page_id, slot)`` — the
-paper's object identifiers.  A free-space map (rebuilt on open, kept
-current on insert/delete) steers insertions to pages with room before
-new pages are allocated.
+paper's object identifiers.  A free-space map (built on open from each
+page's slot directory, or copied ready-built from a store template, and
+kept current on insert/delete) steers insertions to pages with room
+before new pages are allocated.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from repro.errors import PageError, RecordNotFound, StormError
@@ -34,13 +35,14 @@ class HeapFile:
     def __init__(
         self,
         buffer: BufferManager,
-        summary: tuple[Sequence[int], int] | None = None,
+        summary: tuple[FreeSpaceMap, int] | None = None,
     ):
         """Open the file: every page is pinned once, in ascending order.
 
-        ``summary`` is ``(free bytes per page, record count)`` when the
-        caller already knows them (a store template's clone); otherwise
-        both are read off each page's slot directory.
+        ``summary`` is ``(free-space map, record count)`` when the caller
+        already knows them (a store template's clone; the file takes the
+        map as its own); otherwise both are read off each page's slot
+        directory.
         """
         self.buffer = buffer
         self.max_record_size = buffer.disk.page_size - HEADER_SIZE - SLOT_SIZE
@@ -50,6 +52,8 @@ class HeapFile:
         # without changing any live record's slot or contents.
         self._versions: dict[int, int] = {}
         page_count = buffer.disk.num_pages
+        # First-fit free-space index: finds the lowest page with room in
+        # O(log pages) instead of a scan.
         if summary is None:
             free, self._record_count = [], 0
             for page_id in range(page_count):
@@ -57,16 +61,15 @@ class HeapFile:
                     page_free, live = SlottedPage(data).summary()
                 free.append(page_free)
                 self._record_count += live
+            self._free_space = FreeSpaceMap(free)
         else:
-            free, self._record_count = summary
-            if len(free) != page_count:
+            self._free_space, self._record_count = summary
+            if len(self._free_space) != page_count:
                 raise StormError(
-                    f"summary of {len(free)} pages for a file of {page_count}"
+                    f"summary of {len(self._free_space)} pages"
+                    f" for a file of {page_count}"
                 )
             buffer.touch(page_count)
-        # First-fit free-space index: finds the lowest page with room in
-        # O(log pages) instead of a scan.
-        self._free_space = FreeSpaceMap(free)
 
     # -- operations -----------------------------------------------------------
 

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING
 from repro.errors import PageError, StorageClosedError, StormError
 from repro.storm.buffer import AccessStats, BufferManager
 from repro.storm.disk import InMemoryDisk
+from repro.storm.freespace import FreeSpaceMap
 from repro.storm.heapfile import HeapFile, RecordId
 from repro.storm.index import KeywordIndex
 from repro.storm.objects import StoredObject, normalize_keyword
@@ -177,9 +178,10 @@ class StorM:
         self.buffer = BufferManager(
             disk, pool_size=self._pool_size, strategy=self._strategy
         )
-        summary = (
-            None if template is None else (template.free_bytes, template.record_count)
-        )
+        summary = None
+        if template is not None:
+            free_space = FreeSpaceMap.prebuilt(template.free_bytes, template.free_tree)
+            summary = (free_space, template.record_count)
         self.heap = HeapFile(self.buffer, summary)
         self.index = KeywordIndex()
         if template is not None:

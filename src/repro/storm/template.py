@@ -25,7 +25,12 @@ observationally identical to a store freshly populated with the same
 objects — same record ids, same postings, same free-space map, same
 buffer residency, recency and ``AccessStats`` — and figures built on
 clones produce bit-identical series (``tests/storm/test_template.py``,
-``tests/storm/test_clone_scan.py``).
+``tests/storm/test_clone_scan.py``).  When its pages fit its pool the
+buffer only counts that run, and builds the frames and copies the page
+images at the clone's first write or first access that is not a
+whole-store run; the free-space tree is copied ready-built.  An open
+that is then only scanned is a handful of objects over the shared
+pages.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from repro.storm.disk import InMemoryDisk
+from repro.storm.freespace import FreeSpaceMap
 from repro.storm.heapfile import RecordId
 from repro.storm.page import SlottedPage
 from repro.storm.replacement import ReplacementStrategy
@@ -96,6 +102,9 @@ class StoreTemplate:
     record_count: int
     #: per page: bytes free after compaction (the ``FreeSpaceMap`` entry)
     free_bytes: tuple[int, ...]
+    #: the ``FreeSpaceMap`` segment tree over ``free_bytes``, built once
+    #: for every clone's map to copy
+    free_tree: tuple[int, ...]
     #: per page: its live records, decoded once for every clone's scans
     decoded_pages: tuple[Entries, ...]
     #: per keyword: the records carrying it, in heap order — what a full
@@ -121,12 +130,14 @@ class StoreTemplate:
             for entry in entries:
                 for keyword in dict.fromkeys(entry[1].keywords):
                     keyword_entries.setdefault(keyword, []).append(entry)
+        free_bytes = tuple(SlottedPage(image).summary()[0] for image in pages)
         return cls(
             pages=pages,
             page_size=disk.page_size,
             index_snapshot=MappingProxyType(store.index.snapshot()),
             record_count=store.count,
-            free_bytes=tuple(SlottedPage(image).summary()[0] for image in pages),
+            free_bytes=free_bytes,
+            free_tree=FreeSpaceMap(free_bytes).tree,
             decoded_pages=decoded_pages,
             keyword_entries=MappingProxyType(
                 {keyword: tuple(run) for keyword, run in keyword_entries.items()}
@@ -142,9 +153,10 @@ class StoreTemplate:
 
         The clone's ``HeapFile`` open books a pin of every page in
         ascending order — the same residency and recency a
-        just-populated store ends with — and takes the free-space map,
-        record count, postings and decoded records from the template
-        instead of deriving them from the pages again.
+        just-populated store ends with, deferred as one counted run — and
+        takes the free-space map (a copy of the template's tree), record
+        count, postings and decoded records from the template instead of
+        deriving them from the pages again.
         """
         return StorM(
             disk=SnapshotDisk(self.pages, self.page_size),

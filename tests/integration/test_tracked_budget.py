@@ -11,14 +11,17 @@ random graph with the static strategy and the default rf=1 policy.
 An unwritten store reads through one set of empty parts shared by every
 such store; the second test checks that no read ever writes them.
 
-Opening a template clone builds one frame per page and a fixed handful
-of parts besides: its postings are the template's, read in place, so
-no per-keyword set is built on open.
+Opening a template clone builds a fixed handful of parts and nothing
+per page: its buffer books the open as one deferred run (no frame, no
+page copy), its free-space tree is copied ready-built, and its postings
+are the template's, read in place.  The last test holds an open plus the
+warm-up scan to 64 KiB of traced allocations.
 """
 
 from __future__ import annotations
 
 import gc
+import tracemalloc
 
 from repro import BestPeerConfig, build_network, random_graph
 from repro.storm.buffer import AccessStats
@@ -76,10 +79,11 @@ def test_reads_never_write_the_shared_empty_parts():
     _assert_empty(StorM())
 
 
-CLONE_EXTRA = 16
+CLONE_BUDGET = 16
+CLONE_TRACED_BYTES = 64 * 1024
 
 
-def test_a_clone_open_builds_one_frame_per_page_and_at_most_16_more():
+def _paper_scale_template() -> StoreTemplate:
     items = experiment_items(
         0, count=1000, size=1024, corpus=KeywordCorpus(100), seed=0
     )
@@ -87,11 +91,30 @@ def test_a_clone_open_builds_one_frame_per_page_and_at_most_16_more():
     prototype.put_many(items)
     template = StoreTemplate.from_store(prototype)
     prototype.close()
-    pages = len(template.pages)
+    return template
+
+
+def test_a_clone_open_builds_at_most_16_tracked_objects():
+    template = _paper_scale_template()
     gc.collect()
     before = len(gc.get_objects())
     clone = template.instantiate()
     gc.collect()
     built = len(gc.get_objects()) - before
     assert clone.count == 1000
-    assert built <= pages + CLONE_EXTRA, f"{built} tracked objects for {pages} pages"
+    assert clone.buffer.frames_allocated == 0
+    assert built <= CLONE_BUDGET, f"{built} tracked objects for {len(template.pages)} pages"
+
+
+def test_a_clone_open_and_scan_allocate_under_64_kib():
+    template = _paper_scale_template()
+    keyword = next(iter(template.keyword_entries))
+    tracemalloc.start()
+    try:
+        clone = template.instantiate()
+        result = clone.search_scan(keyword)
+        traced, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.objects_examined == 1000 and result.match_count > 0
+    assert traced < CLONE_TRACED_BYTES, f"{traced} bytes traced"

@@ -26,13 +26,13 @@ class TestPinning:
         buffer.unpin(page_id)
 
     def test_hit_does_not_touch_disk(self):
-        disk, buffer = make_buffer()
+        _, buffer = make_buffer()
         page_id, _ = buffer.new_page()
         buffer.unpin(page_id)
-        reads_before = disk.reads
+        reads_before = buffer.stats.physical_reads
         with buffer.pinned(page_id):
             pass
-        assert disk.reads == reads_before
+        assert buffer.stats.physical_reads == reads_before
         assert buffer.stats.hits >= 1
 
     def test_pin_counts_nest(self):
@@ -55,18 +55,17 @@ class TestPinning:
         """Pinning a page the disk does not have takes no frame, evicts
         no victim, counts no access and leaves the pool usable."""
         strategy = LruStrategy()
-        disk, buffer = make_buffer(pool_size=2, strategy=strategy)
+        _, buffer = make_buffer(pool_size=2, strategy=strategy)
         first, data = buffer.new_page()
         data[0] = 0x42
         buffer.mark_dirty(first)
         buffer.unpin(first)
         buffer.unpin(buffer.new_page()[0])
-        stats, writes = buffer.stats.snapshot(), disk.writes
+        stats = buffer.stats.snapshot()
         for _ in range(2):
             with pytest.raises(PageError):
                 buffer.pin(99)
         assert buffer.stats == stats
-        assert disk.writes == writes
         assert buffer.resident_pages == {0, 1}
         assert buffer.pin(first)[0] == 0x42  # still resident, still dirty
         buffer.unpin(first)
@@ -95,19 +94,19 @@ class TestEviction:
         buffer.unpin(first)
         second, _ = buffer.new_page()  # evicts `first`
         buffer.unpin(second)
-        assert not buffer.is_resident(first)
+        assert first not in buffer.resident_pages
         assert disk.read_page(first)[0] == 0x11
 
     def test_clean_page_not_written_back(self):
-        disk, buffer = make_buffer(pool_size=1)
+        _, buffer = make_buffer(pool_size=1)
         first, _ = buffer.new_page()
         buffer.unpin(first)
         buffer.flush_all()
-        writes_after_flush = disk.writes
+        writes_after_flush = buffer.stats.physical_writes
         second, _ = buffer.new_page()
         buffer.unpin(second)
         # Evicting the clean `first` page must not rewrite it.
-        assert disk.writes == writes_after_flush
+        assert buffer.stats.physical_writes == writes_after_flush
 
     def test_pinned_pages_never_evicted(self):
         _, buffer = make_buffer(pool_size=2)
@@ -115,8 +114,8 @@ class TestEviction:
         b, _ = buffer.new_page()
         with pytest.raises(BufferFullError):
             buffer.new_page()
-        assert buffer.is_resident(a)
-        assert buffer.is_resident(b)
+        assert a in buffer.resident_pages
+        assert b in buffer.resident_pages
 
     def test_lru_eviction_order(self):
         _, buffer = make_buffer(pool_size=2, strategy=LruStrategy())
@@ -128,8 +127,8 @@ class TestEviction:
             pass  # touch a: b becomes LRU
         c, _ = buffer.new_page()
         buffer.unpin(c)
-        assert buffer.is_resident(a)
-        assert not buffer.is_resident(b)
+        assert a in buffer.resident_pages
+        assert b not in buffer.resident_pages
 
     def test_mru_eviction_order(self):
         _, buffer = make_buffer(pool_size=2, strategy=MruStrategy())
@@ -139,8 +138,8 @@ class TestEviction:
         buffer.unpin(b)
         c, _ = buffer.new_page()  # MRU evicts b
         buffer.unpin(c)
-        assert buffer.is_resident(a)
-        assert not buffer.is_resident(b)
+        assert a in buffer.resident_pages
+        assert b not in buffer.resident_pages
 
     def test_stats_track_misses_and_hits(self):
         _, buffer = make_buffer(pool_size=1)

@@ -6,7 +6,9 @@ the buffer in one run.  The battery requires those answers to equal a
 freshly populated store's — matches, order, ``truncated``,
 ``objects_examined``, ``io`` and scan-cache hits — and the clone's
 buffer and scan-cache state to equal a twin clone's that walked every
-page.  The rest pins copy-on-write of the postings a clone reads
+page, and a clone written after k such scans — its buffer one deferred
+run until then — to equal, field for field, a twin that built its frames
+at open.  The rest pins copy-on-write of the postings a clone reads
 through.
 """
 
@@ -62,6 +64,7 @@ def _buffer_state(store: StorM) -> tuple:
     buffer = store.buffer
     return (
         buffer.stats.snapshot(),
+        buffer.resident_pages,  # materialises a deferred run
         dict(buffer._page_table),
         set(buffer._unpinned),
         dict(buffer.strategy._stamp),
@@ -83,6 +86,50 @@ def test_unwritten_clone_scans_match_a_fresh_store(items, holes):
         list(twin.scan())  # the per-page walk the clone's scan books
         assert _buffer_state(clone) == _buffer_state(twin)
     assert clone.heap.unwritten
+
+
+def _fields(store: StorM) -> dict:
+    """Everything a store holds that a later operation could observe."""
+    buffer, heap = store.buffer, store.heap
+    return {
+        "buffer": _buffer_state(store),
+        "frames": {
+            frame_id: (frame.page_id, frame.data, frame.pin_count, frame.dirty)
+            for frame_id, frame in buffer._frames.items()
+        },
+        "pages": [bytes(store.disk.read_page(p)) for p in range(heap.page_count)],
+        "free_space": (heap._free_space._free, heap._free_space._tree),
+        "records": heap.record_count,
+        "versions": dict(heap._versions),
+        "postings": _postings(store.index),
+        "scan_cache": dict(store._scan_cache),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    items=item_lists,
+    scans=st.integers(min_value=0, max_value=4),
+    keyword=st.sampled_from(VOCABULARY),
+    pool_size=st.sampled_from([512, 3]),
+)
+def test_a_clone_written_after_k_scans_is_a_twin_that_booked_eagerly(
+    items, scans, keyword, pool_size
+):
+    template = StoreTemplate.from_store(_populated(items, []))
+    clone = template.instantiate(pool_size)
+    twin = template.instantiate(pool_size)
+    twin.buffer.resident_pages  # builds the open's frames at once
+    for _ in range(scans):
+        assert clone.search_scan(keyword) == twin.search_scan(keyword)
+    if len(template.pages) <= pool_size:
+        assert clone.buffer.frames_allocated == 0
+    for store in (clone, twin):
+        store.put(["beta", keyword], b"late")
+    assert _fields(clone) == _fields(twin)
+    for search in _searches():
+        assert _observed(clone, search) == _observed(twin, search)
+    assert _fields(clone) == _fields(twin)
 
 
 def _store() -> StorM:

@@ -41,14 +41,6 @@ class TestInMemoryDisk:
         with pytest.raises(PageError):
             disk.write_page(0, b"short")
 
-    def test_counters(self):
-        disk = InMemoryDisk(page_size=64)
-        disk.allocate_page()
-        disk.read_page(0)
-        disk.write_page(0, b"\x00" * 64)
-        assert disk.reads == 1
-        assert disk.writes == 1
-
     def test_tiny_page_size_rejected(self):
         with pytest.raises(ValueError):
             InMemoryDisk(page_size=32)

@@ -256,9 +256,18 @@ class TestFramesAllocated:
 
     @pytest.mark.parametrize("pool_size", [512, 3])
     def test_template_clone_allocates_one_frame_per_page(self, pool_size):
+        """...at its first access that is not a whole-store run.  A clone
+        whose pages fit its pool builds no frame to open or to scan."""
         store = StorM()
         store.put_many(([f"k{i}"], bytes(900)) for i in range(40))
         template = StoreTemplate.from_store(store)
-        assert len(template.pages) > 3
+        pages = len(template.pages)
+        assert pages > 3
         clone = template.instantiate(pool_size=pool_size)
-        assert clone.buffer.frames_allocated == min(len(template.pages), pool_size)
+        built_to_open = 0 if pages <= pool_size else pool_size
+        assert clone.buffer.frames_allocated == built_to_open
+        assert clone.search_scan("k7").match_count == 1
+        assert clone.buffer.frames_allocated == built_to_open
+        # Asking which pages are resident builds the deferred run's frames.
+        assert len(clone.buffer.resident_pages) == min(pages, pool_size)
+        assert clone.buffer.frames_allocated == min(pages, pool_size)

@@ -77,11 +77,23 @@ class BufferMachine(RuleBasedStateMachine):
     def flush_everything(self):
         self.buffer.flush_all()
 
+    @rule()
+    def reopen_as_a_run(self):
+        # Write everything back, drop the pins, and open the disk again
+        # the way a clone does: one run over every page, deferred when
+        # the pages fit the pool.
+        self.buffer.flush_all()
+        self.buffer = BufferManager(self.disk, pool_size=3)
+        self.pinned.clear()
+        self.buffer.touch(self.disk.num_pages)
+        if self.disk.num_pages <= self.buffer.pool_size:
+            assert self.buffer.frames_allocated == 0
+
     @invariant()
     def pinned_pages_stay_resident(self):
         for page_id, count in self.pinned.items():
             if count > 0:
-                assert self.buffer.is_resident(page_id)
+                assert page_id in self.buffer.resident_pages
 
     @invariant()
     def pool_never_over_capacity(self):
@@ -91,7 +103,7 @@ class BufferMachine(RuleBasedStateMachine):
     def flushed_disk_matches_model_for_clean_pages(self):
         # Any page *not* resident must already be correct on disk.
         for page_id, value in self.model.items():
-            if not self.buffer.is_resident(page_id):
+            if page_id not in self.buffer.resident_pages:
                 assert self.disk.read_page(page_id)[0] == value
 
 

@@ -3,10 +3,12 @@
 The battery drives two identical buffers — one through ``touch``, one
 through the loop — from the same prelude (pages already resident,
 pinned or dirty; pools below, at and above ``n``) under every
-replacement strategy, and requires the same counters, disk reads, page
-table, frames, evictable set and strategy state afterwards, and the
-same victims for the next ten evictions.  The last two tests check that
-the two bulk runs really skip the per-page path.
+replacement strategy, and requires the same counters, page table,
+frames, evictable set and strategy state afterwards, and the same
+victims for the next ten evictions.  A run into an untouched pool is
+deferred; the second battery follows one with random operations and
+requires what the former eager booking (``_load_run_eagerly``) leaves.
+The last tests check that the bulk runs really skip the per-page path.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StormError
-from repro.storm.buffer import BufferManager
+from repro.storm.buffer import BufferManager, _Frame
 from repro.storm.disk import InMemoryDisk
 from repro.storm.replacement import make_strategy
 
@@ -39,7 +41,6 @@ def _buffer(strategy: str, pages: int, pool_size: int) -> BufferManager:
     for page_id in range(pages):
         disk.allocate_page()
         disk.write_page(page_id, bytes([page_id]) * PAGE_SIZE)
-    disk.reads = disk.writes = 0
     return BufferManager(disk, pool_size=pool_size, strategy=make_strategy(strategy))
 
 
@@ -71,7 +72,7 @@ def _strategy_state(strategy) -> dict:
 def _state(buffer: BufferManager) -> dict:
     return {
         "stats": buffer.stats.snapshot(),
-        "disk": (buffer.disk.reads, buffer.disk.writes),
+        "resident": buffer.resident_pages,  # materialises a deferred run
         "page_table": dict(buffer._page_table),
         "frames": {
             frame_id: (frame.page_id, frame.data, frame.pin_count, frame.dirty)
@@ -151,11 +152,13 @@ def _refuse_per_page(page_id):
 def test_both_bulk_runs_skip_the_per_page_path(strategy, monkeypatch):
     buffer = _buffer(strategy, 6, 8)
     monkeypatch.setattr(buffer, "pin", _refuse_per_page)
-    buffer.touch(6)  # an untouched pool: one bulk load
-    buffer.touch(6)  # every page resident: one bulk access
-    buffer.touch(3)
+    buffer.touch(6)  # an untouched pool: one deferred load
+    buffer.touch(6)  # the same run again: one more deferred access
+    assert buffer.frames_allocated == 0
+    buffer.touch(3)  # materialises, then every page resident: one bulk access
+    assert buffer.frames_allocated == 6
     assert buffer.stats.logical_reads == 15
-    assert buffer.stats.physical_reads == buffer.disk.reads == 6
+    assert buffer.stats.physical_reads == 6
 
 
 def test_a_partly_resident_run_takes_the_loop(monkeypatch):
@@ -164,3 +167,96 @@ def test_a_partly_resident_run_takes_the_loop(monkeypatch):
     monkeypatch.setattr(buffer, "pin", _refuse_per_page)
     with pytest.raises(AssertionError, match="per-page path"):
         buffer.touch(4)
+
+
+def _load_run_eagerly(buffer: BufferManager, count: int) -> None:
+    """The former booking of a run into an untouched pool: every frame,
+    table entry and strategy callback at once."""
+    page_ids = range(count)
+    frame_ids = range(buffer.pool_size - 1, buffer.pool_size - 1 - count, -1)
+    frames = map(_Frame, page_ids, buffer.disk.read_run(count))
+    buffer._frames.update(zip(frame_ids, frames))
+    buffer.stats.logical_reads += count
+    buffer.stats.physical_reads += count
+    buffer._page_table.update(zip(page_ids, frame_ids))
+    buffer._unpinned.update(frame_ids)
+    buffer.strategy.on_pages_loaded(frame_ids)
+
+
+def _operate(buffer: BufferManager, op: str, arg: int, run: int, eager: bool):
+    """One step after the open; the outcome is a comparable value.
+
+    The eager twin books every touch as the pin/unpin loop, so it never
+    defers anything.
+    """
+    pages = buffer.disk.num_pages
+    try:
+        if op == "touch":
+            count = run if arg % 2 else arg % (pages + 2)  # may pass the end
+            if eager:
+                return _loop(buffer, count)
+            return buffer.touch(count)
+        if op == "new":
+            page_id, data = buffer.new_page()
+            return page_id, bytes(data)
+        if op == "flush":
+            return buffer.flush_all()
+        page_id = arg % pages
+        if op == "pin":  # evicts once the pool is full
+            return bytes(buffer.pin(page_id))
+        if op == "unpin":
+            return buffer.unpin(page_id)
+        assert op == "dirty"
+        if buffer.pin_count(page_id) > 0:
+            buffer.pin(page_id)[0] = arg
+            buffer.unpin(page_id)
+        return buffer.mark_dirty(page_id)
+    except StormError as exc:
+        return type(exc)
+
+
+operations = st.lists(
+    st.tuples(
+        st.sampled_from(["touch", "touch", "pin", "pin", "unpin", "new", "dirty", "flush"]),
+        st.integers(0, 255),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    strategy=st.sampled_from(STRATEGIES),
+    run=st.integers(1, 10),
+    extra_pages=st.integers(0, 3),
+    pool_offset=st.integers(-3, 3),
+    repeats=st.integers(0, 4),
+    trace=operations,
+)
+def test_a_deferred_run_is_the_eager_load(
+    strategy, run, extra_pages, pool_offset, repeats, trace
+):
+    pages = run + extra_pages
+    pool_size = max(1, run + pool_offset)
+    deferred = _buffer(strategy, pages, pool_size)
+    eager = _buffer(strategy, pages, pool_size)
+    deferred.touch(run)
+    if run <= pool_size:
+        _load_run_eagerly(eager, run)
+    else:
+        _loop(eager, run)
+    for _ in range(repeats):
+        deferred.touch(run)
+        _loop(eager, run)
+    if run <= pool_size:
+        assert deferred.frames_allocated == 0
+    assert deferred.stats == eager.stats
+    for op, arg in trace:
+        outcome = _operate(deferred, op, arg, run, eager=False)
+        assert outcome == _operate(eager, op, arg, run, eager=True)
+        assert deferred.stats == eager.stats
+        if not deferred._run:  # reading internals would materialise it
+            assert _state(deferred) == _state(eager)
+    assert _state(deferred) == _state(eager)
+    assert _victims(deferred) == _victims(eager)
+    assert _state(deferred) == _state(eager)

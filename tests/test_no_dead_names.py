@@ -54,7 +54,6 @@ ALLOWED = {
     "invalidate_data_cache": TESTS,
     "is_leased": TESTS,
     "is_monotone_decreasing": TESTS,
-    "is_resident": TESTS,
     "kinds": TESTS,
     "leased_count": TESTS,
     "link_window": TESTS,
