@@ -137,9 +137,10 @@ class HeapFile:
         a record of ``n`` bytes selects page ``P`` via the global
         first-fit query, every page before ``P`` is known to lack room
         for ``n`` bytes.  Following records at least that large can
-        therefore pack greedily into ``P`` (no earlier page can claim
-        them); the first smaller record ends the run, the map entry for
-        ``P`` is settled, and a fresh global query decides its page.
+        therefore pack into ``P`` while its map entry admits them (no
+        earlier page can claim them); the first smaller or unadmitted
+        record ends the run, the map entry for ``P`` is settled, and a
+        fresh global query decides its page.
         """
         records = list(records)
         rids: list[RecordId] = []
@@ -203,18 +204,20 @@ class HeapFile:
         """The maximal batch starting at ``index`` allowed on one page.
 
         Only records no smaller than the run's opener may ride along
-        (see :meth:`insert_many`); the count is additionally capped by
-        how many openers could possibly fit in ``free_estimate`` bytes,
-        which keeps the slice small for uniform workloads.
+        (see :meth:`insert_many`), and only while ``free_estimate``,
+        charged a new slot per record, still admits each one: the
+        per-record path asks the map for ``len + SLOT_SIZE`` bytes, so a
+        record that would fit only by reusing a dead slot is not placed
+        on this page by first fit and must start a fresh query.
         """
         anchor = len(records[index])
-        cap = free_estimate // (anchor + SLOT_SIZE) + 1
-        stop = min(len(records), index + max(cap, 1))
+        budget = free_estimate - anchor - SLOT_SIZE
         end = index + 1
-        while (
-            end < stop
-            and anchor <= len(records[end]) <= self.max_record_size
-        ):
+        while end < len(records):
+            size = len(records[end])
+            if not anchor <= size <= self.max_record_size or budget < size + SLOT_SIZE:
+                break
+            budget -= size + SLOT_SIZE
             end += 1
         return records[index:end]
 

@@ -18,6 +18,13 @@ with :func:`serialize` once where it is set, carries the bytes, and each
 execution unpickles its own copy (:mod:`repro.agents.envelope`), so the
 codec never unpickles.  Per-plane counters (`control`/`data`/`fallback`)
 record where the bytes actually go.
+
+The pickle fallback (today only the client/server baselines'
+``CsResults``) ships the uncompressed pickle and charges
+``codec.compressed_size`` of it.  :class:`WireEncoder` memoises per
+payload *object*; the gzip codec memoises per pickle *content*, so a
+relay that re-sends equal results as a fresh object is priced without
+compressing them again.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Protocol pinned for deterministic sizes across interpreter versions.
 PICKLE_PROTOCOL = 4
 
-#: Default number of payload objects a :class:`WireEncoder` memoizes.
+#: Number of payload objects a :class:`WireEncoder` memoizes.
 #: Fan-out sends (agent floods, CS broadcasts, Gnutella relays) reuse one
 #: payload object within a handful of simulator events, so a small cache
 #: captures nearly all repeats.  Set to 0 to disable encoding caches
@@ -104,14 +111,9 @@ class WireEncoder:
     what re-encoding would; wire sizes are bit-identical either way.
     """
 
-    def __init__(
-        self,
-        codec: "Codec",
-        capacity: int | None = None,
-        tracer: "Tracer | None" = None,
-    ):
+    def __init__(self, codec: "Codec", tracer: "Tracer | None" = None):
         self.codec = codec
-        self.capacity = WIRE_CACHE_CAPACITY if capacity is None else capacity
+        self.capacity = WIRE_CACHE_CAPACITY
         self.tracer = tracer
         self.hits = 0
         self.misses = 0
@@ -174,7 +176,7 @@ class WireEncoder:
             return EncodedPayload(frame, len(frame), wire.CODEC_FRAME)
         self.pickle_payloads += 1
         raw = serialize(payload)
-        encoded = EncodedPayload(raw, len(self.codec.compress(raw)), wire.CODEC_PICKLE)
+        encoded = EncodedPayload(raw, self.codec.compressed_size(raw), wire.CODEC_PICKLE)
         self.fallback_bytes += encoded.compressed_size
         return encoded
 

@@ -16,6 +16,10 @@ per page: its buffer books the open as one deferred run (no frame, no
 page copy), its free-space tree is copied ready-built, and its postings
 are the template's, read in place.  The last test holds an open plus the
 warm-up scan to 64 KiB of traced allocations.
+
+The gzip codec's size memo outlives every deployment, so it must stay
+out of the collector's reach too: it maps digests to ints, and CPython
+never tracks such a dict.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ from __future__ import annotations
 import gc
 import tracemalloc
 
+import repro.util.compression as compression
 from repro import BestPeerConfig, build_network, random_graph
+from repro.eval.figures import FigureParams, figure_5a
 from repro.storm.buffer import AccessStats
 from repro.storm.store import StorM
 from repro.storm.template import StoreTemplate
@@ -118,3 +124,11 @@ def test_a_clone_open_and_scan_allocate_under_64_kib():
         tracemalloc.stop()
     assert result.objects_examined == 1000 and result.match_count > 0
     assert traced < CLONE_TRACED_BYTES, f"{traced} bytes traced"
+
+
+def test_the_size_memo_is_bounded_and_never_tracked():
+    figure_5a(FigureParams(objects_per_node=20, queries=2), sizes=(1, 2, 4))
+    sizes = compression.DEFAULT_CODEC._sizes
+    assert sizes  # the client/server results were priced through it
+    assert len(sizes) <= compression.SIZE_MEMO_CAPACITY
+    assert not gc.is_tracked(sizes)

@@ -4,10 +4,12 @@ on both the control and the data plane."""
 
 from __future__ import annotations
 
+import gzip
 import pickle
 
 import pytest
 
+import repro.util.serialization as serialization_module
 from repro.agents.messages import BatchedAnswers, _sample_answer
 from repro.errors import WireDecodeError
 from repro.ids import BPID
@@ -80,7 +82,7 @@ def test_lazy_decode_happens_once_and_is_cached():
 def test_unregistered_payload_takes_gzip_pickle():
     payload = {"keyword": "music", "blob": b"x" * 400}
     raw = serialize(payload)
-    charged = len(DEFAULT_CODEC.compress(raw))
+    charged = len(gzip.compress(raw, mtime=0))
 
     network, packet, wire_size = _deliver_one(payload)
     assert packet.codec == CODEC_PICKLE
@@ -105,8 +107,9 @@ def test_decode_never_needs_decompression():
 # ---------------------------------------------------------------------------
 
 
-def test_encoder_cache_capacity_zero_disables_memoization():
-    encoder = WireEncoder(DEFAULT_CODEC, capacity=0)
+def test_encoder_cache_capacity_zero_disables_memoization(monkeypatch):
+    monkeypatch.setattr(serialization_module, "WIRE_CACHE_CAPACITY", 0)
+    encoder = WireEncoder(DEFAULT_CODEC)
     ping = Ping(token=9)
     first = encoder.encode(ping)
     second = encoder.encode(ping)

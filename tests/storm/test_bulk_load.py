@@ -260,3 +260,22 @@ def test_property_bulk_matches_loop(sizes, delete_every, data):
         bulk.delete(rid)
     assert _put_loop(reference, second) == bulk.put_many(second)
     _assert_equivalent(reference, bulk)
+
+
+def test_a_record_that_fits_only_in_a_dead_slot_is_not_packed_into_the_run():
+    # First fit asks the free-space map for ``len + SLOT_SIZE`` bytes, so
+    # the per-record path sends the large last record to a later page even
+    # though page 0 could take it in a dead slot; a bulk run opened on
+    # page 0 by the small record before it must not carry it along.
+    sizes = [0, 0, 0, 1441, 1110, 1458, 0, 0, 0, 462, 508, 418, 273, 131, 117]
+    sizes += [0] * 9 + [2078]
+    items = [((f"k{i % 7}",), bytes(size)) for i, size in enumerate(sizes)]
+    reference, bulk = _mirror_stores()
+    first, second = items[:23], items[23:]
+    rids = _put_loop(reference, first)
+    assert bulk.put_many(first) == rids
+    for rid in rids[::2]:
+        reference.delete(rid)
+        bulk.delete(rid)
+    assert _put_loop(reference, second) == bulk.put_many(second)
+    _assert_equivalent(reference, bulk)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gzip
+
+import repro.util.serialization as serialization_module
 from repro.util.compression import DEFAULT_CODEC
 from repro.util.serialization import EncodedPayload, WireEncoder, deserialize
 from repro.util.tracing import Tracer
@@ -33,11 +36,12 @@ def test_encoding_matches_direct_serialization():
     encoded = encoder.encode(payload)
     assert isinstance(encoded, EncodedPayload)
     assert deserialize(encoded.raw) == payload
-    assert encoded.compressed_size == len(DEFAULT_CODEC.compress(encoded.raw))
+    assert encoded.compressed_size == len(gzip.compress(encoded.raw, mtime=0))
 
 
-def test_capacity_zero_disables_caching():
-    encoder = WireEncoder(DEFAULT_CODEC, capacity=0)
+def test_capacity_zero_disables_caching(monkeypatch):
+    monkeypatch.setattr(serialization_module, "WIRE_CACHE_CAPACITY", 0)
+    encoder = WireEncoder(DEFAULT_CODEC)
     payload = {"query": "keyword"}
     encoder.encode(payload)
     encoder.encode(payload)
@@ -45,20 +49,22 @@ def test_capacity_zero_disables_caching():
 
 
 def test_lru_eviction_respects_capacity():
-    encoder = WireEncoder(DEFAULT_CODEC, capacity=2)
-    keep_alive = [{"n": n} for n in range(3)]
+    encoder = WireEncoder(DEFAULT_CODEC)
+    capacity = serialization_module.WIRE_CACHE_CAPACITY
+    keep_alive = [{"n": n} for n in range(capacity + 1)]
     for payload in keep_alive:
         encoder.encode(payload)
-    # payload 0 was evicted; 1 and 2 still hit.
-    encoder.encode(keep_alive[1])
-    encoder.encode(keep_alive[2])
-    assert encoder.hits == 2
+    # payload 0 was evicted; the rest still hit.
+    for payload in keep_alive[1:]:
+        encoder.encode(payload)
+    assert encoder.hits == capacity
     encoder.encode(keep_alive[0])
-    assert encoder.misses == 4
+    assert encoder.misses == capacity + 2
 
 
-def test_recycled_id_does_not_serve_stale_bytes():
-    encoder = WireEncoder(DEFAULT_CODEC, capacity=8)
+def test_recycled_id_does_not_serve_stale_bytes(monkeypatch):
+    monkeypatch.setattr(serialization_module, "WIRE_CACHE_CAPACITY", 8)
+    encoder = WireEncoder(DEFAULT_CODEC)
     # The cache keys on id() but stores a strong reference and verifies
     # object identity, so a different object at a recycled address can
     # never be served another payload's bytes.
