@@ -23,10 +23,11 @@ that defines it.  A class may register once per plane, with a value
 predicate choosing between them (:class:`~repro.agents.envelope.AgentEnvelope`
 is control when state-only, data when it ships its source).  Anything
 unregistered, or carrying values that do not fit the layout, falls back
-to the pickle+gzip path.  A control message is deeply immutable (a
-frozen dataclass whose field codecs yield nothing a receiver could
-change) and :func:`register` refuses anything else, because every
-receiver of one control frame shares one decoded message.
+to the pickle+gzip path.  A message with a field-list body is deeply
+immutable (a frozen dataclass whose field codecs yield nothing a
+receiver could change) and :func:`register` refuses anything else,
+because every receiver of one such frame, on either plane, shares one
+decoded message.
 
 The conformance battery in ``tests/net`` pins both layouts with golden
 frame vectors, property tests, and a malformed-frame fault injector.
@@ -57,20 +58,33 @@ WIRE_FORMAT_VERSION = 1
 
 @dataclass(frozen=True, slots=True)
 class Plane:
-    """One frame layout: its magic byte, header and size cap."""
+    """One frame layout: its magic byte, header and size cap, and how many
+    distinct parsed frames each of its specs remembers
+    (:func:`decode_message`).  A full memo is cleared, not aged; it holds
+    at most ``memo_capacity`` frames of at most ``max_frame_bytes`` each."""
 
     name: str
     magic: int
     header: struct.Struct
     max_frame_bytes: int
+    memo_capacity: int
 
 
 #: Unframed control frames: small by definition, anything bigger is corrupt.
-CONTROL = Plane("control", 0xB7, struct.Struct(">BBH"), 1 << 20)
+#: Its memo is small on purpose: a flood's wavefront holds a few distinct
+#: frames, and a parse that outlives a few hundred allocations is promoted
+#: to the cyclic collector's oldest generation, where a build's one-shot
+#: LIGLO frames bring full collections forward (at 128, ``flood_4k``
+#: set-up read +12 %).  Worst case 32 x 1 MiB per spec.
+CONTROL = Plane("control", 0xB7, struct.Struct(">BBH"), 1 << 20, 32)
 #: Length-prefixed data frames: a peer's whole sharable store at paper
 #: scale is ~1 MiB, so anything past this is corrupt (or must take the
-#: pickle+gzip fallback).
-DATA = Plane("data", 0xD7, struct.Struct(">BBHI"), 8 << 20)
+#: pickle+gzip fallback).  Its memo spans a Figure 5(a) sweep point: the
+#: 32-node star cycles through ~125 distinct answers, so 32 entries catch
+#: 222 of a warm sweep's 800 data decodes and 128 catch 671 (256: 671).
+#: Worst case 128 x 8 MiB = 1 GiB per spec; a ledger workload's answers
+#: and sourced agents are a few KB each.
+DATA = Plane("data", 0xD7, struct.Struct(">BBHI"), 8 << 20, 128)
 #: magic byte -> its plane
 PLANES = {CONTROL.magic: CONTROL, DATA.magic: DATA}
 
@@ -80,17 +94,10 @@ HEADER_SIZE = _HEADER.size
 _DATA_HEADER_SIZE = DATA.header.size
 _BODY_LENGTH = struct.Struct(">I")
 
-#: Distinct parsed frames each control :class:`MessageSpec` remembers; a
-#: full memo is cleared, not aged (a flood re-parses its handful of live
-#: frames).  Small on purpose: a flood's wavefront holds a few distinct
-#: frames, and a parse that outlives a few hundred allocations is promoted
-#: to the cyclic collector's oldest generation, where a build's one-shot
-#: LIGLO frames bring full collections forward (at 128, ``flood_4k``
-#: set-up read +12 %).
-DECODE_MEMO_CAPACITY = 32
-#: :func:`decode_message` calls served from a memo / parsed from a control
-#: frame.  Plain ints for tests and reports; unsynchronised, so exact only
-#: when one thread decodes (the simulator).
+#: :func:`decode_message` calls served from a memo / parsed from a frame
+#: of a memoised spec (every spec without a custom body, on either plane).
+#: Plain ints for tests and reports; unsynchronised, so exact only when
+#: one thread decodes (the simulator).
 decode_memo_hits = 0
 decode_memo_misses = 0
 _MEMO_LOCK = threading.Lock()
@@ -409,13 +416,19 @@ class _CompressedSource(FieldCodec):
     with), so each class's source is deflated once per process however
     many envelopes carry it.  Decoding inflates at most the declared raw
     length (plus one byte to catch a stream that runs on), so a small
-    hostile frame cannot ask for more memory than its header admits.
+    hostile frame cannot ask for more memory than its header admits, and
+    each distinct stream is inflated once: every envelope that ships one
+    class shares one source string.
     """
 
     name = "zsource"
+    yields_mutable = False
 
     #: sha256 hexdigest of the source -> its zlib bytes
     _cache: dict[str, bytes] = {}
+    #: (declared raw length, zlib bytes) -> the source they inflated to;
+    #: only streams that inflated and decoded cleanly are kept
+    _inflated: dict[tuple[int, bytes], str] = {}
     _CACHE_CAPACITY = 64
 
     def pack(self, value: Any, out: bytearray) -> None:
@@ -443,9 +456,13 @@ class _CompressedSource(FieldCodec):
                 f"declared source of {raw_len} bytes exceeds the frame cap"
             )
         chunk, offset = _take(data, offset, blob_len)
+        key = (raw_len, bytes(chunk))
+        source = self._inflated.get(key)
+        if source is not None:
+            return source, offset
         inflater = zlib.decompressobj()
         try:
-            raw = inflater.decompress(bytes(chunk), raw_len + 1)
+            raw = inflater.decompress(key[1], raw_len + 1)
         except zlib.error as exc:
             raise WireDecodeError(f"corrupt compressed source: {exc}") from exc
         if len(raw) != raw_len or not inflater.eof or inflater.unused_data:
@@ -454,9 +471,14 @@ class _CompressedSource(FieldCodec):
                 f"its header declared"
             )
         try:
-            return raw.decode("utf-8"), offset
+            source = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise WireDecodeError(f"invalid utf-8 in source field: {exc}") from exc
+        with _MEMO_LOCK:  # capacity check, evict and insert as one step
+            if len(self._inflated) >= self._CACHE_CAPACITY:
+                self._inflated.pop(next(iter(self._inflated)))
+            self._inflated[key] = source
+        return source, offset
 
 
 COMPRESSED_SOURCE = _CompressedSource()
@@ -471,6 +493,7 @@ class _WireAddress(FieldCodec):
     """
 
     name = "address"
+    yields_mutable = False
 
     def pack(self, value: Any, out: bytearray) -> None:
         from repro.net.address import IPAddress
@@ -521,9 +544,9 @@ class MessageSpec:
     #: custom body codec overriding ``fields`` (both or neither)
     pack_body: Callable[[Any, bytearray], None] | None = None
     unpack_body: Callable[[memoryview], Any] | None = None
-    #: control frame bytes -> its decoded message (see
-    #: :func:`decode_message`).  Held here so that re-registering or
-    #: dropping a type id drops its messages with it.
+    #: frame bytes -> its decoded message, for every spec without a custom
+    #: body (see :func:`decode_message`).  Held here so that re-registering
+    #: or dropping a type id drops its messages with it.
     memo: dict[bytes, Any] = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -550,16 +573,18 @@ def register(
     """Register a message type; called at import time by the module that
     defines the message (keeping this module dependency-free).
 
-    A control message must be deeply immutable, since receivers of one
-    control frame share one decoded message: ``cls`` a frozen dataclass,
-    and no field codec that :attr:`~FieldCodec.yields_mutable`.  Custom
-    bodies are for the data plane, which is never memoised.
+    A message with a field-list body must be deeply immutable, on either
+    plane, since receivers of one frame share one decoded message: ``cls``
+    a frozen dataclass, and no field codec that
+    :attr:`~FieldCodec.yields_mutable`.  A custom body is never memoised
+    (:class:`~repro.agents.messages.BatchedAnswers` decodes to views of
+    its frame), so it is not checked.
     """
     if not 0 < type_id <= 0xFFFF:
         raise WireCodecError(f"type id {type_id:#x} outside u16 range")
     if (pack_body is None) != (unpack_body is None):
         raise WireCodecError("pack_body and unpack_body must be given together")
-    if plane is CONTROL:
+    if unpack_body is None:
         if not _is_frozen_dataclass(cls):
             raise WireCodecError(f"{cls.__qualname__} is not a frozen dataclass")
         mutable = [name for name, codec in fields if codec.yields_mutable]
@@ -681,14 +706,18 @@ def decode_message(frame: bytes) -> Any:
     id, length mismatch, truncation, value overrun, oversize, trailing
     garbage).
 
-    A flood delivers the same bytes to every host at one hop depth, so a
-    ``bytes`` control frame is decoded once and its message kept in
-    ``spec.memo``: every receiver of equal bytes gets that one message,
-    which :func:`register` guarantees nothing can change.  The size,
-    header, version and type-id checks still run on every call.
+    Receivers re-parse equal bytes on both planes: a flood delivers the
+    same control frame to every host at one hop depth, and a star's
+    responders send the initiator the same answers query after query.  So
+    a ``bytes`` frame of a spec without a custom body is decoded once and
+    its message kept in ``spec.memo`` (up to its plane's
+    ``memo_capacity``): every receiver of equal bytes gets that one
+    message, which :func:`register` guarantees nothing can change.  The
+    size, header, version, type-id and body-length checks still run on
+    every call.
 
-    Data frames are parsed on every call.  Types registered with a custom
-    ``unpack_body`` may defer record decoding
+    Types registered with a custom ``unpack_body`` are parsed on every
+    call and may defer record decoding
     (:class:`~repro.agents.messages.BatchedAnswers` holds zero-copy
     memoryview slices into the frame); record-level corruption then
     surfaces as a :class:`WireDecodeError` at first materialization,
@@ -727,9 +756,11 @@ def decode_message(frame: bytes) -> Any:
                 f"frame of {size} bytes does not match its declared "
                 f"{body_len}-byte body (truncated or trailing bytes)"
             )
-        if spec.unpack_body is not None:
-            return spec.unpack_body(memoryview(frame)[_DATA_HEADER_SIZE:])
-        return unpack_fields(spec.fields, spec.cls, frame, _DATA_HEADER_SIZE)
+        body = _DATA_HEADER_SIZE
+    else:
+        body = HEADER_SIZE
+    if spec.unpack_body is not None:
+        return spec.unpack_body(memoryview(frame)[body:])
     # Only real bytes are looked up or kept: a bytearray is unhashable and
     # a memoryview's buffer can change under the key.
     keyed = type(frame) is bytes
@@ -739,11 +770,11 @@ def decode_message(frame: bytes) -> Any:
             decode_memo_hits += 1
             return message
     decode_memo_misses += 1
-    message = unpack_fields(spec.fields, spec.cls, frame, HEADER_SIZE)
+    message = unpack_fields(spec.fields, spec.cls, frame, body)
     if keyed:
         # Only a frame that decoded all the way gets here.
         with _MEMO_LOCK:  # capacity check, clear and insert as one step
-            if len(spec.memo) >= DECODE_MEMO_CAPACITY:
+            if len(spec.memo) >= plane.memo_capacity:
                 spec.memo.clear()
             spec.memo[frame] = message
     return message

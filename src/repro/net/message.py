@@ -33,8 +33,9 @@ class Packet:
     ``payload`` decodes ``raw`` lazily, on first access, so a receiver
     sees what was sent, snapshotted at send time, and never an object
     another host can change (hosts are separate machines; observable
-    aliasing would be a lie).  Receivers of byte-identical control frames
-    share one decoded message, which is deeply immutable by registration
+    aliasing would be a lie).  Receivers of byte-identical frames of
+    either plane share one decoded message (a custom-body batch of
+    answers excepted), which is deeply immutable by registration
     (:func:`repro.net.codec.decode_message`); an agent's state inside it
     is frozen bytes that each execution thaws for itself.  Packets that
     are dropped en route — loss, no route, stale address — never pay

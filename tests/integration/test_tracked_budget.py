@@ -19,7 +19,8 @@ warm-up scan to 64 KiB of traced allocations.
 
 The gzip codec's size memo outlives every deployment, so it must stay
 out of the collector's reach too: it maps digests to ints, and CPython
-never tracks such a dict.
+never tracks such a dict.  The decode memos outlive deployments as well,
+so a figure run must leave each within its plane's capacity.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import tracemalloc
 import repro.util.compression as compression
 from repro import BestPeerConfig, build_network, random_graph
 from repro.eval.figures import FigureParams, figure_5a
+from repro.net import codec as wire
 from repro.storm.buffer import AccessStats
 from repro.storm.store import StorM
 from repro.storm.template import StoreTemplate
@@ -132,3 +134,12 @@ def test_the_size_memo_is_bounded_and_never_tracked():
     assert sizes  # the client/server results were priced through it
     assert len(sizes) <= compression.SIZE_MEMO_CAPACITY
     assert not gc.is_tracked(sizes)
+
+
+def test_a_figure_leaves_every_decode_memo_within_its_plane_capacity():
+    figure_5a(FigureParams(objects_per_node=20, queries=2))
+    specs = wire.registered_specs()
+    assert any(spec.memo for spec in specs if spec.plane is wire.DATA)  # answers
+    for spec in specs:
+        assert len(spec.memo) <= spec.plane.memo_capacity, spec.name
+    assert len(wire._CompressedSource._inflated) <= wire._CompressedSource._CACHE_CAPACITY

@@ -1,7 +1,8 @@
-"""Parse-once decode (``MessageSpec.memo``): receivers of equal frames
-share one deeply immutable message, agent state is thawed per execution,
-the decoder stays strict, the memo stays small, and a flood really does
-parse only one frame per hop depth."""
+"""Parse-once decode (``MessageSpec.memo``): receivers of equal frames of
+either plane share one deeply immutable message, agent state is thawed
+per execution, custom bodies are parsed every time, the decoder stays
+strict, each memo stays within its plane's capacity, and a flood really
+does parse only one frame per hop depth."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import pickle
 import sys
 import threading
 import time
+import zlib
 from dataclasses import dataclass, is_dataclass, replace
 
 import pytest
@@ -20,6 +22,7 @@ from repro import BestPeerConfig, build_network, random_graph
 from repro.agents.agent import Agent
 from repro.agents.engine import PROTO_AGENT
 from repro.agents.envelope import AgentEnvelope, freeze_state
+from repro.agents.messages import AnswerItem, AnswerMessage, BatchedAnswers
 from repro.errors import WireCodecError, WireDecodeError
 from repro.ids import AgentId
 from repro.liglo.messages import RegisterRequest
@@ -27,7 +30,7 @@ from repro.net import codec as wire
 from repro.net.codec import (
     CODEC_FRAME,
     CONTROL,
-    DECODE_MEMO_CAPACITY,
+    DATA,
     decode_message,
     encode_message,
     registered_specs,
@@ -38,10 +41,18 @@ from repro.net.message import PACKET_OVERHEAD_BYTES, Packet
 
 from tests.agents.helpers import AgentRig
 
-from .conformance import CONTROL_SPECS, CodecConformance, spec_of
+from .conformance import CONTROL_SPECS, DATA_SPECS, CodecConformance, spec_of
 from .test_codec import _Probe, scratch_registry  # noqa: F401  (fixture)
 
 ENVELOPE_SPEC = spec_of(AgentEnvelope)
+SOURCED_ENVELOPE_SPEC = spec_of(AgentEnvelope, DATA)
+#: every spec without a custom body, on both planes
+MEMOISED_SPECS = CONTROL_SPECS + tuple(s for s in DATA_SPECS if s.unpack_body is None)
+
+
+def _spec_id(spec) -> str:
+    name = spec.name.removeprefix("repro.")
+    return name if spec.plane is CONTROL else f"{name}@data"
 
 
 @pytest.fixture(autouse=True)
@@ -49,10 +60,26 @@ def empty_memos():
     """Each test starts cold, whatever earlier tests decoded."""
     for spec in registered_specs():
         spec.memo.clear()
+    wire._CompressedSource._inflated.clear()
 
 
 def _counters() -> tuple[int, int]:
     return wire.decode_memo_hits, wire.decode_memo_misses
+
+
+def _with_serial(value, serial: int):
+    """``value`` with its first int or str field, searched depth-first
+    through frozen dataclasses, set from ``serial``: one distinct, valid
+    message per serial."""
+    for name in value.__dataclass_fields__:
+        inner = getattr(value, name)
+        if type(inner) is int:
+            return replace(value, **{name: serial})
+        if type(inner) is str:
+            return replace(value, **{name: f"{inner}-{serial}"})
+        if is_dataclass(inner):
+            return replace(value, **{name: _with_serial(inner, serial)})
+    raise AssertionError(f"nothing in {value!r} to vary")
 
 
 # ---------------------------------------------------------------------------
@@ -60,9 +87,7 @@ def _counters() -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "spec", CONTROL_SPECS, ids=lambda s: s.name.removeprefix("repro.")
-)
+@pytest.mark.parametrize("spec", MEMOISED_SPECS, ids=_spec_id)
 def test_equal_frames_decode_to_the_same_object(spec):
     frame = encode_message(spec.sample())
     hits, misses = _counters()
@@ -72,9 +97,7 @@ def test_equal_frames_decode_to_the_same_object(spec):
     assert first is second
 
 
-@pytest.mark.parametrize(
-    "spec", CONTROL_SPECS, ids=lambda s: s.name.removeprefix("repro.")
-)
+@pytest.mark.parametrize("spec", MEMOISED_SPECS, ids=_spec_id)
 def test_two_decodes_are_equal_but_distinct_objects(spec):
     """...when the frame is not ``bytes``: a bytearray can change under a
     memo key, so it is parsed, and its message built, on every call."""
@@ -132,7 +155,9 @@ def test_register_refuses_a_message_class_that_can_be_assigned_to(scratch_regist
 
 def test_combinators_derive_mutability_from_their_inners():
     assert wire.FieldCodec.yields_mutable  # an unknown codec is never shared
-    for leaf in (wire.U8, wire.I64, wire.F64, wire.BOOL, wire.STR, wire.BYTES):
+    leaves = (wire.U8, wire.I64, wire.F64, wire.BOOL, wire.STR, wire.BYTES)
+    # an IPAddress is a frozen dataclass over a str; a source is a str
+    for leaf in leaves + (wire.ADDRESS_CODEC, wire.COMPRESSED_SOURCE):
         assert not leaf.yields_mutable
         assert not wire.opt(leaf).yields_mutable
         assert not wire.seq(wire.pair(leaf, wire.BPID_CODEC)).yields_mutable
@@ -168,11 +193,85 @@ def test_shared_values_are_frozen_all_the_way_down():
         for name in value.__dataclass_fields__:
             assert_frozen(getattr(value, name), where)
 
-    for spec in CONTROL_SPECS:
+    for spec in MEMOISED_SPECS:
         frame = encode_message(spec.sample())
         message = decode_message(frame)
         assert spec.memo[frame] is message
         assert_frozen(message, spec.name)
+
+
+def test_two_decodes_of_one_batch_are_distinct_objects():
+    """A custom body is never memoised: a batch decodes to views of its
+    own frame, parsed on every call."""
+    spec = spec_of(BatchedAnswers, DATA)
+    frame = encode_message(spec.sample())
+    counters = _counters()
+    first, second = decode_message(frame), decode_message(frame)
+    assert first is not second
+    assert first.answers == second.answers == spec.sample().answers
+    assert first.answers[0] is not second.answers[0]
+    assert not spec.memo and _counters() == counters
+
+
+def _kilobyte_answer() -> AnswerMessage:
+    sample = spec_of(AnswerMessage, DATA).sample()
+    payload = bytes(range(256)) * 4
+    item = AnswerItem(rid=sample.items[0].rid, keywords=("k",), size=len(payload), payload=payload)
+    return replace(sample, items=(item,) + sample.items)
+
+
+def _sourced_envelope() -> AgentEnvelope:
+    return SOURCED_ENVELOPE_SPEC.sample().with_source("def run(self, node):\n    pass\n" * 40)
+
+
+def test_envelopes_shipping_one_class_share_one_source_string():
+    envelope = _sourced_envelope()
+    first = decode_message(encode_message(envelope))
+    second = decode_message(encode_message(_with_serial(envelope, 7)))
+    assert first != second and first.source == envelope.source
+    assert first.source is second.source  # inflated once
+
+
+@pytest.mark.parametrize(
+    "message", (_kilobyte_answer(), _sourced_envelope()), ids=("answer", "sourced-envelope")
+)
+def test_a_warm_data_decode_matches_a_cold_one_field_for_field(message):
+    frame = encode_message(message)
+    assert frame[0] == DATA.magic
+    cold = decode_message(bytearray(frame))  # parsed, never stored
+    warm = decode_message(frame)
+    assert warm is decode_message(frame)  # served from the memo
+    assert cold is not warm
+    for name in message.__dataclass_fields__:
+        assert getattr(cold, name) == getattr(warm, name) == getattr(message, name), name
+
+
+def test_a_one_byte_flipped_twin_of_a_memoised_data_frame_is_rejected_and_not_stored():
+    spec = SOURCED_ENVELOPE_SPEC
+    envelope = _sourced_envelope()
+    frame = encode_message(envelope)
+    assert decode_message(frame) == envelope and frame in spec.memo
+    blob = zlib.compress(envelope.source.encode(), 6)
+    at = frame.index(blob) + len(blob) - 1  # the stream's Adler-32 check
+    twins = [
+        frame[:at] + bytes([frame[at] ^ 0x01]) + frame[at + 1 :],
+        FrameFaultInjector(seed=0).bit_flip(frame, position=len(frame) - 1, bit=0),
+    ]
+    inflated = dict(wire._CompressedSource._inflated)
+    for twin in twins:
+        for _attempt in range(2):
+            with pytest.raises(WireDecodeError):
+                decode_message(twin)
+        assert all(twin not in other.memo for other in registered_specs())
+    assert list(spec.memo) == [frame]
+    assert wire._CompressedSource._inflated == inflated
+    answer = encode_message(_kilobyte_answer())
+    decode_message(answer)
+    tag = answer.index(b"\x00\x00\x0810.0.4.9")  # the address tag byte
+    twin = answer[:tag] + b"\x01" + answer[tag + 1 :]
+    with pytest.raises(WireDecodeError, match="address tag"):
+        decode_message(twin)
+    assert list(spec_of(AnswerMessage, DATA).memo) == [answer]
 
 
 _plain = st.integers() | st.text(max_size=8) | st.booleans() | st.none() | st.binary(max_size=8)
@@ -299,9 +398,12 @@ def test_corrupt_state_is_a_counted_drop_and_a_good_copy_still_runs():
 
 class TestConformanceThroughAWarmMemo(CodecConformance):
     """The whole malformed-frame battery, against frames whose valid form
-    is memoised: a corruption one bit away from a hit is still rejected."""
+    is memoised, on both planes: a corruption one bit away from a hit is
+    still rejected."""
 
-    plane = CONTROL
+    def pytest_generate_tests(self, metafunc):
+        if "spec" in metafunc.fixturenames:
+            metafunc.parametrize("spec", MEMOISED_SPECS, ids=_spec_id)
 
     @pytest.fixture
     def frame(self, spec) -> bytes:
@@ -311,9 +413,7 @@ class TestConformanceThroughAWarmMemo(CodecConformance):
         return frame
 
 
-@pytest.mark.parametrize(
-    "spec", CONTROL_SPECS, ids=lambda s: s.name.removeprefix("repro.")
-)
+@pytest.mark.parametrize("spec", MEMOISED_SPECS, ids=_spec_id)
 def test_failing_frames_are_never_stored(spec):
     frame = encode_message(spec.sample())
     decode_message(frame)
@@ -327,7 +427,7 @@ def test_failing_frames_are_never_stored(spec):
                 assert all(corrupted not in other.memo for other in registered_specs())
             else:  # a self-consistent bit flip: a valid frame of some type
                 owner = spec_for_id(int.from_bytes(corrupted[2:4], "big"))
-                assert corrupted in owner.memo
+                assert (corrupted in owner.memo) is (owner.unpack_body is None)
     assert decode_message(frame) == spec.sample()
 
 
@@ -357,13 +457,23 @@ def test_ten_thousand_distinct_frames_leave_every_memo_bounded():
     for token in range(10_000):
         assert decode_message(encode_message(RegisterRequest(token=token))).token == token
         largest = max(largest, len(spec.memo))
-    assert largest == DECODE_MEMO_CAPACITY
-    assert all(len(other.memo) <= DECODE_MEMO_CAPACITY for other in registered_specs())
+    assert largest == CONTROL.memo_capacity
+    assert all(len(other.memo) <= other.plane.memo_capacity for other in registered_specs())
 
 
-@pytest.mark.parametrize(
-    "spec", CONTROL_SPECS, ids=lambda s: s.name.removeprefix("repro.")
-)
+@pytest.mark.parametrize("spec", MEMOISED_SPECS, ids=_spec_id)
+def test_a_memo_fills_to_its_plane_capacity_and_no_further(spec):
+    capacity = spec.plane.memo_capacity
+    largest = 0
+    for serial in range(2 * capacity + 1):
+        message = _with_serial(spec.sample(), serial)
+        assert decode_message(encode_message(message)) == message
+        largest = max(largest, len(spec.memo))
+    assert largest == capacity
+    assert len(spec.memo) == 1  # cleared when full, not aged
+
+
+@pytest.mark.parametrize("spec", MEMOISED_SPECS, ids=_spec_id)
 @pytest.mark.parametrize("buffer", (bytearray, memoryview))
 def test_other_buffers_decode_and_are_not_stored(spec, buffer):
     frame = encode_message(spec.sample())
@@ -410,7 +520,7 @@ def test_concurrent_decoders_keep_the_memo_bounded():
             index = (index + 1) % len(frames)
             if decode_message(frames[index]).token != index:
                 wrong.append(index)
-            if len(spec.memo) > DECODE_MEMO_CAPACITY:
+            if len(spec.memo) > CONTROL.memo_capacity:
                 overflow.append(len(spec.memo))
 
     threads = [threading.Thread(target=worker, args=(250 * n,)) for n in range(8)]
@@ -457,8 +567,10 @@ def test_flood_parses_one_frame_per_hop_depth():
         hits, misses = _counters()
         delivered = network.packets_delivered
         handle = flood()
-        assert len(handle.answers) == 2
-        compact = network.packets_delivered - delivered - len(handle.answers)
+        answers = len(handle.answers)
+        assert answers == 2
+        # every delivered frame is counted, the two distinct answers too
+        delivered = network.packets_delivered - delivered
         gained_hits, gained_misses = (now - then for now, then in zip(_counters(), (hits, misses)))
-        assert gained_hits + gained_misses == compact > 2 * nodes
-        assert 1 <= gained_misses <= depth + 2
+        assert gained_hits + gained_misses == delivered > 2 * nodes
+        assert 1 + answers <= gained_misses <= depth + 2 + answers
