@@ -31,6 +31,9 @@ from repro.agents.envelope import (
     MODE_FLOOD,
     MODE_ITINERARY,
     AgentEnvelope,
+    AgentHome,
+    ClassRequest,
+    ClassResponse,
     freeze_state,
 )
 from repro.agents.messages import AnswerItem, AnswerMessage, BatchedAnswers
@@ -176,7 +179,12 @@ class AgentContext:
     # -- deferred output -----------------------------------------------------------
 
     def send(self, dst: IPAddress, protocol: str, payload: Any) -> None:
-        """Queue a message; it leaves when the service time is paid."""
+        """Queue a message; it leaves when the service time is paid.
+
+        ``payload`` must be a registered wire message
+        (:mod:`repro.net.codec`); anything else raises
+        :class:`~repro.errors.WireEncodeError` when it leaves.
+        """
         self._outbox.append((dst, protocol, payload))
 
     def reply(self, items: Sequence[AnswerItem]) -> None:
@@ -392,10 +400,11 @@ class AgentEngine:
                 klass=envelope.class_name,
                 asking=str(packet.src),
             )
-            self.host.send(packet.src, PROTO_CLASS_REQUEST, envelope.class_name)
+            request = ClassRequest(envelope.class_name)
+            self.host.send(packet.src, PROTO_CLASS_REQUEST, request)
 
     def _on_class_request(self, packet: Packet) -> None:
-        class_name: str = packet.payload
+        class_name = packet.payload.class_name
         if not self.registry.has(class_name):
             # We relayed a state-only envelope for a class we never had
             # (e.g. our own cache was wiped): nothing to serve.  The
@@ -405,10 +414,12 @@ class AgentEngine:
             )
             return
         source = self.registry.source_of(class_name)
-        self.host.send(packet.src, PROTO_CLASS_RESPONSE, (class_name, source))
+        response = ClassResponse(class_name, source)
+        self.host.send(packet.src, PROTO_CLASS_RESPONSE, response)
 
     def _on_class_response(self, packet: Packet) -> None:
-        class_name, source = packet.payload
+        response: ClassResponse = packet.payload
+        class_name, source = response.class_name, response.source
         newly = not self.registry.has(class_name)
         self.registry.install(class_name, source)
         parked = self._parked.pop(class_name, [])
@@ -505,16 +516,20 @@ class AgentEngine:
             self.host.send(
                 envelope.initiator_address,
                 PROTO_AGENT_HOME,
-                (envelope.agent_id, envelope.class_name, state),
+                AgentHome(envelope.agent_id, envelope.class_name, freeze_state(state)),
             )
 
     def _on_agent_home(self, packet: Packet) -> None:
-        agent_id, class_name, state = packet.payload
+        home: AgentHome = packet.payload
         self.tracer.record(
-            self.host.sim.now, "agent", "home", agent=str(agent_id), klass=class_name
+            self.host.sim.now,
+            "agent",
+            "home",
+            agent=str(home.agent_id),
+            klass=home.class_name,
         )
         if self.on_agent_home is not None:
-            self.on_agent_home(agent_id, state)
+            self.on_agent_home(home.agent_id, home.thaw())
 
     # -- local bookkeeping ---------------------------------------------------------------
 

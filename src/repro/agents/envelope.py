@@ -41,6 +41,19 @@ def freeze_state(state: dict[str, Any]) -> bytes:
     return serialize(state)
 
 
+def _thaw(state: bytes) -> dict[str, Any]:
+    """A fresh copy of a frozen state.
+
+    Peer bytes are unpickled here and nowhere else; a corrupt blob
+    raises :class:`~repro.errors.WireDecodeError`, which the delivery
+    loop counts as a dropped frame.
+    """
+    try:
+        return deserialize(state)
+    except Exception as exc:
+        raise WireDecodeError(f"corrupt agent state: {exc}") from exc
+
+
 @dataclass(frozen=True, slots=True)
 class AgentEnvelope:
     """Everything that crosses the wire for one agent hop."""
@@ -84,16 +97,8 @@ class AgentEnvelope:
         return self._next_hop
 
     def thaw(self) -> dict[str, Any]:
-        """A fresh copy of the state for one execution.
-
-        Peer bytes are unpickled here and nowhere else; a corrupt blob
-        raises :class:`~repro.errors.WireDecodeError`, which the delivery
-        loop counts as a dropped frame.
-        """
-        try:
-            return deserialize(self.state)
-        except Exception as exc:
-            raise WireDecodeError(f"corrupt agent state: {exc}") from exc
+        """A fresh copy of the state for one execution."""
+        return _thaw(self.state)
 
     def __getstate__(self) -> list[Any]:
         # The hop memo never travels: a pickled envelope is its wire fields.
@@ -202,4 +207,72 @@ wire.register(
     ),
     plane=wire.DATA,
     when=lambda envelope: envelope.source is not None,
+)
+
+
+# -- the class-miss exchange and an itinerary agent's homecoming ---------------
+
+
+@dataclass(frozen=True, slots=True)
+class ClassRequest:
+    """Sent back to the sender of a state-only envelope whose class the
+    receiver lacks."""
+
+    class_name: str
+
+
+@dataclass(frozen=True, slots=True)
+class ClassResponse:
+    """The class source a :class:`ClassRequest` asked for."""
+
+    class_name: str
+    source: str
+
+
+@dataclass(frozen=True, slots=True)
+class AgentHome:
+    """An itinerary agent's final state, sent to its initiator after the
+    last stop."""
+
+    agent_id: AgentId
+    class_name: str
+    #: frozen by :func:`freeze_state`
+    state: bytes
+
+    def thaw(self) -> dict[str, Any]:
+        """A fresh copy of the final state."""
+        return _thaw(self.state)
+
+
+wire.register(
+    ClassRequest,
+    0x0302,
+    (("class_name", wire.STR),),
+    sample=lambda: ClassRequest(class_name="SearchAgent"),
+)
+wire.register(
+    AgentHome,
+    0x0303,
+    (
+        ("agent_id", wire.AGENT_ID_CODEC),
+        ("class_name", wire.STR),
+        ("state", wire.BYTES),
+    ),
+    sample=lambda: AgentHome(
+        agent_id=AgentId(BPID("10.0.0.1", 7), 3),
+        class_name="TourAgent",
+        state=freeze_state({"sites_visited": 2}),
+    ),
+)
+# The source is class text, so it rides the data plane deflated, as in a
+# sourced envelope.
+wire.register(
+    ClassResponse,
+    0x100B,
+    (("class_name", wire.STR), ("source", wire.COMPRESSED_SOURCE)),
+    sample=lambda: ClassResponse(
+        class_name="DemoAgent",
+        source="class DemoAgent:\n    def run(self, node):\n        return []\n",
+    ),
+    plane=wire.DATA,
 )

@@ -36,7 +36,6 @@ from repro.net.network import Network
 from repro.sim import Simulator
 from repro.storm.store import SearchResult, StorM
 from repro.topology.builders import Topology
-from repro.util.compression import Codec
 from repro.util.tracing import NULL_TRACER, Tracer
 
 PROTO_CS_QUERY = "cs.query"
@@ -296,7 +295,6 @@ def build_cs_network(
     variant: str = VARIANT_MCS,
     costs: AgentCosts | None = None,
     default_link: LinkModel | None = None,
-    codec: Codec | None = None,
     tracer: Tracer | None = None,
     sim: Simulator | None = None,
     storm_factory=None,
@@ -314,7 +312,6 @@ def build_cs_network(
         sim,
         pool=AddressPool(size=max(256, 2 * topology.node_count)),
         default_link=default_link,
-        codec=codec,
         tracer=tracer,
     )
     nodes = [
@@ -340,10 +337,10 @@ def build_cs_network(
     return CsDeployment(sim, network, nodes)
 
 
-# -- compact wire registrations (type id block 0x05xx) -------------------------
+# -- wire registrations: control block 0x05xx, data block 0x10xx --------------
 #
-# CsResults stays on the pickle path: it carries search payloads (data
-# plane), not a fixed-shape control header.
+# CsResults carries search payloads, so it rides the data plane next to
+# BestPeer's AnswerMessage.
 
 from repro.net import codec as wire
 
@@ -358,4 +355,23 @@ wire.register(
     0x0502,
     (("query_id", wire.I64),),
     sample=lambda: CsDone(query_id=6),
+)
+wire.register(
+    CsResults,
+    0x100A,
+    (
+        ("query_id", wire.I64),
+        ("responder", wire.STR),
+        ("answer_count", wire.I64),
+        ("answer_bytes", wire.I64),
+        ("payloads", wire.seq(wire.BYTES)),
+    ),
+    sample=lambda: CsResults(
+        query_id=6,
+        responder="cs-3",
+        answer_count=2,
+        answer_bytes=9,
+        payloads=(b"notes", b"mp3!"),
+    ),
+    plane=wire.DATA,
 )

@@ -30,7 +30,6 @@ from repro.net.network import Network
 from repro.sim import Simulator
 from repro.storm.store import StorM
 from repro.topology.builders import Topology
-from repro.util.compression import Codec
 from repro.util.tracing import NULL_TRACER, Tracer
 
 PROTO_QUERY = "gnutella.query"
@@ -352,7 +351,6 @@ def build_gnutella_network(
     topology: Topology,
     costs: AgentCosts | None = None,
     default_link: LinkModel | None = None,
-    codec: Codec | None = None,
     tracer: Tracer | None = None,
     sim: Simulator | None = None,
     storm_factory=None,
@@ -370,7 +368,6 @@ def build_gnutella_network(
         sim,
         pool=AddressPool(size=max(256, 2 * topology.node_count)),
         default_link=default_link,
-        codec=codec,
         tracer=tracer,
     )
     servents = [

@@ -71,10 +71,9 @@ FIGURES: dict[str, Figure] = {
     ),
 }
 
-#: In DESIGN.md's order, A1 to A7.
+#: In DESIGN.md's order, A1 and A3 to A7 (there is no A2).
 ABLATIONS: dict[str, Callable[[FigureParams], FigureResult]] = {
     "strategy": ablations.ablation_strategy,
-    "compression": ablations.ablation_compression,
     "ttl": ablations.ablation_ttl,
     "result-mode": ablations.ablation_result_mode,
     "buffer": lambda params: ablations.ablation_buffer_strategy(

@@ -22,7 +22,6 @@ from repro.net.network import Network
 from repro.sim import Simulator
 from repro.storm.store import StorM
 from repro.topology.builders import Topology
-from repro.util.compression import Codec
 from repro.util.tracing import NULL_TRACER, Tracer
 
 class BestPeerNetwork:
@@ -88,7 +87,6 @@ def build_network(
     liglo_count: int = 1,
     liglo_check_interval: float | None = None,
     default_link: LinkModel | None = None,
-    codec: Codec | None = None,
     tracer: Tracer | None = None,
     sim: Simulator | None = None,
     storm_factory: Callable[[int], "StorM"] | None = None,
@@ -145,9 +143,7 @@ def build_network(
     tracer = tracer if tracer is not None else NULL_TRACER
     pool = AddressPool(size=pool_size)
     sim = sim if sim is not None else Simulator()
-    network = Network(
-        sim, pool=pool, default_link=default_link, codec=codec, tracer=tracer
-    )
+    network = Network(sim, pool=pool, default_link=default_link, tracer=tracer)
     servers = []
     for i in range(liglo_count):
         host = network.create_host(f"liglo-{i}")

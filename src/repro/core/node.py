@@ -622,11 +622,20 @@ class BestPeerNode:
             timeout=self.config.hint_timeout,
         )
 
-    def dispatch_agent(self, agent: Agent, **kwargs: Any) -> AgentId:
-        """Send a custom agent into the network (compute sharing)."""
+    def dispatch_agent(
+        self, agent: Agent, query_id: QueryId | None = None, **kwargs: Any
+    ) -> AgentId:
+        """Send a custom agent into the network (compute sharing).
+
+        Its answers name a query id on the wire, so when the caller gives
+        none, one is minted here as :meth:`issue_query` does.
+        """
         if self.engine is None:
             raise BestPeerError(f"node {self.name} must join before dispatching")
-        return self.engine.dispatch(agent, **kwargs)
+        if query_id is None:
+            query_id = QueryId(self.bpid, self._next_query_serial)
+            self._next_query_serial += 1
+        return self.engine.dispatch(agent, query_id=query_id, **kwargs)
 
     def _on_answer(self, packet: Packet) -> None:
         payload = packet.payload

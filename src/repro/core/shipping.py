@@ -180,8 +180,8 @@ wire.register(
 # -- data-plane wire registration (type id block 0x10xx) -----------------------
 #
 # A DataReply carries a peer's whole sharable dataset — the single
-# largest message in the system.  Stores past the data plane's frame cap
-# fall back to pickle+gzip.
+# largest message in the system.  A store past the data plane's frame cap
+# cannot be sent (WireEncodeError at the sender).
 
 wire.register(
     DataReply,

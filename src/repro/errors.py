@@ -58,9 +58,10 @@ class WireEncodeError(WireCodecError):
     """A message could not be packed into a wire frame.
 
     Raised when a value does not fit its field codec (string too long,
-    integer out of range) or no registered spec takes the message.
-    The wire path treats this as "fall back to pickle", so it never
-    escapes to callers of :meth:`~repro.util.serialization.WireEncoder.encode`.
+    integer out of range, frame over its plane's cap) or no registered
+    spec takes the message.  It escapes :meth:`Host.send
+    <repro.net.network.Host.send>`: there is no other wire, so it is a
+    sender bug.
     """
 
 

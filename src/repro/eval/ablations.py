@@ -15,7 +15,6 @@ from repro.storm.disk import InMemoryDisk
 from repro.storm.replacement import make_strategy
 from repro.storm.store import StorM
 from repro.topology.builders import line, tree
-from repro.util.compression import GzipCodec, IdentityCodec
 from repro.workloads.corpus import KeywordCorpus, generate_objects
 from repro.workloads.placement import AnswerPlacement
 from repro.workloads.replication import ReplicationSpec
@@ -59,34 +58,6 @@ def ablation_strategy(
         )
         for run_index, run in enumerate(runs, start=1):
             result.add_point(strategy, run_index, completion_time(run))
-    return result
-
-
-def ablation_compression(
-    params: FigureParams | None = None, node_count: int = 15
-) -> FigureResult:
-    """GZIP message compression on vs. off.
-
-    The prototype gzips every agent and message.  Here every BestPeer
-    message is a compact wire-codec frame, and the codec touches only
-    pickle-fallback payloads, of which a BestPeer run sends none: the
-    gzip and off series are equal on every run.  The ablation stays as
-    the measurement of that (gzip's CPU cost is not charged either way,
-    as the paper treats compression as transparent).
-    """
-    params = params if params is not None else FigureParams()
-    topology = tree(node_count, branching=2)
-    result = FigureResult(
-        figure="Ablation A2",
-        title="GZIP compression on vs off",
-        x_label="run",
-        y_label="completion time (s)",
-        notes=f"tree of {node_count} nodes; BPR",
-    )
-    for label, codec in [("gzip", GzipCodec()), ("off", IdentityCodec())]:
-        runs = bestpeer_runs(topology, True, params, codec=codec)
-        for run_index, run in enumerate(runs, start=1):
-            result.add_point(label, run_index, completion_time(run))
     return result
 
 

@@ -394,10 +394,6 @@ def _maxcount_drops_after_run_1(result: FigureResult) -> bool:
     return maxcount[-1] < maxcount[0]
 
 
-def _gzip_within_2_percent(result: FigureResult) -> bool:
-    return sum(result.y_values("gzip")) <= sum(result.y_values("off")) * 1.02
-
-
 def _ttl_caps_coverage(result: FigureResult) -> bool:
     responders = result.y_values("responders")
     return is_monotone_increasing(responders) and responders[-1] == 15
@@ -803,16 +799,6 @@ CLAIMS: dict[str, tuple[Claim, ...]] = {
             "Ablation A1",
             "MaxCount's completion drops after the first run",
             _maxcount_drops_after_run_1,
-            EXTENSION,
-        ),
-    ),
-    "ablation compression": (
-        Claim(
-            "A2-gzip",
-            "Ablation A2",
-            "gzip costs at most 2% over no compression (measured: equal; no"
-            " BestPeer frame takes the byte codec)",
-            _gzip_within_2_percent,
             EXTENSION,
         ),
     ),

@@ -96,20 +96,15 @@ class ParallelExperimentRunner(ExperimentRunner):
 
     Every simulation is seeded and single-threaded, so repetitions and
     sweep points are embarrassingly parallel: results are collected in
-    task order and are bit-identical to a serial run.  ``jobs`` defaults
-    to ``REPRO_JOBS`` (or 1); with one job — or with a task function the
-    pickler cannot ship (e.g. a closure) — execution silently stays
-    serial, so this class is always safe to use.
+    task order and are bit-identical to a serial run.  The CLI passes
+    :func:`default_jobs` as ``jobs``; with one job — or with a task
+    function the pickler cannot ship (e.g. a closure) — execution silently
+    stays serial, so this class is always safe to use.
     """
 
-    def __init__(
-        self,
-        repetitions: int = 3,
-        base_seed: int = 0,
-        jobs: int | None = None,
-    ):
+    def __init__(self, jobs: int, repetitions: int = 3, base_seed: int = 0):
         super().__init__(repetitions=repetitions, base_seed=base_seed)
-        self.jobs = default_jobs() if jobs is None else jobs
+        self.jobs = jobs
         if self.jobs < 1:
             raise ExperimentError(f"jobs must be >= 1, got {self.jobs}")
 

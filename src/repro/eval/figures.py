@@ -108,7 +108,6 @@ def bestpeer_runs(
     placement: AnswerPlacement | None = None,
     strategy: str | None = None,
     result_mode: str = "direct",
-    codec=None,
     ttl: int | None = None,
 ) -> list[list[Arrival]]:
     """Run ``params.queries`` repeated queries on a BestPeer deployment.
@@ -134,7 +133,6 @@ def bestpeer_runs(
         topology.node_count,
         config=configs,
         topology=topology,
-        codec=codec,
         storm_factory=_store_factory(params, placement),
     )
     keyword = keyword if keyword is not None else _query_keyword(params)

@@ -70,10 +70,8 @@ def network_stats(network) -> dict[str, object]:
         # per-plane split: where the encoded bytes actually go
         "control_frames": network.encoder.compact_frames,
         "data_frames": network.encoder.data_frames,
-        "pickle_payloads": network.encoder.pickle_payloads,
         "control_bytes": network.encoder.control_bytes,
         "data_bytes": network.encoder.data_bytes,
-        "fallback_bytes": network.encoder.fallback_bytes,
     }
     for reason in sorted(network.drops_by_reason):
         stats[f"drops_{reason.replace('-', '_')}"] = network.drops_by_reason[reason]

@@ -2,8 +2,9 @@
 
 Models a LAN of :class:`Host`s with leased (possibly changing) IP
 addresses, per-host CPU thread pools, sender-side NIC transmission
-queues, and latency/bandwidth links.  Payloads are really serialized and
-gzip-compressed so transmission cost reflects true message sizes.
+queues, and latency/bandwidth links.  Payloads are really encoded as wire
+frames (:mod:`repro.net.codec`) so transmission cost reflects true
+message sizes.
 """
 
 from repro.net.address import AddressPool, IPAddress

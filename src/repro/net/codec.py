@@ -1,7 +1,7 @@
 """The wire codec: one versioned frame format on two planes.
 
-Registered messages skip pickle+gzip and travel as struct-packed binary
-frames, charged at the frame's size.  Every frame opens with the same
+Every simulated message travels as a struct-packed binary frame,
+charged at the frame's size.  Every frame opens with the same
 four bytes and then takes the layout of its *plane*, named by the magic
 byte::
 
@@ -14,16 +14,16 @@ descriptors, state-only agent hops) ride the control plane, capped at
 replica pushes, agents shipping their class source) ride the
 length-prefixed data plane, capped at 8 MiB; a custom body codec can
 defer work there (:class:`~repro.agents.messages.BatchedAnswers` decodes
-to zero-copy slices of the frame).  Neither magic byte begins a gzip
-stream (0x1f) or a protocol-4 pickle (0x80).
+to zero-copy slices of the frame).
 
 A message opts in by registering a :class:`MessageSpec` (an ordered
 list of ``(field name, field codec)`` pairs and a plane) in the module
 that defines it.  A class may register once per plane, with a value
 predicate choosing between them (:class:`~repro.agents.envelope.AgentEnvelope`
-is control when state-only, data when it ships its source).  Anything
-unregistered, or carrying values that do not fit the layout, falls back
-to the pickle+gzip path.  A message with a field-list body is deeply
+is control when state-only, data when it ships its source).  Sending
+anything unregistered, or carrying values that do not fit the layout,
+raises :class:`~repro.errors.WireEncodeError` at the sender: it is a
+sender bug, and there is no other wire.  A message with a field-list body is deeply
 immutable (a frozen dataclass whose field codecs yield nothing a
 receiver could change) and :func:`register` refuses anything else,
 because every receiver of one such frame, on either plane, shares one
@@ -78,8 +78,7 @@ class Plane:
 #: set-up read +12 %).  Worst case 32 x 1 MiB per spec.
 CONTROL = Plane("control", 0xB7, struct.Struct(">BBH"), 1 << 20, 32)
 #: Length-prefixed data frames: a peer's whole sharable store at paper
-#: scale is ~1 MiB, so anything past this is corrupt (or must take the
-#: pickle+gzip fallback).  Its memo spans a Figure 5(a) sweep point: the
+#: scale is ~1 MiB, so anything past this is corrupt (or a sender bug).  Its memo spans a Figure 5(a) sweep point: the
 #: 32-node star cycles through ~125 distinct answers, so 32 entries catch
 #: 222 of a warm sweep's 800 data decodes and 128 catch 671 (256: 671).
 #: Worst case 128 x 8 MiB = 1 GiB per spec; a ledger workload's answers
@@ -101,11 +100,6 @@ _BODY_LENGTH = struct.Struct(">I")
 decode_memo_hits = 0
 decode_memo_misses = 0
 _MEMO_LOCK = threading.Lock()
-
-#: Packet/EncodedPayload codec tags: a frame of either plane, or the
-#: pickle that unregistered payloads still travel as.
-CODEC_FRAME = "frame"
-CODEC_PICKLE = "pickle"
 
 #: zlib level for the compressed-source field; fixed so encoded frames
 #: are deterministic across processes and interpreter versions.
@@ -136,7 +130,7 @@ def _is_frozen_dataclass(cls: Any) -> bool:
 
 class FieldCodec:
     """Packs/unpacks one message field.  Encode-side value problems raise
-    :class:`WireEncodeError` (the caller falls back to pickle); decode-side
+    :class:`WireEncodeError` (a sender bug); decode-side
     problems raise :class:`WireDecodeError` (the frame is corrupt)."""
 
     name = "field"
@@ -538,8 +532,8 @@ class MessageSpec:
     sample: Callable[[], Any]
     plane: Plane = CONTROL
     #: value-level predicate: False leaves this instance to the class's
-    #: next spec, or to the pickle fallback (agent envelopes choose their
-    #: plane by whether they carry class source)
+    #: next spec (agent envelopes choose their plane by whether they carry
+    #: class source)
     when: Callable[[Any], bool] | None = None
     #: custom body codec overriding ``fields`` (both or neither)
     pack_body: Callable[[Any, bytearray], None] | None = None
@@ -684,19 +678,6 @@ def encode_message(message: Any) -> bytes:
             len(out) - header_size,
         )
     return bytes(out)
-
-
-def try_encode(message: Any) -> bytes | None:
-    """The frame, or None when the message must take the pickle fallback.
-    The decision depends only on the message value, so every sender agrees
-    on which path a message takes (and therefore on its charged wire
-    size)."""
-    if type(message) not in _BY_CLASS:
-        return None
-    try:
-        return encode_message(message)
-    except WireEncodeError:
-        return None
 
 
 def decode_message(frame: bytes) -> Any:

@@ -1,14 +1,12 @@
-"""Wire-level packet representation: a tagged wire frame or pickle,
-decoded lazily on first access."""
+"""Wire-level packet representation: a wire frame, decoded lazily on
+first access."""
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.errors import WireDecodeError
 from repro.net.address import IPAddress
-from repro.net.codec import CODEC_FRAME, CODEC_PICKLE, decode_message
-from repro.util.serialization import deserialize
+from repro.net.codec import decode_message
 
 #: Fixed per-packet protocol overhead (headers, framing), in bytes.
 PACKET_OVERHEAD_BYTES = 80
@@ -20,15 +18,9 @@ _UNDECODED = object()
 class Packet:
     """One message travelling the simulated network.
 
-    ``raw`` is the transport payload captured at send time — a wire frame
-    of either plane or an (uncompressed) pickle, as tagged by ``codec``
-    (the tag, never the first byte, picks the decoder, so a frame with a
-    corrupted magic byte is a decode error, not a pickle);
-    ``wire_size`` is the number of bytes the encoded form (plus framing
-    overhead) occupied on the wire — the quantity the transmission-cost
-    model charges for.  Decoding never decompresses: compression only
-    ever informs ``wire_size``, so lazy decode is ordering-independent
-    of the compression bypass.
+    ``raw`` is the wire frame (of either plane) captured at send time;
+    ``wire_size`` is its length plus framing overhead — the quantity the
+    transmission-cost model charges for.
 
     ``payload`` decodes ``raw`` lazily, on first access, so a receiver
     sees what was sent, snapshotted at send time, and never an object
@@ -49,7 +41,7 @@ class Packet:
     """
 
     __slots__ = (
-        "src", "dst", "protocol", "wire_size", "sent_at", "raw", "codec", "_decoded",
+        "src", "dst", "protocol", "wire_size", "sent_at", "raw", "_decoded",
     )
 
     def __init__(
@@ -60,8 +52,6 @@ class Packet:
         wire_size: int,
         sent_at: float,
         raw: bytes,
-        codec: str = CODEC_PICKLE,
-        _decoded: Any = _UNDECODED,
     ):
         self.src = src
         self.dst = dst
@@ -69,27 +59,13 @@ class Packet:
         self.wire_size = wire_size
         self.sent_at = sent_at
         self.raw = raw
-        self.codec = codec
-        self._decoded = _decoded
+        self._decoded = _UNDECODED
 
     @property
     def payload(self) -> Any:
         """The decoded application object (decoded on first access)."""
         if self._decoded is _UNDECODED:
-            if self.codec == CODEC_FRAME:
-                decoded = decode_message(self.raw)
-            elif self.codec == CODEC_PICKLE:
-                try:
-                    decoded = deserialize(self.raw)
-                except WireDecodeError:
-                    raise
-                except Exception as exc:
-                    # A corrupt pickle raises whatever pickle feels like;
-                    # the delivery loop only counts *typed* decode errors.
-                    raise WireDecodeError(f"corrupt pickle payload: {exc}") from exc
-            else:
-                raise WireDecodeError(f"unknown packet codec tag {self.codec!r}")
-            self._decoded = decoded
+            self._decoded = decode_message(self.raw)
         return self._decoded
 
     def __getstate__(self) -> tuple[None, dict[str, Any]]:
@@ -104,7 +80,6 @@ class Packet:
             "wire_size": self.wire_size,
             "sent_at": self.sent_at,
             "raw": self.raw,
-            "codec": self.codec,
             "_decoded": _UNDECODED,
         })
 

@@ -2,7 +2,7 @@
 
 A :class:`Host` owns a CPU (a :class:`~repro.sim.resources.FifoServer`
 with one slot per "thread") and an uplink NIC, a departure clock rather
-than a queue.  Sending a payload really serializes and compresses it,
+than a queue.  Sending a payload really encodes it as a wire frame,
 charges the NIC for the wire size, schedules one kernel event at the
 packet's arrival (departure plus link latency), and there dispatches the
 decoded payload to the receiver's protocol handler *on the receiver's
@@ -30,7 +30,6 @@ from repro.net.address import AddressPool, IPAddress
 from repro.net.link import LinkModel
 from repro.net.message import PACKET_OVERHEAD_BYTES, Packet
 from repro.sim import FifoServer, Simulator
-from repro.util.compression import DEFAULT_CODEC, Codec
 from repro.util.randomness import derive_rng
 from repro.util.serialization import WireEncoder
 from repro.util.tracing import NULL_TRACER, Tracer
@@ -160,10 +159,12 @@ class Host:
     def send(self, dst: IPAddress, protocol: str, payload: Any) -> int:
         """Transmit ``payload`` to ``dst``; returns the wire size in bytes.
 
-        Serialization + compression happen immediately (their byte count
-        prices the transmission), but through the network's
+        Encoding happens immediately (the frame's length prices the
+        transmission), but through the network's
         :class:`~repro.util.serialization.WireEncoder`, so a fan-out loop
-        sending one payload object to many peers encodes it once.  The
+        sending one payload object to many peers encodes it once.  A
+        payload no wire spec takes raises
+        :class:`~repro.errors.WireEncodeError`: a sender bug.  The
         packet then queues on this host's NIC and arrives ``latency``
         after its transmission completes.  The receiver decodes the
         send-time bytes on delivery into a message nothing can change —
@@ -179,11 +180,9 @@ class Host:
             return 0
         if not self.online or self.address is None:
             raise HostOffline(f"host {self.name} cannot send while offline")
-        encoded = self.network.encoder.encode(payload)
-        wire_size = encoded.compressed_size + PACKET_OVERHEAD_BYTES
-        packet = Packet(
-            self.address, dst, protocol, wire_size, self.sim.now, encoded.raw, encoded.codec
-        )
+        frame = self.network.encoder.encode(payload)
+        wire_size = len(frame) + PACKET_OVERHEAD_BYTES
+        packet = Packet(self.address, dst, protocol, wire_size, self.sim.now, frame)
         self.messages_sent += 1
         self.bytes_sent += wire_size
         link = self.network.link_for(self.address, dst)
@@ -250,18 +249,16 @@ class Network:
         sim: Simulator,
         pool: AddressPool | None = None,
         default_link: LinkModel | None = None,
-        codec: Codec | None = None,
         tracer: Tracer | None = None,
         loss_seed: int = 0,
     ):
         self.sim = sim
         self.pool = pool if pool is not None else AddressPool()
         self.default_link = default_link if default_link is not None else LinkModel()
-        self.codec = codec if codec is not None else DEFAULT_CODEC
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: shared wire-path fast path: encode each payload object once
         #: per fan-out instead of once per recipient
-        self.encoder = WireEncoder(self.codec, tracer=self.tracer)
+        self.encoder = WireEncoder(tracer=self.tracer)
         self._loss_rng = derive_rng(loss_seed, "packet-loss")
         self.hosts: dict[str, Host] = {}
         self._routes: dict[IPAddress, Host] = {}

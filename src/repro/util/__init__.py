@@ -1,20 +1,15 @@
-"""Shared utilities: compression, serialization, RNG, statistics, tracing."""
+"""Shared utilities: serialization, RNG, statistics, tracing."""
 
-from repro.util.compression import Codec, GzipCodec, IdentityCodec
 from repro.util.randomness import SeedSequence, derive_rng
-from repro.util.serialization import deserialize, serialize, serialized_size
+from repro.util.serialization import deserialize, serialize
 from repro.util.stats import RunningStats, mean, percentile
 from repro.util.tracing import TraceEvent, Tracer
 
 __all__ = [
-    "Codec",
-    "GzipCodec",
-    "IdentityCodec",
     "SeedSequence",
     "derive_rng",
     "serialize",
     "deserialize",
-    "serialized_size",
     "RunningStats",
     "mean",
     "percentile",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.agents.engine import PROTO_ANSWER, AgentEngine
 from repro.agents.costs import AgentCosts
-from repro.ids import BPID
+from repro.ids import BPID, QueryId
 from repro.net import Network
 from repro.sim import Simulator
 from repro.storm import StorM
@@ -30,6 +30,7 @@ class AgentHost:
         self.storm = StorM()
         self.peers: list["AgentHost"] = []
         self.answers = []
+        self.queries_issued = 0
         self.engine = AgentEngine(
             self.host,
             self.bpid,
@@ -39,6 +40,14 @@ class AgentHost:
             tracer=rig.tracer,
         )
         self.host.bind(PROTO_ANSWER, lambda packet: self.answers.append(packet.payload))
+
+    def dispatch(self, agent, query_id: QueryId | None = None, **kwargs):
+        """``engine.dispatch`` under a fresh query id unless one is given:
+        an answer must name its query to travel as a frame."""
+        if query_id is None:
+            query_id = QueryId(self.bpid, self.queries_issued)
+            self.queries_issued += 1
+        return self.engine.dispatch(agent, query_id=query_id, **kwargs)
 
     def put_objects(self, keyword: str, count: int, size: int = 32) -> None:
         for i in range(count):

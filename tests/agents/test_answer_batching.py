@@ -111,7 +111,7 @@ class TestEngineBatching:
     def test_multi_reply_agent_ships_one_batched_frame(self):
         rig = AgentRig()
         a, b = rig.line("a", "b")
-        a.engine.dispatch(TwoReplyAgent())
+        a.dispatch(TwoReplyAgent())
         rig.sim.run()
         # One packet arrived, carrying both answers as a batch.
         (payload,) = a.answers
@@ -125,7 +125,7 @@ class TestEngineBatching:
     def test_single_reply_agent_ships_a_plain_answer(self):
         rig = AgentRig()
         a, b = rig.line("a", "b")
-        a.engine.dispatch(OneReplyAgent())
+        a.dispatch(OneReplyAgent())
         rig.sim.run()
         (payload,) = a.answers
         assert isinstance(payload, AnswerMessage)

@@ -137,7 +137,7 @@ def _flood_observables():
         node.put_objects("k", 2)
     finish_times = []
     for _ in range(2):
-        a.engine.dispatch(StorMSearchAgent("k"))
+        a.dispatch(StorMSearchAgent("k"))
         rig.sim.run()
         finish_times.append(rig.sim.now)
     return {
@@ -185,7 +185,7 @@ class TestClassNamePropagation:
         rig = AgentRig()
         a, _b = rig.line("a", "b")
         with pytest.raises(CodeShippingError) as excinfo:
-            a.engine.dispatch(DynamicAgent())
+            a.dispatch(DynamicAgent())
         assert excinfo.value.class_name == "DynamicAgent"
         assert "DynamicAgent" in str(excinfo.value)
         (event,) = rig.tracer.select("agent", "ship-error")

@@ -26,7 +26,7 @@ class TestFloodSearch:
         a, b, c = rig.line("a", "b", "c")
         b.put_objects("jazz", 3)
         c.put_objects("jazz", 5)
-        a.engine.dispatch(StorMSearchAgent("jazz"))
+        a.dispatch(StorMSearchAgent("jazz"))
         rig.sim.run()
         assert len(a.answers) == 2
         by_responder = {str(ans.responder): ans.answer_count for ans in a.answers}
@@ -37,7 +37,7 @@ class TestFloodSearch:
         a, b, c = rig.line("a", "b", "c")
         b.put_objects("jazz", 1)
         c.put_objects("jazz", 1)
-        a.engine.dispatch(StorMSearchAgent("jazz"))
+        a.dispatch(StorMSearchAgent("jazz"))
         rig.sim.run()
         hops = {str(ans.responder): ans.hops for ans in a.answers}
         assert hops == {str(b.bpid): 1, str(c.bpid): 2}
@@ -46,7 +46,7 @@ class TestFloodSearch:
         rig = AgentRig()
         a, b = rig.line("a", "b")
         b.put_objects("jazz", 1, size=64)
-        a.engine.dispatch(StorMSearchAgent("jazz", mode="direct"))
+        a.dispatch(StorMSearchAgent("jazz", mode="direct"))
         rig.sim.run()
         (answer,) = a.answers
         assert answer.items[0].payload == bytes([0]) * 64
@@ -55,7 +55,7 @@ class TestFloodSearch:
         rig = AgentRig()
         a, b = rig.line("a", "b")
         b.put_objects("jazz", 1, size=64)
-        a.engine.dispatch(StorMSearchAgent("jazz", mode="metadata"))
+        a.dispatch(StorMSearchAgent("jazz", mode="metadata"))
         rig.sim.run()
         (answer,) = a.answers
         assert answer.items[0].payload is None
@@ -72,7 +72,7 @@ class TestFloodSearch:
         rig.link(c, a)
         for node in (b, c):
             node.put_objects("k", 1)
-        a.engine.dispatch(StorMSearchAgent("k"))
+        a.dispatch(StorMSearchAgent("k"))
         rig.sim.run()
         assert b.engine.agents_executed == 1
         assert c.engine.agents_executed == 1
@@ -85,7 +85,7 @@ class TestFloodSearch:
         a, b, c, d = rig.line("a", "b", "c", "d")
         for node in (b, c, d):
             node.put_objects("k", 1)
-        a.engine.dispatch(StorMSearchAgent("k"), ttl=2)
+        a.dispatch(StorMSearchAgent("k"), ttl=2)
         rig.sim.run()
         responders = {str(ans.responder) for ans in a.answers}
         # ttl=2: b (hop 1) and c (hop 2) respond; d (hop 3) is unreachable.
@@ -96,7 +96,7 @@ class TestFloodSearch:
         a, b, c = rig.line("a", "b", "c")
         b.put_objects("k", 1)
         c.put_objects("k", 1)
-        a.engine.dispatch(StorMSearchAgent("k"), ttl=1)
+        a.dispatch(StorMSearchAgent("k"), ttl=1)
         rig.sim.run()
         assert {str(ans.responder) for ans in a.answers} == {str(b.bpid)}
         assert c.engine.agents_executed == 0
@@ -105,11 +105,11 @@ class TestFloodSearch:
         rig = AgentRig()
         a = rig.add("a")
         with pytest.raises(AgentError):
-            a.engine.dispatch(StorMSearchAgent("k"), ttl=0)
+            a.dispatch(StorMSearchAgent("k"), ttl=0)
         with pytest.raises(AgentError):
-            a.engine.dispatch(StorMSearchAgent("k"), mode="teleport")
+            a.dispatch(StorMSearchAgent("k"), mode="teleport")
         with pytest.raises(AgentError):
-            a.engine.dispatch(StorMSearchAgent("k"), mode=MODE_ITINERARY, path=())
+            a.dispatch(StorMSearchAgent("k"), mode=MODE_ITINERARY, path=())
 
 
 class TestCodeShippingOverWire:
@@ -117,11 +117,11 @@ class TestCodeShippingOverWire:
         rig = AgentRig()
         a, b = rig.line("a", "b")
         b.put_objects("k", 1)
-        a.engine.dispatch(StorMSearchAgent("k"))
+        a.dispatch(StorMSearchAgent("k"))
         rig.sim.run()
         assert b.engine.registry.installs == 1
         first_run_messages = a.host.messages_sent
-        a.engine.dispatch(StorMSearchAgent("k"))
+        a.dispatch(StorMSearchAgent("k"))
         rig.sim.run()
         # Second dispatch: same class, no re-install.
         assert b.engine.registry.installs == 1
@@ -130,10 +130,10 @@ class TestCodeShippingOverWire:
     def test_second_shipment_is_smaller(self):
         rig = AgentRig()
         a, b = rig.line("a", "b")
-        a.engine.dispatch(StorMSearchAgent("k"))
+        a.dispatch(StorMSearchAgent("k"))
         rig.sim.run()
         first_bytes = a.host.bytes_sent
-        a.engine.dispatch(StorMSearchAgent("k"))
+        a.dispatch(StorMSearchAgent("k"))
         rig.sim.run()
         second_bytes = a.host.bytes_sent - first_bytes
         # State-only envelope must be well below the source-carrying one.
@@ -146,7 +146,7 @@ class TestCodeShippingOverWire:
         # Pretend "b" already has the class so the envelope omits source.
         a.engine.registry.register_local(StorMSearchAgent)
         a.engine._shipped.add((b.host.address, "StorMSearchAgent"))
-        a.engine.dispatch(StorMSearchAgent("k"))
+        a.dispatch(StorMSearchAgent("k"))
         rig.sim.run()
         # b detected the miss, requested the class, then executed.
         assert b.engine.registry.installs == 1
@@ -159,8 +159,9 @@ class TestCodeShippingOverWire:
         rig = AgentRig()
         a, b = rig.line("a", "b")
         from repro.agents.engine import PROTO_CLASS_REQUEST
+        from repro.agents.envelope import ClassRequest
 
-        a.host.send(b.host.address, PROTO_CLASS_REQUEST, "NeverHeardOfIt")
+        a.host.send(b.host.address, PROTO_CLASS_REQUEST, ClassRequest("NeverHeardOfIt"))
         rig.sim.run()  # no exception
         assert rig.tracer.count("agent", "class-unavailable") == 1
 
@@ -168,7 +169,7 @@ class TestCodeShippingOverWire:
         rig = AgentRig()
         a, b, c = rig.line("a", "b", "c")
         c.put_objects("k", 1)
-        a.engine.dispatch(StorMSearchAgent("k"))
+        a.dispatch(StorMSearchAgent("k"))
         rig.sim.run()
         # c got the class from b's forward, not from a.
         assert c.engine.registry.installs == 1
@@ -180,12 +181,12 @@ class TestTiming:
         rig = AgentRig()
         a, b = rig.line("a", "b")
         b.put_objects("k", 1)
-        a.engine.dispatch(StorMSearchAgent("k"))
+        a.dispatch(StorMSearchAgent("k"))
         rig.sim.run()
         first_time = rig.sim.now
         # Re-issue: no install cost now, so it must complete faster.
         start = rig.sim.now
-        a.engine.dispatch(StorMSearchAgent("k"))
+        a.dispatch(StorMSearchAgent("k"))
         rig.sim.run()
         second_duration = rig.sim.now - start
         assert second_duration < first_time
@@ -198,7 +199,7 @@ class TestTiming:
             def execute(self, context):
                 context.charge(-1.0)
 
-        a.engine.dispatch(BadAgent())
+        a.dispatch(BadAgent())
         with pytest.raises(AgentError):
             rig.sim.run()
 
@@ -229,7 +230,7 @@ class TestFloodingConcurrency:
         a, b, c = rig.line("a", "b", "c")
         b.put_objects("k", 1)
         c.put_objects("k", 1)
-        a.engine.dispatch(SlowAgent("k"))
+        a.dispatch(SlowAgent("k"))
         rig.sim.run()
         arrival_by_responder = {}
         for answer in a.answers:
@@ -248,7 +249,7 @@ class TestItinerary:
         c.put_objects("x", 7)
         homecomings = []
         a.engine.on_agent_home = lambda agent_id, state: homecomings.append(state)
-        a.engine.dispatch(
+        a.dispatch(
             CountingAgent(),
             mode=MODE_ITINERARY,
             path=[b.host.address, c.host.address],
@@ -262,7 +263,7 @@ class TestItinerary:
         a, b, c = rig.line("a", "b", "c")
         homecomings = []
         a.engine.on_agent_home = lambda agent_id, state: homecomings.append(state)
-        a.engine.dispatch(
+        a.dispatch(
             CountingAgent(),
             mode=MODE_ITINERARY,
             ttl=1,
@@ -280,7 +281,7 @@ class TestChurnDuringExecution:
         rig = AgentRig()
         a, b = rig.line("a", "b")
         b.put_objects("k", 1)
-        a.engine.dispatch(StorMSearchAgent("k"))
+        a.dispatch(StorMSearchAgent("k"))
         # Knock b offline before its service time elapses.
         rig.sim.schedule(0.001, b.host.disconnect)
         rig.sim.run()

@@ -19,7 +19,7 @@ class TestStorMSearchAgent:
             rig = AgentRig()
             a, b = rig.line("a", "b")
             b.put_objects("jazz", 3, size=16)
-            a.engine.dispatch(StorMSearchAgent("jazz", use_index=use_index))
+            a.dispatch(StorMSearchAgent("jazz", use_index=use_index))
             rig.sim.run()
             (answer,) = a.answers
             answers[use_index] = answer.answer_count
@@ -29,7 +29,7 @@ class TestStorMSearchAgent:
         rig = AgentRig()
         a, b = rig.line("a", "b")
         # b shares nothing; a silent miss by default, an answer if asked.
-        a.engine.dispatch(StorMSearchAgent("ghost", reply_empty=True))
+        a.dispatch(StorMSearchAgent("ghost", reply_empty=True))
         rig.sim.run()
         (answer,) = a.answers
         assert answer.answer_count == 0
@@ -39,7 +39,7 @@ class TestStorMSearchAgent:
         rig = AgentRig()
         a, b = rig.line("a", "b")
         b.put_objects("k", 2, size=40)
-        a.engine.dispatch(StorMSearchAgent("k"))
+        a.dispatch(StorMSearchAgent("k"))
         rig.sim.run()
         (answer,) = a.answers
         assert answer.answer_bytes == 80

@@ -7,7 +7,6 @@ from repro.core import BestPeerConfig, build_network
 from repro.core.builder import BestPeerNetwork
 from repro.errors import BestPeerError
 from repro.topology import line, random_graph, ring
-from repro.util.compression import IdentityCodec
 from repro.util.tracing import Tracer
 
 FAST = AgentCosts(
@@ -51,12 +50,6 @@ class TestBuildValidation:
         for node in net.nodes:
             by_server.setdefault(node.bpid.liglo_id, []).append(node)
         assert sorted(len(v) for v in by_server.values()) == [3, 3]
-
-    def test_custom_codec_threaded_through(self):
-        net = build_network(
-            2, config=config(), topology=line(2), codec=IdentityCodec()
-        )
-        assert net.network.codec.name == "identity"
 
     def test_tracer_threaded_through(self):
         tracer = Tracer()

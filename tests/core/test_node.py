@@ -380,3 +380,34 @@ class TestComputeSharing:
         (answer,) = collected
         # Only the aggregate (5 words) crossed the network, not the texts.
         assert answer.items[0].size == 5
+
+    def test_dispatched_agents_answers_travel_as_data_frames(self):
+        """With no query id given, ``dispatch_agent`` mints one, as
+        ``issue_query`` does, so every answer is a data-plane frame."""
+        from repro.agents.engine import PROTO_ANSWER
+        from repro.agents.messages import AnswerMessage
+        from repro.agents.storm_agent import StorMSearchAgent
+        from repro.ids import QueryId
+        from repro.net.codec import DATA
+
+        net = build_network(3, config=small_config(), topology=star(3))
+        for node in net.nodes[1:]:
+            node.share(["text"], b"a few words")
+        packets = []
+        net.base.host.unbind(PROTO_ANSWER)
+        net.base.host.bind(PROTO_ANSWER, packets.append)
+        net.base.dispatch_agent(StorMSearchAgent("text"))
+        net.sim.run()
+        assert len(packets) == 2
+        assert all(packet.raw[0] == DATA.magic for packet in packets)
+        assert all(type(packet.payload) is AnswerMessage for packet in packets)
+        minted = {packet.payload.query_id for packet in packets}
+        assert minted == {QueryId(net.base.bpid, 0)}
+        # the next query gets the next serial; a given id is used as is
+        assert net.base.issue_query("text").query_id == QueryId(net.base.bpid, 1)
+        net.sim.run()
+        packets.clear()
+        given = QueryId(net.base.bpid, 77)
+        net.base.dispatch_agent(StorMSearchAgent("text"), query_id=given)
+        net.sim.run()
+        assert {packet.payload.query_id for packet in packets} == {given}

@@ -4,7 +4,6 @@ import pytest
 
 from repro.eval.ablations import (
     ablation_buffer_strategy,
-    ablation_compression,
     ablation_replication,
     ablation_result_mode,
     ablation_shipping,
@@ -36,15 +35,6 @@ class TestStrategyAblation:
 
     def test_reconfigurable_beats_static_eventually(self, result):
         assert result.y_values("maxcount")[-1] < result.y_values("static")[-1]
-
-
-class TestCompressionAblation:
-    def test_gzip_no_slower(self):
-        result = ablation_compression(SMALL, node_count=7)
-        gzip_runs = result.y_values("gzip")
-        off_runs = result.y_values("off")
-        # Agent source is highly compressible: gzip saves wire time.
-        assert sum(gzip_runs) <= sum(off_runs) * 1.02
 
 
 class TestTtlAblation:

@@ -220,7 +220,6 @@ def paper_shaped_results():
             minhops=[(1, 0.2), (2, 0.1)],
             static=[(1, 0.2), (2, 0.2)],
         ),
-        "ablation compression": figure(gzip=[(1, 0.09)], off=[(1, 0.09)]),
         "ablation ttl": figure(
             responders=[(2, 2), (8, 8), (16, 15)],
             **{"completion (s)": [(2, 0.05), (16, 0.2)]},

@@ -1,8 +1,7 @@
 """How a run is executed must never change a result.
 
-The wire encoding cache (a module constant), the gzip codec's size memo
-and the parallel experiment runner (``--jobs``) exist purely to save
-wall-clock; these tests pin down that every observable output
+The wire encoding cache (a module constant) and the parallel experiment
+runner (``--jobs``) exist purely to save wall-clock; these tests pin down that every observable output
 (figure series, bytes on the wire, packet counts, answer hop counts,
 buffer I/O statistics) is bit-identical whichever of them executes the
 run.  "Now vs before" is
@@ -13,15 +12,12 @@ from __future__ import annotations
 
 import pytest
 
-import repro.net.network as network_module
 import repro.util.serialization as serialization_module
 from repro.core.builder import build_network
 from repro.core.config import BestPeerConfig
 from repro.eval.experiment import ExperimentRunner, ParallelExperimentRunner
-from repro.eval.figures import FigureParams, figure_5a, figure_5c, figure_8a
-from repro.net.network import Network
+from repro.eval.figures import FigureParams, figure_5a, figure_8a
 from repro.topology.builders import line, star
-from repro.util.compression import GzipCodec
 
 #: Small enough to run every variant in seconds, big enough to exercise
 #: flooding, reconfiguration, StorM scans and multi-page heaps.
@@ -100,39 +96,6 @@ def test_wire_bytes_identical_cache_on_vs_off(monkeypatch):
     monkeypatch.setattr(serialization_module, "WIRE_CACHE_CAPACITY", 0)
     without_cache = _drive_deployment()
     assert with_cache == without_cache
-
-
-def _client_server_observables(monkeypatch) -> tuple:
-    """Figures 5(a) and 5(c) — star fan-out and line relays, both sending
-    client/server results on the pickle fallback — plus every host's
-    ``bytes_sent`` in every deployment they built."""
-    networks = []
-    build = Network.__init__
-
-    def recording_init(self, *args, **kwargs):
-        build(self, *args, **kwargs)
-        networks.append(self)
-
-    monkeypatch.setattr(Network, "__init__", recording_init)
-    fig5a = figure_5a(TINY, sizes=(1, 2, 4))
-    fig5c = figure_5c(TINY, sizes=(2, 4))
-    monkeypatch.setattr(Network, "__init__", build)
-    bytes_sent = [
-        [(name, host.bytes_sent) for name, host in network.hosts.items()]
-        for network in networks
-    ]
-    return fig5a.series, fig5c.series, bytes_sent
-
-
-def test_size_memo_cold_and_warm_charge_the_same_bytes(monkeypatch):
-    codec = GzipCodec()
-    monkeypatch.setattr(network_module, "DEFAULT_CODEC", codec)
-    cold = _client_server_observables(monkeypatch)
-    priced = dict(codec._sizes)
-    assert priced  # the client/server results went through the memo
-    warm = _client_server_observables(monkeypatch)
-    assert codec._sizes == priced  # every size the warm run charged was a hit
-    assert warm == cold
 
 
 def _faulted_observables(runner) -> tuple:

@@ -17,10 +17,8 @@ page copy), its free-space tree is copied ready-built, and its postings
 are the template's, read in place.  The last test holds an open plus the
 warm-up scan to 64 KiB of traced allocations.
 
-The gzip codec's size memo outlives every deployment, so it must stay
-out of the collector's reach too: it maps digests to ints, and CPython
-never tracks such a dict.  The decode memos outlive deployments as well,
-so a figure run must leave each within its plane's capacity.
+The decode memos outlive every deployment, so a figure run must leave
+each within its plane's capacity.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from __future__ import annotations
 import gc
 import tracemalloc
 
-import repro.util.compression as compression
 from repro import BestPeerConfig, build_network, random_graph
 from repro.eval.figures import FigureParams, figure_5a
 from repro.net import codec as wire
@@ -126,14 +123,6 @@ def test_a_clone_open_and_scan_allocate_under_64_kib():
         tracemalloc.stop()
     assert result.objects_examined == 1000 and result.match_count > 0
     assert traced < CLONE_TRACED_BYTES, f"{traced} bytes traced"
-
-
-def test_the_size_memo_is_bounded_and_never_tracked():
-    figure_5a(FigureParams(objects_per_node=20, queries=2), sizes=(1, 2, 4))
-    sizes = compression.DEFAULT_CODEC._sizes
-    assert sizes  # the client/server results were priced through it
-    assert len(sizes) <= compression.SIZE_MEMO_CAPACITY
-    assert not gc.is_tracked(sizes)
 
 
 def test_a_figure_leaves_every_decode_memo_within_its_plane_capacity():

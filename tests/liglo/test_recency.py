@@ -15,6 +15,7 @@ from repro.liglo import LigloServer
 from repro.liglo import messages as m
 from repro.net import Network
 from repro.net.address import IPAddress
+from repro.net.codec import encode_message
 from repro.net.message import Packet
 from repro.sim import Simulator
 
@@ -49,8 +50,7 @@ class Driver:
                 protocol="test",
                 wire_size=0,
                 sent_at=self.sim.now,
-                raw=b"",
-                _decoded=payload,
+                raw=encode_message(payload),
             )
         )
 

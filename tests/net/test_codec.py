@@ -20,7 +20,6 @@ from repro.net.codec import (
     encode_message,
     registered_specs,
     spec_for_id,
-    try_encode,
 )
 
 from .conformance import CONTROL_SPECS, CodecConformance, spec_of
@@ -129,20 +128,18 @@ def test_lookup_round_trips_with_spec_for_id():
         assert spec_for_id(spec.type_id) is spec
 
 
-def test_unregistered_class_encode_raises_and_try_encode_declines():
+def test_unregistered_class_encode_raises():
     with pytest.raises(WireEncodeError, match="not registered"):
         encode_message({"not": "registered"})
-    assert try_encode({"not": "registered"}) is None
     assert dict not in wire._BY_CLASS
 
 
-def test_field_overflow_falls_back_instead_of_crashing():
+def test_field_overflow_raises_a_typed_encode_error():
     from repro.liglo.messages import Ping
 
     oversized = Ping(token=2**70)  # does not fit i64
     with pytest.raises(WireEncodeError, match="does not fit"):
         encode_message(oversized)
-    assert try_encode(oversized) is None  # pickle fallback, not an error
 
 
 def test_non_compactable_instance_declines_compact_path(scratch_registry):
@@ -154,15 +151,13 @@ def test_non_compactable_instance_declines_compact_path(scratch_registry):
     assert spec.when(spec.sample())
     # the class's next spec takes it: a sourced envelope rides the data plane
     assert encode_message(sourced)[0] == DATA.magic
-    assert try_encode(sourced) == encode_message(sourced)
-    # with no spec taking the instance, it falls back to pickle
+    # with no spec taking the instance, encoding raises
     wire.register(
         _Probe, 0x7F02, (("token", wire.I64),), sample=lambda: _Probe(1),
         when=lambda probe: probe.token > 0,
     )
     with pytest.raises(WireEncodeError, match="takes this instance"):
         encode_message(_Probe(-1))
-    assert try_encode(_Probe(-1)) is None
     assert decode_message(encode_message(_Probe(1))) == _Probe(1)
 
 

@@ -31,13 +31,11 @@ from repro.ids import BPID, QueryId
 from repro.net import codec as wire
 from repro.net.address import IPAddress
 from repro.net.codec import (
-    CODEC_FRAME,
     CONTROL,
     DATA,
     decode_message,
     encode_message,
     spec_for_id,
-    try_encode,
 )
 from repro.net.message import PACKET_OVERHEAD_BYTES, Packet
 from repro.net.network import Network
@@ -61,7 +59,6 @@ class TestDataCodecConformance(CodecConformance):
 
 
 def test_unregistered_type_is_not_encodable():
-    assert try_encode(("not", "registered")) is None
     with pytest.raises(WireEncodeError, match="not registered"):
         encode_message(("not", "registered"))
 
@@ -77,17 +74,15 @@ def test_stateonly_envelope_is_not_streamable():
     assert encode_message(stateonly)[0] == CONTROL.magic
 
 
-def test_oversized_value_falls_back_not_raises():
-    """A by-value oversize routes to pickle+gzip via try_encode -> None;
-    the decision reads only the message, so both modes agree on it."""
+def test_oversized_value_raises_a_typed_encode_error():
+    """A by-value oversize is a sender bug: there is no other wire."""
     huge = FetchReply(
         token=1,
         rid=RecordId(0, 0),
         payload=b"\x00" * (DATA.max_frame_bytes + 1),
         found=True,
     )
-    assert try_encode(huge) is None
-    with pytest.raises(WireEncodeError):
+    with pytest.raises(WireEncodeError, match="exceeds"):
         encode_message(huge)
 
 
@@ -307,7 +302,6 @@ def test_tag_one_address_is_a_counted_decode_error():
             wire_size=len(frame) + PACKET_OVERHEAD_BYTES,
             sent_at=sim.now,
             raw=frame,
-            codec=CODEC_FRAME,
         )
     )
     sim.run()

@@ -24,11 +24,10 @@ from repro.agents.engine import PROTO_AGENT
 from repro.agents.envelope import AgentEnvelope, freeze_state
 from repro.agents.messages import AnswerItem, AnswerMessage, BatchedAnswers
 from repro.errors import WireCodecError, WireDecodeError
-from repro.ids import AgentId
+from repro.ids import AgentId, QueryId
 from repro.liglo.messages import RegisterRequest
 from repro.net import codec as wire
 from repro.net.codec import (
-    CODEC_FRAME,
     CONTROL,
     DATA,
     decode_message,
@@ -304,14 +303,19 @@ def test_mutating_one_receivers_state_reaches_no_other(extra, ttl):
 
 
 class ScribblingAgent(Agent):
-    """Appends to a list nested in its travelling state, then reports it."""
+    """Appends to a list nested in its travelling state, then reports the
+    list, as this host sees it, as the keywords of one answer item."""
 
     def __init__(self):
         self.trail = {"visits": [["origin"]]}
 
     def execute(self, context):
+        from repro.agents.messages import AnswerItem
+        from repro.storm.heapfile import RecordId
+
         self.trail["visits"][0].append(str(context.host_id))
-        context.send(context.initiator_address, "test.report", self.trail)
+        visits = tuple(self.trail["visits"][0])
+        context.reply([AnswerItem(rid=RecordId(0, 0), keywords=visits, size=0)])
 
 
 def test_fan_out_of_one_frame_gives_every_host_pristine_state():
@@ -320,21 +324,21 @@ def test_fan_out_of_one_frame_gives_every_host_pristine_state():
     leaves = [rig.add(name) for name in ("x", "y", "z")]
     for leaf in leaves:
         rig.link(hub, leaf)
-    reports = []
-    hub.host.bind("test.report", lambda packet: reports.append(packet.payload))
-    hub.engine.dispatch(ScribblingAgent())  # ships the class: sourced, not compact
+    hub.dispatch(ScribblingAgent())  # ships the class: sourced, not compact
     rig.sim.run()
-    reports.clear()
+    hub.answers.clear()
     hits, misses = _counters()
-    hub.engine.dispatch(ScribblingAgent())  # state-only: one frame, three packets
+    hub.dispatch(ScribblingAgent())  # state-only: one frame, three packets
     rig.sim.run()
-    assert _counters() == (hits + 2, misses + 1)
-    assert sorted(report["visits"][0][1] for report in reports) == sorted(
+    # the envelope is parsed once for three hosts; the three answers differ
+    assert _counters() == (hits + 2, misses + 1 + 3)
+    reports = [answer.items[0].keywords for answer in hub.answers]
+    assert sorted(report[1] for report in reports) == sorted(
         str(leaf.bpid) for leaf in leaves
     )
     # exactly what three independent decodes give: nobody saw a neighbour's append
-    assert all(len(report["visits"][0]) == 2 for report in reports)
-    assert all(report["visits"][0][0] == "origin" for report in reports)
+    assert all(len(report) == 2 for report in reports)
+    assert all(report[0] == "origin" for report in reports)
 
 
 def test_corrupt_state_is_a_counted_drop_and_a_good_copy_still_runs():
@@ -342,11 +346,9 @@ def test_corrupt_state_is_a_counted_drop_and_a_good_copy_still_runs():
     raises before the agent is marked seen or any clone leaves."""
     rig = AgentRig()
     hub, leaf, tail = rig.line("hub", "leaf", "tail")
-    reports = []
-    hub.host.bind("test.report", lambda packet: reports.append(packet.payload))
-    hub.engine.dispatch(ScribblingAgent())  # ships the class to leaf and tail
+    hub.dispatch(ScribblingAgent())  # ships the class to leaf and tail
     rig.sim.run()
-    assert len(reports) == 2
+    assert len(hub.answers) == 2
     envelope = AgentEnvelope(
         agent_id=AgentId(hub.bpid, 99),
         class_name=ScribblingAgent.__name__,
@@ -356,6 +358,7 @@ def test_corrupt_state_is_a_counted_drop_and_a_good_copy_still_runs():
         hops=1,
         initiator=hub.bpid,
         initiator_address=hub.host.address,
+        query_id=QueryId(hub.bpid, 99),
     )
     frame = encode_message(envelope)
     stop = frame.index(envelope.state) + len(envelope.state) - 1  # pickle STOP
@@ -372,7 +375,6 @@ def test_corrupt_state_is_a_counted_drop_and_a_good_copy_still_runs():
                 wire_size=len(raw) + PACKET_OVERHEAD_BYTES,
                 sent_at=rig.sim.now,
                 raw=raw,
-                codec=CODEC_FRAME,
             )
         )
         rig.sim.run()
@@ -388,7 +390,7 @@ def test_corrupt_state_is_a_counted_drop_and_a_good_copy_still_runs():
     assert leaf.engine.has_seen(envelope.agent_id)
     assert leaf.engine.agents_executed == executed + 1
     assert tail.engine.has_seen(envelope.agent_id)  # its clone went on
-    assert len(reports) == 4
+    assert len(hub.answers) == 4
 
 
 # ---------------------------------------------------------------------------

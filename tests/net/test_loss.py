@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines.client_server import CsDone
 from repro.net import LinkModel, Network
 from repro.sim import Simulator
 
@@ -23,7 +24,7 @@ class TestPacketLoss:
         b = net.create_host("b")
         b.bind("t", lambda packet: pytest.fail("must not deliver"))
         for _ in range(5):
-            a.send(b.address, "t", None)
+            a.send(b.address, "t", CsDone(0))
         sim.run()
         assert net.packets_dropped == 5
         assert net.packets_delivered == 0
@@ -35,7 +36,7 @@ class TestPacketLoss:
         received = []
         b.bind("t", lambda packet: received.append(packet.payload))
         for i in range(20):
-            a.send(b.address, "t", i)
+            a.send(b.address, "t", CsDone(i))
         sim.run()
         assert len(received) == 20
 
@@ -47,7 +48,7 @@ class TestPacketLoss:
             received = []
             b.bind("t", lambda packet: received.append(packet.payload))
             for i in range(40):
-                a.send(b.address, "t", i)
+                a.send(b.address, "t", CsDone(i))
             sim.run()
             return received
 
@@ -61,7 +62,7 @@ class TestPacketLoss:
         received = []
         b.bind("t", lambda packet: received.append(packet.payload))
         for i in range(200):
-            a.send(b.address, "t", i)
+            a.send(b.address, "t", CsDone(i))
         sim.run()
         assert 60 <= len(received) <= 140  # ~50% with slack
 

@@ -1,27 +1,26 @@
-"""Packet codec tagging, lazy decode, the pickle fallback, and the
-drop-and-count behaviour of the delivery loop on corrupt frames —
-on both the control and the data plane."""
+"""Packets carry wire frames: lazy decode, the send-side refusal of a
+payload no spec takes, and the drop-and-count behaviour of the delivery
+loop on corrupt frames — on both the control and the data plane."""
 
 from __future__ import annotations
 
-import gzip
 import pickle
 
 import pytest
 
 import repro.util.serialization as serialization_module
 from repro.agents.messages import BatchedAnswers, _sample_answer
-from repro.errors import WireDecodeError
+from repro.core.shipping import DataReply
+from repro.errors import WireEncodeError
 from repro.ids import BPID
 from repro.liglo.messages import PROTO_PING, Ping, Pong
 from repro.net.address import IPAddress
-from repro.net.codec import CODEC_FRAME, CODEC_PICKLE, encode_message
+from repro.net.codec import DATA, encode_message
 from repro.net.faults import FrameFaultInjector
 from repro.net.message import PACKET_OVERHEAD_BYTES, Packet, _UNDECODED
 from repro.net.network import Network
 from repro.sim import Simulator
-from repro.util.compression import DEFAULT_CODEC
-from repro.util.serialization import WireEncoder, serialize
+from repro.util.serialization import WireEncoder
 from repro.util.tracing import Tracer
 
 
@@ -53,7 +52,6 @@ def test_registered_message_travels_as_compact_frame():
     ping = Ping(token=7)
     network, packet, wire_size = _deliver_one(ping)
     frame = encode_message(ping)
-    assert packet.codec == CODEC_FRAME
     assert packet.raw == frame
     assert packet.wire_size == len(frame) + PACKET_OVERHEAD_BYTES
     assert wire_size == packet.wire_size
@@ -75,31 +73,39 @@ def test_lazy_decode_happens_once_and_is_cached():
 
 
 # ---------------------------------------------------------------------------
-# Pickle fallback: unregistered payloads
+# No other wire: a payload no spec takes is a sender bug
 # ---------------------------------------------------------------------------
 
 
-def test_unregistered_payload_takes_gzip_pickle():
-    payload = {"keyword": "music", "blob": b"x" * 400}
-    raw = serialize(payload)
-    charged = len(gzip.compress(raw, mtime=0))
+def _refused_at_send(payload, match):
+    sim, network, alice, bob = _pair()
+    bob.bind("blob", lambda packet: pytest.fail("nothing may arrive"))
+    with pytest.raises(WireEncodeError, match=match):
+        alice.send(bob.address, "blob", payload)
+    sim.run()
+    # Nothing left the NIC and nothing was counted as sent.
+    assert (alice.messages_sent, alice.bytes_sent, alice.nic_free_at) == (0, 0, 0.0)
+    assert network.packets_delivered == 0
+    assert (network.encoder.compact_frames, network.encoder.data_frames) == (0, 0)
 
-    network, packet, wire_size = _deliver_one(payload)
-    assert packet.codec == CODEC_PICKLE
-    assert packet.raw == raw
-    assert wire_size == charged + PACKET_OVERHEAD_BYTES
-    assert packet.payload == payload
-    assert network.encoder.pickle_payloads == 1
+
+@pytest.mark.parametrize(
+    "payload", [{"keyword": "music"}, "plain string", None], ids=["dict", "str", "none"]
+)
+def test_unregistered_payload_raises_at_send(payload):
+    _refused_at_send(payload, "is not registered")
 
 
-def test_decode_never_needs_decompression():
-    # Regression: the charged size uses gzip, but the transport bytes are
-    # the *uncompressed* pickle — lazy decode must work on ``raw`` directly,
-    # independent of the compression bypass that sized the packet.
-    payload = {"blob": b"y" * 4096}  # very compressible: sizes diverge
-    _network, packet, wire_size = _deliver_one(payload)
-    assert wire_size < len(packet.raw)  # charged gzip size, shipped pickle
-    assert packet.payload == payload  # plain deserialize, no decompress
+def test_payload_over_its_planes_cap_raises_at_send():
+    oversized = DataReply(token=1, objects=((("big",), b"x" * DATA.max_frame_bytes),))
+    _refused_at_send(oversized, "exceeds")
+
+
+def test_every_packet_counts_as_a_frame_and_pickle_payloads_stays_zero():
+    network, _packet, _size = _deliver_one(_sample_answer(), protocol="answer")
+    encoder = network.encoder
+    assert (encoder.compact_frames, encoder.data_frames) == (0, 1)
+    assert encoder.pickle_payloads == 0
 
 
 # ---------------------------------------------------------------------------
@@ -109,32 +115,18 @@ def test_decode_never_needs_decompression():
 
 def test_encoder_cache_capacity_zero_disables_memoization(monkeypatch):
     monkeypatch.setattr(serialization_module, "WIRE_CACHE_CAPACITY", 0)
-    encoder = WireEncoder(DEFAULT_CODEC)
+    encoder = WireEncoder()
     ping = Ping(token=9)
     first = encoder.encode(ping)
     second = encoder.encode(ping)
     assert first is not second
-    assert first.raw == second.raw
+    assert first == second
     assert encoder.hits == 0 and encoder.misses == 2
 
 
 # ---------------------------------------------------------------------------
 # Corrupt frames in the delivery loop
 # ---------------------------------------------------------------------------
-
-
-def test_unknown_packet_codec_tag_raises():
-    packet = Packet(
-        src=None,
-        dst=None,
-        protocol="p",
-        wire_size=1,
-        sent_at=0.0,
-        raw=b"",
-        codec="zstd",
-    )
-    with pytest.raises(WireDecodeError, match="zstd"):
-        packet.payload
 
 
 @pytest.mark.parametrize("fault", ["truncated", "bit-flipped", "wrong-version"])
@@ -154,7 +146,6 @@ def test_corrupt_frame_is_dropped_counted_and_does_not_kill_the_host(fault):
         wire_size=len(corrupted) + PACKET_OVERHEAD_BYTES,
         sent_at=sim.now,
         raw=bytes(corrupted),
-        codec=CODEC_FRAME,
     )
     bob._receive(packet)
     sim.run()
@@ -172,42 +163,6 @@ def test_corrupt_frame_is_dropped_counted_and_does_not_kill_the_host(fault):
     assert network.decode_errors == 1  # no new errors
 
 
-def test_corrupt_pickle_payload_is_also_dropped_and_counted():
-    sim, network, alice, bob = _pair()
-    received = []
-    bob.bind("blob", lambda packet: received.append(packet.payload))
-    raw = serialize({"k": "v"})
-    packet = Packet(
-        src=alice.address,
-        dst=bob.address,
-        protocol="blob",
-        wire_size=len(raw) + PACKET_OVERHEAD_BYTES,
-        sent_at=sim.now,
-        raw=raw,
-        codec="no-such-codec",
-    )
-    bob._receive(packet)
-    sim.run()
-    assert received == []
-    assert network.decode_errors == 1
-
-
-def test_corrupt_pickle_bytes_raise_a_typed_decode_error():
-    """Garbage under the pickle tag must surface as WireDecodeError (the
-    delivery loop only counts typed errors), never a raw pickle exception."""
-    packet = Packet(
-        src=None,
-        dst=None,
-        protocol="blob",
-        wire_size=10,
-        sent_at=0.0,
-        raw=b"\x02not a pickle at all",
-        codec=CODEC_PICKLE,
-    )
-    with pytest.raises(WireDecodeError, match="corrupt pickle"):
-        packet.payload
-
-
 # ---------------------------------------------------------------------------
 # Data plane: stream frames, per-plane counters, drop-and-count
 # ---------------------------------------------------------------------------
@@ -217,7 +172,6 @@ def test_data_registered_message_travels_as_stream_frame():
     answer = _sample_answer()
     network, packet, wire_size = _deliver_one(answer, protocol="answer")
     frame = encode_message(answer)
-    assert packet.codec == CODEC_FRAME
     assert packet.raw == frame
     assert packet.wire_size == len(frame) + PACKET_OVERHEAD_BYTES
     assert wire_size == packet.wire_size
@@ -245,7 +199,6 @@ def test_corrupt_data_frame_is_dropped_and_counted(fault):
         wire_size=len(corrupted) + PACKET_OVERHEAD_BYTES,
         sent_at=sim.now,
         raw=bytes(corrupted),
-        codec=CODEC_FRAME,
     )
     bob._receive(packet)
     sim.run()
@@ -280,7 +233,6 @@ def test_lazy_batch_corruption_is_counted_when_the_handler_reads_it():
         wire_size=len(frame) + PACKET_OVERHEAD_BYTES,
         sent_at=sim.now,
         raw=bytes(frame),
-        codec=CODEC_FRAME,
     )
     bob._receive(packet)
     sim.run()
@@ -296,13 +248,12 @@ class TestPacketPickling:
             "t",
             16,
             0.0,
-            pickle.dumps("payload"),
-            "pickle",
+            encode_message(Ping(token=5)),
         )
-        assert packet.payload == "payload"  # decode, populating the cache
+        assert packet.payload == Ping(token=5)  # decode, populating the cache
         clone = pickle.loads(pickle.dumps(packet))
         assert clone._decoded is _UNDECODED
-        assert clone.payload == "payload"
+        assert clone.payload == Ping(token=5)
 
 
 class TestPacketContract:
@@ -310,7 +261,7 @@ class TestPacketContract:
     path; keyword construction (tests, the LIGLO recency harness) must
     give the very same packet."""
 
-    FIELDS = ("src", "dst", "protocol", "wire_size", "sent_at", "raw", "codec")
+    FIELDS = ("src", "dst", "protocol", "wire_size", "sent_at", "raw")
 
     def _args(self):
         frame = encode_message(Ping(token=7))
@@ -321,7 +272,6 @@ class TestPacketContract:
             len(frame) + PACKET_OVERHEAD_BYTES,
             1.25,
             frame,
-            CODEC_FRAME,
         )
 
     def test_positional_and_keyword_construction_agree(self):
@@ -331,12 +281,6 @@ class TestPacketContract:
         for name in self.FIELDS:
             assert getattr(positional, name) == getattr(keyword, name)
         assert positional._decoded is _UNDECODED and keyword._decoded is _UNDECODED
-
-    def test_codec_defaults_to_pickle_and_decoded_can_be_preset(self):
-        src, dst, protocol, wire_size, sent_at, _, _ = self._args()
-        packet = Packet(src, dst, protocol, wire_size, sent_at, b"", _decoded="given")
-        assert packet.codec == CODEC_PICKLE
-        assert packet.payload == "given"
 
     def test_payload_decodes_once_and_is_memoised(self, monkeypatch):
         import repro.net.message as message

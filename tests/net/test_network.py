@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro.baselines.client_server import CsDone, CsQuery
 from repro.errors import HostOffline, NetworkError, UnknownProtocolError
 from repro.net import LinkModel, Network
+from repro.net.codec import encode_message
 from repro.net.message import PACKET_OVERHEAD_BYTES
 from repro.sim import Simulator
-from repro.util.compression import IdentityCodec
-from repro.util.serialization import serialize
 from repro.util.tracing import Tracer
 
 
@@ -23,45 +23,43 @@ class TestDelivery:
         b = net.create_host("b")
         received = []
         b.bind("test", lambda packet: received.append(packet.payload))
-        a.send(b.address, "test", {"keyword": "jazz"})
+        a.send(b.address, "test", CsQuery(1, "jazz"))
         sim.run()
-        assert received == [{"keyword": "jazz"}]
+        assert received == [CsQuery(1, "jazz")]
 
-    def test_wire_size_includes_overhead_and_compression(self):
-        sim, net = make_network(codec=IdentityCodec())
+    def test_wire_size_is_frame_plus_overhead(self):
+        sim, net = make_network()
         a = net.create_host("a")
         b = net.create_host("b")
         b.bind("test", lambda packet: None)
-        payload = {"data": "x" * 100}
+        payload = CsQuery(1, "x" * 100)
         size = a.send(b.address, "test", payload)
-        assert size == len(serialize(payload)) + PACKET_OVERHEAD_BYTES
+        assert size == len(encode_message(payload)) + PACKET_OVERHEAD_BYTES
         sim.run()
 
     def test_delivery_takes_transmission_plus_latency(self):
         sim, net = make_network(
-            codec=IdentityCodec(),
             default_link=LinkModel(latency=0.01, bandwidth=1000.0),
         )
         a = net.create_host("a", dispatch_time=0.0)
         b = net.create_host("b", dispatch_time=0.0)
         arrival = []
         b.bind("test", lambda packet: arrival.append(sim.now))
-        size = a.send(b.address, "test", b"payload")
+        size = a.send(b.address, "test", CsQuery(1, "payload"))
         sim.run()
         assert arrival[0] == pytest.approx(size / 1000.0 + 0.01)
 
     def test_sender_nic_serializes_transmissions(self):
         """Two back-to-back sends must not overlap on the uplink."""
         sim, net = make_network(
-            codec=IdentityCodec(),
             default_link=LinkModel(latency=0.0, bandwidth=100.0),
         )
         a = net.create_host("a", dispatch_time=0.0)
         b = net.create_host("b", dispatch_time=0.0)
         arrivals = []
         b.bind("test", lambda packet: arrivals.append(sim.now))
-        size1 = a.send(b.address, "test", "first")
-        size2 = a.send(b.address, "test", "second")
+        size1 = a.send(b.address, "test", CsQuery(1, "first"))
+        size2 = a.send(b.address, "test", CsQuery(2, "second"))
         sim.run()
         assert arrivals[0] == pytest.approx(size1 / 100.0)
         assert arrivals[1] == pytest.approx((size1 + size2) / 100.0)
@@ -76,8 +74,8 @@ class TestDelivery:
             b.cpu.submit(1.0, done.append, sim.now)
 
         b.bind("work", slow_handler)
-        a.send(b.address, "work", 1)
-        a.send(b.address, "work", 2)
+        a.send(b.address, "work", CsDone(1))
+        a.send(b.address, "work", CsDone(2))
         sim.run()
         assert len(done) == 2
         assert done[1] - done[0] == pytest.approx(1.0)
@@ -92,8 +90,8 @@ class TestDelivery:
             b.cpu.submit(1.0, done.append, sim.now)
 
         b.bind("work", slow_handler)
-        a.send(b.address, "work", 1)
-        a.send(b.address, "work", 2)
+        a.send(b.address, "work", CsDone(1))
+        a.send(b.address, "work", CsDone(2))
         sim.run()
         assert len(done) == 2
         assert done[1] - done[0] < 0.5
@@ -102,7 +100,7 @@ class TestDelivery:
         sim, net = make_network()
         a = net.create_host("a")
         b = net.create_host("b")
-        a.send(b.address, "nobody-listens", None)
+        a.send(b.address, "nobody-listens", CsDone(0))
         with pytest.raises(UnknownProtocolError):
             sim.run()
 
@@ -115,7 +113,7 @@ class TestChurn:
         b_address = b.address
         a.disconnect()
         with pytest.raises(HostOffline):
-            a.send(b_address, "test", None)
+            a.send(b_address, "test", CsDone(0))
 
     def test_packet_to_disconnected_host_drops(self):
         sim, net = make_network()
@@ -123,7 +121,7 @@ class TestChurn:
         b = net.create_host("b")
         b.bind("test", lambda packet: pytest.fail("must not deliver"))
         target = b.address
-        a.send(target, "test", None)
+        a.send(target, "test", CsDone(0))
         b.disconnect()
         sim.run()
         assert net.packets_dropped == 1
@@ -148,7 +146,7 @@ class TestChurn:
         b.disconnect()
         b.connect()
         b.bind("test", lambda packet: pytest.fail("must not deliver"))
-        a.send(old, "test", None)
+        a.send(old, "test", CsDone(0))
         sim.run()
         assert net.packets_dropped == 1
 
@@ -188,14 +186,14 @@ class TestNetworkAdmin:
         a.bind("p", lambda packet: None)
 
     def test_per_pair_link_override(self):
-        sim, net = make_network(codec=IdentityCodec())
+        sim, net = make_network()
         a = net.create_host("a", dispatch_time=0.0)
         b = net.create_host("b", dispatch_time=0.0)
         slow = LinkModel(latency=5.0, bandwidth=1e9)
         net.set_link(a.address, b.address, slow)
         arrivals = []
         b.bind("test", lambda packet: arrivals.append(sim.now))
-        a.send(b.address, "test", None)
+        a.send(b.address, "test", CsDone(0))
         sim.run()
         assert arrivals[0] == pytest.approx(5.0, abs=0.01)
 
@@ -204,7 +202,7 @@ class TestNetworkAdmin:
         a = net.create_host("a")
         b = net.create_host("b")
         b.bind("test", lambda packet: None)
-        size = a.send(b.address, "test", "hello")
+        size = a.send(b.address, "test", CsQuery(1, "hello"))
         sim.run()
         assert a.messages_sent == 1
         assert a.bytes_sent == size
@@ -217,7 +215,7 @@ class TestNetworkAdmin:
         a = net.create_host("a")
         b = net.create_host("b")
         b.bind("test", lambda packet: None)
-        a.send(b.address, "test", None)
+        a.send(b.address, "test", CsDone(0))
         sim.run()
         assert net.tracer.count("net", "send") == 1
         assert net.tracer.count("net", "deliver") == 1

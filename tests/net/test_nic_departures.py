@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.client_server import CsQuery
 from repro.net import LinkModel, Network
 from repro.sim import FifoServer, Simulator
-from repro.util.compression import IdentityCodec
 from repro.util.randomness import derive_rng
 from repro.util.tracing import Tracer
 
@@ -50,9 +50,14 @@ BANDWIDTHS = st.one_of(
     st.just(102_400.0),
     st.floats(min_value=1e3, max_value=1e8, allow_nan=False),
 )
-#: payload lengths whose wire size is 100, 200 and 300 bytes
+#: payload lengths whose wire size is 100, 200 and 300 bytes (see ``payload``)
 ROUND_SIZES = st.sampled_from([5, 105, 205])
 SIZES = st.one_of(ROUND_SIZES, st.integers(min_value=0, max_value=2000))
+
+
+def payload(size: int) -> CsQuery:
+    """A registered message whose frame is ``size + 15`` bytes."""
+    return CsQuery(0, "x" * (size + 1))
 
 
 @dataclass(frozen=True)
@@ -98,7 +103,7 @@ def run_network(hosts, links, sends, partition=None):
     the time it was recorded, and the network.
     """
     sim = Simulator()
-    network = Network(sim, codec=IdentityCodec(), tracer=Tracer(), loss_seed=LOSS_SEED)
+    network = Network(sim, tracer=Tracer(), loss_seed=LOSS_SEED)
     nodes = [network.create_host(f"h{i}", dispatch_time=0.0) for i in range(hosts)]
     for (a, b), link in links.items():
         network.set_link(nodes[a].address, nodes[b].address, link)
@@ -122,7 +127,7 @@ def run_network(hosts, links, sends, partition=None):
 
     def send(index: int) -> None:
         s = sends[index]
-        sizes[index] = nodes[s.src].send(nodes[s.dst].address, f"p{index}", b"x" * s.size)
+        sizes[index] = nodes[s.src].send(nodes[s.dst].address, f"p{index}", payload(s.size))
 
     for index, s in enumerate(sends):
         sim.schedule_at(s.at, send, index)

@@ -4,18 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.client_server import CsQuery
 from repro.net import LinkModel, Network
 from repro.sim import Simulator
-from repro.util.compression import IdentityCodec
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.binary(min_size=1, max_size=200), min_size=1, max_size=20))
-def test_per_pair_delivery_is_fifo(payloads):
+@given(st.lists(st.integers(min_value=1, max_value=200), min_size=1, max_size=20))
+def test_per_pair_delivery_is_fifo(sizes):
     """With one link model, packets between a pair never reorder:
     the sender NIC is FIFO and latency is constant."""
+    payloads = [CsQuery(index, "x" * size) for index, size in enumerate(sizes)]
     sim = Simulator()
-    net = Network(sim, codec=IdentityCodec())
+    net = Network(sim)
     a = net.create_host("a")
     b = net.create_host("b")
     received = []
@@ -31,7 +32,6 @@ def test_cross_pair_messages_can_interleave():
     sim = Simulator()
     net = Network(
         sim,
-        codec=IdentityCodec(),
         default_link=LinkModel(latency=0.0, bandwidth=100.0),
     )
     slow = net.create_host("slow", dispatch_time=0.0)
@@ -39,17 +39,16 @@ def test_cross_pair_messages_can_interleave():
     sink = net.create_host("sink", dispatch_time=0.0)
     received = []
     sink.bind("t", lambda packet: received.append(packet.payload))
-    slow.send(sink.address, "t", b"x" * 5000)  # ~50s of transmission
-    fast.send(sink.address, "t", b"quick")
+    slow.send(sink.address, "t", CsQuery(0, "x" * 5000))  # ~50s of transmission
+    fast.send(sink.address, "t", CsQuery(1, "quick"))
     sim.run()
-    assert received[0] == b"quick"
+    assert received[0] == CsQuery(1, "quick")
 
 
 def test_broadcast_fanout_serializes_on_sender_nic():
     sim = Simulator()
     net = Network(
         sim,
-        codec=IdentityCodec(),
         default_link=LinkModel(latency=0.0, bandwidth=1000.0),
     )
     sender = net.create_host("sender", dispatch_time=0.0)
@@ -62,7 +61,7 @@ def test_broadcast_fanout_serializes_on_sender_nic():
         )
         receivers.append(receiver)
     wire_sizes = [
-        sender.send(receiver.address, "t", b"y" * 920) for receiver in receivers
+        sender.send(receiver.address, "t", CsQuery(0, "y" * 920)) for receiver in receivers
     ]
     per_message = wire_sizes[0] / 1000.0  # seconds on the 1000 B/s NIC
     sim.run()

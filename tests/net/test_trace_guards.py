@@ -6,9 +6,9 @@ from __future__ import annotations
 
 from repro import BestPeerConfig, build_network, random_graph
 from repro.agents.storm_agent import StorMSearchAgent
+from repro.baselines.client_server import CsDone
 from repro.ids import AgentId
 from repro.net.address import IPAddress
-from repro.net.codec import CODEC_FRAME
 from repro.net.message import PACKET_OVERHEAD_BYTES, Packet
 from repro.net.network import Network
 from repro.sim import Simulator
@@ -28,22 +28,25 @@ A, B, C = "10.0.0.0", "10.0.0.1", "10.0.0.2"
 #: time but is written when the packet is queued, since the NIC has no
 #: completion event to write it from; so b's and c's forwards now sit
 #: right after the delivery that triggered them, ahead of the execute
-#: record of the same visit.  Every record and timestamp is unchanged.
+#: record of the same visit.  Every record is unchanged; the timestamps
+#: moved once since, when the rig began dispatching under a query id
+#: (28 more envelope bytes) and the answer became a data frame instead
+#: of a gzip-priced pickle.
 TRIANGLE_EVENTS = [
-    (0.0007248, "net", "send", (("src", A), ("dst", B), ("protocol", AGENT))),
-    (0.0014496, "net", "send", (("src", A), ("dst", C), ("protocol", AGENT))),
-    (0.0057248, "net", "deliver", (("host", "b"), ("protocol", AGENT), ("src", A))),
-    (0.0064496, "net", "send", (("src", B), ("dst", C), ("protocol", AGENT))),
-    (0.0057248, "agent", "execute", (("agent", AGENT_ID), ("hops", 1), ("service", 0.011))),
-    (0.0064496, "net", "deliver", (("host", "c"), ("protocol", AGENT), ("src", A))),
-    (0.0071744, "net", "send", (("src", C), ("dst", B), ("protocol", AGENT))),
-    (0.0064496, "agent", "execute", (("agent", AGENT_ID), ("hops", 1), ("service", 0.011))),
-    (0.0114496, "net", "deliver", (("host", "c"), ("protocol", AGENT), ("src", B))),
-    (0.0114496, "agent", "dedup", (("agent", AGENT_ID),)),
-    (0.0121744, "net", "deliver", (("host", "b"), ("protocol", AGENT), ("src", C))),
-    (0.0121744, "agent", "dedup", (("agent", AGENT_ID),)),
-    (0.0169496, "net", "send", (("src", B), ("dst", A), ("protocol", ANSWER))),
-    (0.0219496, "net", "deliver", (("host", "a"), ("protocol", ANSWER), ("src", B))),
+    (0.0007472, "net", "send", (("src", A), ("dst", B), ("protocol", AGENT))),
+    (0.0014944, "net", "send", (("src", A), ("dst", C), ("protocol", AGENT))),
+    (0.0057472, "net", "deliver", (("host", "b"), ("protocol", AGENT), ("src", A))),
+    (0.0064944, "net", "send", (("src", B), ("dst", C), ("protocol", AGENT))),
+    (0.0057472, "agent", "execute", (("agent", AGENT_ID), ("hops", 1), ("service", 0.011))),
+    (0.0064944, "net", "deliver", (("host", "c"), ("protocol", AGENT), ("src", A))),
+    (0.0072416, "net", "send", (("src", C), ("dst", B), ("protocol", AGENT))),
+    (0.0064944, "agent", "execute", (("agent", AGENT_ID), ("hops", 1), ("service", 0.011))),
+    (0.0114944, "net", "deliver", (("host", "c"), ("protocol", AGENT), ("src", B))),
+    (0.0114944, "agent", "dedup", (("agent", AGENT_ID),)),
+    (0.0122416, "net", "deliver", (("host", "b"), ("protocol", AGENT), ("src", C))),
+    (0.0122416, "agent", "dedup", (("agent", AGENT_ID),)),
+    (0.0169144, "net", "send", (("src", B), ("dst", A), ("protocol", ANSWER))),
+    (0.0219144, "net", "deliver", (("host", "a"), ("protocol", ANSWER), ("src", B))),
 ]
 
 
@@ -54,7 +57,7 @@ def test_enabled_tracer_records_what_it_always_did():
     rig.link(b, c)
     rig.link(c, a)
     b.put_objects("k", 1)
-    a.engine.dispatch(StorMSearchAgent("k"))
+    a.dispatch(StorMSearchAgent("k"))
     rig.sim.run()
     recorded = [e for e in rig.tracer.events if (e.category, e.label) in GUARDED]
     assert [
@@ -120,12 +123,12 @@ def _drop_one(tracer, monkeypatch):
         return original(self)
 
     monkeypatch.setattr(IPAddress, "__str__", counting)
-    alice.send(gone, "p", b"lost")
+    alice.send(gone, "p", CsDone(0))
     corrupt = b"\x00not a frame"
     carol._receive(
         Packet(
             alice.address, carol.address, "p", len(corrupt) + PACKET_OVERHEAD_BYTES,
-            sim.now, corrupt, CODEC_FRAME,
+            sim.now, corrupt,
         )
     )
     sim.run()

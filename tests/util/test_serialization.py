@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.ids import BPID, AgentId, QueryId
-from repro.util.serialization import deserialize, serialize, serialized_size
+from repro.util.serialization import deserialize, serialize
 
 
 def test_round_trip_basic_types():
@@ -19,17 +19,6 @@ def test_round_trip_ids():
     assert deserialize(serialize(bpid)) == bpid
     assert deserialize(serialize(agent_id)) == agent_id
     assert deserialize(serialize(query_id)) == query_id
-
-
-def test_serialized_size_matches_serialize():
-    obj = {"keyword": "jazz", "answers": list(range(50))}
-    assert serialized_size(obj) == len(serialize(obj))
-
-
-def test_size_grows_with_payload():
-    small = serialized_size(["x"] * 5)
-    large = serialized_size(["x" * 100] * 100)
-    assert large > small
 
 
 @given(

@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-import gzip
-
 import repro.util.serialization as serialization_module
-from repro.util.compression import DEFAULT_CODEC
-from repro.util.serialization import EncodedPayload, WireEncoder, deserialize
+from repro.baselines.client_server import CsDone, CsQuery
+from repro.net.codec import decode_message, encode_message
+from repro.util.serialization import WireEncoder
 from repro.util.tracing import Tracer
 
 
 def test_same_object_encodes_once():
-    encoder = WireEncoder(DEFAULT_CODEC)
-    payload = {"query": "keyword", "hops": 3}
+    encoder = WireEncoder()
+    payload = CsQuery(3, "keyword")
     first = encoder.encode(payload)
     second = encoder.encode(payload)
     assert first is second
@@ -20,38 +19,36 @@ def test_same_object_encodes_once():
 
 
 def test_equal_but_distinct_objects_encode_separately():
-    encoder = WireEncoder(DEFAULT_CODEC)
-    a = {"query": "keyword"}
-    b = {"query": "keyword"}
+    encoder = WireEncoder()
+    a = CsQuery(1, "keyword")
+    b = CsQuery(1, "keyword")
     first = encoder.encode(a)
     second = encoder.encode(b)
-    assert first.raw == second.raw
-    assert first.compressed_size == second.compressed_size
+    assert first == second
     assert encoder.misses == 2
 
 
 def test_encoding_matches_direct_serialization():
-    encoder = WireEncoder(DEFAULT_CODEC)
-    payload = ("tuple", 42, b"bytes")
-    encoded = encoder.encode(payload)
-    assert isinstance(encoded, EncodedPayload)
-    assert deserialize(encoded.raw) == payload
-    assert encoded.compressed_size == len(gzip.compress(encoded.raw, mtime=0))
+    encoder = WireEncoder()
+    payload = CsQuery(42, "bytes")
+    frame = encoder.encode(payload)
+    assert frame == encode_message(payload)
+    assert decode_message(frame) == payload
 
 
 def test_capacity_zero_disables_caching(monkeypatch):
     monkeypatch.setattr(serialization_module, "WIRE_CACHE_CAPACITY", 0)
-    encoder = WireEncoder(DEFAULT_CODEC)
-    payload = {"query": "keyword"}
+    encoder = WireEncoder()
+    payload = CsQuery(1, "keyword")
     encoder.encode(payload)
     encoder.encode(payload)
     assert (encoder.hits, encoder.misses) == (0, 2)
 
 
 def test_lru_eviction_respects_capacity():
-    encoder = WireEncoder(DEFAULT_CODEC)
+    encoder = WireEncoder()
     capacity = serialization_module.WIRE_CACHE_CAPACITY
-    keep_alive = [{"n": n} for n in range(capacity + 1)]
+    keep_alive = [CsDone(n) for n in range(capacity + 1)]
     for payload in keep_alive:
         encoder.encode(payload)
     # payload 0 was evicted; the rest still hit.
@@ -64,21 +61,21 @@ def test_lru_eviction_respects_capacity():
 
 def test_recycled_id_does_not_serve_stale_bytes(monkeypatch):
     monkeypatch.setattr(serialization_module, "WIRE_CACHE_CAPACITY", 8)
-    encoder = WireEncoder(DEFAULT_CODEC)
+    encoder = WireEncoder()
     # The cache keys on id() but stores a strong reference and verifies
     # object identity, so a different object at a recycled address can
     # never be served another payload's bytes.
     results = {}
     for n in range(64):
-        payload = {"n": n}
-        results[n] = deserialize(encoder.encode(payload).raw)
-    assert all(results[n] == {"n": n} for n in range(64))
+        payload = CsDone(n)
+        results[n] = decode_message(encoder.encode(payload))
+    assert all(results[n] == CsDone(n) for n in range(64))
 
 
 def test_hit_ratio_and_clear():
-    encoder = WireEncoder(DEFAULT_CODEC)
+    encoder = WireEncoder()
     assert encoder.hit_ratio == 0.0
-    payload = {"x": 1}
+    payload = CsDone(1)
     encoder.encode(payload)
     encoder.encode(payload)
     assert encoder.hit_ratio == 0.5
@@ -89,8 +86,8 @@ def test_hit_ratio_and_clear():
 
 def test_tracer_counters_bump():
     tracer = Tracer(enabled=True)
-    encoder = WireEncoder(DEFAULT_CODEC, tracer=tracer)
-    payload = {"x": 1}
+    encoder = WireEncoder(tracer=tracer)
+    payload = CsDone(1)
     encoder.encode(payload)
     encoder.encode(payload)
     assert tracer.counter("net", "encode-miss") == 1
