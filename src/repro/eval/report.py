@@ -56,16 +56,13 @@ def format_figure(result: FigureResult) -> str:
 
 def network_stats(network) -> dict[str, object]:
     """Traffic and wire-encoder counters for one ``Network``."""
-    hits = network.encode_hits
-    misses = network.encode_misses
-    total = hits + misses
     stats: dict[str, object] = {
         "packets_delivered": network.packets_delivered,
         "packets_dropped": network.packets_dropped,
         "bytes_carried": network.bytes_carried,
-        "encode_hits": hits,
-        "encode_misses": misses,
-        "encode_hit_ratio": (hits / total) if total else 0.0,
+        "encode_hits": network.encode_hits,
+        "encode_misses": network.encode_misses,
+        "encode_hit_ratio": network.encoder.hit_ratio,
         "decode_errors": network.decode_errors,
         # per-plane split: where the encoded bytes actually go
         "control_frames": network.encoder.compact_frames,

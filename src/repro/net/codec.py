@@ -27,7 +27,9 @@ sender bug, and there is no other wire.  A message with a field-list body is dee
 immutable (a frozen dataclass whose field codecs yield nothing a
 receiver could change) and :func:`register` refuses anything else,
 because every receiver of one such frame, on either plane, shares one
-decoded message.
+decoded message.  The same immutability lets each such spec key the
+frames it packed by message (:func:`encode_message`): equal messages are
+packed once, as equal frames are parsed once.
 
 The conformance battery in ``tests/net`` pins both layouts with golden
 frame vectors, property tests, and a malformed-frame fault injector.
@@ -59,9 +61,10 @@ WIRE_FORMAT_VERSION = 1
 @dataclass(frozen=True, slots=True)
 class Plane:
     """One frame layout: its magic byte, header and size cap, and how many
-    distinct parsed frames each of its specs remembers
-    (:func:`decode_message`).  A full memo is cleared, not aged; it holds
-    at most ``memo_capacity`` frames of at most ``max_frame_bytes`` each."""
+    distinct parsed frames (:func:`decode_message`) and packed messages
+    (:func:`encode_message`) each of its specs remembers.  A full memo is
+    cleared, not aged; it holds at most ``memo_capacity`` frames of at most
+    ``max_frame_bytes`` each."""
 
     name: str
     magic: int
@@ -140,6 +143,10 @@ class FieldCodec:
     #: the safe default is True, the immutable leaves say False and the
     #: combinators ask their inners.
     yields_mutable = True
+    #: Do equal values always pack to equal bytes?  Only then may
+    #: :func:`encode_message` find a frame by message value.  False by
+    #: default and for floats (``-0.0 == 0.0``); combinators ask their inners.
+    packs_by_value = False
 
     def pack(self, value: Any, out: bytearray) -> None:
         raise NotImplementedError
@@ -156,6 +163,7 @@ class _Scalar(FieldCodec):
     def __init__(self, fmt: str, name: str):
         self._struct = struct.Struct(fmt)
         self.name = name
+        self.packs_by_value = fmt[-1] not in "efd"
 
     def pack(self, value: Any, out: bytearray) -> None:
         try:
@@ -173,6 +181,7 @@ class _Bool(FieldCodec):
 
     name = "bool"
     yields_mutable = False
+    packs_by_value = True
 
     def pack(self, value: Any, out: bytearray) -> None:
         if not isinstance(value, bool):
@@ -191,6 +200,7 @@ class _Str(FieldCodec):
 
     name = "str"
     yields_mutable = False
+    packs_by_value = True
 
     def pack(self, value: Any, out: bytearray) -> None:
         if not isinstance(value, str):
@@ -215,6 +225,7 @@ class _Bytes(FieldCodec):
 
     name = "bytes"
     yields_mutable = False
+    packs_by_value = True
 
     def pack(self, value: Any, out: bytearray) -> None:
         if not isinstance(value, (bytes, bytearray)):
@@ -235,6 +246,7 @@ class _Optional(FieldCodec):
         self.inner = inner
         self.name = f"opt({inner.name})"
         self.yields_mutable = inner.yields_mutable
+        self.packs_by_value = inner.packs_by_value
 
     def pack(self, value: Any, out: bytearray) -> None:
         if value is None:
@@ -259,6 +271,7 @@ class _Seq(FieldCodec):
         self.inner = inner
         self.name = f"seq({inner.name})"
         self.yields_mutable = inner.yields_mutable
+        self.packs_by_value = inner.packs_by_value
 
     def pack(self, value: Any, out: bytearray) -> None:
         try:
@@ -288,6 +301,7 @@ class _Pair(FieldCodec):
         self.second = second
         self.name = f"pair({first.name},{second.name})"
         self.yields_mutable = first.yields_mutable or second.yields_mutable
+        self.packs_by_value = first.packs_by_value and second.packs_by_value
 
     def pack(self, value: Any, out: bytearray) -> None:
         try:
@@ -320,6 +334,7 @@ class _Composite(FieldCodec):
         self.yields_mutable = not _is_frozen_dataclass(build) or any(
             codec.yields_mutable for _attr, codec in attrs
         )
+        self.packs_by_value = all(codec.packs_by_value for _attr, codec in attrs)
 
     def pack(self, value: Any, out: bytearray) -> None:
         for attr, codec in self.attrs:
@@ -417,6 +432,7 @@ class _CompressedSource(FieldCodec):
 
     name = "zsource"
     yields_mutable = False
+    packs_by_value = True
 
     #: sha256 hexdigest of the source -> its zlib bytes
     _cache: dict[str, bytes] = {}
@@ -435,9 +451,10 @@ class _CompressedSource(FieldCodec):
         blob = self._cache.get(digest)
         if blob is None:
             blob = zlib.compress(raw, _SOURCE_ZLIB_LEVEL)
-            if len(self._cache) >= self._CACHE_CAPACITY:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[digest] = blob
+            with _MEMO_LOCK:  # capacity check, evict and insert as one step
+                if len(self._cache) >= self._CACHE_CAPACITY:
+                    self._cache.pop(next(iter(self._cache)))
+                self._cache[digest] = blob
         out += U32._struct.pack(len(raw))  # type: ignore[attr-defined]
         out += U32._struct.pack(len(blob))  # type: ignore[attr-defined]
         out += blob
@@ -488,6 +505,7 @@ class _WireAddress(FieldCodec):
 
     name = "address"
     yields_mutable = False
+    packs_by_value = True
 
     def pack(self, value: Any, out: bytearray) -> None:
         from repro.net.address import IPAddress
@@ -542,6 +560,9 @@ class MessageSpec:
     #: body (see :func:`decode_message`).  Held here so that re-registering
     #: or dropping a type id drops its messages with it.
     memo: dict[bytes, Any] = field(default_factory=dict, repr=False, compare=False)
+    #: the mirror: message -> its frame (see :func:`encode_message`); None
+    #: for a custom body or a field that does not pack by value
+    frames: dict[Any, bytes] | None = field(default=None, repr=False, compare=False)
 
     @property
     def name(self) -> str:
@@ -591,8 +612,10 @@ def register(
         raise WireCodecError(
             f"type id {type_id:#x} already registered for {existing.name}"
         )
+    keyed = unpack_body is None and all(codec.packs_by_value for _, codec in fields)
     spec = MessageSpec(
-        type_id, cls, tuple(fields), sample, plane, when, pack_body, unpack_body
+        type_id, cls, tuple(fields), sample, plane, when, pack_body, unpack_body,
+        frames={} if keyed else None,
     )
     _BY_ID[type_id] = spec
     others = tuple(s for s in _BY_CLASS.get(cls, ()) if s.type_id != type_id)
@@ -650,7 +673,17 @@ def unpack_fields(
 def encode_message(message: Any) -> bytes:
     """The frame for ``message`` on the plane of the first of its class's
     specs that takes it; :class:`WireEncodeError` when it is unregistered,
-    no spec takes it, or a value overflows its field."""
+    unhashable, no spec takes it, or a value overflows its field.
+
+    A star's responders send the initiator equal answers query after
+    query.  So a spec whose fields :attr:`~FieldCodec.packs_by_value`
+    keeps each frame that packed and passed the size cap in
+    ``spec.frames``, keyed by the deeply immutable message itself (up to
+    its plane's ``memo_capacity``), and returns that very ``bytes`` object
+    for every equal message; the receiver's decode memo then hits by
+    identity.  (A value equal to one packed but of a type its codec
+    refuses, ``1`` in a bool field, is then served, not refused.)
+    """
     specs = _BY_CLASS.get(type(message))
     if specs is None:
         raise WireEncodeError(f"{type(message).__qualname__} is not registered")
@@ -659,6 +692,14 @@ def encode_message(message: Any) -> bytes:
             break
     else:
         raise WireEncodeError(f"no spec of {specs[0].name} takes this instance")
+    frames = spec.frames
+    if frames is not None:
+        try:
+            frame = frames.get(message)
+        except TypeError as exc:  # a list where a tuple belongs, say
+            raise WireEncodeError(f"{spec.name} value is unhashable: {exc}") from exc
+        if frame is not None:
+            return frame
     plane = spec.plane
     header_size = plane.header.size
     out = bytearray(header_size)
@@ -677,7 +718,13 @@ def encode_message(message: Any) -> bytes:
             out, 0, plane.magic, WIRE_FORMAT_VERSION, spec.type_id,
             len(out) - header_size,
         )
-    return bytes(out)
+    frame = bytes(out)
+    if frames is not None:
+        with _MEMO_LOCK:  # capacity check, clear and insert as one step
+            if len(frames) >= plane.memo_capacity:
+                frames.clear()
+            frames[message] = frame
+    return frame
 
 
 def decode_message(frame: bytes) -> Any:

@@ -280,7 +280,7 @@ class Network:
 
     @property
     def encode_misses(self) -> int:
-        """Wire-encoder cache misses (payloads fully encoded)."""
+        """Wire-encoder cache misses (payloads handed to the codec)."""
         return self.encoder.misses
 
     # -- host management ----------------------------------------------------

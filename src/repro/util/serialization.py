@@ -29,8 +29,8 @@ PICKLE_PROTOCOL = 4
 #: Number of payload objects a :class:`WireEncoder` memoizes.
 #: Fan-out sends (agent floods, CS broadcasts, Gnutella relays) reuse one
 #: payload object within a handful of simulator events, so a small cache
-#: captures nearly all repeats.  Set to 0 to disable encoding caches
-#: globally (the determinism regression tests do exactly that).
+#: captures nearly all repeats.  Set to 0 to disable this identity cache
+#: (the determinism tests do); the codec's own memo stays on.
 WIRE_CACHE_CAPACITY = 128
 
 #: Lazily bound :mod:`repro.net.codec` (imported on first encode to keep
@@ -70,6 +70,7 @@ class WireEncoder:
     every protocol message in this library (frozen dataclasses, tuples,
     bytes).  Encoded bytes are deterministic, so a hit returns exactly
     what re-encoding would; wire sizes are bit-identical either way.
+    A miss reaches the codec, which serves an *equal* message from its memo.
     """
 
     def __init__(self, tracer: "Tracer | None" = None):
@@ -130,7 +131,3 @@ class WireEncoder:
             while len(self._cache) > self.capacity:
                 self._cache.popitem(last=False)
         return frame
-
-    def clear(self) -> None:
-        """Drop all cached encodings (counters are kept)."""
-        self._cache.clear()

@@ -1,11 +1,12 @@
 """How a run is executed must never change a result.
 
-The wire encoding cache (a module constant) and the parallel experiment
-runner (``--jobs``) exist purely to save wall-clock; these tests pin down that every observable output
-(figure series, bytes on the wire, packet counts, answer hop counts,
-buffer I/O statistics) is bit-identical whichever of them executes the
-run.  "Now vs before" is
-``test_figure_digests.py`` and ``test_ledger_digests.py``.
+The wire encoder's identity cache (a module constant), the codec's
+per-spec frame memos and the parallel experiment runner (``--jobs``)
+exist purely to save wall-clock; these tests pin down that every
+observable output (figure series, bytes on the wire, packet counts,
+answer hop counts, buffer I/O statistics) is bit-identical whichever of
+them executes the run, and whether a memo starts cold or warm.  "Now vs
+before" is ``test_figure_digests.py`` and ``test_ledger_digests.py``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import repro.util.serialization as serialization_module
 from repro.core.builder import build_network
 from repro.core.config import BestPeerConfig
 from repro.eval.experiment import ExperimentRunner, ParallelExperimentRunner
-from repro.eval.figures import FigureParams, figure_5a, figure_8a
+from repro.eval.figures import FigureParams, figure_5a, figure_5c, figure_8a
+from repro.net import codec as wire
+from repro.net.network import Network
 from repro.topology.builders import line, star
 
 #: Small enough to run every variant in seconds, big enough to exercise
@@ -96,6 +99,42 @@ def test_wire_bytes_identical_cache_on_vs_off(monkeypatch):
     monkeypatch.setattr(serialization_module, "WIRE_CACHE_CAPACITY", 0)
     without_cache = _drive_deployment()
     assert with_cache == without_cache
+
+
+def _figure_5_observables(monkeypatch) -> tuple:
+    """TINY Figures 5(a) and 5(c): their series, every host's
+    ``bytes_sent``, and how many messages were packed field by field."""
+    networks, packed = [], []
+    build, pack = Network.__init__, wire.pack_fields
+
+    def recording(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        networks.append(self)
+
+    def counting(*args):
+        packed.append(1)
+        pack(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Network, "__init__", recording)
+        patch.setattr(wire, "pack_fields", counting)
+        series = (
+            figure_5a(TINY, sizes=(1, 2, 4)).series,
+            figure_5c(TINY, sizes=(2, 4)).series,
+        )
+    sent = [[host.bytes_sent for host in net.hosts.values()] for net in networks]
+    return series, sent, len(packed)
+
+
+def test_encode_memos_cold_or_warm_give_identical_figures(monkeypatch):
+    for spec in wire.registered_specs():
+        if spec.frames is not None:
+            spec.frames.clear()
+    cold_series, cold_sent, cold_packed = _figure_5_observables(monkeypatch)
+    warm_series, warm_sent, warm_packed = _figure_5_observables(monkeypatch)
+    assert (warm_series, warm_sent) == (cold_series, cold_sent)
+    assert sum(map(sum, cold_sent)) > 0
+    assert warm_packed < cold_packed  # the warm run really was served from the memos
 
 
 def _faulted_observables(runner) -> tuple:

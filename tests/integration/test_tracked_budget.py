@@ -17,8 +17,8 @@ page copy), its free-space tree is copied ready-built, and its postings
 are the template's, read in place.  The last test holds an open plus the
 warm-up scan to 64 KiB of traced allocations.
 
-The decode memos outlive every deployment, so a figure run must leave
-each within its plane's capacity.
+The decode and encode memos outlive every deployment, so a figure run
+must leave each within its plane's capacity.
 """
 
 from __future__ import annotations
@@ -132,3 +132,12 @@ def test_a_figure_leaves_every_decode_memo_within_its_plane_capacity():
     for spec in specs:
         assert len(spec.memo) <= spec.plane.memo_capacity, spec.name
     assert len(wire._CompressedSource._inflated) <= wire._CompressedSource._CACHE_CAPACITY
+
+
+def test_a_figure_leaves_every_encode_memo_within_its_plane_capacity():
+    figure_5a(FigureParams(objects_per_node=20, queries=2))
+    specs = [spec for spec in wire.registered_specs() if spec.frames is not None]
+    assert any(spec.frames for spec in specs if spec.plane is wire.DATA)  # answers
+    for spec in specs:
+        assert len(spec.frames) <= spec.plane.memo_capacity, spec.name
+    assert len(wire._CompressedSource._cache) <= wire._CompressedSource._CACHE_CAPACITY

@@ -114,12 +114,13 @@ def test_every_packet_counts_as_a_frame_and_pickle_payloads_stays_zero():
 
 
 def test_encoder_cache_capacity_zero_disables_memoization(monkeypatch):
+    """Capacity 0 turns off the encoder's identity cache only: both sends
+    reach the codec, which may serve the second from its own memo."""
     monkeypatch.setattr(serialization_module, "WIRE_CACHE_CAPACITY", 0)
     encoder = WireEncoder()
     ping = Ping(token=9)
     first = encoder.encode(ping)
     second = encoder.encode(ping)
-    assert first is not second
     assert first == second
     assert encoder.hits == 0 and encoder.misses == 2
 

@@ -47,7 +47,6 @@ ALLOWED = {
     "has_room_for": TESTS,
     "has_seen": TESTS,
     "held_copies": TESTS,
-    "hit_ratio": TESTS,
     "holders_of": TESTS,
     "host_at": TESTS,
     "hot_records": TESTS,
