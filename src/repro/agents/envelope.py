@@ -19,7 +19,7 @@ object (:meth:`AgentEnvelope.hop`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.errors import WireDecodeError
@@ -99,13 +99,6 @@ class AgentEnvelope:
     def thaw(self) -> dict[str, Any]:
         """A fresh copy of the state for one execution."""
         return _thaw(self.state)
-
-    def __getstate__(self) -> list[Any]:
-        # The hop memo never travels: a pickled envelope is its wire fields.
-        return [
-            None if f.name == "_next_hop" else getattr(self, f.name)
-            for f in fields(self)
-        ]
 
     def with_source(self, source: str | None) -> "AgentEnvelope":
         """Same hop, different source inclusion (per-destination choice).

@@ -126,11 +126,6 @@ class BatchedAnswers:
     def __repr__(self) -> str:
         return f"BatchedAnswers(answers={self.answers!r})"
 
-    def __reduce__(self):
-        # Pickle mode ships the materialized form; the lazy memoryviews
-        # are a decode-side optimization, never part of the value.
-        return (BatchedAnswers, (self.answers,))
-
 
 # -- data-plane wire registrations (type id block 0x10xx) ----------------------
 #

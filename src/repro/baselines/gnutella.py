@@ -13,8 +13,10 @@ The comparison system of Section 4.6.  Key protocol behaviours modelled:
 * hits carry the matching file *names* only ("it simply sends the list
   of files that matches the query"); actual downloads are direct
   HTTP-style transfers outside the protocol (not exercised by the
-  paper's experiment, nor here);
-* PING/PONG peer discovery with the same reverse-path routing.
+  paper's experiment, nor here).
+
+PING/PONG peer discovery is not modelled: the paper's servents run on
+a fixed cluster with their peer sets configured up front.
 """
 
 from __future__ import annotations
@@ -30,12 +32,10 @@ from repro.net.network import Network
 from repro.sim import Simulator
 from repro.storm.store import StorM
 from repro.topology.builders import Topology
-from repro.util.tracing import NULL_TRACER, Tracer
+from repro.util.tracing import Tracer
 
 PROTO_QUERY = "gnutella.query"
 PROTO_QUERYHIT = "gnutella.queryhit"
-PROTO_PING = "gnutella.ping"
-PROTO_PONG = "gnutella.pong"
 
 DEFAULT_TTL = 7
 
@@ -65,28 +65,6 @@ class QueryHitDescriptor:
     @property
     def answer_count(self) -> int:
         return len(self.files)
-
-
-@dataclass(frozen=True, slots=True)
-class PingDescriptor:
-    """Gnutella PING: flooded peer discovery probe."""
-
-    guid: tuple[str, int]
-    ttl: int
-    hops: int
-
-    def hop(self) -> "PingDescriptor":
-        return PingDescriptor(self.guid, self.ttl - 1, self.hops + 1)
-
-
-@dataclass(frozen=True, slots=True)
-class PongDescriptor:
-    """Gnutella PONG: a servent's answer to a PING, reverse-routed."""
-
-    guid: tuple[str, int]
-    responder: str
-    address: IPAddress
-    shared_files: int
 
 
 @dataclass
@@ -123,11 +101,9 @@ class GnutellaServent:
         name: str,
         storm: StorM | None = None,
         costs: AgentCosts | None = None,
-        tracer: Tracer | None = None,
     ):
         self.name = name
         self.costs = costs if costs is not None else AgentCosts()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         # FURI is a Java GUI servent with a couple of worker threads:
         # relayed QUERYHITs queue behind the servent's own search work,
         # which is precisely why reverse-path result routing hurts.
@@ -141,13 +117,10 @@ class GnutellaServent:
         #: GUID -> upstream address: the reverse-path routing table
         self._routes: dict[tuple[str, int], IPAddress] = {}
         self._handles: dict[tuple[str, int], GnutellaQueryHandle] = {}
-        self._pongs: dict[tuple[str, int], list[PongDescriptor]] = {}
         self.queries_handled = 0
         self.hits_relayed = 0
         self.host.bind(PROTO_QUERY, self._on_query)
         self.host.bind(PROTO_QUERYHIT, self._on_queryhit)
-        self.host.bind(PROTO_PING, self._on_ping)
-        self.host.bind(PROTO_PONG, self._on_pong)
 
     def set_peers(self, peers: list[IPAddress]) -> None:
         """Install the fixed peer set."""
@@ -214,86 +187,6 @@ class GnutellaServent:
             return  # route expired: the hit is dropped, per the protocol
         self.hits_relayed += 1
         self.host.send(upstream, PROTO_QUERYHIT, hit)
-
-    # -- ping / pong ---------------------------------------------------------------
-
-    def ping_network(self, ttl: int = DEFAULT_TTL) -> tuple[str, int]:
-        """Flood a PING; pongs collect in :meth:`pongs_for`."""
-        guid = (self.name, self._next_serial)
-        self._next_serial += 1
-        self._seen.add(guid)
-        self._pongs[guid] = []
-        descriptor = PingDescriptor(guid, ttl - 1, 1)
-        for peer in self.peers:
-            self.host.send(peer, PROTO_PING, descriptor)
-        return guid
-
-    def pongs_for(self, guid: tuple[str, int]) -> list[PongDescriptor]:
-        return list(self._pongs.get(guid, []))
-
-    def bootstrap(
-        self,
-        seed: IPAddress,
-        max_peers: int = 8,
-        ttl: int = DEFAULT_TTL,
-        settle_time: float = 2.0,
-    ) -> None:
-        """Join the overlay through one known servent (the host cache).
-
-        The classic Gnutella join: connect to a single seed, flood a
-        PING, collect PONGs (each carries a live servent's address), and
-        after ``settle_time`` adopt up to ``max_peers`` of the
-        discovered servents — preferring the ones sharing the most
-        files — as the fixed peer set.
-        """
-        self.peers = [seed]
-        guid = self.ping_network(ttl=ttl)
-        self.sim.schedule(settle_time, self._adopt_from_pongs, guid, seed, max_peers)
-
-    def _adopt_from_pongs(
-        self, guid: tuple[str, int], seed: IPAddress, max_peers: int
-    ) -> None:
-        pongs = self.pongs_for(guid)
-        ranked = sorted(pongs, key=lambda p: (-p.shared_files, p.responder))
-        adopted: list[IPAddress] = [seed]
-        for pong in ranked:
-            if len(adopted) >= max_peers:
-                break
-            if pong.address not in adopted:
-                adopted.append(pong.address)
-        self.peers = adopted
-        self.tracer.record(
-            self.sim.now,
-            "gnutella",
-            "bootstrap",
-            servent=self.name,
-            peers=len(adopted),
-        )
-
-    def _on_ping(self, packet: Packet) -> None:
-        ping: PingDescriptor = packet.payload
-        if ping.guid in self._seen:
-            return
-        self._seen.add(ping.guid)
-        self._routes[ping.guid] = packet.src
-        if ping.ttl > 0:
-            forwarded = ping.hop()
-            for peer in self.peers:
-                if peer != packet.src:
-                    self.host.send(peer, PROTO_PING, forwarded)
-        assert self.host.address is not None
-        pong = PongDescriptor(ping.guid, self.name, self.host.address, self.storm.count)
-        self.host.send(packet.src, PROTO_PONG, pong)
-
-    def _on_pong(self, packet: Packet) -> None:
-        pong: PongDescriptor = packet.payload
-        if pong.guid in self._pongs:
-            self._pongs[pong.guid].append(pong)
-            return
-        upstream = self._routes.get(pong.guid)
-        if upstream is not None:
-            self.host.send(upstream, PROTO_PONG, pong)
-
 
 def scored_reference(stores, keyword: str, k: int | None = None):
     """Exhaustive scored oracle: the true global top-k over ``stores``.
@@ -363,7 +256,6 @@ def build_gnutella_network(
     if topology.node_count < 1:
         raise TopologyError("need at least one servent")
     sim = sim if sim is not None else Simulator()
-    tracer = tracer if tracer is not None else NULL_TRACER
     network = Network(
         sim,
         pool=AddressPool(size=max(256, 2 * topology.node_count)),
@@ -375,7 +267,6 @@ def build_gnutella_network(
             network,
             f"gnut-{i}",
             costs=costs,
-            tracer=tracer,
             storm=storm_factory(i) if storm_factory is not None else None,
         )
         for i in range(topology.node_count)
@@ -414,24 +305,5 @@ wire.register(
     ),
     sample=lambda: QueryHitDescriptor(
         _SAMPLE_GUID, "node-9", (("music-0004", 512), ("music-0011", 512))
-    ),
-)
-wire.register(
-    PingDescriptor,
-    0x0403,
-    (("guid", wire.GUID_CODEC), ("ttl", wire.I32), ("hops", wire.U32)),
-    sample=lambda: PingDescriptor(_SAMPLE_GUID, 5, 2),
-)
-wire.register(
-    PongDescriptor,
-    0x0404,
-    (
-        ("guid", wire.GUID_CODEC),
-        ("responder", wire.STR),
-        ("address", wire.IPADDR_CODEC),
-        ("shared_files", wire.I64),
-    ),
-    sample=lambda: PongDescriptor(
-        _SAMPLE_GUID, "node-9", IPAddress("10.0.5.6"), 120
     ),
 )

@@ -23,12 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from repro.errors import BestPeerError, ExperimentError
 from repro.eval import ablations, churn, figures, replication, routing, topk
-from repro.eval.experiment import (
-    ExperimentRunner,
-    FigureResult,
-    ParallelExperimentRunner,
-    default_jobs,
-)
+from repro.eval.experiment import ExperimentRunner, FigureResult, default_jobs
 from repro.eval.figures import FigureParams
 from repro.eval.report import format_figure, format_trials
 
@@ -150,7 +145,7 @@ def _runner(args: argparse.Namespace) -> ExperimentRunner | None:
         raise SystemExit(f"error: --jobs must be >= 1, got {jobs}")
     if jobs == 1:
         return None
-    return ParallelExperimentRunner(jobs=jobs)
+    return ExperimentRunner(jobs=jobs)
 
 
 def _run_list() -> int:

@@ -25,10 +25,6 @@ class SchedulingError(SimulationError):
     """An event was scheduled in the past or on a stopped simulator."""
 
 
-class ProcessError(SimulationError):
-    """A coroutine process yielded an unsupported command."""
-
-
 # ---------------------------------------------------------------------------
 # Network substrate
 # ---------------------------------------------------------------------------

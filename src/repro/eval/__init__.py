@@ -3,8 +3,9 @@
 Section 4.1 proposes evaluating P2P systems on (1) a fixed set of nodes
 (a controlled environment), (2) the *rate* at which answers return, and
 (3) the quantity of answers.  ``metrics`` implements those measures,
-``experiment`` the repeated-run machinery, ``report`` text rendering,
-and ``figures`` one experiment definition per figure of Section 4.
+``experiment`` the result shape and the process-pool runner, ``report``
+text rendering, and ``figures`` one experiment definition per figure of
+Section 4.
 """
 
 from repro.eval.experiment import ExperimentRunner, FigureResult

@@ -1,4 +1,4 @@
-"""Experiment scaffolding: repeated runs and figure-shaped results."""
+"""Experiment scaffolding: figure-shaped results and the process-pool runner."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.errors import ExperimentError
-from repro.util.stats import RunningStats
 
 #: Environment variable consulted for the default worker count.
 JOBS_ENV_VAR = "REPRO_JOBS"
@@ -58,57 +57,24 @@ class FigureResult:
 
 
 class ExperimentRunner:
-    """Runs a measurement callable across repetitions and aggregates.
+    """Fans independent sweep tasks out to a ``multiprocessing`` pool.
 
-    The paper: "the results presented correspond to the average of at
-    least three different executions.  The variance across different
-    executions was not significant."  Each repetition gets its own seed
-    so workload randomness differs while staying reproducible.
+    Every simulation is seeded and single-threaded, so sweep points are
+    embarrassingly parallel: results are collected in task order and are
+    bit-identical to a serial run.  The CLI builds one from
+    :func:`default_jobs` when more than one job is asked for; serial
+    execution is no runner at all (``runner=None``).  With one job — or
+    with a task function the pickler cannot ship (e.g. a closure) —
+    execution stays serial, so a runner is always safe to use.
     """
 
-    def __init__(self, repetitions: int = 3, base_seed: int = 0):
-        if repetitions < 1:
-            raise ExperimentError(f"repetitions must be >= 1, got {repetitions}")
-        self.repetitions = repetitions
-        self.base_seed = base_seed
-
-    def measure(self, run: Callable[[int], float]) -> RunningStats:
-        """Call ``run(seed)`` once per repetition; aggregate the floats."""
-        stats = RunningStats()
-        for value in self.collect(run):
-            stats.add(value)
-        return stats
-
-    def collect(self, run: Callable[[int], object]) -> list:
-        """Call ``run(seed)`` per repetition; return all results."""
-        seeds = [self.base_seed + rep for rep in range(self.repetitions)]
-        return self.map_tasks(run, seeds)
-
-    def map_tasks(self, func: Callable, tasks: Sequence) -> list:
-        """Apply ``func`` to every task, in order.  Subclasses may fan out;
-        the base runner is strictly serial."""
-        return [func(task) for task in tasks]
-
-
-class ParallelExperimentRunner(ExperimentRunner):
-    """An :class:`ExperimentRunner` that fans independent tasks out to a
-    ``multiprocessing`` pool.
-
-    Every simulation is seeded and single-threaded, so repetitions and
-    sweep points are embarrassingly parallel: results are collected in
-    task order and are bit-identical to a serial run.  The CLI passes
-    :func:`default_jobs` as ``jobs``; with one job — or with a task
-    function the pickler cannot ship (e.g. a closure) — execution silently
-    stays serial, so this class is always safe to use.
-    """
-
-    def __init__(self, jobs: int, repetitions: int = 3, base_seed: int = 0):
-        super().__init__(repetitions=repetitions, base_seed=base_seed)
+    def __init__(self, jobs: int):
+        if jobs < 1:
+            raise ExperimentError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        if self.jobs < 1:
-            raise ExperimentError(f"jobs must be >= 1, got {self.jobs}")
 
     def map_tasks(self, func: Callable, tasks: Sequence) -> list:
+        """Apply ``func`` to every task; results come back in task order."""
         tasks = list(tasks)
         workers = min(self.jobs, len(tasks))
         if workers <= 1 or not _picklable((func, tasks)):

@@ -11,7 +11,7 @@ arithmetic) is passed in or computed by the caller.
 Every sweep point is an independent, picklable task: a figure maps a
 module-level function over plain-tuple tasks (:func:`run_tasks`) —
 inline with no runner, fanned out to worker processes under a
-:class:`~repro.eval.experiment.ParallelExperimentRunner`.  Deployments
+:class:`~repro.eval.experiment.ExperimentRunner`.  Deployments
 are rebuilt from the task tuple inside the worker and every stochastic
 choice (topology, fault timeline, retry jitter) derives from the params
 seed, so a point replays bit-identically either way, in task order.

@@ -68,27 +68,6 @@ class Packet:
             self._decoded = decode_message(self.raw)
         return self._decoded
 
-    def __getstate__(self) -> tuple[None, dict[str, Any]]:
-        # The decode cache never travels: the sentinel would unpickle as
-        # a fresh object() and masquerade as a decoded payload.  A packet
-        # crossing a process boundary (the parallel experiment runner)
-        # carries only the wire frame and re-decodes on first access.
-        return (None, {
-            "src": self.src,
-            "dst": self.dst,
-            "protocol": self.protocol,
-            "wire_size": self.wire_size,
-            "sent_at": self.sent_at,
-            "raw": self.raw,
-            "_decoded": _UNDECODED,
-        })
-
-    def __setstate__(self, state: tuple[None, dict[str, Any]]) -> None:
-        for name, value in state[1].items():
-            if name == "_decoded":
-                value = _UNDECODED
-            setattr(self, name, value)
-
     def __str__(self) -> str:
         return (
             f"Packet({self.src} -> {self.dst} proto={self.protocol} "

@@ -16,11 +16,9 @@ costs no handle.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator
+from typing import Any, Callable
 
 from repro.errors import SchedulingError
-from repro.sim.events import Event
-from repro.sim.process import Process
 
 
 class Timer:
@@ -69,7 +67,6 @@ class Simulator:
 
         sim = Simulator()
         sim.schedule(1.5, print, "fires at t=1.5")
-        sim.spawn(my_generator_process(sim))
         sim.run()
     """
 
@@ -149,41 +146,6 @@ class Simulator:
             heap[:] = [entry for entry in heap if not _cancelled(entry)]
             heapq.heapify(heap)
 
-    def event(self) -> Event:
-        """Create a fresh untriggered :class:`Event` bound to this simulator."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Event:
-        """Return an event that triggers ``delay`` from now with ``value``."""
-        event = self.event()
-        self.schedule(delay, event.trigger, value)
-        return event
-
-    # -- processes ----------------------------------------------------------
-
-    def spawn(self, generator: Generator) -> Process:
-        """Start a coroutine process; it runs from the current event."""
-        process = Process(self, generator)
-        # Kick off on a zero-delay timer so spawn() is safe mid-callback.
-        self.schedule(0.0, process._step, None)
-        return process
-
-    def _note_failure(self, process: Process) -> None:
-        """Called by a failing process.
-
-        The unobserved-failure check is scheduled *after* the completion
-        event's trigger callbacks, so a joiner waiting on the process gets
-        to observe (and handle or re-raise) the failure first.  If nobody
-        observed it, the run aborts with the original exception — errors
-        never pass silently.
-        """
-        self.schedule(0.0, self._raise_if_unobserved, process)
-
-    def _raise_if_unobserved(self, process: Process) -> None:
-        if not process.failure_observed:
-            process.failure_observed = True
-            raise process.exception
-
     # -- execution ----------------------------------------------------------
 
     def step(self) -> bool:
@@ -215,8 +177,8 @@ class Simulator:
         quiesces.  With ``until``, everything (daemons included) runs up
         to that simulated time.  Returns the final simulated time.
 
-        A process that dies with an unhandled exception aborts the run by
-        re-raising it here, so test failures surface immediately.
+        An exception a callback raises aborts the run and propagates from
+        here.
         """
         if self._running:
             raise SchedulingError("simulator is already running (no recursion)")

@@ -24,18 +24,3 @@ def derive_rng(seed: int, *scope: object) -> random.Random:
     digest = hashlib.sha256(material.encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
-
-class SeedSequence:
-    """Mints child seeds from a root seed, one per ``spawn()`` call."""
-
-    def __init__(self, root_seed: int):
-        self.root_seed = root_seed
-        self._next_child = 0
-
-    def spawn(self) -> int:
-        """Return a fresh deterministic child seed."""
-        child = self._next_child
-        self._next_child += 1
-        material = f"{self.root_seed}/{child}".encode("utf-8")
-        digest = hashlib.sha256(material).digest()
-        return int.from_bytes(digest[:8], "big")

@@ -1,6 +1,5 @@
 """Unit and property tests for agent envelopes."""
 
-import pickle
 from dataclasses import replace
 
 import pytest
@@ -78,9 +77,6 @@ class TestEnvelope:
         assert envelope.hop(None) is envelope.hop(None)
         assert envelope.hop(None) == replace(envelope, ttl=4, hops=3, source=None)
         assert envelope.hop("src") is not envelope.hop("src")
-        # the memo never travels with a pickled envelope
-        envelope.hop(None)
-        assert pickle.loads(pickle.dumps(envelope))._next_hop is None
 
     def test_advance_path(self):
         a, b = IPAddress("10.0.0.2"), IPAddress("10.0.0.3")

@@ -2,7 +2,7 @@
 
 from repro.agents.costs import AgentCosts
 from repro.baselines.gnutella import build_gnutella_network
-from repro.topology import line, random_graph, ring, star
+from repro.topology import line, random_graph, ring
 
 FAST = AgentCosts(
     class_install_time=0.005,
@@ -71,73 +71,3 @@ class TestQueryFlooding:
             deployment.sim.run()
             times.append(handle.completion_time)
         assert max(times) - min(times) < 0.2 * max(times)
-
-
-class TestBootstrap:
-    def test_newcomer_adopts_discovered_servents(self):
-        from repro.baselines.gnutella import GnutellaServent
-
-        deployment = build_gnutella_network(line(4), costs=FAST)
-        deployment.populate(fill, skip_base=True)
-        newcomer = GnutellaServent(deployment.network, "newbie", costs=FAST)
-        newcomer.bootstrap(
-            deployment.base.host.address, max_peers=4, settle_time=1.0
-        )
-        deployment.sim.run(until=deployment.sim.now + 2.0)
-        # Seed plus the three servents discovered through it.
-        assert len(newcomer.peers) == 4
-        # The newcomer can now query the overlay.
-        handle = newcomer.issue_query("mp3")
-        deployment.sim.run(until=deployment.sim.now + 5.0)
-        assert handle.network_answer_count == 9
-
-    def test_max_peers_cap_respected(self):
-        from repro.baselines.gnutella import GnutellaServent
-
-        deployment = build_gnutella_network(star(6), costs=FAST)
-        deployment.populate(fill, skip_base=True)
-        newcomer = GnutellaServent(deployment.network, "newbie", costs=FAST)
-        newcomer.bootstrap(
-            deployment.base.host.address, max_peers=3, settle_time=1.0
-        )
-        deployment.sim.run(until=deployment.sim.now + 2.0)
-        assert len(newcomer.peers) == 3
-
-    def test_prefers_servents_sharing_more_files(self):
-        from repro.baselines.gnutella import GnutellaServent
-
-        deployment = build_gnutella_network(star(4), costs=FAST)
-        fill(deployment.servent(1), 1, count=1)
-        fill(deployment.servent(2), 2, count=20)
-        fill(deployment.servent(3), 3, count=5)
-        newcomer = GnutellaServent(deployment.network, "newbie", costs=FAST)
-        newcomer.bootstrap(
-            deployment.base.host.address, max_peers=2, settle_time=1.0
-        )
-        deployment.sim.run(until=deployment.sim.now + 2.0)
-        # Seed + the biggest sharer (servent 2).
-        assert deployment.servent(2).host.address in newcomer.peers
-
-
-class TestPingPong:
-    def test_ping_discovers_all_reachable_servents(self):
-        deployment = build_gnutella_network(star(5), costs=FAST)
-        guid = deployment.base.ping_network()
-        deployment.sim.run()
-        pongs = deployment.base.pongs_for(guid)
-        assert {p.responder for p in pongs} == {f"gnut-{i}" for i in range(1, 5)}
-
-    def test_pong_reports_shared_file_count(self):
-        deployment = build_gnutella_network(line(2), costs=FAST)
-        fill(deployment.servent(1), 1, count=7)
-        guid = deployment.base.ping_network()
-        deployment.sim.run()
-        (pong,) = deployment.base.pongs_for(guid)
-        assert pong.shared_files == 7
-        assert pong.address == deployment.servent(1).host.address
-
-    def test_pongs_route_back_through_path(self):
-        deployment = build_gnutella_network(line(3), costs=FAST)
-        guid = deployment.base.ping_network()
-        deployment.sim.run()
-        assert len(deployment.base.pongs_for(guid)) == 2

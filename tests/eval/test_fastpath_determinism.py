@@ -16,7 +16,7 @@ import pytest
 import repro.util.serialization as serialization_module
 from repro.core.builder import build_network
 from repro.core.config import BestPeerConfig
-from repro.eval.experiment import ExperimentRunner, ParallelExperimentRunner
+from repro.eval.experiment import ExperimentRunner
 from repro.eval.figures import FigureParams, figure_5a, figure_5c, figure_8a
 from repro.net import codec as wire
 from repro.net.network import Network
@@ -47,14 +47,14 @@ def test_series_identical_with_caches_disabled(monkeypatch, fastpath_results):
 
 
 def test_series_identical_under_parallel_runner(fastpath_results):
-    parallel = ParallelExperimentRunner(jobs=2)
+    parallel = ExperimentRunner(jobs=2)
     fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=parallel)
     fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=parallel)
     assert (fig5.series, fig8.series) == fastpath_results
 
 
 def test_series_identical_under_serial_runner(fastpath_results):
-    serial = ExperimentRunner()
+    serial = ExperimentRunner(jobs=1)
     fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=serial)
     fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=serial)
     assert (fig5.series, fig8.series) == fastpath_results
@@ -152,8 +152,8 @@ def test_faulted_series_identical_serial_vs_parallel():
     # FaultPlan replays identically under the default, serial, and
     # parallel runners.
     default = _faulted_observables(None)
-    assert _faulted_observables(ExperimentRunner()) == default
-    assert _faulted_observables(ParallelExperimentRunner(jobs=2)) == default
+    assert _faulted_observables(ExperimentRunner(jobs=1)) == default
+    assert _faulted_observables(ExperimentRunner(jobs=2)) == default
 
 
 def test_encoder_cache_actually_hits_during_flood():
@@ -196,8 +196,8 @@ def test_new_strategies_self_identical_serial_vs_parallel():
     # (including hint publishes, hint queries and fallback floods) must
     # replay bit-identically whichever runner executes the sweep.
     default = _routing_observables(None)
-    assert _routing_observables(ExperimentRunner()) == default
-    assert _routing_observables(ParallelExperimentRunner(jobs=2)) == default
+    assert _routing_observables(ExperimentRunner(jobs=1)) == default
+    assert _routing_observables(ExperimentRunner(jobs=2)) == default
 
 
 def _topk_figure_observables(runner) -> tuple:
@@ -217,8 +217,8 @@ def test_topk_figure_self_identical_serial_vs_parallel():
     # and the whole timeline still replays bit-identically whichever
     # runner executes it.
     default = _topk_figure_observables(None)
-    assert _topk_figure_observables(ExperimentRunner()) == default
-    assert _topk_figure_observables(ParallelExperimentRunner(jobs=2)) == default
+    assert _topk_figure_observables(ExperimentRunner(jobs=1)) == default
+    assert _topk_figure_observables(ExperimentRunner(jobs=2)) == default
 
 
 def _replication_figure_observables(runner) -> tuple:
@@ -237,8 +237,8 @@ def test_replication_figure_self_identical_serial_vs_parallel():
     # ride the same seeded timeline; the sweep must replay
     # bit-identically whichever runner executes it.
     default = _replication_figure_observables(None)
-    assert _replication_figure_observables(ExperimentRunner()) == default
+    assert _replication_figure_observables(ExperimentRunner(jobs=1)) == default
     assert (
-        _replication_figure_observables(ParallelExperimentRunner(jobs=2))
+        _replication_figure_observables(ExperimentRunner(jobs=2))
         == default
     )

@@ -88,22 +88,6 @@ class TestFormatFigure:
 
 
 class TestExperimentRunner:
-    def test_measure_aggregates(self):
-        runner = ExperimentRunner(repetitions=3, base_seed=10)
-        seeds = []
-
-        def run(seed):
-            seeds.append(seed)
-            return float(seed)
-
-        stats = runner.measure(run)
-        assert seeds == [10, 11, 12]
-        assert stats.mean == 11.0
-
-    def test_collect(self):
-        runner = ExperimentRunner(repetitions=2)
-        assert runner.collect(lambda seed: seed * 2) == [0, 2]
-
     def test_validation(self):
         with pytest.raises(ExperimentError):
-            ExperimentRunner(repetitions=0)
+            ExperimentRunner(jobs=0)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.eval.experiment import ParallelExperimentRunner
+from repro.eval.experiment import ExperimentRunner
 from repro.eval.figures import FigureParams
 from repro.eval.routing import figure_routing
 from repro.eval.sweep import (
@@ -97,7 +97,7 @@ def test_too_few_nodes_rejected():
 def test_trials_survive_the_parallel_runner_unchanged():
     sweep = dict(node_count=NODE_COUNT, churn_rates=(0.3,), strategies=("static", "maxcount"))
     serial = figure_routing(PARAMS, **sweep)
-    parallel = figure_routing(PARAMS, runner=ParallelExperimentRunner(jobs=2), **sweep)
+    parallel = figure_routing(PARAMS, runner=ExperimentRunner(jobs=2), **sweep)
     assert len(serial.trials) == 2
     assert parallel.trials == serial.trials
     assert parallel.series == serial.series

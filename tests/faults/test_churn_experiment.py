@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.eval.churn import churn_trial, figure_churn
-from repro.eval.experiment import ExperimentRunner, ParallelExperimentRunner
+from repro.eval.experiment import ExperimentRunner
 from repro.eval.figures import FigureParams
 
 PARAMS = FigureParams(objects_per_node=0, queries=2, seed=0)
@@ -40,7 +40,7 @@ class TestSeededReplay:
             PARAMS,
             node_count=NODE_COUNT,
             churn_rates=RATES,
-            runner=ExperimentRunner(),
+            runner=ExperimentRunner(jobs=1),
         )
         assert result.series == series
         assert result.trials == trials
@@ -51,7 +51,7 @@ class TestSeededReplay:
             PARAMS,
             node_count=NODE_COUNT,
             churn_rates=RATES,
-            runner=ParallelExperimentRunner(jobs=2),
+            runner=ExperimentRunner(jobs=2),
         )
         assert result.series == series
         assert result.trials == trials

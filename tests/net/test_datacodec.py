@@ -250,17 +250,6 @@ def test_corrupt_record_boundary_raises_at_decode():
         decode_message(bytes(frame))
 
 
-def test_batch_pickles_by_value():
-    import pickle
-
-    batch = decode_message(
-        encode_message(BatchedAnswers([_answer(1), _answer(2)]))
-    )
-    clone = pickle.loads(pickle.dumps(batch))
-    assert clone == batch
-    assert clone.materialized  # pickle ships values, not memoryviews
-
-
 def _field_strategy(field_codec) -> st.SearchStrategy:
     """Like test_codec._strategy_for, plus the data-plane address field."""
     if field_codec is wire.ADDRESS_CODEC:

@@ -4,7 +4,6 @@ loop on corrupt frames — on both the control and the data plane."""
 
 from __future__ import annotations
 
-import pickle
 
 import pytest
 
@@ -239,22 +238,6 @@ def test_lazy_batch_corruption_is_counted_when_the_handler_reads_it():
     sim.run()
     assert received == []
     assert network.decode_errors == 1
-
-
-class TestPacketPickling:
-    def test_decode_cache_does_not_travel(self):
-        packet = Packet(
-            IPAddress("10.0.0.1"),
-            IPAddress("10.0.0.2"),
-            "t",
-            16,
-            0.0,
-            encode_message(Ping(token=5)),
-        )
-        assert packet.payload == Ping(token=5)  # decode, populating the cache
-        clone = pickle.loads(pickle.dumps(packet))
-        assert clone._decoded is _UNDECODED
-        assert clone.payload == Ping(token=5)
 
 
 class TestPacketContract:

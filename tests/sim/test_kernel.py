@@ -140,43 +140,6 @@ class TestScheduling:
         assert fired == sorted(fired)
 
 
-class TestEvents:
-    def test_trigger_wakes_callbacks_with_value(self):
-        sim = Simulator()
-        seen = []
-        event = sim.event()
-        event.on_trigger(seen.append)
-        sim.schedule(1.0, event.trigger, "payload")
-        sim.run()
-        assert seen == ["payload"]
-
-    def test_late_registration_still_fires(self):
-        sim = Simulator()
-        seen = []
-        event = sim.event()
-        sim.schedule(1.0, event.trigger, 42)
-        sim.schedule(2.0, lambda: event.on_trigger(seen.append))
-        sim.run()
-        assert seen == [42]
-
-    def test_double_trigger_raises(self):
-        from repro.errors import SimulationError
-
-        sim = Simulator()
-        event = sim.event()
-        event.trigger(1)
-        with pytest.raises(SimulationError):
-            event.trigger(2)
-
-    def test_timeout_helper(self):
-        sim = Simulator()
-        seen = []
-        sim.timeout(2.5, "done").on_trigger(seen.append)
-        sim.run()
-        assert seen == ["done"]
-        assert sim.now == 2.5
-
-
 class TestCompaction:
     def test_sweep_keeps_pending_exact_and_heap_bounded(self):
         sim = Simulator()

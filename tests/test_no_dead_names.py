@@ -2,11 +2,15 @@
 
 Every function, method and class defined in ``src/`` must be named
 somewhere in ``src/`` or ``examples/`` besides its own ``def`` — as a
-name, an attribute, an import, or a string (``getattr`` / ``__all__``).
-A name whose only referrers are tests is dead weight the simulator
-carries, so it fails here unless :data:`ALLOWED` says why it stays.
-The list can only shrink: an entry whose name gained a referrer, or
-was deleted, fails too.
+name, an attribute, an import, or a string (``getattr``).  A package
+``__init__`` re-exporting a name (``from repro… import`` or
+``__all__``) does not count: a re-export nobody uses is still dead.  A
+class under a registering decorator (any but ``dataclass``) counts as
+used, since the registry reaches it by name.  A name whose only
+referrers are tests is dead weight the simulator carries, so it fails
+here unless :data:`ALLOWED` says why it stays.  The list can only
+shrink: an entry whose name gained a referrer, or was deleted, fails
+too.
 """
 
 from __future__ import annotations
@@ -32,13 +36,12 @@ ALLOWED = {
     "render_timeline": FUZZING,
     "event_counts": FUZZING,
     "busiest_hosts": FUZZING,
-    "measure": LEDGER,
+    "clear_templates": LEDGER,
     "addresses": TESTS,
     "answers_by_responder": TESTS,
     "cache_stats": TESTS,
     "class_names": TESTS,
     "clear_caches": TESTS,
-    "clear_templates": TESTS,
     "depth": TESTS,
     "distinct_payload_count": TESTS,
     "edge_count": TESTS,
@@ -70,7 +73,6 @@ ALLOWED = {
     "report_for": TESTS,
     "reshare": TESTS,
     "resident_pages": TESTS,
-    "spawn": TESTS,
     "spec_for_id": TESTS,
     "store_for_items": TESTS,
     "summarize_shapes": TESTS,
@@ -95,6 +97,24 @@ def _referenced(node: ast.AST) -> str | None:
     return None
 
 
+def _is_reexport(statement: ast.stmt) -> bool:
+    """Is this top-level statement of a package ``__init__`` a re-export?"""
+    if isinstance(statement, ast.ImportFrom):
+        return statement.level == 0 and (statement.module or "").startswith("repro")
+    if isinstance(statement, ast.Assign):
+        return any(_referenced(target) == "__all__" for target in statement.targets)
+    return False
+
+
+def _registered(node: ast.ClassDef) -> bool:
+    """Does a decorator other than ``dataclass`` hand the class to a registry?"""
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if _referenced(target) != "dataclass":
+            return True
+    return False
+
+
 def _dead_names() -> dict[str, list[str]]:
     """Every ``src/`` definition nothing else names -> where it is defined."""
     defined: dict[str, list[str]] = defaultdict(list)
@@ -102,11 +122,16 @@ def _dead_names() -> dict[str, list[str]]:
     files = sorted(SRC.rglob("*.py")) + sorted(EXAMPLES.rglob("*.py"))
     assert files, f"no sources under {SRC}"
     for path in files:
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        if path.name == "__init__.py":
+            tree.body = [stmt for stmt in tree.body if not _is_reexport(stmt)]
+        for node in ast.walk(tree):
             if isinstance(node, DEFINITIONS):
                 if SRC in path.parents:
                     where = f"{path.relative_to(SRC).as_posix()}:{node.lineno}"
                     defined[node.name].append(where)
+                if isinstance(node, ast.ClassDef) and _registered(node):
+                    referenced.add(node.name)
             else:
                 name = _referenced(node)
                 if name is not None:

@@ -1,6 +1,6 @@
 """Tests for repro.util.randomness."""
 
-from repro.util.randomness import SeedSequence, derive_rng
+from repro.util.randomness import derive_rng
 
 
 def test_same_scope_same_stream():
@@ -20,14 +20,3 @@ def test_different_seed_different_stream():
     b = derive_rng(2, "x")
     assert [a.random() for _ in range(10)] != [b.random() for _ in range(10)]
 
-
-def test_seed_sequence_deterministic():
-    seq1 = SeedSequence(99)
-    seq2 = SeedSequence(99)
-    assert [seq1.spawn() for _ in range(5)] == [seq2.spawn() for _ in range(5)]
-
-
-def test_seed_sequence_children_distinct():
-    seq = SeedSequence(7)
-    children = [seq.spawn() for _ in range(100)]
-    assert len(set(children)) == 100
