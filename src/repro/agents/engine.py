@@ -36,7 +36,7 @@ from repro.agents.envelope import (
     ClassResponse,
     freeze_state,
 )
-from repro.agents.messages import AnswerItem, AnswerMessage, BatchedAnswers
+from repro.agents.messages import AnswerItem, AnswerMessage
 from repro.errors import AgentError, CodeShippingError
 from repro.ids import BPID, AgentId, QueryId
 from repro.net.address import IPAddress
@@ -57,44 +57,6 @@ PROTO_AGENT_HOME = "bestpeer.agent.home"
 def _no_peers() -> list[IPAddress]:
     """The fan-out of an engine given no ``get_peers``."""
     return []
-
-
-def _coalesce_answers(
-    outbox: Sequence[tuple[IPAddress, str, Any]],
-) -> list[tuple[IPAddress, str, Any]]:
-    """Coalesce consecutive same-(dst, query) answer runs into batches.
-
-    The wire analogue of :meth:`AgentEngine._ship_many`'s envelope
-    sharing: an agent that replies several times to one initiator ships
-    one :class:`BatchedAnswers` frame instead of N answer frames.  The
-    decision reads only the outbox contents.
-    Non-answer sends keep their positions; ordering is preserved.
-    """
-    out: list[tuple[IPAddress, str, Any]] = []
-    run: list[tuple[IPAddress, AnswerMessage]] = []
-
-    def flush() -> None:
-        if not run:
-            return
-        dst = run[0][0]
-        if len(run) == 1:
-            out.append((dst, PROTO_ANSWER, run[0][1]))
-        else:
-            out.append((dst, PROTO_ANSWER, BatchedAnswers([a for _, a in run])))
-        run.clear()
-
-    for dst, protocol, payload in outbox:
-        if protocol == PROTO_ANSWER and isinstance(payload, AnswerMessage):
-            if run and (
-                run[0][0] != dst or run[0][1].query_id != payload.query_id
-            ):
-                flush()
-            run.append((dst, payload))
-        else:
-            flush()
-            out.append((dst, protocol, payload))
-    flush()
-    return out
 
 
 class AgentContext:
@@ -502,7 +464,7 @@ class AgentEngine:
     ) -> None:
         if not self.host.online:
             return  # the host went down mid-execution; outputs are lost
-        for dst, protocol, payload in _coalesce_answers(context._outbox):
+        for dst, protocol, payload in context._outbox:
             self.host.send(dst, protocol, payload)
         if envelope.mode == MODE_ITINERARY:
             self._continue_itinerary(envelope, agent)

@@ -9,18 +9,14 @@ The two result modes of Section 2 are both supported: in mode 1 each
 metadata only (the initiator fetches chosen objects afterwards with a
 direct out-of-network download).
 
-:class:`BatchedAnswers` is an *encoding-layer* coalescing of several
-answers to the same (destination, query): the engine ships one frame
-instead of N, the receiver still records each answer individually, so
-per-answer delivery semantics and :class:`~repro.core.query.QueryHandle`
-accounting are untouched.
+Each :meth:`~repro.agents.engine.AgentContext.reply` is one
+:class:`AnswerMessage` frame on the data plane; an agent that replies
+twice sends two frames, and the initiator records each on its own.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 from repro.ids import BPID, QueryId
 from repro.net.address import IPAddress
@@ -64,69 +60,6 @@ class AnswerMessage:
         return sum(item.size for item in self.items)
 
 
-class BatchedAnswers:
-    """Several answers to one (destination, query), coalesced on the wire.
-
-    The batching decision is made from the outbox contents alone.
-    Decoding a batch frame yields a *lazy* instance (built via
-    :meth:`lazy`) that holds zero-copy memoryview slices into the frame;
-    the answer tuple is materialized once, on first access, so packets
-    dropped before their handler runs never pay the record decode.
-    """
-
-    __slots__ = ("_answers", "_records", "_loader")
-
-    def __init__(self, answers: Sequence[AnswerMessage]):
-        self._answers: tuple[AnswerMessage, ...] | None = tuple(answers)
-        self._records: tuple[memoryview, ...] | None = None
-        self._loader: Callable[[memoryview], AnswerMessage] | None = None
-
-    @classmethod
-    def lazy(
-        cls,
-        records: Sequence[memoryview],
-        loader: Callable[[memoryview], AnswerMessage],
-    ) -> "BatchedAnswers":
-        """A batch deferring record decode until :attr:`answers` is read."""
-        batch = cls.__new__(cls)
-        batch._answers = None
-        batch._records = tuple(records)
-        batch._loader = loader
-        return batch
-
-    @property
-    def answers(self) -> tuple[AnswerMessage, ...]:
-        """The batched answers (lazy instances decode here, once)."""
-        if self._answers is None:
-            assert self._records is not None and self._loader is not None
-            self._answers = tuple(self._loader(record) for record in self._records)
-            self._records = None
-            self._loader = None
-        return self._answers
-
-    @property
-    def materialized(self) -> bool:
-        """True once the answer records have been decoded."""
-        return self._answers is not None
-
-    def __len__(self) -> int:
-        if self._answers is None:
-            assert self._records is not None
-            return len(self._records)
-        return len(self._answers)
-
-    def __iter__(self) -> Iterator[AnswerMessage]:
-        return iter(self.answers)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BatchedAnswers):
-            return NotImplemented
-        return self.answers == other.answers
-
-    def __repr__(self) -> str:
-        return f"BatchedAnswers(answers={self.answers!r})"
-
-
 # -- data-plane wire registrations (type id block 0x10xx) ----------------------
 #
 # Answers are the bytes that dominate a flood at scale: every responder
@@ -146,8 +79,7 @@ _ANSWER_ITEM_CODEC = wire.composite(
     AnswerItem,
 )
 
-#: AnswerMessage body layout, shared by the plain frame (0x1001) and the
-#: per-record bodies inside a BatchedAnswers frame (0x1002).
+#: AnswerMessage body layout (0x1001).
 ANSWER_FIELDS = (
     ("query_id", wire.QUERY_ID_CODEC),
     ("responder", wire.BPID_CODEC),
@@ -182,57 +114,10 @@ def _sample_answer(serial: int = 1) -> AnswerMessage:
     )
 
 
-def _pack_batch(batch: BatchedAnswers, out: bytearray) -> None:
-    answers = batch.answers
-    if len(answers) > 0xFFFF:
-        raise wire.WireEncodeError(f"batch of {len(answers)} answers exceeds u16")
-    out += wire.U16._struct.pack(len(answers))  # type: ignore[attr-defined]
-    for answer in answers:
-        record = bytearray()
-        wire.pack_fields(ANSWER_FIELDS, answer, record)
-        out += wire.U32._struct.pack(len(record))  # type: ignore[attr-defined]
-        out += record
-
-
-def _load_answer_record(record: memoryview) -> AnswerMessage:
-    return wire.unpack_fields(ANSWER_FIELDS, AnswerMessage, bytes(record))
-
-
-def _unpack_batch(body: memoryview) -> BatchedAnswers:
-    # Record *boundaries* are validated eagerly (a corrupt length table
-    # fails at decode); record *contents* stay as zero-copy slices into
-    # the frame until someone reads ``batch.answers``.
-    count, offset = wire.U16.unpack(body, 0)
-    records: list[memoryview] = []
-    for _ in range(count):
-        length, offset = wire.U32.unpack(body, offset)
-        end = offset + length
-        if end > len(body):
-            raise wire.WireDecodeError(
-                f"batch record of {length} bytes overruns the frame body"
-            )
-        records.append(body[offset:end])
-        offset = end
-    if offset != len(body):
-        raise wire.WireDecodeError(
-            f"{len(body) - offset} trailing bytes after the last batch record"
-        )
-    return BatchedAnswers.lazy(records, _load_answer_record)
-
-
 wire.register(
     AnswerMessage,
     0x1001,
     ANSWER_FIELDS,
     sample=_sample_answer,
     plane=wire.DATA,
-)
-wire.register(
-    BatchedAnswers,
-    0x1002,
-    (),
-    sample=lambda: BatchedAnswers([_sample_answer(1), _sample_answer(2)]),
-    plane=wire.DATA,
-    pack_body=_pack_batch,
-    unpack_body=_unpack_batch,
 )

@@ -27,12 +27,7 @@ from typing import Any, Callable, Sequence
 from repro.agents.agent import Agent
 from repro.agents.engine import PROTO_ANSWER, AgentEngine
 from repro.agents.envelope import MODE_FLOOD
-from repro.agents.messages import (
-    MODE_METADATA,
-    AnswerItem,
-    AnswerMessage,
-    BatchedAnswers,
-)
+from repro.agents.messages import MODE_METADATA, AnswerItem, AnswerMessage
 from repro.agents.storm_agent import StorMSearchAgent
 from repro.agents.topk import TopKDigest, TopKSearchAgent
 from repro.core import sharing
@@ -639,35 +634,22 @@ class BestPeerNode:
 
     def _on_answer(self, packet: Packet) -> None:
         payload = packet.payload
-        if isinstance(payload, TopKDigest):
-            # A hop whose every match was dominated in-network: record
-            # liveness and the dominated count, but no answer items.
-            self.peers.note_alive(payload.responder, self.sim.now)
-            handle = self._queries.get(payload.query_id)
-            if handle is None or handle.finished:
-                self.tracer.record(
-                    self.sim.now, "node", "late-answer", node=self.name
-                )
-                return
-            handle.record_digest(payload, self.sim.now)
-            return
-        # A batch is an encoding-layer coalescing only: each answer is
-        # recorded individually, exactly as if it had arrived alone.
-        answers = (
-            payload.answers if isinstance(payload, BatchedAnswers) else (payload,)
-        )
-        for answer in answers:
-            self.peers.note_alive(answer.responder, self.sim.now)
+        digest = isinstance(payload, TopKDigest)
+        self.peers.note_alive(payload.responder, self.sim.now)
+        if not digest:
             self.replication.note_peer_alive(
-                answer.responder, answer.responder_address
+                payload.responder, payload.responder_address
             )
-            handle = self._queries.get(answer.query_id)
-            if handle is None or handle.finished:
-                self.tracer.record(
-                    self.sim.now, "node", "late-answer", node=self.name
-                )
-                continue
-            handle.record_answer(answer, self.sim.now)
+        handle = self._queries.get(payload.query_id)
+        if handle is None or handle.finished:
+            self.tracer.record(self.sim.now, "node", "late-answer", node=self.name)
+            return
+        if digest:
+            # A hop whose every match was dominated in-network: record
+            # the dominated count, but no answer items.
+            handle.record_digest(payload, self.sim.now)
+        else:
+            handle.record_answer(payload, self.sim.now)
 
     def _replay_cached(self, handle: QueryHandle, cached: tuple) -> None:
         """Serve a query from the result cache: replay the answer set.

@@ -14,22 +14,6 @@ from repro.errors import ExperimentError
 from repro.eval.experiment import FigureResult
 
 
-def speedup(result: FigureResult, slower: str, faster: str) -> list[float]:
-    """Pointwise ratio ``slower / faster`` where both series have x."""
-    fast = dict(result.series_named(faster))
-    ratios = []
-    for x, slow_y in result.series_named(slower):
-        fast_y = fast.get(x)
-        if fast_y is None:
-            continue
-        if fast_y <= 0:
-            raise ExperimentError(f"non-positive value in series {faster!r} at {x}")
-        ratios.append(slow_y / fast_y)
-    if not ratios:
-        raise ExperimentError(f"series {slower!r} and {faster!r} share no x values")
-    return ratios
-
-
 def crossover(result: FigureResult, a: str, b: str) -> float | None:
     """First shared x where series ``a`` stops being below series ``b``.
 
@@ -63,11 +47,6 @@ def is_monotone_increasing(values: Sequence[float], slack: float = 0.0) -> bool:
     return all(b >= a * (1.0 - slack) for a, b in zip(values, values[1:]))
 
 
-def is_monotone_decreasing(values: Sequence[float], slack: float = 0.0) -> bool:
-    """True when each value is <= the previous (within ``slack``×prev)."""
-    return all(b <= a * (1.0 + slack) for a, b in zip(values, values[1:]))
-
-
 def dominates(
     result: FigureResult, better: str, worse: str, slack: float = 0.0
 ) -> bool:
@@ -90,19 +69,3 @@ def growth_factor(values: Sequence[float]) -> float:
     if values[0] <= 0:
         raise ExperimentError("growth_factor() needs a positive first value")
     return values[-1] / values[0]
-
-
-def summarize_shapes(result: FigureResult) -> dict[str, dict[str, float | bool]]:
-    """Per-series quick facts: first, last, growth, flatness."""
-    summary: dict[str, dict[str, float | bool]] = {}
-    for name in sorted(result.series):
-        values = result.y_values(name)
-        entry: dict[str, float | bool] = {
-            "first": values[0],
-            "last": values[-1],
-            "flat(10%)": is_flat(values, 0.1),
-        }
-        if len(values) >= 2 and values[0] > 0:
-            entry["growth"] = values[-1] / values[0]
-        summary[name] = entry
-    return summary

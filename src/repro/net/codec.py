@@ -12,9 +12,7 @@ Small fixed-shape control messages (LIGLO, tokens, Gnutella
 descriptors, state-only agent hops) ride the control plane, capped at
 1 MiB.  Payload-bearing messages (answers, fetch/active/data replies,
 replica pushes, agents shipping their class source) ride the
-length-prefixed data plane, capped at 8 MiB; a custom body codec can
-defer work there (:class:`~repro.agents.messages.BatchedAnswers` decodes
-to zero-copy slices of the frame).
+length-prefixed data plane, capped at 8 MiB.
 
 A message opts in by registering a :class:`MessageSpec` (an ordered
 list of ``(field name, field codec)`` pairs and a plane) in the module
@@ -23,13 +21,13 @@ predicate choosing between them (:class:`~repro.agents.envelope.AgentEnvelope`
 is control when state-only, data when it ships its source).  Sending
 anything unregistered, or carrying values that do not fit the layout,
 raises :class:`~repro.errors.WireEncodeError` at the sender: it is a
-sender bug, and there is no other wire.  A message with a field-list body is deeply
+sender bug, and there is no other wire.  Every message is deeply
 immutable (a frozen dataclass whose field codecs yield nothing a
 receiver could change) and :func:`register` refuses anything else,
-because every receiver of one such frame, on either plane, shares one
-decoded message.  The same immutability lets each such spec key the
-frames it packed by message (:func:`encode_message`): equal messages are
-packed once, as equal frames are parsed once.
+because every receiver of one frame, on either plane, shares one
+decoded message.  The same immutability lets a spec key the frames it
+packed by message (:func:`encode_message`): equal messages are packed
+once, as equal frames are parsed once.
 
 The conformance battery in ``tests/net`` pins both layouts with golden
 frame vectors, property tests, and a malformed-frame fault injector.
@@ -96,8 +94,8 @@ HEADER_SIZE = _HEADER.size
 _DATA_HEADER_SIZE = DATA.header.size
 _BODY_LENGTH = struct.Struct(">I")
 
-#: :func:`decode_message` calls served from a memo / parsed from a frame
-#: of a memoised spec (every spec without a custom body, on either plane).
+#: :func:`decode_message` calls served from a memo / parsed from a frame,
+#: on either plane.
 #: Plain ints for tests and reports; unsynchronised, so exact only when
 #: one thread decodes (the simulator).
 decode_memo_hits = 0
@@ -536,12 +534,8 @@ ADDRESS_CODEC = _WireAddress()
 
 @dataclass(frozen=True)
 class MessageSpec:
-    """One registered message type: identity, plane and body layout.
-
-    Bodies are usually an ordered field list; a data-plane type needing a
-    custom body (batched answers with their per-record length prefixes
-    and lazy decode) supplies ``pack_body`` / ``unpack_body`` instead.
-    """
+    """One registered message type: identity, plane and body layout (an
+    ordered field list)."""
 
     type_id: int
     cls: type
@@ -553,15 +547,12 @@ class MessageSpec:
     #: next spec (agent envelopes choose their plane by whether they carry
     #: class source)
     when: Callable[[Any], bool] | None = None
-    #: custom body codec overriding ``fields`` (both or neither)
-    pack_body: Callable[[Any, bytearray], None] | None = None
-    unpack_body: Callable[[memoryview], Any] | None = None
-    #: frame bytes -> its decoded message, for every spec without a custom
-    #: body (see :func:`decode_message`).  Held here so that re-registering
-    #: or dropping a type id drops its messages with it.
+    #: frame bytes -> its decoded message (see :func:`decode_message`).
+    #: Held here so that re-registering or dropping a type id drops its
+    #: messages with it.
     memo: dict[bytes, Any] = field(default_factory=dict, repr=False, compare=False)
     #: the mirror: message -> its frame (see :func:`encode_message`); None
-    #: for a custom body or a field that does not pack by value
+    #: when a field does not pack by value
     frames: dict[Any, bytes] | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -582,39 +573,31 @@ def register(
     sample: Callable[[], Any],
     plane: Plane = CONTROL,
     when: Callable[[Any], bool] | None = None,
-    pack_body: Callable[[Any, bytearray], None] | None = None,
-    unpack_body: Callable[[memoryview], Any] | None = None,
 ) -> MessageSpec:
     """Register a message type; called at import time by the module that
     defines the message (keeping this module dependency-free).
 
-    A message with a field-list body must be deeply immutable, on either
-    plane, since receivers of one frame share one decoded message: ``cls``
-    a frozen dataclass, and no field codec that
-    :attr:`~FieldCodec.yields_mutable`.  A custom body is never memoised
-    (:class:`~repro.agents.messages.BatchedAnswers` decodes to views of
-    its frame), so it is not checked.
+    A message must be deeply immutable, on either plane, since receivers
+    of one frame share one decoded message: ``cls`` a frozen dataclass,
+    and no field codec that :attr:`~FieldCodec.yields_mutable`.
     """
     if not 0 < type_id <= 0xFFFF:
         raise WireCodecError(f"type id {type_id:#x} outside u16 range")
-    if (pack_body is None) != (unpack_body is None):
-        raise WireCodecError("pack_body and unpack_body must be given together")
-    if unpack_body is None:
-        if not _is_frozen_dataclass(cls):
-            raise WireCodecError(f"{cls.__qualname__} is not a frozen dataclass")
-        mutable = [name for name, codec in fields if codec.yields_mutable]
-        if mutable:
-            raise WireCodecError(
-                f"{cls.__qualname__} fields {mutable} decode to mutable values"
-            )
+    if not _is_frozen_dataclass(cls):
+        raise WireCodecError(f"{cls.__qualname__} is not a frozen dataclass")
+    mutable = [name for name, codec in fields if codec.yields_mutable]
+    if mutable:
+        raise WireCodecError(
+            f"{cls.__qualname__} fields {mutable} decode to mutable values"
+        )
     existing = _BY_ID.get(type_id)
     if existing is not None and existing.cls is not cls:
         raise WireCodecError(
             f"type id {type_id:#x} already registered for {existing.name}"
         )
-    keyed = unpack_body is None and all(codec.packs_by_value for _, codec in fields)
+    keyed = all(codec.packs_by_value for _, codec in fields)
     spec = MessageSpec(
-        type_id, cls, tuple(fields), sample, plane, when, pack_body, unpack_body,
+        type_id, cls, tuple(fields), sample, plane, when,
         frames={} if keyed else None,
     )
     _BY_ID[type_id] = spec
@@ -635,7 +618,7 @@ def registered_specs() -> tuple[MessageSpec, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Field-list helpers (shared with custom-body codecs like BatchedAnswers)
+# Field-list body: pack and parse
 # ---------------------------------------------------------------------------
 
 
@@ -703,10 +686,7 @@ def encode_message(message: Any) -> bytes:
     plane = spec.plane
     header_size = plane.header.size
     out = bytearray(header_size)
-    if spec.pack_body is not None:
-        spec.pack_body(message, out)
-    else:
-        pack_fields(spec.fields, message, out)
+    pack_fields(spec.fields, message, out)
     if len(out) > plane.max_frame_bytes:
         raise WireEncodeError(
             f"frame of {len(out)} bytes exceeds {plane.max_frame_bytes}"
@@ -737,19 +717,11 @@ def decode_message(frame: bytes) -> Any:
     Receivers re-parse equal bytes on both planes: a flood delivers the
     same control frame to every host at one hop depth, and a star's
     responders send the initiator the same answers query after query.  So
-    a ``bytes`` frame of a spec without a custom body is decoded once and
-    its message kept in ``spec.memo`` (up to its plane's
-    ``memo_capacity``): every receiver of equal bytes gets that one
-    message, which :func:`register` guarantees nothing can change.  The
-    size, header, version, type-id and body-length checks still run on
-    every call.
-
-    Types registered with a custom ``unpack_body`` are parsed on every
-    call and may defer record decoding
-    (:class:`~repro.agents.messages.BatchedAnswers` holds zero-copy
-    memoryview slices into the frame); record-level corruption then
-    surfaces as a :class:`WireDecodeError` at first materialization,
-    inside the delivery loop's drop-and-count guard.
+    a ``bytes`` frame is decoded once and its message kept in
+    ``spec.memo`` (up to its plane's ``memo_capacity``): every receiver of
+    equal bytes gets that one message, which :func:`register` guarantees
+    nothing can change.  The size, header, version, type-id and
+    body-length checks still run on every call.
     """
     global decode_memo_hits, decode_memo_misses
     size = len(frame)
@@ -787,8 +759,6 @@ def decode_message(frame: bytes) -> Any:
         body = _DATA_HEADER_SIZE
     else:
         body = HEADER_SIZE
-    if spec.unpack_body is not None:
-        return spec.unpack_body(memoryview(frame)[body:])
     # Only real bytes are looked up or kept: a bytearray is unhashable and
     # a memoryview's buffer can change under the key.
     keyed = type(frame) is bytes

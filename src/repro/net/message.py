@@ -26,12 +26,11 @@ class Packet:
     sees what was sent, snapshotted at send time, and never an object
     another host can change (hosts are separate machines; observable
     aliasing would be a lie).  Receivers of byte-identical frames of
-    either plane share one decoded message (a custom-body batch of
-    answers excepted), which is deeply immutable by registration
-    (:func:`repro.net.codec.decode_message`); an agent's state inside it
-    is frozen bytes that each execution thaws for itself.  Packets that
-    are dropped en route — loss, no route, stale address — never pay
-    the decode at all.  A malformed frame raises a typed
+    either plane share one decoded message, which is deeply immutable by
+    registration (:func:`repro.net.codec.decode_message`); an agent's
+    state inside it is frozen bytes that each execution thaws for
+    itself.  Packets that are dropped en route — loss, no route, stale
+    address — never pay the decode at all.  A malformed frame raises a typed
     :class:`~repro.errors.WireDecodeError` from that first access;
     :meth:`Host._dispatch` turns it into a counted drop.
 

@@ -8,10 +8,7 @@ from repro.eval.analysis import (
     dominates,
     growth_factor,
     is_flat,
-    is_monotone_decreasing,
     is_monotone_increasing,
-    speedup,
-    summarize_shapes,
 )
 from repro.eval.experiment import FigureResult
 from repro.eval.plot import render_ascii_plot
@@ -23,26 +20,6 @@ def figure(**series):
         for x, y in points:
             result.add_point(name, x, y)
     return result
-
-
-class TestSpeedup:
-    def test_pointwise_ratio(self):
-        result = figure(slow=[(1, 4.0), (2, 9.0)], fast=[(1, 2.0), (2, 3.0)])
-        assert speedup(result, "slow", "fast") == [2.0, 3.0]
-
-    def test_skips_unshared_x(self):
-        result = figure(slow=[(1, 4.0), (3, 8.0)], fast=[(1, 2.0)])
-        assert speedup(result, "slow", "fast") == [2.0]
-
-    def test_no_shared_x_raises(self):
-        result = figure(slow=[(1, 4.0)], fast=[(2, 2.0)])
-        with pytest.raises(ExperimentError):
-            speedup(result, "slow", "fast")
-
-    def test_zero_denominator_raises(self):
-        result = figure(slow=[(1, 4.0)], fast=[(1, 0.0)])
-        with pytest.raises(ExperimentError):
-            speedup(result, "slow", "fast")
 
 
 class TestCrossover:
@@ -75,8 +52,6 @@ class TestShapePredicates:
         assert is_monotone_increasing([1, 2, 3])
         assert not is_monotone_increasing([1, 3, 2])
         assert is_monotone_increasing([1, 0.99, 2], slack=0.05)
-        assert is_monotone_decreasing([3, 2, 1])
-        assert not is_monotone_decreasing([1, 2])
 
     def test_dominates(self):
         result = figure(bp=[(1, 1.0), (2, 2.0)], gnutella=[(1, 1.5), (2, 2.5)])
@@ -89,14 +64,6 @@ class TestShapePredicates:
             growth_factor([1.0])
         with pytest.raises(ExperimentError):
             growth_factor([0.0, 1.0])
-
-    def test_summarize_shapes(self):
-        result = figure(a=[(1, 1.0), (2, 4.0)])
-        summary = summarize_shapes(result)
-        assert summary["a"]["first"] == 1.0
-        assert summary["a"]["last"] == 4.0
-        assert summary["a"]["growth"] == 4.0
-        assert summary["a"]["flat(10%)"] is False
 
 
 class TestAsciiPlot:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.agents.messages import BatchedAnswers
 from repro.errors import WireDecodeError
 from repro.net.codec import (
     CONTROL,
@@ -75,14 +74,6 @@ def _spec_id(spec) -> str:
     return spec.name.removeprefix("repro.")
 
 
-def _force(decoded):
-    """Fully materialize a decoded message: a lazy batch's deferred
-    record corruption must surface as WireDecodeError here."""
-    if isinstance(decoded, BatchedAnswers):
-        decoded.answers
-    return decoded
-
-
 class CodecConformance:
     """Mixin: parametrizes every test over the registered specs of ``plane``."""
 
@@ -119,14 +110,14 @@ class CodecConformance:
     def test_every_truncation_raises(self, frame, injector):
         for keep in range(len(frame)):
             with pytest.raises(WireDecodeError):
-                _force(decode_message(injector.truncate(frame, keep=keep)))
+                decode_message(injector.truncate(frame, keep=keep))
 
     def test_magic_and_version_bit_flips_raise(self, frame, injector):
         for position in (0, 1):
             for bit in range(8):
                 corrupted = injector.bit_flip(frame, position=position, bit=bit)
                 with pytest.raises(WireDecodeError):
-                    _force(decode_message(corrupted))
+                    decode_message(corrupted)
 
     def test_type_id_bit_flips_raise_or_alias_registered(self, spec, frame, injector):
         # A flipped type id usually misses the registry or mis-parses the
@@ -136,7 +127,7 @@ class CodecConformance:
             for bit in range(8):
                 corrupted = injector.bit_flip(frame, position=position, bit=bit)
                 try:
-                    decoded = _force(decode_message(corrupted))
+                    decoded = decode_message(corrupted)
                 except WireDecodeError:
                     continue
                 aliased = spec_for_id(int.from_bytes(corrupted[2:4], "big"))
@@ -150,7 +141,7 @@ class CodecConformance:
             for bit in range(8):
                 corrupted = injector.bit_flip(frame, position=position, bit=bit)
                 try:
-                    decoded = _force(decode_message(corrupted))
+                    decoded = decode_message(corrupted)
                 except WireDecodeError:
                     continue  # the expected outcome for most flips
                 assert spec_for_id(int.from_bytes(corrupted[2:4], "big")) is not None
@@ -159,15 +150,15 @@ class CodecConformance:
     def test_wrong_version_raises(self, frame, injector):
         for version in (0, WIRE_FORMAT_VERSION + 1, 0xFF):
             with pytest.raises(WireDecodeError, match="version"):
-                _force(decode_message(injector.wrong_version(frame, version=version)))
+                decode_message(injector.wrong_version(frame, version=version))
 
     def test_oversized_frame_raises(self, frame, injector):
         with pytest.raises(WireDecodeError, match="oversized"):
-            _force(decode_message(injector.oversize(frame)))
+            decode_message(injector.oversize(frame))
 
     def test_trailing_garbage_raises(self, frame, injector):
         with pytest.raises(WireDecodeError, match="trailing"):
-            _force(decode_message(injector.trailing_garbage(frame)))
+            decode_message(injector.trailing_garbage(frame))
 
     def test_random_fault_battery(self, frame, injector):
         # Seeded random sweep across every fault class: nothing but
@@ -177,7 +168,7 @@ class CodecConformance:
             for name, fault in injector.faults().items():
                 corrupted = fault(frame)
                 try:
-                    decoded = _force(decode_message(corrupted))
+                    decoded = decode_message(corrupted)
                 except WireDecodeError:
                     continue
                 assert name == "bit-flipped", f"{name} fault decoded cleanly"

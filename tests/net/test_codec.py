@@ -122,6 +122,14 @@ def test_registered_specs_are_sorted_and_unique():
     assert len({(spec.cls, spec.plane) for spec in specs}) == len(specs)
 
 
+def test_retired_type_ids_stay_unused():
+    """0x0403 / 0x0404 (Gnutella PING / PONG) and 0x1002 (batched
+    answers) are retired: a new type must not reuse them."""
+    assert {0x0403, 0x0404, 0x1002}.isdisjoint(
+        spec.type_id for spec in registered_specs()
+    )
+
+
 def test_lookup_round_trips_with_spec_for_id():
     for spec in registered_specs():
         assert spec in wire._BY_CLASS[spec.cls]

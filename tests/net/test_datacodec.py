@@ -1,10 +1,7 @@
-"""The wire codec's data plane: registry, framing, batching, laziness.
+"""The wire codec's data plane: registry, framing, compressed source.
 
 The conformance battery from ``conformance.py`` runs here over every
-data-plane spec — same fault classes, larger frames, plus the
-lazy-materialization twist: a :class:`BatchedAnswers` frame with corrupt
-record *contents* decodes cleanly (the boundaries are checked eagerly)
-and must surface its :class:`WireDecodeError` at first materialization.
+data-plane spec — same fault classes, larger frames.
 """
 
 from __future__ import annotations
@@ -22,8 +19,6 @@ from repro.agents.messages import (
     ANSWER_FIELDS,
     AnswerItem,
     AnswerMessage,
-    BatchedAnswers,
-    _sample_answer,
 )
 from repro.core.sharing import FetchReply
 from repro.errors import WireCodecError, WireDecodeError, WireEncodeError
@@ -91,13 +86,6 @@ def test_type_id_collision_rejected():
         wire.register(
             FetchReply, 0x1001, (), sample=lambda: None, plane=DATA
         )  # 0x1001 is AnswerMessage's
-
-
-def test_pack_body_requires_unpack_body():
-    with pytest.raises(WireCodecError, match="together"):
-        wire.register(
-            tuple, 0x1FFF, (), sample=tuple, pack_body=lambda m, out: None, plane=DATA
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -189,65 +177,21 @@ def test_sourced_envelope_frame_beats_naive_source_bytes():
 
 
 # ---------------------------------------------------------------------------
-# BatchedAnswers: value semantics + lazy decode
+# Answers
 # ---------------------------------------------------------------------------
 
 
-def _answer(serial: int, items: int = 1) -> AnswerMessage:
+def _answer(serial: int) -> AnswerMessage:
     origin = BPID("10.0.0.1", 7)
     return AnswerMessage(
         query_id=QueryId(origin, serial),
         responder=BPID("10.0.0.2", 9),
         responder_address=IPAddress("10.0.4.9"),
         hops=1,
-        items=tuple(
-            AnswerItem(
-                rid=RecordId(serial, i), keywords=("k",), size=4, payload=b"data"
-            )
-            for i in range(items)
+        items=(
+            AnswerItem(rid=RecordId(serial, 0), keywords=("k",), size=4, payload=b"data"),
         ),
     )
-
-
-@pytest.mark.parametrize("count", [0, 1, 2, 7])
-def test_batch_round_trips(count):
-    batch = BatchedAnswers([_answer(i) for i in range(count)])
-    decoded = decode_message(encode_message(batch))
-    assert isinstance(decoded, BatchedAnswers)
-    assert decoded == batch
-    assert len(decoded) == count
-    assert list(decoded) == list(batch.answers)
-
-
-def test_decoded_batch_is_lazy_until_read():
-    frame = encode_message(BatchedAnswers([_answer(1), _answer(2)]))
-    decoded = decode_message(frame)
-    assert not decoded.materialized
-    assert len(decoded) == 2  # record count comes from the boundaries
-    assert not decoded.materialized
-    decoded.answers
-    assert decoded.materialized
-
-
-def test_corrupt_record_contents_raise_at_materialization():
-    frame = bytearray(encode_message(BatchedAnswers([_answer(1)])))
-    # The last item's opt(BYTES) payload field ends the record: presence
-    # byte, u32 length, then b"data".  An invalid presence byte corrupts
-    # the record *contents* while every boundary stays intact.
-    frame[-9] = 2
-    decoded = decode_message(bytes(frame))
-    assert isinstance(decoded, BatchedAnswers)  # boundaries were fine
-    with pytest.raises(WireDecodeError):
-        decoded.answers
-
-
-def test_corrupt_record_boundary_raises_at_decode():
-    frame = bytearray(encode_message(BatchedAnswers([_answer(1)])))
-    # The u32 record length sits right after the header's u16 count.
-    offset = DATA.header.size + 2
-    frame[offset:offset + 4] = (0xFFFF).to_bytes(4, "big")
-    with pytest.raises(WireDecodeError, match="overruns"):
-        decode_message(bytes(frame))
 
 
 def _field_strategy(field_codec) -> st.SearchStrategy:
@@ -309,16 +253,17 @@ def test_tag_one_address_is_a_counted_decode_error():
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(data_=st.data())
-def test_batch_round_trip_property(data_):
-    """0, 1 and many items, arbitrary field values, byte-exact round trip."""
+def test_answer_round_trip_property(data_):
+    """Arbitrary field values, byte-exact round trip."""
     fields = {name: _field_strategy(codec) for name, codec in ANSWER_FIELDS}
-    answer = st.fixed_dictionaries(fields).map(lambda kw: AnswerMessage(**kw))
-    batch = BatchedAnswers(data_.draw(st.lists(answer, max_size=5), label="answers"))
-    frame = encode_message(batch)
+    answer = data_.draw(
+        st.fixed_dictionaries(fields).map(lambda kw: AnswerMessage(**kw)),
+        label="answer",
+    )
+    frame = encode_message(answer)
     assert frame[0] == DATA.magic
-    decoded = decode_message(frame)
-    assert decoded == batch
-    assert encode_message(batch) == frame
+    assert decode_message(frame) == answer
+    assert encode_message(answer) == frame
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Parse-once decode (``MessageSpec.memo``): receivers of equal frames of
 either plane share one deeply immutable message, agent state is thawed
-per execution, custom bodies are parsed every time, the decoder stays
-strict, each memo stays within its plane's capacity, and a flood really
-does parse only one frame per hop depth."""
+per execution, the decoder stays strict, each memo stays within its
+plane's capacity, and a flood really does parse only one frame per hop
+depth."""
 
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from repro import BestPeerConfig, build_network, random_graph
 from repro.agents.agent import Agent
 from repro.agents.engine import PROTO_AGENT
 from repro.agents.envelope import AgentEnvelope, freeze_state
-from repro.agents.messages import AnswerItem, AnswerMessage, BatchedAnswers
+from repro.agents.messages import AnswerItem, AnswerMessage
 from repro.errors import WireCodecError, WireDecodeError
 from repro.ids import AgentId, QueryId
 from repro.liglo.messages import RegisterRequest
@@ -45,8 +45,8 @@ from .test_codec import _Probe, scratch_registry  # noqa: F401  (fixture)
 
 ENVELOPE_SPEC = spec_of(AgentEnvelope)
 SOURCED_ENVELOPE_SPEC = spec_of(AgentEnvelope, DATA)
-#: every spec without a custom body, on both planes
-MEMOISED_SPECS = CONTROL_SPECS + tuple(s for s in DATA_SPECS if s.unpack_body is None)
+#: every spec, on both planes
+MEMOISED_SPECS = CONTROL_SPECS + DATA_SPECS
 
 
 def _spec_id(spec) -> str:
@@ -197,19 +197,6 @@ def test_shared_values_are_frozen_all_the_way_down():
         message = decode_message(frame)
         assert spec.memo[frame] is message
         assert_frozen(message, spec.name)
-
-
-def test_two_decodes_of_one_batch_are_distinct_objects():
-    """A custom body is never memoised: a batch decodes to views of its
-    own frame, parsed on every call."""
-    spec = spec_of(BatchedAnswers, DATA)
-    frame = encode_message(spec.sample())
-    counters = _counters()
-    first, second = decode_message(frame), decode_message(frame)
-    assert first is not second
-    assert first.answers == second.answers == spec.sample().answers
-    assert first.answers[0] is not second.answers[0]
-    assert not spec.memo and _counters() == counters
 
 
 def _kilobyte_answer() -> AnswerMessage:
@@ -429,7 +416,7 @@ def test_failing_frames_are_never_stored(spec):
                 assert all(corrupted not in other.memo for other in registered_specs())
             else:  # a self-consistent bit flip: a valid frame of some type
                 owner = spec_for_id(int.from_bytes(corrupted[2:4], "big"))
-                assert (corrupted in owner.memo) is (owner.unpack_body is None)
+                assert corrupted in owner.memo
     assert decode_message(frame) == spec.sample()
 
 

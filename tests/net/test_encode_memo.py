@@ -92,12 +92,11 @@ def _with_a_list(value):
 LISTABLE_SPECS = tuple(spec for spec in MEMOISED_SPECS if _with_a_list(spec.sample()))
 
 
-def test_both_planes_are_memoised_and_only_custom_bodies_and_floats_opt_out():
+def test_both_planes_are_memoised_and_only_floats_opt_out():
     planes = {spec.plane for spec in MEMOISED_SPECS}
     assert planes == {CONTROL, DATA}
     opted_out = [spec for spec in registered_specs() if spec.frames is None]
     assert {spec.name for spec in opted_out} == {
-        "repro.agents.messages.BatchedAnswers",
         "repro.agents.topk.ScoredAnswer",
         "repro.agents.topk.TopKDigest",
     }

@@ -55,14 +55,12 @@ ALLOWED = {
     "hot_records": TESTS,
     "invalidate_data_cache": TESTS,
     "is_leased": TESTS,
-    "is_monotone_decreasing": TESTS,
     "kinds": TESTS,
     "leased_count": TESTS,
     "link_window": TESTS,
     "live_addresses": TESTS,
     "live_count": TESTS,
     "live_entries": TESTS,
-    "materialized": TESTS,
     "member_count": TESTS,
     "merge": TESTS,
     "partitioned": TESTS,
@@ -75,7 +73,6 @@ ALLOWED = {
     "resident_pages": TESTS,
     "spec_for_id": TESTS,
     "store_for_items": TESTS,
-    "summarize_shapes": TESTS,
     "total_answer_count": TESTS,
     "total_copies": TESTS,
     "unregister": TESTS,
