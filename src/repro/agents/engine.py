@@ -74,7 +74,7 @@ class AgentContext:
         self.charged_time = 0.0
         self._outbox: list[tuple[IPAddress, str, Any]] = []
 
-    # -- environment -----------------------------------------------------------
+    # -- host and query context --------------------------------------------------
 
     @property
     def services(self) -> dict[str, Any]:

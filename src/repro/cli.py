@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from repro.errors import BestPeerError, ExperimentError
 from repro.eval import ablations, churn, figures, replication, routing, topk
-from repro.eval.experiment import ExperimentRunner, FigureResult, default_jobs
+from repro.eval.experiment import FigureResult
 from repro.eval.figures import FigureParams
 from repro.eval.report import format_figure, format_trials
 
@@ -117,15 +117,6 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--seed", type=int, default=0, help="experiment seed")
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help=(
-            "worker processes for independent sweep points "
-            "(default: $REPRO_JOBS or 1 = serial; results are identical)"
-        ),
-    )
-    parser.add_argument(
         "--plot",
         action="store_true",
         help="also render an ASCII chart of the series",
@@ -138,16 +129,6 @@ def _params(args: argparse.Namespace) -> FigureParams:
     )
 
 
-def _runner(args: argparse.Namespace) -> ExperimentRunner | None:
-    """A parallel runner when ``--jobs``/``REPRO_JOBS`` asks for one."""
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    if jobs < 1:
-        raise SystemExit(f"error: --jobs must be >= 1, got {jobs}")
-    if jobs == 1:
-        return None
-    return ExperimentRunner(jobs=jobs)
-
-
 def _run_list() -> int:
     print("figures:   " + "  ".join(sorted(FIGURES)))
     print("ablations: " + "  ".join(sorted(ABLATIONS)))
@@ -156,7 +137,7 @@ def _run_list() -> int:
 
 def _run_figure(args: argparse.Namespace) -> int:
     figure = FIGURES[args.name]
-    result = figure.run(_params(args), runner=_runner(args))
+    result = figure.run(_params(args))
     _emit(result, args)
     if figure.columns:
         print()
@@ -184,10 +165,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     from repro.eval.claims import verify_all, verify_figure
 
     params = _params(args)
-    runner = _runner(args)
-    results = {
-        key: figure.run(params, runner=runner) for key, figure in FIGURES.items()
-    }
+    results = {key: figure.run(params) for key, figure in FIGURES.items()}
     for name, ablation in ABLATIONS.items():
         results[f"ablation {name}"] = ablation(params)
     for result in results.values():
@@ -270,9 +248,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "demo":
             return _run_demo()
     except (ExperimentError, BestPeerError) as error:
-        # Bad --queries / --objects / REPRO_JOBS (ExperimentError) or a
-        # deployment build_network rejects (BestPeerError): the user's to
-        # fix, no traceback.
+        # Bad --queries / --objects (ExperimentError) or a deployment
+        # build_network rejects (BestPeerError): the user's to fix, no
+        # traceback.
         print(f"error: {error}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command!r}")

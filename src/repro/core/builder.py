@@ -3,7 +3,7 @@
 ``build_network`` assembles the full stack — simulator, network fabric,
 LIGLO server(s), N BestPeer nodes — runs the registration phase, and
 (optionally) wires an explicit overlay topology into the nodes' peer
-tables, exactly the controlled environment the paper's evaluation
+tables, exactly the controlled setting the paper's evaluation
 methodology calls for.
 """
 

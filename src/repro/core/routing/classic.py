@@ -80,9 +80,8 @@ class RandomReplacementStrategy(RoutingStrategy):
     The sample stream routes through :func:`repro.util.randomness.derive_rng`
     (like the fault plans do), scoped by ``(seed, node name)``: two nodes
     configured with the same seed draw *independent* streams, and the
-    same node replays the same stream bit-identically — serial or under
-    ``--jobs`` workers, which construct their own instances from the
-    same scope.  (The pre-framework version seeded ``random.Random(seed)``
+    same node replays the same stream bit-identically in every instance
+    built from the same scope.  (The pre-framework version seeded ``random.Random(seed)``
     directly, so every node with the default seed walked one identical
     sequence.)
     """

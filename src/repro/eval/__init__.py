@@ -1,14 +1,13 @@
 """Evaluation harness: the paper's methodology, metrics, and figures.
 
 Section 4.1 proposes evaluating P2P systems on (1) a fixed set of nodes
-(a controlled environment), (2) the *rate* at which answers return, and
+(a controlled setting), (2) the *rate* at which answers return, and
 (3) the quantity of answers.  ``metrics`` implements those measures,
-``experiment`` the result shape and the process-pool runner, ``report``
-text rendering, and ``figures`` one experiment definition per figure of
-Section 4.
+``experiment`` the result shape, ``report`` text rendering, and
+``figures`` one experiment definition per figure of Section 4.
 """
 
-from repro.eval.experiment import ExperimentRunner, FigureResult
+from repro.eval.experiment import FigureResult
 from repro.eval.metrics import (
     Arrival,
     answer_curve,
@@ -23,7 +22,6 @@ __all__ = [
     "answer_curve",
     "average_curves",
     "FigureResult",
-    "ExperimentRunner",
     "format_table",
     "format_figure",
 ]

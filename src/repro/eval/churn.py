@@ -12,14 +12,14 @@ plus rf=2 replication) as the overlay series.
 
 A (scheme, rate) point replays bit-identically from the params seed
 (see :mod:`repro.eval.sweep`): same recall series, same bytes on the
-wire, same drop counters, serial or parallel.
+wire, same drop counters, on every run.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
 
-from repro.eval.experiment import ExperimentRunner, FigureResult
+from repro.eval.experiment import FigureResult
 from repro.eval.figures import SCHEME_BPR, SCHEME_BPS, FigureParams
 from repro.eval.report import format_counts
 from repro.eval.sweep import (
@@ -52,8 +52,7 @@ TRIAL_COLUMNS = (
 
 
 def churn_trial(task: tuple[str, float, int, FigureParams]) -> dict:
-    """One (scheme, churn rate) point; module-level so it pickles to the
-    parallel runner's workers."""
+    """One (scheme, churn rate) point, rebuilt from its task tuple."""
     scheme, rate, node_count, params = task
     keyword = KeywordCorpus(params.corpus_size).keyword(0)
     run = churned_run(
@@ -98,7 +97,6 @@ def figure_churn(
     params: FigureParams,
     node_count: int = 16,
     churn_rates: tuple[float, ...] = DEFAULT_CHURN_RATES,
-    runner: ExperimentRunner | None = None,
 ) -> FigureResult:
     """Recall vs. churn rate: BPR against BPS, and the ``BPR+RF2``
     overlay (BPR plus rf=2 replication).
@@ -110,7 +108,6 @@ def figure_churn(
         churn_trial,
         ((SCHEME_BPS, SCHEME_BPR, SCHEME_BPR_RF2), churn_rates),
         (node_count, params),
-        runner,
         series=itemgetter("scheme"),
         x="rate",
         y="mean_recall",

@@ -36,7 +36,7 @@ from repro.baselines.gnutella import build_gnutella_network
 from repro.core.builder import build_network
 from repro.core.config import BestPeerConfig
 from repro.errors import ExperimentError
-from repro.eval.experiment import ExperimentRunner, FigureResult
+from repro.eval.experiment import FigureResult
 from repro.eval.metrics import (
     Arrival,
     answer_curve,
@@ -209,9 +209,9 @@ def _store_factory(params: FigureParams, placement: AnswerPlacement | None):
     Routes every experiment's store population through
     :func:`~repro.workloads.provision.provision_store`, which bulk-loads
     the corpus and clones repeated (corpus, node, size) combinations
-    from a template instead of re-inserting every object.  The closure
-    is created inside whichever process builds the deployment, so
-    ``--jobs`` workers each keep their own template registry.
+    from a template instead of re-inserting every object.  Templates
+    live as long as the process, so a later sweep point or figure over
+    the same stores clones them.
     """
     corpus = KeywordCorpus(params.corpus_size)
 
@@ -261,10 +261,9 @@ def _scheme_completion(task: tuple[str, int, str, "FigureParams"]) -> float:
 
 
 def _figure_67_runs(
-    task: tuple[str, int, "FigureParams"],
+    scheme: str, node_count: int, params: "FigureParams"
 ) -> list[list[Arrival]]:
     """All runs for one scheme of the shared Figure 6/7 experiment."""
-    scheme, node_count, params = task
     topology = tree(node_count, branching=2)
     if scheme == SCHEME_MCS:
         return _cs_runs(topology, VARIANT_MCS, params)
@@ -276,10 +275,15 @@ def _figure_67_runs(
 
 
 def _figure_8_runs(
-    task: tuple[str, int, int, int, int, int, "FigureParams"],
+    system: str,
+    node_count: int,
+    peers: int,
+    degree: int,
+    holder_count: int,
+    answers_per_holder: int,
+    params: "FigureParams",
 ) -> list[list[Arrival]]:
     """All runs for one system (BP or Gnutella) of a Figure-8 point."""
-    system, node_count, peers, degree, holder_count, answers_per_holder, params = task
     topology = random_graph(node_count, degree=degree, seed=params.seed)
     placement = AnswerPlacement(
         node_count=node_count,
@@ -311,9 +315,14 @@ def _figure_8_runs(
 def figure_5a(
     params: FigureParams | None = None,
     sizes: tuple[int, ...] = (1, 2, 4, 8, 16, 24, 32),
-    runner: ExperimentRunner | None = None,
+    runner=None,
 ) -> FigureResult:
-    """Star topology: completion time vs. network size, all four schemes."""
+    """Star topology: completion time vs. network size, all four schemes.
+
+    ``runner`` is ``None`` or an object with ``map_tasks(func, tasks)``
+    that runs the (size, scheme) points in order (see
+    :func:`~repro.eval.sweep.run_tasks`); the perf ledger is its caller.
+    """
     params = params if params is not None else FigureParams()
     result = FigureResult(
         figure="Figure 5(a)",
@@ -340,7 +349,6 @@ def tree_size_for_level(level: int) -> int:
 def figure_5b(
     params: FigureParams | None = None,
     levels: tuple[int, ...] = (1, 2, 3, 4, 5),
-    runner: ExperimentRunner | None = None,
 ) -> FigureResult:
     """Tree topology: completion time vs. tree level (CS / BPS / BPR)."""
     params = params if params is not None else FigureParams()
@@ -353,15 +361,14 @@ def figure_5b(
     )
     schemes = (SCHEME_MCS, SCHEME_BPS, SCHEME_BPR)
     tasks = [("tree", level, scheme, params) for level in levels for scheme in schemes]
-    for task, y in zip(tasks, run_tasks(runner, _scheme_completion, tasks)):
-        result.add_point(task[2], task[1], y)
+    for task in tasks:
+        result.add_point(task[2], task[1], _scheme_completion(task))
     return result
 
 
 def figure_5c(
     params: FigureParams | None = None,
     sizes: tuple[int, ...] = (2, 4, 8, 16, 24, 32),
-    runner: ExperimentRunner | None = None,
 ) -> FigureResult:
     """Line topology: completion time vs. network size (CS / BPS / BPR)."""
     params = params if params is not None else FigureParams()
@@ -374,8 +381,8 @@ def figure_5c(
     )
     schemes = (SCHEME_MCS, SCHEME_BPS, SCHEME_BPR)
     tasks = [("line", size, scheme, params) for size in sizes for scheme in schemes]
-    for task, y in zip(tasks, run_tasks(runner, _scheme_completion, tasks)):
-        result.add_point(task[2], task[1], y)
+    for task in tasks:
+        result.add_point(task[2], task[1], _scheme_completion(task))
     return result
 
 
@@ -387,7 +394,6 @@ def figure_5c(
 def figures_6_and_7(
     params: FigureParams | None = None,
     node_count: int = 32,
-    runner: ExperimentRunner | None = None,
 ) -> tuple[FigureResult, FigureResult]:
     """Both figures share the same runs: 32 nodes, tree, query issued
     ``params.queries`` times, per-responder averages across runs."""
@@ -407,9 +413,8 @@ def figures_6_and_7(
         notes=f"{node_count}-node tree; averaged over {params.queries} runs.",
     )
     schemes = (SCHEME_MCS, SCHEME_BPS, SCHEME_BPR)
-    tasks = [(scheme, node_count, params) for scheme in schemes]
-    all_runs = run_tasks(runner, _figure_67_runs, tasks)
-    for scheme, runs in zip(schemes, all_runs):
+    for scheme in schemes:
+        runs = _figure_67_runs(scheme, node_count, params)
         averaged_rate = average_curves([response_curve(run) for run in runs])
         for rank, when in averaged_rate:
             rate.add_point(scheme, rank, when)
@@ -422,19 +427,17 @@ def figures_6_and_7(
 def figure_6(
     params: FigureParams | None = None,
     node_count: int = 32,
-    runner: ExperimentRunner | None = None,
 ) -> FigureResult:
     """Figure 6 alone (runs the shared 6/7 experiment)."""
-    return figures_6_and_7(params, node_count, runner=runner)[0]
+    return figures_6_and_7(params, node_count)[0]
 
 
 def figure_7(
     params: FigureParams | None = None,
     node_count: int = 32,
-    runner: ExperimentRunner | None = None,
 ) -> FigureResult:
     """Figure 7 alone (runs the shared 6/7 experiment)."""
-    return figures_6_and_7(params, node_count, runner=runner)[1]
+    return figures_6_and_7(params, node_count)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +451,6 @@ def figure_8a(
     max_peers: int = 8,
     holder_count: int = 3,
     answers_per_holder: int = 5,
-    runner: ExperimentRunner | None = None,
 ) -> FigureResult:
     """BP vs. Gnutella: completion time per run of the same query.
 
@@ -469,13 +471,18 @@ def figure_8a(
     # "while BP and Gnutella return results out-of-network, this feature
     # is not used in the experiment": BP ships match lists, not files.
     degree = max(2, max_peers // 2)
-    tasks = [
-        (system, node_count, max_peers, degree, holder_count, answers_per_holder, params)
-        for system in ("BP", "Gnutella")
-    ]
-    for task, runs in zip(tasks, run_tasks(runner, _figure_8_runs, tasks)):
+    for system in ("BP", "Gnutella"):
+        runs = _figure_8_runs(
+            system,
+            node_count,
+            max_peers,
+            degree,
+            holder_count,
+            answers_per_holder,
+            params,
+        )
         for run_index, run in enumerate(runs, start=1):
-            result.add_point(task[0], run_index, completion_time(run))
+            result.add_point(system, run_index, completion_time(run))
     return result
 
 
@@ -485,7 +492,6 @@ def figure_8b(
     peer_counts: tuple[int, ...] = (2, 4, 6, 8),
     holder_count: int = 3,
     answers_per_holder: int = 5,
-    runner: ExperimentRunner | None = None,
 ) -> FigureResult:
     """BP vs. Gnutella: completion (avg over runs) vs. number of peers."""
     params = params if params is not None else FigureParams()
@@ -496,19 +502,17 @@ def figure_8b(
         y_label="completion time (s)",
         notes=f"averaged over {params.queries} runs of one query",
     )
-    tasks = [
-        (
-            system,
-            node_count,
-            peers,
-            max(1, peers // 2),
-            holder_count,
-            answers_per_holder,
-            params,
-        )
-        for peers in peer_counts
-        for system in ("BP", "Gnutella")
-    ]
-    for task, runs in zip(tasks, run_tasks(runner, _figure_8_runs, tasks)):
-        result.add_point(task[0], task[2], _mean_completion(runs))
+    for peers in peer_counts:
+        degree = max(1, peers // 2)
+        for system in ("BP", "Gnutella"):
+            runs = _figure_8_runs(
+                system,
+                node_count,
+                peers,
+                degree,
+                holder_count,
+                answers_per_holder,
+                params,
+            )
+            result.add_point(system, peers, _mean_completion(runs))
     return result

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from repro.eval.experiment import ExperimentRunner, FigureResult
+from repro.eval.experiment import FigureResult
 from repro.eval.figures import FigureParams
 from repro.eval.report import format_counts, replication_stats
 from repro.eval.sweep import (
@@ -99,8 +99,7 @@ STATS_KEYS = (
 
 
 def replication_trial(task: tuple[str, float, int, FigureParams]) -> dict:
-    """One (scheme, churn rate) point; module-level so it pickles to the
-    parallel runner's workers."""
+    """One (scheme, churn rate) point, rebuilt from its task tuple."""
     scheme, rate, node_count, params = task
     # One distinct object per non-base node: object i (and only it)
     # matches keyword i, so per-query recall is a crisp 0/1.
@@ -153,7 +152,6 @@ def figure_replication(
     node_count: int = 16,
     schemes: tuple[str, ...] = tuple(POLICIES),
     churn_rates: tuple[float, ...] = DEFAULT_CHURN_RATES,
-    runner: ExperimentRunner | None = None,
 ) -> FigureResult:
     """Mean recall vs churn rate, one series per replication scheme.
 
@@ -165,7 +163,6 @@ def figure_replication(
         replication_trial,
         (schemes, churn_rates),
         (node_count, params),
-        runner,
         series=itemgetter("scheme"),
         x="rate",
         y="mean_recall",

@@ -24,7 +24,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from repro.core.routing import registered_strategies
-from repro.eval.experiment import ExperimentRunner, FigureResult
+from repro.eval.experiment import FigureResult
 from repro.eval.figures import FigureParams
 from repro.eval.sweep import (
     churn_outage_partition,
@@ -86,8 +86,7 @@ TRIAL_COLUMNS = (
 
 
 def routing_trial(task: tuple[str, float, int, FigureParams]) -> dict:
-    """One (strategy, churn rate) point; module-level so it pickles to
-    the parallel runner's workers."""
+    """One (strategy, churn rate) point, rebuilt from its task tuple."""
     strategy, rate, node_count, params = task
     keyword = KeywordCorpus(params.corpus_size).keyword(0)
 
@@ -128,7 +127,6 @@ def figure_routing(
     node_count: int = 16,
     churn_rates: tuple[float, ...] = DEFAULT_ROUTING_RATES,
     strategies: tuple[str, ...] | None = None,
-    runner: ExperimentRunner | None = None,
 ) -> FigureResult:
     """Recall vs. churn rate for every registered routing strategy.
 
@@ -141,7 +139,6 @@ def figure_routing(
         routing_trial,
         (names, churn_rates),
         (node_count, params),
-        runner,
         series=itemgetter("strategy"),
         x="rate",
         y="mean_recall",

@@ -8,13 +8,12 @@ across :data:`CHURN_HORIZON` simulated seconds while a seeded
 figures (config fields, store fill, fault plan, keyword list, recall
 arithmetic) is passed in or computed by the caller.
 
-Every sweep point is an independent, picklable task: a figure maps a
-module-level function over plain-tuple tasks (:func:`run_tasks`) —
-inline with no runner, fanned out to worker processes under a
-:class:`~repro.eval.experiment.ExperimentRunner`.  Deployments
-are rebuilt from the task tuple inside the worker and every stochastic
-choice (topology, fault timeline, retry jitter) derives from the params
-seed, so a point replays bit-identically either way, in task order.
+Every sweep point is an independent task: a figure calls a module-level
+function on each plain-tuple task in turn.  Deployments are rebuilt from
+the task tuple and every stochastic choice (topology, fault timeline,
+retry jitter) derives from the params seed, so a point replays
+bit-identically whether it runs alone or after others that warmed the
+store templates and codec memos.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import Callable, Sequence
 
 from repro.core.builder import BestPeerNetwork, build_network
 from repro.core.config import BestPeerConfig
-from repro.eval.experiment import ExperimentRunner, FigureResult
+from repro.eval.experiment import FigureResult
 from repro.faults import FaultPlan, SimFaultInjector
 from repro.topology.builders import random_graph
 from repro.util.retry import RetryPolicy
@@ -46,7 +45,15 @@ SETUP_DONE_AT = 1.9
 FIRST_QUERY_AT = 2.0
 
 
-def run_tasks(runner: ExperimentRunner | None, func, tasks: list) -> list:
+def run_tasks(runner, func, tasks: list) -> list:
+    """``func`` applied to every task, in task order.
+
+    ``runner`` is ``None`` or an object whose ``map_tasks(func, tasks)``
+    does the same, in the same order.  The perf ledger's ``fig5a_paper``
+    workload is the one caller that passes one (through
+    :func:`~repro.eval.figures.figure_5a`), to read each deployment's
+    counters as soon as its task returns.
+    """
     if runner is None:
         return [func(task) for task in tasks]
     return runner.map_tasks(func, tasks)
@@ -176,7 +183,6 @@ def sweep_figure(
     run_trial: Callable[[tuple], dict],
     grid: Sequence[Sequence],
     fixed: tuple,
-    runner: ExperimentRunner | None,
     series: Callable[[dict], str],
     x: str,
     y: str,
@@ -186,7 +192,7 @@ def sweep_figure(
     axis outermost) and plot ``trial[y]`` against ``trial[x]``, one
     series per ``series(trial)``; the trial dicts ride along as
     ``result.trials``."""
-    trials = run_tasks(runner, run_trial, [point + fixed for point in product(*grid)])
+    trials = [run_trial(point + fixed) for point in product(*grid)]
     result = FigureResult(**figure_fields, trials=trials)
     for trial in trials:
         result.add_point(series(trial), trial[x], trial[y])

@@ -20,7 +20,7 @@ the exhaustive flood's at the same cutoff.
 from __future__ import annotations
 
 from repro.baselines.gnutella import scored_reference
-from repro.eval.experiment import ExperimentRunner, FigureResult
+from repro.eval.experiment import FigureResult
 from repro.eval.figures import FigureParams
 from repro.eval.sweep import churn_outage_partition, churned_run, sweep_figure
 from repro.workloads.corpus import KeywordCorpus
@@ -78,8 +78,7 @@ TRIAL_COLUMNS = (
 
 
 def topk_trial(task: tuple) -> dict:
-    """One (k, ttl, churn rate) point; module-level so it pickles to the
-    parallel runner's workers."""
+    """One (k, ttl, churn rate) point, rebuilt from its task tuple."""
     k, ttl, rate, node_count, eval_ks, params = task
     keyword = KeywordCorpus(params.corpus_size).keyword(0)
 
@@ -157,7 +156,6 @@ def figure_topk(
     ks: tuple = DEFAULT_TOPK_KS,
     ttls: tuple = DEFAULT_TOPK_TTLS,
     churn_rates: tuple = DEFAULT_TOPK_RATES,
-    runner: ExperimentRunner | None = None,
 ) -> FigureResult:
     """Bytes per query vs TTL, one series per (k, churn rate).
 
@@ -170,7 +168,6 @@ def figure_topk(
         topk_trial,
         (ks, ttls, churn_rates),
         (node_count, eval_ks, params),
-        runner,
         series=_series_name,
         x="ttl",
         y="bytes_per_query",

@@ -1,8 +1,7 @@
 """Fault plans: declarative, seed-derived failure timelines.
 
 A :class:`FaultPlan` is nothing but data — a sorted tuple of
-:class:`FaultEvent` rows — so it pickles across the parallel experiment
-runner's worker processes and two plans generated from the same seed
+:class:`FaultEvent` rows — so two plans generated from the same seed
 compare equal.  All randomness flows through
 :func:`repro.util.randomness.derive_rng`, which is the whole
 determinism story: same seed, same timeline, same simulation.

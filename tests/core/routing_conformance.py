@@ -102,8 +102,8 @@ class StrategyConformance:
             assert obs in candidates
 
     def test_fresh_instances_agree(self, name):
-        """Same registered name, same defaults → same selection (the
-        parallel runner rebuilds strategies in worker processes)."""
+        """Same registered name, same defaults → same selection (every
+        deployment builds its own strategies)."""
         candidates = mixed_candidates()
         first = make_routing_strategy(name).select(candidates, 3)
         second = make_routing_strategy(name).select(candidates, 3)

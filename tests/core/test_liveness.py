@@ -334,3 +334,54 @@ class TestSuspicionReplicationInterplay:
         assert owner.request_timeouts["replica"] == 1
         assert peer.bpid in owner.replication.holders_of(rid)
         assert peer.replication.replicas_held >= 1
+
+
+class TestAnswerFramesFeedTheReplicationLedger:
+    """An answer-shaped frame reaching the issuer — a plain answer or a
+    top-k survivor frame — marks its responder alive in the replication
+    manager's last-seen ledger; a top-k digest (a hop whose every match
+    was dominated) does not."""
+
+    @staticmethod
+    def _frame(kind, handle, responder):
+        from repro.agents.messages import AnswerItem, AnswerMessage
+        from repro.agents.topk import ScoredAnswer, ScoredItem, TopKDigest, TopKEntry
+        from repro.storm.heapfile import RecordId
+
+        rid = RecordId(0, 0)
+        header = dict(
+            query_id=handle.query_id,
+            responder=responder.bpid,
+            responder_address=responder.host.address,
+            hops=1,
+        )
+        if kind == "answer":
+            item = AnswerItem(rid=rid, keywords=("k",), size=1, payload=b"x")
+            return AnswerMessage(**header, items=(item,))
+        if kind == "scored":
+            item = ScoredItem(rid=rid, keywords=("k",), size=1, score=1.0, payload=b"x")
+            return ScoredAnswer(**header, items=(item,))
+        entry = TopKEntry(score=1.0, holder=responder.bpid, rid=rid)
+        return TopKDigest(**header, k=2, entries=(entry,), dominated_dropped=1)
+
+    @pytest.mark.parametrize(
+        "kind, marks_alive", [("answer", True), ("scored", True), ("digest", False)]
+    )
+    def test_frame_reaching_the_issuer(self, monkeypatch, kind, marks_alive):
+        from repro.agents.engine import PROTO_ANSWER
+
+        net = build_network(2, config=BestPeerConfig(), topology=line(2))
+        base, responder = net.base, net.nodes[1]
+        handle = base.issue_query("nothing-stored")
+        net.sim.run()
+        noted = []
+        monkeypatch.setattr(
+            base.replication,
+            "note_peer_alive",
+            lambda bpid, address: noted.append((bpid, address)),
+        )
+        frame = self._frame(kind, handle, responder)
+        responder.host.send(base.host.address, PROTO_ANSWER, frame)
+        net.sim.run()
+        expected = [(responder.bpid, responder.host.address)] if marks_alive else []
+        assert noted == expected

@@ -256,10 +256,9 @@ class TestSuperPeer:
 
 class TestRandomRngScoping:
     """Pre-framework, ``random`` seeded ``random.Random(seed)`` directly:
-    every node with the default seed shared one global sample sequence,
-    and worker processes under ``--jobs`` could diverge from the serial
-    run depending on construction order.  The stream now derives from
-    ``(seed, "routing", "random", node name)``."""
+    every node with the default seed shared one global sample sequence.
+    The stream now derives from ``(seed, "routing", "random", node
+    name)``."""
 
     def _bound(self, name: str, seed: int = 0) -> RandomReplacementStrategy:
         strategy = RandomReplacementStrategy(seed=seed)

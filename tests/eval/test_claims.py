@@ -244,7 +244,7 @@ class TestVerifyCommand:
     @staticmethod
     def _run(monkeypatch, results):
         for key, entry in cli.FIGURES.items():
-            canned = lambda params, runner=None, key=key: results[key]  # noqa: E731
+            canned = lambda params, key=key: results[key]  # noqa: E731
             monkeypatch.setitem(cli.FIGURES, key, entry._replace(run=canned))
         for name in cli.ABLATIONS:
             canned = lambda params, key=f"ablation {name}": results[key]  # noqa: E731

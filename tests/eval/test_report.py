@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ExperimentError
-from repro.eval.experiment import ExperimentRunner, FigureResult
+from repro.eval.experiment import FigureResult
 from repro.eval.report import format_counts, format_figure, format_table, format_trials
 
 
@@ -85,9 +85,3 @@ class TestFormatFigure:
         result = FigureResult("F", "t", "x", "y", notes="scaled down")
         result.add_point("a", 1, 1.0)
         assert "scaled down" in format_figure(result)
-
-
-class TestExperimentRunner:
-    def test_validation(self):
-        with pytest.raises(ExperimentError):
-            ExperimentRunner(jobs=0)

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.eval.experiment import ExperimentRunner
 from repro.eval.figures import FigureParams
-from repro.eval.routing import figure_routing
 from repro.eval.sweep import (
     churn_outage_partition,
     churned_run,
@@ -93,11 +91,3 @@ def test_too_few_nodes_rejected():
     with pytest.raises(ValueError, match=">= 3 nodes"):
         churned_run(2, PARAMS, 0.0, KEYWORDS, lambda deployment: None, session_churn)
 
-
-def test_trials_survive_the_parallel_runner_unchanged():
-    sweep = dict(node_count=NODE_COUNT, churn_rates=(0.3,), strategies=("static", "maxcount"))
-    serial = figure_routing(PARAMS, **sweep)
-    parallel = figure_routing(PARAMS, runner=ExperimentRunner(jobs=2), **sweep)
-    assert len(serial.trials) == 2
-    assert parallel.trials == serial.trials
-    assert parallel.series == serial.series

@@ -4,8 +4,8 @@ This is the acceptance test for the fault subsystem: a fault plan with
 node churn, a LIGLO outage, and a transient partition produces the
 *same* rich observables — recall series, per-answer hop counts, bytes
 on the wire, drop counters, fault application counts — on every run
-with the same seed, serially and under the parallel runner.  Replays
-are compared on whole trial dicts, every key.
+with the same seed.  Replays are compared on whole trial dicts, every
+key.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.eval.churn import churn_trial, figure_churn
-from repro.eval.experiment import ExperimentRunner
 from repro.eval.figures import FigureParams
 
 PARAMS = FigureParams(objects_per_node=0, queries=2, seed=0)
@@ -33,28 +32,6 @@ class TestSeededReplay:
         again = figure_churn(PARAMS, node_count=NODE_COUNT, churn_rates=RATES)
         assert again.series == series
         assert again.trials == trials
-
-    def test_serial_runner_matches(self, baseline):
-        series, trials = baseline
-        result = figure_churn(
-            PARAMS,
-            node_count=NODE_COUNT,
-            churn_rates=RATES,
-            runner=ExperimentRunner(jobs=1),
-        )
-        assert result.series == series
-        assert result.trials == trials
-
-    def test_parallel_runner_matches(self, baseline):
-        series, trials = baseline
-        result = figure_churn(
-            PARAMS,
-            node_count=NODE_COUNT,
-            churn_rates=RATES,
-            runner=ExperimentRunner(jobs=2),
-        )
-        assert result.series == series
-        assert result.trials == trials
 
     def test_different_seed_changes_fault_timeline(self, baseline):
         _series, trials = baseline

@@ -1,7 +1,5 @@
 """Tests for fault plans: builders, validation, seeded churn timelines."""
 
-import pickle
-
 import pytest
 
 from repro.errors import FaultPlanError
@@ -61,10 +59,6 @@ class TestFaultPlan:
             KIND_NODE_CRASH,
             KIND_NODE_RESTART,
         ]
-
-    def test_plan_pickles(self):
-        plan = FaultPlan.churn(NAMES, 0.5, 30.0, seed=3)
-        assert pickle.loads(pickle.dumps(plan)) == plan
 
 
 class TestBuilders:

@@ -2,10 +2,10 @@
 
 A mechanism has one implementation, turned off the way a caller already
 can (``top_k=None``, ``ReplicationPolicy()``, ``strategy="static"``) —
-never by a ``REPRO_*`` variable that keeps a second path alive.  The
-process environment is read in exactly one place, for the one variable
-that says *how* to execute a run, not *what* it computes.  The rule
-covers ``src/``, ``benchmarks/`` and ``examples/``.
+never by a ``REPRO_*`` variable that keeps a second path alive.  No
+module under ``src/``, ``benchmarks/`` or ``examples/`` reads the
+environment, and no ``src/`` module imports ``multiprocessing``: every
+experiment runs in the one seeded, single-threaded kernel.
 """
 
 from __future__ import annotations
@@ -16,12 +16,11 @@ from pathlib import Path
 ROOT = Path(__file__).parent.parent
 SCANNED = ("src/repro", "benchmarks", "examples")
 
-#: module (relative to the repository root) -> the variables it may read
-ALLOWED_READERS = {"src/repro/eval/experiment.py": {"REPRO_JOBS"}}
-ALLOWED_NAMES = set().union(*ALLOWED_READERS.values())
-
 ENV_ACCESS = re.compile(r"\benviron\b|\bgetenv\b|\bputenv\b")
 REPRO_NAME = re.compile(r"REPRO_[A-Z_]+")
+IMPORTS_MULTIPROCESSING = re.compile(
+    r"^\s*(?:import|from)\s+multiprocessing\b", re.MULTILINE
+)
 
 
 def _sources():
@@ -35,16 +34,24 @@ def _sources():
     return found
 
 
-def test_only_the_experiment_module_reads_the_environment():
+def test_no_module_reads_the_environment():
     readers = {name for name, text in _sources() if ENV_ACCESS.search(text)}
-    assert readers == set(ALLOWED_READERS)
+    assert readers == set()
 
 
-def test_no_repro_variable_beyond_jobs_is_named_in_src():
+def test_no_repro_variable_is_named():
     named = {
         (name, variable)
         for name, text in _sources()
         for variable in REPRO_NAME.findall(text)
-        if variable not in ALLOWED_NAMES
     }
     assert named == set()
+
+
+def test_no_src_module_imports_multiprocessing():
+    importers = {
+        name
+        for name, text in _sources()
+        if name.startswith("src/") and IMPORTS_MULTIPROCESSING.search(text)
+    }
+    assert importers == set()
