@@ -162,7 +162,7 @@ def _emit(result: FigureResult, args: argparse.Namespace) -> None:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    from repro.eval.claims import verify_all, verify_figure
+    from repro.eval.claims import verify_all
 
     params = _params(args)
     results = {key: figure.run(params) for key, figure in FIGURES.items()}
@@ -171,13 +171,9 @@ def _run_verify(args: argparse.Namespace) -> int:
     for result in results.values():
         print(format_figure(result))
         print()
-    print(verify_all(results))
-    holds = all(
-        held
-        for key, result in results.items()
-        for _claim, held in verify_figure(key, result)
-    )
-    return 0 if holds else 1
+    report, held = verify_all(results)
+    print(report)
+    return 0 if held else 1
 
 
 def _run_demo() -> int:

@@ -1,46 +1,312 @@
 """The reproduction's claims, as executable checks — one table.
 
-Section 4 makes a set of qualitative claims ("SCS performs worse...",
-"BP outperforms Gnutella in all runs").  Each is a :class:`Claim` here:
-a quote, the figure it belongs to, and a predicate over the reproduced
+Section 4 makes qualitative claims ("SCS performs worse...", "BP
+outperforms Gnutella in all runs").  Each is a :class:`Claim`: an id, a
+quote, its figure and one combinator call over the reproduced
 :class:`~repro.eval.experiment.FigureResult` (its series and, for the
-churned-query figures, its per-trial dicts).
+churned-query figures, its per-trial dicts), keyed by what ``python -m
+repro`` runs (``"5a"``, ``"churn"``, ``"ablation <name>"``) and tagged
+``paper`` (the sixteen statements quoted from Section 4) or
+``extension`` (every other shape the reproduction stands behind).
 
-Claims are keyed by what ``python -m repro`` runs: a figure name
-(``"5a"``, ``"churn"``) or ``"ablation <name>"``.  Each is tagged:
-
-* ``paper`` — the sixteen statements quoted from Section 4;
-* ``extension`` — every other shape the reproduction stands behind:
-  the thresholds the paper's plots imply but never state, Figure 7, the
-  seven ablations, and the churn, replication, routing and top-k
-  figures the paper could not run.
-
-Every claim is judged at the published configuration (each figure's
-and ablation's defaults, 1000 x 1 KB objects per node, four queries).
-``verify_figure`` checks one key; ``verify_all`` renders the report
-``python -m repro verify`` prints.
+A combinator returns a :class:`Margin`, how far the deciding value is
+from flipping the claim; its threshold is an argument of the row.
+Probes read the evidence, and one that finds no series, point, index or
+trial makes the claim ``MISSING``, not ``FAIL``.  Every claim is judged
+at the published configuration (each figure's and ablation's defaults).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.errors import ExperimentError
-from repro.eval.analysis import (
-    crossover,
-    dominates,
-    growth_factor,
-    is_flat,
-    is_monotone_increasing,
-)
 from repro.eval.experiment import FigureResult
-
 
 #: A statement quoted from the paper's Section 4.
 PAPER = "paper"
 #: A shape the reproduction asserts beyond the paper's sixteen quotes.
 EXTENSION = "extension"
+#: A claim's status, as the report prints it.
+PASS, FAIL, MISSING = "PASS", "FAIL", "MISSING"
+#: The trial fields a churned-query figure sweeps within one scheme.
+SWEPT = ("ttl", "rate")
+
+#: A probe reads a number, or a list of ``(x, y)`` points, from a result.
+Probe = Callable[[FigureResult], Any]
+
+
+class MissingEvidence(ExperimentError):
+    """A probe found no series, point, index or trial to read."""
+
+
+class Margin(NamedTuple):
+    """How far a claim's deciding value is from flipping it: the signed
+    gap between the two values compared, over the larger of them.  It
+    holds when positive, and at exactly 0 only for an ``inclusive``
+    bound (``<=``, ``>=``, ``==``).  Tuples order strict before inclusive
+    at equal values, so ``min`` over a conjunction picks its decider."""
+
+    value: float
+    inclusive: bool
+
+    @property
+    def holds(self) -> bool:
+        return self.value > 0 or (self.inclusive and self.value == 0)
+
+
+def _margin(lo: float, hi: float, inclusive: bool) -> Margin:
+    """``lo < hi`` (``lo <= hi`` when ``inclusive``)."""
+    scale = max(abs(lo), abs(hi))
+    return Margin((hi - lo) / scale if scale else 0.0, inclusive)
+
+
+def _within(a: float, b: float, rel: float) -> Margin:
+    """``|a - b| <= rel * max(a, b)``."""
+    scale = max(a, b, 1e-12)
+    return Margin((rel * scale - abs(a - b)) / scale, True)
+
+
+def _series(result: FigureResult, name: str, start: float = -math.inf) -> list:
+    found = [(x, y) for x, y in result.series.get(name, ()) if x >= start]
+    if not found:
+        raise MissingEvidence(f"series {name!r} has no point from x={start}")
+    return found
+
+
+def _lookup(points: list, x: Any) -> Any:
+    for point_x, y in points:
+        if point_x == x:
+            return y
+    raise MissingEvidence(f"no point at x={x}")
+
+
+def _index(result: FigureResult, name: str, index: int) -> tuple[float, float]:
+    try:
+        return _series(result, name)[index]
+    except IndexError:
+        raise MissingEvidence(f"series {name!r} has no point {index}") from None
+
+
+def points(name: str, start: float) -> Probe:
+    """Series ``name``'s points from x = ``start`` on."""
+    return lambda result: _series(result, name, start)
+
+
+def y_of(name: str, index: int) -> Probe:
+    """Series ``name``'s y at ``index``."""
+    return lambda result: _index(result, name, index)[1]
+
+
+def x_of(name: str, index: int) -> Probe:
+    """Series ``name``'s x at ``index``."""
+    return lambda result: _index(result, name, index)[0]
+
+
+def first(name: str) -> Probe:
+    """Series ``name``'s first y."""
+    return y_of(name, 0)
+
+
+def last(name: str) -> Probe:
+    """Series ``name``'s last y."""
+    return y_of(name, -1)
+
+
+def y_at(name: str, x: float) -> Probe:
+    """Series ``name``'s y at ``x``."""
+    return lambda result: _lookup(_series(result, name), x)
+
+
+def total(name: str) -> Probe:
+    """The sum of series ``name``'s y values."""
+    return lambda result: sum(y for _, y in _series(result, name))
+
+
+def growth(name: str, start: float = -math.inf) -> Probe:
+    """last / first y of series ``name`` from x = ``start`` on."""
+
+    def probe(result: FigureResult) -> float:
+        found = _series(result, name, start)
+        if len(found) < 2:
+            raise MissingEvidence(f"series {name!r} has one point to grow from")
+        if found[0][1] <= 0:
+            raise ExperimentError(f"series {name!r} starts at {found[0][1]}")
+        return found[-1][1] / found[0][1]
+
+    return probe
+
+
+def _trials(result: FigureResult, keys: dict) -> list[dict]:
+    """The trials whose fields equal ``keys`` (a tuple: any of its items)."""
+    found = [
+        trial
+        for trial in result.trials
+        if all(
+            trial.get(key) in (value if isinstance(value, tuple) else (value,))
+            for key, value in keys.items()
+        )
+    ]
+    if not found:
+        raise MissingEvidence(f"no trial with {keys}")
+    return found
+
+
+def _get(trial: dict, path: str) -> Any:
+    for part in path.split("."):
+        if not isinstance(trial, dict) or part not in trial:
+            raise MissingEvidence(f"a trial has no {path!r}")
+        trial = trial[part]
+    return trial
+
+
+def field(path: str, **keys) -> Probe:
+    """Field ``path`` (dotted into nested dicts) of every trial whose
+    fields equal ``keys``, as points keyed by the ``SWEPT`` fields that
+    ``keys`` leaves free, so that two such probes pair trial by trial."""
+    free = [name for name in SWEPT if name not in keys]
+    return lambda result: [
+        (tuple(trial.get(name) for name in free), _get(trial, path))
+        for trial in _trials(result, keys)
+    ]
+
+
+def _read(result: FigureResult, operand: Any) -> Any:
+    """A series name reads every point; a probe reads; a number is itself."""
+    if isinstance(operand, str):
+        return _series(result, operand)
+    return operand(result) if callable(operand) else operand
+
+
+def _pairs(result: FigureResult, a: Any, b: Any) -> list[tuple]:
+    """``(a, b)`` at every point of ``a``; a number pairs with every point."""
+    left, right = _read(result, a), _read(result, b)
+    if not isinstance(left, list):
+        return [(left, right)]
+    if not isinstance(right, list):
+        return [(y, right) for _, y in left]
+    return [(y, _lookup(right, x)) for x, y in left]
+
+
+class Check(NamedTuple):
+    """A combinator bound to the arguments its table row wrote (so every
+    threshold stays readable); calling it returns the claim's margin."""
+
+    judge: Callable[..., Margin]
+    args: tuple
+    keys: tuple = ()
+
+    def __call__(self, result: FigureResult) -> Margin:
+        return self.judge(result, *self.args, **dict(self.keys))
+
+
+def combinator(judge: Callable[..., Margin]) -> Callable[..., Check]:
+    """Turn ``judge(result, *args)`` into the table's ``judge(*args)``."""
+
+    def bind(*args, **keys) -> Check:
+        return Check(judge, args, tuple(keys.items()))
+
+    return functools.update_wrapper(bind, judge)
+
+
+def _bound(result, a, b, k: float, inclusive: bool, upper: bool) -> Margin:
+    """``a <= k * b`` if ``upper`` else ``a >= k * b``, at every point."""
+    return min(
+        _margin(y, k * bound, inclusive) if upper else _margin(k * bound, y, inclusive)
+        for y, bound in _pairs(result, a, b)
+    )
+
+
+@combinator
+def below(result: FigureResult, a, b, k: float = 1.0) -> Margin:
+    """``a < k * b``."""
+    return _bound(result, a, b, k, inclusive=False, upper=True)
+
+
+@combinator
+def at_most(result: FigureResult, a, b, k: float = 1.0) -> Margin:
+    """``a <= k * b``."""
+    return _bound(result, a, b, k, inclusive=True, upper=True)
+
+
+@combinator
+def above(result: FigureResult, a, b, k: float = 1.0) -> Margin:
+    """``a > k * b``."""
+    return _bound(result, a, b, k, inclusive=False, upper=False)
+
+
+@combinator
+def at_least(result: FigureResult, a, b, k: float = 1.0) -> Margin:
+    """``a >= k * b``."""
+    return _bound(result, a, b, k, inclusive=True, upper=False)
+
+
+@combinator
+def within(result: FigureResult, a, b, rel: float) -> Margin:
+    """``|a - b| <= rel * max(a, b)``."""
+    return min(_within(y, other, rel) for y, other in _pairs(result, a, b))
+
+
+@combinator
+def equals(result: FigureResult, a, b) -> Margin:
+    """``a == b``."""
+    return min(_within(y, other, 0.0) for y, other in _pairs(result, a, b))
+
+
+@combinator
+def flat(result: FigureResult, name: str, tol: float) -> Margin:
+    """Series ``name``'s spread is within ``tol`` of its largest value."""
+    values = [y for _, y in _series(result, name)]
+    return _within(min(values), max(values), tol)
+
+
+@combinator
+def rises(result: FigureResult, name: str) -> Margin:
+    """Series ``name`` never falls from one point to the next."""
+    values = [y for _, y in _series(result, name)]
+    if len(values) < 2:
+        raise MissingEvidence(f"series {name!r} has one point")
+    return min(_margin(lo, hi, True) for lo, hi in zip(values, values[1:]))
+
+
+@combinator
+def crosses(result: FigureResult, a: str, b: str, by: Any = math.inf) -> Margin:
+    """Series ``a`` reaches ``b`` at a shared x no later than ``by``."""
+    other, limit = dict(_series(result, b)), _read(result, by)
+    gaps = [
+        _margin(other[x], y, True)
+        for x, y in _series(result, a)
+        if x in other and x <= limit
+    ]
+    if not gaps:
+        raise ExperimentError(f"series {a!r} and {b!r} share no x up to {limit}")
+    return max(gaps)
+
+
+@combinator
+def fired(result: FigureResult, outage: bool = True, **keys) -> Margin:
+    """At the highest swept rate every trial whose fields equal ``keys``
+    crashed a node and, with ``outage``, took LIGLO down once and
+    partitioned the network once."""
+    trials = _trials(result, keys)
+    top = max(_get(trial, "rate") for trial in trials)
+    margins = []
+    for trial in (trial for trial in trials if trial["rate"] == top):
+        applied = _get(trial, "faults_applied")
+        margins.append(_margin(1, applied.get("node-crash", 0), True))
+        if outage:
+            for kind in ("liglo-down", "partition"):
+                margins.append(_within(applied.get(kind, 0), 1, 0.0))
+    return min(margins)
+
+
+@combinator
+def all_of(result: FigureResult, *parts: Check) -> Margin:
+    """Every part holds: the margin of the part nearest to failing."""
+    return min(part(result) for part in parts)
 
 
 @dataclass(frozen=True)
@@ -50,862 +316,406 @@ class Claim:
     claim_id: str
     figure: str
     quote: str
-    check: Callable[[FigureResult], bool]
-    tag: str = PAPER
+    check: Check
+    tag: str = EXTENSION
 
-    def holds(self, result: FigureResult) -> bool:
-        """Evaluate against a reproduced figure (False on any failure,
-        including a series or trial too short to carry the evidence)."""
+    def status(self, result: FigureResult) -> str:
+        """``MISSING`` when a probe found no evidence, ``FAIL`` when the
+        combinator cannot judge, else ``PASS`` or ``FAIL`` by the margin."""
         try:
-            return bool(self.check(result))
-        except (ExperimentError, LookupError):
-            return False
-
-
-def _scs_degenerates(result: FigureResult) -> bool:
-    # Skip the degenerate single-node point (everything is ~0 there).
-    positive = [value for value in result.y_values("SCS") if value > 0]
-    return len(positive) >= 2 and growth_factor(positive) > 5.0
-
-
-def _parallel_schemes_beat_scs(result: FigureResult) -> bool:
-    mcs = dict(result.series_named("CS"))
-    ratios = [
-        scs_y / mcs[x]
-        for x, scs_y in result.series_named("SCS")
-        if x in mcs and mcs[x] > 0
-    ]
-    # "Significantly" at scale: the larger networks show >2x at least.
-    return len(ratios) >= 2 and all(ratio > 2.0 for ratio in ratios[2:])
-
-
-def _mcs_gain_not_significant(result: FigureResult) -> bool:
-    return all(
-        abs(m - b) <= 0.15 * max(m, b, 1e-12)
-        for m, b in zip(result.y_values("CS"), result.y_values("BPS"))
-    )
-
-
-def _bps_equals_bpr_on_star(result: FigureResult) -> bool:
-    return all(
-        abs(left - right) <= 0.05 * max(left, right, 1e-12)
-        for left, right in zip(result.y_values("BPS"), result.y_values("BPR"))
-    )
-
-
-def _cs_wins_level_1(result: FigureResult) -> bool:
-    return result.y_values("CS")[0] < result.y_values("BPS")[0]
-
-
-def _cs_degenerates_with_depth(result: FigureResult) -> bool:
-    cs = result.y_values("CS")
-    bps = result.y_values("BPS")
-    return cs[-1] > bps[-1] and growth_factor(cs) > growth_factor(bps)
-
-
-def _bpr_best_bp_scheme(result: FigureResult) -> bool:
-    return dominates(result, "BPR", "BPS", slack=0.02)
-
-
-def _bpr_beats_cs_except_tiny(result: FigureResult) -> bool:
-    cross = crossover(result, "CS", "BPR")
-    return cross is not None and cross <= result.series_named("CS")[1][0]
-
-
-def _cs_fast_first_slow_tail(result: FigureResult) -> bool:
-    cs = result.series_named("CS")
-    bps = result.series_named("BPS")
-    return cs[0][1] <= bps[0][1] and cs[-1][1] > bps[-1][1]
-
-
-def _gnutella_flat_across_runs(result: FigureResult) -> bool:
-    return is_flat(result.y_values("Gnutella"), tolerance=0.1)
-
-
-def _bp_first_run_highest(result: FigureResult) -> bool:
-    bp = result.y_values("BP")
-    return bp[0] > bp[1] and bp[0] > bp[-1]
-
-
-def _bp_beats_gnutella_all_runs(result: FigureResult) -> bool:
-    return dominates(result, "BP", "Gnutella") and all(
-        b < g for b, g in zip(result.y_values("BP"), result.y_values("Gnutella"))
-    )
-
-
-def _both_improve_with_peers(result: FigureResult) -> bool:
-    bp = result.y_values("BP")
-    gnutella = result.y_values("Gnutella")
-    return bp[-1] < bp[0] and gnutella[-1] < gnutella[0]
-
-
-def _bp_remains_superior(result: FigureResult) -> bool:
-    return all(
-        b < g for b, g in zip(result.y_values("BP"), result.y_values("Gnutella"))
-    )
-
-
-def _at(result: FigureResult, name: str, x: float) -> float:
-    """Series ``name``'s y at ``x``."""
-    for point_x, y in result.series_named(name):
-        if point_x == x:
-            return y
-    raise ExperimentError(f"series {name!r} has no point at x={x}")
-
-
-def _top_x(result: FigureResult, name: str) -> float:
-    """The last swept x of series ``name`` (the highest churn rate)."""
-    return max(x for x, _ in result.series_named(name))
-
-
-def _trials(result: FigureResult, **keys) -> list[dict]:
-    """The trial dicts whose fields equal ``keys`` (at least one)."""
-    found = [
-        trial
-        for trial in result.trials
-        if all(trial.get(field) == value for field, value in keys.items())
-    ]
-    if not found:
-        raise ExperimentError(f"no trial with {keys}")
-    return found
-
-
-def _trial(result: FigureResult, **keys) -> dict:
-    return _trials(result, **keys)[0]
-
-
-def _plan_fired(trials: list[dict], outage: bool = True) -> bool:
-    """Every trial crashed a node (and, with ``outage``, took LIGLO down
-    once and partitioned once)."""
-    for trial in trials:
-        applied = trial["faults_applied"]
-        if applied.get("node-crash", 0) < 1:
-            return False
-        if outage and (
-            applied.get("liglo-down", 0) != 1 or applied.get("partition", 0) != 1
-        ):
-            return False
-    return True
-
-
-def _scs_over_5x_mcs(result: FigureResult) -> bool:
-    return result.y_values("SCS")[-1] > 5 * result.y_values("CS")[-1]
-
-
-def _cs_monotone_with_depth(result: FigureResult) -> bool:
-    return is_monotone_increasing(result.y_values("CS"))
-
-
-def _cs_wins_smallest_loses_largest(result: FigureResult) -> bool:
-    cs = result.y_values("CS")
-    bpr = result.y_values("BPR")
-    return cs[0] < bpr[0] and cs[-1] > bpr[-1]
-
-
-def _every_scheme_returns_every_answer(result: FigureResult) -> bool:
-    cs, bps, bpr = (result.series_named(name) for name in ("CS", "BPS", "BPR"))
-    return cs[-1][1] == bps[-1][1] == bpr[-1][1]
-
-
-def _cs_first_answer_earliest(result: FigureResult) -> bool:
-    return result.series_named("CS")[0][0] <= result.series_named("BPS")[0][0]
-
-
-def _cs_last_answer_latest(result: FigureResult) -> bool:
-    return result.series_named("CS")[-1][0] > result.series_named("BPS")[-1][0]
-
-
-def _bpr_last_answer_no_later(result: FigureResult) -> bool:
-    bpr_last = result.series_named("BPR")[-1][0]
-    return bpr_last <= result.series_named("BPS")[-1][0] * 1.02
-
-
-def _bp_settles_after_first_run(result: FigureResult) -> bool:
-    bp = result.y_values("BP")
-    return bp[1] >= bp[2] * 0.95
-
-
-def _churn_healthy_in_full(result: FigureResult) -> bool:
-    return _at(result, "BPR", 0.0) == 1.0 and _at(result, "BPS", 0.0) == 1.0
-
-
-def _churn_hurts(result: FigureResult) -> bool:
-    top = _top_x(result, "BPR")
-    return _at(result, "BPR", top) < 1.0 and _at(result, "BPS", top) < 1.0
-
-
-def _churn_bpr_no_worse(result: FigureResult) -> bool:
-    top = _top_x(result, "BPR")
-    return _at(result, "BPR", top) >= _at(result, "BPS", top)
-
-
-def _churn_rf2_no_worse(result: FigureResult) -> bool:
-    return all(
-        rf2 >= _at(result, "BPR", rate)
-        for rate, rf2 in result.series_named("BPR+RF2")
-    )
-
-
-def _churn_plan_fired(result: FigureResult) -> bool:
-    return _plan_fired(_trials(result, rate=_top_x(result, "BPR")))
-
-
-def _replication_healthy_in_full(result: FigureResult) -> bool:
-    return all(
-        _at(result, scheme, 0.0) == 1.0 for scheme in ("RF1", "RF2", "RF2+cache")
-    )
-
-
-def _replicated_recall_at_30(result: FigureResult) -> bool:
-    return _at(result, "RF2", 0.3) >= 0.95 and _at(result, "RF2+cache", 0.3) >= 0.95
-
-
-def _single_copy_degrades_at_30(result: FigureResult) -> bool:
-    rf1 = _at(result, "RF1", 0.3)
-    return rf1 < _at(result, "RF2", 0.3) and rf1 < _at(result, "RF2+cache", 0.3)
-
-
-def _replicas_and_cache_answered(result: FigureResult) -> bool:
-    rf2 = _trial(result, scheme="RF2", rate=0.3)["replication"]
-    cached = _trial(result, scheme="RF2+cache", rate=0.3)["replication"]
-    return rf2["replica_answers"] > 0 and cached["cache_hits"] > 0
-
-
-def _replication_bytes(result: FigureResult, scheme: str, rate: float) -> float:
-    return _trial(result, scheme=scheme, rate=rate)["bytes_per_query"]
-
-
-def _replication_overhead_bounded(result: FigureResult) -> bool:
-    return all(
-        _replication_bytes(result, "RF2", rate)
-        <= 1.5 * _replication_bytes(result, "RF1", rate)
-        for rate, _ in result.series_named("RF1")
-    )
-
-
-def _cache_saves_bytes(result: FigureResult) -> bool:
-    return all(
-        _replication_bytes(result, "RF2+cache", rate)
-        < _replication_bytes(result, "RF2", rate)
-        for rate, _ in result.series_named("RF2")
-    )
-
-
-def _replication_plan_fired(result: FigureResult) -> bool:
-    top = _top_x(result, "RF1")
-    return all(
-        _plan_fired(_trials(result, scheme=scheme, rate=top), outage=False)
-        for scheme in ("RF1", "RF2", "RF2+cache")
-    )
-
-
-def _routing_paper_strategies_in_full(result: FigureResult) -> bool:
-    return _at(result, "maxcount", 0.0) == 1.0 and _at(result, "static", 0.0) == 1.0
-
-
-def _superpeer_vs_maxcount(result: FigureResult) -> list[tuple[dict, dict]]:
-    return [
-        (
-            _trial(result, strategy="superpeer", rate=rate),
-            _trial(result, strategy="maxcount", rate=rate),
-        )
-        for rate, _ in result.series_named("superpeer")
-    ]
-
-
-def _superpeer_recall_no_worse(result: FigureResult) -> bool:
-    return all(
-        sp["mean_recall"] >= mc["mean_recall"]
-        for sp, mc in _superpeer_vs_maxcount(result)
-    )
-
-
-def _superpeer_cheaper(result: FigureResult) -> bool:
-    return all(
-        sp["messages_per_query"] < mc["messages_per_query"]
-        and sp["bytes_per_query"] < mc["bytes_per_query"]
-        for sp, mc in _superpeer_vs_maxcount(result)
-    )
-
-
-def _hint_directory_answered(result: FigureResult) -> bool:
-    return all(sp["hint_hits"] >= 1 for sp, _ in _superpeer_vs_maxcount(result))
-
-
-def _routing_plan_fired(result: FigureResult) -> bool:
-    top = _top_x(result, "maxcount")
-    return all(
-        _plan_fired(_trials(result, strategy=strategy, rate=top))
-        for strategy in ("maxcount", "superpeer", "history", "costaware")
-    )
+            margin = self.check(result)
+        except MissingEvidence:
+            return MISSING
+        except ExperimentError:
+            return FAIL
+        return PASS if margin.holds else FAIL
 
 
 #: The bounded accumulators the top-k claims are about.
 TOPK_BOUNDS = (4, 16)
+#: The top-k claims' healthy TTL-8 point.
+TTL_8 = {"ttl": 8, "rate": 0.0}
 
-
-def _topk_halves_bytes(result: FigureResult) -> bool:
-    exhaustive = _trial(result, k=None, ttl=8, rate=0.0)["bytes_per_query"]
-    return all(
-        _trial(result, k=k, ttl=8, rate=0.0)["bytes_per_query"] * 2 <= exhaustive
-        for k in TOPK_BOUNDS
-    )
-
-
-def _topk_quality_no_worse(result: FigureResult) -> bool:
-    exhaustive = _trial(result, k=None, ttl=8, rate=0.0)["quality"]
-    return all(
-        _trial(result, k=k, ttl=8, rate=0.0)["quality"][str(k)] >= exhaustive[str(k)]
-        for k in TOPK_BOUNDS
-    )
-
-
-def _dominated_answers_died(result: FigureResult) -> bool:
-    return all(
-        bounded["dominated_per_query"] > 0 and bounded["digests_per_query"] > 0
-        for bounded in (_trial(result, k=k, ttl=8, rate=0.0) for k in TOPK_BOUNDS)
-    )
-
-
-def _topk_never_costs_bytes(result: FigureResult) -> bool:
-    return all(
-        _trial(result, k=k, ttl=flood["ttl"], rate=flood["rate"])["bytes_per_query"]
-        <= flood["bytes_per_query"]
-        for flood in _trials(result, k=None)
-        for k in TOPK_BOUNDS
-    )
-
-
-def _topk_plan_fired(result: FigureResult) -> bool:
-    top = max(trial["rate"] for trial in result.trials)
-    return _plan_fired(_trials(result, k=4, ttl=8, rate=top), outage=False)
-
-
-def _reconfiguring_strategies_beat_static(result: FigureResult) -> bool:
-    static = result.y_values("static")[-1]
-    return (
-        result.y_values("maxcount")[-1] < static
-        and result.y_values("minhops")[-1] < static
-    )
-
-
-def _maxcount_drops_after_run_1(result: FigureResult) -> bool:
-    maxcount = result.y_values("maxcount")
-    return maxcount[-1] < maxcount[0]
-
-
-def _ttl_caps_coverage(result: FigureResult) -> bool:
-    responders = result.y_values("responders")
-    return is_monotone_increasing(responders) and responders[-1] == 15
-
-
-def _completion_grows_with_ttl(result: FigureResult) -> bool:
-    completion = result.y_values("completion (s)")
-    return completion[0] < completion[-1]
-
-
-def _metadata_no_later(result: FigureResult) -> bool:
-    return sum(result.y_values("metadata")) <= sum(result.y_values("direct")) * 1.02
-
-
-def _mru_beats_lru(result: FigureResult) -> bool:
-    return result.y_values("mru")[-1] < result.y_values("lru")[-1]
-
-
-def _replicas_speed_first_answer(result: FigureResult) -> bool:
-    first = result.y_values("first answer (s)")
-    return first[-1] <= first[0]
-
-
-def _code_cheaper_first(result: FigureResult) -> bool:
-    return result.y_values("always-code")[0] < result.y_values("always-data")[0]
-
-
-def _data_amortizes(result: FigureResult) -> bool:
-    return result.y_values("always-data")[-1] < result.y_values("always-code")[-1]
-
-
-def _code_crosses_data(result: FigureResult) -> bool:
-    crossing = crossover(result, "always-code", "always-data")
-    return crossing is not None and crossing > 1
-
-
-def _adaptive_ends_on_winning_side(result: FigureResult) -> bool:
-    return result.y_values("adaptive")[-1] <= result.y_values("always-code")[-1]
-
-
-#: Every claim, keyed by the ``repro figure`` name or ``"ablation <name>"``
-#: whose result carries its evidence.
-CLAIMS: dict[str, tuple[Claim, ...]] = {
-    "5a": (
-        Claim(
-            "5a-scs",
-            "Figure 5(a)",
+#: The claim table: (key, figure label) -> claim id -> (quote, check[, tag]),
+#: keyed by the ``repro figure`` name or ``"ablation <name>"`` whose result
+#: carries its evidence.
+_TABLE: dict[tuple[str, str], dict[str, tuple]] = {
+    ("5a", "Figure 5(a)"): {
+        "5a-scs": (
             "the Single-Thread CS performs worse than the other models",
-            _scs_degenerates,
+            above(growth("SCS", 2), 5.0),  # from 2 nodes: 1 node takes ~0 s
+            PAPER,
         ),
-        Claim(
-            "5a-parallel",
-            "Figure 5(a)",
+        "5a-parallel": (
             "both MCS and BP-based schemes outperform SCS significantly",
-            _parallel_schemes_beat_scs,
+            above(points("SCS", 8), "CS", 2.0),  # "significantly": at scale
+            PAPER,
         ),
-        Claim(
-            "5a-mcs",
-            "Figure 5(a)",
+        "5a-mcs": (
             "MCS is slightly better than BPS/BPR but the gain is not "
             "significant enough to be visible",
-            _mcs_gain_not_significant,
+            within("CS", "BPS", 0.15),
+            PAPER,
         ),
-        Claim(
-            "5a-static",
-            "Figure 5(a)",
+        "5a-static": (
             "BPS and BPR show similar performance (nothing to reconfigure)",
-            _bps_equals_bpr_on_star,
+            within("BPS", "BPR", 0.05),
+            PAPER,
         ),
-        Claim(
-            "5a-scs-5x",
-            "Figure 5(a)",
+        "5a-scs-5x": (
             "at the largest network SCS takes over 5x as long as MCS",
-            _scs_over_5x_mcs,
-            EXTENSION,
+            above(last("SCS"), last("CS"), 5.0),
         ),
-    ),
-    "5b": (
-        Claim(
-            "5b-level1",
-            "Figure 5(b)",
+    },
+    ("5b", "Figure 5(b)"): {
+        "5b-level1": (
             "when the number of levels is 1, CS is superior",
-            _cs_wins_level_1,
+            below(first("CS"), first("BPS")),
+            PAPER,
         ),
-        Claim(
-            "5b-depth",
-            "Figure 5(b)",
+        "5b-depth": (
             "as the number of levels increases, CS begans to degenerate",
-            _cs_degenerates_with_depth,
+            all_of(above(last("CS"), last("BPS")), above(growth("CS"), growth("BPS"))),
+            PAPER,
         ),
-        Claim(
-            "5b-bpr",
-            "Figure 5(b)",
+        "5b-bpr": (
             "BPR outperforms BPS by virtue of ... a more optimal network",
-            _bpr_best_bp_scheme,
+            at_most("BPR", "BPS", 1.02),
+            PAPER,
         ),
-        Claim(
-            "5b-cs-monotone",
-            "Figure 5(b)",
-            "CS never gets faster as the tree deepens",
-            _cs_monotone_with_depth,
-            EXTENSION,
-        ),
-    ),
-    "5c": (
-        Claim(
-            "5c-bpr",
-            "Figure 5(c)",
-            "BPR is the best",
-            _bpr_best_bp_scheme,
-        ),
-        Claim(
-            "5c-crossover",
-            "Figure 5(c)",
+        "5b-cs-monotone": ("CS never gets faster as the tree deepens", rises("CS")),
+    },
+    ("5c", "Figure 5(c)"): {
+        "5c-bpr": ("BPR is the best", at_most("BPR", "BPS", 1.02), PAPER),
+        "5c-crossover": (
             "BPR outperforms CS for most cases (except when the number "
             "of nodes is very small)",
-            _bpr_beats_cs_except_tiny,
+            crosses("CS", "BPR", x_of("CS", 1)),
+            PAPER,
         ),
-        Claim(
-            "5c-ends",
-            "Figure 5(c)",
+        "5c-ends": (
             "CS beats BPR on the 2-node line and loses to it on the longest",
-            _cs_wins_smallest_loses_largest,
-            EXTENSION,
+            all_of(below(first("CS"), first("BPR")), above(last("CS"), last("BPR"))),
         ),
-    ),
-    "6": (
-        Claim(
-            "6-bpr",
-            "Figure 6",
+    },
+    ("6", "Figure 6"): {
+        "6-bpr": (
             "BPR is still the best scheme, outperforming BPS",
-            _bpr_best_bp_scheme,
+            at_most("BPR", "BPS", 1.02),
+            PAPER,
         ),
-        Claim(
-            "6-cs-tail",
-            "Figure 6",
+        "6-cs-tail": (
             "except for the first few nodes, CS returns answers much "
             "slower than BPR/BPS",
-            _cs_fast_first_slow_tail,
+            all_of(at_most(first("CS"), first("BPS")), above(last("CS"), last("BPS"))),
+            PAPER,
         ),
-    ),
-    "7": (
-        Claim(
-            "7-complete",
-            "Figure 7",
+    },
+    ("7", "Figure 7"): {
+        "7-complete": (
             "every scheme eventually returns every answer",
-            _every_scheme_returns_every_answer,
-            EXTENSION,
+            all_of(equals(last("CS"), last("BPS")), equals(last("BPS"), last("BPR"))),
         ),
-        Claim(
-            "7-cs-first",
-            "Figure 7",
+        "7-cs-first": (
             "CS returns the first few answers much faster than BPS and BPR",
-            _cs_first_answer_earliest,
-            EXTENSION,
+            at_most(x_of("CS", 0), x_of("BPS", 0)),
         ),
-        Claim(
-            "7-cs-tail",
-            "Figure 7",
+        "7-cs-tail": (
             "as more answers are returned, BPS/BPR are superior over CS",
-            _cs_last_answer_latest,
-            EXTENSION,
+            above(x_of("CS", -1), x_of("BPS", -1)),
         ),
-        Claim(
-            "7-bpr",
-            "Figure 7",
+        "7-bpr": (
             "BPR is generally better than BPS (its last answer within 2%)",
-            _bpr_last_answer_no_later,
-            EXTENSION,
+            at_most(x_of("BPR", -1), x_of("BPS", -1), 1.02),
         ),
-    ),
-    "8a": (
-        Claim(
-            "8a-flat",
-            "Figure 8(a)",
+    },
+    ("8a", "Figure 8(a)"): {
+        "8a-flat": (
             "Gnutella is essentially not affected by the number of times "
             "the query is run",
-            _gnutella_flat_across_runs,
+            flat("Gnutella", 0.1),
+            PAPER,
         ),
-        Claim(
-            "8a-first",
-            "Figure 8(a)",
+        "8a-first": (
             "for the first search, BP also need to route through the "
             "entire intermediate peers (first run is the highest)",
-            _bp_first_run_highest,
+            all_of(above(first("BP"), y_of("BP", 1)), above(first("BP"), last("BP"))),
+            PAPER,
         ),
-        Claim(
-            "8a-wins",
-            "Figure 8(a)",
+        "8a-wins": (
             "BP outperforms Gnutella in all runs",
-            _bp_beats_gnutella_all_runs,
+            below("BP", "Gnutella"),
+            PAPER,
         ),
-        Claim(
-            "8a-settled",
-            "Figure 8(a)",
+        "8a-settled": (
             "after the first search, reconfiguration connects BP straight "
             "to the nodes with answers (run 2 within 5% of run 3)",
-            _bp_settles_after_first_run,
-            EXTENSION,
+            at_least(y_of("BP", 1), y_of("BP", 2), 0.95),
         ),
-    ),
-    "8b": (
-        Claim(
-            "8b-improve",
-            "Figure 8(b)",
+    },
+    ("8b", "Figure 8(b)"): {
+        "8b-improve": (
             "Gnutella's performance also improves with more peers",
-            _both_improve_with_peers,
+            all_of(
+                below(last("BP"), first("BP")),
+                below(last("Gnutella"), first("Gnutella")),
+            ),
+            PAPER,
         ),
-        Claim(
-            "8b-superior",
-            "Figure 8(b)",
-            "as the number of directly connected peers increases, BP "
-            "remains superior",
-            _bp_remains_superior,
+        "8b-superior": (
+            "as the number of directly connected peers increases, BP remains superior",
+            below("BP", "Gnutella"),
+            PAPER,
         ),
-    ),
-    "churn": (
-        Claim(
-            "churn-healthy",
-            "Churn figure",
+    },
+    ("churn", "Churn figure"): {
+        "churn-healthy": (
             "with no churn, BPR and BPS both recall every answer",
-            _churn_healthy_in_full,
-            EXTENSION,
+            all_of(equals(y_at("BPR", 0.0), 1.0), equals(y_at("BPS", 0.0), 1.0)),
         ),
-        Claim(
-            "churn-hurts",
-            "Churn figure",
+        "churn-hurts": (
             "at the highest churn rate both BPR and BPS lose answers",
-            _churn_hurts,
-            EXTENSION,
+            all_of(below(last("BPR"), 1.0), below(last("BPS"), 1.0)),
         ),
-        Claim(
-            "churn-bpr",
-            "Churn figure",
+        "churn-bpr": (
             "under the highest churn, reconfiguring BPR recalls no less "
             "than static BPS",
-            _churn_bpr_no_worse,
-            EXTENSION,
+            at_least(last("BPR"), last("BPS")),
         ),
-        Claim(
-            "churn-rf2",
-            "Churn figure",
-            "rf=2 replication on top of BPR never recalls less than BPR "
-            "alone",
-            _churn_rf2_no_worse,
-            EXTENSION,
+        "churn-rf2": (
+            "rf=2 replication on top of BPR never recalls less than BPR alone",
+            at_least("BPR+RF2", "BPR"),
         ),
-        Claim(
-            "churn-faults",
-            "Churn figure",
+        "churn-faults": (
             "at the highest rate the fault plan crashed nodes, took LIGLO "
             "down once and partitioned the network once",
-            _churn_plan_fired,
-            EXTENSION,
+            fired(),
         ),
-    ),
-    "replication": (
-        Claim(
-            "replication-healthy",
-            "Replication figure",
+    },
+    ("replication", "Replication figure"): {
+        "replication-healthy": (
             "with no churn every replication scheme recalls 1.0",
-            _replication_healthy_in_full,
-            EXTENSION,
+            all_of(*(equals(y_at(s, 0.0), 1.0) for s in ("RF1", "RF2", "RF2+cache"))),
         ),
-        Claim(
-            "replication-resilient",
-            "Replication figure",
+        "replication-resilient": (
             "at 30% churn RF2 and RF2+cache each keep recall >= 0.95",
-            _replicated_recall_at_30,
-            EXTENSION,
+            all_of(
+                at_least(y_at("RF2", 0.3), 0.95),
+                at_least(y_at("RF2+cache", 0.3), 0.95),
+            ),
         ),
-        Claim(
-            "replication-rf1",
-            "Replication figure",
-            "at 30% churn single-copy RF1 recalls less than either "
-            "replicated scheme",
-            _single_copy_degrades_at_30,
-            EXTENSION,
+        "replication-rf1": (
+            "at 30% churn single-copy RF1 recalls less than either replicated scheme",
+            all_of(
+                below(y_at("RF1", 0.3), y_at("RF2", 0.3)),
+                below(y_at("RF1", 0.3), y_at("RF2+cache", 0.3)),
+            ),
         ),
-        Claim(
-            "replication-answered",
-            "Replication figure",
-            "replica holders answered for dead owners and the hot-query "
-            "cache hit",
-            _replicas_and_cache_answered,
-            EXTENSION,
+        "replication-answered": (
+            "replica holders answered for dead owners and the hot-query cache hit",
+            all_of(
+                above(field("replication.replica_answers", scheme="RF2", rate=0.3), 0),
+                above(field("replication.cache_hits", scheme="RF2+cache", rate=0.3), 0),
+            ),
         ),
-        Claim(
-            "replication-overhead",
-            "Replication figure",
+        "replication-overhead": (
             "RF2 spends at most 1.5x the RF1 bytes per query at every rate",
-            _replication_overhead_bounded,
-            EXTENSION,
+            at_most(
+                field("bytes_per_query", scheme="RF2"),
+                field("bytes_per_query", scheme="RF1"),
+                1.5,
+            ),
         ),
-        Claim(
-            "replication-cache-bytes",
-            "Replication figure",
+        "replication-cache-bytes": (
             "the result cache spends fewer bytes per query than plain RF2 "
             "at every rate",
-            _cache_saves_bytes,
-            EXTENSION,
+            below(
+                field("bytes_per_query", scheme="RF2+cache"),
+                field("bytes_per_query", scheme="RF2"),
+            ),
         ),
-        Claim(
-            "replication-faults",
-            "Replication figure",
-            "at the highest rate the churn plan crashed nodes under every "
-            "scheme",
-            _replication_plan_fired,
-            EXTENSION,
+        "replication-faults": (
+            "at the highest rate the churn plan crashed nodes under every scheme",
+            fired(False),
         ),
-    ),
-    "routing": (
-        Claim(
-            "routing-healthy",
-            "Routing figure",
+    },
+    ("routing", "Routing figure"): {
+        "routing-healthy": (
             "MaxCount and static routing still recall every answer on a "
             "healthy network",
-            _routing_paper_strategies_in_full,
-            EXTENSION,
+            all_of(
+                equals(y_at("maxcount", 0.0), 1.0), equals(y_at("static", 0.0), 1.0)
+            ),
         ),
-        Claim(
-            "routing-superpeer-recall",
-            "Routing figure",
-            "super-peer routing recalls no less than MaxCount, clean and "
-            "under churn",
-            _superpeer_recall_no_worse,
-            EXTENSION,
+        "routing-superpeer-recall": (
+            "super-peer routing recalls no less than MaxCount, clean and under churn",
+            at_least(
+                field("mean_recall", strategy="superpeer"),
+                field("mean_recall", strategy="maxcount"),
+            ),
         ),
-        Claim(
-            "routing-superpeer-traffic",
-            "Routing figure",
+        "routing-superpeer-traffic": (
             "super-peer routing sends fewer messages and bytes per query "
             "than MaxCount, clean and under churn",
-            _superpeer_cheaper,
-            EXTENSION,
+            all_of(
+                *(
+                    below(
+                        field(cost, strategy="superpeer"),
+                        field(cost, strategy="maxcount"),
+                    )
+                    for cost in ("messages_per_query", "bytes_per_query")
+                )
+            ),
         ),
-        Claim(
-            "routing-hints",
-            "Routing figure",
+        "routing-hints": (
             "the super-peer hint directory answered at every rate",
-            _hint_directory_answered,
-            EXTENSION,
+            at_least(field("hint_hits", strategy="superpeer"), 1),
         ),
-        Claim(
-            "routing-faults",
-            "Routing figure",
+        "routing-faults": (
             "at the churn point the fault plan crashed nodes, took LIGLO "
             "down once and partitioned the network once",
-            _routing_plan_fired,
-            EXTENSION,
+            fired(strategy=("maxcount", "superpeer", "history", "costaware")),
         ),
-    ),
-    "topk": (
-        Claim(
-            "topk-bytes",
-            "Top-k figure",
+    },
+    ("topk", "Top-k figure"): {
+        "topk-bytes": (
             "at TTL 8 on a healthy network, k=4 and k=16 each at least "
             "halve the exhaustive bytes per query",
-            _topk_halves_bytes,
-            EXTENSION,
+            at_most(
+                field("bytes_per_query", k=TOPK_BOUNDS, **TTL_8),
+                field("bytes_per_query", k=None, **TTL_8),
+                0.5,
+            ),
         ),
-        Claim(
-            "topk-quality",
-            "Top-k figure",
+        "topk-quality": (
             "k=4 and k=16 lose no top-k answer quality against the "
             "exhaustive run at the same cutoff",
-            _topk_quality_no_worse,
-            EXTENSION,
+            all_of(
+                *(
+                    at_least(
+                        field(f"quality.{k}", k=k, **TTL_8),
+                        field(f"quality.{k}", k=None, **TTL_8),
+                    )
+                    for k in TOPK_BOUNDS
+                )
+            ),
         ),
-        Claim(
-            "topk-pruning",
-            "Top-k figure",
+        "topk-pruning": (
             "dominated answers die in-network as digests",
-            _dominated_answers_died,
-            EXTENSION,
+            all_of(
+                above(field("dominated_per_query", k=TOPK_BOUNDS, **TTL_8), 0),
+                above(field("digests_per_query", k=TOPK_BOUNDS, **TTL_8), 0),
+            ),
         ),
-        Claim(
-            "topk-never-costs",
-            "Top-k figure",
+        "topk-never-costs": (
             "a bounded accumulator never spends more bytes than the "
             "exhaustive flood, at any TTL or churn rate",
-            _topk_never_costs_bytes,
-            EXTENSION,
+            at_most(
+                field("bytes_per_query", k=TOPK_BOUNDS),
+                field("bytes_per_query", k=None),
+            ),
         ),
-        Claim(
-            "topk-faults",
-            "Top-k figure",
+        "topk-faults": (
             "at the churn point the fault plan crashed nodes",
-            _topk_plan_fired,
-            EXTENSION,
+            fired(False, k=4, ttl=8),
         ),
-    ),
-    "ablation strategy": (
-        Claim(
-            "A1-reconfigure",
-            "Ablation A1",
+    },
+    ("ablation strategy", "Ablation A1"): {
+        "A1-reconfigure": (
             "MaxCount and MinHops both end below static peers",
-            _reconfiguring_strategies_beat_static,
-            EXTENSION,
+            all_of(
+                below(last("maxcount"), last("static")),
+                below(last("minhops"), last("static")),
+            ),
         ),
-        Claim(
-            "A1-drop",
-            "Ablation A1",
+        "A1-drop": (
             "MaxCount's completion drops after the first run",
-            _maxcount_drops_after_run_1,
-            EXTENSION,
+            below(last("maxcount"), first("maxcount")),
         ),
-    ),
-    "ablation ttl": (
-        Claim(
-            "A3-coverage",
-            "Ablation A3",
+    },
+    ("ablation ttl", "Ablation A3"): {
+        "A3-coverage": (
             "responders grow with the TTL until all 15 answer",
-            _ttl_caps_coverage,
-            EXTENSION,
+            all_of(rises("responders"), equals(last("responders"), 15)),
         ),
-        Claim(
-            "A3-completion",
-            "Ablation A3",
+        "A3-completion": (
             "completion grows with coverage",
-            _completion_grows_with_ttl,
-            EXTENSION,
+            below(first("completion (s)"), last("completion (s)")),
         ),
-    ),
-    "ablation result-mode": (
-        Claim(
-            "A4-metadata",
-            "Ablation A4",
+    },
+    ("ablation result-mode", "Ablation A4"): {
+        "A4-metadata": (
             "metadata-only answers complete no later than direct answers",
-            _metadata_no_later,
-            EXTENSION,
+            at_most(total("metadata"), total("direct"), 1.02),
         ),
-    ),
-    "ablation buffer": (
-        Claim(
-            "A5-mru",
-            "Ablation A5",
+    },
+    ("ablation buffer", "Ablation A5"): {
+        "A5-mru": (
             "under repeated scans MRU ends below LRU",
-            _mru_beats_lru,
-            EXTENSION,
+            below(last("mru"), last("lru")),
         ),
-    ),
-    "ablation replication": (
-        Claim(
-            "A6-first-answer",
-            "Ablation A6",
+    },
+    ("ablation replication", "Ablation A6"): {
+        "A6-first-answer": (
             "more replicas bring the first answer no later",
-            _replicas_speed_first_answer,
-            EXTENSION,
+            at_most(last("first answer (s)"), first("first answer (s)")),
         ),
-    ),
-    "ablation shipping": (
-        Claim(
-            "A7-code-first",
-            "Ablation A7",
+    },
+    ("ablation shipping", "Ablation A7"): {
+        "A7-code-first": (
             "code-shipping is cheaper for the first query",
-            _code_cheaper_first,
-            EXTENSION,
+            below(first("always-code"), first("always-data")),
         ),
-        Claim(
-            "A7-amortizes",
-            "Ablation A7",
+        "A7-amortizes": (
             "data-shipping is cheaper cumulatively by the last query",
-            _data_amortizes,
-            EXTENSION,
+            below(last("always-data"), last("always-code")),
         ),
-        Claim(
-            "A7-crossover",
-            "Ablation A7",
-            "cumulative code-shipping cost crosses data-shipping after "
-            "query 1",
-            _code_crosses_data,
-            EXTENSION,
+        "A7-crossover": (
+            "cumulative code-shipping cost crosses data-shipping after query 1",
+            all_of(
+                below(y_at("always-code", 1), y_at("always-data", 1)),
+                crosses("always-code", "always-data"),
+            ),
         ),
-        Claim(
-            "A7-adaptive",
-            "Ablation A7",
+        "A7-adaptive": (
             "the adaptive policy ends no worse than always shipping code",
-            _adaptive_ends_on_winning_side,
-            EXTENSION,
+            at_most(last("adaptive"), last("always-code")),
         ),
-    ),
+    },
+}
+
+#: Every claim, by key, in table order.
+CLAIMS: dict[str, tuple[Claim, ...]] = {
+    key: tuple(Claim(claim_id, label, *row) for claim_id, row in rows.items())
+    for (key, label), rows in _TABLE.items()
 }
 
 
 def verify_figure(key: str, result: FigureResult) -> list[tuple[Claim, bool]]:
-    """Evaluate every claim attached to one figure or ablation key."""
+    """Judge every claim of one figure or ablation key: True only for PASS."""
     try:
         claims = CLAIMS[key]
     except KeyError:
         known = ", ".join(sorted(CLAIMS))
         raise ExperimentError(f"no claims for figure {key!r}; known: {known}") from None
-    return [(claim, claim.holds(result)) for claim in claims]
+    return [(claim, claim.status(result) == PASS) for claim in claims]
 
 
-def verify_all(results: dict[str, FigureResult]) -> str:
-    """Render the PASS/FAIL report over every key present in ``results``:
-    the paper claims, their tally, then the extension claims and theirs."""
+def verify_all(results: dict[str, FigureResult]) -> tuple[str, bool]:
+    """Judge every claim of every key in ``results`` once: the report (the
+    paper claims and their tally, then the extension claims and theirs)
+    and whether every claim passed."""
     outcomes = [
-        outcome
-        for key in CLAIMS
+        (claim, claim.status(results[key]))
+        for key, claims in CLAIMS.items()
         if key in results
-        for outcome in verify_figure(key, results[key])
+        for claim in claims
     ]
     sections = []
     for tag in (PAPER, EXTENSION):
-        tagged = [(claim, holds) for claim, holds in outcomes if claim.tag == tag]
-        lines = [
-            f"[{'PASS' if holds else 'FAIL'}] {claim.figure}: {claim.quote}"
-            for claim, holds in tagged
-        ]
-        passed = sum(holds for _, holds in tagged)
+        tagged = [(claim, status) for claim, status in outcomes if claim.tag == tag]
+        lines = [f"[{status}] {c.figure}: {c.quote}" for c, status in tagged]
+        passed = sum(status == PASS for _, status in tagged)
         lines.append(f"\n{passed}/{len(tagged)} {tag} claims hold")
         sections.append("\n".join(lines))
-    return "\n\n".join(sections)
+    return "\n\n".join(sections), all(status == PASS for _, status in outcomes)

@@ -1,15 +1,8 @@
-"""Tests for series analysis and ASCII plotting."""
+"""Tests for ASCII plotting."""
 
 import pytest
 
 from repro.errors import ExperimentError
-from repro.eval.analysis import (
-    crossover,
-    dominates,
-    growth_factor,
-    is_flat,
-    is_monotone_increasing,
-)
 from repro.eval.experiment import FigureResult
 from repro.eval.plot import render_ascii_plot
 
@@ -20,50 +13,6 @@ def figure(**series):
         for x, y in points:
             result.add_point(name, x, y)
     return result
-
-
-class TestCrossover:
-    def test_finds_first_crossing(self):
-        result = figure(
-            cs=[(1, 1.0), (2, 3.0), (3, 5.0)],
-            bp=[(1, 2.0), (2, 2.5), (3, 3.0)],
-        )
-        # CS is below BP at x=1, crosses at x=2.
-        assert crossover(result, "cs", "bp") == 2
-
-    def test_no_crossover(self):
-        result = figure(a=[(1, 1.0), (2, 1.0)], b=[(1, 2.0), (2, 2.0)])
-        assert crossover(result, "a", "b") is None
-
-    def test_crossed_from_start(self):
-        result = figure(a=[(1, 5.0)], b=[(1, 2.0)])
-        assert crossover(result, "a", "b") == 1
-
-
-class TestShapePredicates:
-    def test_is_flat(self):
-        assert is_flat([1.0, 1.05, 0.99])
-        assert not is_flat([1.0, 2.0])
-        assert is_flat([0.0, 0.0])
-        with pytest.raises(ExperimentError):
-            is_flat([])
-
-    def test_monotone(self):
-        assert is_monotone_increasing([1, 2, 3])
-        assert not is_monotone_increasing([1, 3, 2])
-        assert is_monotone_increasing([1, 0.99, 2], slack=0.05)
-
-    def test_dominates(self):
-        result = figure(bp=[(1, 1.0), (2, 2.0)], gnutella=[(1, 1.5), (2, 2.5)])
-        assert dominates(result, "bp", "gnutella")
-        assert not dominates(result, "gnutella", "bp")
-
-    def test_growth_factor(self):
-        assert growth_factor([2.0, 4.0, 8.0]) == 4.0
-        with pytest.raises(ExperimentError):
-            growth_factor([1.0])
-        with pytest.raises(ExperimentError):
-            growth_factor([0.0, 1.0])
 
 
 class TestAsciiPlot:
