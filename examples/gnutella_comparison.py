@@ -1,8 +1,9 @@
 """A miniature of the paper's Section 4.6: BestPeer vs Gnutella.
 
-Builds the two systems on the same 16-node overlay with the same shared
-files (answers restricted to three nodes), issues the same query four
-times against each, and prints the per-run completion times — the shape
+Builds the two systems on Figure 8(a)'s 32-node overlay with the same
+shared files (answers restricted to three nodes), at 200 objects per
+node instead of the paper's 1000, issues the same query four times
+against each, and prints the per-run completion times — the shape
 of Figure 8(a): Gnutella flat, BestPeer dropping sharply after run 1 —
 then judges it with the Figure 8(a) claims ``repro verify`` checks.
 
@@ -17,7 +18,7 @@ from repro.eval.report import format_figure
 
 def main() -> None:
     params = FigureParams(objects_per_node=200, corpus_size=20, queries=4)
-    result = figure_8a(params, node_count=16, max_peers=8, holder_count=3)
+    result = figure_8a(params)
     print(format_figure(result))
     bp = result.y_values("BP")
     print(

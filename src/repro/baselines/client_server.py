@@ -282,11 +282,9 @@ class CsDeployment:
     def node(self, index: int) -> CsNode:
         return self.nodes[index]
 
-    def populate(self, fill, skip_base: bool = False) -> None:
+    def populate(self, fill) -> None:
         """Run ``fill(node, index)`` for every node."""
         for index, node in enumerate(self.nodes):
-            if skip_base and index == 0:
-                continue
             fill(node, index)
 
 

@@ -225,10 +225,8 @@ class GnutellaDeployment:
     def servent(self, index: int) -> GnutellaServent:
         return self.servents[index]
 
-    def populate(self, fill, skip_base: bool = False) -> None:
+    def populate(self, fill) -> None:
         for index, servent in enumerate(self.servents):
-            if skip_base and index == 0:
-                continue
             fill(servent, index)
 
     def scored_reference(self, keyword: str, k: int | None = None):

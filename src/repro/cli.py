@@ -33,7 +33,7 @@ class Figure(NamedTuple):
     that report more than their series, the per-trial table printed
     under it (heading + ``report.format_trials`` columns)."""
 
-    run: Callable[..., FigureResult]
+    run: Callable[[FigureParams], FigureResult]
     heading: str = ""
     columns: tuple = ()
 
@@ -71,9 +71,7 @@ ABLATIONS: dict[str, Callable[[FigureParams], FigureResult]] = {
     "strategy": ablations.ablation_strategy,
     "ttl": ablations.ablation_ttl,
     "result-mode": ablations.ablation_result_mode,
-    "buffer": lambda params: ablations.ablation_buffer_strategy(
-        objects=params.objects_per_node, object_size=params.object_size
-    ),
+    "buffer": ablations.ablation_buffer_strategy,
     "replication": ablations.ablation_replication,
     "shipping": ablations.ablation_shipping,
 }

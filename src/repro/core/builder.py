@@ -70,13 +70,9 @@ class BestPeerNetwork:
             self.nodes[a].connect_to(self.nodes[b])
             self.nodes[b].connect_to(self.nodes[a])
 
-    def populate(
-        self, fill: Callable[[BestPeerNode, int], None], skip_base: bool = False
-    ) -> None:
+    def populate(self, fill: Callable[[BestPeerNode, int], None]) -> None:
         """Run ``fill(node, index)`` for every node (workload loading)."""
         for index, node in enumerate(self.nodes):
-            if skip_base and index == 0:
-                continue
             fill(node, index)
 
 

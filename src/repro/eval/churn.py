@@ -36,7 +36,9 @@ from repro.workloads.corpus import KeywordCorpus
 #: Overlay series: BPR reconfiguration plus rf=2 replication.
 SCHEME_BPR_RF2 = "BPR+RF2"
 
-DEFAULT_CHURN_RATES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
+#: Overlay size and the churn rates swept.
+NODE_COUNT = 16
+CHURN_RATES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
 
 #: The CLI's per-trial table: the graceful-degradation observables
 #: behind each mean-recall number.
@@ -51,12 +53,12 @@ TRIAL_COLUMNS = (
 )
 
 
-def churn_trial(task: tuple[str, float, int, FigureParams]) -> dict:
+def churn_trial(task: tuple[str, float, FigureParams]) -> dict:
     """One (scheme, churn rate) point, rebuilt from its task tuple."""
-    scheme, rate, node_count, params = task
+    scheme, rate, params = task
     keyword = KeywordCorpus(params.corpus_size).keyword(0)
     run = churned_run(
-        node_count,
+        NODE_COUNT,
         params,
         rate,
         keywords=[keyword] * params.queries,
@@ -65,7 +67,7 @@ def churn_trial(task: tuple[str, float, int, FigureParams]) -> dict:
         strategy="static" if scheme == SCHEME_BPS else "maxcount",
         replication=ReplicationPolicy(rf=2 if scheme == SCHEME_BPR_RF2 else 1),
     )
-    expected = node_count - 1
+    expected = NODE_COUNT - 1
     # The replication overlay dedups by answer content: RF > 1 means two
     # live copies may both respond, and counting both would let recall
     # exceed what the network actually holds.
@@ -93,11 +95,7 @@ def churn_trial(task: tuple[str, float, int, FigureParams]) -> dict:
     }
 
 
-def figure_churn(
-    params: FigureParams,
-    node_count: int = 16,
-    churn_rates: tuple[float, ...] = DEFAULT_CHURN_RATES,
-) -> FigureResult:
+def figure_churn(params: FigureParams) -> FigureResult:
     """Recall vs. churn rate: BPR against BPS, and the ``BPR+RF2``
     overlay (BPR plus rf=2 replication).
 
@@ -106,13 +104,13 @@ def figure_churn(
     """
     return sweep_figure(
         churn_trial,
-        ((SCHEME_BPS, SCHEME_BPR, SCHEME_BPR_RF2), churn_rates),
-        (node_count, params),
+        ((SCHEME_BPS, SCHEME_BPR, SCHEME_BPR_RF2), CHURN_RATES),
+        params,
         series=itemgetter("scheme"),
         x="rate",
         y="mean_recall",
         figure="churn",
-        title=f"Recall under churn ({node_count} nodes, {params.queries} queries)",
+        title=f"Recall under churn ({NODE_COUNT} nodes, {params.queries} queries)",
         x_label="churn rate",
         y_label="mean recall",
         notes=(

@@ -57,13 +57,33 @@ SCHEME_MCS = "CS"  # after Fig 5(a) the paper calls MCS simply "CS"
 SCHEME_BPS = "BPS"
 SCHEME_BPR = "BPR"
 
+#: Figure 5(a): star sizes, up to the paper's 32 nodes.
+STAR_SIZES = (1, 2, 4, 8, 16, 24, 32)
+#: Figure 5(b): binary-tree levels (see :func:`tree_size_for_level`).
+TREE_LEVELS = (1, 2, 3, 4, 5)
+#: Figure 5(c): line lengths.
+LINE_SIZES = (2, 4, 8, 16, 24, 32)
+#: Figures 6 and 7: nodes of the one binary tree both figures read.
+TREE_NODES = 32
+#: Figure 8: overlay size, the nodes that hold answers, and how many
+#: answers each holds.
+FIG8_NODES = 32
+FIG8_HOLDERS = 3
+FIG8_ANSWERS_PER_HOLDER = 5
+#: Figure 8(a): "up to 8 directly connected peers".
+FIG8A_PEERS = 8
+#: Figure 8(b): the direct-peer counts swept.
+FIG8B_PEER_COUNTS = (2, 4, 6, 8)
+
 
 @dataclass(frozen=True)
 class FigureParams:
-    """Shared experiment parameters (paper-faithful defaults).
+    """The one argument of every ``figure_*`` and ``ablation_*`` function.
 
-    Scale down ``objects_per_node`` for quick smoke runs; every figure
-    function accepts the same params object.
+    Each experiment's shape (topology, node counts, sweep axes) is a
+    module constant beside its function; these fields are the workload
+    (paper-faithful defaults), the seed and the cost model.  Scale down
+    ``objects_per_node`` and ``queries`` for quick smoke runs.
     """
 
     #: "each node stores 1000 objects in StorM"
@@ -260,11 +280,9 @@ def _scheme_completion(task: tuple[str, int, str, "FigureParams"]) -> float:
     return _mean_completion(runs)
 
 
-def _figure_67_runs(
-    scheme: str, node_count: int, params: "FigureParams"
-) -> list[list[Arrival]]:
+def _figure_67_runs(scheme: str, params: "FigureParams") -> list[list[Arrival]]:
     """All runs for one scheme of the shared Figure 6/7 experiment."""
-    topology = tree(node_count, branching=2)
+    topology = tree(TREE_NODES, branching=2)
     if scheme == SCHEME_MCS:
         return _cs_runs(topology, VARIANT_MCS, params)
     if scheme == SCHEME_BPS:
@@ -275,20 +293,14 @@ def _figure_67_runs(
 
 
 def _figure_8_runs(
-    system: str,
-    node_count: int,
-    peers: int,
-    degree: int,
-    holder_count: int,
-    answers_per_holder: int,
-    params: "FigureParams",
+    system: str, peers: int, degree: int, params: "FigureParams"
 ) -> list[list[Arrival]]:
     """All runs for one system (BP or Gnutella) of a Figure-8 point."""
-    topology = random_graph(node_count, degree=degree, seed=params.seed)
+    topology = random_graph(FIG8_NODES, degree=degree, seed=params.seed)
     placement = AnswerPlacement(
-        node_count=node_count,
-        holder_count=holder_count,
-        answers_per_holder=answers_per_holder,
+        node_count=FIG8_NODES,
+        holder_count=FIG8_HOLDERS,
+        answers_per_holder=FIG8_ANSWERS_PER_HOLDER,
         seed=params.seed,
     )
     if system == "BP":
@@ -313,17 +325,17 @@ def _figure_8_runs(
 
 
 def figure_5a(
-    params: FigureParams | None = None,
-    sizes: tuple[int, ...] = (1, 2, 4, 8, 16, 24, 32),
+    params: FigureParams,
+    sizes: tuple[int, ...] = STAR_SIZES,
     runner=None,
 ) -> FigureResult:
     """Star topology: completion time vs. network size, all four schemes.
 
-    ``runner`` is ``None`` or an object with ``map_tasks(func, tasks)``
-    that runs the (size, scheme) points in order (see
-    :func:`~repro.eval.sweep.run_tasks`); the perf ledger is its caller.
+    ``sizes`` and ``runner`` are the perf ledger's seam: it times one
+    star size per call, and ``runner`` is ``None`` or an object with
+    ``map_tasks(func, tasks)`` that runs the (size, scheme) points in
+    order (see :func:`~repro.eval.sweep.run_tasks`).
     """
-    params = params if params is not None else FigureParams()
     result = FigureResult(
         figure="Figure 5(a)",
         title="Star topology",
@@ -346,12 +358,8 @@ def tree_size_for_level(level: int) -> int:
     return min(full, 48)  # "we used only 48 nodes instead of 63 for level 5"
 
 
-def figure_5b(
-    params: FigureParams | None = None,
-    levels: tuple[int, ...] = (1, 2, 3, 4, 5),
-) -> FigureResult:
+def figure_5b(params: FigureParams) -> FigureResult:
     """Tree topology: completion time vs. tree level (CS / BPS / BPR)."""
-    params = params if params is not None else FigureParams()
     result = FigureResult(
         figure="Figure 5(b)",
         title="Tree topology",
@@ -360,18 +368,16 @@ def figure_5b(
         notes="CS relays results along the path; BPS/BPR answer directly.",
     )
     schemes = (SCHEME_MCS, SCHEME_BPS, SCHEME_BPR)
-    tasks = [("tree", level, scheme, params) for level in levels for scheme in schemes]
+    tasks = [
+        ("tree", level, scheme, params) for level in TREE_LEVELS for scheme in schemes
+    ]
     for task in tasks:
         result.add_point(task[2], task[1], _scheme_completion(task))
     return result
 
 
-def figure_5c(
-    params: FigureParams | None = None,
-    sizes: tuple[int, ...] = (2, 4, 8, 16, 24, 32),
-) -> FigureResult:
+def figure_5c(params: FigureParams) -> FigureResult:
     """Line topology: completion time vs. network size (CS / BPS / BPR)."""
-    params = params if params is not None else FigureParams()
     result = FigureResult(
         figure="Figure 5(c)",
         title="Line topology",
@@ -380,7 +386,9 @@ def figure_5c(
         notes="The base is the left-most node of the chain.",
     )
     schemes = (SCHEME_MCS, SCHEME_BPS, SCHEME_BPR)
-    tasks = [("line", size, scheme, params) for size in sizes for scheme in schemes]
+    tasks = [
+        ("line", size, scheme, params) for size in LINE_SIZES for scheme in schemes
+    ]
     for task in tasks:
         result.add_point(task[2], task[1], _scheme_completion(task))
     return result
@@ -391,30 +399,26 @@ def figure_5c(
 # ---------------------------------------------------------------------------
 
 
-def figures_6_and_7(
-    params: FigureParams | None = None,
-    node_count: int = 32,
-) -> tuple[FigureResult, FigureResult]:
+def figures_6_and_7(params: FigureParams) -> tuple[FigureResult, FigureResult]:
     """Both figures share the same runs: 32 nodes, tree, query issued
     ``params.queries`` times, per-responder averages across runs."""
-    params = params if params is not None else FigureParams()
     rate = FigureResult(
         figure="Figure 6",
         title="Rate at which answers are returned",
         x_label="nodes responded (K)",
         y_label="time (s)",
-        notes=f"{node_count}-node tree; averaged over {params.queries} runs.",
+        notes=f"{TREE_NODES}-node tree; averaged over {params.queries} runs.",
     )
     quantity = FigureResult(
         figure="Figure 7",
         title="Number of answers returned over time",
         x_label="time (s)",
         y_label="cumulative answers",
-        notes=f"{node_count}-node tree; averaged over {params.queries} runs.",
+        notes=f"{TREE_NODES}-node tree; averaged over {params.queries} runs.",
     )
     schemes = (SCHEME_MCS, SCHEME_BPS, SCHEME_BPR)
     for scheme in schemes:
-        runs = _figure_67_runs(scheme, node_count, params)
+        runs = _figure_67_runs(scheme, params)
         averaged_rate = average_curves([response_curve(run) for run in runs])
         for rank, when in averaged_rate:
             rate.add_point(scheme, rank, when)
@@ -424,20 +428,14 @@ def figures_6_and_7(
     return rate, quantity
 
 
-def figure_6(
-    params: FigureParams | None = None,
-    node_count: int = 32,
-) -> FigureResult:
+def figure_6(params: FigureParams) -> FigureResult:
     """Figure 6 alone (runs the shared 6/7 experiment)."""
-    return figures_6_and_7(params, node_count)[0]
+    return figures_6_and_7(params)[0]
 
 
-def figure_7(
-    params: FigureParams | None = None,
-    node_count: int = 32,
-) -> FigureResult:
+def figure_7(params: FigureParams) -> FigureResult:
     """Figure 7 alone (runs the shared 6/7 experiment)."""
-    return figures_6_and_7(params, node_count)[1]
+    return figures_6_and_7(params)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -445,56 +443,35 @@ def figure_7(
 # ---------------------------------------------------------------------------
 
 
-def figure_8a(
-    params: FigureParams | None = None,
-    node_count: int = 32,
-    max_peers: int = 8,
-    holder_count: int = 3,
-    answers_per_holder: int = 5,
-) -> FigureResult:
+def figure_8a(params: FigureParams) -> FigureResult:
     """BP vs. Gnutella: completion time per run of the same query.
 
-    Answers are restricted to ``holder_count`` nodes; the overlay is a
-    random graph where each node has up to ``max_peers`` direct peers.
+    Answers are restricted to :data:`FIG8_HOLDERS` nodes; the overlay is
+    a random graph where each node has up to :data:`FIG8A_PEERS` direct
+    peers.
     """
-    params = params if params is not None else FigureParams()
     result = FigureResult(
         figure="Figure 8(a)",
         title="BestPeer vs Gnutella across repeated runs",
         x_label="run",
         y_label="completion time (s)",
         notes=(
-            f"answers held by {holder_count} of {node_count} nodes; "
-            f"up to {max_peers} direct peers"
+            f"answers held by {FIG8_HOLDERS} of {FIG8_NODES} nodes; "
+            f"up to {FIG8A_PEERS} direct peers"
         ),
     )
     # "while BP and Gnutella return results out-of-network, this feature
     # is not used in the experiment": BP ships match lists, not files.
-    degree = max(2, max_peers // 2)
+    degree = max(2, FIG8A_PEERS // 2)
     for system in ("BP", "Gnutella"):
-        runs = _figure_8_runs(
-            system,
-            node_count,
-            max_peers,
-            degree,
-            holder_count,
-            answers_per_holder,
-            params,
-        )
+        runs = _figure_8_runs(system, FIG8A_PEERS, degree, params)
         for run_index, run in enumerate(runs, start=1):
             result.add_point(system, run_index, completion_time(run))
     return result
 
 
-def figure_8b(
-    params: FigureParams | None = None,
-    node_count: int = 32,
-    peer_counts: tuple[int, ...] = (2, 4, 6, 8),
-    holder_count: int = 3,
-    answers_per_holder: int = 5,
-) -> FigureResult:
+def figure_8b(params: FigureParams) -> FigureResult:
     """BP vs. Gnutella: completion (avg over runs) vs. number of peers."""
-    params = params if params is not None else FigureParams()
     result = FigureResult(
         figure="Figure 8(b)",
         title="Effect of the number of directly connected peers",
@@ -502,17 +479,9 @@ def figure_8b(
         y_label="completion time (s)",
         notes=f"averaged over {params.queries} runs of one query",
     )
-    for peers in peer_counts:
+    for peers in FIG8B_PEER_COUNTS:
         degree = max(1, peers // 2)
         for system in ("BP", "Gnutella"):
-            runs = _figure_8_runs(
-                system,
-                node_count,
-                peers,
-                degree,
-                holder_count,
-                answers_per_holder,
-                params,
-            )
+            runs = _figure_8_runs(system, peers, degree, params)
             result.add_point(system, peers, _mean_completion(runs))
     return result

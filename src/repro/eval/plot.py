@@ -12,12 +12,13 @@ from repro.errors import ExperimentError
 from repro.eval.experiment import FigureResult
 
 
-def render_ascii_plot(
-    result: FigureResult, width: int = 64, height: int = 16
-) -> str:
-    """Render a FigureResult as an ASCII chart with a legend."""
-    if width < 16 or height < 4:
-        raise ExperimentError(f"plot area {width}x{height} is too small")
+#: Plot area in character cells.
+WIDTH = 64
+HEIGHT = 16
+
+
+def render_ascii_plot(result: FigureResult) -> str:
+    """Render a FigureResult as a WIDTH x HEIGHT ASCII chart with a legend."""
     if not result.series:
         raise ExperimentError("nothing to plot: the figure has no series")
     names = sorted(result.series)
@@ -29,12 +30,12 @@ def render_ascii_plot(
     x_span = (x_high - x_low) or 1.0
     y_span = (y_high - y_low) or 1.0
 
-    grid = [[" "] * width for _ in range(height)]
+    grid = [[" "] * WIDTH for _ in range(HEIGHT)]
     for name in names:
         marker = markers[name]
         for x, y in result.series[name]:
-            column = round((x - x_low) / x_span * (width - 1))
-            row = height - 1 - round((y - y_low) / y_span * (height - 1))
+            column = round((x - x_low) / x_span * (WIDTH - 1))
+            row = HEIGHT - 1 - round((y - y_low) / y_span * (HEIGHT - 1))
             current = grid[row][column]
             grid[row][column] = marker if current in (" ", marker) else "*"
 
@@ -45,13 +46,13 @@ def render_ascii_plot(
     for index, row in enumerate(grid):
         if index == 0:
             label = top_label.rjust(gutter - 1)
-        elif index == height - 1:
+        elif index == HEIGHT - 1:
             label = bottom_label.rjust(gutter - 1)
         else:
             label = " " * (gutter - 1)
         lines.append(f"{label}|{''.join(row)}")
-    lines.append(" " * gutter + "-" * width)
-    x_axis = f"{x_low:.4g}".ljust(width - 8) + f"{x_high:.4g}".rjust(8)
+    lines.append(" " * gutter + "-" * WIDTH)
+    x_axis = f"{x_low:.4g}".ljust(WIDTH - 8) + f"{x_high:.4g}".rjust(8)
     lines.append(" " * gutter + x_axis)
     lines.append(
         "legend: "

@@ -51,7 +51,9 @@ POLICIES = {
     "RF2": ReplicationPolicy(rf=2),
     "RF2+cache": ReplicationPolicy(rf=2, hot_rf=3, cache_capacity=32),
 }
-DEFAULT_CHURN_RATES = (0.0, 0.3, 0.5)
+#: Overlay size and the churn rates swept.
+NODE_COUNT = 16
+CHURN_RATES = (0.0, 0.3, 0.5)
 
 #: Zipf skew of the query stream — the classic content-popularity model;
 #: repeats concentrate on low-index objects, which is what the hot
@@ -98,12 +100,12 @@ STATS_KEYS = (
 )
 
 
-def replication_trial(task: tuple[str, float, int, FigureParams]) -> dict:
+def replication_trial(task: tuple[str, float, FigureParams]) -> dict:
     """One (scheme, churn rate) point, rebuilt from its task tuple."""
-    scheme, rate, node_count, params = task
+    scheme, rate, params = task
     # One distinct object per non-base node: object i (and only it)
     # matches keyword i, so per-query recall is a crisp 0/1.
-    corpus = KeywordCorpus(node_count - 1)
+    corpus = KeywordCorpus(NODE_COUNT - 1)
 
     def populate(deployment) -> None:
         for index, node in enumerate(deployment.nodes[1:], 1):
@@ -118,7 +120,7 @@ def replication_trial(task: tuple[str, float, int, FigureParams]) -> dict:
         deployment.sim.run()  # replica offer/accept/push handshakes settle
 
     run = churned_run(
-        node_count,
+        NODE_COUNT,
         params,
         rate,
         keywords=QueryWorkload(corpus, skew=QUERY_SKEW, seed=params.seed).keywords(
@@ -147,12 +149,7 @@ def replication_trial(task: tuple[str, float, int, FigureParams]) -> dict:
     }
 
 
-def figure_replication(
-    params: FigureParams,
-    node_count: int = 16,
-    schemes: tuple[str, ...] = tuple(POLICIES),
-    churn_rates: tuple[float, ...] = DEFAULT_CHURN_RATES,
-) -> FigureResult:
+def figure_replication(params: FigureParams) -> FigureResult:
     """Mean recall vs churn rate, one series per replication scheme.
 
     The plotted series carry recall; bytes/messages per query, cache hit
@@ -161,14 +158,14 @@ def figure_replication(
     """
     return sweep_figure(
         replication_trial,
-        (schemes, churn_rates),
-        (node_count, params),
+        (tuple(POLICIES), CHURN_RATES),
+        params,
         series=itemgetter("scheme"),
         x="rate",
         y="mean_recall",
         figure="replication",
         title=(
-            f"Recall under churn with replication ({node_count} nodes, "
+            f"Recall under churn with replication ({NODE_COUNT} nodes, "
             f"Zipf({QUERY_SKEW}) queries)"
         ),
         x_label="churn rate",

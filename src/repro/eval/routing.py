@@ -37,8 +37,10 @@ from repro.net.link import LinkModel
 from repro.util.randomness import derive_rng
 from repro.workloads.corpus import KeywordCorpus
 
-#: Churn rates every strategy is measured at (clean + the stress point).
-DEFAULT_ROUTING_RATES = (0.0, 0.3)
+#: Overlay size, and the churn rates every registered strategy is
+#: measured at (clean + the stress point).
+NODE_COUNT = 16
+CHURN_RATES = (0.0, 0.3)
 
 #: Latency of the "far" link tier (vs the 0.005 s default) — gives the
 #: cost-aware strategy a real gradient to rank on, P4P-style.
@@ -85,9 +87,9 @@ TRIAL_COLUMNS = (
 )
 
 
-def routing_trial(task: tuple[str, float, int, FigureParams]) -> dict:
+def routing_trial(task: tuple[str, float, FigureParams]) -> dict:
     """One (strategy, churn rate) point, rebuilt from its task tuple."""
-    strategy, rate, node_count, params = task
+    strategy, rate, params = task
     keyword = KeywordCorpus(params.corpus_size).keyword(0)
 
     def populate(deployment) -> list[str]:
@@ -96,7 +98,7 @@ def routing_trial(task: tuple[str, float, int, FigureParams]) -> dict:
         return far_nodes
 
     run = churned_run(
-        node_count,
+        NODE_COUNT,
         params,
         rate,
         keywords=[keyword] * params.queries,
@@ -104,7 +106,7 @@ def routing_trial(task: tuple[str, float, int, FigureParams]) -> dict:
         plan=churn_outage_partition,
         strategy=strategy,
     )
-    expected = node_count - 1
+    expected = NODE_COUNT - 1
     recalls = [
         round(handle.network_answer_count / expected, 6) for handle in run.handles
     ]
@@ -122,29 +124,23 @@ def routing_trial(task: tuple[str, float, int, FigureParams]) -> dict:
     }
 
 
-def figure_routing(
-    params: FigureParams,
-    node_count: int = 16,
-    churn_rates: tuple[float, ...] = DEFAULT_ROUTING_RATES,
-    strategies: tuple[str, ...] | None = None,
-) -> FigureResult:
+def figure_routing(params: FigureParams) -> FigureResult:
     """Recall vs. churn rate for every registered routing strategy.
 
     The plotted series carry mean recall; the traffic observables
     (messages/bytes per query, hint-directory counters, drop and fault
     counts) ride along as ``result.trials``.
     """
-    names = strategies if strategies is not None else tuple(registered_strategies())
     return sweep_figure(
         routing_trial,
-        (names, churn_rates),
-        (node_count, params),
+        (tuple(registered_strategies()), CHURN_RATES),
+        params,
         series=itemgetter("strategy"),
         x="rate",
         y="mean_recall",
         figure="routing",
         title=(
-            f"Routing strategies: recall vs traffic ({node_count} nodes, "
+            f"Routing strategies: recall vs traffic ({NODE_COUNT} nodes, "
             f"{params.queries} queries)"
         ),
         x_label="churn rate",

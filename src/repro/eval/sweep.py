@@ -182,17 +182,17 @@ def churned_run(
 def sweep_figure(
     run_trial: Callable[[tuple], dict],
     grid: Sequence[Sequence],
-    fixed: tuple,
+    params,
     series: Callable[[dict], str],
     x: str,
     y: str,
     **figure_fields,
 ) -> FigureResult:
-    """Run ``run_trial(point + fixed)`` for every point of ``grid`` (first
+    """Run ``run_trial((*point, params))`` for every point of ``grid`` (first
     axis outermost) and plot ``trial[y]`` against ``trial[x]``, one
     series per ``series(trial)``; the trial dicts ride along as
     ``result.trials``."""
-    trials = [run_trial(point + fixed) for point in product(*grid)]
+    trials = [run_trial((*point, params)) for point in product(*grid)]
     result = FigureResult(**figure_fields, trials=trials)
     for trial in trials:
         result.add_point(series(trial), trial[x], trial[y])

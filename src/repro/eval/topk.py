@@ -25,15 +25,21 @@ from repro.eval.figures import FigureParams
 from repro.eval.sweep import churn_outage_partition, churned_run, sweep_figure
 from repro.workloads.corpus import KeywordCorpus
 
+#: Overlay size.
+NODE_COUNT = 16
+
 #: Accumulator bounds swept against the exhaustive baseline (None).
-DEFAULT_TOPK_KS = (4, 16, None)
+KS = (4, 16, None)
+
+#: Cutoffs answer quality is scored at: every bounded k.
+QUALITY_CUTOFFS = tuple(k for k in KS if k is not None)
 
 #: TTL sweep — shallow floods answer from fewer hops; the traffic cut
 #: must hold at every reach.
-DEFAULT_TOPK_TTLS = (2, 4, 8)
+TTLS = (2, 4, 8)
 
 #: Churn rates (clean + the stress point, as the routing figure).
-DEFAULT_TOPK_RATES = (0.0, 0.3)
+CHURN_RATES = (0.0, 0.3)
 
 #: Matching objects per non-base node and their payload size.  Pinned
 #: (like the routing figure's fill) rather than taken from params: the
@@ -79,7 +85,7 @@ TRIAL_COLUMNS = (
 
 def topk_trial(task: tuple) -> dict:
     """One (k, ttl, churn rate) point, rebuilt from its task tuple."""
-    k, ttl, rate, node_count, eval_ks, params = task
+    k, ttl, rate, params = task
     keyword = KeywordCorpus(params.corpus_size).keyword(0)
 
     def populate(deployment) -> list:
@@ -103,7 +109,7 @@ def topk_trial(task: tuple) -> dict:
         )
 
     run = churned_run(
-        node_count,
+        NODE_COUNT,
         params,
         rate,
         keywords=[keyword] * params.queries,
@@ -119,7 +125,7 @@ def topk_trial(task: tuple) -> dict:
     # mass, averaged over queries.  top_answers() re-scores exhaustive
     # items from their tags, so both modes are judged identically.
     quality = {}
-    for cutoff in eval_ks:
+    for cutoff in QUALITY_CUTOFFS:
         ideal = _mass(reference_scores, cutoff)
         if not ideal:
             quality[str(cutoff)] = 1.0
@@ -150,30 +156,23 @@ def _series_name(trial: dict) -> str:
     return trial["label"] + ("" if trial["rate"] == 0 else f" churn={trial['rate']}")
 
 
-def figure_topk(
-    params: FigureParams,
-    node_count: int = 16,
-    ks: tuple = DEFAULT_TOPK_KS,
-    ttls: tuple = DEFAULT_TOPK_TTLS,
-    churn_rates: tuple = DEFAULT_TOPK_RATES,
-) -> FigureResult:
+def figure_topk(params: FigureParams) -> FigureResult:
     """Bytes per query vs TTL, one series per (k, churn rate).
 
     The plotted series carry bytes per query; answer quality at every
     swept cutoff, dominated/digest counts, message totals and fault
     counts ride along as ``result.trials``.
     """
-    eval_ks = tuple(sorted({k for k in ks if k is not None})) or (4, 16)
     return sweep_figure(
         topk_trial,
-        (ks, ttls, churn_rates),
-        (node_count, eval_ks, params),
+        (KS, TTLS, CHURN_RATES),
+        params,
         series=_series_name,
         x="ttl",
         y="bytes_per_query",
         figure="topk",
         title=(
-            f"In-network top-k: bytes vs TTL ({node_count} nodes, "
+            f"In-network top-k: bytes vs TTL ({NODE_COUNT} nodes, "
             f"{MATCHES_PER_NODE} matches/node, {params.queries} queries)"
         ),
         x_label="TTL",

@@ -53,7 +53,6 @@ def generate_objects(
     count: int = 1000,
     size: int = 1024,
     corpus: KeywordCorpus | None = None,
-    keywords_per_object: int = 1,
     seed: int = 0,
 ) -> list[ObjectSpec]:
     """Generate one node's object load.
@@ -71,14 +70,10 @@ def generate_objects(
     rng = derive_rng(seed, "objects", node_index)
     specs = []
     for i in range(count):
-        primary = corpus.keyword(i)
-        keywords = [primary]
-        for extra in range(1, keywords_per_object):
-            keywords.append(corpus.keyword(rng.randrange(corpus.size)))
         header = f"object:{node_index}:{i}:".encode("ascii")
         filler_len = size - len(header)
         if filler_len < 0:
             raise WorkloadError(f"object size {size} too small for the header")
         payload = header + rng.randbytes(filler_len)
-        specs.append(ObjectSpec(tuple(dict.fromkeys(keywords)), payload))
+        specs.append(ObjectSpec((corpus.keyword(i),), payload))
     return specs

@@ -37,7 +37,10 @@ def config(**overrides):
 
 
 def gradient_fill(node, index):
-    """Three matches per node with node-and-object-varying TF scores."""
+    """Three matches per node but the base (index 0), with
+    node-and-object-varying TF scores."""
+    if index == 0:
+        return
     for i in range(3):
         node.share(["jazz"] + ["pad"] * ((index + i) % 5), bytes([index]) * 64)
 
@@ -48,7 +51,7 @@ def run_query(node_count=6, topology=None, fill=gradient_fill, **overrides):
         config=config(**overrides),
         topology=topology if topology is not None else line(node_count),
     )
-    net.populate(fill, skip_base=True)
+    net.populate(fill)
     handle = net.base.issue_query("jazz")
     net.sim.run()
     return net, handle
@@ -83,10 +86,11 @@ class TestTopKEndToEnd:
 
     def test_initiator_seed_tightens_threshold_from_hop_one(self):
         def weak_everywhere(node, index):
-            node.share(["jazz"] + ["pad"] * 4, bytes([index]) * 64)
+            if index:
+                node.share(["jazz"] + ["pad"] * 4, bytes([index]) * 64)
 
         net = build_network(6, config=config(top_k=2), topology=line(6))
-        net.populate(weak_everywhere, skip_base=True)
+        net.populate(weak_everywhere)
         net.base.share(["jazz"], b"b" * 64)  # score 1.0 at the base
         net.base.share(["jazz"], b"B" * 64)
         topk = net.base.issue_query("jazz")
@@ -102,10 +106,11 @@ class TestTopKEndToEnd:
 
     def test_digest_carries_liveness_and_resets_quiet_period(self):
         def weak_everywhere(node, index):
-            node.share(["jazz", "pad"], bytes([index]) * 64)
+            if index:
+                node.share(["jazz", "pad"], bytes([index]) * 64)
 
         net = build_network(6, config=config(top_k=1), topology=line(6))
-        net.populate(weak_everywhere, skip_base=True)
+        net.populate(weak_everywhere)
         net.base.share(["jazz"], b"b" * 64)
         handle = net.base.issue_query("jazz")
         net.sim.run()

@@ -21,15 +21,18 @@ FAST = AgentCosts(
 )
 
 
-def fill(node, index, keyword="jazz", count=2):
+def fill(node, index, keyword="jazz", count=2, size=64):
+    """``count`` matches on every node but the base (index 0)."""
+    if index == 0:
+        return
     for i in range(count):
-        node.storm.put([keyword], bytes([index]) * 64)
+        node.storm.put([keyword], bytes([index]) * size)
 
 
 class TestMcs:
     def test_collects_all_answers(self):
         deployment = build_cs_network(tree(7, branching=2), VARIANT_MCS, costs=FAST)
-        deployment.populate(fill, skip_base=True)
+        deployment.populate(fill)
         handle = deployment.base.issue_query("jazz")
         deployment.sim.run()
         assert handle.done
@@ -46,7 +49,7 @@ class TestMcs:
     def test_results_relay_through_path(self):
         """A deep node's answers arrive later than a shallow node's."""
         deployment = build_cs_network(line(4), VARIANT_MCS, costs=FAST)
-        deployment.populate(fill, skip_base=True)
+        deployment.populate(fill)
         handle = deployment.base.issue_query("jazz")
         deployment.sim.run()
         by_responder = {resp: t for t, resp, _ in handle.arrivals}
@@ -69,7 +72,7 @@ class TestMcs:
 class TestScs:
     def test_collects_all_answers(self):
         deployment = build_cs_network(star(4), VARIANT_SCS, costs=FAST)
-        deployment.populate(fill, skip_base=True)
+        deployment.populate(fill)
         handle = deployment.base.issue_query("jazz")
         deployment.sim.run()
         assert handle.done
@@ -78,7 +81,7 @@ class TestScs:
     def test_children_are_sequential(self):
         """On a star, SCS completes children one after another."""
         deployment = build_cs_network(star(4), VARIANT_SCS, costs=FAST)
-        deployment.populate(fill, skip_base=True)
+        deployment.populate(fill)
         handle = deployment.base.issue_query("jazz")
         deployment.sim.run()
         arrival_times = [t for t, _, _ in handle.arrivals]
@@ -92,12 +95,7 @@ class TestScs:
         results = {}
         for variant in (VARIANT_SCS, VARIANT_MCS):
             deployment = build_cs_network(star(8), variant, costs=FAST)
-            deployment.populate(
-                lambda node, i: [
-                    node.storm.put(["jazz"], bytes([i]) * 512) for _ in range(20)
-                ],
-                skip_base=True,
-            )
+            deployment.populate(lambda node, i: fill(node, i, count=20, size=512))
             handle = deployment.base.issue_query("jazz")
             deployment.sim.run()
             results[variant] = handle.completion_time

@@ -19,13 +19,16 @@ FAST = AgentCosts(
 )
 
 
+def put_match(node, index, keyword="k", size=1):
+    """One ``keyword`` match on every node but the base (index 0)."""
+    if index:
+        node.storm.put([keyword], bytes([index]) * size)
+
+
 class TestConcurrentQueries:
     def test_two_in_flight_queries_stay_separate(self):
         deployment = build_cs_network(tree(7, branching=2), VARIANT_MCS, costs=FAST)
-        deployment.populate(
-            lambda node, i: node.storm.put([f"kw{i % 2}"], bytes([i])),
-            skip_base=True,
-        )
+        deployment.populate(lambda node, i: put_match(node, i, f"kw{i % 2}"))
         first = deployment.base.issue_query("kw0")
         second = deployment.base.issue_query("kw1")
         deployment.sim.run()
@@ -37,9 +40,7 @@ class TestConcurrentQueries:
 
     def test_repeated_queries_have_stable_results(self):
         deployment = build_cs_network(line(5), VARIANT_MCS, costs=FAST)
-        deployment.populate(
-            lambda node, i: node.storm.put(["k"], bytes([i]) * 8), skip_base=True
-        )
+        deployment.populate(lambda node, i: put_match(node, i, size=8))
         counts = []
         for _ in range(3):
             handle = deployment.base.issue_query("k")
@@ -53,9 +54,7 @@ class TestScsSequencing:
         """An SCS node with three children finishes them strictly in
         sequence; the completion handle closes only after the last."""
         deployment = build_cs_network(star(4), VARIANT_SCS, costs=FAST)
-        deployment.populate(
-            lambda node, i: node.storm.put(["k"], bytes([i])), skip_base=True
-        )
+        deployment.populate(put_match)
         handle = deployment.base.issue_query("k")
         deployment.sim.run()
         assert handle.done
@@ -63,9 +62,7 @@ class TestScsSequencing:
 
     def test_deep_scs_line_completes(self):
         deployment = build_cs_network(line(6), VARIANT_SCS, costs=FAST)
-        deployment.populate(
-            lambda node, i: node.storm.put(["k"], bytes([i])), skip_base=True
-        )
+        deployment.populate(put_match)
         handle = deployment.base.issue_query("k")
         deployment.sim.run()
         assert handle.done
@@ -75,9 +72,7 @@ class TestScsSequencing:
 class TestRelayDeath:
     def test_relay_dies_mid_query_strands_subtree(self):
         deployment = build_cs_network(line(4), VARIANT_MCS, costs=FAST)
-        deployment.populate(
-            lambda node, i: node.storm.put(["k"], bytes([i])), skip_base=True
-        )
+        deployment.populate(put_match)
         # The first relay dies immediately: its whole subtree is lost
         # and, CS being connection-oriented, "done" never arrives.
         deployment.node(1).host.disconnect()

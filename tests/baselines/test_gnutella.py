@@ -14,6 +14,9 @@ FAST = AgentCosts(
 
 
 def fill(servent, index, keyword="mp3", count=3):
+    """``count`` matches on every servent but the base (index 0)."""
+    if index == 0:
+        return
     for i in range(count):
         servent.storm.put([keyword], bytes([index]) * 64)
 
@@ -21,7 +24,7 @@ def fill(servent, index, keyword="mp3", count=3):
 class TestQueryFlooding:
     def test_hits_route_back_to_origin(self):
         deployment = build_gnutella_network(line(4), costs=FAST)
-        deployment.populate(fill, skip_base=True)
+        deployment.populate(fill)
         handle = deployment.base.issue_query("mp3")
         deployment.sim.run()
         assert handle.network_answer_count == 9
@@ -37,14 +40,14 @@ class TestQueryFlooding:
 
     def test_ttl_bounds_flooding(self):
         deployment = build_gnutella_network(line(5), costs=FAST)
-        deployment.populate(fill, skip_base=True)
+        deployment.populate(fill)
         handle = deployment.base.issue_query("mp3", ttl=2)
         deployment.sim.run()
         assert handle.responders == {"gnut-1", "gnut-2"}
 
     def test_duplicate_queries_dropped_on_cycles(self):
         deployment = build_gnutella_network(ring(4), costs=FAST)
-        deployment.populate(fill, skip_base=True)
+        deployment.populate(fill)
         handle = deployment.base.issue_query("mp3")
         deployment.sim.run()
         # Each servent answers exactly once despite the cycle.
@@ -64,7 +67,7 @@ class TestQueryFlooding:
         """Gnutella is 'essentially not affected by the number of times
         the query is run' - same fixed peers, same path, same time."""
         deployment = build_gnutella_network(random_graph(8, 3, seed=2), costs=FAST)
-        deployment.populate(fill, skip_base=True)
+        deployment.populate(fill)
         times = []
         for _ in range(3):
             handle = deployment.base.issue_query("mp3")

@@ -91,11 +91,11 @@ class TestApplyTopology:
         with pytest.raises(BestPeerError):
             net.apply_topology(line(5))
 
-    def test_populate_and_skip_base(self):
+    def test_populate_visits_every_node_in_order(self):
         net = build_network(3, config=config(), topology=line(3))
         filled = []
-        net.populate(lambda node, index: filled.append(index), skip_base=True)
-        assert filled == [1, 2]
+        net.populate(lambda node, index: filled.append((node, index)))
+        assert filled == list(zip(net.nodes, range(3)))
 
     def test_accessors(self):
         net = build_network(3, config=config(), topology=line(3))

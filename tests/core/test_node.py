@@ -23,6 +23,9 @@ def small_config(**overrides):
 
 
 def fill(node, index, keyword="jazz", count=2):
+    """``count`` matches on every node but the base (index 0)."""
+    if index == 0:
+        return
     for i in range(count):
         node.share([keyword], bytes([index]) * 16)
 
@@ -61,7 +64,7 @@ class TestBuildNetwork:
 class TestQueryFlow:
     def test_query_collects_all_answers_on_line(self):
         net = build_network(4, config=small_config(), topology=line(4))
-        net.populate(fill, skip_base=True)
+        net.populate(fill)
         handle = net.base.issue_query("jazz")
         net.sim.run()
         assert handle.network_answer_count == 6  # 3 nodes x 2 objects
@@ -86,7 +89,7 @@ class TestQueryFlow:
 
     def test_answer_arrival_times_monotonic(self):
         net = build_network(6, config=small_config(), topology=line(6))
-        net.populate(fill, skip_base=True)
+        net.populate(fill)
         handle = net.base.issue_query("jazz")
         net.sim.run()
         assert handle.arrival_times == sorted(handle.arrival_times)
@@ -94,7 +97,7 @@ class TestQueryFlow:
 
     def test_on_answer_callback(self):
         net = build_network(3, config=small_config(), topology=line(3))
-        net.populate(fill, skip_base=True)
+        net.populate(fill)
         seen = []
         handle = net.base.issue_query(
             "jazz", on_answer=lambda h, a: seen.append(a.responder)
@@ -104,7 +107,7 @@ class TestQueryFlow:
 
     def test_auto_finish(self):
         net = build_network(3, config=small_config(), topology=line(3))
-        net.populate(fill, skip_base=True)
+        net.populate(fill)
         finished = []
         handle = net.base.issue_query(
             "jazz",
@@ -159,7 +162,7 @@ class TestQueryFlow:
 class TestStatistics:
     def test_counters_after_a_query(self):
         net = build_network(3, config=small_config(), topology=line(3))
-        net.populate(fill, skip_base=True)
+        net.populate(fill)
         handle = net.base.issue_query("jazz")
         net.sim.run()
         stats = net.base.statistics()
@@ -284,7 +287,7 @@ class TestChurnAndRejoin:
 
     def test_query_still_works_after_churn_cycle(self):
         net = build_network(3, config=small_config(), topology=line(3))
-        net.populate(fill, skip_base=True)
+        net.populate(fill)
         net.nodes[1].leave()
         net.nodes[1].rejoin()
         net.sim.run()

@@ -21,7 +21,7 @@ class TestAsciiPlot:
             BPR=[(1, 1.0), (2, 2.0), (3, 3.0)],
             CS=[(1, 3.0), (2, 2.0), (3, 1.0)],
         )
-        text = render_ascii_plot(result, width=32, height=8)
+        text = render_ascii_plot(result)
         assert "A=BPR" in text
         assert "B=CS" in text
         assert "A" in text and "B" in text
@@ -38,11 +38,6 @@ class TestAsciiPlot:
         text = render_ascii_plot(result)
         assert "100" in text
         assert "10" in text
-
-    def test_too_small_area_rejected(self):
-        result = figure(a=[(1, 1.0)])
-        with pytest.raises(ExperimentError):
-            render_ascii_plot(result, width=4, height=2)
 
     def test_empty_figure_rejected(self):
         with pytest.raises(ExperimentError):

@@ -17,22 +17,16 @@ import pytest
 import repro.util.serialization as serialization_module
 from repro.core.builder import build_network
 from repro.core.config import BestPeerConfig
-from repro.eval.figures import FigureParams, figure_5a, figure_5c, figure_8a
+from repro.eval.figures import figure_5a, figure_5c, figure_8a
 from repro.net import codec as wire
 from repro.net.network import Network
 from repro.topology.builders import line, star
 
-#: Small enough to run every variant in seconds, big enough to exercise
-#: flooding, reconfiguration, StorM scans and multi-page heaps.
-TINY = FigureParams(objects_per_node=20, object_size=256, queries=2)
-#: The churned-query figures fill their own stores.
-SWEEP = FigureParams(objects_per_node=0, queries=2, seed=0)
+from tests.support import SMOKE
 
 
 def _run_figures():
-    fig5 = figure_5a(TINY, sizes=(1, 2, 4))
-    fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2)
-    return fig5.series, fig8.series
+    return figure_5a(SMOKE).series, figure_8a(SMOKE).series
 
 
 @pytest.fixture
@@ -66,8 +60,8 @@ def test_series_identical_under_serial_runner(fastpath_results):
     # figure_5a's one remaining runner seam (the perf ledger drives it)
     # must give the series a plain in-process run gives.
     serial = _InOrder()
-    fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=serial)
-    fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2)
+    fig5 = figure_5a(SMOKE, runner=serial)
+    fig8 = figure_8a(SMOKE)
     assert serial.calls == 1
     assert (fig5.series, fig8.series) == fastpath_results
 
@@ -114,7 +108,7 @@ def test_wire_bytes_identical_cache_on_vs_off(monkeypatch):
 
 
 def _figure_5_observables(monkeypatch) -> tuple:
-    """TINY Figures 5(a) and 5(c): their series, every host's
+    """Smoke-scale Figures 5(a) and 5(c): their series, every host's
     ``bytes_sent``, and how many messages were packed field by field."""
     networks, packed = [], []
     build, pack = Network.__init__, wire.pack_fields
@@ -130,10 +124,7 @@ def _figure_5_observables(monkeypatch) -> tuple:
     with monkeypatch.context() as patch:
         patch.setattr(Network, "__init__", recording)
         patch.setattr(wire, "pack_fields", counting)
-        series = (
-            figure_5a(TINY, sizes=(1, 2, 4)).series,
-            figure_5c(TINY, sizes=(2, 4)).series,
-        )
+        series = (figure_5a(SMOKE).series, figure_5c(SMOKE).series)
     sent = [[host.bytes_sent for host in net.hosts.values()] for net in networks]
     return series, sent, len(packed)
 
@@ -150,12 +141,12 @@ def test_encode_memos_cold_or_warm_give_identical_figures(monkeypatch):
 
 
 def _faulted_observables() -> tuple:
-    """The churn figure at a nonzero rate: faults fire mid-run, yet the
-    seeded timeline must leave two runs bit-identical — the series and
-    every key of every trial dict."""
+    """The churn figure, faults firing mid-run at every nonzero rate, yet
+    the seeded timeline must leave two runs bit-identical — the series
+    and every key of every trial dict."""
     from repro.eval.churn import figure_churn
 
-    result = figure_churn(SWEEP, node_count=8, churn_rates=(0.5,))
+    result = figure_churn(SMOKE)
     return result.series, result.trials
 
 
@@ -186,16 +177,11 @@ def test_encoder_cache_actually_hits_during_flood():
 
 
 def _routing_observables() -> tuple:
-    """The routing comparison figure under the churn fault plan, for the
-    post-paper strategies."""
+    """The routing comparison figure under the churn fault plan, for every
+    registered strategy (the post-paper ones among them)."""
     from repro.eval.routing import figure_routing
 
-    result = figure_routing(
-        SWEEP,
-        node_count=8,
-        churn_rates=(0.0, 0.3),
-        strategies=("history", "superpeer", "costaware"),
-    )
+    result = figure_routing(SMOKE)
     return result.series, result.trials
 
 
@@ -207,18 +193,16 @@ def test_new_strategies_self_identical_on_a_second_run():
 
 
 def _topk_figure_observables() -> tuple:
-    """The top-k figure under the churn fault plan: bounded (k=2) and
-    exhaustive in the same sweep."""
+    """The top-k figure under the churn fault plan: bounded (k=4, k=16)
+    and exhaustive in the same sweep."""
     from repro.eval.topk import figure_topk
 
-    result = figure_topk(
-        SWEEP, node_count=8, ks=(2, None), ttls=(4,), churn_rates=(0.3,)
-    )
+    result = figure_topk(SMOKE)
     return result.series, result.trials
 
 
 def test_topk_figure_self_identical_on_a_second_run():
-    # A fixed-k sweep under the seeded fault plan: accumulator state
+    # A bounded-k sweep under the seeded fault plan: accumulator state
     # rides the flood, dominated answers die mid-network, faults fire —
     # and the whole timeline still replays bit-identically when the
     # sweep runs again.
@@ -230,7 +214,7 @@ def _replication_figure_observables() -> tuple:
     schemes in the same sweep."""
     from repro.eval.replication import figure_replication
 
-    result = figure_replication(SWEEP, node_count=8, churn_rates=(0.0, 0.3))
+    result = figure_replication(SMOKE)
     return result.series, result.trials
 
 

@@ -23,10 +23,10 @@ import pytest
 
 from repro.cli import ABLATIONS, FIGURES, main
 
-from tests.support import REWRITE_ENV_VAR, rewrite_requested
+from tests.support import REWRITE_ENV_VAR, SMOKE, rewrite_requested
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "figures_smoke.json"
-SCALE = ("--objects", "20", "--queries", "2")
+SCALE = ("--objects", str(SMOKE.objects_per_node), "--queries", str(SMOKE.queries))
 
 COMMANDS = (
     [("figure", name) for name in sorted(FIGURES)]

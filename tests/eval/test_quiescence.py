@@ -30,7 +30,8 @@ def test_golden_sweeps_end_with_nothing_pending(monkeypatch):
     monkeypatch.setattr(sweep, "build_network", build_and_keep)
     for figure in ("churn", "routing", "topk", "replication"):
         SWEEPS[figure]()
-    assert len(deployments) == 17
+    # One deployment per trial: churn 18, routing 14, topk 18, replication 9.
+    assert len(deployments) == 59
     for deployment in deployments:
         assert deployment.sim.pending_events == 0
         for node in deployment.nodes:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.eval.figures import FigureParams
 from repro.eval.sweep import (
     churn_outage_partition,
     churned_run,
@@ -12,7 +11,8 @@ from repro.eval.sweep import (
     share_one_match_each,
 )
 
-PARAMS = FigureParams(objects_per_node=0, queries=2, seed=0)
+from tests.support import SMOKE
+
 NODE_COUNT = 8
 KEYWORDS = ["needle", "needle"]
 
@@ -20,7 +20,7 @@ KEYWORDS = ["needle", "needle"]
 def _run(rate=0.5, plan=churn_outage_partition, populate=None, **config_fields):
     return churned_run(
         NODE_COUNT,
-        PARAMS,
+        SMOKE,
         rate,
         keywords=KEYWORDS,
         populate=populate or (lambda deployment: share_one_match_each(deployment, "needle")),
@@ -89,5 +89,5 @@ def test_base_node_never_churns():
 
 def test_too_few_nodes_rejected():
     with pytest.raises(ValueError, match=">= 3 nodes"):
-        churned_run(2, PARAMS, 0.0, KEYWORDS, lambda deployment: None, session_churn)
+        churned_run(2, SMOKE, 0.0, KEYWORDS, lambda deployment: None, session_churn)
 

@@ -2,10 +2,11 @@
 
 ``tests/eval/golden/trials_smoke.json`` freezes the full per-trial
 observables of ``churn`` (with the replication overlay), ``routing``,
-``topk`` and ``replication`` at the sizes ``test_fastpath_determinism.py``
-sweeps (8 nodes, 2 queries, seed 0).  It was recorded on the tree
-*before* the trial functions moved onto ``repro.eval.sweep``, so it
-shares no code with that harness.  Every golden key of every trial
+``topk`` and ``replication`` at their published shapes and the smoke
+workload (``tests.support.SMOKE``: 2 queries, seed 0).  It was recorded
+on the tree *before* each figure's shape became module constants (when
+the shapes were those functions' defaults), so it shares no code with
+that change.  Every golden key of every trial
 must be unchanged; a trial may gain keys.  A change that means to move
 one says which and why, and regenerates the file with
 ``REPRO_REWRITE_VECTORS=1``.
@@ -19,30 +20,19 @@ from pathlib import Path
 import pytest
 
 from repro.eval.churn import figure_churn
-from repro.eval.figures import FigureParams
 from repro.eval.replication import figure_replication
 from repro.eval.routing import figure_routing
 from repro.eval.topk import figure_topk
 
-from tests.support import REWRITE_ENV_VAR, rewrite_requested
+from tests.support import REWRITE_ENV_VAR, SMOKE, rewrite_requested
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "trials_smoke.json"
-PARAMS = FigureParams(objects_per_node=0, queries=2, seed=0)
 
 SWEEPS = {
-    "churn": lambda: figure_churn(PARAMS, node_count=8, churn_rates=(0.5,)),
-    "routing": lambda: figure_routing(
-        PARAMS,
-        node_count=8,
-        churn_rates=(0.0, 0.3),
-        strategies=("history", "superpeer", "costaware"),
-    ),
-    "topk": lambda: figure_topk(
-        PARAMS, node_count=8, ks=(2, None), ttls=(4,), churn_rates=(0.3,)
-    ),
-    "replication": lambda: figure_replication(
-        PARAMS, node_count=8, churn_rates=(0.0, 0.3)
-    ),
+    "churn": lambda: figure_churn(SMOKE),
+    "routing": lambda: figure_routing(SMOKE),
+    "topk": lambda: figure_topk(SMOKE),
+    "replication": lambda: figure_replication(SMOKE),
 }
 
 

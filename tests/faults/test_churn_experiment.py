@@ -12,34 +12,29 @@ from __future__ import annotations
 
 import pytest
 
-from repro.eval.churn import churn_trial, figure_churn
-from repro.eval.figures import FigureParams
+from dataclasses import replace
 
-PARAMS = FigureParams(objects_per_node=0, queries=2, seed=0)
-NODE_COUNT = 8
-RATES = (0.0, 0.5)
+from repro.eval.churn import churn_trial, figure_churn
+
+from tests.support import SMOKE
 
 
 @pytest.fixture(scope="module")
 def baseline():
-    result = figure_churn(PARAMS, node_count=NODE_COUNT, churn_rates=RATES)
+    result = figure_churn(SMOKE)
     return result.series, result.trials
 
 
 class TestSeededReplay:
     def test_second_run_is_bit_identical(self, baseline):
         series, trials = baseline
-        again = figure_churn(PARAMS, node_count=NODE_COUNT, churn_rates=RATES)
+        again = figure_churn(SMOKE)
         assert again.series == series
         assert again.trials == trials
 
     def test_different_seed_changes_fault_timeline(self, baseline):
         _series, trials = baseline
-        reseeded = figure_churn(
-            FigureParams(objects_per_node=0, queries=2, seed=1),
-            node_count=NODE_COUNT,
-            churn_rates=RATES,
-        )
+        reseeded = figure_churn(replace(SMOKE, seed=1))
         assert reseeded.trials != trials
 
 
@@ -62,6 +57,6 @@ class TestShape:
                 assert faults.get("partition", 0) == 1
 
     def test_trial_is_directly_replayable(self):
-        a = churn_trial(("BPR", 0.5, NODE_COUNT, PARAMS))
-        b = churn_trial(("BPR", 0.5, NODE_COUNT, PARAMS))
+        a = churn_trial(("BPR", 0.5, SMOKE))
+        b = churn_trial(("BPR", 0.5, SMOKE))
         assert a == b

@@ -27,13 +27,15 @@ import gc
 import tracemalloc
 
 from repro import BestPeerConfig, build_network, random_graph
-from repro.eval.figures import FigureParams, figure_5a
+from repro.eval.figures import figure_5a
 from repro.net import codec as wire
 from repro.storm.buffer import AccessStats
 from repro.storm.store import StorM
 from repro.storm.template import StoreTemplate
 from repro.workloads.corpus import KeywordCorpus
 from repro.workloads.provision import experiment_items
+
+from tests.support import SMOKE
 
 NODES = 1000
 BUDGET = 25
@@ -126,7 +128,7 @@ def test_a_clone_open_and_scan_allocate_under_64_kib():
 
 
 def test_a_figure_leaves_every_decode_memo_within_its_plane_capacity():
-    figure_5a(FigureParams(objects_per_node=20, queries=2))
+    figure_5a(SMOKE)
     specs = wire.registered_specs()
     assert any(spec.memo for spec in specs if spec.plane is wire.DATA)  # answers
     for spec in specs:
@@ -135,7 +137,7 @@ def test_a_figure_leaves_every_decode_memo_within_its_plane_capacity():
 
 
 def test_a_figure_leaves_every_encode_memo_within_its_plane_capacity():
-    figure_5a(FigureParams(objects_per_node=20, queries=2))
+    figure_5a(SMOKE)
     specs = [spec for spec in wire.registered_specs() if spec.frames is not None]
     assert any(spec.frames for spec in specs if spec.plane is wire.DATA)  # answers
     for spec in specs:

@@ -49,10 +49,6 @@ class TestGenerateObjects:
         for keyword in corpus.keywords():
             assert first_keywords.count(keyword) == 10
 
-    def test_multi_keyword_objects(self):
-        objects = generate_objects(0, count=10, keywords_per_object=3)
-        assert all(1 <= len(spec.keywords) <= 3 for spec in objects)
-
     def test_size_too_small_for_header(self):
         with pytest.raises(WorkloadError):
             generate_objects(0, count=1, size=4)
