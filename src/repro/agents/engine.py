@@ -171,7 +171,6 @@ class AgentEngine:
         local_bpid: BPID,
         services: dict[str, Any] | None = None,
         costs: AgentCosts | None = None,
-        registry: AgentCodeRegistry | None = None,
         get_peers: Callable[[], Sequence[IPAddress]] | None = None,
         tracer: Tracer | None = None,
     ):
@@ -179,7 +178,7 @@ class AgentEngine:
         self.local_bpid = local_bpid
         self.services = services if services is not None else {}
         self.costs = costs if costs is not None else AgentCosts()
-        self._registry = registry
+        self._registry: AgentCodeRegistry | None = None
         # Kept split, so a node's engine holds no method object of the node
         self._peers_func, self._peers_owner = split_callable(
             get_peers if get_peers is not None else _no_peers

@@ -90,10 +90,10 @@ ANSWER_FIELDS = (
 )
 
 
-def _sample_answer(serial: int = 1) -> AnswerMessage:
+def _sample_answer() -> AnswerMessage:
     origin = BPID("10.0.0.1", 7)
     return AnswerMessage(
-        query_id=QueryId(origin, serial),
+        query_id=QueryId(origin, 1),
         responder=BPID("10.0.0.2", 9),
         responder_address=IPAddress("10.0.4.9"),
         hops=2,

@@ -87,15 +87,13 @@ class TopKAccumulator:
 
     __slots__ = ("k", "_entries", "_keys", "_idents")
 
-    def __init__(self, k: int, entries: Sequence[TopKEntry] = ()):
+    def __init__(self, k: int):
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise AgentError(f"top-k accumulator needs k >= 1, got {k!r}")
         self.k = k
         self._entries: list[TopKEntry] = []
         self._keys: list[tuple] = []
         self._idents: set[tuple[BPID, RecordId]] = set()
-        for entry in entries:
-            self.add(entry)
 
     def add(self, entry: TopKEntry) -> bool:
         """Merge one entry; True when it is in the top-k afterwards.
@@ -174,13 +172,12 @@ class TopKAccumulator:
         cls, k: int, state: Sequence[Sequence] = ()
     ) -> "TopKAccumulator":
         """Inverse of :meth:`as_state`."""
-        return cls(
-            k,
-            [
+        accumulator = cls(k)
+        for score, liglo_id, node_id, page_id, slot in state:
+            accumulator.add(
                 TopKEntry(score, BPID(liglo_id, node_id), RecordId(page_id, slot))
-                for score, liglo_id, node_id, page_id, slot in state
-            ],
-        )
+            )
+        return accumulator
 
 
 # ---------------------------------------------------------------------------

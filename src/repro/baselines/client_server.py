@@ -30,13 +30,11 @@ from dataclasses import dataclass, field
 from repro.agents.costs import AgentCosts
 from repro.errors import BestPeerError, TopologyError
 from repro.net.address import AddressPool, IPAddress
-from repro.net.link import LinkModel
 from repro.net.message import Packet
 from repro.net.network import Network
 from repro.sim import Simulator
 from repro.storm.store import SearchResult, StorM
 from repro.topology.builders import Topology
-from repro.util.tracing import NULL_TRACER, Tracer
 
 PROTO_CS_QUERY = "cs.query"
 PROTO_CS_RESULTS = "cs.results"
@@ -126,14 +124,12 @@ class CsNode:
         variant: str,
         storm: StorM | None = None,
         costs: AgentCosts | None = None,
-        tracer: Tracer | None = None,
     ):
         if variant not in (VARIANT_SCS, VARIANT_MCS):
             raise BestPeerError(f"unknown CS variant {variant!r}")
         self.variant = variant
         self.name = name
         self.costs = costs if costs is not None else AgentCosts()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         threads = 1 if variant == VARIANT_SCS else 8
         self.host = network.create_host(name, cpu_threads=threads)
         self.sim = network.sim
@@ -292,9 +288,6 @@ def build_cs_network(
     topology: Topology,
     variant: str = VARIANT_MCS,
     costs: AgentCosts | None = None,
-    default_link: LinkModel | None = None,
-    tracer: Tracer | None = None,
-    sim: Simulator | None = None,
     storm_factory=None,
 ) -> CsDeployment:
     """Build a CS deployment whose tree mirrors ``topology`` from its base.
@@ -304,21 +297,14 @@ def build_cs_network(
     """
     if not topology.is_connected():
         raise TopologyError("CS tree needs a connected topology")
-    sim = sim if sim is not None else Simulator()
-    tracer = tracer if tracer is not None else NULL_TRACER
-    network = Network(
-        sim,
-        pool=AddressPool(size=max(256, 2 * topology.node_count)),
-        default_link=default_link,
-        tracer=tracer,
-    )
+    sim = Simulator()
+    network = Network(sim, pool=AddressPool(size=max(256, 2 * topology.node_count)))
     nodes = [
         CsNode(
             network,
             f"cs-{i}",
             variant,
             costs=costs,
-            tracer=tracer,
             storm=storm_factory(i) if storm_factory is not None else None,
         )
         for i in range(topology.node_count)

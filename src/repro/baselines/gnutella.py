@@ -26,13 +26,11 @@ from dataclasses import dataclass, field
 from repro.agents.costs import AgentCosts
 from repro.errors import TopologyError
 from repro.net.address import AddressPool, IPAddress
-from repro.net.link import LinkModel
 from repro.net.message import Packet
 from repro.net.network import Network
 from repro.sim import Simulator
 from repro.storm.store import StorM
 from repro.topology.builders import Topology
-from repro.util.tracing import Tracer
 
 PROTO_QUERY = "gnutella.query"
 PROTO_QUERYHIT = "gnutella.queryhit"
@@ -241,9 +239,6 @@ class GnutellaDeployment:
 def build_gnutella_network(
     topology: Topology,
     costs: AgentCosts | None = None,
-    default_link: LinkModel | None = None,
-    tracer: Tracer | None = None,
-    sim: Simulator | None = None,
     storm_factory=None,
 ) -> GnutellaDeployment:
     """Build a Gnutella overlay mirroring ``topology``.
@@ -253,13 +248,8 @@ def build_gnutella_network(
     """
     if topology.node_count < 1:
         raise TopologyError("need at least one servent")
-    sim = sim if sim is not None else Simulator()
-    network = Network(
-        sim,
-        pool=AddressPool(size=max(256, 2 * topology.node_count)),
-        default_link=default_link,
-        tracer=tracer,
-    )
+    sim = Simulator()
+    network = Network(sim, pool=AddressPool(size=max(256, 2 * topology.node_count)))
     servents = [
         GnutellaServent(
             network,

@@ -9,7 +9,6 @@ methodology calls for.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Sequence
 
 from repro.core.config import BestPeerConfig
@@ -17,7 +16,6 @@ from repro.core.node import BestPeerNode
 from repro.errors import BestPeerError
 from repro.liglo.server import LigloServer
 from repro.net.address import AddressPool
-from repro.net.link import LinkModel
 from repro.net.network import Network
 from repro.sim import Simulator
 from repro.storm.store import StorM
@@ -82,11 +80,8 @@ def build_network(
     topology: Topology | None = None,
     liglo_count: int = 1,
     liglo_check_interval: float | None = None,
-    default_link: LinkModel | None = None,
     tracer: Tracer | None = None,
-    sim: Simulator | None = None,
     storm_factory: Callable[[int], "StorM"] | None = None,
-    strategy: str | None = None,
 ) -> BestPeerNetwork:
     """Build a ready-to-run BestPeer network.
 
@@ -103,11 +98,6 @@ def build_network(
     ``storm_factory`` supplies node ``i``'s pre-built store (experiment
     provisioning: bulk-loaded or template-cloned stores); without it
     every node opens an empty default store.
-
-    ``strategy`` overrides the routing-strategy name on every node's
-    config (strategy-comparison experiments that hold everything else
-    constant); per-node configs still win by passing a ``config``
-    sequence instead.
     """
     if node_count < 1:
         raise BestPeerError(f"need >= 1 node, got {node_count}")
@@ -134,12 +124,10 @@ def build_network(
             raise BestPeerError(
                 f"{len(configs)} configs for {node_count} nodes"
             )
-    if strategy is not None:
-        configs = [replace(cfg, strategy=strategy) for cfg in configs]
     tracer = tracer if tracer is not None else NULL_TRACER
     pool = AddressPool(size=pool_size)
-    sim = sim if sim is not None else Simulator()
-    network = Network(sim, pool=pool, default_link=default_link, tracer=tracer)
+    sim = Simulator()
+    network = Network(sim, pool=pool, tracer=tracer)
     servers = []
     for i in range(liglo_count):
         host = network.create_host(f"liglo-{i}")

@@ -42,7 +42,6 @@ from repro.core.peers import PeerInfo, PeerTable
 from repro.core.query import QueryHandle
 from repro.core.routing import (
     PeerObservation,
-    RoutingStrategy,
     make_routing_strategy,
 )
 from repro.core.sharing import (
@@ -86,6 +85,9 @@ from repro.util.tracing import NULL_TRACER, Tracer
 _REPLY_KINDS = {PROTO_FETCH_REPLY: "fetch", PROTO_ACTIVE_REPLY: "active"}
 #: the hint keywords of a node that has published none
 _NO_KEYWORDS: frozenset[str] = frozenset()
+#: how long a fetch, active or data request (out-of-network download)
+#: waits before giving up (seconds)
+FETCH_TIMEOUT = 5.0
 
 
 class BestPeerNode:
@@ -97,22 +99,17 @@ class BestPeerNode:
         name: str,
         config: BestPeerConfig | None = None,
         storm: StorM | None = None,
-        strategy: RoutingStrategy | None = None,
         tracer: Tracer | None = None,
     ):
         self.config = config if config is not None else BestPeerConfig()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.network = network
         self.name = name
-        self.host = network.create_host(name, cpu_threads=self.config.cpu_threads)
+        self.host = network.create_host(name)
         self.sim = network.sim
         self.storm = storm if storm is not None else StorM()
         self.peers = PeerTable(self.config.max_direct_peers)
-        self.strategy = (
-            strategy
-            if strategy is not None
-            else make_routing_strategy(self.config.strategy)
-        )
+        self.strategy = make_routing_strategy(self.config.strategy)
         #: jitter stream for every retry this node performs; derived from
         #: the config seed and the node name, so runs replay bit-identically.
         #: Only a retry policy draws from it: without one there is none.
@@ -249,11 +246,7 @@ class BestPeerNode:
         """Disconnect from the network (the address lease is released)."""
         self.host.disconnect()
 
-    def rejoin(
-        self,
-        on_refreshed: Callable[[], None] | None = None,
-        on_failed: Callable[[Exception], None] | None = None,
-    ) -> None:
+    def rejoin(self, on_failed: Callable[[Exception], None] | None = None) -> None:
         """Reconnect after churn, per Section 2's rejoin protocol.
 
         The node (1) reconnects under a fresh IP, (2) announces the new
@@ -272,8 +265,6 @@ class BestPeerNode:
         """
         self.host.connect()
         if self.engine is None:
-            if on_refreshed is not None:
-                on_refreshed()
             return
         # Objects shared while this node was offline can replicate now
         # that it is reachable again.
@@ -281,21 +272,14 @@ class BestPeerNode:
         if self.liglo.bpid is not None:
             if self.config.retry_policy is not None:
                 self.liglo.announce_verified(
-                    on_ok=lambda: self._refresh_peers(on_refreshed),
+                    on_ok=self._refresh_peers,
                     on_failed=on_failed,
                 )
                 return
             self.liglo.announce()
-        self._refresh_peers(on_refreshed)
+        self._refresh_peers()
 
-    def _refresh_peers(self, on_refreshed: Callable[[], None] | None) -> None:
-        pending = len(self.peers)
-        if pending == 0:
-            if on_refreshed is not None:
-                on_refreshed()
-            return
-        remaining = [pending]  # mutable cell for the closures below
-
+    def _refresh_peers(self) -> None:
         def resolved(peer_bpid: BPID, reply) -> None:
             if reply is not None and reply.online and reply.address is not None:
                 if peer_bpid in self.peers:
@@ -313,9 +297,6 @@ class BestPeerNode:
                 self.tracer.record(
                     self.sim.now, "node", "drop-peer", node=self.name, peer=str(peer_bpid)
                 )
-            remaining[0] -= 1
-            if remaining[0] == 0 and on_refreshed is not None:
-                on_refreshed()
 
         for peer in self.peers.entries():
             self.liglo.resolve(
@@ -409,12 +390,11 @@ class BestPeerNode:
     def _publish_hints(self, keywords: Sequence[str]) -> None:
         """Report newly shared keywords to our LIGLO's hint directory.
 
-        Only when hint publishing is on (super-peer routing, or the
-        ``publish_hints`` config flag for nodes that feed the directory
-        without routing by it), and only for keywords not reported
-        before, so repeated sharing costs no extra control traffic.
+        Only under a strategy that routes by the directory (super-peer
+        routing), and only for keywords not reported before, so
+        repeated sharing costs no extra control traffic.
         """
-        if not (self.config.publish_hints or self.strategy.uses_hint_directory):
+        if not self.strategy.uses_hint_directory:
             return
         if self.liglo.bpid is None or not self.host.online:
             return
@@ -443,8 +423,6 @@ class BestPeerNode:
         self,
         keyword: str,
         ttl: int | None = None,
-        on_answer: Callable[[QueryHandle, AnswerMessage], None] | None = None,
-        on_finish: Callable[[QueryHandle], None] | None = None,
         auto_finish_after: float | None = None,
     ) -> QueryHandle:
         """Flood a StorM search agent to the direct peers.
@@ -464,19 +442,12 @@ class BestPeerNode:
             keyword=keyword,
             issued_at=self.sim.now,
             top_k=top_k,
-            on_answer=on_answer,
-            on_finish=on_finish,
         )
         self._queries[query_id] = handle
         mode = "metadata" if self.config.result_mode == MODE_METADATA else "direct"
         if top_k is not None:
             if self.config.search_own_store:
-                if self.config.use_index:
-                    handle.local_scored = self.storm.scored_search(keyword, top_k)
-                else:
-                    handle.local_scored = self.storm.scored_search_scan(
-                        keyword, top_k
-                    )
+                handle.local_scored = self.storm.scored_search_scan(keyword, top_k)
             # Seed the travelling accumulator with the initiator's own
             # top-k, so the threshold starts tightening at hop one.
             seed = [
@@ -485,19 +456,10 @@ class BestPeerNode:
                     handle.local_scored.matches if handle.local_scored else ()
                 )
             ]
-            agent: Agent = TopKSearchAgent(
-                keyword,
-                top_k,
-                mode=mode,
-                use_index=self.config.use_index,
-                entries=seed,
-            )
+            agent: Agent = TopKSearchAgent(keyword, top_k, mode=mode, entries=seed)
         else:
             if self.config.search_own_store:
-                if self.config.use_index:
-                    handle.local_result = self.storm.search(keyword)
-                else:
-                    handle.local_result = self.storm.search_scan(keyword)
+                handle.local_result = self.storm.search_scan(keyword)
             cached = self.replication.cached_answers(keyword)
             if cached is not None:
                 # Hot-query fast path: replay the cached answer set into
@@ -511,25 +473,15 @@ class BestPeerNode:
                 # larger) agent class, so they are dispatched only when
                 # the initiator's policy actually places replicas —
                 # rf=1 floods stay bit-identical.
-                agent = ReplicatedSearchAgent(
-                    keyword,
-                    mode=mode,
-                    use_index=self.config.use_index,
-                )
+                agent = ReplicatedSearchAgent(keyword, mode=mode)
                 # If this very node holds a replica of a matching object
                 # (agents never execute at the initiator), answer
                 # ourselves — zero hops, zero traffic.
-                self_answer = self.replication.self_answer(
-                    query_id, keyword, mode, self.config.use_index
-                )
+                self_answer = self.replication.self_answer(query_id, keyword, mode)
                 if self_answer is not None:
                     handle.record_answer(self_answer, self.sim.now)
             else:
-                agent = StorMSearchAgent(
-                    keyword,
-                    mode=mode,
-                    use_index=self.config.use_index,
-                )
+                agent = StorMSearchAgent(keyword, mode=mode)
         for _ in self.peers.suspect_bpids():
             # The flood skips suspected-dead peers: the query still runs,
             # but the caller can see its answer set may be partial.
@@ -611,25 +563,18 @@ class BestPeerNode:
                 targets=[address for _bpid, address in holders],
             )
 
-        self.liglo.fetch_hints(
-            normalize_keyword(handle.keyword),
-            on_hints,
-            timeout=self.config.hint_timeout,
-        )
+        self.liglo.fetch_hints(normalize_keyword(handle.keyword), on_hints)
 
-    def dispatch_agent(
-        self, agent: Agent, query_id: QueryId | None = None, **kwargs: Any
-    ) -> AgentId:
+    def dispatch_agent(self, agent: Agent, **kwargs: Any) -> AgentId:
         """Send a custom agent into the network (compute sharing).
 
-        Its answers name a query id on the wire, so when the caller gives
-        none, one is minted here as :meth:`issue_query` does.
+        Its answers name a query id on the wire, minted here as
+        :meth:`issue_query` does.
         """
         if self.engine is None:
             raise BestPeerError(f"node {self.name} must join before dispatching")
-        if query_id is None:
-            query_id = QueryId(self.bpid, self._next_query_serial)
-            self._next_query_serial += 1
+        query_id = QueryId(self.bpid, self._next_query_serial)
+        self._next_query_serial += 1
         return self.engine.dispatch(agent, query_id=query_id, **kwargs)
 
     def _on_answer(self, packet: Packet) -> None:
@@ -773,7 +718,7 @@ class BestPeerNode:
 
     # -- offline discovery -------------------------------------------------------------
 
-    def discover(self, ttl: int | None = None) -> None:
+    def discover(self) -> None:
         """Flood a :class:`DiscoveryAgent` to map the network's content.
 
         Reports stream back into :attr:`knowledge` (and feed the
@@ -783,9 +728,7 @@ class BestPeerNode:
         """
         if self.engine is None:
             raise BestPeerError(f"node {self.name} must join before discovery")
-        self.engine.dispatch(
-            DiscoveryAgent(), ttl=ttl if ttl is not None else self.config.ttl
-        )
+        self.engine.dispatch(DiscoveryAgent(), ttl=self.config.ttl)
 
     def _on_discovery_report(self, packet: Packet) -> None:
         report: ContentReport = packet.payload
@@ -802,12 +745,7 @@ class BestPeerNode:
 
     # -- smart queries: code-shipping vs data-shipping ---------------------------------
 
-    def smart_query(
-        self,
-        keyword: str,
-        on_answer: Callable[[QueryHandle, AnswerMessage], None] | None = None,
-        on_finish: Callable[[QueryHandle], None] | None = None,
-    ) -> QueryHandle:
+    def smart_query(self, keyword: str) -> QueryHandle:
         """Single-hop query with a per-peer shipping decision.
 
         The paper's future-work optimizer: for each direct peer, the
@@ -821,13 +759,7 @@ class BestPeerNode:
             raise BestPeerError(f"node {self.name} must join before querying")
         query_id = QueryId(self.bpid, self._next_query_serial)
         self._next_query_serial += 1
-        handle = QueryHandle(
-            query_id=query_id,
-            keyword=keyword,
-            issued_at=self.sim.now,
-            on_answer=on_answer,
-            on_finish=on_finish,
-        )
+        handle = QueryHandle(query_id=query_id, keyword=keyword, issued_at=self.sim.now)
         self._queries[query_id] = handle
         if self.config.search_own_store:
             handle.local_result = self.storm.search_scan(keyword)
@@ -858,7 +790,6 @@ class BestPeerNode:
             agent = StorMSearchAgent(
                 keyword,
                 mode="metadata" if self.config.result_mode == MODE_METADATA else "direct",
-                use_index=self.config.use_index,
             )
             self.engine.dispatch(agent, query_id=query_id, ttl=1, targets=code_targets)
         return handle
@@ -869,12 +800,9 @@ class BestPeerNode:
         estimate = self._estimates.setdefault(bpid, PeerEstimate())
         estimate.store_bytes = store_bytes
 
-    def invalidate_data_cache(self, bpid: BPID | None = None) -> None:
-        """Drop cached peer datasets (all of them when ``bpid`` is None)."""
-        if bpid is None:
-            self._data_cache.clear()
-        else:
-            self._data_cache.pop(bpid, None)
+    def invalidate_data_cache(self) -> None:
+        """Drop every cached peer dataset."""
+        self._data_cache.clear()
 
     def has_cached_data(self, bpid: BPID) -> bool:
         """True when this node mirrors ``bpid``'s dataset locally."""
@@ -942,7 +870,7 @@ class BestPeerNode:
             lambda token: self.host.send(
                 address, PROTO_DATA_REQUEST, DataRequest(token)
             ),
-            self.config.fetch_timeout,
+            FETCH_TIMEOUT,
             context=(bpid, handle),
             on_timeout=lambda: self._charge_timeout("data", bpid),
             abandoned=lambda: handle.finished,
@@ -998,7 +926,7 @@ class BestPeerNode:
         self.requests.send(
             kind,
             transmit,
-            self.config.fetch_timeout,
+            FETCH_TIMEOUT,
             context=callback,
             on_timeout=lambda: self._charge_timeout(kind, self._bpid_for_address(dst)),
             on_offline=fail,

@@ -16,7 +16,6 @@ the query automatically after a quiet period.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.agents.messages import AnswerMessage
 from repro.agents.topk import TopKDigest
@@ -62,10 +61,6 @@ class QueryHandle:
     #: answers were replayed from the initiator's result cache — no
     #: agents travelled, no network traffic was spent on this query
     served_from_cache: bool = False
-    #: called with (handle, answer) on every arrival
-    on_answer: Callable[["QueryHandle", AnswerMessage], None] | None = None
-    #: called with (handle,) when the query finishes
-    on_finish: Callable[["QueryHandle"], None] | None = None
 
     # -- accumulation (called by the node) -----------------------------------------
 
@@ -77,8 +72,6 @@ class QueryHandle:
         # ScoredAnswers report how many of their hop's matches the
         # in-transit top-k killed; plain answers have no such counter.
         self.dominated_dropped += getattr(answer, "dominated_dropped", 0)
-        if self.on_answer is not None:
-            self.on_answer(self, answer)
 
     def record_digest(self, digest: TopKDigest, now: float) -> None:
         """Record a hop whose matches were all dominated in-network.
@@ -109,8 +102,6 @@ class QueryHandle:
             raise QueryError(f"{self.query_id} is already finished")
         self.finished = True
         self.finished_at = now
-        if self.on_finish is not None:
-            self.on_finish(self)
 
     # -- results -----------------------------------------------------------------------
 

@@ -137,9 +137,9 @@ def registered_strategies() -> dict[str, type[RoutingStrategy]]:
     return dict(sorted(_REGISTRY.items()))
 
 
-def make_routing_strategy(name: str, **kwargs) -> RoutingStrategy:
+def make_routing_strategy(name: str) -> RoutingStrategy:
     """Construct a routing strategy by registered name (a stateless one is shared)."""
-    if not kwargs and name in _SHARED:
+    if name in _SHARED:
         return _SHARED[name]
     try:
         factory = _REGISTRY[name]
@@ -148,4 +148,4 @@ def make_routing_strategy(name: str, **kwargs) -> RoutingStrategy:
         raise BestPeerError(
             f"unknown routing strategy {name!r}; known: {known}"
         ) from None
-    return factory(**kwargs)
+    return factory()

@@ -29,6 +29,9 @@ from repro.core.routing.base import (
 )
 from repro.util.randomness import derive_rng
 
+#: Seed of every node's sample stream (the node's name scopes it further).
+SEED = 0
+
 
 @register_strategy
 class MaxCountStrategy(RoutingStrategy):
@@ -78,24 +81,20 @@ class RandomReplacementStrategy(RoutingStrategy):
     """Keep a uniformly random subset — the ablation control.
 
     The sample stream routes through :func:`repro.util.randomness.derive_rng`
-    (like the fault plans do), scoped by ``(seed, node name)``: two nodes
-    configured with the same seed draw *independent* streams, and the
-    same node replays the same stream bit-identically in every instance
-    built from the same scope.  (The pre-framework version seeded ``random.Random(seed)``
-    directly, so every node with the default seed walked one identical
-    sequence.)
+    (like the fault plans do), scoped by ``(SEED, node name)``: two nodes
+    draw *independent* streams, and the same node replays the same
+    stream bit-identically in every instance bound to it.  (The
+    pre-framework version seeded ``random.Random(seed)`` directly, so
+    every node walked one identical sequence.)
     """
 
     name = "random"
 
-    def __init__(self, seed: int = 0, scope: str = ""):
-        self._seed = seed
-        self._scope = scope
-        self._rng = derive_rng(seed, "routing", "random", scope)
+    def __init__(self):
+        self._rng = derive_rng(SEED, "routing", "random", "")
 
     def bind(self, node) -> None:
-        self._scope = node.name
-        self._rng = derive_rng(self._seed, "routing", "random", node.name)
+        self._rng = derive_rng(SEED, "routing", "random", node.name)
 
     def select(
         self, candidates: Sequence[PeerObservation], k: int

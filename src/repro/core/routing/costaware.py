@@ -19,24 +19,20 @@ from repro.core.routing.base import (
     eligible,
     register_strategy,
 )
-from repro.errors import BestPeerError
 from repro.net.address import IPAddress
 
 #: Additive yield smoothing, so silent candidates still rank by cost
 #: (a cheap silent peer beats an expensive silent peer).
-DEFAULT_SMOOTHING = 1.0
+SMOOTHING = 1.0
 
 
 @register_strategy
 class CostAwareStrategy(RoutingStrategy):
-    """Rank candidates by ``(answers + smoothing) / link cost``."""
+    """Rank candidates by ``(answers + SMOOTHING) / link cost``."""
 
     name = "costaware"
 
-    def __init__(self, smoothing: float = DEFAULT_SMOOTHING):
-        if smoothing <= 0.0:
-            raise BestPeerError(f"smoothing must be > 0, got {smoothing}")
-        self._smoothing = smoothing
+    def __init__(self):
         self._cost_of: Callable[[IPAddress], float] | None = None
 
     def bind(self, node) -> None:
@@ -63,7 +59,7 @@ class CostAwareStrategy(RoutingStrategy):
         ranked = sorted(
             eligible(candidates),
             key=lambda obs: (
-                -(obs.answers + self._smoothing) / self.cost(obs.address),
+                -(obs.answers + SMOOTHING) / self.cost(obs.address),
                 not obs.is_current,
                 str(obs.bpid),
             ),

@@ -7,8 +7,7 @@ per-``(keyword, peer)`` hit-rate EWMA from every finished query's
 
 * **select** historically-productive peers into the direct-peer set
   first (falling back to the MaxCount ordering where history is silent),
-* **forward** floods to historically-productive peers first — and, with
-  a configured fan-out cap, *only* to the top scorers.
+* **forward** floods to historically-productive peers first.
 
 Scores live per strategy instance, i.e. per node: this is each node's
 private query log, not shared state.
@@ -24,13 +23,12 @@ from repro.core.routing.base import (
     eligible,
     register_strategy,
 )
-from repro.errors import BestPeerError
 from repro.ids import BPID
 from repro.net.address import IPAddress
 from repro.storm.objects import normalize_keyword
 
-#: Default EWMA weight of the newest observation.
-DEFAULT_ALPHA = 0.3
+#: EWMA weight of the newest observation.
+ALPHA = 0.3
 
 
 @register_strategy
@@ -39,19 +37,9 @@ class QueryHistoryStrategy(RoutingStrategy):
 
     name = "history"
 
-    def __init__(self, alpha: float = DEFAULT_ALPHA, fanout: int | None = None):
-        if not 0.0 < alpha <= 1.0:
-            raise BestPeerError(f"alpha must be in (0, 1], got {alpha}")
-        if fanout is not None and fanout < 1:
-            raise BestPeerError(f"fanout must be >= 1, got {fanout}")
-        self._alpha = alpha
-        self._fanout = fanout
+    def __init__(self):
         #: normalized keyword -> peer -> hit-rate EWMA in [0, 1]
         self._scores: dict[str, dict[BPID, float]] = {}
-
-    def bind(self, node) -> None:
-        if node.config.routing_fanout is not None:
-            self._fanout = node.config.routing_fanout
 
     # -- learning --------------------------------------------------------------
 
@@ -65,7 +53,7 @@ class QueryHistoryStrategy(RoutingStrategy):
             if previous is None:
                 table[obs.bpid] = hit
             else:
-                table[obs.bpid] = previous + self._alpha * (hit - previous)
+                table[obs.bpid] = previous + ALPHA * (hit - previous)
 
     def score(self, keyword: str, bpid: BPID) -> float:
         """Learned hit rate for ``(keyword, peer)`` (0.0 when unseen)."""
@@ -116,7 +104,4 @@ class QueryHistoryStrategy(RoutingStrategy):
         order = sorted(
             range(len(live)), key=lambda i: (-table.get(live[i].bpid, 0.0), i)
         )
-        targets = [live[i].address for i in order]
-        if self._fanout is not None:
-            targets = targets[: self._fanout]
-        return targets
+        return [live[i].address for i in order]

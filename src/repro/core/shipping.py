@@ -154,9 +154,9 @@ _POLICIES = {
 _SHARED = {"always-code": AlwaysCodePolicy(), "always-data": AlwaysDataPolicy()}
 
 
-def make_shipping_policy(name: str, **kwargs) -> ShippingPolicy:
+def make_shipping_policy(name: str) -> ShippingPolicy:
     """Construct a shipping policy by name (a stateless one is shared)."""
-    if not kwargs and name in _SHARED:
+    if name in _SHARED:
         return _SHARED[name]
     try:
         factory = _POLICIES[name]
@@ -165,7 +165,7 @@ def make_shipping_policy(name: str, **kwargs) -> ShippingPolicy:
         raise BestPeerError(
             f"unknown shipping policy {name!r}; known: {known}"
         ) from None
-    return factory(**kwargs)
+    return factory()
 
 
 # -- compact wire registration (type id block 0x02xx) --------------------------

@@ -221,9 +221,9 @@ def _bound(result, a, b, k: float, inclusive: bool, upper: bool) -> Margin:
 
 
 @combinator
-def below(result: FigureResult, a, b, k: float = 1.0) -> Margin:
-    """``a < k * b``."""
-    return _bound(result, a, b, k, inclusive=False, upper=True)
+def below(result: FigureResult, a, b) -> Margin:
+    """``a < b``."""
+    return _bound(result, a, b, 1.0, inclusive=False, upper=True)
 
 
 @combinator

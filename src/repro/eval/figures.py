@@ -174,17 +174,15 @@ def _cs_runs(
     topology: Topology,
     variant: str,
     params: FigureParams,
-    keyword: str | None = None,
-    placement: AnswerPlacement | None = None,
 ) -> list[list[Arrival]]:
     """Run repeated queries against an SCS/MCS deployment."""
     deployment = build_cs_network(
         topology,
         variant,
         costs=params.costs,
-        storm_factory=_store_factory(params, placement),
+        storm_factory=_store_factory(params, None),
     )
-    keyword = keyword if keyword is not None else _query_keyword(params)
+    keyword = _query_keyword(params)
     runs = []
     for _ in range(params.queries):
         handle = deployment.base.issue_query(keyword, search_own_store=False)

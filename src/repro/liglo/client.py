@@ -33,7 +33,10 @@ from repro.util.retry import RetryPolicy
 from repro.util.tracing import NULL_TRACER, Tracer
 
 #: How long to wait for a LIGLO reply before giving up (seconds).
-DEFAULT_TIMEOUT = 5.0
+TIMEOUT = 5.0
+#: How long a super-peer hint fetch waits before the caller falls back to
+#: a plain flood (seconds; kept well under any query quiet period).
+HINT_TIMEOUT = 1.0
 #: reply protocol -> the request family its replies settle
 _REPLY_KINDS = {m.PROTO_RESOLVE_REPLY: "resolve", m.PROTO_HINT_REPLY: "hint"}
 
@@ -55,13 +58,11 @@ class LigloClient:
     def __init__(
         self,
         host: Host,
-        timeout: float = DEFAULT_TIMEOUT,
         tracer: Tracer | None = None,
         retry_policy: RetryPolicy | None = None,
         rng: random.Random | None = None,
     ):
         self.host = host
-        self.timeout = timeout
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.bpid: BPID | None = None
         #: outstanding register / resolve / hint requests; context: the callback
@@ -106,7 +107,7 @@ class LigloClient:
             lambda token: self.host.send(
                 liglo_address, m.PROTO_REGISTER, m.RegisterRequest(token)
             ),
-            self.timeout,
+            TIMEOUT,
             context=callback,
             on_retry=lambda: self.tracer.bump("liglo", "register-retry"),
             on_offline=lambda: fail("host went offline during retry"),
@@ -127,7 +128,7 @@ class LigloClient:
             raise LigloError("register_any needs at least one LIGLO address")
         remaining = list(liglo_addresses)
 
-        def try_next(result: RegistrationResult | None = None) -> None:
+        def try_next(result: RegistrationResult | None) -> None:
             if result is not None and result.accepted:
                 callback(result)
                 return
@@ -140,7 +141,7 @@ class LigloClient:
                 return
             self.register(remaining.pop(0), try_next)
 
-        try_next()
+        try_next(None)
 
     def _on_register_reply(self, packet: Packet) -> None:
         reply: m.RegisterReply = packet.payload
@@ -272,7 +273,7 @@ class LigloClient:
                 m.PROTO_RESOLVE,
                 m.ResolveRequest(token, bpid),
             ),
-            self.timeout,
+            TIMEOUT,
             context=callback,
             retry=retry,
             on_retry=lambda: self.tracer.bump("liglo", "resolve-retry"),
@@ -308,15 +309,14 @@ class LigloClient:
         self,
         keyword: str,
         callback: Callable[[m.HintReply | None], None],
-        timeout: float | None = None,
     ) -> None:
         """Ask our LIGLO which online members hold ``keyword``.
 
         Single-shot on purpose (no retry-policy re-sends): the caller
         owns the fallback — a plain flood — so on timeout the callback
-        just sees None and floods.  ``timeout`` defaults to the client
-        timeout but is typically much shorter, to keep a LIGLO outage
-        from stalling the query past its quiet period.
+        just sees None and floods.  It waits :data:`HINT_TIMEOUT`, much
+        shorter than :data:`TIMEOUT`, to keep a LIGLO outage from
+        stalling the query past its quiet period.
         """
         if self.bpid is None:
             raise LigloError("cannot fetch hints before registration")
@@ -326,7 +326,7 @@ class LigloClient:
             lambda token: self.host.send(
                 liglo_address, m.PROTO_HINT_QUERY, m.HintQuery(token, keyword)
             ),
-            timeout if timeout is not None else self.timeout,
+            HINT_TIMEOUT,
             context=callback,
             retry=False,
             on_give_up=partial(callback, None),

@@ -38,7 +38,10 @@ from repro.util.tracing import NULL_TRACER, Tracer
 DEFAULT_INITIAL_PEERS = 5
 
 #: How many holders a hint reply carries at most.
-DEFAULT_MAX_HINTS = 64
+MAX_HINTS = 64
+
+#: How long a validity ping waits before its member is marked offline.
+CHECK_TIMEOUT = 2.0
 
 
 @dataclass
@@ -61,8 +64,6 @@ class LigloServer:
         capacity: int | None = None,
         initial_peers: int = DEFAULT_INITIAL_PEERS,
         check_interval: float | None = None,
-        check_timeout: float = 2.0,
-        max_hints: int = DEFAULT_MAX_HINTS,
         tracer: Tracer | None = None,
     ):
         if host.address is None:
@@ -74,8 +75,6 @@ class LigloServer:
         self.capacity = capacity
         self.initial_peers = initial_peers
         self.check_interval = check_interval
-        self.check_timeout = check_timeout
-        self.max_hints = max_hints
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.members: dict[int, MemberEntry] = {}
         # Node ids of ``members``, least recently seen first (an ordered
@@ -244,7 +243,7 @@ class LigloServer:
             entry = self.members.get(node_id)
             if entry is not None and entry.online:
                 holders.append((entry.bpid, entry.address))
-            if len(holders) >= self.max_hints:
+            if len(holders) >= MAX_HINTS:
                 break
         reply = m.HintReply(request.token, request.keyword, tuple(holders))
         self.host.send(packet.src, m.PROTO_HINT_REPLY, reply)
@@ -263,7 +262,7 @@ class LigloServer:
         self.requests.send(
             "ping",
             lambda token: self.host.send(address, m.PROTO_PING, m.Ping(token)),
-            self.check_timeout,
+            CHECK_TIMEOUT,
             context=node_id,
             retry=False,
             on_timeout=lambda: self._ping_timed_out(node_id),

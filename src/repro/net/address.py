@@ -39,37 +39,40 @@ class IPAddress:
         return self.value
 
 
+#: The two leading octets of every leased address.
+PREFIX = "10.0"
+
+
 class AddressPool:
     """Leases simulated IP addresses, DHCP style.
 
-    Addresses are formed as ``prefix.x.y`` over ``size`` slots.  Leasing
+    Addresses are formed as ``PREFIX.x.y`` over ``size`` slots.  Leasing
     scans forward from the slot after the most recent lease, so released
     addresses are not immediately reused; a reconnecting host therefore
     observes a changed address, as dial-up/DHCP clients did.
     """
 
-    #: ``prefix.x.y`` has two free octets.
+    #: ``PREFIX.x.y`` has two free octets.
     MAX_SIZE = 256 * 256
 
-    def __init__(self, prefix: str = "10.0", size: int = 4096):
+    def __init__(self, size: int = 4096):
         if size < 1:
             raise ValueError(f"pool size must be >= 1, got {size}")
         if size > self.MAX_SIZE:
             raise ValueError(f"pool size must be <= {self.MAX_SIZE}, got {size}")
-        self.prefix = prefix
         self.size = size
         self._leased: set[int] = set()
         self._cursor = 0
 
     def _slot_to_address(self, slot: int) -> IPAddress:
         high, low = divmod(slot, 256)
-        return IPAddress(f"{self.prefix}.{high}.{low}")
+        return IPAddress(f"{PREFIX}.{high}.{low}")
 
     def lease(self) -> IPAddress:
         """Lease the next free address; raises when the pool is exhausted."""
         if len(self._leased) >= self.size:
             raise AddressPoolExhausted(
-                f"all {self.size} addresses in {self.prefix}.* are leased"
+                f"all {self.size} addresses in {PREFIX}.* are leased"
             )
         slot = self._cursor
         while slot in self._leased:
@@ -100,8 +103,8 @@ class AddressPool:
     def _address_to_slot(self, address: IPAddress) -> int:
         head, _, rest = address.value.rpartition(".")
         head_prefix, _, high = head.rpartition(".")
-        if head_prefix != self.prefix:
-            raise ValueError(f"{address} is not from pool {self.prefix}.*")
+        if head_prefix != PREFIX:
+            raise ValueError(f"{address} is not from pool {PREFIX}.*")
         slot = int(high) * 256 + int(rest)
         if not 0 <= slot < self.size:
             raise ValueError(f"{address} is outside pool of size {self.size}")

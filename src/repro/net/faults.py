@@ -60,10 +60,9 @@ class FrameFaultInjector:
         cap = PLANES[frame[0]].max_frame_bytes
         return frame + b"\x00" * (cap + 1 - len(frame))
 
-    def trailing_garbage(self, frame: bytes, extra: int | None = None) -> bytes:
-        """The frame with junk bytes appended after a complete message."""
-        if extra is None:
-            extra = 1 + self._rng.randrange(16)
+    def trailing_garbage(self, frame: bytes) -> bytes:
+        """The frame with 1-16 junk bytes appended after a complete message."""
+        extra = 1 + self._rng.randrange(16)
         return frame + bytes(self._rng.randrange(256) for _ in range(extra))
 
     def faults(self) -> dict[str, Callable[[bytes], bytes]]:

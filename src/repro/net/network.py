@@ -39,7 +39,13 @@ from repro.util.tracing import NULL_TRACER, Tracer
 #: message through a Java network stack on a 200 MHz Pentium II costs
 #: milliseconds.  Reverse-path protocols (CS, Gnutella) pay this twice
 #: per hop - once for the query, once for every relayed result.
-DEFAULT_DISPATCH_TIME = 0.003
+DISPATCH_TIME = 0.003
+#: CPU threads of a host unless its creator says otherwise (the BestPeer
+#: prototype is threaded; the client/server and Gnutella baselines set
+#: their own).
+CPU_THREADS = 8
+#: Seed of the packet-loss stream (only lossy links draw from it).
+LOSS_SEED = 0
 
 
 def _call(handler: Callable[..., Any], *args: Any) -> Any:
@@ -62,19 +68,13 @@ def split_callable(handler: Callable[..., Any]) -> tuple[Callable[..., Any], Any
 class Host:
     """One machine on the simulated network.  Create via ``Network.create_host``."""
 
-    def __init__(
-        self,
-        network: "Network",
-        name: str,
-        cpu_threads: int = 8,
-        dispatch_time: float = DEFAULT_DISPATCH_TIME,
-    ):
+    def __init__(self, network: "Network", name: str, cpu_threads: int):
         self.network = network
         self.sim: Simulator = network.sim
         self.name = name
         self.cpu = FifoServer(self.sim, capacity=cpu_threads, name=f"{name}.cpu")
         self.nic_free_at = 0.0  # when the uplink's last transmission ends
-        self.dispatch_time = dispatch_time
+        self.dispatch_time = DISPATCH_TIME
         self.address: IPAddress | None = None
         self.online = False
         #: down-but-holding-its-lease (a crashed fixed-IP server, not churn)
@@ -248,18 +248,16 @@ class Network:
         self,
         sim: Simulator,
         pool: AddressPool | None = None,
-        default_link: LinkModel | None = None,
         tracer: Tracer | None = None,
-        loss_seed: int = 0,
     ):
         self.sim = sim
         self.pool = pool if pool is not None else AddressPool()
-        self.default_link = default_link if default_link is not None else LinkModel()
+        self.default_link = LinkModel()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: shared wire-path fast path: encode each payload object once
         #: per fan-out instead of once per recipient
         self.encoder = WireEncoder(tracer=self.tracer)
-        self._loss_rng = derive_rng(loss_seed, "packet-loss")
+        self._loss_rng = derive_rng(LOSS_SEED, "packet-loss")
         self.hosts: dict[str, Host] = {}
         self._routes: dict[IPAddress, Host] = {}
         self._links: dict[tuple[IPAddress, IPAddress], LinkModel] = {}
@@ -285,20 +283,13 @@ class Network:
 
     # -- host management ----------------------------------------------------
 
-    def create_host(
-        self,
-        name: str,
-        cpu_threads: int = 8,
-        dispatch_time: float = DEFAULT_DISPATCH_TIME,
-        connect: bool = True,
-    ) -> Host:
-        """Create (and by default connect) a host."""
+    def create_host(self, name: str, cpu_threads: int = CPU_THREADS) -> Host:
+        """Create and connect a host."""
         if name in self.hosts:
             raise NetworkError(f"duplicate host name {name!r}")
-        host = Host(self, name, cpu_threads=cpu_threads, dispatch_time=dispatch_time)
+        host = Host(self, name, cpu_threads)
         self.hosts[name] = host
-        if connect:
-            host.connect()
+        host.connect()
         return host
 
     def host_at(self, address: IPAddress) -> Host | None:

@@ -64,6 +64,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: the initiator's dedup and the fetch path both stay unambiguous.
 REPLICA_PAGE_BIT = 0x8000_0000
 
+#: EWMA smoothing of per-record query hits: each hit adds 1 and the
+#: history decays by ``1 - EWMA_ALPHA``, so the level approaches
+#: ``1 / EWMA_ALPHA`` under sustained hits.
+EWMA_ALPHA = 0.5
+#: The hit level that marks a record hot; with :data:`EWMA_ALPHA` it
+#: trips on the second consecutive hitting query.
+HOT_THRESHOLD = 1.5
+
 #: The hot records of a manager that has promoted none.
 _NO_RECORDS: frozenset[RecordId] = frozenset()
 
@@ -282,6 +290,8 @@ class ReplicationManager:
     def _offer(
         self, bpid: BPID, address: IPAddress, rids: tuple[RecordId, ...]
     ) -> None:
+        from repro.core.node import FETCH_TIMEOUT  # the node module imports this one
+
         node = self.node
         count = 0
         total = 0
@@ -309,7 +319,7 @@ class ReplicationManager:
                 PROTO_REPLICA_OFFER,
                 ReplicaOffer(token=token, owner=node.bpid, record_count=count, total_bytes=total),
             ),
-            node.config.fetch_timeout,
+            FETCH_TIMEOUT,
             context=(bpid, address, rids),
             retry=False,  # the re-offer after a resolve is a new request
             on_timeout=timed_out,
@@ -494,18 +504,17 @@ class ReplicationManager:
         """A query matched these primary records here; bump their EWMAs.
 
         Each hit contributes 1 and decays the history by
-        ``1 - ewma_alpha``, so the level approaches ``1 / ewma_alpha``
-        under sustained hits; crossing ``hot_threshold`` promotes the
-        record to ``hot_rf`` copies.
+        ``1 - EWMA_ALPHA``, so the level approaches ``1 / EWMA_ALPHA``
+        under sustained hits; crossing :data:`HOT_THRESHOLD` promotes
+        the record to ``hot_rf`` copies.
         """
         policy = self.policy
         if policy.hot_rf is None or policy.hot_rf <= 1:
             return
-        alpha = policy.ewma_alpha
         for rid in rids:
-            level = self._ewma.get(rid, 0.0) * (1.0 - alpha) + 1.0
+            level = self._ewma.get(rid, 0.0) * (1.0 - EWMA_ALPHA) + 1.0
             self._ewma[rid] = level
-            if level < policy.hot_threshold or rid in self._hot:
+            if level < HOT_THRESHOLD or rid in self._hot:
                 continue
             self._hot |= {rid}
             if rid not in self._versions:
@@ -677,7 +686,7 @@ class ReplicationManager:
         """The rid a replica match is advertised under (high bit set)."""
         return RecordId(store_rid.page_id | REPLICA_PAGE_BIT, store_rid.slot)
 
-    def self_answer(self, query_id, keyword: str, mode: str, use_index: bool):
+    def self_answer(self, query_id, keyword: str, mode: str):
         """The initiator's own replica store answering its own query.
 
         Travelling agents never execute at the initiator, so without
@@ -687,7 +696,7 @@ class ReplicationManager:
         hops, no network traffic) or None when nothing matches; the
         reconfiguration strategy already ignores self-answers.
         """
-        result = self.replica_search(keyword, use_index)
+        result = self.replica_search(keyword, False)
         if result is None or not result.matches:
             return None
         from repro.agents.messages import AnswerItem, AnswerMessage

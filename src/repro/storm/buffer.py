@@ -72,7 +72,7 @@ class AccessStats:
 class _Frame:
     __slots__ = ("page_id", "data", "pin_count", "dirty")
 
-    def __init__(self, page_id: int | None = None, data: bytearray | None = None):
+    def __init__(self, page_id: int | None, data: bytearray | None):
         self.page_id = page_id
         self.data = data
         self.pin_count = 0
@@ -300,7 +300,7 @@ class BufferManager:
             # frame id and break ties on it, so the hand-out order decides
             # victims and, through physical reads, simulated I/O time.
             frame_id = self.pool_size - 1 - len(self._frames)
-            self._frames[frame_id] = _Frame()
+            self._frames[frame_id] = _Frame(None, None)
             return frame_id
         if not self._unpinned:
             raise BufferFullError(

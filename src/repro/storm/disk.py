@@ -8,16 +8,15 @@ from __future__ import annotations
 
 from repro.errors import PageError
 
-DEFAULT_PAGE_SIZE = 4096
+#: Bytes per page.
+PAGE_SIZE = 4096
 
 
 class InMemoryDisk:
     """Pages held in process memory."""
 
-    def __init__(self, page_size: int = DEFAULT_PAGE_SIZE):
-        if page_size < 64:
-            raise ValueError(f"page size must be >= 64 bytes, got {page_size}")
-        self.page_size = page_size
+    def __init__(self):
+        self.page_size = PAGE_SIZE
         self._pages: list[bytearray] = []
 
     @property

@@ -174,13 +174,19 @@ class ClockStrategy(ReplacementStrategy):
         return min(candidate_set)
 
 
+#: Seed of :class:`RandomStrategy`'s victim stream.
+SEED = 0
+#: The K of LRU-K: StorM's LRU-2 (DESIGN.md, "StorM" row).
+K = 2
+
+
 class RandomStrategy(ReplacementStrategy):
     """Evict a uniformly random candidate (seeded, deterministic)."""
 
     name = "random"
 
-    def __init__(self, seed: int = 0):
-        self._rng = random.Random(seed)
+    def __init__(self):
+        self._rng = random.Random(SEED)
 
     def choose_victim(self, candidates: Collection[int]) -> int:
         return self._rng.choice(sorted(candidates))
@@ -189,16 +195,13 @@ class RandomStrategy(ReplacementStrategy):
 class LruKStrategy(ReplacementStrategy):
     """LRU-K: evict the frame with the oldest K-th most recent access.
 
-    Frames with fewer than K accesses are preferred victims (infinite
-    backward K-distance), ordered by their oldest access.
+    Frames with fewer than :data:`K` accesses are preferred victims
+    (infinite backward K-distance), ordered by their oldest access.
     """
 
     name = "lru-k"
 
-    def __init__(self, k: int = 2):
-        if k < 1:
-            raise BufferError_(f"LRU-K needs k >= 1, got {k}")
-        self.k = k
+    def __init__(self):
         self._clock = 0
         self._history: dict[int, list[int]] = {}
 
@@ -206,7 +209,7 @@ class LruKStrategy(ReplacementStrategy):
         self._clock += 1
         history = self._history.setdefault(frame_id, [])
         history.append(self._clock)
-        if len(history) > self.k:
+        if len(history) > K:
             history.pop(0)
 
     def on_page_loaded(self, frame_id: int) -> None:
@@ -221,7 +224,7 @@ class LruKStrategy(ReplacementStrategy):
 
     def _backward_k_distance(self, frame_id: int) -> tuple[int, int]:
         history = self._history.get(frame_id, [])
-        if len(history) < self.k:
+        if len(history) < K:
             # Infinite distance: sort before all finite ones, oldest first.
             oldest = history[0] if history else 0
             return (0, oldest)
@@ -241,11 +244,11 @@ _STRATEGIES = {
 }
 
 
-def make_strategy(name: str, **kwargs) -> ReplacementStrategy:
+def make_strategy(name: str) -> ReplacementStrategy:
     """Construct a replacement strategy by name (see ``_STRATEGIES``)."""
     try:
         factory = _STRATEGIES[name]
     except KeyError:
         known = ", ".join(sorted(_STRATEGIES))
         raise BufferError_(f"unknown strategy {name!r}; known: {known}") from None
-    return factory(**kwargs)
+    return factory()

@@ -43,7 +43,6 @@ from repro.storm.disk import InMemoryDisk
 from repro.storm.freespace import FreeSpaceMap
 from repro.storm.heapfile import RecordId
 from repro.storm.page import SlottedPage
-from repro.storm.replacement import ReplacementStrategy
 from repro.storm.store import Entries, StorM, decode_page
 
 #: Registry capacity; oldest entries are evicted first.  Experiments key
@@ -81,8 +80,8 @@ class SnapshotDisk(InMemoryDisk):
     another: copy-on-write without any bookkeeping.
     """
 
-    def __init__(self, pages: Iterable[bytes], page_size: int):
-        super().__init__(page_size)
+    def __init__(self, pages: Iterable[bytes]):
+        super().__init__()
         self._pages = list(pages)  # type: ignore[assignment]
 
 
@@ -97,7 +96,6 @@ class StoreTemplate:
     """
 
     pages: tuple[bytes, ...]
-    page_size: int
     index_snapshot: Mapping[str, frozenset[RecordId]]
     record_count: int
     #: per page: bytes free after compaction (the ``FreeSpaceMap`` entry)
@@ -133,7 +131,6 @@ class StoreTemplate:
         free_bytes = tuple(SlottedPage(image).summary()[0] for image in pages)
         return cls(
             pages=pages,
-            page_size=disk.page_size,
             index_snapshot=MappingProxyType(store.index.snapshot()),
             record_count=store.count,
             free_bytes=free_bytes,
@@ -144,11 +141,7 @@ class StoreTemplate:
             ),
         )
 
-    def instantiate(
-        self,
-        pool_size: int = 512,
-        strategy: ReplacementStrategy | None = None,
-    ) -> StorM:
+    def instantiate(self) -> StorM:
         """A fresh store over shared pages, with its own buffer pool.
 
         The clone's ``HeapFile`` open books a pin of every page in
@@ -159,8 +152,6 @@ class StoreTemplate:
         deriving them from the pages again.
         """
         return StorM(
-            disk=SnapshotDisk(self.pages, self.page_size),
-            pool_size=pool_size,
-            strategy=strategy,
+            disk=SnapshotDisk(self.pages),
             template=self,
         )

@@ -16,7 +16,7 @@ per query) still pay for their arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,27 +42,19 @@ class TraceEvent:
 
 @dataclass
 class Tracer:
-    """Collects trace events; can be disabled or filtered by category."""
+    """Collects trace events; can be disabled."""
 
     enabled: bool = True
-    categories: frozenset[str] | None = None
     events: list[TraceEvent] = field(default_factory=list)
-    #: optional live callback invoked for every recorded event
-    sink: Callable[[TraceEvent], None] | None = None
     #: running counters for very hot events (e.g. wire-encoder cache hits)
     #: that would swamp ``events`` if recorded individually
     counters: dict[tuple[str, str], int] = field(default_factory=dict)
 
     def record(self, time: float, category: str, label: str, **fields: Any) -> None:
-        """Record one event (no-op if disabled or filtered out)."""
+        """Record one event (no-op if disabled)."""
         if not self.enabled:
             return
-        if self.categories is not None and category not in self.categories:
-            return
-        event = TraceEvent(time, category, label, tuple(fields.items()))
-        self.events.append(event)
-        if self.sink is not None:
-            self.sink(event)
+        self.events.append(TraceEvent(time, category, label, tuple(fields.items())))
 
     def select(self, category: str, label: str | None = None) -> Iterator[TraceEvent]:
         """Iterate events of one category (and optionally one label)."""
@@ -73,18 +65,16 @@ class Tracer:
                 continue
             yield event
 
-    def count(self, category: str, label: str | None = None) -> int:
+    def count(self, category: str, label: str) -> int:
         """Number of matching events."""
         return sum(1 for _ in self.select(category, label))
 
-    def bump(self, category: str, name: str, amount: int = 1) -> None:
-        """Increment a running counter (no-op if disabled or filtered)."""
+    def bump(self, category: str, name: str) -> None:
+        """Increment a running counter by one (no-op if disabled)."""
         if not self.enabled:
             return
-        if self.categories is not None and category not in self.categories:
-            return
         key = (category, name)
-        self.counters[key] = self.counters.get(key, 0) + amount
+        self.counters[key] = self.counters.get(key, 0) + 1
 
     def counter(self, category: str, name: str) -> int:
         """Current value of one running counter (0 when never bumped)."""

@@ -25,7 +25,7 @@ class AgentHost:
 
     def __init__(self, rig: "AgentRig", name: str):
         self.rig = rig
-        self.host = rig.network.create_host(name, dispatch_time=0.0)
+        self.host = rig.network.create_host(name)
         self.bpid = BPID("liglo-test", len(rig.nodes))
         self.storm = StorM()
         self.peers: list["AgentHost"] = []

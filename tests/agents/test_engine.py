@@ -313,14 +313,13 @@ class TestAnswerFrames:
         initiator's handle records both answers in send order."""
         from repro import BestPeerConfig, build_network, line
         from repro.agents.engine import PROTO_ANSWER
-        from repro.ids import QueryId
 
         net = build_network(2, config=BestPeerConfig(), topology=line(2))
         base = net.base
         handle = base.issue_query("nothing-stored")
         # A first run ships the class source, so the counted run below
         # puts only its answers on the data plane.
-        base.dispatch_agent(TwoReplyAgent(), query_id=QueryId(base.bpid, 99))
+        base.dispatch_agent(TwoReplyAgent())
         net.sim.run()
         assert handle.network_answer_count == 0
         type_ids = []
@@ -332,7 +331,7 @@ class TestAnswerFrames:
         base.host.unbind(PROTO_ANSWER)
         base.host.bind(PROTO_ANSWER, on_answer)
         data_frames = net.network.encoder.data_frames
-        base.dispatch_agent(TwoReplyAgent(), query_id=handle.query_id)
+        base.engine.dispatch(TwoReplyAgent(), query_id=handle.query_id)
         net.sim.run()
         assert type_ids == [0x1001, 0x1001]
         assert net.network.encoder.data_frames == data_frames + 2

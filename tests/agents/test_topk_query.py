@@ -134,9 +134,18 @@ class TestTopKEndToEnd:
         net, _handle = run_query(top_k=2)
         assert net.base.statistics()["dominated_dropped"] > 0
 
-    def test_use_index_and_scan_agree_end_to_end(self):
+    def test_use_index_and_scan_agree_end_to_end(self, monkeypatch):
+        """The agent's index path (kept for the wire: nodes flood the
+        scan) ranks exactly what the scan ranks."""
+        from repro.core import node as node_module
+
         _net, scanned = run_query(top_k=3)
-        _net2, indexed = run_query(top_k=3, use_index=True)
+        monkeypatch.setattr(
+            node_module,
+            "TopKSearchAgent",
+            lambda *args, **kwargs: TopKSearchAgent(*args, use_index=True, **kwargs),
+        )
+        _net2, indexed = run_query(top_k=3)
         assert indexed.top_answers() == scanned.top_answers()
 
     def test_search_own_store_disabled(self):

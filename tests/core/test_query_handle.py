@@ -57,16 +57,6 @@ class TestLifecycle:
         with pytest.raises(QueryError):
             handle.mark_finished(now=12.0)
 
-    def test_callbacks_invoked(self):
-        events = []
-        handle = make_handle(
-            on_answer=lambda h, a: events.append(("answer", a.responder.node_id)),
-            on_finish=lambda h: events.append(("finish", None)),
-        )
-        handle.record_answer(answer(7), now=11.0)
-        handle.mark_finished(now=12.0)
-        assert events == [("answer", 7), ("finish", None)]
-
     def test_empty_handle_properties(self):
         handle = make_handle()
         assert handle.completion_time is None

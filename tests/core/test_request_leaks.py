@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.builder import build_network
 from repro.core.config import BestPeerConfig
+from repro.core.node import FETCH_TIMEOUT
 from repro.core.sharing import PROTO_ACTIVE_REPLY, ActiveReply
 from repro.errors import HostOffline
 from repro.liglo import messages as m
@@ -20,7 +21,7 @@ PENDING_KEYS = ("pending_fetches", "pending_actives", "pending_data", "pending_l
 
 
 def deploy():
-    config = BestPeerConfig(retry_policy=POLICY, fetch_timeout=1.0)
+    config = BestPeerConfig(retry_policy=POLICY)
     net = build_network(3, config=config, topology=line(3))
     net.sim.run()
     return net
@@ -98,7 +99,7 @@ def test_reply_after_the_last_expiry_is_ignored():
     tokens = []
     while node.requests.pending("active"):  # first send, then one retry
         tokens.extend(node.requests.pending("active"))
-        net.sim.run(until=net.sim.now + 1.5)
+        net.sim.run(until=net.sim.now + FETCH_TIMEOUT + 0.5)
     assert outcomes == [None] and len(tokens) == POLICY.max_attempts
     for token in tokens:
         peer.host.send(

@@ -121,7 +121,7 @@ class TestSmartQuery:
         net.base.smart_query("jazz")
         net.sim.run()
         victim = net.nodes[1].bpid
-        net.base.invalidate_data_cache(victim)
+        net.base.invalidate_data_cache()
         assert not net.base.has_cached_data(victim)
         handle = net.base.smart_query("jazz")
         net.sim.run()

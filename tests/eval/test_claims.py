@@ -352,8 +352,8 @@ def status(check, result=None):
 BOUNDARIES = [
     (below(0.999, 1.0), PASS),
     (below(1.0, 1.0), FAIL),
-    (below(1.99, 1.0, 2.0), PASS),
-    (below(2.0, 1.0, 2.0), FAIL),
+    (below(1.99, 2.0), PASS),
+    (below(2.0, 2.0), FAIL),
     (at_most(1.0, 1.0), PASS),
     (at_most(1.001, 1.0), FAIL),
     (at_most(1.02, 1.0, 1.02), PASS),

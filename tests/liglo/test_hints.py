@@ -13,6 +13,7 @@ from repro.core.builder import build_network
 from repro.core.config import BestPeerConfig
 from repro.errors import LigloError
 from repro.liglo import LigloClient, LigloServer
+from repro.liglo.server import MAX_HINTS
 from repro.net import Network
 from repro.sim import Simulator
 from repro.topology.builders import random_graph
@@ -20,18 +21,18 @@ from repro.util.tracing import Tracer
 
 
 class Rig:
-    def __init__(self, max_hints=64):
+    def __init__(self):
         self.sim = Simulator()
         self.tracer = Tracer()
         self.network = Network(self.sim, tracer=self.tracer)
         host = self.network.create_host("liglo-0")
-        self.server = LigloServer(host, max_hints=max_hints, tracer=self.tracer)
+        self.server = LigloServer(host, tracer=self.tracer)
         self._node_count = 0
 
     def add_client(self):
         host = self.network.create_host(f"node-{self._node_count}")
         self._node_count += 1
-        client = LigloClient(host, timeout=2.0, tracer=self.tracer)
+        client = LigloClient(host, tracer=self.tracer)
         client.register(self.server.host.address, lambda result: None)
         self.sim.run()
         assert client.bpid is not None
@@ -88,17 +89,17 @@ class TestDirectory:
         assert replies[0].holders == ()
 
     def test_reply_capped_at_max_hints(self):
-        rig = Rig(max_hints=2)
-        clients = [rig.add_client()[1] for _ in range(4)]
+        rig = Rig()
+        clients = [rig.add_client()[1] for _ in range(MAX_HINTS + 2)]
         for client in clients:
             client.publish_hints(["jazz"])
         rig.sim.run()
         replies = []
         clients[0].fetch_hints("jazz", replies.append)
         rig.sim.run()
-        assert len(replies[0].holders) == 2
+        assert len(replies[0].holders) == MAX_HINTS
         # Deterministic cap: the lowest node ids win.
-        assert [bpid.node_id for bpid, _ in replies[0].holders] == [0, 1]
+        assert [bpid.node_id for bpid, _ in replies[0].holders] == list(range(MAX_HINTS))
 
     def test_publish_from_stranger_ignored(self):
         rig = Rig()
@@ -130,7 +131,7 @@ class TestClient:
     def test_operations_require_registration(self):
         rig = Rig()
         host = rig.network.create_host("unregistered")
-        client = LigloClient(host, timeout=2.0, tracer=rig.tracer)
+        client = LigloClient(host, tracer=rig.tracer)
         with pytest.raises(LigloError):
             client.publish_hints(["jazz"])
         with pytest.raises(LigloError):
@@ -141,7 +142,7 @@ class TestClient:
         _, client = rig.add_client()
         rig.server.host.suspend()  # LIGLO outage
         replies = []
-        client.fetch_hints("jazz", replies.append, timeout=1.0)
+        client.fetch_hints("jazz", replies.append)
         rig.sim.run()
         assert replies == [None]
         assert client.pending_counts()["hints"] == 0
@@ -150,7 +151,7 @@ class TestClient:
         rig = Rig()
         _, client = rig.add_client()
         replies = []
-        client.fetch_hints("jazz", replies.append, timeout=5.0)
+        client.fetch_hints("jazz", replies.append)
         rig.sim.run()  # reply arrives, then the expiry timer fires
         assert replies == [()] or [r.holders for r in replies] == [()]
         assert len(replies) == 1
@@ -192,9 +193,7 @@ class TestEndToEnd:
         assert handle.network_answer_count == 0
 
     def test_liglo_outage_falls_back_to_flood(self):
-        config = BestPeerConfig(
-            max_direct_peers=8, ttl=8, strategy="superpeer", hint_timeout=0.5
-        )
+        config = BestPeerConfig(max_direct_peers=8, ttl=8, strategy="superpeer")
         net = build_network(
             6, config=config, topology=random_graph(6, degree=2, seed=0)
         )

@@ -23,7 +23,6 @@ class Rig:
                     host,
                     capacity=capacity,
                     check_interval=check_interval,
-                    check_timeout=0.5,
                     tracer=self.tracer,
                 )
             )
@@ -32,7 +31,7 @@ class Rig:
     def add_client(self):
         host = self.network.create_host(f"node-{self._node_count}")
         self._node_count += 1
-        return host, LigloClient(host, timeout=2.0, tracer=self.tracer)
+        return host, LigloClient(host, tracer=self.tracer)
 
 
 class TestRegistration:

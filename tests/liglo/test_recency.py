@@ -33,9 +33,7 @@ class Driver:
     def __init__(self, initial_peers=5):
         self.sim = Simulator()
         network = Network(self.sim)
-        self.server = LigloServer(
-            network.create_host("liglo"), initial_peers=initial_peers, check_timeout=0.5
-        )
+        self.server = LigloServer(network.create_host("liglo"), initial_peers=initial_peers)
         self._sources = 0
 
     def _deliver(self, handler, payload):

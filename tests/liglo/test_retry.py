@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import LigloError, LigloUnreachableError
 from repro.liglo import LigloClient, LigloServer
+from repro.liglo.server import CHECK_TIMEOUT
 from repro.net import Network
 from repro.sim import Simulator
 from repro.util.retry import RetryPolicy
@@ -27,9 +28,7 @@ class Rig:
     def add_client(self):
         host = self.network.create_host(f"node-{self._count}")
         self._count += 1
-        client = LigloClient(
-            host, timeout=2.0, tracer=self.tracer, retry_policy=self.policy
-        )
+        client = LigloClient(host, tracer=self.tracer, retry_policy=self.policy)
         return host, client
 
 
@@ -195,15 +194,13 @@ class TestServerStats:
         tracer = Tracer(enabled=True)
         network = Network(sim, tracer=tracer)
         server_host = network.create_host("liglo-0")
-        server = LigloServer(
-            server_host, check_interval=5.0, check_timeout=0.5, tracer=tracer
-        )
+        server = LigloServer(server_host, check_interval=5.0, tracer=tracer)
         node_host = network.create_host("node-0")
-        client = LigloClient(node_host, timeout=2.0, tracer=tracer)
+        client = LigloClient(node_host, tracer=tracer)
         client.register(server_host.address, lambda r: None)
-        sim.run()
+        sim.run()  # the first sweep (t=5) pinged a live member
         node_host.disconnect()  # member goes dark before the next sweep
-        sim.run(until=8.0)
+        sim.run(until=2 * 5.0 + CHECK_TIMEOUT + 1.0)  # the second sweep's ping expires
         stats = server.stats()
         assert stats["ping_timeouts"] >= 1
         assert stats["pending_pings"] == 0

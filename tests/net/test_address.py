@@ -45,7 +45,7 @@ class TestAddressPool:
             pool.release(IPAddress("10.0.0.0"))
 
     def test_release_foreign_address_raises(self):
-        pool = AddressPool(prefix="10.0")
+        pool = AddressPool()
         with pytest.raises(ValueError):
             pool.release(IPAddress("192.168.0.1"))
 
@@ -58,13 +58,13 @@ class TestAddressPool:
         assert not pool.is_leased(IPAddress("bogus"))
 
     def test_address_format(self):
-        pool = AddressPool(prefix="10.9", size=300)
+        pool = AddressPool(size=300)
         first = pool.lease()
-        assert first.value == "10.9.0.0"
+        assert first.value == "10.0.0.0"
         for _ in range(255):
             last = pool.lease()
-        assert last.value == "10.9.0.255"
-        assert pool.lease().value == "10.9.1.0"
+        assert last.value == "10.0.0.255"
+        assert pool.lease().value == "10.0.1.0"
 
     def test_size_validation(self):
         with pytest.raises(ValueError):

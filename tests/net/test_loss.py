@@ -4,16 +4,15 @@ import pytest
 
 from repro.baselines.client_server import CsDone
 from repro.net import LinkModel, Network
+from repro.net.network import LOSS_SEED
 from repro.sim import Simulator
+from repro.util.randomness import derive_rng
 
 
-def lossy_network(loss, seed=0):
+def lossy_network(loss):
     sim = Simulator()
-    net = Network(
-        sim,
-        default_link=LinkModel(loss_probability=loss),
-        loss_seed=seed,
-    )
+    net = Network(sim)
+    net.default_link = LinkModel(loss_probability=loss)
     return sim, net
 
 
@@ -41,8 +40,8 @@ class TestPacketLoss:
         assert len(received) == 20
 
     def test_partial_loss_is_deterministic_per_seed(self):
-        def run(seed):
-            sim, net = lossy_network(0.5, seed=seed)
+        def run():
+            sim, net = lossy_network(0.5)
             a = net.create_host("a")
             b = net.create_host("b")
             received = []
@@ -52,11 +51,13 @@ class TestPacketLoss:
             sim.run()
             return received
 
-        assert run(seed=3) == run(seed=3)
-        assert run(seed=3) != run(seed=4)
+        assert run() == run()
+        # the losses are the draws of the one seeded packet-loss stream
+        rng = derive_rng(LOSS_SEED, "packet-loss")
+        assert run() == [CsDone(i) for i in range(40) if not rng.random() < 0.5]
 
     def test_partial_loss_rate_plausible(self):
-        sim, net = lossy_network(0.5, seed=1)
+        sim, net = lossy_network(0.5)
         a = net.create_host("a")
         b = net.create_host("b")
         received = []

@@ -4,6 +4,7 @@ loop on corrupt frames — on both the control and the data plane."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +12,7 @@ import repro.util.serialization as serialization_module
 from repro.agents.messages import _sample_answer
 from repro.core.shipping import DataReply
 from repro.errors import WireEncodeError
-from repro.ids import BPID
+from repro.ids import BPID, QueryId
 from repro.liglo.messages import PROTO_PING, Ping, Pong
 from repro.net.address import IPAddress
 from repro.net.codec import DATA, encode_message
@@ -208,9 +209,10 @@ def test_corrupt_data_frame_is_dropped_and_counted(fault):
     assert network.tracer.counter("net", "decode-error") == 1
 
     # The host keeps serving data frames afterwards.
-    alice.send(bob.address, "answer", _sample_answer(2))
+    fresh = replace(_sample_answer(), query_id=QueryId(BPID("10.0.0.1", 7), 2))
+    alice.send(bob.address, "answer", fresh)
     sim.run()
-    assert received == [_sample_answer(2)]
+    assert received == [fresh]
     assert network.decode_errors == 1
 
 

@@ -7,13 +7,17 @@ from repro.errors import HostOffline, NetworkError, UnknownProtocolError
 from repro.net import LinkModel, Network
 from repro.net.codec import encode_message
 from repro.net.message import PACKET_OVERHEAD_BYTES
+from repro.net.network import DISPATCH_TIME
 from repro.sim import Simulator
 from repro.util.tracing import Tracer
 
 
-def make_network(**kwargs):
+def make_network(default_link: LinkModel | None = None):
     sim = Simulator()
-    return sim, Network(sim, tracer=Tracer(), **kwargs)
+    net = Network(sim, tracer=Tracer())
+    if default_link is not None:
+        net.default_link = default_link
+    return sim, net
 
 
 class TestDelivery:
@@ -41,37 +45,40 @@ class TestDelivery:
         sim, net = make_network(
             default_link=LinkModel(latency=0.01, bandwidth=1000.0),
         )
-        a = net.create_host("a", dispatch_time=0.0)
-        b = net.create_host("b", dispatch_time=0.0)
+        a = net.create_host("a")
+        b = net.create_host("b")
         arrival = []
         b.bind("test", lambda packet: arrival.append(sim.now))
         size = a.send(b.address, "test", CsQuery(1, "payload"))
         sim.run()
-        assert arrival[0] == pytest.approx(size / 1000.0 + 0.01)
+        # the handler runs once the packet's dispatch job is done
+        assert arrival[0] == pytest.approx(size / 1000.0 + 0.01 + DISPATCH_TIME)
 
     def test_sender_nic_serializes_transmissions(self):
         """Two back-to-back sends must not overlap on the uplink."""
         sim, net = make_network(
             default_link=LinkModel(latency=0.0, bandwidth=100.0),
         )
-        a = net.create_host("a", dispatch_time=0.0)
-        b = net.create_host("b", dispatch_time=0.0)
+        a = net.create_host("a")
+        b = net.create_host("b")
         arrivals = []
         b.bind("test", lambda packet: arrivals.append(sim.now))
         size1 = a.send(b.address, "test", CsQuery(1, "first"))
         size2 = a.send(b.address, "test", CsQuery(2, "second"))
         sim.run()
-        assert arrivals[0] == pytest.approx(size1 / 100.0)
-        assert arrivals[1] == pytest.approx((size1 + size2) / 100.0)
+        assert arrivals[0] == pytest.approx(size1 / 100.0 + DISPATCH_TIME)
+        assert arrivals[1] == pytest.approx((size1 + size2) / 100.0 + DISPATCH_TIME)
 
     def test_single_thread_cpu_serializes_handlers(self):
         sim, net = make_network()
         a = net.create_host("a")
-        b = net.create_host("b", cpu_threads=1, dispatch_time=0.0)
+        b = net.create_host("b", cpu_threads=1)
         done = []
 
         def slow_handler(packet):
-            b.cpu.submit(1.0, done.append, sim.now)
+            # both dispatch jobs are queued before the first second of work
+            # starts, so the work items' ends show the serialization
+            b.cpu.submit(1.0, lambda: done.append(sim.now))
 
         b.bind("work", slow_handler)
         a.send(b.address, "work", CsDone(1))
@@ -83,7 +90,7 @@ class TestDelivery:
     def test_multi_thread_cpu_overlaps_handlers(self):
         sim, net = make_network()
         a = net.create_host("a")
-        b = net.create_host("b", cpu_threads=2, dispatch_time=0.0)
+        b = net.create_host("b", cpu_threads=2)
         done = []
 
         def slow_handler(packet):
@@ -187,8 +194,8 @@ class TestNetworkAdmin:
 
     def test_per_pair_link_override(self):
         sim, net = make_network()
-        a = net.create_host("a", dispatch_time=0.0)
-        b = net.create_host("b", dispatch_time=0.0)
+        a = net.create_host("a")
+        b = net.create_host("b")
         slow = LinkModel(latency=5.0, bandwidth=1e9)
         net.set_link(a.address, b.address, slow)
         arrivals = []

@@ -28,11 +28,11 @@ from hypothesis import strategies as st
 
 from repro.baselines.client_server import CsQuery
 from repro.net import LinkModel, Network
+from repro.net.network import CPU_THREADS, DISPATCH_TIME, LOSS_SEED
 from repro.sim import FifoServer, Simulator
 from repro.util.randomness import derive_rng
 from repro.util.tracing import Tracer
 
-LOSS_SEED = 7
 
 #: Multiples of 1/1024 s, and wire sizes of 100-300 bytes at 102,400 B/s
 #: (a transmission of k/1024 s), add up exactly, so same-instant arrivals
@@ -103,8 +103,8 @@ def run_network(hosts, links, sends, partition=None):
     the time it was recorded, and the network.
     """
     sim = Simulator()
-    network = Network(sim, tracer=Tracer(), loss_seed=LOSS_SEED)
-    nodes = [network.create_host(f"h{i}", dispatch_time=0.0) for i in range(hosts)]
+    network = Network(sim, tracer=Tracer())
+    nodes = [network.create_host(f"h{i}") for i in range(hosts)]
     for (a, b), link in links.items():
         network.set_link(nodes[a].address, nodes[b].address, link)
     for index in range(len(sends)):
@@ -166,6 +166,25 @@ def reference_arrivals(links, sends, sizes):
     return arrivals
 
 
+def reference_handler_times(arrivals, sends, delivered):
+    """When each delivered packet's ``deliver`` record is written: at the
+    end of its ``DISPATCH_TIME`` job on the receiver's CPU
+    (``CPU_THREADS`` slots), admitted at arrival in firing order."""
+    sim = Simulator()
+    cpus: dict[int, FifoServer] = {}
+    ends: dict[int, float] = {}
+
+    def admit(index: int) -> None:
+        cpu = cpus.setdefault(sends[index].dst, FifoServer(sim, capacity=CPU_THREADS))
+        ends[index] = cpu.charge(DISPATCH_TIME)
+
+    for time, index in arrivals:
+        if index in delivered:
+            sim.schedule_at(time, admit, index)
+    sim.run()
+    return ends
+
+
 def send_order(sends):
     """Packet indices in the order the program sends them."""
     return sorted(range(len(sends)), key=lambda index: (sends[index].at, index))
@@ -178,7 +197,8 @@ def test_arrivals_match_a_fifo_server_nic_bit_for_bit(program):
     sizes, arrivals, outcomes, network = run_network(hosts, links, sends)
     expected = reference_arrivals(links, sends, sizes)
     assert dict((index, time) for time, index in arrivals) == expected
-    assert {index: time for index, (_, time) in outcomes.items()} == expected
+    handled = reference_handler_times(arrivals, sends, set(outcomes))
+    assert {index: time for index, (_, time) in outcomes.items()} == handled
     assert all(reason == "delivered" for reason, _ in outcomes.values())
     assert network.packets_delivered == len(sends)
     # One pair shares a NIC and a link, so its packets arrive in send order.
@@ -229,16 +249,22 @@ def test_loss_and_partition_are_judged_at_arrival(program, start, length):
     expected = reference_arrivals(links, sends, sizes)
     loss_rng = derive_rng(LOSS_SEED, "packet-loss")
     drops: dict[str, int] = {}
+    fates = {}
     for time, index in arrivals:
         s = sends[index]
         link = links[s.src, s.dst]
         if link.loss_probability > 0.0 and loss_rng.random() < link.loss_probability:
-            fate = "loss"
+            fates[index] = "loss"
         elif start <= time < end and (s.src == 0) != (s.dst == 0):
-            fate = "partition"
+            fates[index] = "partition"
         else:
-            fate = "delivered"
-        assert outcomes[index] == (fate, expected[index])
+            fates[index] = "delivered"
+    delivered = {index for index, fate in fates.items() if fate == "delivered"}
+    handled = reference_handler_times(arrivals, sends, delivered)
+    for index, fate in fates.items():
+        # a drop is recorded at arrival, a delivery when its handler runs
+        when = handled[index] if fate == "delivered" else expected[index]
+        assert outcomes[index] == (fate, when)
         if fate != "delivered":
             drops[fate] = drops.get(fate, 0) + 1
     assert network.drops_by_reason == drops

@@ -10,7 +10,7 @@ from repro.baselines.client_server import CsDone
 from repro.ids import AgentId
 from repro.net.address import IPAddress
 from repro.net.message import PACKET_OVERHEAD_BYTES, Packet
-from repro.net.network import Network
+from repro.net.network import DISPATCH_TIME, Network
 from repro.sim import Simulator
 from repro.util.tracing import NULL_TRACER, Tracer
 
@@ -22,6 +22,11 @@ AGENT, ANSWER = "bestpeer.agent", "bestpeer.answer"
 AGENT_ID = "agent:liglo-test/0#0"
 A, B, C = "10.0.0.0", "10.0.0.1", "10.0.0.2"
 
+def at(time: float, dispatches: int) -> float:
+    """``time`` plus ``dispatches`` packet dispatch jobs, as recorded."""
+    return round(time + dispatches * DISPATCH_TIME, 9)
+
+
 #: The guarded events of the triangle flood below, recorded on the commit
 #: before the guards went in (``size`` values left out: they depend on
 #: the zlib build).  A ``net send`` record carries the packet's departure
@@ -31,22 +36,23 @@ A, B, C = "10.0.0.0", "10.0.0.1", "10.0.0.2"
 #: record of the same visit.  Every record is unchanged; the timestamps
 #: moved once since, when the rig began dispatching under a query id
 #: (28 more envelope bytes) and the answer became a data frame instead
-#: of a gzip-priced pickle.
+#: of a gzip-priced pickle.  Each record is written after the receive
+#: dispatch jobs on its path, ``DISPATCH_TIME`` each.
 TRIANGLE_EVENTS = [
-    (0.0007472, "net", "send", (("src", A), ("dst", B), ("protocol", AGENT))),
-    (0.0014944, "net", "send", (("src", A), ("dst", C), ("protocol", AGENT))),
-    (0.0057472, "net", "deliver", (("host", "b"), ("protocol", AGENT), ("src", A))),
-    (0.0064944, "net", "send", (("src", B), ("dst", C), ("protocol", AGENT))),
-    (0.0057472, "agent", "execute", (("agent", AGENT_ID), ("hops", 1), ("service", 0.011))),
-    (0.0064944, "net", "deliver", (("host", "c"), ("protocol", AGENT), ("src", A))),
-    (0.0072416, "net", "send", (("src", C), ("dst", B), ("protocol", AGENT))),
-    (0.0064944, "agent", "execute", (("agent", AGENT_ID), ("hops", 1), ("service", 0.011))),
-    (0.0114944, "net", "deliver", (("host", "c"), ("protocol", AGENT), ("src", B))),
-    (0.0114944, "agent", "dedup", (("agent", AGENT_ID),)),
-    (0.0122416, "net", "deliver", (("host", "b"), ("protocol", AGENT), ("src", C))),
-    (0.0122416, "agent", "dedup", (("agent", AGENT_ID),)),
-    (0.0169144, "net", "send", (("src", B), ("dst", A), ("protocol", ANSWER))),
-    (0.0219144, "net", "deliver", (("host", "a"), ("protocol", ANSWER), ("src", B))),
+    (at(0.0007472, 0), "net", "send", (("src", A), ("dst", B), ("protocol", AGENT))),
+    (at(0.0014944, 0), "net", "send", (("src", A), ("dst", C), ("protocol", AGENT))),
+    (at(0.0057472, 1), "net", "deliver", (("host", "b"), ("protocol", AGENT), ("src", A))),
+    (at(0.0064944, 1), "net", "send", (("src", B), ("dst", C), ("protocol", AGENT))),
+    (at(0.0057472, 1), "agent", "execute", (("agent", AGENT_ID), ("hops", 1), ("service", 0.011))),
+    (at(0.0064944, 1), "net", "deliver", (("host", "c"), ("protocol", AGENT), ("src", A))),
+    (at(0.0072416, 1), "net", "send", (("src", C), ("dst", B), ("protocol", AGENT))),
+    (at(0.0064944, 1), "agent", "execute", (("agent", AGENT_ID), ("hops", 1), ("service", 0.011))),
+    (at(0.0114944, 2), "net", "deliver", (("host", "c"), ("protocol", AGENT), ("src", B))),
+    (at(0.0114944, 2), "agent", "dedup", (("agent", AGENT_ID),)),
+    (at(0.0122416, 2), "net", "deliver", (("host", "b"), ("protocol", AGENT), ("src", C))),
+    (at(0.0122416, 2), "agent", "dedup", (("agent", AGENT_ID),)),
+    (at(0.0169144, 1), "net", "send", (("src", B), ("dst", A), ("protocol", ANSWER))),
+    (at(0.0219144, 2), "net", "deliver", (("host", "a"), ("protocol", ANSWER), ("src", B))),
 ]
 
 

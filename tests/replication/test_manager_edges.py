@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 from repro.core.builder import build_network
 from repro.core.config import BestPeerConfig
+from repro.core.node import FETCH_TIMEOUT
 from repro.replication import ReplicaAccept, ReplicationPolicy
 from repro.storm.heapfile import RecordId
 from repro.topology.builders import line
@@ -151,8 +152,7 @@ class TestStaleAddressReoffer:
         net.sim.run()
         assert base.host.address != old_address
         rid = owner.share(["kw"], b"content")
-        fetch_timeout = owner.config.fetch_timeout
-        net.sim.schedule(fetch_timeout + 0.01, owner.unshare, rid)
+        net.sim.schedule(FETCH_TIMEOUT + 0.01, owner.unshare, rid)
         net.sim.run()
         # The re-offer found nothing live to ship; nobody holds a copy.
         assert base.replication.replicas_held == 0

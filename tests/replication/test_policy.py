@@ -40,16 +40,6 @@ class TestPolicyValidation:
         with pytest.raises(ReplicationError, match="hot_rf must be >= rf"):
             ReplicationPolicy(rf=3, hot_rf=2)
 
-    def test_nonpositive_threshold_rejected(self):
-        with pytest.raises(ReplicationError, match="hot_threshold"):
-            ReplicationPolicy(hot_threshold=0.0)
-
-    def test_alpha_out_of_range_rejected(self):
-        with pytest.raises(ReplicationError, match="ewma_alpha"):
-            ReplicationPolicy(ewma_alpha=0.0)
-        with pytest.raises(ReplicationError, match="ewma_alpha"):
-            ReplicationPolicy(ewma_alpha=1.5)
-
     def test_negative_cache_capacity_rejected(self):
         with pytest.raises(ReplicationError, match="cache_capacity"):
             ReplicationPolicy(cache_capacity=-1)

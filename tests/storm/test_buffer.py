@@ -10,8 +10,8 @@ from repro.storm.disk import InMemoryDisk
 from repro.storm.replacement import LruStrategy, MruStrategy
 
 
-def make_buffer(pool_size=3, page_size=128, strategy=None):
-    disk = InMemoryDisk(page_size=page_size)
+def make_buffer(pool_size=3, strategy=None):
+    disk = InMemoryDisk()
     return disk, BufferManager(disk, pool_size=pool_size, strategy=strategy)
 
 
@@ -183,7 +183,7 @@ class TestStats:
 )
 def test_buffer_is_transparent_cache(pool_size, accesses):
     """Reads through the buffer always equal direct disk contents."""
-    disk = InMemoryDisk(page_size=128)
+    disk = InMemoryDisk()
     buffer = BufferManager(disk, pool_size=pool_size)
     # Seed ten pages with distinct contents.
     for i in range(10):

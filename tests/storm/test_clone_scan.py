@@ -19,20 +19,25 @@ from hypothesis import strategies as st
 
 from repro.storm.disk import InMemoryDisk
 from repro.storm.store import StorM
-from repro.storm.template import StoreTemplate
+from repro.storm.template import SnapshotDisk, StoreTemplate
 
-PAGE_SIZE = 512
 VOCABULARY = ["alpha", "beta", "gamma", "delta"]
 QUERIES = VOCABULARY + ["", "absent", " GaMmA "]
 
 keyword_lists = st.lists(st.sampled_from(VOCABULARY), min_size=1, max_size=4)
-payloads = st.binary(min_size=0, max_size=150)
+#: up to ~30 % of a 4 KiB page, so a list of items spans several pages
+payloads = st.binary(min_size=0, max_size=1200)
 item_lists = st.lists(st.tuples(keyword_lists, payloads), min_size=1, max_size=40)
+
+
+def _clone(template: StoreTemplate, pool_size: int) -> StorM:
+    """``template.instantiate()`` with a pool of ``pool_size`` frames."""
+    return StorM(disk=SnapshotDisk(template.pages), pool_size=pool_size, template=template)
 
 
 def _populated(items, holes) -> StorM:
     """A store holding ``items`` minus the ``holes``-th ones, flushed."""
-    store = StorM(disk=InMemoryDisk(PAGE_SIZE))
+    store = StorM(disk=InMemoryDisk())
     rids = store.put_many(items)
     for position in sorted({hole % len(rids) for hole in holes}):
         store.delete(rids[position])
@@ -117,8 +122,8 @@ def test_a_clone_written_after_k_scans_is_a_twin_that_booked_eagerly(
     items, scans, keyword, pool_size
 ):
     template = StoreTemplate.from_store(_populated(items, []))
-    clone = template.instantiate(pool_size)
-    twin = template.instantiate(pool_size)
+    clone = _clone(template, pool_size)
+    twin = _clone(template, pool_size)
     twin.buffer.resident_pages  # builds the open's frames at once
     for _ in range(scans):
         assert clone.search_scan(keyword) == twin.search_scan(keyword)
@@ -133,7 +138,7 @@ def test_a_clone_written_after_k_scans_is_a_twin_that_booked_eagerly(
 
 
 def _store() -> StorM:
-    items = [([VOCABULARY[i % 4], VOCABULARY[i % 3]], bytes([i]) * 90) for i in range(30)]
+    items = [([VOCABULARY[i % 4], VOCABULARY[i % 3]], bytes([i]) * 720) for i in range(30)]
     return _populated(items, holes=[4])
 
 

@@ -3,26 +3,26 @@
 import pytest
 
 from repro.errors import PageError
-from repro.storm.disk import InMemoryDisk
+from repro.storm.disk import PAGE_SIZE, InMemoryDisk
 
 
 class TestInMemoryDisk:
     def test_allocate_and_round_trip(self):
-        disk = InMemoryDisk(page_size=128)
+        disk = InMemoryDisk()
         page_id = disk.allocate_page()
         assert page_id == 0
         assert disk.num_pages == 1
-        data = bytearray(b"\x07" * 128)
+        data = bytearray(b"\x07" * PAGE_SIZE)
         disk.write_page(page_id, data)
         assert disk.read_page(page_id) == data
 
     def test_new_pages_are_zeroed(self):
-        disk = InMemoryDisk(page_size=64)
+        disk = InMemoryDisk()
         page_id = disk.allocate_page()
-        assert disk.read_page(page_id) == bytearray(64)
+        assert disk.read_page(page_id) == bytearray(PAGE_SIZE)
 
     def test_read_returns_copy(self):
-        disk = InMemoryDisk(page_size=64)
+        disk = InMemoryDisk()
         page_id = disk.allocate_page()
         copy = disk.read_page(page_id)
         copy[0] = 0xFF
@@ -36,12 +36,8 @@ class TestInMemoryDisk:
             disk.write_page(5, b"\x00" * disk.page_size)
 
     def test_wrong_size_write(self):
-        disk = InMemoryDisk(page_size=64)
+        disk = InMemoryDisk()
         disk.allocate_page()
         with pytest.raises(PageError):
             disk.write_page(0, b"short")
-
-    def test_tiny_page_size_rejected(self):
-        with pytest.raises(ValueError):
-            InMemoryDisk(page_size=32)
 

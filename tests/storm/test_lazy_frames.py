@@ -19,10 +19,9 @@ from repro.storm.buffer import AccessStats, BufferManager
 from repro.storm.disk import InMemoryDisk
 from repro.storm.replacement import ReplacementStrategy, make_strategy
 from repro.storm.store import StorM
-from repro.storm.template import StoreTemplate
+from repro.storm.template import SnapshotDisk, StoreTemplate
 
 STRATEGIES = ["lru", "mru", "fifo", "clock", "random", "lru-k"]
-PAGE_SIZE = 64
 
 
 class EagerBuffer:
@@ -199,8 +198,8 @@ TRACES = st.lists(
 def test_lazy_pool_matches_the_eager_reference(name, pool_size, trace):
     lazy_log = Recording(make_strategy(name))
     eager_log = Recording(make_strategy(name))
-    lazy = BufferManager(InMemoryDisk(PAGE_SIZE), pool_size, lazy_log)
-    eager = EagerBuffer(InMemoryDisk(PAGE_SIZE), pool_size, eager_log)
+    lazy = BufferManager(InMemoryDisk(), pool_size, lazy_log)
+    eager = EagerBuffer(InMemoryDisk(), pool_size, eager_log)
     for op, arg, value in trace:
         assert _apply(lazy, op, arg, value) == _apply(eager, op, arg, value)
         assert lazy_log.log == eager_log.log
@@ -222,12 +221,12 @@ def test_lazy_pool_matches_the_eager_reference(name, pool_size, trace):
 
 class TestFramesAllocated:
     def test_an_unpinned_pool_holds_no_frames(self):
-        buffer = BufferManager(InMemoryDisk(PAGE_SIZE), pool_size=512)
+        buffer = BufferManager(InMemoryDisk(), pool_size=512)
         assert buffer.frames_allocated == 0
 
     def test_ids_count_down_and_a_victim_is_reused(self):
         strategy = Recording(make_strategy("lru"))
-        buffer = BufferManager(InMemoryDisk(PAGE_SIZE), pool_size=3, strategy=strategy)
+        buffer = BufferManager(InMemoryDisk(), pool_size=3, strategy=strategy)
         for _ in range(5):
             page_id, _ = buffer.new_page()
             buffer.unpin(page_id)
@@ -236,7 +235,7 @@ class TestFramesAllocated:
         assert buffer.frames_allocated == 3
 
     def test_full_pool_of_pins_still_raises(self):
-        buffer = BufferManager(InMemoryDisk(PAGE_SIZE), pool_size=2)
+        buffer = BufferManager(InMemoryDisk(), pool_size=2)
         buffer.new_page()
         buffer.new_page()
         with pytest.raises(BufferFullError):
@@ -244,7 +243,7 @@ class TestFramesAllocated:
         assert buffer.frames_allocated == 2
 
     def test_frames_allocated_is_read_only(self):
-        buffer = BufferManager(InMemoryDisk(PAGE_SIZE), pool_size=2)
+        buffer = BufferManager(InMemoryDisk(), pool_size=2)
         with pytest.raises(AttributeError):
             buffer.frames_allocated = 1
 
@@ -263,7 +262,9 @@ class TestFramesAllocated:
         template = StoreTemplate.from_store(store)
         pages = len(template.pages)
         assert pages > 3
-        clone = template.instantiate(pool_size=pool_size)
+        clone = StorM(
+            disk=SnapshotDisk(template.pages), pool_size=pool_size, template=template
+        )
         built_to_open = 0 if pages <= pool_size else pool_size
         assert clone.buffer.frames_allocated == built_to_open
         assert clone.search_scan("k7").match_count == 1

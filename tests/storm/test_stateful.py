@@ -22,7 +22,7 @@ class BufferMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.disk = InMemoryDisk(page_size=128)
+        self.disk = InMemoryDisk()
         self.buffer = BufferManager(self.disk, pool_size=3)
         self.model: dict[int, int] = {}  # page_id -> first byte
         self.pinned: dict[int, int] = {}  # page_id -> pin count

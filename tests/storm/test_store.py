@@ -89,7 +89,7 @@ class TestStorM:
             store.scan().__next__()
 
     def test_reopen_over_the_same_disk(self):
-        disk = InMemoryDisk(page_size=512)
+        disk = InMemoryDisk()
         with StorM(disk=disk) as store:
             store.put(["blues"], b"muddy waters")
             store.put(["blues", "chicago"], b"howlin wolf")
@@ -121,9 +121,9 @@ class TestStorM:
         assert store.grep(b"absent").match_count == 0
 
     def test_grep_counts_io(self):
-        store = StorM(pool_size=2, disk=InMemoryDisk(page_size=256))
+        store = StorM(pool_size=2, disk=InMemoryDisk())
         for i in range(30):
-            store.put(["doc"], bytes([i]) * 150)
+            store.put(["doc"], bytes([i]) * 2400)
         result = store.grep(bytes([5]))
         assert result.io.logical_reads > 0
         assert result.match_count == 1
@@ -144,7 +144,7 @@ class TestStorM:
     st.lists(
         st.tuples(
             st.sampled_from(["a", "b", "c"]),
-            st.binary(min_size=1, max_size=100),
+            st.binary(min_size=1, max_size=1600),
         ),
         min_size=1,
         max_size=30,
@@ -153,7 +153,7 @@ class TestStorM:
 )
 def test_store_search_matches_model(entries, pool_size):
     """Both search paths agree with a plain-Python model."""
-    store = StorM(pool_size=pool_size, disk=InMemoryDisk(page_size=256))
+    store = StorM(pool_size=pool_size, disk=InMemoryDisk())
     for keyword, payload in entries:
         store.put([keyword], payload)
     for keyword in ["a", "b", "c"]:

@@ -21,11 +21,11 @@ from repro.storm.disk import InMemoryDisk
 from repro.storm.store import StorM
 from repro.storm.template import SnapshotDisk, StoreTemplate
 
-PAGE_SIZE = 512
 VOCABULARY = ["alpha", "beta", "gamma", "delta"]
 
 keyword_lists = st.lists(st.sampled_from(VOCABULARY), min_size=1, max_size=3)
-payloads = st.binary(min_size=0, max_size=150)
+#: up to ~30 % of a 4 KiB page, so a list of items spans several pages
+payloads = st.binary(min_size=0, max_size=1200)
 item_lists = st.lists(st.tuples(keyword_lists, payloads), min_size=1, max_size=40)
 operations = st.one_of(
     st.tuples(st.just("search_scan"), st.sampled_from(VOCABULARY + [" Alpha "])),
@@ -38,9 +38,14 @@ operations = st.one_of(
 )
 
 
+def _clone(template: StoreTemplate, pool_size: int) -> StorM:
+    """``template.instantiate()`` with a pool of ``pool_size`` frames."""
+    return StorM(disk=SnapshotDisk(template.pages), pool_size=pool_size, template=template)
+
+
 def _populated(items, holes, **kwargs) -> tuple[StorM, list]:
     """A store holding ``items`` minus the ``holes``-th ones, flushed."""
-    store = StorM(disk=InMemoryDisk(PAGE_SIZE), **kwargs)
+    store = StorM(disk=InMemoryDisk(), **kwargs)
     rids = store.put_many(items)
     doomed = sorted({hole % len(rids) for hole in holes})
     for position in doomed:
@@ -80,7 +85,7 @@ def test_clone_is_indistinguishable_from_a_populated_store(
 ):
     prototype, _ = _populated(items, holes)
     template = StoreTemplate.from_store(prototype)
-    clone = template.instantiate(pool_size=pool_size)
+    clone = _clone(template, pool_size)
     fresh, live = _populated(items, holes, pool_size=pool_size)
     clone_live = list(live)
     assert clone.count == fresh.count
@@ -101,15 +106,15 @@ def test_clone_is_indistinguishable_from_a_populated_store(
 
 
 def _template(count: int = 12) -> StoreTemplate:
-    store = StorM(disk=InMemoryDisk(PAGE_SIZE))
-    store.put_many(([f"kw{i % 3}"], bytes([i]) * 100) for i in range(count))
+    store = StorM(disk=InMemoryDisk())
+    store.put_many(([f"kw{i % 3}"], bytes([i]) * 800) for i in range(count))
     return StoreTemplate.from_store(store)
 
 
 def test_open_matches_a_reopen_that_reads_every_slot_directory():
     template = _template()
-    clone = template.instantiate(pool_size=3)
-    reopened = StorM(disk=SnapshotDisk(template.pages, PAGE_SIZE), pool_size=3)
+    clone = _clone(template, 3)
+    reopened = StorM(disk=SnapshotDisk(template.pages), pool_size=3)
     assert list(clone.heap._free_space.items()) == list(
         reopened.heap._free_space.items()
     )
@@ -200,4 +205,4 @@ def test_everything_a_template_shares_is_read_only():
 def test_template_must_describe_the_disk_it_opens():
     template = _template()
     with pytest.raises(StormError):
-        StorM(disk=SnapshotDisk(template.pages[:-1], PAGE_SIZE), template=template)
+        StorM(disk=SnapshotDisk(template.pages[:-1]), template=template)

@@ -22,11 +22,10 @@ from hypothesis import strategies as st
 
 from repro.errors import StormError
 from repro.storm.buffer import BufferManager, _Frame
-from repro.storm.disk import InMemoryDisk
+from repro.storm.disk import PAGE_SIZE, InMemoryDisk
 from repro.storm.replacement import make_strategy
 
 STRATEGIES = ["lru", "mru", "fifo", "clock", "random", "lru-k"]
-PAGE_SIZE = 64
 
 # (kind, page): "read" pins and unpins, "hold" leaves a pin, "dirty"
 # writes the page and unpins it.
@@ -37,7 +36,7 @@ preludes = st.lists(
 
 
 def _buffer(strategy: str, pages: int, pool_size: int) -> BufferManager:
-    disk = InMemoryDisk(PAGE_SIZE)
+    disk = InMemoryDisk()
     for page_id in range(pages):
         disk.allocate_page()
         disk.write_page(page_id, bytes([page_id]) * PAGE_SIZE)

@@ -8,7 +8,7 @@ def test_record_and_select():
     tracer.record(1.0, "net", "send", src="a", dst="b")
     tracer.record(2.0, "net", "recv", src="a", dst="b")
     tracer.record(3.0, "agent", "execute", host="b")
-    assert tracer.count("net") == 2
+    assert len(list(tracer.select("net"))) == 2
     assert tracer.count("net", "send") == 1
     (event,) = tracer.select("agent")
     assert event.get("host") == "b"
@@ -19,22 +19,6 @@ def test_disabled_tracer_records_nothing():
     tracer = Tracer(enabled=False)
     tracer.record(0.0, "net", "send")
     assert tracer.events == []
-
-
-def test_category_filter():
-    tracer = Tracer(categories=frozenset({"net"}))
-    tracer.record(0.0, "net", "send")
-    tracer.record(0.0, "agent", "execute")
-    assert tracer.count("net") == 1
-    assert tracer.count("agent") == 0
-
-
-def test_sink_callback():
-    seen = []
-    tracer = Tracer(sink=seen.append)
-    tracer.record(0.0, "net", "send")
-    assert len(seen) == 1
-    assert isinstance(seen[0], TraceEvent)
 
 
 def test_clear():
