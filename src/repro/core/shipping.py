@@ -24,7 +24,7 @@ observed store sizes and the query count so far.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import BestPeerError
 from repro.net import codec as wire
@@ -95,77 +95,67 @@ class AlwaysDataPolicy(ShippingPolicy):
         return DATA
 
 
-@dataclass
+#: typical serialized agent size (bytes) - state-only envelopes
+AGENT_BYTES = 600
+#: effective bandwidth (bytes/second), matching the LinkModel default
+BANDWIDTH = 1_250_000.0
+#: per-execution install/overhead cost at the peer (seconds)
+INSTALL_TIME = 0.014
+#: how many future queries to amortize a data transfer over
+HORIZON = 10
+
+
 class AdaptiveShippingPolicy(ShippingPolicy):
     """Cost-based runtime choice.
 
     Per query against one peer:
 
-    * code cost  ≈ ``agent_bytes / bandwidth + install_time``
-    * data cost  ≈ ``store_bytes / bandwidth`` once, then ~0 from cache
+    * code cost  ≈ ``AGENT_BYTES / BANDWIDTH + INSTALL_TIME``
+    * data cost  ≈ ``store_bytes / BANDWIDTH`` once, then ~0 from cache
 
     Data-shipping is chosen when the projected spend over the expected
-    number of future queries (``horizon``) is lower - i.e. when
-    ``store_bytes / bandwidth < horizon * per-query code cost`` - and
+    number of future queries (``HORIZON``) is lower - i.e. when
+    ``store_bytes / BANDWIDTH < HORIZON * per-query code cost`` - and
     the store size is actually known.  A cached peer is always served
     from the cache.
     """
 
-    #: typical serialized agent size (bytes) - state-only envelopes
-    agent_bytes: int = 600
-    #: effective bandwidth (bytes/second), matching the LinkModel default
-    bandwidth: float = 1_250_000.0
-    #: per-execution install/overhead cost at the peer (seconds)
-    install_time: float = 0.014
-    #: how many future queries to amortize a data transfer over
-    horizon: int = 10
-    name: str = field(default="adaptive", init=False)
-
-    def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise BestPeerError(f"horizon must be >= 1, got {self.horizon}")
-        if self.bandwidth <= 0:
-            raise BestPeerError(f"bandwidth must be > 0, got {self.bandwidth}")
+    name = "adaptive"
 
     def code_cost(self) -> float:
         """Estimated cost of one code-shipped query (seconds)."""
-        return self.agent_bytes / self.bandwidth + self.install_time
+        return AGENT_BYTES / BANDWIDTH + INSTALL_TIME
 
     def data_cost(self, estimate: PeerEstimate) -> float:
         """Estimated one-off cost of pulling the peer's store (seconds)."""
-        return estimate.store_bytes / self.bandwidth
+        return estimate.store_bytes / BANDWIDTH
 
     def choose(self, estimate: PeerEstimate) -> str:
         if estimate.cached:
             return DATA
         if estimate.store_bytes <= 0:
             return CODE  # "in the face of ambiguity", ship the agent
-        if self.data_cost(estimate) < self.horizon * self.code_cost():
+        if self.data_cost(estimate) < HORIZON * self.code_cost():
             return DATA
         return CODE
 
 
+#: every policy holds no state, so every node shares one of each
 _POLICIES = {
-    "always-code": AlwaysCodePolicy,
-    "always-data": AlwaysDataPolicy,
-    "adaptive": AdaptiveShippingPolicy,
+    policy.name: policy
+    for policy in (AlwaysCodePolicy(), AlwaysDataPolicy(), AdaptiveShippingPolicy())
 }
-#: the fixed-choice policies hold no state, so every node shares one of each
-_SHARED = {"always-code": AlwaysCodePolicy(), "always-data": AlwaysDataPolicy()}
 
 
 def make_shipping_policy(name: str) -> ShippingPolicy:
-    """Construct a shipping policy by name (a stateless one is shared)."""
-    if name in _SHARED:
-        return _SHARED[name]
+    """The shared shipping policy of that name."""
     try:
-        factory = _POLICIES[name]
+        return _POLICIES[name]
     except KeyError:
         known = ", ".join(sorted(_POLICIES))
         raise BestPeerError(
             f"unknown shipping policy {name!r}; known: {known}"
         ) from None
-    return factory()
 
 
 # -- compact wire registration (type id block 0x02xx) --------------------------

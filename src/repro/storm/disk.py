@@ -30,13 +30,17 @@ class InMemoryDisk:
 
     def read_page(self, page_id: int) -> bytearray:
         self._check_page_id(page_id)
-        return bytearray(self._pages[page_id])
+        return self._copy(page_id)
 
     def read_run(self, count: int) -> list[bytearray]:
         """Pages ``0 … count-1``, as ``read_page`` would return them one by one."""
         if count:
             self._check_page_id(count - 1)
-        return list(map(bytearray, self._pages[:count]))
+        return list(map(self._copy, range(count)))
+
+    def _copy(self, page_id: int) -> bytearray:
+        """A fresh buffer holding page ``page_id``."""
+        return bytearray(self._pages[page_id])
 
     def write_page(self, page_id: int, data: bytes) -> None:
         self._check_page_id(page_id)

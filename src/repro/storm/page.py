@@ -49,6 +49,14 @@ class SlottedPage:
         _HEADER.pack_into(page.data, 0, 0, HEADER_SIZE)
         return page
 
+    @classmethod
+    def packed(cls, page_size: int, records: "Sequence[bytes]") -> "SlottedPage":
+        """A formatted page holding ``records`` in slots 0, 1, … (all must fit)."""
+        page = cls.format(bytearray(page_size))
+        if len(page.insert_many(records)) != len(records):
+            raise PageError(f"{len(records)} records overflow a {page_size}-byte page")
+        return page
+
     # -- header access --------------------------------------------------------
 
     @property
@@ -117,6 +125,25 @@ class SlottedPage:
         if self._has_dead_slot():
             return self.free_space >= record_size
         return self.free_space >= record_size + SLOT_SIZE
+
+    def is_packed(self) -> bool:
+        """True when :meth:`packed` of the live records rebuilds this page.
+
+        No dead slot, the records back to back from the header in slot
+        order, the free pointer at their end and zeros up to the slot
+        directory: every byte then follows from the records alone.
+        """
+        slot_count, free_ptr = _HEADER.unpack_from(self.data, 0)
+        end = HEADER_SIZE
+        position = self.page_size - SLOT_SIZE
+        for _ in range(slot_count):
+            offset, length = _SLOT.unpack_from(self.data, position)
+            if offset != end:
+                return False
+            end += length
+            position -= SLOT_SIZE
+        dir_start = self.page_size - SLOT_SIZE * slot_count
+        return free_ptr == end and self.data.count(0, end, dir_start) == dir_start - end
 
     def _has_dead_slot(self) -> bool:
         return any(

@@ -3,13 +3,13 @@
 Every figure sweep rebuilds the same node-local stores for every sweep
 point — the dominant setup cost.  A :class:`StoreTemplate` freezes a
 fully populated store together with everything opening or scanning it
-would compute — heap pages, keyword-index postings, record count,
-per-page free bytes, every page's records decoded, and per keyword the
-records that carry it — and :meth:`StoreTemplate.instantiate` hands
-back a clone that computes none of it again.  The clone is backed by a
-copy-on-write :class:`SnapshotDisk` (the immutable page images are
-shared between every clone, a page is only copied when some clone
-writes to it) and gets its own buffer manager and access statistics.
+would compute — keyword-index postings, record count, per-page free
+bytes, every page's records decoded, and per keyword the records that
+carry it — and :meth:`StoreTemplate.instantiate` hands back a clone that
+computes none of it again.  It keeps each record once, decoded: only a
+page with holes keeps its image, and a clone's copy-on-write
+:class:`SnapshotDisk` rebuilds any other page from its records when the
+clone first reads it.  The clone gets its own buffer manager and stats.
 Its index reads the template's postings in place until its first write
 copies them; its scans serve a page from the template's decoded tuple
 for as long as the page's ``HeapFile.page_version`` is still 0, and
@@ -22,20 +22,19 @@ simulated does not move: the clone's open and every scan still book
 one pin and unpin of every page in ascending order — in bulk, through
 :meth:`~repro.storm.buffer.BufferManager.touch` — so a clone is
 observationally identical to a store freshly populated with the same
-objects — same record ids, same postings, same free-space map, same
-buffer residency, recency and ``AccessStats`` — and figures built on
+objects — same page bytes, record ids, postings, free-space map, buffer
+residency, recency and ``AccessStats`` — and figures built on
 clones produce bit-identical series (``tests/storm/test_template.py``,
 ``tests/storm/test_clone_scan.py``).  When its pages fit its pool the
-buffer only counts that run, and builds the frames and copies the page
-images at the clone's first write or first access that is not a
+buffer only counts that run, and builds the frames and reads the pages
+at the clone's first write or first access that is not a
 whole-store run; the free-space tree is copied ready-built.  An open
-that is then only scanned is a handful of objects over the shared
-pages.
+that is then only scanned reads no page at all.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -71,18 +70,29 @@ def clear_templates() -> None:
 
 
 class SnapshotDisk(InMemoryDisk):
-    """An in-memory disk seeded from immutable page images.
+    """An in-memory disk over a template's pages, copy-on-write.
 
-    The seed pages are shared — every clone of a template points at the
-    same ``bytes`` objects.  :meth:`InMemoryDisk.read_page` already
-    copies on read and :meth:`InMemoryDisk.write_page` replaces the
-    page entry wholesale, so a write in one clone can never reach
-    another: copy-on-write without any bookkeeping.
+    A page no write has replaced reads as the template's kept image, or
+    as the page rebuilt from the template's decoded records: ``encode``
+    of a decoded record gives back its bytes, and a packed page is its
+    records inserted in slot order.  :meth:`InMemoryDisk.write_page`
+    replaces the page entry wholesale, so a write in one clone can never
+    reach another, and nothing is cached on the shared template.
     """
 
-    def __init__(self, pages: Iterable[bytes]):
+    def __init__(self, template: StoreTemplate):
         super().__init__()
-        self._pages = list(pages)  # type: ignore[assignment]
+        self._decoded_pages = template.decoded_pages
+        self._pages = [None] * len(template.decoded_pages)  # type: ignore[list-item]
+        for page_id, image in template.images.items():
+            self._pages[page_id] = image
+
+    def _copy(self, page_id: int) -> bytearray:
+        page = self._pages[page_id]
+        if page is not None:
+            return bytearray(page)
+        records = [obj.encode() for _rid, obj in self._decoded_pages[page_id]]
+        return SlottedPage.packed(self.page_size, records).data
 
 
 @dataclass(frozen=True)
@@ -95,7 +105,9 @@ class StoreTemplate:
     values that are frozen down to their ``bytes`` / ``str`` leaves.
     """
 
-    pages: tuple[bytes, ...]
+    #: page id -> image, for the pages that are not packed (holes left
+    #: by deletes or compaction); a clone rebuilds every other page
+    images: Mapping[int, bytes]
     index_snapshot: Mapping[str, frozenset[RecordId]]
     record_count: int
     #: per page: bytes free after compaction (the ``FreeSpaceMap`` entry)
@@ -114,35 +126,32 @@ class StoreTemplate:
         """Snapshot ``store`` (flushes it first; the store stays usable)."""
         store.flush()
         disk = store.disk
-        # All images first, then everything derived from them: decoding
-        # page by page between the copies leaves a record-sized hole per
-        # page in the allocator (+8 MB resident at 32 paper-scale stores).
-        pages = tuple(
-            bytes(disk.read_page(page_id)) for page_id in range(disk.num_pages)
-        )
-        decoded_pages = tuple(
-            decode_page(page_id, image) for page_id, image in enumerate(pages)
-        )
+        decoded_pages, free_bytes, images = [], [], {}
+        for page_id in range(disk.num_pages):
+            page = SlottedPage(disk.read_page(page_id))
+            decoded_pages.append(decode_page(page_id, page.data))
+            free_bytes.append(page.summary()[0])
+            if not page.is_packed():
+                images[page_id] = bytes(page.data)
         keyword_entries: dict[str, list] = {}
         for entries in decoded_pages:
             for entry in entries:
                 for keyword in dict.fromkeys(entry[1].keywords):
                     keyword_entries.setdefault(keyword, []).append(entry)
-        free_bytes = tuple(SlottedPage(image).summary()[0] for image in pages)
         return cls(
-            pages=pages,
+            images=MappingProxyType(images),
             index_snapshot=MappingProxyType(store.index.snapshot()),
             record_count=store.count,
-            free_bytes=free_bytes,
+            free_bytes=tuple(free_bytes),
             free_tree=FreeSpaceMap(free_bytes).tree,
-            decoded_pages=decoded_pages,
+            decoded_pages=tuple(decoded_pages),
             keyword_entries=MappingProxyType(
                 {keyword: tuple(run) for keyword, run in keyword_entries.items()}
             ),
         )
 
     def instantiate(self) -> StorM:
-        """A fresh store over shared pages, with its own buffer pool.
+        """A fresh store over the template's pages, with its own buffer pool.
 
         The clone's ``HeapFile`` open books a pin of every page in
         ascending order — the same residency and recency a
@@ -152,6 +161,6 @@ class StoreTemplate:
         deriving them from the pages again.
         """
         return StorM(
-            disk=SnapshotDisk(self.pages),
+            disk=SnapshotDisk(self),
             template=self,
         )

@@ -65,10 +65,6 @@ class Tracer:
                 continue
             yield event
 
-    def count(self, category: str, label: str) -> int:
-        """Number of matching events."""
-        return sum(1 for _ in self.select(category, label))
-
     def bump(self, category: str, name: str) -> None:
         """Increment a running counter by one (no-op if disabled)."""
         if not self.enabled:

@@ -171,7 +171,7 @@ class TestCodeShippingOverWire:
         assert b.engine.registry.installs == 1
         assert b.engine.agents_executed == 1
         assert len(a.answers) == 1
-        assert rig.tracer.count("agent", "class-miss") == 1
+        assert len(list(rig.tracer.select("agent", "class-miss"))) == 1
 
     def test_class_request_for_unknown_class_is_ignored(self):
         """A class request nobody can serve must not crash the host."""
@@ -182,7 +182,7 @@ class TestCodeShippingOverWire:
 
         a.host.send(b.host.address, PROTO_CLASS_REQUEST, ClassRequest("NeverHeardOfIt"))
         rig.sim.run()  # no exception
-        assert rig.tracer.count("agent", "class-unavailable") == 1
+        assert len(list(rig.tracer.select("agent", "class-unavailable"))) == 1
 
     def test_forwarded_class_installs_down_the_line(self):
         rig = AgentRig()

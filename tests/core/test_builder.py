@@ -54,7 +54,7 @@ class TestBuildValidation:
     def test_tracer_threaded_through(self):
         tracer = Tracer()
         net = build_network(2, config=config(), topology=line(2), tracer=tracer)
-        assert tracer.count("liglo", "register") == 2
+        assert len(list(tracer.select("liglo", "register"))) == 2
 
 
 class TestSetUpCost:

@@ -5,8 +5,10 @@ import pytest
 from repro.agents.costs import AgentCosts
 from repro.core import BestPeerConfig, build_network
 from repro.core.shipping import (
+    BANDWIDTH,
     CODE,
     DATA,
+    HORIZON,
     AdaptiveShippingPolicy,
     AlwaysCodePolicy,
     AlwaysDataPolicy,
@@ -43,27 +45,22 @@ class TestPolicies:
         assert policy.choose(PeerEstimate(store_bytes=10**9, cached=True)) == DATA
 
     def test_adaptive_small_store_ships_data(self):
-        policy = AdaptiveShippingPolicy(horizon=10)
+        policy = AdaptiveShippingPolicy()
         small = PeerEstimate(store_bytes=1000)
         assert policy.choose(small) == DATA
 
     def test_adaptive_huge_store_ships_code(self):
-        policy = AdaptiveShippingPolicy(horizon=10)
+        policy = AdaptiveShippingPolicy()
         huge = PeerEstimate(store_bytes=10**9)
         assert policy.choose(huge) == CODE
 
-    def test_adaptive_threshold_scales_with_horizon(self):
-        estimate = PeerEstimate(store_bytes=500_000)
-        short = AdaptiveShippingPolicy(horizon=1)
-        long = AdaptiveShippingPolicy(horizon=100)
-        assert short.choose(estimate) == CODE
-        assert long.choose(estimate) == DATA
-
-    def test_validation(self):
-        with pytest.raises(BestPeerError):
-            AdaptiveShippingPolicy(horizon=0)
-        with pytest.raises(BestPeerError):
-            AdaptiveShippingPolicy(bandwidth=0)
+    def test_adaptive_flips_at_the_horizon_break_even(self):
+        policy = AdaptiveShippingPolicy()
+        # data wins while pulling the store once costs less than HORIZON
+        # code-shipped queries
+        break_even = HORIZON * policy.code_cost() * BANDWIDTH
+        assert policy.choose(PeerEstimate(store_bytes=int(break_even) - 1)) == DATA
+        assert policy.choose(PeerEstimate(store_bytes=int(break_even) + 1)) == CODE
 
     def test_factory(self):
         for name in ["always-code", "always-data", "adaptive"]:

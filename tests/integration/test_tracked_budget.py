@@ -110,7 +110,7 @@ def test_a_clone_open_builds_at_most_16_tracked_objects():
     built = len(gc.get_objects()) - before
     assert clone.count == 1000
     assert clone.buffer.frames_allocated == 0
-    assert built <= CLONE_BUDGET, f"{built} tracked objects for {len(template.pages)} pages"
+    assert built <= CLONE_BUDGET, f"{built} tracked objects for {len(template.decoded_pages)} pages"
 
 
 def test_a_clone_open_and_scan_allocate_under_64_kib():

@@ -141,7 +141,7 @@ class TestAnnounceVerified:
         client.announce_verified(on_ok=lambda: confirmations.append(True))
         rig.sim.run()
         assert confirmations == [True]
-        assert rig.tracer.count("liglo", "announce-verified") == 1
+        assert len(list(rig.tracer.select("liglo", "announce-verified"))) == 1
 
     def test_verifies_after_outage_ends(self):
         rig = Rig()

@@ -224,5 +224,5 @@ class TestNetworkAdmin:
         b.bind("test", lambda packet: None)
         a.send(b.address, "test", CsDone(0))
         sim.run()
-        assert net.tracer.count("net", "send") == 1
-        assert net.tracer.count("net", "deliver") == 1
+        assert len(list(net.tracer.select("net", "send"))) == 1
+        assert len(list(net.tracer.select("net", "deliver"))) == 1

@@ -32,7 +32,7 @@ item_lists = st.lists(st.tuples(keyword_lists, payloads), min_size=1, max_size=4
 
 def _clone(template: StoreTemplate, pool_size: int) -> StorM:
     """``template.instantiate()`` with a pool of ``pool_size`` frames."""
-    return StorM(disk=SnapshotDisk(template.pages), pool_size=pool_size, template=template)
+    return StorM(disk=SnapshotDisk(template), pool_size=pool_size, template=template)
 
 
 def _populated(items, holes) -> StorM:
@@ -127,7 +127,7 @@ def test_a_clone_written_after_k_scans_is_a_twin_that_booked_eagerly(
     twin.buffer.resident_pages  # builds the open's frames at once
     for _ in range(scans):
         assert clone.search_scan(keyword) == twin.search_scan(keyword)
-    if len(template.pages) <= pool_size:
+    if len(template.decoded_pages) <= pool_size:
         assert clone.buffer.frames_allocated == 0
     for store in (clone, twin):
         store.put(["beta", keyword], b"late")

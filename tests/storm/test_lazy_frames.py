@@ -260,10 +260,10 @@ class TestFramesAllocated:
         store = StorM()
         store.put_many(([f"k{i}"], bytes(900)) for i in range(40))
         template = StoreTemplate.from_store(store)
-        pages = len(template.pages)
+        pages = len(template.decoded_pages)
         assert pages > 3
         clone = StorM(
-            disk=SnapshotDisk(template.pages), pool_size=pool_size, template=template
+            disk=SnapshotDisk(template), pool_size=pool_size, template=template
         )
         built_to_open = 0 if pages <= pool_size else pool_size
         assert clone.buffer.frames_allocated == built_to_open

@@ -4,8 +4,9 @@ A clone takes its free-space map, record count, postings and decoded
 records from the template.  The property test drives a clone and a store
 populated from scratch through one random trace and requires the same
 answers, the same buffer traffic and the same placement of later puts;
-the rest pins copy-on-write of the shared decoded pages and that
-everything a template shares is read-only.
+the rest pins copy-on-write of the shared decoded pages, that everything
+a template shares is read-only, and that a template keeps no page image
+it can rebuild from its decoded records.
 """
 
 from __future__ import annotations
@@ -18,8 +19,12 @@ from hypothesis import strategies as st
 
 from repro.errors import StormError
 from repro.storm.disk import InMemoryDisk
+from repro.storm.objects import StoredObject, normalize_keyword
+from repro.storm.page import SlottedPage
 from repro.storm.store import StorM
 from repro.storm.template import SnapshotDisk, StoreTemplate
+from repro.workloads.corpus import KeywordCorpus
+from repro.workloads.provision import provision_store
 
 VOCABULARY = ["alpha", "beta", "gamma", "delta"]
 
@@ -40,7 +45,7 @@ operations = st.one_of(
 
 def _clone(template: StoreTemplate, pool_size: int) -> StorM:
     """``template.instantiate()`` with a pool of ``pool_size`` frames."""
-    return StorM(disk=SnapshotDisk(template.pages), pool_size=pool_size, template=template)
+    return StorM(disk=SnapshotDisk(template), pool_size=pool_size, template=template)
 
 
 def _populated(items, holes, **kwargs) -> tuple[StorM, list]:
@@ -114,15 +119,15 @@ def _template(count: int = 12) -> StoreTemplate:
 def test_open_matches_a_reopen_that_reads_every_slot_directory():
     template = _template()
     clone = _clone(template, 3)
-    reopened = StorM(disk=SnapshotDisk(template.pages), pool_size=3)
+    reopened = StorM(disk=SnapshotDisk(template), pool_size=3)
     assert list(clone.heap._free_space.items()) == list(
         reopened.heap._free_space.items()
     )
     assert clone.count == reopened.count == template.record_count
     assert clone.buffer.resident_pages == reopened.buffer.resident_pages
     # The clone pinned each page once; the reopen also rescanned for its index.
-    assert clone.stats.logical_reads == len(template.pages)
-    assert reopened.stats.logical_reads == 2 * len(template.pages)
+    assert clone.stats.logical_reads == len(template.decoded_pages)
+    assert reopened.stats.logical_reads == 2 * len(template.decoded_pages)
 
 
 def test_clone_scans_decode_nothing_until_a_page_is_written():
@@ -130,7 +135,7 @@ def test_clone_scans_decode_nothing_until_a_page_is_written():
     clone = template.instantiate()
     entries = list(clone.scan())
     assert clone.scan_cache_misses == 0
-    assert clone.scan_cache_hits == len(template.pages)
+    assert clone.scan_cache_hits == len(template.decoded_pages)
     assert not clone._scan_cache
     # The very objects the template decoded, not per-clone copies.
     shared = [entry for page in template.decoded_pages for entry in page]
@@ -148,7 +153,7 @@ def test_writes_in_one_clone_reach_no_other():
     assert list(writer.scan()) == original
     # A put into a shared page that still has room ...
     rid = writer.put(["fresh"], b"z" * 10)
-    assert rid.page_id < len(template.pages)
+    assert rid.page_id < len(template.decoded_pages)
     assert (rid, writer.get(rid)) in list(writer.scan())
     # ... a delete ...
     victim = original[0][0]
@@ -180,14 +185,18 @@ def test_everything_a_template_shares_is_read_only():
     assert all(type(rids) is frozenset for rids in template.index_snapshot.values())
     with pytest.raises(TypeError):
         template.keyword_entries["kw0"] = ()
+    with pytest.raises(TypeError):
+        template.images[0] = b""
     for shared in (
-        template.pages,
         template.free_bytes,
         template.decoded_pages,
         *template.keyword_entries.values(),
     ):
         assert type(shared) is tuple
-    assert all(type(image) is bytes for image in template.pages)
+    holed = StorM(disk=InMemoryDisk())
+    holed.delete(holed.put_many(([f"kw{i}"], bytes(800)) for i in range(12))[0])
+    images = StoreTemplate.from_store(holed).images
+    assert images and all(type(image) is bytes for image in images.values())
     for page in template.decoded_pages:
         assert type(page) is tuple
         for rid, obj in page:
@@ -205,4 +214,65 @@ def test_everything_a_template_shares_is_read_only():
 def test_template_must_describe_the_disk_it_opens():
     template = _template()
     with pytest.raises(StormError):
-        StorM(disk=SnapshotDisk(template.pages[:-1]), template=template)
+        StorM(disk=SnapshotDisk(_template(24)), template=template)
+
+
+#: any text a caller may tag with, non-ASCII included
+text_keywords = st.text(min_size=1, max_size=6).filter(normalize_keyword)
+loads = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("put"),
+            st.tuples(st.lists(text_keywords, min_size=1, max_size=3), payloads),
+        ),
+        st.tuples(st.just("put_many"), item_lists),
+        st.tuples(st.just("delete"), st.integers(min_value=0)),
+        st.tuples(st.just("vacuum"), st.none()),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(load=loads)
+def test_a_clone_reads_every_page_as_the_prototype_wrote_it(load):
+    prototype, live = StorM(), []
+    for operation, argument in load:
+        if operation == "put":
+            live.append(prototype.put(*argument))
+        elif operation == "put_many":
+            live.extend(prototype.put_many(argument))
+        elif operation == "delete" and live:
+            prototype.delete(live.pop(argument % len(live)))
+        elif operation == "vacuum":
+            prototype.vacuum()
+    template = StoreTemplate.from_store(prototype)
+    disk = prototype.disk
+    originals = [disk.read_page(page_id) for page_id in range(disk.num_pages)]
+    clone_disk = template.instantiate().disk
+    assert clone_disk.read_run(len(originals)) == originals
+    for page_id, original in enumerate(originals):
+        assert clone_disk.read_page(page_id) == original
+        page = SlottedPage(original)
+        records = [record for _slot, record in page.records()]
+        rebuilt = SlottedPage.packed(disk.page_size, records).data
+        assert page.is_packed() == (rebuilt == original)
+        assert (page_id in template.images) == (not page.is_packed())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    keywords=st.lists(text_keywords, min_size=1, max_size=4),
+    payload=st.binary(max_size=64),
+)
+def test_a_decoded_record_encodes_to_its_own_bytes(keywords, payload):
+    record = StoredObject(tuple(keywords), payload).encode()
+    assert StoredObject.decode(record).encode() == record
+
+
+def test_a_provisioned_store_keeps_no_page_image():
+    store = provision_store(0, count=1000, size=1024, corpus=KeywordCorpus(100), seed=0)
+    template = store._template
+    assert template.record_count == 1000 and len(template.decoded_pages) > 300
+    assert len(template.images) == 0
