@@ -8,12 +8,14 @@ is permanent and its LIGLO server tracks the current address.
 The example walks through: registration (BPID issuance), a disconnect/
 reconnect cycle with a changed IP, the Section-2 rejoin protocol (peers
 refreshed through each peer's own LIGLO), LIGLO validity checks marking
-silent nodes offline, and a query that still works after all the churn.
+silent nodes offline, a query that still works after all the churn, and
+one that runs through a fault plan's lossy-link window.
 
 Run:  python examples/churn_and_liglo.py
 """
 
 from repro import BestPeerConfig, build_network, ring
+from repro.faults import FaultPlan, SimFaultInjector
 
 
 def main() -> None:
@@ -81,6 +83,21 @@ def main() -> None:
           f"{[str(b) for b in base.peers.bpids()]}")
     assert ghost_bpid not in base.peers
 
+    # ------------------------------------------------------------------
+    # A lossy spell: a fault plan drops most packets on every link for
+    # a while; a query issued inside it comes back short, one after it
+    # comes back whole.
+    # ------------------------------------------------------------------
+    window = FaultPlan.link_window(0.0, 30.0, loss_probability=0.9)
+    SimFaultInjector(net, FaultPlan((window,))).arm()
+    for label in ("inside the window", "after the window"):
+        net.sim.run(until=net.sim.now + 1.0)
+        handle = base.issue_query("thesis")
+        net.sim.run(until=net.sim.now + 29.0)
+        print(f"\nQuery {label}: {handle.network_answer_count} answer(s), "
+              f"{net.network.drops_by_reason.get('loss', 0)} packet(s) lost so far")
+        base.finish_query(handle)
+    assert handle.network_answer_count == 1
 
 if __name__ == "__main__":
     main()

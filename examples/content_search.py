@@ -5,9 +5,11 @@ the content of the file".  With mobile agents, a custom search runs *at
 the data*: this example ships a content-grep agent that inspects object
 payloads (not just keyword tags) and returns only matching snippets.
 
-It then demonstrates *active objects* (Section 3.2.2): a report whose
-guard code releases the full text to auditors but strips salary figures
-for everyone else.
+Owners then revise one document and withdraw another, and the same
+search sees the change.  Last, it demonstrates *active objects*
+(Section 3.2.2): a report whose guard code releases the full text to
+auditors but strips salary figures for everyone else, until its owner
+withdraws it.
 
 Run:  python examples/content_search.py
 """
@@ -50,10 +52,9 @@ def main() -> None:
 
     # Documents tagged only as "notes" - keyword search can't tell them apart.
     net.nodes[3].share(["notes"], b"meeting notes: the quarterly deadline moved")
-    net.nodes[4].share(["notes"], b"draft: deadline for the ICDE submission is firm")
-    net.nodes[5].share(["notes"], b"lunch menu: laksa, chicken rice, kaya toast")
+    draft = net.nodes[4].share(["notes"], b"draft: deadline for the ICDE submission is firm")
+    menu = net.nodes[5].share(["notes"], b"lunch menu: laksa, chicken rice, kaya toast")
 
-    print("Content search for 'deadline' across the network:")
     # A custom agent is dispatched outside the query machinery, so
     # collect its answers with a plain listener on the answer protocol.
     from repro.agents.engine import PROTO_ANSWER
@@ -61,11 +62,27 @@ def main() -> None:
     collected = []
     net.base.host.unbind(PROTO_ANSWER)
     net.base.host.bind(PROTO_ANSWER, lambda pkt: collected.append(pkt.payload))
-    net.base.dispatch_agent(ContentGrepAgent("deadline"))
-    net.sim.run()
-    for answer in collected:
-        for item in answer.items:
-            print(f"  {answer.responder}: ...{item.payload.decode()!r}...")
+
+    def content_search(needle: str) -> None:
+        print(f"Content search for {needle!r} across the network:")
+        collected.clear()
+        net.base.dispatch_agent(ContentGrepAgent(needle))
+        net.sim.run()
+        for answer in collected:
+            for item in answer.items:
+                print(f"  {answer.responder}: ...{item.payload.decode()!r}...")
+
+    content_search("deadline")
+
+    # ------------------------------------------------------------------
+    # Owners revise and withdraw what they share.
+    # ------------------------------------------------------------------
+    net.nodes[4].reshare(draft, ["notes"], b"draft: the ICDE deadline slipped a week")
+    canteen = net.nodes[5]
+    canteen.unshare(menu)
+    print(f"\n{canteen.name} withdrew its menu; vacuuming its store "
+          f"reclaimed {canteen.storm.vacuum()} bytes")
+    content_search("deadline")
 
     # ------------------------------------------------------------------
     # Active objects: owner-defined code guards partial content.
@@ -95,6 +112,13 @@ def main() -> None:
             print(f"  {credential!r:16} -> {reply.content.decode()}")
         else:
             print(f"  {credential!r:16} -> DENIED ({reply.reason})")
+
+    owner.catalog.unregister("q3-report")
+    replies = []
+    net.base.request_active(owner.host.address, "q3-report", "auditor-token", replies.append)
+    net.sim.run()
+    print(f"\nAfter the owner withdraws it: {replies[0].reason}")
+    assert not replies[0].granted
 
 
 if __name__ == "__main__":

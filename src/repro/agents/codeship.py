@@ -53,34 +53,11 @@ _source_cache: "weakref.WeakKeyDictionary[type, str]" = weakref.WeakKeyDictionar
 #: (class_name, sha256 hex of source) -> the exec'd class object.
 _compile_cache: dict[tuple[str, str], type] = {}
 
-#: Process-wide cache effectiveness counters (see :func:`cache_stats`).
-source_cache_hits = 0
-source_cache_misses = 0
-compile_cache_hits = 0
-compile_cache_misses = 0
-
-
-def cache_stats() -> dict[str, int]:
-    """Process-wide agent-path cache counters (for reports and benches)."""
-    return {
-        "source_cache_hits": source_cache_hits,
-        "source_cache_misses": source_cache_misses,
-        "compile_cache_hits": compile_cache_hits,
-        "compile_cache_misses": compile_cache_misses,
-        "compile_cache_size": len(_compile_cache),
-    }
-
 
 def clear_caches() -> None:
-    """Drop both process-wide caches and reset their counters."""
-    global source_cache_hits, source_cache_misses
-    global compile_cache_hits, compile_cache_misses
+    """Drop both process-wide caches."""
     _source_cache.clear()
     _compile_cache.clear()
-    source_cache_hits = 0
-    source_cache_misses = 0
-    compile_cache_hits = 0
-    compile_cache_misses = 0
 
 
 def extract_source(agent_class: type) -> str:
@@ -90,7 +67,6 @@ def extract_source(agent_class: type) -> str:
     ``linecache`` entries pytest and exec'd registries leave behind)
     classes that themselves arrived by code shipping.
     """
-    global source_cache_hits, source_cache_misses
     if not (isinstance(agent_class, type) and issubclass(agent_class, Agent)):
         raise CodeShippingError(
             f"{agent_class!r} is not an Agent subclass",
@@ -102,9 +78,7 @@ def extract_source(agent_class: type) -> str:
         return shipped
     cached = _source_cache.get(agent_class)
     if cached is not None:
-        source_cache_hits += 1
         return cached
-    source_cache_misses += 1
     try:
         source = inspect.getsource(agent_class)
     except (OSError, TypeError) as exc:
@@ -188,23 +162,14 @@ class AgentCodeRegistry:
         the engine count every install — only the real compile/exec
         wall-clock is saved.
         """
-        global compile_cache_hits, compile_cache_misses
         if class_name in self._classes:
             return self._classes[class_name]
         key = (class_name, hashlib.sha256(source.encode()).hexdigest())
         installed = _compile_cache.get(key)
-        if installed is not None:
-            compile_cache_hits += 1
-        else:
-            compile_cache_misses += 1
+        if installed is None:
             installed = _compile_install(class_name, source)
             _compile_cache[key] = installed
         self._classes[class_name] = installed
         self._sources[class_name] = source
         self.installs += 1
         return installed
-
-    @property
-    def class_names(self) -> set[str]:
-        """Names of all installed classes."""
-        return set(self._classes)

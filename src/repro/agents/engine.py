@@ -494,6 +494,3 @@ class AgentEngine:
 
     # -- local bookkeeping ---------------------------------------------------------------
 
-    def has_seen(self, agent_id: AgentId) -> bool:
-        """True when a flood agent with this id already visited this host."""
-        return agent_id in self._seen

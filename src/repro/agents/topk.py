@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.agents.agent import Agent
 from repro.errors import AgentError
@@ -120,7 +120,7 @@ class TopKAccumulator:
             return evicted is not entry
         return True
 
-    def merge(self, entries: "TopKAccumulator | Sequence[TopKEntry]") -> None:
+    def merge(self, entries: "TopKAccumulator | Iterable[TopKEntry]") -> None:
         """Fold another accumulator (or plain entries) into this one."""
         for entry in entries:
             self.add(entry)
@@ -173,10 +173,10 @@ class TopKAccumulator:
     ) -> "TopKAccumulator":
         """Inverse of :meth:`as_state`."""
         accumulator = cls(k)
-        for score, liglo_id, node_id, page_id, slot in state:
-            accumulator.add(
-                TopKEntry(score, BPID(liglo_id, node_id), RecordId(page_id, slot))
-            )
+        accumulator.merge(
+            TopKEntry(score, BPID(liglo_id, node_id), RecordId(page_id, slot))
+            for score, liglo_id, node_id, page_id, slot in state
+        )
         return accumulator
 
 

@@ -28,10 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.agents.costs import AgentCosts
+from repro.core.query import ArrivalLog
 from repro.errors import BestPeerError, TopologyError
 from repro.net.address import AddressPool, IPAddress
 from repro.net.message import Packet
-from repro.net.network import Network
+from repro.net.network import Deployment, Network
 from repro.sim import Simulator
 from repro.storm.store import SearchResult, StorM
 from repro.topology.builders import Topology
@@ -71,32 +72,13 @@ class CsDone:
 
 
 @dataclass
-class CsQueryHandle:
+class CsQueryHandle(ArrivalLog):
     """Query bookkeeping at the base node."""
 
     query_id: int
-    keyword: str
-    issued_at: float
-    #: (arrival time, responder name, answer count) in arrival order
-    arrivals: list[tuple[float, str, int]] = field(default_factory=list)
-    local_result: SearchResult | None = None
-    done: bool = False
-    done_at: float | None = None
-
-    @property
-    def network_answer_count(self) -> int:
-        return sum(count for _, _, count in self.arrivals)
-
-    @property
-    def responders(self) -> set[str]:
-        return {responder for _, responder, _ in self.arrivals}
-
-    @property
-    def completion_time(self) -> float | None:
-        """Time from issue to the last received result message."""
-        if not self.arrivals:
-            return None
-        return self.arrivals[-1][0] - self.issued_at
+    local_result: SearchResult | None = field(init=False, default=None)
+    done: bool = field(init=False, default=False)
+    done_at: float | None = field(init=False, default=None)
 
 
 class _PerQueryState:
@@ -263,25 +245,8 @@ class CsNode:
             self.host.send(state.parent, PROTO_CS_DONE, CsDone(query_id))
 
 
-class CsDeployment:
+class CsDeployment(Deployment):
     """A built CS network mirroring one overlay topology."""
-
-    def __init__(self, sim: Simulator, network: Network, nodes: list[CsNode]):
-        self.sim = sim
-        self.network = network
-        self.nodes = nodes
-
-    @property
-    def base(self) -> CsNode:
-        return self.nodes[0]
-
-    def node(self, index: int) -> CsNode:
-        return self.nodes[index]
-
-    def populate(self, fill) -> None:
-        """Run ``fill(node, index)`` for every node."""
-        for index, node in enumerate(self.nodes):
-            fill(node, index)
 
 
 def build_cs_network(

@@ -21,13 +21,14 @@ a fixed cluster with their peer sets configured up front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.agents.costs import AgentCosts
+from repro.core.query import ArrivalLog
 from repro.errors import TopologyError
 from repro.net.address import AddressPool, IPAddress
 from repro.net.message import Packet
-from repro.net.network import Network
+from repro.net.network import Deployment, Network
 from repro.sim import Simulator
 from repro.storm.store import StorM
 from repro.topology.builders import Topology
@@ -66,28 +67,10 @@ class QueryHitDescriptor:
 
 
 @dataclass
-class GnutellaQueryHandle:
-    """Query bookkeeping at the originating servent."""
+class GnutellaQueryHandle(ArrivalLog):
+    """Query bookkeeping at the originating servent (arrivals are hits)."""
 
     guid: tuple[str, int]
-    keyword: str
-    issued_at: float
-    #: (arrival time, responder, hit count) in arrival order
-    arrivals: list[tuple[float, str, int]] = field(default_factory=list)
-
-    @property
-    def network_answer_count(self) -> int:
-        return sum(count for _, _, count in self.arrivals)
-
-    @property
-    def responders(self) -> set[str]:
-        return {responder for _, responder, _ in self.arrivals}
-
-    @property
-    def completion_time(self) -> float | None:
-        if not self.arrivals:
-            return None
-        return self.arrivals[-1][0] - self.issued_at
 
 
 class GnutellaServent:
@@ -208,29 +191,13 @@ def scored_reference(stores, keyword: str, k: int | None = None):
     return ranked if k is None else ranked[:k]
 
 
-class GnutellaDeployment:
+class GnutellaDeployment(Deployment):
     """A built Gnutella overlay."""
-
-    def __init__(self, sim: Simulator, network: Network, servents: list[GnutellaServent]):
-        self.sim = sim
-        self.network = network
-        self.servents = servents
-
-    @property
-    def base(self) -> GnutellaServent:
-        return self.servents[0]
-
-    def servent(self, index: int) -> GnutellaServent:
-        return self.servents[index]
-
-    def populate(self, fill) -> None:
-        for index, servent in enumerate(self.servents):
-            fill(servent, index)
 
     def scored_reference(self, keyword: str, k: int | None = None):
         """Global top-k over every servent's store (exhaustive oracle)."""
         return scored_reference(
-            [(servent.name, servent.storm) for servent in self.servents],
+            [(servent.name, servent.storm) for servent in self.nodes],
             keyword,
             k,
         )

@@ -16,13 +16,13 @@ from repro.core.node import BestPeerNode
 from repro.errors import BestPeerError
 from repro.liglo.server import LigloServer
 from repro.net.address import AddressPool
-from repro.net.network import Network
+from repro.net.network import Deployment, Network
 from repro.sim import Simulator
 from repro.storm.store import StorM
 from repro.topology.builders import Topology
 from repro.util.tracing import NULL_TRACER, Tracer
 
-class BestPeerNetwork:
+class BestPeerNetwork(Deployment):
     """A built BestPeer deployment: simulator, fabric, LIGLOs, nodes."""
 
     def __init__(
@@ -33,19 +33,9 @@ class BestPeerNetwork:
         nodes: list[BestPeerNode],
         tracer: Tracer,
     ):
-        self.sim = sim
-        self.network = network
+        super().__init__(sim, network, nodes)
         self.liglo_servers = liglo_servers
-        self.nodes = nodes
         self.tracer = tracer
-
-    @property
-    def base(self) -> BestPeerNode:
-        """The designated query initiator (node 0 by convention)."""
-        return self.nodes[0]
-
-    def node(self, index: int) -> BestPeerNode:
-        return self.nodes[index]
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -67,11 +57,6 @@ class BestPeerNetwork:
         for a, b in sorted(topology.edges):
             self.nodes[a].connect_to(self.nodes[b])
             self.nodes[b].connect_to(self.nodes[a])
-
-    def populate(self, fill: Callable[[BestPeerNode, int], None]) -> None:
-        """Run ``fill(node, index)`` for every node (workload loading)."""
-        for index, node in enumerate(self.nodes):
-            fill(node, index)
 
 
 def build_network(

@@ -102,15 +102,12 @@ class DiscoveryAgent(Agent):
 class KnowledgeBase:
     """What one node has learned about the network's content."""
 
-    reports: dict[BPID, ContentReport] = field(default_factory=dict)
-    received_at: dict[BPID, float] = field(default_factory=dict)
+    reports: dict[BPID, ContentReport] = field(init=False, default_factory=dict)
+    received_at: dict[BPID, float] = field(init=False, default_factory=dict)
 
     def record(self, report: ContentReport, now: float) -> None:
         self.reports[report.responder] = report
         self.received_at[report.responder] = now
-
-    def report_for(self, bpid: BPID) -> ContentReport | None:
-        return self.reports.get(bpid)
 
     def expected_answers(self, bpid: BPID, profile: Sequence[str]) -> int:
         """How many answers ``bpid`` should yield for the profile keywords."""

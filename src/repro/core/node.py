@@ -689,9 +689,7 @@ class BestPeerNode:
         normally.
         """
         merged: dict[BPID, PeerObservation] = {}
-        for peer in self.peers.entries():
-            if peer.suspect:
-                continue
+        for peer in self.peers.live_entries():
             merged[peer.bpid] = PeerObservation(
                 bpid=peer.bpid, address=peer.address, is_current=True
             )
@@ -799,10 +797,6 @@ class BestPeerNode:
         (typically learned by a discovery agent)."""
         estimate = self._estimates.setdefault(bpid, PeerEstimate())
         estimate.store_bytes = store_bytes
-
-    def invalidate_data_cache(self) -> None:
-        """Drop every cached peer dataset."""
-        self._data_cache.clear()
 
     def has_cached_data(self, bpid: BPID) -> bool:
         """True when this node mirrors ``bpid``'s dataset locally."""

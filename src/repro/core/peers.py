@@ -40,7 +40,7 @@ class PeerTable:
     """Bounded mapping of direct peers."""
 
     max_peers: int
-    _entries: dict[BPID, PeerInfo] = field(default_factory=dict)
+    _entries: dict[BPID, PeerInfo] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.max_peers < 1:
@@ -80,10 +80,6 @@ class PeerTable:
             raise PeerTableError(f"{bpid} is not a direct peer")
         entry.address = address
 
-    def discard(self, bpid: BPID) -> None:
-        """Drop a peer if present (no error when already gone)."""
-        self._entries.pop(bpid, None)
-
     # -- liveness ----------------------------------------------------------------
 
     def note_timeout(self, bpid: BPID, threshold: int) -> bool:
@@ -120,10 +116,6 @@ class PeerTable:
         """Peers not suspected dead, in insertion order."""
         return [entry for entry in self._entries.values() if not entry.suspect]
 
-    def live_addresses(self) -> list[IPAddress]:
-        """Addresses of non-suspect peers (the degraded-mode fan-out)."""
-        return [entry.address for entry in self._entries.values() if not entry.suspect]
-
     # -- queries -----------------------------------------------------------------
 
     def __contains__(self, bpid: BPID) -> bool:
@@ -141,10 +133,6 @@ class PeerTable:
 
     def bpids(self) -> list[BPID]:
         return list(self._entries)
-
-    def addresses(self) -> list[IPAddress]:
-        """Current addresses of all direct peers (the broadcast fan-out)."""
-        return [entry.address for entry in self._entries.values()]
 
     @property
     def is_full(self) -> bool:

@@ -10,7 +10,8 @@ Completion is externally decided: a P2P node cannot know when the last
 answer has arrived ("the users have no idea of which peers will be
 providing the answers"), so either the application calls
 ``node.finish_query`` (experiments use an oracle), or the node finishes
-the query automatically after a quiet period.
+the query automatically after a quiet period.  The baselines' handles
+are :class:`ArrivalLog` subclasses with the same outcome surface.
 """
 
 from __future__ import annotations
@@ -27,6 +28,31 @@ from repro.storm.store import ScoredSearchResult, SearchResult
 
 
 @dataclass
+class ArrivalLog:
+    """A baseline's query at its initiator: each result message as
+    ``(arrival time, responder name, answer count)``, in arrival order."""
+
+    keyword: str
+    issued_at: float
+    arrivals: list[tuple[float, str, int]] = field(init=False, default_factory=list)
+
+    @property
+    def network_answer_count(self) -> int:
+        return sum(count for _, _, count in self.arrivals)
+
+    @property
+    def responders(self) -> set[str]:
+        return {responder for _, responder, _ in self.arrivals}
+
+    @property
+    def completion_time(self) -> float | None:
+        """Time from issue to the last received result message."""
+        if not self.arrivals:
+            return None
+        return self.arrivals[-1][0] - self.issued_at
+
+
+@dataclass
 class QueryHandle:
     """One outstanding (or finished) query at its initiator."""
 
@@ -34,33 +60,33 @@ class QueryHandle:
     keyword: str
     issued_at: float
     #: network answers in arrival order
-    answers: list[AnswerMessage] = field(default_factory=list)
+    answers: list[AnswerMessage] = field(init=False, default_factory=list)
     #: simulated arrival time of each answer (parallel to ``answers``)
-    arrival_times: list[float] = field(default_factory=list)
+    arrival_times: list[float] = field(init=False, default_factory=list)
     #: result of searching the initiator's own store (if configured)
-    local_result: SearchResult | None = None
+    local_result: SearchResult | None = field(init=False, default=None)
     #: in-network top-k bound this query ran with (None = exhaustive)
     top_k: int | None = None
     #: scored local-store result (top-k queries; replaces local_result)
-    local_scored: ScoredSearchResult | None = None
+    local_scored: ScoredSearchResult | None = field(init=False, default=None)
     #: digests from hops whose every match was dominated in-network
-    digests: list[TopKDigest] = field(default_factory=list)
+    digests: list[TopKDigest] = field(init=False, default_factory=list)
     #: arrival time of each digest (parallel to ``digests``)
-    digest_times: list[float] = field(default_factory=list)
+    digest_times: list[float] = field(init=False, default_factory=list)
     #: matches terminated in-network because the current k-th score
     #: dominated them (reported by answers and digests alike)
-    dominated_dropped: int = 0
-    finished: bool = False
-    finished_at: float | None = None
+    dominated_dropped: int = field(init=False, default=0)
+    finished: bool = field(init=False, default=False)
+    finished_at: float | None = field(init=False, default=None)
     #: True when some responses were knowingly lost (the answer set is
     #: partial but still returned — graceful degradation, never silence)
-    degraded: bool = False
+    degraded: bool = field(init=False, default=False)
     #: degradation cause -> occurrence count (fetch-timeout, data-timeout,
     #: suspect-peer-skipped, ...)
-    drop_causes: dict[str, int] = field(default_factory=dict)
+    drop_causes: dict[str, int] = field(init=False, default_factory=dict)
     #: answers were replayed from the initiator's result cache — no
     #: agents travelled, no network traffic was spent on this query
-    served_from_cache: bool = False
+    served_from_cache: bool = field(init=False, default=False)
 
     # -- accumulation (called by the node) -----------------------------------------
 
@@ -114,34 +140,6 @@ class QueryHandle:
     def network_answer_count(self) -> int:
         """Total answers from the network (excludes the local store)."""
         return sum(answer.answer_count for answer in self.answers)
-
-    @property
-    def total_answer_count(self) -> int:
-        """Network answers plus local-store matches."""
-        if self.local_scored is not None:
-            local = self.local_scored.match_count
-        else:
-            local = self.local_result.match_count if self.local_result else 0
-        return self.network_answer_count + local
-
-    @property
-    def distinct_payload_count(self) -> int:
-        """Distinct object payloads among the network answers.
-
-        With replication the same object arrives from several holders;
-        this deduplicates by payload bytes.  Only meaningful in result
-        mode 1 (direct) — metadata answers carry no payloads and each
-        counts as distinct.
-        """
-        seen: set[bytes] = set()
-        placeholder = 0
-        for answer in self.answers:
-            for item in answer.items:
-                if item.payload is None:
-                    placeholder += 1
-                else:
-                    seen.add(item.payload)
-        return len(seen) + placeholder
 
     @property
     def distinct_answer_count(self) -> int:
@@ -230,12 +228,3 @@ class QueryHandle:
     def arrivals(self) -> list[tuple[float, AnswerMessage]]:
         """(arrival time, answer) pairs in arrival order."""
         return list(zip(self.arrival_times, self.answers))
-
-    def answers_by_responder(self) -> dict[BPID, int]:
-        """Total answer count per responder."""
-        counts: dict[BPID, int] = {}
-        for answer in self.answers:
-            counts[answer.responder] = (
-                counts.get(answer.responder, 0) + answer.answer_count
-            )
-        return counts

@@ -8,7 +8,6 @@ by name with :func:`make_routing_strategy` or enumerate them with
 from repro.core.routing.base import (
     PeerObservation,
     RoutingStrategy,
-    eligible,
     make_routing_strategy,
     register_strategy,
     registered_strategies,
@@ -33,7 +32,6 @@ __all__ = [
     "RandomReplacementStrategy",
     "StaticStrategy",
     "SuperPeerStrategy",
-    "eligible",
     "make_routing_strategy",
     "register_strategy",
     "registered_strategies",

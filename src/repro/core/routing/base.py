@@ -41,15 +41,6 @@ class PeerObservation:
     hops: int | None = None
     #: is the candidate currently a direct peer?
     is_current: bool = False
-    #: is the candidate suspected dead?  The node filters suspects out
-    #: before calling a strategy, but strategies must never select one
-    #: even when handed such an observation directly.
-    suspect: bool = False
-
-
-def eligible(candidates: Sequence[PeerObservation]) -> list[PeerObservation]:
-    """Candidates a strategy may select: everything not suspected dead."""
-    return [obs for obs in candidates if not obs.suspect]
 
 
 class RoutingStrategy:

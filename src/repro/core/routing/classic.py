@@ -24,7 +24,6 @@ from typing import Sequence
 from repro.core.routing.base import (
     PeerObservation,
     RoutingStrategy,
-    eligible,
     register_strategy,
 )
 from repro.util.randomness import derive_rng
@@ -44,7 +43,7 @@ class MaxCountStrategy(RoutingStrategy):
         self, candidates: Sequence[PeerObservation], k: int
     ) -> list[PeerObservation]:
         ranked = sorted(
-            eligible(candidates),
+            candidates,
             key=lambda obs: (-obs.answers, not obs.is_current, str(obs.bpid)),
         )
         return ranked[:k]
@@ -65,7 +64,7 @@ class MinHopsStrategy(RoutingStrategy):
         self, candidates: Sequence[PeerObservation], k: int
     ) -> list[PeerObservation]:
         ranked = sorted(
-            eligible(candidates),
+            candidates,
             key=lambda obs: (
                 -(obs.hops if obs.hops is not None else -1),
                 -obs.answers,
@@ -99,7 +98,7 @@ class RandomReplacementStrategy(RoutingStrategy):
     def select(
         self, candidates: Sequence[PeerObservation], k: int
     ) -> list[PeerObservation]:
-        ordered = sorted(eligible(candidates), key=lambda obs: str(obs.bpid))
+        ordered = sorted(candidates, key=lambda obs: str(obs.bpid))
         if len(ordered) <= k:
             return ordered
         return self._rng.sample(ordered, k)
@@ -115,4 +114,4 @@ class StaticStrategy(RoutingStrategy):
     def select(
         self, candidates: Sequence[PeerObservation], k: int
     ) -> list[PeerObservation]:
-        return [obs for obs in eligible(candidates) if obs.is_current][:k]
+        return [obs for obs in candidates if obs.is_current][:k]

@@ -16,7 +16,6 @@ from typing import Callable, Sequence
 from repro.core.routing.base import (
     PeerObservation,
     RoutingStrategy,
-    eligible,
     register_strategy,
 )
 from repro.net.address import IPAddress
@@ -57,7 +56,7 @@ class CostAwareStrategy(RoutingStrategy):
         self, candidates: Sequence[PeerObservation], k: int
     ) -> list[PeerObservation]:
         ranked = sorted(
-            eligible(candidates),
+            candidates,
             key=lambda obs: (
                 -(obs.answers + SMOOTHING) / self.cost(obs.address),
                 not obs.is_current,

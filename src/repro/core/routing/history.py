@@ -20,7 +20,6 @@ from typing import Sequence
 from repro.core.routing.base import (
     PeerObservation,
     RoutingStrategy,
-    eligible,
     register_strategy,
 )
 from repro.ids import BPID
@@ -73,7 +72,7 @@ class QueryHistoryStrategy(RoutingStrategy):
             else {}
         )
         ranked = sorted(
-            eligible(candidates),
+            candidates,
             key=lambda obs: (
                 -table.get(obs.bpid, 0.0),
                 -obs.answers,

@@ -24,7 +24,7 @@ observed store sizes and the query count so far.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import BestPeerError
 from repro.net import codec as wire
@@ -60,11 +60,11 @@ class PeerEstimate:
     """What a node believes about one peer, for the shipping decision."""
 
     #: estimated bytes of the peer's sharable data (0 = unknown)
-    store_bytes: int = 0
+    store_bytes: int = field(init=False, default=0)
     #: queries this node has issued that involved the peer
-    queries_seen: int = 0
+    queries_seen: int = field(init=False, default=0)
     #: does this node hold a live cached copy of the peer's data?
-    cached: bool = False
+    cached: bool = field(init=False, default=False)
 
 
 class ShippingPolicy:

@@ -7,6 +7,7 @@ its effect, using the same harness as the figure experiments.
 
 from __future__ import annotations
 
+from repro.agents.costs import AgentCosts
 from repro.eval.experiment import FigureResult
 from repro.eval.figures import FigureParams, bestpeer_runs
 from repro.eval.metrics import completion_time
@@ -199,7 +200,6 @@ def ablation_shipping(params: FigureParams) -> FigureResult:
     for policy in ("always-code", "always-data", "adaptive"):
         config = BestPeerConfig(
             shipping_policy=policy,
-            agent_costs=params.costs,
             search_own_store=False,
             max_direct_peers=max(8, SHIPPING_NODES),
         )
@@ -219,8 +219,8 @@ def ablation_shipping(params: FigureParams) -> FigureResult:
                     )
                 ]
             )
-            if params.warm_buffers:
-                node.storm.search_scan(keyword)
+            # a warm-up scan, so cold-cache page I/O does not drown the policies
+            node.storm.search_scan(keyword)
         if policy == "adaptive":
             # The optimizer needs store-size estimates: discover first.
             deployment.base.discover()
@@ -243,11 +243,11 @@ def ablation_buffer_strategy(params: FigureParams) -> FigureResult:
     keeps a stable prefix resident — the classic result the extensible-
     replacement design exists to exploit.  The y value is the simulated
     search service time derived from buffer misses.  It reads only the
-    store load (``objects_per_node`` x ``object_size``) and the cost
-    model from ``params``: the corpus and object seed are fixed, so the
-    result is the same at every ``--seed``.
+    store load (``objects_per_node`` x ``object_size``) from ``params``:
+    the corpus and object seed are fixed, so the result is the same at
+    every ``--seed``.
     """
-    corpus = KeywordCorpus()
+    corpus, costs = KeywordCorpus(), AgentCosts()
     result = FigureResult(
         figure="Ablation A5",
         title="StorM buffer replacement under repeated scans",
@@ -278,8 +278,8 @@ def ablation_buffer_strategy(params: FigureParams) -> FigureResult:
         for scan in range(1, BUFFER_SCANS + 1):
             search = store.search_scan(corpus.keyword(0))
             service = (
-                search.objects_examined * params.costs.object_match_time
-                + search.io.physical_reads * params.costs.page_io_time
+                search.objects_examined * costs.object_match_time
+                + search.io.physical_reads * costs.page_io_time
             )
             result.add_point(name, scan, service)
     return result

@@ -24,9 +24,8 @@ reproduction target (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from repro.agents.costs import AgentCosts
 from repro.baselines.client_server import (
     VARIANT_MCS,
     VARIANT_SCS,
@@ -82,7 +81,7 @@ class FigureParams:
 
     Each experiment's shape (topology, node counts, sweep axes) is a
     module constant beside its function; these fields are the workload
-    (paper-faithful defaults), the seed and the cost model.  Scale down
+    (paper-faithful defaults) and the seed.  Scale down
     ``objects_per_node`` and ``queries`` for quick smoke runs.
     """
 
@@ -98,10 +97,6 @@ class FigureParams:
     #: the reconfigurable base node's peer cap ("up to 8 directly
     #: connected peers" in the Gnutella comparison)
     k_base: int = 8
-    #: scan every store once before measuring, so cold-cache page I/O
-    #: (identical across schemes) does not drown the protocol effects
-    warm_buffers: bool = True
-    costs: AgentCosts = field(default_factory=AgentCosts)
 
     def __post_init__(self) -> None:
         if self.objects_per_node < 0:
@@ -143,7 +138,6 @@ def bestpeer_runs(
             max_direct_peers=max(topology.degree(i), params.k_base),
             ttl=ttl,
             strategy=chosen_strategy,
-            agent_costs=params.costs,
             search_own_store=False,
             result_mode=result_mode,
         )
@@ -179,7 +173,6 @@ def _cs_runs(
     deployment = build_cs_network(
         topology,
         variant,
-        costs=params.costs,
         storm_factory=_store_factory(params, None),
     )
     keyword = _query_keyword(params)
@@ -205,7 +198,6 @@ def _gnutella_runs(
     """Run repeated queries against a Gnutella deployment."""
     deployment = build_gnutella_network(
         topology,
-        costs=params.costs,
         storm_factory=_store_factory(params, placement),
     )
     runs = []
@@ -241,7 +233,6 @@ def _store_factory(params: FigureParams, placement: AnswerPlacement | None):
             corpus=corpus,
             seed=params.seed,
             placement=placement,
-            warm=params.warm_buffers,
         )
 
     return factory

@@ -133,7 +133,6 @@ def churned_run(
         retry_policy=CHURN_RETRY_POLICY,
         suspect_after=2,
         retry_seed=params.seed,
-        agent_costs=params.costs,
         **config_fields,
     )
     topology = random_graph(node_count, degree=3, seed=params.seed)

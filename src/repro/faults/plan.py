@@ -103,13 +103,6 @@ class FaultPlan:
         """Time of the last scheduled fault (0.0 for an empty plan)."""
         return self.events[-1].time if self.events else 0.0
 
-    def kinds(self) -> dict[str, int]:
-        """Event count per kind (for quick assertions and reports)."""
-        counts: dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
-
     def extended(self, extra: Iterable[FaultEvent]) -> "FaultPlan":
         """A new plan with ``extra`` events merged in (re-sorted)."""
         return FaultPlan(self.events + tuple(extra), seed=self.seed, notes=self.notes)

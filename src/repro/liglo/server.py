@@ -279,9 +279,6 @@ class LigloServer:
 
     # -- queries (for tests and operators) -----------------------------------------
 
-    def member_count(self) -> int:
-        return len(self.members)
-
     def stats(self) -> dict[str, int]:
         """Operational counters, including outstanding ping tokens."""
         return {

@@ -88,18 +88,6 @@ class AddressPool:
             raise ValueError(f"{address} is not currently leased")
         self._leased.remove(slot)
 
-    def is_leased(self, address: IPAddress) -> bool:
-        """True when the address is currently leased."""
-        try:
-            return self._address_to_slot(address) in self._leased
-        except ValueError:
-            return False
-
-    @property
-    def leased_count(self) -> int:
-        """Number of addresses currently out on lease."""
-        return len(self._leased)
-
     def _address_to_slot(self, address: IPAddress) -> int:
         head, _, rest = address.value.rpartition(".")
         head_prefix, _, high = head.rpartition(".")

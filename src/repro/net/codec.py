@@ -550,7 +550,9 @@ class MessageSpec:
     #: frame bytes -> its decoded message (see :func:`decode_message`).
     #: Held here so that re-registering or dropping a type id drops its
     #: messages with it.
-    memo: dict[bytes, Any] = field(default_factory=dict, repr=False, compare=False)
+    memo: dict[bytes, Any] = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
     #: the mirror: message -> its frame (see :func:`encode_message`); None
     #: when a field does not pack by value
     frames: dict[Any, bytes] | None = field(default=None, repr=False, compare=False)
@@ -590,7 +592,7 @@ def register(
         raise WireCodecError(
             f"{cls.__qualname__} fields {mutable} decode to mutable values"
         )
-    existing = _BY_ID.get(type_id)
+    existing = spec_for_id(type_id)
     if existing is not None and existing.cls is not cls:
         raise WireCodecError(
             f"type id {type_id:#x} already registered for {existing.name}"

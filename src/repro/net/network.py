@@ -292,10 +292,6 @@ class Network:
         host.connect()
         return host
 
-    def host_at(self, address: IPAddress) -> Host | None:
-        """Host currently holding ``address``, or None."""
-        return self._routes.get(address)
-
     def _lease_address(self, host: Host) -> IPAddress:
         address = self.pool.lease()
         self._routes[address] = host
@@ -348,10 +344,6 @@ class Network:
         if self._partition:
             self.tracer.record(self.sim.now, "net", "heal-partition")
         self._partition = {}
-
-    @property
-    def partitioned(self) -> bool:
-        return bool(self._partition)
 
     def _crosses_partition(self, src: IPAddress, dst: IPAddress) -> bool:
         if not self._partition:
@@ -426,3 +418,26 @@ class Network:
             reason="decode-error",
             error=str(error),
         )
+
+
+class Deployment:
+    """A built system on one network: BestPeer's or a baseline's nodes,
+    node 0 the base that issues the queries."""
+
+    def __init__(self, sim: Simulator, network: Network, nodes: list):
+        self.sim = sim
+        self.network = network
+        self.nodes = nodes
+
+    @property
+    def base(self):
+        """The designated query initiator (node 0 by convention)."""
+        return self.nodes[0]
+
+    def node(self, index: int):
+        return self.nodes[index]
+
+    def populate(self, fill: Callable[[Any, int], None]) -> None:
+        """Run ``fill(node, index)`` for every node (workload loading)."""
+        for index, node in enumerate(self.nodes):
+            fill(node, index)

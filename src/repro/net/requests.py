@@ -16,7 +16,7 @@ entry comes back with its ``timer`` for the families that do cancel.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.util.retry import RetryPolicy
@@ -60,9 +60,9 @@ class PendingRequest:
     #: runs at the expiry that is not retried
     on_give_up: Callable[[], None] = _nothing
     #: sends that have timed out so far
-    failures: int = 0
+    failures: int = field(init=False, default=0)
     #: expiry timer of the send in flight
-    timer: "Timer | None" = None
+    timer: "Timer | None" = field(init=False, default=None)
 
 
 class PendingRequests:

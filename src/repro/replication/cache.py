@@ -72,6 +72,3 @@ class ResultCache:
                 dropped += 1
         self.invalidations += dropped
         return dropped
-
-    def clear(self) -> None:
-        self._entries.clear()

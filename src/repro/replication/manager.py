@@ -235,7 +235,7 @@ class ReplicationManager:
             seen.add(node.bpid)
         ranked: list[tuple[BPID, IPAddress]] = []
         peers = sorted(
-            (peer for peer in node.peers.entries() if not peer.suspect),
+            node.peers.live_entries(),
             key=lambda peer: (
                 peer.timeouts,
                 -peer.total_answers,
@@ -527,10 +527,6 @@ class ReplicationManager:
                 rid=str(rid),
             )
             self._place((rid,), policy.hot_rf - 1)
-
-    def hot_records(self) -> frozenset[RecordId]:
-        """Records currently promoted to ``hot_rf`` copies."""
-        return self._hot
 
     # -- holder: protocol handlers -----------------------------------------------
 

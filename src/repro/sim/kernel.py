@@ -189,12 +189,12 @@ class Simulator:
                 if until is None and self._regular_count == 0:
                     break
                 if until is not None:
-                    # A cancelled head must not hide a later event from
-                    # the bound: step() would skip it and fire that one.
-                    if _cancelled(heap[0]):
-                        heapq.heappop(heap)
-                        continue
-                    if heap[0][0] > until:
+                    # Bound the next live event, not a cancelled head:
+                    # step() would skip that one and fire the next.
+                    following = self.peek()
+                    if following is None:
+                        break
+                    if following > until:
                         self.now = until
                         break
                 self.step()

@@ -10,7 +10,7 @@ at a time:
 ``disk``          page-granular in-memory storage
 ``page``          slotted-page record layout with compaction
 ``buffer``        buffer pool with pluggable replacement strategies
-``replacement``   LRU, MRU, FIFO, Clock, Random, LRU-K strategies
+``replacement``   LRU, MRU, FIFO, Clock, LRU-K strategies
 ``heapfile``      heap file of records addressed by (page, slot)
 ``objects``       the stored-object model: keywords + payload
 ``index``         keyword inverted index
@@ -29,7 +29,6 @@ from repro.storm.replacement import (
     LruKStrategy,
     LruStrategy,
     MruStrategy,
-    RandomStrategy,
     ReplacementStrategy,
     make_strategy,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "MruStrategy",
     "FifoStrategy",
     "ClockStrategy",
-    "RandomStrategy",
     "LruKStrategy",
     "make_strategy",
     "HeapFile",

@@ -272,14 +272,6 @@ class HeapFile:
             self._bump_version(rid.page_id)
         self._record_count -= 1
 
-    def exists(self, rid: RecordId) -> bool:
-        """True when ``rid`` addresses a live record."""
-        if not 0 <= rid.page_id < self.page_count:
-            return False
-        with self.buffer.pinned(rid.page_id) as data:
-            page = SlottedPage(data)
-            return rid.slot < page.slot_count and page.is_live(rid.slot)
-
     def scan(self) -> Iterator[tuple[RecordId, bytes]]:
         """Yield every live record, in page order."""
         for page_id in range(self.page_count):

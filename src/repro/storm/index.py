@@ -121,6 +121,3 @@ class KeywordIndex:
     def keyword_count(self) -> int:
         return len(self._postings)
 
-    def posting_count(self, keyword: str) -> int:
-        """Number of records under ``keyword``."""
-        return len(self._postings.get(normalize_keyword(keyword), ()))

@@ -120,12 +120,6 @@ class SlottedPage:
         """Bytes available after compaction (excluding a new slot entry)."""
         return self.summary()[0]
 
-    def has_room_for(self, record_size: int) -> bool:
-        """Can ``insert`` of this size succeed (possibly after compaction)?"""
-        if self._has_dead_slot():
-            return self.free_space >= record_size
-        return self.free_space >= record_size + SLOT_SIZE
-
     def is_packed(self) -> bool:
         """True when :meth:`packed` of the live records rebuilds this page.
 
@@ -144,11 +138,6 @@ class SlottedPage:
             position -= SLOT_SIZE
         dir_start = self.page_size - SLOT_SIZE * slot_count
         return free_ptr == end and self.data.count(0, end, dir_start) == dir_start - end
-
-    def _has_dead_slot(self) -> bool:
-        return any(
-            self._slot_entry(slot)[0] == 0 for slot in range(self.slot_count)
-        )
 
     # -- record operations ------------------------------------------------------
 
@@ -276,11 +265,6 @@ class SlottedPage:
             offset, length = self._slot_entry(slot)
             if offset != 0:
                 yield slot, bytes(self.data[offset : offset + length])
-
-    @property
-    def live_count(self) -> int:
-        """Number of live records."""
-        return self.summary()[1]
 
     def compact(self) -> None:
         """Squeeze out holes left by deletions; slot numbers are preserved."""

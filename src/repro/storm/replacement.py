@@ -13,7 +13,6 @@ the buffer manager validates this, so a buggy strategy fails loudly.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Collection, Sequence
 
 from repro.errors import BufferError_
@@ -174,22 +173,8 @@ class ClockStrategy(ReplacementStrategy):
         return min(candidate_set)
 
 
-#: Seed of :class:`RandomStrategy`'s victim stream.
-SEED = 0
 #: The K of LRU-K: StorM's LRU-2 (DESIGN.md, "StorM" row).
 K = 2
-
-
-class RandomStrategy(ReplacementStrategy):
-    """Evict a uniformly random candidate (seeded, deterministic)."""
-
-    name = "random"
-
-    def __init__(self):
-        self._rng = random.Random(SEED)
-
-    def choose_victim(self, candidates: Collection[int]) -> int:
-        return self._rng.choice(sorted(candidates))
 
 
 class LruKStrategy(ReplacementStrategy):
@@ -239,7 +224,6 @@ _STRATEGIES = {
     "mru": MruStrategy,
     "fifo": FifoStrategy,
     "clock": ClockStrategy,
-    "random": RandomStrategy,
     "lru-k": LruKStrategy,
 }
 

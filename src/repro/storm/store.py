@@ -58,17 +58,15 @@ class ScoredSearchResult:
     """
 
     keyword: str
-    matches: list[tuple[float, RecordId, StoredObject]] = field(default_factory=list)
+    matches: list[tuple[float, RecordId, StoredObject]] = field(
+        init=False, default_factory=list
+    )
     #: how many stored objects were compared against the query
-    objects_examined: int = 0
+    objects_examined: int = field(init=False, default=0)
     #: buffer activity caused by this search
-    io: AccessStats = field(default_factory=AccessStats)
+    io: AccessStats = field(init=False, default_factory=AccessStats)
     #: matches cut by the ``k`` bound (scored, then never surfaced)
-    truncated: int = 0
-
-    @property
-    def match_count(self) -> int:
-        return len(self.matches)
+    truncated: int = field(init=False, default=0)
 
     @property
     def answer_bytes(self) -> int:
@@ -109,11 +107,13 @@ class SearchResult:
     """Outcome of one keyword search at one node."""
 
     keyword: str
-    matches: list[tuple[RecordId, StoredObject]] = field(default_factory=list)
+    matches: list[tuple[RecordId, StoredObject]] = field(
+        init=False, default_factory=list
+    )
     #: how many stored objects were compared against the query
-    objects_examined: int = 0
+    objects_examined: int = field(init=False, default=0)
     #: buffer activity caused by this search
-    io: AccessStats = field(default_factory=AccessStats)
+    io: AccessStats = field(init=False, default_factory=AccessStats)
 
     @property
     def match_count(self) -> int:

@@ -24,7 +24,7 @@ class Topology:
     edges: frozenset[tuple[int, int]]
     base: int = 0
     _adjacency: dict[int, list[int]] = field(
-        default=None, repr=False, compare=False
+        init=False, default=None, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -55,10 +55,6 @@ class Topology:
     def degree(self, node: int) -> int:
         return len(self.neighbors(node))
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def is_connected(self) -> bool:
         """True when every node is reachable from the base."""
         return len(self.hops_from_base()) == self.node_count
@@ -74,12 +70,6 @@ class Topology:
                     distances[neighbor] = distances[node] + 1
                     frontier.append(neighbor)
         return distances
-
-    @property
-    def depth(self) -> int:
-        """Maximum hops from the base to any reachable node."""
-        return max(self.hops_from_base().values())
-
 
 def _normalize(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)

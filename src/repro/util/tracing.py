@@ -45,10 +45,10 @@ class Tracer:
     """Collects trace events; can be disabled."""
 
     enabled: bool = True
-    events: list[TraceEvent] = field(default_factory=list)
+    events: list[TraceEvent] = field(init=False, default_factory=list)
     #: running counters for very hot events (e.g. wire-encoder cache hits)
     #: that would swamp ``events`` if recorded individually
-    counters: dict[tuple[str, str], int] = field(default_factory=dict)
+    counters: dict[tuple[str, str], int] = field(init=False, default_factory=dict)
 
     def record(self, time: float, category: str, label: str, **fields: Any) -> None:
         """Record one event (no-op if disabled)."""
@@ -75,11 +75,6 @@ class Tracer:
     def counter(self, category: str, name: str) -> int:
         """Current value of one running counter (0 when never bumped)."""
         return self.counters.get((category, name), 0)
-
-    def clear(self) -> None:
-        """Drop all recorded events and counters."""
-        self.events.clear()
-        self.counters.clear()
 
 
 #: Shared "off" tracer for components constructed without one.

@@ -23,11 +23,11 @@ class AnswerPlacement:
     holder_count: int
     #: matching objects per holding node
     answers_per_holder: int = 5
-    #: the base (querying) node never holds answers
-    exclude: frozenset[int] = frozenset({0})
     seed: int = 0
-    keyword: str = "rare-target"
     holders: frozenset[int] = field(init=False)
+    #: the base (querying) node never holds answers
+    exclude = frozenset({0})
+    keyword = "rare-target"
 
     def __post_init__(self) -> None:
         eligible = [i for i in range(self.node_count) if i not in self.exclude]

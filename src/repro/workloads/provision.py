@@ -15,8 +15,7 @@ A load is a pure function of its parameters — node index, count, size,
 corpus size, seed, and the placement's keyword and payloads for the
 node — so :func:`provision_store` remembers each load's digest under
 them and generates (and hashes) the objects only when the registry has
-no template for it.  :func:`store_for_items` computes the same digest
-from the items, so both entry points share templates.
+no template for it; loads whose items coincide share one template.
 
 Both paths are observationally identical to a fresh ``put`` loop —
 record ids, postings, search results, and per-search buffer deltas all
@@ -38,6 +37,7 @@ from repro.storm.template import (
 )
 from repro.workloads.corpus import KeywordCorpus, generate_objects
 from repro.workloads.placement import AnswerPlacement
+from repro.workloads.replication import ReplicationSpec
 
 _U32 = struct.Struct("<I")
 
@@ -58,7 +58,7 @@ def experiment_items(
     size: int,
     corpus: KeywordCorpus,
     seed: int,
-    placement: AnswerPlacement | None = None,
+    placement: AnswerPlacement | ReplicationSpec | None = None,
 ) -> Items:
     """One node's full object load: background corpus + placed answers."""
     items: Items = [
@@ -94,27 +94,6 @@ def content_digest(items: Sequence[tuple[Sequence[str], bytes]]) -> str:
     return hasher.hexdigest()
 
 
-def _template_for(key: str, items: Items) -> StoreTemplate:
-    """The template registered under ``key``, built from ``items`` if none is."""
-    template = cached_template(key)
-    if template is None:
-        prototype = StorM()
-        prototype.put_many(items)
-        template = StoreTemplate.from_store(prototype)
-        prototype.close()
-        register_template(key, template)
-    return template
-
-
-def store_for_items(items: Items) -> StorM:
-    """A store holding exactly ``items``, via the template registry.
-
-    The first call per distinct item sequence builds and registers a
-    template; later calls clone it.
-    """
-    return _template_for(content_digest(items), items).instantiate()
-
-
 def provision_store(
     node_index: int,
     *,
@@ -122,16 +101,14 @@ def provision_store(
     size: int,
     corpus: KeywordCorpus,
     seed: int,
-    placement: AnswerPlacement | None = None,
-    warm: bool = True,
+    placement: AnswerPlacement | ReplicationSpec | None = None,
 ) -> StorM:
     """Build one experiment node's store, ready to attach to the node.
 
-    The registry key is :func:`store_for_items`' — the content digest of
-    the node's items — but a load seen before finds it by its parameters
-    and generates nothing.  ``warm=True`` reproduces the figures' warm-up
-    scan (touch every page once) so cold-cache I/O does not drown
-    protocol effects.
+    The registry key is the content digest of the node's items, but a
+    load seen before finds it by its parameters and generates nothing.
+    The store comes back warm: the figures' warm-up scan has touched
+    every page once, so cold-cache I/O does not drown protocol effects.
     """
     # Placements are duck-typed and need not be hashable: key on what
     # they contribute to the load, never on the object.
@@ -154,8 +131,13 @@ def provision_store(
         _LOAD_KEYS[load] = key = content_digest(items)
         while len(_LOAD_KEYS) > REGISTRY_CAPACITY:
             del _LOAD_KEYS[next(iter(_LOAD_KEYS))]
-        template = _template_for(key, items)
+        template = cached_template(key)
+        if template is None:
+            prototype = StorM()
+            prototype.put_many(items)
+            template = StoreTemplate.from_store(prototype)
+            prototype.close()
+            register_template(key, template)
     store = template.instantiate()
-    if warm:
-        store.search_scan(corpus.keyword(0))
+    store.search_scan(corpus.keyword(0))
     return store

@@ -26,12 +26,12 @@ class ReplicationSpec:
     factor: int
     distinct_objects: int = 10
     object_size: int = 1024
-    keyword: str = "replicated"
-    #: nodes that never hold copies (the querying base by default)
-    exclude: frozenset[int] = frozenset({0})
     seed: int = 0
     #: node index -> payloads stored there (derived)
     placements: dict[int, list[bytes]] = field(init=False)
+    keyword = "replicated"
+    #: nodes that never hold copies (the querying base)
+    exclude = frozenset({0})
 
     def __post_init__(self) -> None:
         eligible = [i for i in range(self.node_count) if i not in self.exclude]
@@ -66,8 +66,3 @@ class ReplicationSpec:
     def holders(self) -> frozenset[int]:
         """Nodes holding at least one replica."""
         return frozenset(self.placements)
-
-    @property
-    def total_copies(self) -> int:
-        """Copies across the network (the completion oracle)."""
-        return self.distinct_objects * self.factor

@@ -95,11 +95,6 @@ class TestRegistry:
         with pytest.raises(CodeShippingError):
             registry.source_of("Nope")
 
-    def test_class_names(self):
-        registry = AgentCodeRegistry()
-        registry.register_local(SampleAgent)
-        assert registry.class_names == {"SampleAgent"}
-
 
 class TestAgentState:
     def test_default_state_round_trip(self):

@@ -60,11 +60,7 @@ class TestCompileCache:
         first = AgentCodeRegistry()
         second = AgentCodeRegistry()
         installed_first = first.install("EchoAgent", source)
-        assert codeship.cache_stats()["compile_cache_misses"] == 1
         installed_second = second.install("EchoAgent", source)
-        stats = codeship.cache_stats()
-        assert stats["compile_cache_hits"] == 1
-        assert stats["compile_cache_misses"] == 1
         # The cached class object is rebound, not re-exec'd...
         assert installed_second is installed_first
         # ...but each registry still counts its own install.
@@ -86,9 +82,6 @@ class TestCompileCache:
         b = AgentCodeRegistry()
         genuine = a.install("EchoAgent", source)
         variant = b.install("EchoAgent", VARIANT_SOURCE)
-        stats = codeship.cache_stats()
-        assert stats["compile_cache_hits"] == 0
-        assert stats["compile_cache_misses"] == 2
         assert variant is not genuine
         assert variant("x").tag == ("variant", "x")
         assert genuine("x").tag == "x"
@@ -110,23 +103,19 @@ class TestCompileCache:
 
 class TestSourceCache:
     def test_extract_source_caches_per_class(self):
-        extract_source(EchoAgent)
-        assert codeship.cache_stats()["source_cache_misses"] == 1
+        first = extract_source(EchoAgent)
+        # a hit hands back the cached string itself, not a fresh read
+        assert extract_source(EchoAgent) is first
+        codeship.clear_caches()
         again = extract_source(EchoAgent)
-        stats = codeship.cache_stats()
-        assert stats["source_cache_hits"] == 1
-        assert stats["source_cache_misses"] == 1
-        assert again == extract_source(EchoAgent)
+        assert again == first and again is not first
 
     def test_shipped_classes_skip_the_cache(self):
         """__shipped_source__ is already O(1); it must not burn entries."""
         source = _shipped_source()
         installed = AgentCodeRegistry().install("EchoAgent", source)
         codeship.clear_caches()
-        assert extract_source(installed) == source
-        stats = codeship.cache_stats()
-        assert stats["source_cache_hits"] == 0
-        assert stats["source_cache_misses"] == 0
+        assert extract_source(installed) is installed.__shipped_source__
 
 
 def _flood_observables():
@@ -167,10 +156,7 @@ def test_installs_and_charged_costs_identical_cold_vs_warm():
     times and completion times), and the wire bytes are bit-identical
     whether every install compiles (cold) or rebinds a cached class."""
     cold = _flood_observables()
-    misses = codeship.cache_stats()["compile_cache_misses"]
-    assert misses > 0
     warm = _flood_observables()
-    assert codeship.cache_stats()["compile_cache_misses"] == misses
     assert cold == warm
 
 

@@ -32,7 +32,7 @@ class TestQueryFlooding:
 
     def test_hits_carry_names_not_payloads(self):
         deployment = build_gnutella_network(line(2), costs=FAST)
-        deployment.servent(1).storm.put(["mp3"], b"x" * 1024)
+        deployment.node(1).storm.put(["mp3"], b"x" * 1024)
         handle = deployment.base.issue_query("mp3")
         deployment.sim.run()
         # The handle records hits; files are (name, size) pairs only.
@@ -52,15 +52,15 @@ class TestQueryFlooding:
         deployment.sim.run()
         # Each servent answers exactly once despite the cycle.
         assert len(handle.arrivals) == 3
-        assert all(s.queries_handled <= 1 for s in deployment.servents)
+        assert all(s.queries_handled <= 1 for s in deployment.nodes)
 
     def test_relay_counter(self):
         deployment = build_gnutella_network(line(3), costs=FAST)
-        fill(deployment.servent(2), 2)
+        fill(deployment.node(2), 2)
         handle = deployment.base.issue_query("mp3")
         deployment.sim.run()
         # gnut-2's hit passed through gnut-1.
-        assert deployment.servent(1).hits_relayed == 1
+        assert deployment.node(1).hits_relayed == 1
         assert handle.network_answer_count == 3
 
     def test_search_path_is_stable_across_runs(self):

@@ -9,9 +9,9 @@ framework's selection and forwarding contracts (the routing analogue of
   drawn from the candidate list, stable across fresh same-seed
   instances, and well-behaved on the degenerate inputs (empty set, all
   candidates silent, all candidates current);
-* **suspect exclusion** — an observation flagged ``suspect`` (an
-  evicted peer the node still has evidence about) is never selected, no
-  matter how well it scores;
+* **suspect exclusion** — a node running the strategy never re-selects
+  a peer it suspects dead, however many answers that peer held: its
+  reconfiguration leaves suspects out of the strategy's input;
 * **forwarding** — ``flood_targets`` returns a duplicate-free subset of
   the live (non-suspect) peers' addresses and never resurrects a
   suspect peer.
@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.builder import build_network
+from repro.core.config import BestPeerConfig
 from repro.core.peers import PeerInfo
 from repro.core.routing import (
     PeerObservation,
@@ -33,6 +35,7 @@ from repro.core.routing import (
 )
 from repro.ids import BPID
 from repro.net.address import IPAddress
+from repro.topology.builders import star
 
 
 def observation(
@@ -40,7 +43,6 @@ def observation(
     answers: int = 0,
     hops: int | None = None,
     current: bool = False,
-    suspect: bool = False,
 ) -> PeerObservation:
     return PeerObservation(
         bpid=BPID("liglo", n),
@@ -48,7 +50,6 @@ def observation(
         answers=answers,
         hops=hops,
         is_current=current,
-        suspect=suspect,
     )
 
 
@@ -59,7 +60,7 @@ def peer(n: int, suspect: bool = False) -> PeerInfo:
 
 
 def mixed_candidates() -> list[PeerObservation]:
-    """A spread of answer counts, hops, current flags — no suspects."""
+    """A spread of answer counts, hops and current flags."""
     return [
         observation(1, answers=5, hops=2, current=True),
         observation(2, answers=0, current=True),
@@ -133,22 +134,34 @@ class StrategyConformance:
 
     # -- suspect exclusion ---------------------------------------------------
 
-    def test_never_selects_suspects(self, strategy):
-        """A suspect observation loses even with the best score and even
-        when k has room for everyone."""
-        candidates = [
-            observation(1, answers=100, hops=9, current=True, suspect=True),
-            observation(2, answers=1, current=True),
-            observation(3, answers=2, hops=1),
-            observation(4, suspect=True),
-        ]
-        selected = strategy.select(candidates, 10)
-        assert all(not obs.suspect for obs in selected)
-        assert {obs.bpid.node_id for obs in selected} <= {2, 3}
+    @staticmethod
+    def _reconfigured_after_suspecting(name: str, suspects: int) -> tuple[list, list]:
+        """A star base running ``name`` suspects its first ``suspects``
+        peers (each holding the most matches), then finishes a query:
+        (the suspects, its peers after the reconfiguration)."""
+        net = build_network(
+            5, config=BestPeerConfig(max_direct_peers=4, strategy=name), topology=star(5)
+        )
+        base = net.base
+        for index, node in enumerate(net.nodes[1:], start=1):
+            copies = 10 if index <= suspects else 1
+            for copy in range(copies):
+                node.share(["jazz"], bytes([index, copy]))
+        suspected = [node.bpid for node in net.nodes[1 : 1 + suspects]]
+        for bpid in suspected:
+            base.peers.note_timeout(bpid, threshold=1)
+        handle = base.issue_query("jazz", auto_finish_after=1.0)
+        net.sim.run()
+        assert handle.finished
+        return suspected, base.peers.bpids()
 
-    def test_all_suspects_selects_nothing(self, strategy):
-        suspects = [observation(n, answers=n, suspect=True) for n in range(1, 5)]
-        assert strategy.select(suspects, 4) == []
+    def test_never_selects_suspects(self, name):
+        suspected, after = self._reconfigured_after_suspecting(name, suspects=2)
+        assert not set(after) & set(suspected)
+
+    def test_all_suspects_selects_nothing(self, name):
+        _suspected, after = self._reconfigured_after_suspecting(name, suspects=4)
+        assert after == []
 
     # -- forwarding ----------------------------------------------------------
 

@@ -111,7 +111,7 @@ class TestDiscoveryEndToEnd:
         net.base.discover()
         net.sim.run()
         assert len(net.base.knowledge) == 3
-        two = net.base.knowledge.report_for(net.nodes[2].bpid)
+        two = net.base.knowledge.reports[net.nodes[2].bpid]
         assert two.object_count == 2
         assert two.total_bytes == 200
         assert two.count_for("jazz") == 2

@@ -53,23 +53,15 @@ class TestPeerTableLiveness:
         table.add(bpid(1), addr(1))
         table.add(bpid(2), addr(2))
         table.note_timeout(bpid(1), threshold=1)
-        assert table.live_addresses() == [addr(2)]
         assert [entry.bpid for entry in table.live_entries()] == [bpid(2)]
-        # The full views still contain everything.
-        assert len(table.addresses()) == 2
+        # The full view still contains everything.
+        assert len(table.entries()) == 2
 
     def test_healthy_live_views_equal_full_views(self):
         table = PeerTable(max_peers=3)
         table.add(bpid(1), addr(1))
         table.add(bpid(2), addr(2))
-        assert table.live_addresses() == table.addresses()
-
-    def test_discard_is_silent_for_unknown(self):
-        table = PeerTable(max_peers=3)
-        table.add(bpid(1), addr(1))
-        table.discard(bpid(1))
-        table.discard(bpid(1))
-        assert bpid(1) not in table
+        assert table.live_entries() == table.entries()
 
 
 class TestQueryDegradation:
@@ -313,7 +305,7 @@ class TestSuspicionReplicationInterplay:
 
         # Silence: the peer is suspected, evicted, and backfilled.
         assert owner.peers.note_timeout(peer.bpid, threshold=1)
-        owner.peers.discard(peer.bpid)
+        owner.peers.remove(peer.bpid)
         if backfill.bpid not in owner.peers:
             owner.peers.add(backfill.bpid, backfill.host.address)
         assert peer.bpid not in owner.peers

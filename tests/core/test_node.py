@@ -76,7 +76,7 @@ class TestQueryFlow:
         handle = net.base.issue_query("jazz")
         net.sim.run()
         assert handle.local_result.match_count == 1
-        assert handle.total_answer_count == 1
+        assert handle.network_answer_count == 0
 
     def test_local_search_disabled(self):
         net = build_network(
@@ -170,9 +170,9 @@ class TestDistinctPayloads:
         handle = net.base.issue_query("jazz")
         net.sim.run()
         assert handle.network_answer_count == 6
-        assert handle.distinct_payload_count == 4  # 1 shared + 3 unique
+        assert handle.distinct_answer_count == 4  # 1 shared + 3 unique
 
-    def test_metadata_answers_count_individually(self):
+    def test_metadata_answers_merge_on_keywords_and_size(self):
         net = build_network(
             3, config=small_config(result_mode="metadata"), topology=star(3)
         )
@@ -180,8 +180,9 @@ class TestDistinctPayloads:
             node.share(["jazz"], b"same bytes")
         handle = net.base.issue_query("jazz")
         net.sim.run()
-        # No payloads to compare: each metadata item counts as distinct.
-        assert handle.distinct_payload_count == 2
+        # No payloads to compare: equal keywords and size are one object.
+        assert handle.network_answer_count == 2
+        assert handle.distinct_answer_count == 1
 
 
 class TestReconfiguration:

@@ -23,7 +23,7 @@ class TestPeerTable:
         assert bpid(1) in table
         assert len(table) == 1
         assert table.get(bpid(1)).added_at == 5.0
-        assert table.addresses() == [addr(1)]
+        assert table.get(bpid(1)).address == addr(1)
 
     def test_capacity_enforced(self):
         table = PeerTable(max_peers=1)

@@ -63,17 +63,15 @@ class TestLifecycle:
         assert handle.last_arrival is None
         assert handle.responders == set()
         assert handle.network_answer_count == 0
-        assert handle.total_answer_count == 0
-        assert handle.distinct_payload_count == 0
+        assert handle.distinct_answer_count == 0
 
     def test_answers_by_responder_accumulates(self):
         handle = make_handle()
         handle.record_answer(answer(1, count=2), now=11.0)
         handle.record_answer(answer(1, count=3), now=11.5)
         handle.record_answer(answer(2, count=1), now=12.0)
-        by_responder = handle.answers_by_responder()
-        assert by_responder[BPID("liglo", 1)] == 5
-        assert by_responder[BPID("liglo", 2)] == 1
+        assert handle.responders == {BPID("liglo", 1), BPID("liglo", 2)}
+        assert handle.network_answer_count == 6
 
     def test_arrivals_pairs(self):
         handle = make_handle()

@@ -76,7 +76,6 @@ observation_entries = st.lists(
         st.integers(min_value=0, max_value=20),  # answers
         st.one_of(st.none(), st.integers(min_value=1, max_value=7)),  # hops
         st.booleans(),  # is_current
-        st.booleans(),  # suspect
     ),
     max_size=20,
     unique_by=lambda t: t[0],
@@ -91,8 +90,8 @@ def test_paper_strategies_are_permutation_invariant(entries, k):
     so for it only the selected *set* is permutation invariant — and only
     when k has room for every current candidate."""
     candidates = [
-        observation(n, answers=a, hops=h, current=c, suspect=s)
-        for n, a, h, c, s in entries
+        observation(n, answers=a, hops=h, current=c)
+        for n, a, h, c in entries
     ]
     for name in ["maxcount", "minhops"]:
         forward = make_routing_strategy(name).select(candidates, k)
@@ -100,7 +99,7 @@ def test_paper_strategies_are_permutation_invariant(entries, k):
             list(reversed(candidates)), k
         )
         assert [obs.bpid for obs in forward] == [obs.bpid for obs in backward]
-    current = [o for o in candidates if o.is_current and not o.suspect]
+    current = [o for o in candidates if o.is_current]
     if k >= len(current):
         static = make_routing_strategy("static")
         assert {o.bpid for o in static.select(candidates, k)} == {
@@ -109,17 +108,16 @@ def test_paper_strategies_are_permutation_invariant(entries, k):
 
 
 @given(observation_entries, st.integers(min_value=1, max_value=10))
-def test_every_strategy_respects_k_dedup_and_suspects(entries, k):
+def test_every_strategy_respects_k_and_dedup(entries, k):
     candidates = [
-        observation(n, answers=a, hops=h, current=c, suspect=s)
-        for n, a, h, c, s in entries
+        observation(n, answers=a, hops=h, current=c)
+        for n, a, h, c in entries
     ]
     for name in registered_strategies():
         selected = make_routing_strategy(name).select(candidates, k)
         assert len(selected) <= k
         assert len({obs.bpid for obs in selected}) == len(selected)
         assert all(obs in candidates for obs in selected)
-        assert all(not obs.suspect for obs in selected)
 
 
 @settings(deadline=None)

@@ -27,31 +27,38 @@ FAST = AgentCosts(
 )
 
 
+def estimate(store_bytes: int = 0, cached: bool = False) -> PeerEstimate:
+    """A node's belief about one peer, as the node accumulates it."""
+    belief = PeerEstimate()
+    belief.store_bytes, belief.cached = store_bytes, cached
+    return belief
+
+
 class TestPolicies:
     def test_always_code(self):
         policy = AlwaysCodePolicy()
-        assert policy.choose(PeerEstimate(store_bytes=1)) == CODE
-        assert policy.choose(PeerEstimate(cached=True)) == CODE
+        assert policy.choose(estimate(store_bytes=1)) == CODE
+        assert policy.choose(estimate(cached=True)) == CODE
 
     def test_always_data(self):
-        assert AlwaysDataPolicy().choose(PeerEstimate()) == DATA
+        assert AlwaysDataPolicy().choose(estimate()) == DATA
 
     def test_adaptive_prefers_code_when_store_unknown(self):
         policy = AdaptiveShippingPolicy()
-        assert policy.choose(PeerEstimate(store_bytes=0)) == CODE
+        assert policy.choose(estimate(store_bytes=0)) == CODE
 
     def test_adaptive_prefers_cache(self):
         policy = AdaptiveShippingPolicy()
-        assert policy.choose(PeerEstimate(store_bytes=10**9, cached=True)) == DATA
+        assert policy.choose(estimate(store_bytes=10**9, cached=True)) == DATA
 
     def test_adaptive_small_store_ships_data(self):
         policy = AdaptiveShippingPolicy()
-        small = PeerEstimate(store_bytes=1000)
+        small = estimate(store_bytes=1000)
         assert policy.choose(small) == DATA
 
     def test_adaptive_huge_store_ships_code(self):
         policy = AdaptiveShippingPolicy()
-        huge = PeerEstimate(store_bytes=10**9)
+        huge = estimate(store_bytes=10**9)
         assert policy.choose(huge) == CODE
 
     def test_adaptive_flips_at_the_horizon_break_even(self):
@@ -59,8 +66,8 @@ class TestPolicies:
         # data wins while pulling the store once costs less than HORIZON
         # code-shipped queries
         break_even = HORIZON * policy.code_cost() * BANDWIDTH
-        assert policy.choose(PeerEstimate(store_bytes=int(break_even) - 1)) == DATA
-        assert policy.choose(PeerEstimate(store_bytes=int(break_even) + 1)) == CODE
+        assert policy.choose(estimate(store_bytes=int(break_even) - 1)) == DATA
+        assert policy.choose(estimate(store_bytes=int(break_even) + 1)) == CODE
 
     def test_factory(self):
         for name in ["always-code", "always-data", "adaptive"]:
@@ -112,27 +119,6 @@ class TestSmartQuery:
         second = net.base.smart_query("jazz")
         net.sim.run()
         assert all(a.hops == 0 for a in second.answers)
-
-    def test_cache_invalidation_forces_refetch(self):
-        net = build("always-data")
-        net.base.smart_query("jazz")
-        net.sim.run()
-        victim = net.nodes[1].bpid
-        net.base.invalidate_data_cache()
-        assert not net.base.has_cached_data(victim)
-        handle = net.base.smart_query("jazz")
-        net.sim.run()
-        assert net.base.has_cached_data(victim)
-        assert handle.network_answer_count == 8
-
-    def test_invalidate_all(self):
-        net = build("always-data")
-        net.base.smart_query("jazz")
-        net.sim.run()
-        net.base.invalidate_data_cache()
-        assert not any(
-            net.base.has_cached_data(n.bpid) for n in net.nodes[1:]
-        )
 
     def test_adaptive_uses_recorded_store_sizes(self):
         net = build("adaptive")

@@ -128,11 +128,14 @@ class TestPartition:
             ),
         )
         injector.arm()
-        observed = []
-        net.sim.schedule(2.0, lambda: observed.append(net.network.partitioned))
-        net.sim.schedule(4.0, lambda: observed.append(net.network.partitioned))
+        armed = net.sim.now
         net.sim.run()
-        assert observed == [True, False]
+        window = [
+            (event.time - armed, event.label)
+            for event in net.tracer.select("net")
+            if event.label in ("partition", "heal-partition")
+        ]
+        assert window == [(1.0, "partition"), (3.0, "heal-partition")]
         assert injector.applied[KIND_PARTITION] == 1
 
     def test_unknown_hosts_in_groups_are_filtered(self):

@@ -175,7 +175,7 @@ class TestCrossSystemConsistency:
         cs.sim.run()
 
         gnutella = build_gnutella_network(topology, costs=FAST)
-        for i, servent in enumerate(gnutella.servents):
+        for i, servent in enumerate(gnutella.nodes):
             load(servent.storm, i, corpus=corpus)
         g_handle = gnutella.base.issue_query("kw0002")
         gnutella.sim.run()

@@ -45,7 +45,7 @@ class TestRegistration:
         assert result.accepted
         assert result.bpid == BPID(str(rig.servers[0].host.address), 0)
         assert client.bpid == result.bpid
-        assert rig.servers[0].member_count() == 1
+        assert rig.servers[0].stats()["members"] == 1
 
     def test_bpids_are_sequential_per_server(self):
         rig = Rig()

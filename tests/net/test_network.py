@@ -141,8 +141,14 @@ class TestChurn:
         a.disconnect()
         new = a.connect()
         assert new != old
-        assert net.host_at(new) is a
-        assert net.host_at(old) is None
+        got = []
+        a.bind("test", got.append)
+        b = net.create_host("b")
+        b.send(new, "test", CsDone(0))
+        b.send(old, "test", CsDone(0))
+        sim.run()
+        assert len(got) == 1
+        assert net.drops_by_reason["no-route"] == 1
 
     def test_packet_to_stale_address_drops_even_if_reassigned(self):
         """A packet addressed to a host's *old* IP must not reach it."""

@@ -60,9 +60,13 @@ class TestBypassBranches:
         owner = net.nodes[1]
         rid = owner.share(["kw"], b"content")
         net.sim.run()
+        before = owner.replication.holders_of(rid)
         owner.replication.note_query_hits((rid,))
         owner.replication.note_query_hits((rid,))
-        assert owner.replication.hot_records() == frozenset()
+        net.sim.run()
+        # no promotion: no further offer goes out, the holders stay put
+        assert owner.replication.statistics()["replica_offers"] == 1
+        assert owner.replication.holders_of(rid) == before
 
 
 class TestReshareEdges:

@@ -72,10 +72,12 @@ class TestHeapFile:
     def test_exists(self):
         heap = make_heap()
         rid = heap.insert(b"x")
-        assert heap.exists(rid)
+        assert heap.read(rid) == b"x"
         heap.delete(rid)
-        assert not heap.exists(rid)
-        assert not heap.exists(RecordId(99, 0))
+        with pytest.raises(RecordNotFound):
+            heap.read(rid)
+        with pytest.raises(RecordNotFound):
+            heap.read(RecordId(99, 0))
 
     def test_annotations_resolve(self):
         assert typing.get_type_hints(HeapFile.insert_many)["return"] == list[RecordId]

@@ -49,7 +49,7 @@ class TestKeywordIndex:
         index.rebuild([(rid(1), ["fresh"]), (rid(2), ["fresh", "new"])])
         assert index.lookup("stale") == frozenset()
         assert index.lookup("fresh") == {rid(1), rid(2)}
-        assert index.posting_count("new") == 1
+        assert index.lookup("new") == {rid(2)}
 
     def test_keywords_iteration(self):
         index = KeywordIndex()

@@ -21,7 +21,7 @@ from repro.storm.replacement import ReplacementStrategy, make_strategy
 from repro.storm.store import StorM
 from repro.storm.template import SnapshotDisk, StoreTemplate
 
-STRATEGIES = ["lru", "mru", "fifo", "clock", "random", "lru-k"]
+STRATEGIES = ["lru", "mru", "fifo", "clock", "lru-k"]
 
 
 class EagerBuffer:

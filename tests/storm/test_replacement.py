@@ -9,7 +9,6 @@ from repro.storm.replacement import (
     LruKStrategy,
     LruStrategy,
     MruStrategy,
-    RandomStrategy,
     make_strategy,
 )
 
@@ -88,20 +87,6 @@ class TestClock:
         assert len(clock._ring) == 1
 
 
-class TestRandom:
-    def test_deterministic_for_seed(self):
-        a = RandomStrategy()
-        b = RandomStrategy()
-        picks_a = [a.choose_victim(range(10)) for _ in range(20)]
-        picks_b = [b.choose_victim(range(10)) for _ in range(20)]
-        assert picks_a == picks_b
-
-    def test_always_picks_candidate(self):
-        strategy = RandomStrategy()
-        for _ in range(50):
-            assert strategy.choose_victim([3, 5, 9]) in {3, 5, 9}
-
-
 class TestLruK:
     def test_prefers_frames_with_short_history(self):
         lruk = LruKStrategy()
@@ -131,9 +116,13 @@ class TestLruK:
 
 class TestFactory:
     def test_all_names(self):
-        for name in ["lru", "mru", "fifo", "clock", "random", "lru-k"]:
+        for name in ["lru", "mru", "fifo", "clock", "lru-k"]:
             assert make_strategy(name).name in (name, "lru-k")
 
     def test_unknown_name(self):
         with pytest.raises(BufferError_, match="unknown strategy"):
             make_strategy("belady")
+
+    def test_random_is_not_offered(self):
+        with pytest.raises(BufferError_, match="unknown strategy"):
+            make_strategy("random")

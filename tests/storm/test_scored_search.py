@@ -86,7 +86,7 @@ class TestSearchConsistency:
             scanned = store.scored_search_scan("jazz", k)
             assert indexed.matches == scanned.matches
             assert indexed.truncated == scanned.truncated
-            assert indexed.match_count <= k
+            assert len(indexed.scores) <= k
 
     def test_scored_matches_are_the_search_matches(self, store):
         plain = store.search("jazz")
@@ -138,7 +138,7 @@ class TestScoringModel:
         for i in range(6):
             store.put(["jazz"] + ["pad"] * i, bytes([i]))
         result = store.scored_search("jazz", 2)
-        assert result.match_count == 2
+        assert len(result.scores) == 2
         assert result.truncated == 4
         assert result.objects_examined == 6
 

@@ -25,7 +25,7 @@ from repro.storm.buffer import BufferManager, _Frame
 from repro.storm.disk import PAGE_SIZE, InMemoryDisk
 from repro.storm.replacement import make_strategy
 
-STRATEGIES = ["lru", "mru", "fifo", "clock", "random", "lru-k"]
+STRATEGIES = ["lru", "mru", "fifo", "clock", "lru-k"]
 
 # (kind, page): "read" pins and unpins, "hold" leaves a pin, "dirty"
 # writes the page and unpins it.

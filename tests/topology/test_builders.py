@@ -15,11 +15,11 @@ class TestStar:
         assert topology.degree(0) == 4
         for i in range(1, 5):
             assert topology.neighbors(i) == [0]
-        assert topology.depth == 1
+        assert topology.hops_from_base() == {0: 0, 1: 1, 2: 1, 3: 1, 4: 1}
 
     def test_single_node(self):
         topology = star(1)
-        assert topology.edge_count == 0
+        assert topology.edges == frozenset()
         assert topology.is_connected()
 
 
@@ -29,10 +29,10 @@ class TestLine:
         assert topology.neighbors(0) == [1]
         assert topology.neighbors(1) == [0, 2]
         assert topology.neighbors(3) == [2]
-        assert topology.depth == 3
+        assert topology.hops_from_base() == {0: 0, 1: 1, 2: 2, 3: 3}
 
     def test_two_nodes(self):
-        assert line(2).edge_count == 1
+        assert line(2).edges == {(0, 1)}
 
 
 class TestTree:
@@ -41,7 +41,7 @@ class TestTree:
         assert topology.neighbors(0) == [1, 2]
         assert topology.neighbors(1) == [0, 3, 4]
         assert topology.neighbors(3) == [1]
-        assert topology.depth == 2
+        assert topology.hops_from_base()[6] == 2
 
     def test_partial_last_level(self):
         topology = tree(6, branching=2)
@@ -51,7 +51,7 @@ class TestTree:
     def test_branching_three(self):
         topology = tree(13, branching=3)
         assert topology.degree(0) == 3
-        assert topology.depth == 2
+        assert topology.hops_from_base()[12] == 2
 
     def test_invalid_branching(self):
         with pytest.raises(TopologyError):
@@ -61,7 +61,8 @@ class TestTree:
         """The paper used 48 nodes (not 63) at level 5 of a binary tree."""
         topology = tree(48, branching=2)
         assert topology.is_connected()
-        assert topology.depth == 5
+        # nodes 31..47 fill the first 17 places of level 5
+        assert topology.hops_from_base()[47] == 5
 
 
 class TestRing:
@@ -102,7 +103,7 @@ class TestRandomGraph:
 
     def test_degree_budget(self):
         topology = random_graph(30, degree=4, seed=0)
-        average = 2 * topology.edge_count / topology.node_count
+        average = sum(map(topology.degree, range(30))) / topology.node_count
         assert 2.0 <= average <= 4.5
 
     def test_validation(self):

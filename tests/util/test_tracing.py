@@ -21,15 +21,6 @@ def test_disabled_tracer_records_nothing():
     assert tracer.events == []
 
 
-def test_clear():
-    tracer = Tracer()
-    tracer.record(0.0, "x", "y")
-    tracer.bump("net", "encode-hit")
-    tracer.clear()
-    assert tracer.events == []
-    assert tracer.counter("net", "encode-hit") == 0
-
-
 def test_event_str_contains_fields():
     event = TraceEvent(1.25, "net", "drop", (("reason", "offline"),))
     text = str(event)

@@ -13,7 +13,6 @@ from repro.workloads.provision import (
     content_digest,
     experiment_items,
     provision_store,
-    store_for_items,
 )
 from repro.workloads.replication import ReplicationSpec
 
@@ -52,22 +51,13 @@ def _observed(store):
     return result.matches, result.objects_examined, result.io, store.stats
 
 
-def test_both_entry_points_share_one_registry_key():
+def test_the_registry_key_is_the_content_digest():
     items = experiment_items(2, **LOAD)
     key = content_digest(items)
-    provision_store(2, **LOAD)
-    assert list(template_module._REGISTRY) == [key]
-    template = cached_template(key)
-    # store_for_items finds the template provision_store registered ...
-    assert _contents(store_for_items(items)) == items
-    assert cached_template(key) is template
-    # ... and the other way round.
-    clear_templates()
-    store_for_items(items)
-    template = cached_template(key)
     assert _contents(provision_store(2, **LOAD)) == items
     assert list(template_module._REGISTRY) == [key]
-    assert cached_template(key) is template
+    template = cached_template(key)
+    assert _contents(template.instantiate()) == items
 
 
 def test_registry_hit_generates_nothing(generate_calls):
@@ -138,12 +128,11 @@ def test_unhashable_duck_typed_placement(generate_calls):
     assert generate_calls == [holder]
 
 
-def test_warm_scan_is_optional():
-    cold = provision_store(0, warm=False, **LOAD)
+def test_a_provisioned_store_comes_back_warm():
     warm = provision_store(0, **LOAD)
-    pages = cold.heap.page_count
-    assert cold.stats.logical_reads == pages
-    assert warm.stats.logical_reads == 2 * pages
+    cold = cached_template(content_digest(experiment_items(0, **LOAD))).instantiate()
+    # the warm-up scan reads every page once more than a cold clone has
+    assert warm.stats.logical_reads == cold.stats.logical_reads + warm.heap.page_count
 
 
 def test_load_key_memo_is_bounded(monkeypatch):

@@ -18,7 +18,7 @@ class TestReplicationSpec:
     def test_each_object_has_factor_copies(self):
         spec = ReplicationSpec(node_count=10, factor=3, distinct_objects=4)
         all_payloads = [p for i in range(10) for p in spec.objects_for(i)]
-        assert len(all_payloads) == spec.total_copies == 12
+        assert len(all_payloads) == 12
         for payload in set(all_payloads):
             assert all_payloads.count(payload) == 3
 
@@ -64,4 +64,4 @@ class TestReplicationSpec:
             node_count=nodes, factor=factor, distinct_objects=objects or 1, seed=seed
         )
         placed = sum(len(ps) for ps in spec.placements.values())
-        assert placed == spec.total_copies
+        assert placed == spec.distinct_objects * factor
